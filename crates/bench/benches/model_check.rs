@@ -5,7 +5,7 @@
 use co_bench::harness::{BenchmarkId, Criterion};
 use co_bench::{criterion_group, criterion_main};
 use co_core::Alg2Node;
-use co_net::explore::{explore, ExploreLimits};
+use co_net::explore::{explore, ExploreConfig};
 use co_net::RingSpec;
 
 fn check(ids: &[u64]) -> usize {
@@ -19,7 +19,10 @@ fn check(ids: &[u64]) -> usize {
         },
         |_| Ok(()),
         |_| Ok(()),
-        ExploreLimits::default(),
+        &ExploreConfig {
+            jobs: 1,
+            ..ExploreConfig::default()
+        },
     );
     assert!(report.complete && report.violations.is_empty());
     report.configs

@@ -160,8 +160,8 @@ impl CheckReport {
 pub fn collect_metrics(inject_regression_pct: Option<f64>) -> Vec<Metric> {
     use co_core::anonymous::{elect_anonymous, SamplingConfig};
     use co_core::{runner, Alg2Node};
-    use co_net::explore::{explore, explore_parallel, ExploreConfig, ExploreLimits};
-    use co_net::{DedupKind, RingSpec, SchedulerKind};
+    use co_net::explore::{explore, ExploreConfig};
+    use co_net::{RingSpec, SchedulerKind};
 
     let mut metrics = Vec::new();
 
@@ -203,7 +203,10 @@ pub fn collect_metrics(inject_regression_pct: Option<f64>) -> Vec<Metric> {
         },
         |_| Ok(()),
         |_| Ok(()),
-        ExploreLimits::default(),
+        &ExploreConfig {
+            jobs: 1,
+            ..ExploreConfig::default()
+        },
     );
     metrics.push(Metric {
         name: "e15_snap_configs_ring124",
@@ -218,15 +221,14 @@ pub fn collect_metrics(inject_regression_pct: Option<f64>) -> Vec<Metric> {
         direction: Direction::Increase,
     });
 
-    // E16 — parallel explorer state counts. Single worker: the exploration
-    // order (and thus any bloom false positive) is deterministic.
+    // E16 — explorer state count at one worker.
     let spec7 = RingSpec::oriented(vec![3, 5, 2, 4, 1, 6, 7]);
     let make7 = || {
         (0..spec7.len())
             .map(|i| Alg2Node::new(spec7.id(i), spec7.cw_port(i)))
             .collect::<Vec<_>>()
     };
-    let exact = explore_parallel(
+    let exact = explore(
         &spec7.wiring(),
         make7,
         |_| Ok(()),
@@ -241,31 +243,6 @@ pub fn collect_metrics(inject_regression_pct: Option<f64>) -> Vec<Metric> {
         value: exact.configs as f64,
         tolerance_pct: 0.0,
         direction: Direction::Both,
-    });
-    let bloom = explore_parallel(
-        &spec7.wiring(),
-        make7,
-        |_| Ok(()),
-        |_| Ok(()),
-        &ExploreConfig {
-            jobs: 1,
-            dedup: DedupKind::Bloom,
-            ..ExploreConfig::default()
-        },
-    );
-    // Bloom may prune a false-positive handful; give it a 1% drift budget so
-    // an innocent fingerprint reshuffle does not fail the gate.
-    metrics.push(Metric {
-        name: "e16_bloom_configs_alg2n7",
-        value: bloom.configs as f64,
-        tolerance_pct: 1.0,
-        direction: Direction::Both,
-    });
-    metrics.push(Metric {
-        name: "e16_bloom_bytes",
-        value: bloom.visited_bytes as f64,
-        tolerance_pct: 0.0,
-        direction: Direction::Increase,
     });
 
     metrics.extend(e17_metrics().iter().cloned());
@@ -721,7 +698,7 @@ fn e21_metrics() -> &'static [Metric; 4] {
 fn e22_metrics() -> &'static [Metric; 7] {
     use co_core::Alg2Node;
     use co_net::explore::{
-        explore_parallel, CheckpointPlan, ExploreCheckpoint, ExploreConfig, ExploreLimits,
+        explore, CheckpointPlan, ExploreCheckpoint, ExploreConfig, ExploreLimits,
     };
     use co_net::{DedupKind, RingSpec};
     use std::sync::OnceLock;
@@ -739,7 +716,7 @@ fn e22_metrics() -> &'static [Metric; 7] {
         let mmap = DedupKind::Mmap { budget: 1 << 20 };
         let run = |config: &ExploreConfig| {
             let start = Instant::now();
-            let report = explore_parallel(&spec.wiring(), make, |_| Ok(()), |_| Ok(()), config);
+            let report = explore(&spec.wiring(), make, |_| Ok(()), |_| Ok(()), config);
             (report, start.elapsed().as_secs_f64())
         };
         let (exact, exact_secs) = run(&ExploreConfig {

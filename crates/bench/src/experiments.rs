@@ -73,7 +73,7 @@ pub enum Experiment {
     /// struct-of-arrays fleet harness — jobs-invariant aggregates, fault
     /// behaviour, and elections/sec throughput.
     E21,
-    /// Out-of-core exploration: exact vs Bloom vs mmap dedup backends
+    /// Out-of-core exploration: exact vs mmap dedup backends
     /// (bytes-per-config and configs/sec), frontier spill, and checkpointed
     /// kill-and-resume equality.
     E22,
@@ -755,7 +755,7 @@ fn e10_invariants_jobs(jobs: usize) -> Table {
 #[must_use]
 pub fn e11_ablation() -> Table {
     use co_core::ablation::UngatedAlg2Node;
-    use co_net::explore::{explore, ExploreLimits};
+    use co_net::explore::{explore, ExploreConfig};
 
     let mut t = Table::new(
         "E11 — ablation: Algorithm 2 without the CCW receive gate",
@@ -799,7 +799,10 @@ pub fn e11_ablation() -> Table {
                     Err("wrong final configuration".into())
                 }
             },
-            ExploreLimits::default(),
+            &ExploreConfig {
+                jobs: 1,
+                ..ExploreConfig::default()
+            },
         );
         gated_ok &= gated.complete && gated.violations.is_empty();
         t.row(vec![
@@ -825,7 +828,10 @@ pub fn e11_ablation() -> Table {
                     Err("wrong final configuration".into())
                 }
             },
-            ExploreLimits::default(),
+            &ExploreConfig {
+                jobs: 1,
+                ..ExploreConfig::default()
+            },
         );
         ungated_broken |= !ungated.violations.is_empty();
         t.row(vec![
@@ -846,7 +852,7 @@ pub fn e11_ablation() -> Table {
 /// E12 — exhaustive model check of Algorithm 2 on tiny instances.
 #[must_use]
 pub fn e12_model_check() -> Table {
-    use co_net::explore::{explore, ExploreLimits};
+    use co_net::explore::{explore, ExploreConfig};
     let mut t = Table::new(
         "E12 — exhaustive model check: every schedule of tiny instances",
         "Theorem 1 holds for all asynchronous schedules, not just sampled adversaries",
@@ -895,7 +901,10 @@ pub fn e12_model_check() -> Table {
                     Err("bad quiescent configuration".into())
                 }
             },
-            ExploreLimits::default(),
+            &ExploreConfig {
+                jobs: 1,
+                ..ExploreConfig::default()
+            },
         );
         all_ok &= report.complete && report.violations.is_empty();
         t.row(vec![
@@ -1028,11 +1037,10 @@ pub fn e14_universal_simulation() -> Table {
 #[must_use]
 pub fn e15_explore_dedup() -> Table {
     use co_core::Alg2Node;
-    use co_net::explore::{explore, explore_parallel, explore_reference, ExploreConfig};
-    use co_net::DedupKind;
+    use co_net::explore::{explore, explore_reference, ExploreConfig};
     let mut t = Table::new(
-        "E15 — explorer grid: sequential / reference / parallel × {exact, bloom}",
-        "fingerprint dedup (8 B/config) and the parallel explorer cover the same state space",
+        "E15 — explorer grid: fingerprint explorer at 1 and 4 workers / tuple-keyed reference",
+        "fingerprint dedup (8 B/config) covers the same state space at every worker count",
         vec![
             "ring", "engine", "jobs", "configs", "bytes", "complete", "agree",
         ],
@@ -1056,7 +1064,10 @@ pub fn e15_explore_dedup() -> Table {
             make,
             |_| Ok(()),
             |_| Ok(()),
-            co_net::explore::ExploreLimits::default(),
+            &ExploreConfig {
+                jobs: 1,
+                ..ExploreConfig::default()
+            },
         );
         let reference = explore_reference(
             &spec.wiring(),
@@ -1085,7 +1096,7 @@ pub fn e15_explore_dedup() -> Table {
         all_ok &= ref_ok;
         t.row(vec![
             format!("{ids:?}"),
-            "seq/exact".into(),
+            "explore".into(),
             "1".into(),
             snap.configs.to_string(),
             snap.visited_bytes.to_string(),
@@ -1101,41 +1112,23 @@ pub fn e15_explore_dedup() -> Table {
             reference.complete.to_string(),
             ref_ok.to_string(),
         ]);
-        for (kind, jobs) in [
-            (DedupKind::Exact, 1usize),
-            (DedupKind::Exact, 4),
-            (DedupKind::Bloom, 4),
-        ] {
-            let config = ExploreConfig {
-                jobs,
-                dedup: kind,
-                ..ExploreConfig::default()
-            };
-            let par = explore_parallel(&spec.wiring(), make, |_| Ok(()), |_| Ok(()), &config);
-            // Exact parallel must agree bit-for-bit on the count; bloom may
-            // only prune via false positives, never add states.
-            let agree = match kind {
-                // The mmap backend is a set, like exact: bit-for-bit counts.
-                DedupKind::Exact | DedupKind::Mmap { .. } => {
-                    par.complete && par.configs == snap.configs
-                }
-                DedupKind::Bloom => {
-                    par.complete
-                        && par.configs <= snap.configs
-                        && par.configs * 100 >= snap.configs * 99
-                }
-            };
-            all_ok &= agree;
-            t.row(vec![
-                format!("{ids:?}"),
-                format!("par/{kind}"),
-                jobs.to_string(),
-                par.configs.to_string(),
-                par.visited_bytes.to_string(),
-                par.complete.to_string(),
-                agree.to_string(),
-            ]);
-        }
+        let config = ExploreConfig {
+            jobs: 4,
+            ..ExploreConfig::default()
+        };
+        let par = explore(&spec.wiring(), make, |_| Ok(()), |_| Ok(()), &config);
+        // Every worker count must agree bit-for-bit on the count.
+        let agree = par.complete && par.configs == snap.configs;
+        all_ok &= agree;
+        t.row(vec![
+            format!("{ids:?}"),
+            "explore".into(),
+            "4".into(),
+            par.configs.to_string(),
+            par.visited_bytes.to_string(),
+            par.complete.to_string(),
+            agree.to_string(),
+        ]);
     }
     t.set_verdict(if all_ok {
         "identical state spaces across engines and worker counts; fingerprints far smaller than the reference"
@@ -1159,8 +1152,8 @@ pub fn e16_parallel_explore() -> Table {
 #[must_use]
 pub fn e16_parallel_explore_jobs(jobs: usize) -> Table {
     use co_core::{Alg1Node, Alg2Node};
-    use co_net::explore::{explore, explore_parallel, ExploreConfig, ExploreLimits};
-    use co_net::{DedupKind, FaultPlan};
+    use co_net::explore::{explore, ExploreConfig, ExploreLimits};
+    use co_net::FaultPlan;
     use std::time::Instant;
 
     let mut t = Table::new(
@@ -1204,11 +1197,10 @@ pub fn e16_parallel_explore_jobs(jobs: usize) -> Table {
             Nodes::A1(ids) => (RingSpec::oriented(ids.clone()), true),
             Nodes::A2(ids) => (RingSpec::oriented(ids.clone()), false),
         };
-        // Run one engine configuration, dispatching on the protocol type.
-        let run = |engine_jobs: Option<usize>, kind: DedupKind| {
+        // Run one worker count, dispatching on the protocol type.
+        let run = |jobs: usize| {
             let config = ExploreConfig {
-                jobs: engine_jobs.unwrap_or(1),
-                dedup: kind,
+                jobs,
                 ..ExploreConfig::default()
             };
             let start = Instant::now();
@@ -1218,81 +1210,34 @@ pub fn e16_parallel_explore_jobs(jobs: usize) -> Table {
                         .map(|i| Alg1Node::new(spec.id(i), spec.cw_port(i)))
                         .collect::<Vec<Alg1Node>>()
                 };
-                match engine_jobs {
-                    None => explore(
-                        &spec.wiring(),
-                        make,
-                        |_| Ok(()),
-                        |_| Ok(()),
-                        ExploreLimits::default(),
-                    ),
-                    Some(_) => {
-                        explore_parallel(&spec.wiring(), make, |_| Ok(()), |_| Ok(()), &config)
-                    }
-                }
+                explore(&spec.wiring(), make, |_| Ok(()), |_| Ok(()), &config)
             } else {
                 let make = || {
                     (0..spec.len())
                         .map(|i| Alg2Node::new(spec.id(i), spec.cw_port(i)))
                         .collect::<Vec<Alg2Node>>()
                 };
-                match engine_jobs {
-                    None => explore(
-                        &spec.wiring(),
-                        make,
-                        |_| Ok(()),
-                        |_| Ok(()),
-                        ExploreLimits::default(),
-                    ),
-                    Some(_) => {
-                        explore_parallel(&spec.wiring(), make, |_| Ok(()), |_| Ok(()), &config)
-                    }
-                }
+                explore(&spec.wiring(), make, |_| Ok(()), |_| Ok(()), &config)
             };
             (report, start.elapsed().as_millis())
         };
-        let (seq, seq_ms) = run(None, DedupKind::Exact);
-        all_ok &= seq.complete && seq.violations.is_empty();
-        t.row(vec![
-            (*label).into(),
-            "seq/exact".into(),
-            "1".into(),
-            seq.configs.to_string(),
-            seq.quiescent_configs.to_string(),
-            seq.visited_bytes.to_string(),
-            seq_ms.to_string(),
-            seq.complete.to_string(),
-            "-".into(),
-        ]);
-        // Exact at every worker count; bloom only at the widest — its point is
-        // the fixed memory footprint, not the scaling curve.
-        let grid = worker_grid
-            .iter()
-            .map(|&w| (DedupKind::Exact, w))
-            .chain(std::iter::once((DedupKind::Bloom, max_jobs)));
-        for (kind, w) in grid {
-            let (par, ms) = run(Some(w), kind);
+        // The grid starts at one worker: that run is the reference every
+        // wider run must match.
+        let mut single = None;
+        for &w in &worker_grid {
+            let (par, ms) = run(w);
+            let single = single.get_or_insert_with(|| par.clone());
             // The verdict only depends on deterministic quantities: config
             // counts, byte totals and verdict agreement. Wall-clock columns
             // are informational.
-            let agree = match kind {
-                DedupKind::Exact | DedupKind::Mmap { .. } => {
-                    par.complete
-                        && par.configs == seq.configs
-                        && par.quiescent_configs == seq.quiescent_configs
-                        && par.violations.is_empty()
-                }
-                DedupKind::Bloom => {
-                    par.complete
-                        && par.configs <= seq.configs
-                        && par.configs * 1000 >= seq.configs * 999
-                        && par.violations.is_empty()
-                }
-            };
+            let agree = par.complete
+                && par.configs == single.configs
+                && par.quiescent_configs == single.quiescent_configs
+                && par.violations.is_empty();
             all_ok &= agree;
             t.row(vec![
                 (*label).into(),
-                format!("par/{kind}"),
+                "exact".into(),
                 w.to_string(),
                 par.configs.to_string(),
                 par.quiescent_configs.to_string(),
@@ -1336,7 +1281,7 @@ pub fn e16_parallel_explore_jobs(jobs: usize) -> Table {
             ..ExploreConfig::default()
         };
         let start = Instant::now();
-        let par = explore_parallel(
+        let par = explore(
             &spec3.wiring(),
             make3,
             |_| Ok(()),
@@ -1372,7 +1317,7 @@ pub fn e16_parallel_explore_jobs(jobs: usize) -> Table {
         all_ok &= fatal;
         t.row(vec![
             format!("alg2 n=3 {label}"),
-            "par/exact".into(),
+            "exact".into(),
             max_jobs.to_string(),
             par.configs.to_string(),
             par.quiescent_configs.to_string(),
@@ -1384,9 +1329,9 @@ pub fn e16_parallel_explore_jobs(jobs: usize) -> Table {
     }
 
     t.set_verdict(if all_ok {
-        "parallel sweep matches the sequential verdict, and no schedule survives an injected fault"
+        "every worker count matches the one-worker verdict, and no schedule survives an injected fault"
     } else {
-        "UNEXPECTED: parallel/sequential disagreement or a fault-surviving schedule"
+        "UNEXPECTED: worker counts disagree or a schedule survives a fault"
     });
     t
 }
@@ -2236,11 +2181,11 @@ pub fn e21_fleet_jobs(jobs: usize) -> Table {
     t
 }
 
-/// E22 — out-of-core exploration: exact vs Bloom vs mmap dedup backends,
-/// frontier spill, and checkpointed kill-and-resume equality.
+/// E22 — out-of-core exploration: exact vs mmap dedup backends, frontier
+/// spill, and checkpointed kill-and-resume equality.
 ///
 /// Part 1 runs the two acceptance-criteria workloads (the full n = 4
-/// Algorithm 1 ring and the n = 7 Algorithm 2 ring) under all three
+/// Algorithm 1 ring and the n = 7 Algorithm 2 ring) under both
 /// [`co_net::DedupKind`] backends and reports the heap/file split of the visited
 /// index, bytes per configuration, and configs/sec. The mmap backend must be
 /// state-space-identical to the exact backend with **zero** heap-resident
@@ -2252,7 +2197,7 @@ pub fn e21_fleet_jobs(jobs: usize) -> Table {
 pub fn e22_out_of_core() -> Table {
     use co_core::{Alg1Node, Alg2Node};
     use co_net::explore::{
-        explore_parallel, CheckpointPlan, ExploreCheckpoint, ExploreConfig, ExploreLimits,
+        explore, CheckpointPlan, ExploreCheckpoint, ExploreConfig, ExploreLimits,
     };
     use co_net::DedupKind;
     use std::time::Instant;
@@ -2292,23 +2237,19 @@ pub fn e22_out_of_core() -> Table {
                         .map(|i| Alg1Node::new(spec.id(i), spec.cw_port(i)))
                         .collect::<Vec<Alg1Node>>()
                 };
-                explore_parallel(&spec.wiring(), make, |_| Ok(()), |_| Ok(()), config)
+                explore(&spec.wiring(), make, |_| Ok(()), |_| Ok(()), config)
             } else {
                 let make = || {
                     (0..spec.len())
                         .map(|i| Alg2Node::new(spec.id(i), spec.cw_port(i)))
                         .collect::<Vec<Alg2Node>>()
                 };
-                explore_parallel(&spec.wiring(), make, |_| Ok(()), |_| Ok(()), config)
+                explore(&spec.wiring(), make, |_| Ok(()), |_| Ok(()), config)
             };
             (report, start.elapsed().as_secs_f64())
         };
         let mut exact_configs = 0usize;
-        for (name, kind) in [
-            ("exact", DedupKind::Exact),
-            ("bloom", DedupKind::Bloom),
-            ("mmap", mmap),
-        ] {
+        for (name, kind) in [("exact", DedupKind::Exact), ("mmap", mmap)] {
             let config = ExploreConfig {
                 jobs: 1,
                 dedup: kind,
@@ -2323,12 +2264,6 @@ pub fn e22_out_of_core() -> Table {
                         alg2_exact_report = Some((report.configs, report.quiescent_configs));
                     }
                     report.complete && report.violations.is_empty()
-                }
-                // Bloom may merge states on a false positive: undercount only.
-                DedupKind::Bloom => {
-                    report.complete
-                        && report.configs <= exact_configs
-                        && report.configs * 100 >= exact_configs * 99
                 }
                 // The mmap table is semantically exact: identical state space,
                 // zero heap-resident index bytes.
@@ -2385,7 +2320,7 @@ pub fn e22_out_of_core() -> Table {
         checkpoint: Some(plan.clone()),
         ..ExploreConfig::default()
     };
-    let cut = explore_parallel(&spec.wiring(), make, |_| Ok(()), |_| Ok(()), &cut_config);
+    let cut = explore(&spec.wiring(), make, |_| Ok(()), |_| Ok(()), &cut_config);
     let start = Instant::now();
     let resumed = match ExploreCheckpoint::read(&ck_path) {
         Ok(ck) => {
@@ -2398,7 +2333,7 @@ pub fn e22_out_of_core() -> Table {
                 resume: Some(ck),
                 ..ExploreConfig::default()
             };
-            Some(explore_parallel(
+            Some(explore(
                 &spec.wiring(),
                 make,
                 |_| Ok(()),

@@ -1196,6 +1196,46 @@ mod tests {
     }
 
     #[test]
+    fn explore_resume_refuses_tampered_checkpoints() {
+        let dir = std::env::temp_dir().join(format!("co-ring-cli-ck-{}", std::process::id()));
+        std::fs::create_dir_all(&dir).expect("scratch dir");
+        let path = |name: &str| dir.join(name).to_string_lossy().into_owned();
+        let cut = run_line(&[
+            "explore",
+            "--ids",
+            "3,1,2",
+            "--max-configs",
+            "20",
+            "--checkpoint",
+            &path("cut.ck"),
+        ]);
+        assert_eq!(cut.code, 0, "{}", cut.text);
+        let ck = ExploreCheckpoint::read(dir.join("cut.ck").as_path()).expect("valid checkpoint");
+        let bumped = ExploreCheckpoint {
+            admitted: ck.admitted + 1,
+            ..ck.clone()
+        };
+        bumped.write_atomic(&dir.join("bumped.ck")).expect("write");
+        let mut truncated = ck;
+        truncated
+            .shards
+            .iter_mut()
+            .find(|blob| blob.len() > 8)
+            .expect("a non-empty shard")
+            .pop();
+        truncated
+            .write_atomic(&dir.join("truncated.ck"))
+            .expect("write");
+        for (name, why) in [("bumped.ck", "admitted"), ("truncated.ck", "dedup shard")] {
+            let out = run_line(&["explore", "--ids", "3,1,2", "--resume", &path(name)]);
+            assert_eq!(out.code, 1, "{name}: {}", out.text);
+            assert!(out.text.starts_with("error:"), "{name}: {}", out.text);
+            assert!(out.text.contains(why), "{name}: {}", out.text);
+        }
+        let _ = std::fs::remove_dir_all(&dir);
+    }
+
+    #[test]
     fn echo_rejects_bad_root() {
         let out = run_line(&["echo", "--graph", "ring:3", "--root", "9"]);
         assert_eq!(out.code, 1);

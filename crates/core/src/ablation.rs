@@ -224,7 +224,7 @@ impl CcwInstanceView for UngatedAlg2Node {
 #[cfg(test)]
 mod tests {
     use super::*;
-    use co_net::explore::{explore, ExploreLimits};
+    use co_net::explore::{explore, ExploreConfig};
     use co_net::{RingSpec, SchedulerKind};
 
     /// The ablated variant misbehaves on *some* schedule: exhaustively
@@ -258,7 +258,10 @@ mod tests {
                     ))
                 }
             },
-            ExploreLimits::default(),
+            &ExploreConfig {
+                jobs: 1,
+                ..ExploreConfig::default()
+            },
         );
         assert!(report.complete, "tiny instance must be fully explored");
         assert!(
@@ -302,7 +305,10 @@ mod tests {
                     ))
                 }
             },
-            ExploreLimits::default(),
+            &ExploreConfig {
+                jobs: 1,
+                ..ExploreConfig::default()
+            },
         );
         assert!(report.complete);
         assert!(report.violations.is_empty(), "{:?}", report.violations);

@@ -42,7 +42,7 @@ use crate::ablation::UngatedAlg2Node;
 use crate::election::Role;
 use crate::invariants::Alg2MonitorObserver;
 use crate::{Alg1Node, Alg2Node, Alg3Node, IdScheme};
-use co_net::explore::{explore_parallel, ExploreConfig, ExploreReport};
+use co_net::explore::{explore, ExploreConfig, ExploreReport};
 use co_net::fleet::{self, FleetConfig, FleetReport, FleetRingDetail, RingPlan};
 use co_net::{
     Budget, LatencyPlan, Message, Port, Protocol, Pulse, RingSpec, RunReport, Schedule,
@@ -270,7 +270,7 @@ where
     <D::Node as Snapshot>::State: Send,
 {
     let nodes = D::nodes(spec);
-    explore_parallel(
+    explore(
         &spec.wiring(),
         move || nodes.clone(),
         |_| Ok(()),

@@ -1,30 +1,22 @@
 //! Visited-state deduplication backends for exhaustive exploration.
 //!
-//! The explorer stores one 64-bit fingerprint per visited configuration.
-//! Sequentially that is a plain `HashSet<u64>`; the parallel explorer
-//! ([`crate::explore::explore_parallel`]) instead funnels every insert
-//! through a [`ShardedIndex`] — [`FP_SHARDS`] independently locked shards
-//! keyed by a fingerprint prefix, so concurrent workers rarely contend on
-//! the same lock — with a pluggable [`FingerprintStore`] backend per shard:
+//! The explorer ([`crate::explore::explore`]) stores one 64-bit fingerprint
+//! per visited configuration and funnels every insert through a
+//! [`ShardedIndex`] — [`FP_SHARDS`] independently locked shards keyed by a
+//! fingerprint prefix, so concurrent workers rarely contend on the same
+//! lock — with a pluggable [`FingerprintStore`] backend per shard. Both
+//! backends are exact sets: no false positives, so state counts are exact
+//! and deterministic.
 //!
-//! * [`ExactStore`] — a `HashSet<u64>`, 8 bytes of accounted storage per
-//!   admitted configuration, zero false positives. This is the oracle
-//!   backend: state counts are exact and deterministic.
-//! * [`BloomStore`] — a classic Bloom filter (double hashing, k probes in
-//!   one bit array). Memory is *fixed up front* regardless of how many
-//!   configurations are admitted, at the price of a measurable
-//!   false-positive rate: a colliding configuration is silently treated as
-//!   visited and its subtree pruned. The filter is sized from a capacity
-//!   and a target false-positive budget, and [`BloomStore::saturation`]
-//!   reports the *measured* fraction of set bits so the explorer can tell
-//!   how much of the budget a run actually consumed.
+//! * [`ExactStore`] — a `HashSet<u64>`, 8 bytes of accounted heap storage
+//!   per admitted configuration.
 //! * [`MmapStore`] — a file-backed open-addressing table (8-byte slots,
-//!   linear probing, grow-by-rehash into a doubled file) that keeps the
-//!   exact backend's zero-false-positive contract while moving the storage
-//!   *out of RAM*: the table lives in a sparse file the OS page cache maps
-//!   in and out on demand, so the resident footprint is working-set-sized
-//!   rather than state-space-sized. This is the out-of-core backend that
-//!   makes state spaces larger than RAM exhaustible.
+//!   linear probing, grow-by-rehash into a doubled file) that moves the
+//!   storage *out of RAM*: the table lives in a sparse file the OS page
+//!   cache maps in and out on demand, so the resident footprint is
+//!   working-set-sized rather than state-space-sized. This is the
+//!   out-of-core backend that makes state spaces larger than RAM
+//!   exhaustible.
 //!
 //! The mmap backend is implemented with positioned reads/writes
 //! ([`std::os::unix::fs::FileExt`]) rather than a raw `mmap(2)` mapping:
@@ -35,13 +27,9 @@
 //! asserted by property tests driving both stores with identical insert
 //! sequences across grow-by-rehash boundaries.
 //!
-//! Soundness note: a Bloom false positive can only *under*-count states
-//! (prune a subtree that re-merges with the visited space elsewhere); it
-//! never fabricates a state. Violations found under a Bloom backend are
-//! therefore always real; violations *missed* are possible in principle,
-//! which is why the differential tests drive both backends over the same
-//! instances (see `tests/explore_parallel.rs`). The exact and mmap backends
-//! have no false positives at all.
+//! Both stores checkpoint to the same shard image, `count, fp…` (see
+//! [`shard_image_len`]), so a checkpoint's admitted count can always be
+//! recounted from its shards.
 
 use crate::snapshot::{put_u64, ByteReader};
 use std::collections::HashSet;
@@ -74,8 +62,6 @@ pub enum DedupKind {
     /// false positives.
     #[default]
     Exact,
-    /// Bloom-filter shards: fixed memory, tunable false-positive budget.
-    Bloom,
     /// File-backed open-addressing shards ([`MmapStore`]): exact answers,
     /// out-of-core storage. `budget` is the initial total file size in
     /// bytes across all shards (tables grow by rehash past it).
@@ -87,9 +73,8 @@ pub enum DedupKind {
 
 impl DedupKind {
     /// All backends, in order (mmap with its default budget).
-    pub const ALL: [DedupKind; 3] = [
+    pub const ALL: [DedupKind; 2] = [
         DedupKind::Exact,
-        DedupKind::Bloom,
         DedupKind::Mmap {
             budget: MMAP_DEFAULT_BUDGET,
         },
@@ -97,9 +82,9 @@ impl DedupKind {
 
     /// The spellings `FromStr` accepts, for use in error messages and CLI
     /// usage text. Kept in sync with [`DedupKind::ALL`] by a test.
-    pub const NAMES: [&'static str; 3] = ["exact", "bloom", "mmap[:BUDGET]"];
+    pub const NAMES: [&'static str; 2] = ["exact", "mmap[:BUDGET]"];
 
-    /// Parses `"exact"` / `"bloom"` / `"mmap"` / `"mmap:BUDGET"`; see
+    /// Parses `"exact"` / `"mmap"` / `"mmap:BUDGET"`; see
     /// [`FromStr`] for the budget syntax.
     #[must_use]
     pub fn parse(s: &str) -> Option<DedupKind> {
@@ -111,7 +96,6 @@ impl fmt::Display for DedupKind {
     fn fmt(&self, f: &mut fmt::Formatter<'_>) -> fmt::Result {
         match self {
             DedupKind::Exact => f.write_str("exact"),
-            DedupKind::Bloom => f.write_str("bloom"),
             DedupKind::Mmap { budget } if *budget == MMAP_DEFAULT_BUDGET => f.write_str("mmap"),
             DedupKind::Mmap { budget } => write!(f, "mmap:{budget}"),
         }
@@ -139,12 +123,11 @@ impl std::error::Error for ParseDedupError {}
 impl FromStr for DedupKind {
     type Err = ParseDedupError;
 
-    /// `exact`, `bloom`, `mmap`, or `mmap:BUDGET` where BUDGET is a byte
+    /// `exact`, `mmap`, or `mmap:BUDGET` where BUDGET is a byte
     /// count with an optional `k`/`m`/`g` (×1024) suffix, e.g. `mmap:64m`.
     fn from_str(s: &str) -> Result<DedupKind, ParseDedupError> {
         match s {
             "exact" => return Ok(DedupKind::Exact),
-            "bloom" => return Ok(DedupKind::Bloom),
             "mmap" => {
                 return Ok(DedupKind::Mmap {
                     budget: MMAP_DEFAULT_BUDGET,
@@ -175,7 +158,7 @@ impl FromStr for DedupKind {
 
 /// Byte accounting for a fingerprint store, split by storage class.
 ///
-/// The exact and Bloom backends are pure heap; the mmap backend is pure
+/// The exact backend is pure heap; the mmap backend is pure
 /// file. Exploration byte *limits* apply to the total, but E22 and the
 /// bench gate need the split: the whole point of the out-of-core backend is
 /// that its `heap` stays ~0 while `file` carries the state space.
@@ -199,19 +182,46 @@ impl DedupBytes {
 ///
 /// `insert` is the only mutation: it returns `true` iff the fingerprint was
 /// **not** already present (i.e. the caller just admitted a new
-/// configuration). Probabilistic backends may return `false` for a
-/// never-seen fingerprint (a false positive) but must never return `true`
-/// for a fingerprint previously inserted into the same store.
+/// configuration). Stores are exact sets: `insert` answers `false` exactly
+/// for fingerprints previously inserted into the same store.
 pub trait FingerprintStore: Send {
     /// Inserts `fp`, returning whether it was new to this store.
     fn insert(&mut self, fp: u64) -> bool;
+    /// Number of fingerprints stored.
+    fn len(&self) -> usize;
+    /// Whether the store holds no fingerprint.
+    fn is_empty(&self) -> bool {
+        self.len() == 0
+    }
     /// Bytes of storage this store accounts for, split heap/file.
     fn bytes(&self) -> DedupBytes;
-    /// Appends a serialized image of the store's contents (checkpointing).
+    /// Appends the store's shard image — `count, fp…` as little-endian
+    /// `u64`s, in any order — for checkpointing.
     fn save(&self, out: &mut Vec<u8>);
-    /// Restores contents previously written by [`FingerprintStore::save`]
-    /// into this (empty, identically configured) store.
-    fn load(&mut self, bytes: &[u8]) -> Result<(), String>;
+    /// Inserts every fingerprint of a shard image written by
+    /// [`FingerprintStore::save`] into this (empty) store.
+    fn load(&mut self, image: &[u8]) -> Result<(), String> {
+        shard_image_len(image)?;
+        for fp in image[8..].chunks_exact(8) {
+            self.insert(u64::from_le_bytes(fp.try_into().expect("8B")));
+        }
+        Ok(())
+    }
+}
+
+/// Validates one shard image (`count, fp…`) and returns its `count`: the
+/// image must hold exactly `count` fingerprints after the header, no more
+/// and no fewer. The checkpoint decoder recounts `admitted` through this, so
+/// only this module knows the shard format.
+pub fn shard_image_len(image: &[u8]) -> Result<usize, String> {
+    let mut r = ByteReader::new(image);
+    let count = r.len()?;
+    let body = count
+        .checked_mul(8)
+        .ok_or_else(|| format!("shard image count {count} overflows"))?;
+    r.take(body)?;
+    r.finish()?;
+    Ok(count)
 }
 
 /// Exact per-shard backend: a `HashSet<u64>`.
@@ -231,10 +241,13 @@ impl FingerprintStore for ExactStore {
         self.0.insert(fp)
     }
 
+    fn len(&self) -> usize {
+        self.0.len()
+    }
+
     fn bytes(&self) -> DedupBytes {
-        // Accounted cost: the 8-byte payload per entry, matching the
-        // sequential explorer's `BYTES_PER_CONFIG` accounting (hash-table
-        // overhead is an implementation detail both explorers share).
+        // Accounted cost: the 8-byte payload per entry (hash-table overhead
+        // is an implementation detail).
         DedupBytes {
             heap: self.0.len() * std::mem::size_of::<u64>(),
             file: 0,
@@ -246,124 +259,6 @@ impl FingerprintStore for ExactStore {
         for &fp in &self.0 {
             put_u64(out, fp);
         }
-    }
-
-    fn load(&mut self, bytes: &[u8]) -> Result<(), String> {
-        let mut r = ByteReader::new(bytes);
-        let count = r.len()?;
-        self.0.reserve(count);
-        for _ in 0..count {
-            self.0.insert(r.u64()?);
-        }
-        r.finish()
-    }
-}
-
-/// Bloom-filter per-shard backend: `k` probes into one bit array.
-#[derive(Debug)]
-pub struct BloomStore {
-    bits: Vec<u64>,
-    /// Number of usable bits (a multiple of 64).
-    m: u64,
-    /// Probes per fingerprint.
-    k: u32,
-    /// Bits currently set (for measured saturation / FP estimates).
-    ones: u64,
-}
-
-impl BloomStore {
-    /// Sizes a filter for `capacity` fingerprints at a target false-positive
-    /// probability `fp_budget` (clamped to a sane range).
-    ///
-    /// Standard sizing: `m = ⌈-n·ln p / (ln 2)²⌉` bits and `k = ⌈(m/n)·ln 2⌉`
-    /// probes.
-    #[must_use]
-    pub fn for_capacity(capacity: usize, fp_budget: f64) -> BloomStore {
-        let n = capacity.max(1) as f64;
-        let p = fp_budget.clamp(1e-9, 0.5);
-        let ln2 = std::f64::consts::LN_2;
-        let m = ((-n * p.ln()) / (ln2 * ln2)).ceil().max(64.0) as u64;
-        let m = m.div_ceil(64) * 64;
-        let k = ((m as f64 / n) * ln2).ceil().clamp(1.0, 16.0) as u32;
-        BloomStore {
-            bits: vec![0u64; (m / 64) as usize],
-            m,
-            k,
-            ones: 0,
-        }
-    }
-
-    /// Fraction of bits currently set — the measured load of the filter.
-    ///
-    /// The false-positive probability of a lookup is `saturation^k`, so a
-    /// run can verify after the fact that it stayed inside its budget.
-    #[must_use]
-    pub fn saturation(&self) -> f64 {
-        self.ones as f64 / self.m as f64
-    }
-
-    /// The measured false-positive probability estimate `saturation^k`.
-    #[must_use]
-    pub fn fp_estimate(&self) -> f64 {
-        self.saturation().powi(self.k as i32)
-    }
-
-    fn bit_index(&self, fp: u64, probe: u32) -> u64 {
-        // Double hashing: two independent halves derived from the (already
-        // splitmix-diffused) fingerprint; h2 is forced odd so every probe
-        // sequence walks the whole array.
-        let h1 = fp;
-        let h2 = splitmix64(fp ^ 0x9E37_79B9_7F4A_7C15) | 1;
-        h1.wrapping_add(u64::from(probe).wrapping_mul(h2)) % self.m
-    }
-}
-
-impl FingerprintStore for BloomStore {
-    fn insert(&mut self, fp: u64) -> bool {
-        let mut new = false;
-        for probe in 0..self.k {
-            let bit = self.bit_index(fp, probe);
-            let (word, mask) = ((bit / 64) as usize, 1u64 << (bit % 64));
-            if self.bits[word] & mask == 0 {
-                self.bits[word] |= mask;
-                self.ones += 1;
-                new = true;
-            }
-        }
-        new
-    }
-
-    fn bytes(&self) -> DedupBytes {
-        DedupBytes {
-            heap: self.bits.len() * std::mem::size_of::<u64>(),
-            file: 0,
-        }
-    }
-
-    fn save(&self, out: &mut Vec<u8>) {
-        put_u64(out, self.m);
-        put_u64(out, u64::from(self.k));
-        put_u64(out, self.ones);
-        for &word in &self.bits {
-            put_u64(out, word);
-        }
-    }
-
-    fn load(&mut self, bytes: &[u8]) -> Result<(), String> {
-        let mut r = ByteReader::new(bytes);
-        let (m, k, ones) = (r.u64()?, r.u64()?, r.u64()?);
-        if m != self.m || k != u64::from(self.k) {
-            return Err(format!(
-                "bloom geometry mismatch: checkpoint m={m}/k={k}, store m={}/k={} \
-                 (resume with the same --bloom sizing)",
-                self.m, self.k
-            ));
-        }
-        for word in &mut self.bits {
-            *word = r.u64()?;
-        }
-        self.ones = ones;
-        r.finish()
     }
 }
 
@@ -529,18 +424,6 @@ impl MmapStore {
         MmapStore::probe(&self.file, self.slots, fp).is_ok()
     }
 
-    /// Number of fingerprints stored.
-    #[must_use]
-    pub fn len(&self) -> usize {
-        self.occupied as usize + usize::from(self.has_zero)
-    }
-
-    /// Whether the store is empty.
-    #[must_use]
-    pub fn is_empty(&self) -> bool {
-        self.len() == 0
-    }
-
     /// The table file currently backing this store.
     #[must_use]
     pub fn table_path(&self) -> &Path {
@@ -592,6 +475,10 @@ impl FingerprintStore for MmapStore {
         }
     }
 
+    fn len(&self) -> usize {
+        self.occupied as usize + usize::from(self.has_zero)
+    }
+
     fn bytes(&self) -> DedupBytes {
         DedupBytes {
             heap: 0,
@@ -602,15 +489,6 @@ impl FingerprintStore for MmapStore {
     fn save(&self, out: &mut Vec<u8>) {
         put_u64(out, self.len() as u64);
         self.for_each(|fp| put_u64(out, fp));
-    }
-
-    fn load(&mut self, bytes: &[u8]) -> Result<(), String> {
-        let mut r = ByteReader::new(bytes);
-        let count = r.len()?;
-        for _ in 0..count {
-            self.insert(r.u64()?);
-        }
-        r.finish()
     }
 }
 
@@ -624,7 +502,7 @@ impl Drop for MmapStore {
 }
 
 /// SplitMix64 diffusion — spreads fingerprint entropy over all 64 bits so
-/// both the shard selector (top bits) and the Bloom probes see uniform
+/// both the shard selector (top bits) and the mmap probe start see uniform
 /// input even if the underlying hash has weak high bits.
 #[must_use]
 pub fn splitmix64(mut x: u64) -> u64 {
@@ -645,9 +523,6 @@ pub struct ShardedIndex {
     kind: DedupKind,
     shards: Vec<Mutex<Box<dyn FingerprintStore>>>,
     admitted: AtomicUsize,
-    /// Fixed total heap cost for backends that preallocate (Bloom);
-    /// `None` for backends whose cost grows per entry (exact, mmap).
-    fixed_bytes: Option<DedupBytes>,
     /// Live total of table-file bytes (mmap backend; zero otherwise).
     file_bytes: Arc<AtomicUsize>,
     /// Scratch subdirectory owned (and removed on drop) by this index.
@@ -655,25 +530,25 @@ pub struct ShardedIndex {
 }
 
 impl ShardedIndex {
-    /// Builds an index with the given backend.
-    ///
-    /// `capacity` and `fp_budget` size the Bloom backend (capacity is split
-    /// evenly across shards); the exact backend ignores both. The mmap
-    /// backend puts its table files under the system temp dir — use
+    /// Builds an index with the given backend. The mmap backend puts its
+    /// table files under the system temp dir — use
     /// [`ShardedIndex::with_dir`] to choose the directory.
     #[must_use]
-    pub fn new(kind: DedupKind, capacity: usize, fp_budget: f64) -> ShardedIndex {
-        ShardedIndex::with_dir(kind, capacity, fp_budget, None)
+    pub fn new(kind: DedupKind) -> ShardedIndex {
+        ShardedIndex::with_dir(kind, 0, 0.0, None)
     }
 
     /// Builds an index, placing any file-backed storage under `scratch_dir`
     /// (`None` = the system temp dir). A unique subdirectory is created
     /// there and removed when the index is dropped.
+    ///
+    /// `_capacity` and `_fp_budget` are unused; they stay only so existing
+    /// four-argument callers keep compiling. Pass `0` and `0.0`.
     #[must_use]
     pub fn with_dir(
         kind: DedupKind,
-        capacity: usize,
-        fp_budget: f64,
+        _capacity: usize,
+        _fp_budget: f64,
         scratch_dir: Option<&Path>,
     ) -> ShardedIndex {
         let file_bytes = Arc::new(AtomicUsize::new(0));
@@ -692,10 +567,6 @@ impl ShardedIndex {
             .map(|_| -> Mutex<Box<dyn FingerprintStore>> {
                 match kind {
                     DedupKind::Exact => Mutex::new(Box::new(ExactStore::new())),
-                    DedupKind::Bloom => Mutex::new(Box::new(BloomStore::for_capacity(
-                        capacity.div_ceil(FP_SHARDS),
-                        fp_budget,
-                    ))),
                     DedupKind::Mmap { budget } => Mutex::new(Box::new(
                         MmapStore::with_counter(
                             scratch.as_deref().expect("mmap scratch dir"),
@@ -707,23 +578,10 @@ impl ShardedIndex {
                 }
             })
             .collect();
-        let fixed_bytes = match kind {
-            DedupKind::Exact | DedupKind::Mmap { .. } => None,
-            DedupKind::Bloom => {
-                let mut total = DedupBytes::default();
-                for s in &shards {
-                    let b = s.lock().expect("fresh shard").bytes();
-                    total.heap += b.heap;
-                    total.file += b.file;
-                }
-                Some(total)
-            }
-        };
         ShardedIndex {
             kind,
             shards,
             admitted: AtomicUsize::new(0),
-            fixed_bytes,
             file_bytes,
             scratch,
         }
@@ -753,22 +611,21 @@ impl ShardedIndex {
     }
 
     /// Current byte cost of the index, split heap/file, cheap enough to
-    /// check per insert: exact backends pay 8 B of heap per admitted entry,
-    /// Bloom backends a fixed heap preallocation, mmap backends the live
-    /// total of their table files (tracked by a shared atomic — no shard
-    /// locks taken).
+    /// check per insert: the exact backend pays 8 B of heap per admitted
+    /// entry, the mmap backend the live total of its table files (tracked
+    /// by a shared atomic — no shard locks taken).
     #[must_use]
     pub fn bytes(&self) -> DedupBytes {
-        self.fixed_bytes.unwrap_or_else(|| match self.kind {
+        match self.kind {
+            DedupKind::Exact => DedupBytes {
+                heap: self.admitted() * std::mem::size_of::<u64>(),
+                file: 0,
+            },
             DedupKind::Mmap { .. } => DedupBytes {
                 heap: 0,
                 file: self.file_bytes.load(Ordering::Relaxed),
             },
-            _ => DedupBytes {
-                heap: self.admitted() * std::mem::size_of::<u64>(),
-                file: 0,
-            },
-        })
+        }
     }
 
     /// Serializes every shard's contents for checkpointing, in shard order.
@@ -785,8 +642,9 @@ impl ShardedIndex {
     }
 
     /// Restores shard contents saved by [`ShardedIndex::save_shards`] into
-    /// this freshly built (empty) index, and sets the admitted count (which
-    /// probabilistic backends cannot recount from their own contents).
+    /// this freshly built (empty) index. The admitted count is recounted
+    /// from the loaded shards and must equal `admitted`, the count the
+    /// checkpoint header claims.
     pub fn load_shards(&self, blobs: &[Vec<u8>], admitted: usize) -> Result<(), String> {
         if blobs.len() != self.shards.len() {
             return Err(format!(
@@ -795,45 +653,21 @@ impl ShardedIndex {
                 self.shards.len()
             ));
         }
+        let mut loaded = 0;
         for (i, (shard, blob)) in self.shards.iter().zip(blobs).enumerate() {
-            shard
-                .lock()
-                .expect("shard poisoned")
+            let mut store = shard.lock().expect("shard poisoned");
+            store
                 .load(blob)
                 .map_err(|e| format!("dedup shard {i}: {e}"))?;
+            loaded += store.len();
         }
-        self.admitted.store(admitted, Ordering::Relaxed);
+        if loaded != admitted {
+            return Err(format!(
+                "checkpoint claims {admitted} admitted configurations, its dedup shards hold {loaded}"
+            ));
+        }
+        self.admitted.store(loaded, Ordering::Relaxed);
         Ok(())
-    }
-
-    /// Mean measured saturation across shards (Bloom only; `None` for
-    /// exact and mmap backends, which have no false positives to budget).
-    #[must_use]
-    pub fn saturation(&self) -> Option<f64> {
-        match self.kind {
-            DedupKind::Exact | DedupKind::Mmap { .. } => None,
-            DedupKind::Bloom => Some(self.measured_saturation()),
-        }
-    }
-
-    fn measured_saturation(&self) -> f64 {
-        // Downcast-free measurement: re-insert nothing; derive from the
-        // admitted count and per-shard geometry. ones ≤ k·admitted, and the
-        // expected saturation for n insertions into m bits with k probes is
-        // 1 - (1 - 1/m)^{kn}. We report that analytic value; per-bit truth
-        // lives in BloomStore::saturation for direct users.
-        let per_shard = self.admitted() as f64 / FP_SHARDS as f64;
-        let m = (self.bytes().heap * 8) as f64 / FP_SHARDS as f64;
-        if m == 0.0 {
-            return 0.0;
-        }
-        // k is re-derived from sizing; sized filters use k = ceil((m/n)ln2)
-        // but we only need a representative k for the estimate. Use the
-        // classic optimum bound which is what for_capacity targets.
-        let k = ((m / per_shard.max(1.0)) * std::f64::consts::LN_2)
-            .ceil()
-            .clamp(1.0, 16.0);
-        1.0 - (1.0 - 1.0 / m).powf(k * per_shard)
     }
 }
 
@@ -880,72 +714,14 @@ mod tests {
         assert_eq!(s.bytes().file, 0);
     }
 
-    #[test]
-    fn bloom_never_readmits_an_inserted_fingerprint() {
-        let mut b = BloomStore::for_capacity(1_000, 0.01);
-        let fps: Vec<u64> = (0..1_000u64).map(|i| splitmix64(i ^ 0xDEAD)).collect();
-        for &fp in &fps {
-            b.insert(fp);
-        }
-        for &fp in &fps {
-            assert!(!b.insert(fp), "no false negatives allowed");
-        }
-    }
-
-    #[test]
-    fn bloom_false_positive_rate_within_budget() {
-        let budget = 0.01;
-        let mut b = BloomStore::for_capacity(10_000, budget);
-        for i in 0..10_000u64 {
-            b.insert(splitmix64(i));
-        }
-        // Probe 10k fingerprints that were never inserted.
-        let false_positives = (0..10_000u64)
-            .map(|i| splitmix64(i.wrapping_add(1 << 40)))
-            .filter(|&fp| !b.clone_probe(fp))
-            .count();
-        // clone_probe returns "is new"; a false positive is "not new".
-        let rate = false_positives as f64 / 10_000.0;
-        assert!(
-            rate < budget * 3.0,
-            "measured FP rate {rate} blows the {budget} budget"
-        );
-        assert!(b.fp_estimate() < budget * 3.0);
-        assert!(b.saturation() < 0.6);
-    }
-
-    impl BloomStore {
-        /// Test-only non-mutating membership probe: true iff `fp` would be
-        /// admitted as new.
-        fn clone_probe(&self, fp: u64) -> bool {
-            (0..self.k).any(|p| {
-                let bit = self.bit_index(fp, p);
-                self.bits[(bit / 64) as usize] & (1u64 << (bit % 64)) == 0
-            })
-        }
-    }
-
-    #[test]
-    fn bloom_memory_is_fixed() {
-        let mut b = BloomStore::for_capacity(100, 0.01);
-        let before = b.bytes();
-        for i in 0..10_000u64 {
-            b.insert(splitmix64(i));
-        }
-        assert_eq!(b.bytes(), before, "bloom storage must not grow");
-    }
-
-    /// The store-level backend-equivalence property test of the satellite:
-    /// one duplicate-heavy insert sequence that forces several
-    /// grow-by-rehash boundaries, driven through all three stores in
-    /// lockstep; exact and mmap must agree on every single answer, bloom
-    /// may only turn `true` into `false` (a false positive), never the
-    /// reverse.
+    /// The store-level backend-equivalence property test: one
+    /// duplicate-heavy insert sequence that forces several grow-by-rehash
+    /// boundaries, driven through both stores in lockstep; they must agree
+    /// on every single answer.
     #[test]
     fn all_stores_agree_on_the_same_insert_sequence() {
         let dir = tmp();
         let mut exact = ExactStore::new();
-        let mut bloom = BloomStore::for_capacity(10_000, 1e-4);
         // Start tiny (MIN_SLOTS) so 3 000 distinct inserts at ⅞ load cross
         // several doublings: 512 → 1024 → 2048 → 4096 slots.
         let mut mmap = MmapStore::in_dir(&dir, 1).unwrap();
@@ -963,9 +739,7 @@ mod tests {
         for &fp in &stream {
             let e = exact.insert(fp);
             let m = mmap.insert(fp);
-            let b = bloom.insert(fp);
             assert_eq!(e, m, "exact/mmap diverged on {fp:#x}");
-            assert!(e || !b, "bloom admitted a duplicate {fp:#x}");
         }
         assert_eq!(exact.bytes().heap, mmap.len() * 8);
         assert!(
@@ -1009,39 +783,32 @@ mod tests {
         let fps: Vec<u64> = (0..2_000u64).map(splitmix64).chain([0]).collect();
 
         let mut exact = ExactStore::new();
-        let mut bloom = BloomStore::for_capacity(4_096, 1e-4);
         let mut mmap = MmapStore::in_dir(&dir, 1).unwrap();
         for &fp in &fps {
             exact.insert(fp);
-            bloom.insert(fp);
             mmap.insert(fp);
         }
 
         let mut exact2 = ExactStore::new();
-        let mut bloom2 = BloomStore::for_capacity(4_096, 1e-4);
         let mut mmap2 = MmapStore::in_dir(&dir, 1).unwrap();
         for (src, dst) in [
             (
                 &exact as &dyn FingerprintStore,
                 &mut exact2 as &mut dyn FingerprintStore,
             ),
-            (&bloom, &mut bloom2),
             (&mmap, &mut mmap2),
         ] {
             let mut blob = Vec::new();
             src.save(&mut blob);
+            // Both backends write the same shard image.
+            assert_eq!(shard_image_len(&blob), Ok(fps.len()));
             dst.load(&blob).unwrap();
+            assert_eq!(dst.len(), fps.len());
         }
         for &fp in &fps {
             assert!(!exact2.insert(fp), "exact lost {fp:#x} across save/load");
-            assert!(!bloom2.insert(fp), "bloom lost {fp:#x} across save/load");
             assert!(!mmap2.insert(fp), "mmap lost {fp:#x} across save/load");
         }
-        // Geometry mismatch is rejected, not silently mis-probed.
-        let mut blob = Vec::new();
-        bloom.save(&mut blob);
-        let mut tiny = BloomStore::for_capacity(8, 0.5);
-        assert!(tiny.load(&blob).is_err());
         drop(mmap);
         drop(mmap2);
         let _ = std::fs::remove_dir(&dir);
@@ -1050,7 +817,7 @@ mod tests {
     #[test]
     fn sharded_index_counts_admissions() {
         for kind in DedupKind::ALL {
-            let idx = ShardedIndex::new(kind, 10_000, 1e-4);
+            let idx = ShardedIndex::new(kind);
             let mut admitted = 0usize;
             for i in 0..5_000u64 {
                 if idx.insert(i) {
@@ -1058,8 +825,7 @@ mod tests {
                 }
             }
             assert_eq!(idx.admitted(), admitted, "{kind}");
-            // Exact admits everything; bloom may lose a handful to FPs.
-            assert!(admitted > 4_900, "{kind}: admitted only {admitted}");
+            assert_eq!(admitted, 5_000, "{kind}");
             // Re-inserting admits nothing new.
             for i in 0..5_000u64 {
                 assert!(!idx.insert(i), "{kind}: duplicate admitted");
@@ -1071,7 +837,7 @@ mod tests {
     #[test]
     fn sharded_index_is_thread_safe() {
         for kind in [DedupKind::Exact, DedupKind::Mmap { budget: 1 }] {
-            let idx = ShardedIndex::new(kind, 0, 0.0);
+            let idx = ShardedIndex::new(kind);
             std::thread::scope(|scope| {
                 for t in 0..8u64 {
                     let idx = &idx;
@@ -1085,34 +851,18 @@ mod tests {
             });
             assert_eq!(idx.admitted(), 4 * 2_000, "{kind}");
         }
-        let exact = ShardedIndex::new(DedupKind::Exact, 0, 0.0);
+        let exact = ShardedIndex::new(DedupKind::Exact);
         for i in 0..100u64 {
             exact.insert(i);
         }
         assert_eq!(exact.bytes().heap, 100 * 8);
-    }
-
-    #[test]
-    fn exact_bytes_grow_bloom_bytes_do_not() {
-        let exact = ShardedIndex::new(DedupKind::Exact, 1_000, 1e-2);
-        let bloom = ShardedIndex::new(DedupKind::Bloom, 1_000, 1e-2);
-        let bloom_before = bloom.bytes();
-        for i in 0..1_000u64 {
-            exact.insert(i);
-            bloom.insert(i);
-        }
-        assert_eq!(exact.bytes().heap, exact.admitted() * 8);
         assert_eq!(exact.bytes().file, 0);
-        assert_eq!(bloom.bytes(), bloom_before);
-        assert!(bloom.saturation().is_some());
-        assert!(exact.saturation().is_none());
     }
 
     #[test]
     fn mmap_index_accounts_file_bytes_and_cleans_up() {
         let root = tmp();
         let idx = ShardedIndex::with_dir(DedupKind::Mmap { budget: 1 }, 0, 0.0, Some(&root));
-        assert!(idx.saturation().is_none());
         let before = idx.bytes();
         assert_eq!(before.heap, 0);
         assert_eq!(before.file, FP_SHARDS * 512 * 8);
@@ -1138,14 +888,22 @@ mod tests {
     #[test]
     fn sharded_index_save_load_roundtrip_preserves_membership() {
         for kind in DedupKind::ALL {
-            let idx = ShardedIndex::new(kind, 10_000, 1e-4);
+            let idx = ShardedIndex::new(kind);
             for i in 0..5_000u64 {
                 idx.insert(i);
             }
             let blobs = idx.save_shards();
             let admitted = idx.admitted();
+            let recounted: usize = blobs.iter().map(|b| shard_image_len(b).unwrap()).sum();
+            assert_eq!(recounted, admitted, "{kind}");
 
-            let fresh = ShardedIndex::new(kind, 10_000, 1e-4);
+            // The header's admitted count is checked, not trusted.
+            let err = ShardedIndex::new(kind)
+                .load_shards(&blobs, admitted + 1)
+                .unwrap_err();
+            assert!(err.contains("admitted"), "{kind}: {err}");
+
+            let fresh = ShardedIndex::new(kind);
             fresh.load_shards(&blobs, admitted).unwrap();
             assert_eq!(fresh.admitted(), admitted, "{kind}");
             for i in 0..5_000u64 {
@@ -1201,11 +959,32 @@ mod tests {
             assert_eq!(DedupKind::parse(bad), None, "{bad:?}");
             let err = bad.parse::<DedupKind>().unwrap_err().to_string();
             assert!(
-                err.contains("one of: exact, bloom, mmap[:BUDGET]"),
+                err.contains("one of: exact, mmap[:BUDGET]"),
                 "error must list valid kinds: {err}"
             );
         }
         assert_eq!(DedupKind::default(), DedupKind::Exact);
         assert_eq!(DedupKind::ALL.len(), DedupKind::NAMES.len());
+    }
+
+    #[test]
+    fn shard_images_must_hold_exactly_their_count() {
+        let mut image = Vec::new();
+        put_u64(&mut image, 2);
+        put_u64(&mut image, 7);
+        put_u64(&mut image, 9);
+        assert_eq!(shard_image_len(&image), Ok(2));
+        // A truncated body, a trailing byte, a bumped count, an
+        // overflowing count and a missing header are all refused.
+        assert!(shard_image_len(&image[..image.len() - 1]).is_err());
+        let mut longer = image.clone();
+        longer.push(0);
+        assert!(shard_image_len(&longer).is_err());
+        let mut bumped = image.clone();
+        bumped[0] = 3;
+        assert!(shard_image_len(&bumped).is_err());
+        assert!(shard_image_len(&u64::MAX.to_le_bytes()).is_err());
+        assert!(shard_image_len(&[]).is_err());
+        assert!(ExactStore::new().load(&bumped).is_err());
     }
 }

@@ -13,14 +13,16 @@
 //! [`Simulation::snapshot`], branches with [`Simulation::step_channel`], and
 //! deduplicates visited configurations by their stable 64-bit
 //! [`Simulation::fingerprint`] — **8 bytes per configuration** regardless of
-//! ring size. The previous-generation explorer is kept as
+//! ring size. It runs on a pool of `jobs` work-stealing workers; with
+//! `jobs: 1` the visit order, and so the order of reported violations, is
+//! deterministic. The previous-generation explorer is kept as
 //! [`explore_reference`]: it stores full `(queues, terminated, node-keys)`
 //! tuples per configuration, which grows linearly with the ring and is what
 //! limited the reachable instance sizes. Differential tests assert the two
 //! enumerate identical state spaces where both fit in memory.
 //!
 //! ```rust
-//! use co_net::explore::{explore, ExploreLimits};
+//! use co_net::explore::{explore, ExploreConfig};
 //! use co_net::{Context, Fingerprint, Port, Protocol, Pulse, RingSpec, Snapshot};
 //!
 //! /// Each node forwards the first pulse it sees and stops.
@@ -55,14 +57,14 @@
 //!         // In every quiescent configuration, everyone relayed once.
 //!         if state.nodes.iter().all(|n| n.0) { Ok(()) } else { Err("missed".into()) }
 //!     },
-//!     ExploreLimits::default(),
+//!     &ExploreConfig { jobs: 1, ..ExploreConfig::default() },
 //! );
 //! assert!(report.complete);
 //! assert!(report.violations.is_empty());
 //! assert!(report.quiescent_configs >= 1);
 //! ```
 
-use crate::dedup::{unique_name, DedupKind, ShardedIndex};
+use crate::dedup::{shard_image_len, unique_name, DedupKind, ShardedIndex};
 use crate::engine::QueueBackend;
 use crate::faults::FaultPlan;
 use crate::message::Pulse;
@@ -121,7 +123,7 @@ pub struct ExploreReport {
     /// (`visited_heap_bytes + visited_file_bytes`); the
     /// [`ExploreLimits::max_state_bytes`] budget applies to this total.
     pub visited_bytes: usize,
-    /// Heap-resident bytes of the deduplication index (exact, Bloom).
+    /// Heap-resident bytes of the deduplication index (the exact backend).
     pub visited_heap_bytes: usize,
     /// File-backed bytes of the deduplication index (the mmap backend's
     /// table files) — the out-of-core share of the footprint.
@@ -171,125 +173,16 @@ fn state_of<P: Protocol<Pulse> + Clone>(sim: &Simulation<Pulse, P>) -> ExploreSt
     }
 }
 
-/// Exhaustively explores every delivery order of a pulse protocol, with
-/// fingerprint-based visited-state deduplication.
-///
-/// * `make_nodes` builds the initial protocol instances (one per node of
-///   `wiring`);
-/// * `safety` is checked in every reachable configuration;
-/// * `at_quiescence` is checked in every reachable quiescent configuration.
-///
-/// The node fingerprint comes from the protocol's [`Snapshot`]
-/// implementation, which must capture *all* behaviourally relevant state
-/// (two nodes with equal fingerprints must behave identically forever).
-/// Each visited configuration costs 8 bytes of dedup storage, so the
-/// explorer reaches ring sizes the tuple-keyed [`explore_reference`]
-/// cannot under the same [`ExploreLimits::max_state_bytes`] budget.
-///
-/// Returns an [`ExploreReport`]; exploration stops early (with
-/// `complete = false`) if any limit is hit.
-pub fn explore<P, FM, FS, FQ>(
-    wiring: &Wiring,
-    make_nodes: FM,
-    safety: FS,
-    at_quiescence: FQ,
-    limits: ExploreLimits,
-) -> ExploreReport
-where
-    P: Protocol<Pulse> + Snapshot + Clone,
-    FM: FnOnce() -> Vec<P>,
-    FS: Fn(&ExploreState<P>) -> Result<(), String>,
-    FQ: Fn(&ExploreState<P>) -> Result<(), String>,
-{
-    let nodes = make_nodes();
-    assert_eq!(nodes.len(), wiring.len(), "one protocol instance per node");
-    // The explorer only ever carries pulses, so it always uses the
-    // run-length counter backend; fingerprints and the visited state space
-    // are backend-independent (asserted by differential tests), but the
-    // per-snapshot queue storage is O(runs) instead of O(pulses).
-    let mut sim: Simulation<Pulse, P> = Simulation::with_backend(
-        wiring.clone(),
-        nodes,
-        Box::new(FifoScheduler::new()),
-        QueueBackend::Counter,
-    );
-    sim.start();
-
-    const BYTES_PER_CONFIG: usize = std::mem::size_of::<u64>();
-    let mut visited: HashSet<u64> = HashSet::new();
-    let mut violations: Vec<String> = Vec::new();
-    let mut quiescent_configs = 0usize;
-    let mut complete = true;
-
-    visited.insert(sim.fingerprint());
-    // DFS stack of (checkpoint, depth).
-    let mut stack = vec![(sim.snapshot(), 0usize)];
-
-    'dfs: while let Some((snapshot, depth)) = stack.pop() {
-        sim.restore(&snapshot);
-        let state = state_of(&sim);
-        if let Err(e) = safety(&state) {
-            note_violation(&mut violations, format!("safety: {e}"));
-        }
-        if state.is_quiescent() {
-            quiescent_configs += 1;
-            if let Err(e) = at_quiescence(&state) {
-                note_violation(&mut violations, format!("at quiescence: {e}"));
-            }
-            continue;
-        }
-        if depth >= limits.max_depth {
-            complete = false;
-            continue;
-        }
-        // Branch: deliver the head of every non-empty channel.
-        for channel in sim.ready_channels() {
-            sim.restore(&snapshot);
-            sim.step_channel(channel)
-                .expect("ready channel has a message");
-            let fp = sim.fingerprint();
-            if visited.contains(&fp) {
-                continue;
-            }
-            // Only *new* entries cost storage; revisits are free.
-            if visited.len() >= limits.max_configs
-                || (visited.len() + 1) * BYTES_PER_CONFIG > limits.max_state_bytes
-            {
-                complete = false;
-                break 'dfs;
-            }
-            visited.insert(fp);
-            stack.push((sim.snapshot(), depth + 1));
-        }
-    }
-
-    ExploreReport {
-        configs: visited.len(),
-        quiescent_configs,
-        violations,
-        complete,
-        visited_bytes: visited.len() * BYTES_PER_CONFIG,
-        visited_heap_bytes: visited.len() * BYTES_PER_CONFIG,
-        visited_file_bytes: 0,
-        spilled_jobs: 0,
-        checkpoints_written: 0,
-    }
-}
-
-/// Configuration for [`explore_parallel`].
+/// Configuration for [`explore`].
 #[derive(Clone, Debug)]
 pub struct ExploreConfig {
-    /// Bounds shared with the sequential explorer.
+    /// Bounds on the exploration.
     pub limits: ExploreLimits,
-    /// Worker threads; `0` means all available cores.
+    /// Worker threads; `0` means all available cores. `1` gives a
+    /// deterministic visit and violation order.
     pub jobs: usize,
     /// Visited-fingerprint backend (see [`crate::dedup`]).
     pub dedup: DedupKind,
-    /// Expected number of configurations, used to size the Bloom backend.
-    /// Ignored by the exact backend.
-    pub bloom_capacity: usize,
-    /// Target false-positive probability for the Bloom backend.
-    pub bloom_fp_budget: f64,
     /// Channel faults to apply along every explored path.
     ///
     /// Faults trigger on the global send sequence number, which the plain
@@ -349,8 +242,6 @@ impl Default for ExploreConfig {
             limits: ExploreLimits::default(),
             jobs: 0,
             dedup: DedupKind::Exact,
-            bloom_capacity: 1 << 20,
-            bloom_fp_budget: 1e-4,
             faults: FaultPlan::new(),
             backend: QueueBackend::Counter,
             batch: false,
@@ -362,7 +253,7 @@ impl Default for ExploreConfig {
     }
 }
 
-/// Periodic checkpointing policy for [`explore_parallel`].
+/// Periodic checkpointing policy for [`explore`].
 #[derive(Clone, Debug)]
 pub struct CheckpointPlan {
     /// Where to write the checkpoint file (atomically: a `.tmp` sibling is
@@ -390,7 +281,7 @@ pub struct FrontierItem {
     pub picks: Vec<u32>,
 }
 
-/// A resumable exploration checkpoint: everything [`explore_parallel`]
+/// A resumable exploration checkpoint: everything [`explore`]
 /// needs to continue a run as if it had never stopped — the visited-set
 /// shards, the frontier (as replay paths), and the report counters.
 ///
@@ -470,8 +361,9 @@ impl ExploreCheckpoint {
         out
     }
 
-    /// Parses the on-disk format back; rejects wrong magic/version and any
-    /// truncation or trailing garbage.
+    /// Parses the on-disk format back; rejects wrong magic/version, any
+    /// truncation or trailing garbage, a malformed dedup shard image, and an
+    /// `admitted` count that differs from what the shards hold.
     pub fn decode(bytes: &[u8]) -> Result<ExploreCheckpoint, String> {
         let mut r = ByteReader::new(bytes);
         if r.take(8)? != CK_MAGIC {
@@ -502,6 +394,15 @@ impl ExploreCheckpoint {
             frontier.push(FrontierItem { depth, picks });
         }
         r.finish()?;
+        let mut stored = 0usize;
+        for (i, blob) in shards.iter().enumerate() {
+            stored += shard_image_len(blob).map_err(|e| format!("dedup shard {i}: {e}"))?;
+        }
+        if stored != admitted {
+            return Err(format!(
+                "header claims {admitted} admitted configurations, the dedup shards hold {stored}"
+            ));
+        }
         Ok(ExploreCheckpoint {
             meta,
             dedup,
@@ -522,8 +423,10 @@ impl ExploreCheckpoint {
     }
 
     /// Writes the checkpoint atomically: a `.tmp` sibling is written,
-    /// fsynced, then renamed over `path` — a kill at any point leaves
-    /// either the previous checkpoint or this one, never a torn file.
+    /// fsynced, then renamed over `path`, and the parent directory is
+    /// fsynced so the rename itself is durable — a kill or power loss at
+    /// any point leaves either the previous checkpoint or this one, never a
+    /// torn file.
     pub fn write_atomic(&self, path: &Path) -> Result<(), String> {
         let mut tmp_name = path.as_os_str().to_os_string();
         tmp_name.push(".tmp");
@@ -534,7 +437,14 @@ impl ExploreCheckpoint {
         file.sync_all().map_err(|e| fail("sync", e))?;
         drop(file);
         std::fs::rename(&tmp, path)
-            .map_err(|e| format!("rename {} -> {}: {e}", tmp.display(), path.display()))
+            .map_err(|e| format!("rename {} -> {}: {e}", tmp.display(), path.display()))?;
+        let dir = match path.parent() {
+            Some(dir) if !dir.as_os_str().is_empty() => dir,
+            _ => Path::new("."),
+        };
+        File::open(dir)
+            .and_then(|d| d.sync_all())
+            .map_err(|e| format!("sync directory {}: {e}", dir.display()))
     }
 }
 
@@ -669,32 +579,41 @@ where
     }
 }
 
-/// Work-stealing, frontier-sharded parallel version of [`explore`].
+/// Exhaustively explores every delivery order of a pulse protocol, with
+/// fingerprint-based visited-state deduplication.
 ///
-/// A fixed pool of `config.jobs` workers (scoped std threads) each runs the
-/// same DFS loop as the sequential explorer over its own frontier shard,
-/// stealing from other shards when its own runs dry. Every worker owns a
-/// private [`Simulation`] it restores checkpoints into, so only snapshots —
-/// plain data — cross threads. Deduplication goes through a
-/// [`ShardedIndex`] ([`crate::dedup::FP_SHARDS`] locks keyed by fingerprint
-/// prefix) with the backend chosen by `config.dedup`: `exact` reproduces
-/// the sequential explorer's visited set bit-for-bit, `bloom` trades a
-/// measured false-positive budget for fixed memory, `mmap` keeps the exact
-/// semantics but stores the table in files so RAM stops being the bound.
+/// * `make_nodes` builds the initial protocol instances (one per node of
+///   `wiring`);
+/// * `safety` is checked in every reachable configuration;
+/// * `at_quiescence` is checked in every reachable quiescent configuration.
 ///
-/// Guarantees, asserted by differential tests against [`explore`]:
+/// The node fingerprint comes from the protocol's [`Snapshot`]
+/// implementation, which must capture *all* behaviourally relevant state
+/// (two nodes with equal fingerprints must behave identically forever).
 ///
-/// * with the exact or mmap backend and no limits hit, `configs`,
-///   `quiescent_configs`, and the violation verdict are identical to the
-///   sequential explorer for every worker count — a successor is pushed
-///   only by the worker that *admitted* its fingerprint, so each
-///   configuration is processed exactly once;
-/// * with the Bloom backend, a false positive can only prune a subtree
-///   (under-count states), never fabricate one: reported violations are
-///   always real;
-/// * unlike [`explore`], a [`FaultPlan`] may be supplied; fingerprints are
-///   then extended per [`FaultPlan::horizon`] so dedup stays sound while
-///   faults can still fire.
+/// A fixed pool of `config.jobs` workers (scoped std threads) each runs a
+/// depth-first loop over its own frontier shard, stealing from other
+/// shards when its own runs dry. Every worker owns a private
+/// [`Simulation`] it restores checkpoints into, so only snapshots — plain
+/// data — cross threads. Deduplication goes through a [`ShardedIndex`]
+/// ([`crate::dedup::FP_SHARDS`] locks keyed by fingerprint prefix) with the
+/// backend chosen by `config.dedup`: `exact` keeps the set on the heap at
+/// 8 bytes per configuration, so the explorer reaches ring sizes the
+/// tuple-keyed [`explore_reference`] cannot under the same
+/// [`ExploreLimits::max_state_bytes`] budget; `mmap` stores the same set in
+/// files so RAM stops being the bound.
+///
+/// Guarantees, asserted by differential tests:
+///
+/// * with no limits hit, `configs`, `quiescent_configs`, and the violation
+///   verdict are identical for every worker count and both backends — a
+///   successor is pushed only by the worker that *admitted* its
+///   fingerprint, so each configuration is processed exactly once;
+/// * with `jobs: 1` nothing is stolen, so the visit order — and with it
+///   the violation list — repeats verbatim from run to run;
+/// * a [`FaultPlan`] may be supplied; fingerprints are then extended per
+///   [`FaultPlan::horizon`] so dedup stays sound while faults can still
+///   fire.
 ///
 /// Out-of-core extensions (see [`ExploreConfig`]): frontier spill-to-disk
 /// past `spill_high_water`, periodic resumable checkpoints via
@@ -709,7 +628,7 @@ where
 /// Because every worker finishes expanding its current item (the
 /// resume-convergence invariant), `configs` may overshoot `max_configs` by
 /// up to one branching factor per worker.
-pub fn explore_parallel<P, FM, FS, FQ>(
+pub fn explore<P, FM, FS, FQ>(
     wiring: &Wiring,
     make_nodes: FM,
     safety: FS,
@@ -743,12 +662,7 @@ where
     seed_sim.start();
     let seed_snap = seed_sim.snapshot();
 
-    let index = ShardedIndex::with_dir(
-        config.dedup,
-        config.bloom_capacity,
-        config.bloom_fp_budget,
-        config.scratch_dir.as_deref(),
-    );
+    let index = ShardedIndex::with_dir(config.dedup, 0, 0.0, config.scratch_dir.as_deref());
 
     // One frontier shard per worker; each worker pops its own back (LIFO,
     // depth-first) and steals from other shards' fronts (oldest first,
@@ -794,9 +708,9 @@ where
     } else {
         index.insert(config_fingerprint(&seed_sim, horizon));
         if index.bytes().total() > limits.max_state_bytes {
-            // A preallocating backend can blow the byte budget before the
-            // first delivery; report the same "budget starved" shape the
-            // sequential explorer would.
+            // The mmap backend preallocates its table files and can blow
+            // the byte budget before the first delivery: stop before
+            // expanding anything.
             let bytes = index.bytes();
             return ExploreReport {
                 configs: index.admitted(),
@@ -1288,6 +1202,14 @@ mod tests {
         }
     }
 
+    /// The default configuration at `jobs` workers.
+    fn workers(jobs: usize) -> ExploreConfig {
+        ExploreConfig {
+            jobs,
+            ..ExploreConfig::default()
+        }
+    }
+
     fn mini_ring() -> Vec<MiniAlg1> {
         vec![
             MiniAlg1 { id: 1, rho: 0 },
@@ -1325,7 +1247,7 @@ mod tests {
             mini_ring,
             mini_safety,
             mini_quiescence,
-            ExploreLimits::default(),
+            &workers(1),
         );
         assert!(report.complete, "state space should be exhausted");
         assert!(report.violations.is_empty(), "{:?}", report.violations);
@@ -1342,7 +1264,7 @@ mod tests {
             mini_ring,
             mini_safety,
             mini_quiescence,
-            ExploreLimits::default(),
+            &workers(1),
         );
         let reference = explore_reference(
             &spec.wiring(),
@@ -1374,7 +1296,7 @@ mod tests {
             mini_ring,
             mini_safety,
             mini_quiescence,
-            ExploreLimits::default(),
+            &workers(1),
         );
         assert!(full.complete);
         let budget = ExploreLimits {
@@ -1386,7 +1308,10 @@ mod tests {
             mini_ring,
             mini_safety,
             mini_quiescence,
-            budget,
+            &ExploreConfig {
+                limits: budget,
+                ..workers(1)
+            },
         );
         assert!(snap.complete, "snapshot explorer fits in its own footprint");
         let reference = explore_reference(
@@ -1522,32 +1447,29 @@ mod tests {
     }
 
     #[test]
-    fn parallel_exact_matches_sequential_for_all_worker_counts() {
+    fn every_worker_count_matches_the_single_worker_run() {
         let spec = RingSpec::oriented(vec![1, 3, 2]);
-        let sequential = explore(
+        let single = explore(
             &spec.wiring(),
             mini_ring,
             mini_safety,
             mini_quiescence,
-            ExploreLimits::default(),
+            &workers(1),
         );
-        for jobs in [1, 2, 4, 8] {
-            let parallel = explore_parallel(
+        for jobs in [2, 4, 8] {
+            let parallel = explore(
                 &spec.wiring(),
                 mini_ring,
                 mini_safety,
                 mini_quiescence,
-                &ExploreConfig {
-                    jobs,
-                    ..ExploreConfig::default()
-                },
+                &workers(jobs),
             );
-            assert_eq!(parallel.configs, sequential.configs, "jobs={jobs}");
+            assert_eq!(parallel.configs, single.configs, "jobs={jobs}");
             assert_eq!(
-                parallel.quiescent_configs, sequential.quiescent_configs,
+                parallel.quiescent_configs, single.quiescent_configs,
                 "jobs={jobs}"
             );
-            assert_eq!(parallel.visited_bytes, sequential.visited_bytes);
+            assert_eq!(parallel.visited_bytes, single.visited_bytes);
             assert!(parallel.complete);
             assert!(parallel.violations.is_empty(), "{:?}", parallel.violations);
         }
@@ -1558,15 +1480,15 @@ mod tests {
         // The visited set, quiescent count, and verdict must not depend on
         // how the per-channel queues are stored.
         let spec = RingSpec::oriented(vec![1, 3, 2]);
-        let sequential = explore(
+        let single = explore(
             &spec.wiring(),
             mini_ring,
             mini_safety,
             mini_quiescence,
-            ExploreLimits::default(),
+            &workers(1),
         );
         for backend in QueueBackend::ALL {
-            let report = explore_parallel(
+            let report = explore(
                 &spec.wiring(),
                 mini_ring,
                 mini_safety,
@@ -1577,9 +1499,9 @@ mod tests {
                     ..ExploreConfig::default()
                 },
             );
-            assert_eq!(report.configs, sequential.configs, "{backend}");
+            assert_eq!(report.configs, single.configs, "{backend}");
             assert_eq!(
-                report.quiescent_configs, sequential.quiescent_configs,
+                report.quiescent_configs, single.quiescent_configs,
                 "{backend}"
             );
             assert!(report.complete, "{backend}");
@@ -1593,7 +1515,7 @@ mod tests {
         // state space, with every configuration hashing exactly as the
         // per-pulse explorer hashes it.
         let spec = RingSpec::oriented(vec![1, 3, 2]);
-        let per_pulse = explore_parallel(
+        let per_pulse = explore(
             &spec.wiring(),
             mini_ring,
             mini_safety,
@@ -1603,7 +1525,7 @@ mod tests {
                 ..ExploreConfig::default()
             },
         );
-        let batched = explore_parallel(
+        let batched = explore(
             &spec.wiring(),
             mini_ring,
             mini_safety,
@@ -1656,60 +1578,19 @@ mod tests {
     }
 
     #[test]
-    fn parallel_bloom_uses_fixed_memory() {
+    fn mmap_matches_exact_out_of_core() {
         let spec = RingSpec::oriented(vec![1, 3, 2]);
-        let exact = explore_parallel(
+        let exact = explore(
             &spec.wiring(),
             mini_ring,
             mini_safety,
             mini_quiescence,
-            &ExploreConfig {
-                jobs: 4,
-                ..ExploreConfig::default()
-            },
-        );
-        let bloom = explore_parallel(
-            &spec.wiring(),
-            mini_ring,
-            mini_safety,
-            mini_quiescence,
-            &ExploreConfig {
-                jobs: 4,
-                dedup: DedupKind::Bloom,
-                bloom_capacity: 4_096,
-                bloom_fp_budget: 1e-4,
-                ..ExploreConfig::default()
-            },
-        );
-        assert!(bloom.complete);
-        assert!(bloom.violations.is_empty(), "{:?}", bloom.violations);
-        // At 1e-4 over a few hundred states, misses are overwhelmingly
-        // unlikely; allow equality-or-undercount as the contract.
-        assert!(bloom.configs <= exact.configs);
-        assert!(
-            bloom.configs * 100 >= exact.configs * 99,
-            "excessive FP loss"
-        );
-        // Memory is the preallocated filter, independent of states visited.
-        let empty_budget = ShardedIndex::new(DedupKind::Bloom, 4_096, 1e-4).bytes();
-        assert_eq!(bloom.visited_bytes, empty_budget.total());
-        assert_eq!(bloom.visited_file_bytes, 0);
-    }
-
-    #[test]
-    fn parallel_mmap_matches_sequential_out_of_core() {
-        let spec = RingSpec::oriented(vec![1, 3, 2]);
-        let sequential = explore(
-            &spec.wiring(),
-            mini_ring,
-            mini_safety,
-            mini_quiescence,
-            ExploreLimits::default(),
+            &workers(1),
         );
         let dir = std::env::temp_dir().join(unique_name("co-ring-test-mmap"));
         std::fs::create_dir_all(&dir).expect("test scratch dir");
         for jobs in [1, 4] {
-            let mmap = explore_parallel(
+            let mmap = explore(
                 &spec.wiring(),
                 mini_ring,
                 mini_safety,
@@ -1723,9 +1604,9 @@ mod tests {
             );
             // State-space identity with the exact backend: the mmap table
             // is a set, not a filter.
-            assert_eq!(mmap.configs, sequential.configs, "jobs={jobs}");
+            assert_eq!(mmap.configs, exact.configs, "jobs={jobs}");
             assert_eq!(
-                mmap.quiescent_configs, sequential.quiescent_configs,
+                mmap.quiescent_configs, exact.quiescent_configs,
                 "jobs={jobs}"
             );
             assert!(mmap.complete);
@@ -1746,7 +1627,7 @@ mod tests {
     #[test]
     fn spilled_frontier_explores_the_same_state_space() {
         let spec = RingSpec::oriented(vec![1, 3, 2]);
-        let plain = explore_parallel(
+        let plain = explore(
             &spec.wiring(),
             mini_ring,
             mini_safety,
@@ -1758,7 +1639,7 @@ mod tests {
         );
         let dir = std::env::temp_dir().join(unique_name("co-ring-test-spill"));
         std::fs::create_dir_all(&dir).expect("test scratch dir");
-        let spilled = explore_parallel(
+        let spilled = explore(
             &spec.wiring(),
             mini_ring,
             mini_safety,
@@ -1806,7 +1687,7 @@ mod tests {
                 None => Ok(()),
             }
         };
-        let uninterrupted = explore_parallel(
+        let uninterrupted = explore(
             &spec.wiring(),
             mini_ring,
             spicy,
@@ -1826,7 +1707,7 @@ mod tests {
             // "Kill" the run mid-flight: a max_configs cut plays the role of
             // the interruption — the frontier at the stop is intact, and the
             // final checkpoint captures it.
-            let cut = explore_parallel(
+            let cut = explore(
                 &spec.wiring(),
                 mini_ring,
                 spicy,
@@ -1856,7 +1737,7 @@ mod tests {
             assert!(!ck.is_finished(), "{kind:?}: frontier must survive the cut");
 
             // Resume with full limits: the run must re-converge exactly.
-            let resumed = explore_parallel(
+            let resumed = explore(
                 &spec.wiring(),
                 mini_ring,
                 spicy,
@@ -1891,7 +1772,7 @@ mod tests {
             // The final checkpoint is finished; resuming it is idempotent.
             let done = ExploreCheckpoint::read(&ck_path).expect("final checkpoint");
             assert!(done.is_finished(), "{kind:?}");
-            let again = explore_parallel(
+            let again = explore(
                 &spec.wiring(),
                 mini_ring,
                 spicy,
@@ -1926,7 +1807,7 @@ mod tests {
             faults: faults.clone(),
             ..ExploreConfig::default()
         };
-        let uninterrupted = explore_parallel(
+        let uninterrupted = explore(
             &spec.wiring(),
             mini_ring,
             mini_safety,
@@ -1939,7 +1820,7 @@ mod tests {
         let dir = std::env::temp_dir().join(unique_name("co-ring-test-fck"));
         std::fs::create_dir_all(&dir).expect("test scratch dir");
         let ck_path = dir.join("explore.ck");
-        let cut = explore_parallel(
+        let cut = explore(
             &spec.wiring(),
             mini_ring,
             mini_safety,
@@ -1961,7 +1842,7 @@ mod tests {
         );
         assert!(!cut.complete);
         let ck = ExploreCheckpoint::read(&ck_path).expect("checkpoint reads back");
-        let resumed = explore_parallel(
+        let resumed = explore(
             &spec.wiring(),
             mini_ring,
             mini_safety,
@@ -1985,15 +1866,21 @@ mod tests {
 
     #[test]
     fn checkpoint_encoding_roundtrips_and_rejects_corruption() {
+        let image = |fps: &[u64]| {
+            let mut blob = Vec::new();
+            put_u64(&mut blob, fps.len() as u64);
+            fps.iter().for_each(|&fp| put_u64(&mut blob, fp));
+            blob
+        };
         let ck = ExploreCheckpoint {
             meta: b"alg1|n=4".to_vec(),
             dedup: "mmap:65536".to_string(),
-            admitted: 12_345,
+            admitted: 3,
             quiescent: 17,
             spilled: 3,
             pruned: true,
             violations: vec!["safety: boom".to_string()],
-            shards: vec![vec![1, 2, 3], Vec::new()],
+            shards: vec![image(&[7, 9]), image(&[]), image(&[11])],
             frontier: vec![
                 FrontierItem {
                     depth: 2,
@@ -2020,40 +1907,40 @@ mod tests {
         assert!(ExploreCheckpoint::decode(&version)
             .expect_err("version check")
             .contains("version"));
+        // `admitted` is recounted from the shards, not trusted.
+        let bumped = ExploreCheckpoint {
+            admitted: ck.admitted + 1,
+            ..ck.clone()
+        };
+        assert!(ExploreCheckpoint::decode(&bumped.encode())
+            .expect_err("admitted check")
+            .contains("admitted"));
+        // A shard blob cut short inside an otherwise well-formed file.
+        let mut truncated = ck.clone();
+        truncated.shards[0].pop();
+        assert!(ExploreCheckpoint::decode(&truncated.encode())
+            .expect_err("shard check")
+            .contains("dedup shard 0"));
     }
 
     #[test]
-    fn parallel_detects_the_same_violations() {
+    fn every_worker_count_detects_the_same_violations() {
         // Break the quiescence predicate so every quiescent config violates.
         let spec = RingSpec::oriented(vec![1, 3, 2]);
         let bad = |_: &ExploreState<MiniAlg1>| -> Result<(), String> { Err("always wrong".into()) };
-        let sequential = explore(
-            &spec.wiring(),
-            mini_ring,
-            mini_safety,
-            bad,
-            ExploreLimits::default(),
-        );
-        let parallel = explore_parallel(
-            &spec.wiring(),
-            mini_ring,
-            mini_safety,
-            bad,
-            &ExploreConfig::default(),
-        );
-        assert!(!sequential.violations.is_empty());
-        assert!(!parallel.violations.is_empty());
-        assert_eq!(
-            parallel.violations.is_empty(),
-            sequential.violations.is_empty()
-        );
+        let run = |jobs| explore(&spec.wiring(), mini_ring, mini_safety, bad, &workers(jobs));
+        let single = run(1);
+        assert!(!single.violations.is_empty());
+        // One worker visits in a fixed order: the list repeats verbatim.
+        assert_eq!(run(1).violations, single.violations);
+        assert_eq!(sorted(run(4).violations), sorted(single.violations.clone()));
     }
 
     #[test]
-    fn parallel_respects_limits() {
+    fn explore_respects_limits() {
         let spec = RingSpec::oriented(vec![1, 2]);
         let jobs = 4;
-        let report = explore_parallel(
+        let report = explore(
             &spec.wiring(),
             || vec![MiniAlg1 { id: 50, rho: 0 }, MiniAlg1 { id: 60, rho: 0 }],
             |_| Ok(()),
@@ -2087,7 +1974,7 @@ mod tests {
         // counters and some schedule must reach quiescence early, violating
         // the all-counters-at-ID_max predicate. The clean run stays green.
         let spec = RingSpec::oriented(vec![1, 3, 2]);
-        let clean = explore_parallel(
+        let clean = explore(
             &spec.wiring(),
             mini_ring,
             mini_safety,
@@ -2097,7 +1984,7 @@ mod tests {
         assert!(clean.complete && clean.violations.is_empty());
         let faults = FaultPlan::new().drop_seq(4);
         let run = |jobs: usize| {
-            explore_parallel(
+            explore(
                 &spec.wiring(),
                 mini_ring,
                 mini_safety,
@@ -2123,22 +2010,13 @@ mod tests {
     }
 
     #[test]
-    fn limits_are_respected() {
+    fn reference_respects_limits() {
         let spec = RingSpec::oriented(vec![1, 2]);
         let limits = ExploreLimits {
             max_configs: 16,
             max_depth: 8,
             max_state_bytes: usize::MAX,
         };
-        let report = explore(
-            &spec.wiring(),
-            || vec![MiniAlg1 { id: 50, rho: 0 }, MiniAlg1 { id: 60, rho: 0 }],
-            |_| Ok(()),
-            |_| Ok(()),
-            limits,
-        );
-        assert!(!report.complete);
-        assert!(report.configs <= 17);
         let report = explore_reference(
             &spec.wiring(),
             || vec![MiniAlg1 { id: 50, rho: 0 }, MiniAlg1 { id: 60, rho: 0 }],

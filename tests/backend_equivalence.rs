@@ -151,7 +151,7 @@ fn fingerprints_agree_at_every_step() {
 /// store backs its worker simulations.
 #[test]
 fn explorer_state_space_is_backend_independent() {
-    use content_oblivious::net::explore::{explore_parallel, ExploreConfig};
+    use content_oblivious::net::explore::{explore, ExploreConfig};
 
     let spec = RingSpec::oriented(vec![1, 2, 4]);
     let make = || {
@@ -161,7 +161,7 @@ fn explorer_state_space_is_backend_independent() {
     };
     let mut reports = Vec::new();
     for backend in QueueBackend::ALL {
-        let report = explore_parallel(
+        let report = explore(
             &spec.wiring(),
             make,
             |_| Ok(()),

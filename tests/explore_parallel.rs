@@ -1,20 +1,18 @@
-//! Acceptance for the parallel frontier-sharded explorer.
+//! Acceptance for the work-stealing, frontier-sharded explorer.
 //!
 //! Three properties gate the engine:
 //!
-//! 1. with the exact backend it is a drop-in replacement for the sequential
-//!    explorer — identical configuration counts, quiescent counts, byte
-//!    accounting and violation verdicts, at every worker count;
-//! 2. the bloom backend never *invents* a violation and — across a seeded
-//!    sweep of random faulted instances — never misses one the exact backend
-//!    finds (false positives can only prune already-visited states);
-//! 3. the n=4 Algorithm 1 sweep of the PR acceptance criterion completes.
+//! 1. every worker count is a drop-in for the one-worker (sequential) run —
+//!    identical configuration counts, quiescent counts, byte accounting and
+//!    violation verdicts;
+//! 2. across a seeded sweep of random faulted instances the mmap backend
+//!    reports exactly what the exact backend reports: the same counts and
+//!    the same violation set;
+//! 3. the n=4 Algorithm 1 sweep completes at 8 workers.
 
 use content_oblivious::core::ablation::UngatedAlg2Node;
 use content_oblivious::core::{Alg1Node, Alg2Node, Alg3Node, IdScheme, Role};
-use content_oblivious::net::explore::{
-    explore, explore_parallel, ExploreConfig, ExploreLimits, ExploreState,
-};
+use content_oblivious::net::explore::{explore, ExploreConfig, ExploreLimits, ExploreState};
 use content_oblivious::net::{DedupKind, FaultPlan, RingSpec};
 use rand::rngs::StdRng;
 use rand::{Rng, SeedableRng};
@@ -29,11 +27,23 @@ fn no_check<P>(_: &ExploreState<P>) -> Result<(), String> {
     Ok(())
 }
 
+/// The default configuration at `jobs` workers.
+fn workers(jobs: usize) -> ExploreConfig {
+    ExploreConfig {
+        jobs,
+        ..ExploreConfig::default()
+    }
+}
+
+fn sorted(mut v: Vec<String>) -> Vec<String> {
+    v.sort();
+    v
+}
+
 #[test]
 fn parallel_exact_is_a_drop_in_for_the_sequential_explorer() {
-    // One protocol per snapshot-capable family, including the deliberately
-    // broken ablation (its state space is infinite, so both engines must
-    // agree they truncated).
+    // One protocol per snapshot-capable family; the one-worker run is the
+    // sequential reference.
     let spec = RingSpec::oriented(vec![3u64, 1, 2]);
 
     let seq_alg1 = explore(
@@ -45,14 +55,14 @@ fn parallel_exact_is_a_drop_in_for_the_sequential_explorer() {
         },
         no_check,
         no_check,
-        ExploreLimits::default(),
+        &workers(1),
     );
     let seq_alg2 = explore(
         &spec.wiring(),
         || alg2_nodes(&spec),
         no_check,
         no_check,
-        ExploreLimits::default(),
+        &workers(1),
     );
     let seq_alg3 = explore(
         &spec.wiring(),
@@ -63,15 +73,12 @@ fn parallel_exact_is_a_drop_in_for_the_sequential_explorer() {
         },
         no_check,
         no_check,
-        ExploreLimits::default(),
+        &workers(1),
     );
 
-    for jobs in [1usize, 2, 4, 8] {
-        let config = ExploreConfig {
-            jobs,
-            ..ExploreConfig::default()
-        };
-        let par = explore_parallel(
+    for jobs in [2usize, 4, 8] {
+        let config = workers(jobs);
+        let par = explore(
             &spec.wiring(),
             || {
                 (0..spec.len())
@@ -87,7 +94,7 @@ fn parallel_exact_is_a_drop_in_for_the_sequential_explorer() {
         assert_eq!(par.visited_bytes, seq_alg1.visited_bytes);
         assert!(par.complete && par.violations.is_empty());
 
-        let par = explore_parallel(
+        let par = explore(
             &spec.wiring(),
             || alg2_nodes(&spec),
             no_check,
@@ -98,7 +105,7 @@ fn parallel_exact_is_a_drop_in_for_the_sequential_explorer() {
         assert_eq!(par.quiescent_configs, seq_alg2.quiescent_configs);
         assert!(par.complete && par.violations.is_empty());
 
-        let par = explore_parallel(
+        let par = explore(
             &spec.wiring(),
             || {
                 (0..spec.len())
@@ -118,31 +125,16 @@ fn parallel_exact_is_a_drop_in_for_the_sequential_explorer() {
 fn parallel_agrees_with_sequential_on_the_ablation() {
     // The deliberately broken ablation (E11) livelocks under adversarial
     // schedules, but its *deduplicated* state space on this tiny ring is
-    // still finite — the engines must agree on it exactly.
+    // still finite — every worker count must agree on it exactly.
     let spec = RingSpec::oriented(vec![2u64, 3, 1]);
     let make = || {
         (0..spec.len())
             .map(|i| UngatedAlg2Node::new(spec.id(i), spec.cw_port(i)))
             .collect::<Vec<_>>()
     };
-    let seq = explore(
-        &spec.wiring(),
-        make,
-        no_check,
-        no_check,
-        ExploreLimits::default(),
-    );
+    let seq = explore(&spec.wiring(), make, no_check, no_check, &workers(1));
     assert!(seq.complete);
-    let par = explore_parallel(
-        &spec.wiring(),
-        make,
-        no_check,
-        no_check,
-        &ExploreConfig {
-            jobs: 4,
-            ..ExploreConfig::default()
-        },
-    );
+    let par = explore(&spec.wiring(), make, no_check, no_check, &workers(4));
     assert!(par.complete);
     assert_eq!(par.configs, seq.configs);
     assert_eq!(par.quiescent_configs, seq.quiescent_configs);
@@ -151,7 +143,7 @@ fn parallel_agrees_with_sequential_on_the_ablation() {
 #[test]
 fn both_engines_truncate_a_genuinely_infinite_space() {
     // A duplicated pulse never quiesces under Algorithm 2 (the gate defers
-    // it forever), so the state space is infinite: neither engine may claim
+    // it forever), so the state space is infinite: no worker count may claim
     // completeness under a configuration cap.
     let spec = RingSpec::oriented(vec![3u64, 5, 2]);
     let limits = ExploreLimits {
@@ -159,7 +151,7 @@ fn both_engines_truncate_a_genuinely_infinite_space() {
         ..ExploreLimits::default()
     };
     let plan = FaultPlan::new().duplicate_seq(1);
-    let seq = explore_parallel(
+    let seq = explore(
         &spec.wiring(),
         || alg2_nodes(&spec),
         no_check,
@@ -172,7 +164,7 @@ fn both_engines_truncate_a_genuinely_infinite_space() {
         },
     );
     assert!(!seq.complete);
-    let par = explore_parallel(
+    let par = explore(
         &spec.wiring(),
         || alg2_nodes(&spec),
         no_check,
@@ -212,82 +204,56 @@ fn healthy_election_flag(
 }
 
 #[test]
-fn bloom_never_misses_a_violation_the_exact_backend_finds() {
+fn mmap_and_exact_agree_on_a_seeded_fault_sweep() {
     // 50 seeded random faulted n=3 instances. Dropped pulses keep the state
     // space finite; the healthy-election predicate turns "a schedule survives
-    // the fault" into a violation. The bloom backend may prune via false
-    // positives but, at the default 1e-4 budget on spaces of a few hundred
-    // states, it must reach the same verdict as the exact backend — and it
-    // must never report a violation the exact backend does not (bloom
-    // explores a subset of the exact space).
+    // the fault" into a violation. Both backends are exact sets, so the
+    // file-backed one at 4 workers must report the one-worker exact run's
+    // counts and violation set, trial for trial.
     let mut rng = StdRng::seed_from_u64(0x5EED_B100);
     for trial in 0..50 {
         let ids: Vec<u64> = (0..3).map(|_| rng.gen_range(1..=7)).collect();
         let spec = RingSpec::oriented(ids.clone());
         let drop_at = rng.gen_range(1..=8);
         let plan = FaultPlan::new().drop_seq(drop_at);
-        let run = |dedup: DedupKind| {
-            explore_parallel(
+        let run = |jobs: usize, dedup: DedupKind| {
+            explore(
                 &spec.wiring(),
                 || alg2_nodes(&spec),
                 no_check,
                 healthy_election_flag(&spec),
                 &ExploreConfig {
-                    jobs: 4,
+                    jobs,
                     dedup,
                     faults: plan.clone(),
                     ..ExploreConfig::default()
                 },
             )
         };
-        let exact = run(DedupKind::Exact);
-        let bloom = run(DedupKind::Bloom);
-        assert!(exact.complete, "trial {trial} ids {ids:?} drop {drop_at}");
-        assert!(bloom.complete, "trial {trial} ids {ids:?} drop {drop_at}");
-        assert_eq!(
-            exact.violations.is_empty(),
-            bloom.violations.is_empty(),
-            "trial {trial}: ids {ids:?} drop {drop_at} — exact found {:?}, bloom found {:?}",
-            exact.violations,
-            bloom.violations
-        );
-        assert!(
-            bloom.configs <= exact.configs,
-            "trial {trial}: bloom visited more states than exact"
-        );
+        let exact = run(1, DedupKind::Exact);
+        let mmap = run(4, DedupKind::Mmap { budget: 1 << 16 });
+        let at = format!("trial {trial}: ids {ids:?} drop {drop_at}");
+        assert!(exact.complete && mmap.complete, "{at}");
+        assert_eq!(mmap.configs, exact.configs, "{at}");
+        assert_eq!(mmap.quiescent_configs, exact.quiescent_configs, "{at}");
+        assert_eq!(sorted(mmap.violations), sorted(exact.violations), "{at}");
+        assert_eq!(mmap.visited_heap_bytes, 0, "{at}");
     }
 }
 
 #[test]
-fn acceptance_n4_alg1_sweep_with_bloom_and_8_workers() {
+fn acceptance_n4_alg1_sweep_with_8_workers() {
     let spec = RingSpec::oriented(vec![2u64, 4, 1, 3]);
     let make = || {
         (0..spec.len())
             .map(|i| Alg1Node::new(spec.id(i), spec.cw_port(i)))
             .collect::<Vec<_>>()
     };
-    let seq = explore(
-        &spec.wiring(),
-        make,
-        no_check,
-        no_check,
-        ExploreLimits::default(),
-    );
+    let seq = explore(&spec.wiring(), make, no_check, no_check, &workers(1));
     assert!(seq.complete && seq.violations.is_empty());
-    let par = explore_parallel(
-        &spec.wiring(),
-        make,
-        no_check,
-        no_check,
-        &ExploreConfig {
-            jobs: 8,
-            dedup: DedupKind::Bloom,
-            ..ExploreConfig::default()
-        },
-    );
+    let par = explore(&spec.wiring(), make, no_check, no_check, &workers(8));
     assert!(par.complete && par.violations.is_empty());
-    // Parallel/sequential equivalence: bloom can only under-count, and at
-    // this scale the 1e-4 false-positive budget means it does not.
     assert_eq!(par.configs, seq.configs);
     assert_eq!(par.quiescent_configs, seq.quiescent_configs);
+    assert_eq!(par.visited_bytes, seq.visited_bytes);
 }

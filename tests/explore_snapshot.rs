@@ -4,7 +4,9 @@
 //! more configurations.
 
 use content_oblivious::core::{Alg2Node, Role};
-use content_oblivious::net::explore::{explore, explore_reference, ExploreLimits, ExploreState};
+use content_oblivious::net::explore::{
+    explore, explore_reference, ExploreConfig, ExploreLimits, ExploreState,
+};
 use content_oblivious::net::{Protocol, RingSpec};
 
 type Key = (u64, u64, u64, u64, u64, bool, bool);
@@ -40,7 +42,10 @@ fn snapshot_explorer_covers_the_same_space_in_fewer_bytes() {
             || make_nodes(&spec),
             no_check,
             no_check,
-            ExploreLimits::default(),
+            &ExploreConfig {
+                jobs: 1,
+                ..ExploreConfig::default()
+            },
         );
         let reference = explore_reference(
             &spec.wiring(),
@@ -79,7 +84,10 @@ fn equal_byte_budget_gives_the_snapshot_explorer_more_reach() {
         || make_nodes(&spec),
         no_check,
         no_check,
-        ExploreLimits::default(),
+        &ExploreConfig {
+            jobs: 1,
+            ..ExploreConfig::default()
+        },
     );
     assert!(full.complete);
 
@@ -92,7 +100,11 @@ fn equal_byte_budget_gives_the_snapshot_explorer_more_reach() {
         || make_nodes(&spec),
         no_check,
         no_check,
-        budget,
+        &ExploreConfig {
+            jobs: 1,
+            limits: budget,
+            ..ExploreConfig::default()
+        },
     );
     let reference = explore_reference(
         &spec.wiring(),
@@ -136,7 +148,10 @@ fn theorem1_still_checked_through_the_snapshot_explorer() {
                 Err(format!("sent {} ≠ {predicted}", state.sent))
             }
         },
-        ExploreLimits::default(),
+        &ExploreConfig {
+            jobs: 1,
+            ..ExploreConfig::default()
+        },
     );
     assert!(report.complete);
     assert!(report.violations.is_empty(), "{:?}", report.violations);
@@ -147,7 +162,10 @@ fn theorem1_still_checked_through_the_snapshot_explorer() {
         || make_nodes(&spec),
         no_check,
         |_| Err("always wrong".into()),
-        ExploreLimits::default(),
+        &ExploreConfig {
+            jobs: 1,
+            ..ExploreConfig::default()
+        },
     );
     assert!(!falsified.violations.is_empty());
 }

@@ -125,7 +125,7 @@ fn replication_converges_universally() {
 #[test]
 fn alg2_exhaustive_larger_rings() {
     use content_oblivious::core::Alg2Node;
-    use content_oblivious::net::explore::{explore, ExploreLimits};
+    use content_oblivious::net::explore::{explore, ExploreConfig, ExploreLimits};
     for ids in [vec![1u64, 2, 3, 4], vec![4, 2, 1, 3], vec![2, 4, 1, 5, 3]] {
         let spec = RingSpec::oriented(ids.clone());
         let leader = spec.max_position();
@@ -152,10 +152,14 @@ fn alg2_exhaustive_larger_rings() {
                     Err("bad quiescent configuration".into())
                 }
             },
-            ExploreLimits {
-                max_configs: 50_000_000,
-                max_depth: 1_000_000,
-                max_state_bytes: usize::MAX,
+            &ExploreConfig {
+                jobs: 1,
+                limits: ExploreLimits {
+                    max_configs: 50_000_000,
+                    max_depth: 1_000_000,
+                    max_state_bytes: usize::MAX,
+                },
+                ..ExploreConfig::default()
             },
         );
         assert!(report.complete, "{ids:?}");

@@ -4,7 +4,7 @@
 //! configuration.
 
 use content_oblivious::core::{Alg1Node, Alg2Node, Alg3Node, IdScheme, Role};
-use content_oblivious::net::explore::{explore, ExploreLimits};
+use content_oblivious::net::explore::{explore, ExploreConfig};
 use content_oblivious::net::RingSpec;
 
 fn check_alg2_all_schedules(ids: Vec<u64>) {
@@ -55,7 +55,10 @@ fn check_alg2_all_schedules(ids: Vec<u64>) {
             }
             Ok(())
         },
-        ExploreLimits::default(),
+        &ExploreConfig {
+            jobs: 1,
+            ..ExploreConfig::default()
+        },
     );
     assert!(report.complete, "{ids:?}: exploration incomplete");
     assert!(
@@ -117,7 +120,10 @@ fn alg1_exhaustive_stabilization() {
                 }
                 Ok(())
             },
-            ExploreLimits::default(),
+            &ExploreConfig {
+                jobs: 1,
+                ..ExploreConfig::default()
+            },
         );
         assert!(report.complete, "{ids:?}");
         assert!(
@@ -164,7 +170,10 @@ fn alg3_exhaustive_orientation() {
                 }
                 Ok(())
             },
-            ExploreLimits::default(),
+            &ExploreConfig {
+                jobs: 1,
+                ..ExploreConfig::default()
+            },
         );
         assert!(report.complete, "{flips:?}");
         assert!(
