@@ -1216,6 +1216,22 @@ mod tests {
             ..ck.clone()
         };
         bumped.write_atomic(&dir.join("bumped.ck")).expect("write");
+        // A shard image that repeats its first fingerprint, with the count
+        // and `admitted` raised to match.
+        let mut duplicated = ck.clone();
+        let blob = duplicated
+            .shards
+            .iter_mut()
+            .find(|blob| blob.len() > 8)
+            .expect("a non-empty shard");
+        let count = u64::from_le_bytes(blob[..8].try_into().expect("8B"));
+        blob[..8].copy_from_slice(&(count + 1).to_le_bytes());
+        let first: [u8; 8] = blob[8..16].try_into().expect("8B");
+        blob.extend_from_slice(&first);
+        duplicated.admitted += 1;
+        duplicated
+            .write_atomic(&dir.join("duplicated.ck"))
+            .expect("write");
         let mut truncated = ck;
         truncated
             .shards
@@ -1226,7 +1242,11 @@ mod tests {
         truncated
             .write_atomic(&dir.join("truncated.ck"))
             .expect("write");
-        for (name, why) in [("bumped.ck", "admitted"), ("truncated.ck", "dedup shard")] {
+        for (name, why) in [
+            ("bumped.ck", "admitted"),
+            ("duplicated.ck", "stored twice"),
+            ("truncated.ck", "dedup shard"),
+        ] {
             let out = run_line(&["explore", "--ids", "3,1,2", "--resume", &path(name)]);
             assert_eq!(out.code, 1, "{name}: {}", out.text);
             assert!(out.text.starts_with("error:"), "{name}: {}", out.text);

@@ -196,7 +196,7 @@ pub struct Recorded {
     pub report: RunReport,
     /// The recorded delivery schedule (feed to `replay`).
     pub picks: Schedule,
-    /// FNV-1a fingerprint of the final configuration — equal fingerprints
+    /// Stable fingerprint of the final configuration — equal fingerprints
     /// mean byte-identical node states and channel contents.
     pub fingerprint: u64,
     /// Ring positions claiming leadership at the end of the run.
@@ -209,7 +209,7 @@ pub struct Recorded {
 pub struct Replayed {
     /// The run's outcome and counters.
     pub report: RunReport,
-    /// FNV-1a fingerprint of the final configuration.
+    /// Stable fingerprint of the final configuration.
     pub fingerprint: u64,
     /// Ring positions claiming leadership at the end of the run.
     pub leaders: Vec<usize>,

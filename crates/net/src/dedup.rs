@@ -29,7 +29,9 @@
 //!
 //! Both stores checkpoint to the same shard image, `count, fp…` (see
 //! [`shard_image_len`]), so a checkpoint's admitted count can always be
-//! recounted from its shards.
+//! recounted from its shards, and [`validate_shard_images`] can prove a
+//! set of images loads into a fresh [`ShardedIndex`] before anything is
+//! loaded.
 
 use crate::snapshot::{put_u64, ByteReader};
 use std::collections::HashSet;
@@ -49,6 +51,11 @@ use std::sync::{Arc, Mutex};
 /// constant overhead stays trivial.
 pub const FP_SHARDS: usize = 64;
 const SHARD_BITS: u32 = FP_SHARDS.trailing_zeros();
+
+/// The shard that holds a stored (diffused) fingerprint: its top bits.
+fn shard_of(stored: u64) -> usize {
+    (stored >> (64 - SHARD_BITS)) as usize
+}
 
 /// Default initial byte budget for the mmap backend: the total size of the
 /// initial table files across all shards. Small on purpose — the table
@@ -222,6 +229,50 @@ pub fn shard_image_len(image: &[u8]) -> Result<usize, String> {
     r.take(body)?;
     r.finish()?;
     Ok(count)
+}
+
+/// Validates the shard images of a whole index, as
+/// [`ShardedIndex::save_shards`] writes them, and returns how many
+/// fingerprints they hold.
+///
+/// Beyond each image being well formed ([`shard_image_len`]), the set must
+/// be one [`ShardedIndex`] could have saved: exactly [`FP_SHARDS`] images,
+/// every fingerprint in the shard its prefix selects, and no fingerprint
+/// stored twice (within a shard; the prefix rule rules out repeats across
+/// shards). Images that pass load into a fresh index without error, and
+/// the index then admits exactly the returned count.
+pub fn validate_shard_images(images: &[Vec<u8>]) -> Result<usize, String> {
+    if images.len() != FP_SHARDS {
+        return Err(format!(
+            "{} dedup shard images, this build uses {FP_SHARDS}",
+            images.len()
+        ));
+    }
+    let mut total = 0;
+    let mut fps = Vec::new();
+    for (i, image) in images.iter().enumerate() {
+        total += shard_image_len(image).map_err(|e| format!("dedup shard {i}: {e}"))?;
+        fps.clear();
+        fps.extend(
+            image[8..]
+                .chunks_exact(8)
+                .map(|fp| u64::from_le_bytes(fp.try_into().expect("8B"))),
+        );
+        if let Some(&fp) = fps.iter().find(|&&fp| shard_of(fp) != i) {
+            return Err(format!(
+                "dedup shard {i}: fingerprint {fp:#018x} belongs in shard {}",
+                shard_of(fp)
+            ));
+        }
+        fps.sort_unstable();
+        if let Some(pair) = fps.windows(2).find(|pair| pair[0] == pair[1]) {
+            return Err(format!(
+                "dedup shard {i}: fingerprint {:#018x} stored twice",
+                pair[0]
+            ));
+        }
+    }
+    Ok(total)
 }
 
 /// Exact per-shard backend: a `HashSet<u64>`.
@@ -596,8 +647,10 @@ impl ShardedIndex {
     /// Inserts a fingerprint; returns whether it was new (admitted).
     pub fn insert(&self, fp: u64) -> bool {
         let h = splitmix64(fp);
-        let shard = (h >> (64 - SHARD_BITS)) as usize;
-        let new = self.shards[shard].lock().expect("shard poisoned").insert(h);
+        let new = self.shards[shard_of(h)]
+            .lock()
+            .expect("shard poisoned")
+            .insert(h);
         if new {
             self.admitted.fetch_add(1, Ordering::Relaxed);
         }
@@ -896,6 +949,8 @@ mod tests {
             let admitted = idx.admitted();
             let recounted: usize = blobs.iter().map(|b| shard_image_len(b).unwrap()).sum();
             assert_eq!(recounted, admitted, "{kind}");
+            assert_eq!(validate_shard_images(&blobs), Ok(admitted), "{kind}");
+            assert!(validate_shard_images(&blobs[1..]).is_err(), "{kind}");
 
             // The header's admitted count is checked, not trusted.
             let err = ShardedIndex::new(kind)

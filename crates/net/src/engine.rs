@@ -720,7 +720,7 @@ impl fmt::Display for Outcome {
 }
 
 /// Aggregate counters of a simulation.
-#[derive(Clone, Debug, Default, PartialEq, Eq)]
+#[derive(Debug, Default, PartialEq, Eq)]
 pub struct SimStats {
     /// Total messages sent (= the paper's message complexity when the run
     /// reaches quiescence).
@@ -742,6 +742,37 @@ pub struct SimStats {
     /// Virtual-clock timers fired (0 throughout untimed runs and for
     /// protocols that never arm timers).
     pub timer_fires: u64,
+}
+
+// `Clone` by hand so that `clone_from` — every snapshot restore — copies
+// into the existing per-port buffers instead of reallocating them.
+impl Clone for SimStats {
+    fn clone(&self) -> SimStats {
+        let mut out = SimStats::default();
+        out.clone_from(self);
+        out
+    }
+
+    fn clone_from(&mut self, src: &SimStats) {
+        let SimStats {
+            total_sent,
+            total_delivered,
+            delivered_to_terminated,
+            steps,
+            sent_by_direction,
+            sent_by_port,
+            recv_by_port,
+            timer_fires,
+        } = src;
+        self.total_sent = *total_sent;
+        self.total_delivered = *total_delivered;
+        self.delivered_to_terminated = *delivered_to_terminated;
+        self.steps = *steps;
+        self.sent_by_direction = *sent_by_direction;
+        self.sent_by_port.clone_from(sent_by_port);
+        self.recv_by_port.clone_from(recv_by_port);
+        self.timer_fires = *timer_fires;
+    }
 }
 
 impl SimStats {
@@ -911,10 +942,24 @@ struct Envelope<M> {
 /// numbers. `runs[0]` is the head run (next delivery = its start seq); the
 /// rest is the spill list created by sequence gaps (interleaved sends on
 /// other channels) or fault-injected duplicates.
-#[derive(Clone, Debug, Default)]
+#[derive(Debug, Default)]
 struct PulseRuns {
     runs: VecDeque<(u64, u64)>,
     len: usize,
+}
+
+impl Clone for PulseRuns {
+    fn clone(&self) -> PulseRuns {
+        PulseRuns {
+            runs: self.runs.clone(),
+            len: self.len,
+        }
+    }
+
+    fn clone_from(&mut self, src: &PulseRuns) {
+        self.runs.clone_from(&src.runs);
+        self.len = src.len;
+    }
 }
 
 impl PulseRuns {
@@ -988,10 +1033,42 @@ impl PulseRuns {
 
 const RUN_BYTES: usize = std::mem::size_of::<(u64, u64)>();
 
-#[derive(Clone, Debug)]
+#[derive(Debug)]
 enum StoreRepr<M> {
     Vec(Vec<VecDeque<Envelope<M>>>),
     Counter { proto: M, chans: Vec<PulseRuns> },
+}
+
+// `Clone` by hand (here and on `QueueStore`): the derived `clone_from` is
+// `*self = src.clone()`, which would reallocate every channel on each
+// snapshot restore; this one copies into the existing buffers.
+impl<M: Clone> Clone for StoreRepr<M> {
+    fn clone(&self) -> StoreRepr<M> {
+        match self {
+            StoreRepr::Vec(queues) => StoreRepr::Vec(queues.clone()),
+            StoreRepr::Counter { proto, chans } => StoreRepr::Counter {
+                proto: proto.clone(),
+                chans: chans.clone(),
+            },
+        }
+    }
+
+    fn clone_from(&mut self, src: &StoreRepr<M>) {
+        match (self, src) {
+            (StoreRepr::Vec(queues), StoreRepr::Vec(src)) => queues.clone_from(src),
+            (
+                StoreRepr::Counter { proto, chans },
+                StoreRepr::Counter {
+                    proto: src_proto,
+                    chans: src_chans,
+                },
+            ) => {
+                proto.clone_from(src_proto);
+                chans.clone_from(src_chans);
+            }
+            (this, src) => *this = src.clone(),
+        }
+    }
 }
 
 /// Pluggable per-channel FIFO storage — the concrete state behind a
@@ -1002,12 +1079,30 @@ enum StoreRepr<M> {
 /// keeps the byte accounting ([`QueueStore::queue_bytes`] /
 /// [`QueueStore::peak_queue_bytes`]) that backs `RunMetrics::
 /// peak_queue_bytes` and the E17 memory column.
-#[derive(Clone, Debug)]
+#[derive(Debug)]
 pub struct QueueStore<M> {
     repr: StoreRepr<M>,
     total: usize,
     cur_bytes: usize,
     peak_bytes: usize,
+}
+
+impl<M: Clone> Clone for QueueStore<M> {
+    fn clone(&self) -> QueueStore<M> {
+        QueueStore {
+            repr: self.repr.clone(),
+            total: self.total,
+            cur_bytes: self.cur_bytes,
+            peak_bytes: self.peak_bytes,
+        }
+    }
+
+    fn clone_from(&mut self, src: &QueueStore<M>) {
+        self.repr.clone_from(&src.repr);
+        self.total = src.total;
+        self.cur_bytes = src.cur_bytes;
+        self.peak_bytes = src.peak_bytes;
+    }
 }
 
 impl<M: Message> QueueStore<M> {

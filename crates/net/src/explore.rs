@@ -64,12 +64,12 @@
 //! assert!(report.quiescent_configs >= 1);
 //! ```
 
-use crate::dedup::{shard_image_len, unique_name, DedupKind, ShardedIndex};
+use crate::dedup::{unique_name, validate_shard_images, DedupKind, ShardedIndex};
 use crate::engine::QueueBackend;
 use crate::faults::FaultPlan;
 use crate::message::Pulse;
 use crate::port::Port;
-use crate::sched::FifoScheduler;
+use crate::sched::{ChannelView, Scheduler};
 use crate::sim::{Context, Protocol, SimSnapshot, Simulation};
 use crate::snapshot::{put_bytes, put_str, put_u32, put_u64, ByteReader, Fingerprint, Snapshot};
 use crate::topology::{ChannelId, Wiring};
@@ -161,15 +161,33 @@ fn note_violation(violations: &mut Vec<String>, msg: String) {
     }
 }
 
-fn state_of<P: Protocol<Pulse> + Clone>(sim: &Simulation<Pulse, P>) -> ExploreState<P> {
+/// Refills `state` from `sim` in place, reusing its buffers: each worker
+/// keeps one `ExploreState` for every configuration it pops.
+fn load_state<P: Protocol<Pulse> + Clone>(state: &mut ExploreState<P>, sim: &Simulation<Pulse, P>) {
     let n = sim.wiring().len();
-    ExploreState {
-        nodes: sim.nodes().to_vec(),
-        queues: (0..2 * n)
-            .map(|ch| sim.queue_len(ChannelId::from_index(ch)) as u32)
-            .collect(),
-        terminated: (0..n).map(|v| sim.is_terminated(v)).collect(),
-        sent: sim.stats().total_sent,
+    state.nodes.clear();
+    state.nodes.extend_from_slice(sim.nodes());
+    state.queues.clear();
+    state
+        .queues
+        .extend((0..2 * n).map(|ch| sim.queue_len(ChannelId::from_index(ch)) as u32));
+    state.terminated.clear();
+    state
+        .terminated
+        .extend((0..n).map(|v| sim.is_terminated(v)));
+    state.sent = sim.stats().total_sent;
+}
+
+/// The scheduler of the explorer's simulations. Workers deliver only
+/// through [`Simulation::step_channel`] and
+/// [`Simulation::step_channel_batch`], which bypass the scheduler, so it
+/// keeps no ready index for every restore to rebuild and never picks.
+#[derive(Debug)]
+struct ChannelPicks;
+
+impl Scheduler for ChannelPicks {
+    fn pick(&mut self, _ready: &[ChannelView]) -> usize {
+        unreachable!("the explorer delivers by channel, never through the scheduler")
     }
 }
 
@@ -319,7 +337,24 @@ pub struct ExploreCheckpoint {
 }
 
 const CK_MAGIC: &[u8; 8] = b"CORINGCK";
-const CK_VERSION: u32 = 1;
+/// Version 2: fingerprints from the word-at-a-time [`Fingerprint`] and a
+/// trailing payload checksum. Version 1 files hold fingerprints of the
+/// older byte-wise hash, which no configuration hashes to any more.
+const CK_VERSION: u32 = 2;
+/// Magic (8 bytes) and version (4 bytes).
+const CK_HEADER: usize = 12;
+
+/// The checkpoint checksum: [`Fingerprint`] over `bytes` as little-endian
+/// 8-byte words, with the tail bytes mixed one at a time.
+fn checksum(bytes: &[u8]) -> u64 {
+    let mut fp = Fingerprint::new();
+    let mut words = bytes.chunks_exact(8);
+    for word in &mut words {
+        fp.write_u64(u64::from_le_bytes(word.try_into().expect("8B")));
+    }
+    fp.write_bytes(words.remainder());
+    fp.finish()
+}
 
 impl ExploreCheckpoint {
     /// Whether the checkpointed run had finished (empty frontier). Resuming
@@ -358,23 +393,45 @@ impl ExploreCheckpoint {
                 put_u32(&mut out, pick);
             }
         }
+        let sum = checksum(&out);
+        put_u64(&mut out, sum);
         out
     }
 
-    /// Parses the on-disk format back; rejects wrong magic/version, any
-    /// truncation or trailing garbage, a malformed dedup shard image, and an
-    /// `admitted` count that differs from what the shards hold.
+    /// Parses the on-disk format back; rejects wrong magic/version, a
+    /// checksum mismatch (checked before anything else is parsed), any
+    /// truncation or trailing garbage, a malformed dedup shard image, shard
+    /// images no [`ShardedIndex`] could have saved (see
+    /// [`validate_shard_images`]), and an `admitted` count that differs
+    /// from what the shards hold. A decoded checkpoint's shards always load.
     pub fn decode(bytes: &[u8]) -> Result<ExploreCheckpoint, String> {
-        let mut r = ByteReader::new(bytes);
-        if r.take(8)? != CK_MAGIC {
+        let mut header = ByteReader::new(bytes);
+        if header.take(8)? != CK_MAGIC {
             return Err("not a co-ring exploration checkpoint (bad magic)".into());
         }
-        let version = r.u32()?;
+        let version = header.u32()?;
         if version != CK_VERSION {
+            let why = if version == 1 {
+                ": its fingerprints come from an older hash, so resuming it would \
+                 re-admit configurations it already counted"
+            } else {
+                ""
+            };
             return Err(format!(
-                "checkpoint version {version}, this build reads {CK_VERSION}"
+                "checkpoint version {version}, this build reads {CK_VERSION}{why}"
             ));
         }
+        let payload_len = bytes
+            .len()
+            .checked_sub(8)
+            .filter(|&len| len >= CK_HEADER)
+            .ok_or("checkpoint truncated before its checksum")?;
+        let (payload, stored) = bytes.split_at(payload_len);
+        if checksum(payload) != u64::from_le_bytes(stored.try_into().expect("8B")) {
+            return Err("checkpoint checksum mismatch: the file is corrupted".into());
+        }
+        let mut r = ByteReader::new(payload);
+        r.take(CK_HEADER)?;
         let meta = r.bytes()?.to_vec();
         let dedup = r.string()?;
         let admitted = r.len()?;
@@ -394,10 +451,7 @@ impl ExploreCheckpoint {
             frontier.push(FrontierItem { depth, picks });
         }
         r.finish()?;
-        let mut stored = 0usize;
-        for (i, blob) in shards.iter().enumerate() {
-            stored += shard_image_len(blob).map_err(|e| format!("dedup shard {i}: {e}"))?;
-        }
+        let stored = validate_shard_images(&shards)?;
         if stored != admitted {
             return Err(format!(
                 "header claims {admitted} admitted configurations, the dedup shards hold {stored}"
@@ -655,7 +709,7 @@ where
     let mut seed_sim: Simulation<Pulse, P> = Simulation::with_backend(
         wiring.clone(),
         nodes,
-        Box::new(FifoScheduler::new()),
+        Box::new(ChannelPicks),
         config.backend,
     );
     seed_sim.set_faults(config.faults.clone());
@@ -689,7 +743,7 @@ where
         );
         index
             .load_shards(&ck.shards, ck.admitted)
-            .expect("checkpoint dedup shards must load");
+            .expect("a decoded checkpoint's dedup shards load");
         quiescent.store(ck.quiescent, Ordering::Relaxed);
         spilled_total.store(ck.spilled, Ordering::Relaxed);
         pruned.store(ck.pruned, Ordering::Relaxed);
@@ -782,11 +836,17 @@ where
                     let mut sim: Simulation<Pulse, P> = Simulation::with_backend(
                         wiring.clone(),
                         make_nodes(),
-                        Box::new(FifoScheduler::new()),
+                        Box::new(ChannelPicks),
                         backend,
                     );
                     sim.set_faults(faults.clone());
                     sim.start();
+                    let mut state = ExploreState {
+                        nodes: Vec::new(),
+                        queues: Vec::new(),
+                        terminated: Vec::new(),
+                        sent: 0,
+                    };
                     loop {
                         if stop.load(Ordering::Acquire) || pause.load(Ordering::Acquire) {
                             break;
@@ -832,12 +892,16 @@ where
                             std::thread::yield_now();
                             continue;
                         };
-                        // Rematerialize path-only items (spilled or resumed)
-                        // by replaying their channel picks from the seed.
-                        // Faults key on the global send sequence, which the
-                        // replay reproduces exactly.
+                        // Load the item into `sim`. Path-only items (spilled
+                        // or resumed) are rematerialized by replaying their
+                        // channel picks from the seed. Faults key on the
+                        // global send sequence, which the replay reproduces
+                        // exactly.
                         let snapshot = match snap {
-                            Some(s) => s,
+                            Some(s) => {
+                                sim.restore(&s);
+                                s
+                            }
                             None => {
                                 sim.restore(&my_seed);
                                 for &pick in &path {
@@ -853,8 +917,7 @@ where
                                 sim.snapshot()
                             }
                         };
-                        sim.restore(&snapshot);
-                        let state = state_of(&sim);
+                        load_state(&mut state, &sim);
                         if let Err(e) = safety(&state) {
                             note_violation(
                                 &mut violations.lock().expect("violations poisoned"),
@@ -875,8 +938,13 @@ where
                             // budget stop whose frontier stays intact.
                             pruned.store(true, Ordering::Release);
                         } else {
-                            for channel in sim.ready_channels() {
-                                sim.restore(&snapshot);
+                            // `load_state`, the predicates and
+                            // `ready_channels` leave `sim` at `snapshot`, so
+                            // only the later branches restore it.
+                            for (branch, channel) in sim.ready_channels().into_iter().enumerate() {
+                                if branch > 0 {
+                                    sim.restore(&snapshot);
+                                }
                                 if batch {
                                     sim.step_channel_batch(channel, u64::MAX)
                                         .expect("ready channel has a message");
@@ -1159,6 +1227,8 @@ where
 #[cfg(test)]
 mod tests {
     use super::*;
+    use crate::dedup::FP_SHARDS;
+    use crate::sched::FifoScheduler;
     use crate::snapshot::Fingerprint;
     use crate::topology::RingSpec;
 
@@ -1864,15 +1934,24 @@ mod tests {
         let _ = std::fs::remove_dir_all(&dir);
     }
 
-    #[test]
-    fn checkpoint_encoding_roundtrips_and_rejects_corruption() {
-        let image = |fps: &[u64]| {
-            let mut blob = Vec::new();
-            put_u64(&mut blob, fps.len() as u64);
-            fps.iter().for_each(|&fp| put_u64(&mut blob, fp));
-            blob
-        };
-        let ck = ExploreCheckpoint {
+    fn shard_image(fps: &[u64]) -> Vec<u8> {
+        let mut blob = Vec::new();
+        put_u64(&mut blob, fps.len() as u64);
+        fps.iter().for_each(|&fp| put_u64(&mut blob, fp));
+        blob
+    }
+
+    /// A stored fingerprint that belongs in `shard`: its top bits select it.
+    fn in_shard(shard: usize, low: u64) -> u64 {
+        ((shard as u64) << (64 - FP_SHARDS.trailing_zeros())) | low
+    }
+
+    /// A small checkpoint: 3 admitted fingerprints in shards 0 and 2.
+    fn small_checkpoint() -> ExploreCheckpoint {
+        let mut shards = vec![shard_image(&[]); FP_SHARDS];
+        shards[0] = shard_image(&[in_shard(0, 7), in_shard(0, 9)]);
+        shards[2] = shard_image(&[in_shard(2, 11)]);
+        ExploreCheckpoint {
             meta: b"alg1|n=4".to_vec(),
             dedup: "mmap:65536".to_string(),
             admitted: 3,
@@ -1880,7 +1959,7 @@ mod tests {
             spilled: 3,
             pruned: true,
             violations: vec!["safety: boom".to_string()],
-            shards: vec![image(&[7, 9]), image(&[]), image(&[11])],
+            shards,
             frontier: vec![
                 FrontierItem {
                     depth: 2,
@@ -1891,7 +1970,12 @@ mod tests {
                     picks: Vec::new(),
                 },
             ],
-        };
+        }
+    }
+
+    #[test]
+    fn checkpoint_encoding_roundtrips_and_rejects_corruption() {
+        let ck = small_checkpoint();
         let bytes = ck.encode();
         assert_eq!(ExploreCheckpoint::decode(&bytes).expect("roundtrip"), ck);
         // Truncation, trailing garbage, bad magic, bad version all fail.
@@ -1921,6 +2005,55 @@ mod tests {
         assert!(ExploreCheckpoint::decode(&truncated.encode())
             .expect_err("shard check")
             .contains("dedup shard 0"));
+    }
+
+    #[test]
+    fn version_1_checkpoints_are_refused() {
+        let mut bytes = small_checkpoint().encode();
+        bytes[8..12].copy_from_slice(&1u32.to_le_bytes());
+        let err = ExploreCheckpoint::decode(&bytes).expect_err("v1 is refused");
+        assert!(err.contains("version 1"), "{err}");
+    }
+
+    #[test]
+    fn every_single_bit_flip_is_refused() {
+        let bytes = small_checkpoint().encode();
+        for pos in 0..bytes.len() {
+            for bit in 0..8 {
+                let mut flipped = bytes.clone();
+                flipped[pos] ^= 1 << bit;
+                assert!(
+                    ExploreCheckpoint::decode(&flipped).is_err(),
+                    "flipping bit {bit} of byte {pos} went unnoticed"
+                );
+            }
+        }
+        // Past the header, the checksum is what catches a flip.
+        let mut flipped = bytes.clone();
+        flipped[bytes.len() / 2] ^= 1;
+        assert!(ExploreCheckpoint::decode(&flipped)
+            .expect_err("checksum")
+            .contains("checksum"));
+    }
+
+    #[test]
+    fn shard_images_no_index_could_save_are_refused() {
+        let ck = small_checkpoint();
+        let mut repeated = ck.clone();
+        repeated.shards[0] = shard_image(&[in_shard(0, 7), in_shard(0, 9), in_shard(0, 7)]);
+        repeated.admitted += 1;
+        let mut misplaced = ck.clone();
+        misplaced.shards[2] = shard_image(&[in_shard(3, 11)]);
+        let mut short = ck.clone();
+        short.shards.pop();
+        for (bad, why) in [
+            (repeated, "stored twice"),
+            (misplaced, "belongs in shard 3"),
+            (short, "dedup shard images"),
+        ] {
+            let err = ExploreCheckpoint::decode(&bad.encode()).expect_err(why);
+            assert!(err.contains(why), "{why}: {err}");
+        }
     }
 
     #[test]

@@ -9,9 +9,10 @@
 //!
 //! * [`Snapshot`]: extract/restore a protocol node's (or an engine's) state,
 //!   plus a stable 64-bit `fingerprint` for visited-state deduplication.
-//! * [`Fingerprint`]: a hand-rolled FNV-1a hasher whose output is identical
-//!   across runs, platforms, and compiler versions (unlike
+//! * [`Fingerprint`]: a hand-rolled streaming hasher whose output is
+//!   identical across runs, platforms, and compiler versions (unlike
 //!   `std::collections::hash_map::DefaultHasher`, which is randomly keyed).
+//!   Words cost one folded multiply each; single bytes are FNV-1a rounds.
 //! * [`Schedule`]: the sequence of channel picks an execution made — enough,
 //!   together with a seed-deterministic protocol, to replay the execution
 //!   byte-for-byte (see `Simulation::replay`).
@@ -51,16 +52,30 @@ pub trait Snapshot {
     fn fingerprint(&self) -> u64;
 }
 
-/// A streaming FNV-1a (64-bit) hasher with a run-stable output.
+/// A streaming 64-bit hasher with a run-stable output.
 ///
 /// Exhaustive exploration stores one `u64` per visited configuration; the
 /// hash must therefore be identical across processes so that recorded state
 /// counts (and the bench tables built on them) are reproducible.
+///
+/// Two mixing rounds share one 64-bit state:
+///
+/// * [`Fingerprint::write_u64`] (and [`Fingerprint::write_usize`]) folds a
+///   whole word in with one 64×64→128-bit multiply: the state becomes
+///   `lo ^ hi` of `(state ^ w) · K` for a fixed odd `K`. A configuration
+///   hash is mostly words (queue lengths, node counters, node fingerprints)
+///   and is computed once per explored branch, so a word costs one
+///   multiply round rather than eight dependent byte rounds.
+/// * [`Fingerprint::write_u8`], [`Fingerprint::write_bytes`] and
+///   [`Fingerprint::write_bool`] are FNV-1a byte rounds, so a hash fed only
+///   bytes is plain FNV-1a 64 and matches its published reference vectors.
 #[derive(Clone, Debug)]
 pub struct Fingerprint(u64);
 
 const FNV_OFFSET: u64 = 0xcbf2_9ce4_8422_2325;
 const FNV_PRIME: u64 = 0x0000_0100_0000_01b3;
+/// The multiplier of the word round: ⌊2^64 / φ⌋, which is odd.
+const WORD_MIX: u64 = 0x9E37_79B9_7F4A_7C15;
 
 impl Fingerprint {
     /// Starts a new hash at the FNV-1a offset basis.
@@ -81,9 +96,10 @@ impl Fingerprint {
         }
     }
 
-    /// Mixes a 64-bit word (little-endian byte order).
+    /// Mixes a 64-bit word in one folded multiply (see [`Fingerprint`]).
     pub fn write_u64(&mut self, w: u64) {
-        self.write_bytes(&w.to_le_bytes());
+        let m = u128::from(self.0 ^ w) * u128::from(WORD_MIX);
+        self.0 = (m as u64) ^ ((m >> 64) as u64);
     }
 
     /// Mixes a `usize` (widened to 64 bits for cross-platform stability).
@@ -319,6 +335,14 @@ mod tests {
         let mut h = Fingerprint::new();
         h.write_bytes(b"foobar");
         assert_eq!(h.finish(), 0x8594_4171_f739_67e8);
+        // The word round is not FNV; its value is pinned so a change to it
+        // (which invalidates stored fingerprints and checkpoints) is
+        // deliberate.
+        let mut h = Fingerprint::new();
+        h.write_u64(1);
+        assert_eq!(h.finish(), 0x248f_f7fe_56b3_da9a);
+        h.write_usize(2);
+        assert_eq!(h.finish(), 0x1ff1_647d_1905_90cb);
     }
 
     #[test]
