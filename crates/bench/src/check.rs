@@ -4,8 +4,8 @@
 //! catalogue (message complexity from E1/E2, an anonymous-election sample from
 //! E5, dedup memory from E15, explorer state counts from E16, and the E17
 //! scaling invariants: step count and per-backend peak queue bytes at
-//! n = 1000, the E18 pick-latency and E19 virtual-time guards, the E20
-//! run-batching invariants, and the E21 fleet aggregates) and compares
+//! n = 1000, the E18 pick-latency and E19 virtual-time guards, the
+//! n = 100,000 election step count, and the E21 fleet aggregates) and compares
 //! them against the committed baseline `bench_baseline.json`. CI runs
 //! `tables check` on every push: a metric that drifts outside its per-metric
 //! tolerance fails the build before the regression can land.
@@ -505,104 +505,43 @@ fn e19_metrics() -> &'static [Metric; 3] {
     })
 }
 
-/// E20 — run-batched macro-stepping invariants.
+/// The n = 100,000 election guard (named `e20_*` for its former
+/// experiment; the E20 table itself is retired).
 ///
-/// Four exact metrics, collected once per process (`OnceLock`, like
+/// One exact metric, collected once per process (`OnceLock`, like
 /// [`e17_metrics`]):
 ///
-/// * `e20_elect_steps_n100k` — pulse count of the budget-capped n = 100,000
-///   Algorithm 2 election, which must be exactly the cap in *both* delivery
-///   modes (budget boundaries are pulse-exact under batching).
-/// * `e20_elect_batch_match_n100k` — 1.0 iff the batch-on run of that
-///   election reaches the identical configuration fingerprint at the
-///   identical pulse count as the batch-off run. Elections carry unit runs,
-///   so this also pins the no-fusion/no-overhead property.
-/// * `e20_burst_pulses_batched` — pulses delivered by the batched 10⁹-pulse
-///   injected run on the 2-node Algorithm 1 relay ring: exactly the 10⁹
-///   budget.
-/// * `e20_burst_transitions_batched` — engine transitions that run took.
-///   The whole point of macro-stepping: a handful, not 10⁹. `Increase`
-///   with zero tolerance — if the fused path ever falls back to per-pulse,
-///   this explodes by ~8 orders of magnitude and trips the gate.
-fn e20_metrics() -> &'static [Metric; 4] {
-    use co_core::Alg1Node;
+/// * `e20_elect_steps_n100k` — pulse count of the budget-capped
+///   n = 100,000 Algorithm 2 election on the counter backend: exactly the
+///   cap, so budget boundaries stay pulse-exact at 200,000 channels.
+fn e20_metrics() -> &'static [Metric; 1] {
+    use co_core::Alg2Node;
     use co_net::{Budget, Outcome, Pulse, QueueBackend, RingSpec, SchedulerKind, Simulation};
     use std::sync::OnceLock;
 
-    static CELL: OnceLock<[Metric; 4]> = OnceLock::new();
+    static CELL: OnceLock<[Metric; 1]> = OnceLock::new();
     CELL.get_or_init(|| {
-        use co_core::Alg2Node;
-
-        // Capped n = 100,000 election, both modes. The cap is smaller than
-        // E20's table row (the gate also runs inside debug-profile tests,
-        // where every pulse is ~30× dearer).
+        // The cap is small because the gate also runs inside
+        // debug-profile tests, where every pulse is ~30× dearer.
         const ELECT_CAP: u64 = 500_000;
         let spec = RingSpec::oriented((1..=100_000u64).collect::<Vec<u64>>());
-        let mut cells = Vec::new();
-        for batch in [false, true] {
-            let nodes = (0..spec.len())
-                .map(|i| Alg2Node::new(spec.id(i), spec.cw_port(i)))
-                .collect();
-            let mut sim: Simulation<Pulse, Alg2Node> = Simulation::with_backend(
-                spec.wiring(),
-                nodes,
-                SchedulerKind::Fifo.build(0),
-                QueueBackend::Counter,
-            );
-            sim.set_batch(batch);
-            let run = sim.run(Budget::steps(ELECT_CAP));
-            assert_eq!(run.outcome, Outcome::BudgetExhausted);
-            cells.push((run.steps, sim.fingerprint()));
-        }
-        let match_ok = cells[0] == cells[1];
-
-        // The 10⁹-pulse injected run, batched (per-pulse would be minutes).
-        const BURST: u64 = 1_000_000_000;
-        let spec2 = RingSpec::oriented(vec![2, 5]);
-        let nodes = (0..spec2.len())
-            .map(|i| Alg1Node::new(spec2.id(i), spec2.cw_port(i)))
-            .collect::<Vec<Alg1Node>>();
-        let mut sim: Simulation<Pulse, Alg1Node> = Simulation::with_backend(
-            spec2.wiring(),
+        let nodes = (0..spec.len())
+            .map(|i| Alg2Node::new(spec.id(i), spec.cw_port(i)))
+            .collect();
+        let mut sim: Simulation<Pulse, Alg2Node> = Simulation::with_backend(
+            spec.wiring(),
             nodes,
             SchedulerKind::Fifo.build(0),
             QueueBackend::Counter,
         );
-        sim.set_batch(true);
-        sim.enable_metrics();
-        sim.start();
-        let channel = sim.ready_channels()[0];
-        sim.inject_run(channel, Pulse, BURST);
-        let run = sim.run(Budget::steps(BURST));
+        let run = sim.run(Budget::steps(ELECT_CAP));
         assert_eq!(run.outcome, Outcome::BudgetExhausted);
-        let transitions = sim.metrics().expect("metrics enabled").transitions;
-
-        [
-            Metric {
-                name: "e20_elect_steps_n100k",
-                value: cells[0].0 as f64,
-                tolerance_pct: 0.0,
-                direction: Direction::Both,
-            },
-            Metric {
-                name: "e20_elect_batch_match_n100k",
-                value: f64::from(u8::from(match_ok)),
-                tolerance_pct: 0.0,
-                direction: Direction::Both,
-            },
-            Metric {
-                name: "e20_burst_pulses_batched",
-                value: run.steps as f64,
-                tolerance_pct: 0.0,
-                direction: Direction::Both,
-            },
-            Metric {
-                name: "e20_burst_transitions_batched",
-                value: transitions as f64,
-                tolerance_pct: 0.0,
-                direction: Direction::Increase,
-            },
-        ]
+        [Metric {
+            name: "e20_elect_steps_n100k",
+            value: run.steps as f64,
+            tolerance_pct: 0.0,
+            direction: Direction::Both,
+        }]
     })
 }
 

@@ -66,9 +66,6 @@ pub enum Experiment {
     /// earliest-arrival scheduler under seeded latency, and timer-heap
     /// throughput through the async facade.
     E19,
-    /// Run-batched macro-stepping: batch-on vs batch-off equivalence and
-    /// throughput, the n = 100,000 election, and the 10⁹-pulse burst.
-    E20,
     /// Fleet mode: 10⁴ concurrent small-ring elections per cell through the
     /// struct-of-arrays fleet harness — jobs-invariant aggregates, fault
     /// behaviour, and elections/sec throughput.
@@ -81,7 +78,7 @@ pub enum Experiment {
 
 impl Experiment {
     /// All experiments in order.
-    pub const ALL: [Experiment; 23] = [
+    pub const ALL: [Experiment; 22] = [
         Experiment::E0,
         Experiment::E1,
         Experiment::E2,
@@ -102,7 +99,6 @@ impl Experiment {
         Experiment::E17,
         Experiment::E18,
         Experiment::E19,
-        Experiment::E20,
         Experiment::E21,
         Experiment::E22,
     ];
@@ -136,26 +132,13 @@ pub fn run_experiment(exp: Experiment) -> Table {
 /// byte-identical for every `jobs` value (`0` means one worker per core).
 #[must_use]
 pub fn run_experiment_with(exp: Experiment, jobs: usize) -> Table {
-    run_experiment_batch(exp, jobs, false)
-}
-
-/// [`run_experiment_with`] with run-batched macro-stepping on or off for
-/// the heavyweight election workloads (E17's matrix, E18's matrix).
-///
-/// Batched delivery is observationally equivalent to per-pulse delivery
-/// (`tests/batch_equivalence.rs`), so every verdict column is byte-identical
-/// under either mode — only the wall-clock columns move. E20 always runs
-/// both modes (comparing them is its point); the remaining experiments
-/// ignore the flag.
-#[must_use]
-pub fn run_experiment_batch(exp: Experiment, jobs: usize, batch: bool) -> Table {
     match exp {
         Experiment::E5 => e5_anonymous_jobs(jobs),
         Experiment::E8 => e8_baselines_jobs(jobs),
         Experiment::E10 => e10_invariants_jobs(jobs),
         Experiment::E16 => e16_parallel_explore_jobs(jobs),
-        Experiment::E17 => e17_scaling_jobs(jobs, batch),
-        Experiment::E18 => e18_sched_index_jobs(jobs, batch),
+        Experiment::E17 => e17_scaling_jobs(jobs),
+        Experiment::E18 => e18_sched_index_jobs(jobs),
         Experiment::E19 => e19_virtual_time_jobs(jobs),
         Experiment::E21 => e21_fleet_jobs(jobs),
         _ => run_sequential(exp),
@@ -184,7 +167,6 @@ fn run_sequential(exp: Experiment) -> Table {
         Experiment::E17 => e17_scaling(),
         Experiment::E18 => e18_sched_index(),
         Experiment::E19 => e19_virtual_time(),
-        Experiment::E20 => e20_run_batching(),
         Experiment::E21 => e21_fleet(),
         Experiment::E22 => e22_out_of_core(),
     }
@@ -1339,7 +1321,7 @@ pub fn e16_parallel_explore_jobs(jobs: usize) -> Table {
 /// E17 — thousand-node scaling under both queue backends (default scale).
 #[must_use]
 pub fn e17_scaling() -> Table {
-    e17_scaling_jobs(1, false)
+    e17_scaling_jobs(1)
 }
 
 /// E17 — thousand-node scaling under both queue backends.
@@ -1362,12 +1344,8 @@ pub fn e17_scaling() -> Table {
 ///    memory claim: the counter store keeps one 16-byte `(head_seq, len)`
 ///    run however many pulses are queued; the `VecDeque` store pays one
 ///    envelope each.
-///
-/// `batch` runs every workload through the run-batched macro-stepping path
-/// ([`co_net::Simulation::set_batch`]); all counts are byte-identical either
-/// way, only wall-clock moves.
 #[must_use]
-pub fn e17_scaling_jobs(jobs: usize, batch: bool) -> Table {
+pub fn e17_scaling_jobs(jobs: usize) -> Table {
     use co_net::{Context, Port, Pulse, QueueBackend};
     use std::time::Instant;
 
@@ -1442,7 +1420,6 @@ pub fn e17_scaling_jobs(jobs: usize, batch: bool) -> Table {
                 SchedulerKind::Fifo.build(0),
                 backend,
             );
-            sim.set_batch(batch);
             let start = Instant::now();
             let run = sim.run(Budget::steps(TOKEN_STEPS));
             let ms = start.elapsed().as_millis();
@@ -1482,20 +1459,15 @@ pub fn e17_scaling_jobs(jobs: usize, batch: bool) -> Table {
         let spec = RingSpec::oriented((1..=n as u64).collect());
         let start = Instant::now();
         let out = match alg {
-            "alg1" => {
-                runner::run_alg1_scaled_batch(&spec, SchedulerKind::Fifo, 0, backend, budget, batch)
-            }
-            "alg2" => {
-                runner::run_alg2_scaled_batch(&spec, SchedulerKind::Fifo, 0, backend, budget, batch)
-            }
-            _ => runner::run_alg3_scaled_batch(
+            "alg1" => runner::run_alg1_scaled(&spec, SchedulerKind::Fifo, 0, backend, budget),
+            "alg2" => runner::run_alg2_scaled(&spec, SchedulerKind::Fifo, 0, backend, budget),
+            _ => runner::run_alg3_scaled(
                 &spec,
                 IdScheme::Improved,
                 SchedulerKind::Fifo,
                 0,
                 backend,
                 budget,
-                batch,
             ),
         };
         let ms = start.elapsed().as_millis();
@@ -1554,7 +1526,6 @@ pub fn e17_scaling_jobs(jobs: usize, batch: bool) -> Table {
             SchedulerKind::Fifo.build(0),
             backend,
         );
-        sim.set_batch(batch);
         let start = Instant::now();
         let run = sim.run(Budget::steps(2_000_000));
         let ms = start.elapsed().as_millis();
@@ -1588,7 +1559,7 @@ pub fn e17_scaling_jobs(jobs: usize, batch: bool) -> Table {
 /// E18 — incremental scheduler indexes (default scale).
 #[must_use]
 pub fn e18_sched_index() -> Table {
-    e18_sched_index_jobs(1, false)
+    e18_sched_index_jobs(1)
 }
 
 /// E18 — incremental scheduler indexes: O(log C) adversary picks.
@@ -1612,12 +1583,8 @@ pub fn e18_sched_index() -> Table {
 ///    Algorithm 2 election (indexed, counter backend, the same 2 M cap),
 ///    fanned across `jobs` workers: the wall-time row that used to be
 ///    scheduler-bound.
-///
-/// `batch` runs the election cells through the run-batched macro-stepping
-/// path; elections carry unit runs, so counts and fingerprints are
-/// byte-identical either way (see `tests/batch_equivalence.rs`).
 #[must_use]
-pub fn e18_sched_index_jobs(jobs: usize, batch: bool) -> Table {
+pub fn e18_sched_index_jobs(jobs: usize) -> Table {
     use co_core::Alg2Node;
     use co_net::{prof, Pulse, QueueBackend};
     use std::time::Instant;
@@ -1654,7 +1621,6 @@ pub fn e18_sched_index_jobs(jobs: usize, batch: bool) -> Table {
             let mut sim: Simulation<Pulse, Alg2Node> =
                 Simulation::new(spec.wiring(), nodes, kind.build(0));
             sim.set_indexed_picks(indexed);
-            sim.set_batch(batch);
             prof::reset();
             prof::set_enabled(true);
             let start = Instant::now();
@@ -1701,14 +1667,8 @@ pub fn e18_sched_index_jobs(jobs: usize, batch: bool) -> Table {
     let kinds: Vec<SchedulerKind> = SchedulerKind::ALL.to_vec();
     let results = crate::parallel::par_map(&kinds, jobs, |&kind| {
         let start = Instant::now();
-        let out = runner::run_alg2_scaled_batch(
-            &spec5k,
-            kind,
-            0,
-            QueueBackend::Counter,
-            Budget::steps(CAP),
-            batch,
-        );
+        let out =
+            runner::run_alg2_scaled(&spec5k, kind, 0, QueueBackend::Counter, Budget::steps(CAP));
         (out.report.steps, start.elapsed().as_millis())
     });
     for (&kind, &(steps, ms)) in kinds.iter().zip(&results) {
@@ -1890,194 +1850,6 @@ pub fn e19_virtual_time_jobs(jobs: usize) -> Table {
          timers replay byte-identically"
     } else {
         "MISMATCH: virtual time changed an outcome that must be timing-independent"
-    });
-    t
-}
-
-/// E20 — run-batched macro-stepping: deliver pulse runs, not pulses.
-///
-/// Three workloads, each comparing `set_batch(false)` against
-/// `set_batch(true)` on the counter backend under Fifo:
-///
-/// 1. **election equivalence** — budget-capped Algorithm 2 elections at
-///    n = 1000 and n = 100,000 (200,000 channels). Exactness demands
-///    identical pulse counts *and* identical configuration fingerprints
-///    across modes. The honest finding: elections only ever carry runs of
-///    length 1 (every delivery sends exactly one pulse, and run fusion
-///    needs consecutive global send-sequence numbers on one channel), so
-///    `transitions == pulses` in both modes — batching neither helps nor
-///    hurts an election; its win is bursts.
-/// 2. **burst 10⁶, both modes** — an Algorithm 1 ring seeded with a
-///    10⁶-pulse injected run ([`Simulation::inject_run`]). Algorithm 1's
-///    closed-form run handler relays the whole run per macro-step, so
-///    batch-on must reproduce batch-off byte-for-byte while using >100×
-///    fewer transitions.
-/// 3. **burst 10⁹, batch-on** — the macro-stepping headline: a 10⁹-pulse
-///    injected run delivered to the budget in a handful of O(1) fused
-///    transitions. Per-pulse delivery of 10⁹ pulses is ~minutes of compute
-///    (extrapolate from the 10⁶ batch-off row); the fused path is
-///    milliseconds.
-#[must_use]
-pub fn e20_run_batching() -> Table {
-    use co_core::{Alg1Node, Alg2Node};
-    use co_net::{Pulse, QueueBackend};
-    use std::time::Instant;
-
-    let mut t = Table::new(
-        "E20 — run-batched macro-stepping: deliver pulse runs, not pulses",
-        "batch-on is byte-identical to per-pulse everywhere; injected bursts collapse by the run length",
-        vec![
-            "workload",
-            "mode",
-            "n",
-            "pulses",
-            "transitions",
-            "fused x",
-            "exact",
-            "ms",
-            "Mpulse/s",
-        ],
-    );
-    let mut all_ok = true;
-    let row_of = |workload: &str,
-                  mode: &str,
-                  n: usize,
-                  pulses: u64,
-                  transitions: u64,
-                  exact: bool,
-                  ms: u128| {
-        let rate = pulses as f64 / 1e6 / (ms.max(1) as f64 / 1e3);
-        vec![
-            workload.into(),
-            mode.into(),
-            n.to_string(),
-            pulses.to_string(),
-            transitions.to_string(),
-            format!("{:.1}", pulses as f64 / transitions.max(1) as f64),
-            exact.to_string(),
-            ms.to_string(),
-            format!("{rate:.1}"),
-        ]
-    };
-
-    // -- Workload 1: election equivalence, n = 1000 and n = 100,000 -----------
-    // Budget-capped: a full n = 100,000 election is n(2·ID_max + 1) ≈ 2×10¹⁰
-    // pulses under ANY delivery mode (batching fuses transitions, never
-    // pulses), so the row pins the first 2 M pulses of it instead.
-    const ELECT_CAP: u64 = 2_000_000;
-    for n in [1000usize, 100_000] {
-        let spec = RingSpec::oriented((1..=n as u64).collect());
-        let mut cells = Vec::new();
-        for batch in [false, true] {
-            let nodes = (0..n)
-                .map(|i| Alg2Node::new(spec.id(i), spec.cw_port(i)))
-                .collect();
-            let mut sim: Simulation<Pulse, Alg2Node> = Simulation::with_backend(
-                spec.wiring(),
-                nodes,
-                SchedulerKind::Fifo.build(0),
-                QueueBackend::Counter,
-            );
-            sim.set_batch(batch);
-            sim.enable_metrics();
-            let start = Instant::now();
-            let run = sim.run(Budget::steps(ELECT_CAP));
-            let ms = start.elapsed().as_millis();
-            let transitions = sim.metrics().expect("metrics enabled").transitions;
-            cells.push((run, sim.fingerprint(), transitions, ms));
-        }
-        let (off, on) = (&cells[0], &cells[1]);
-        let exact = off.0 == on.0
-            && off.1 == on.1
-            && off.0.outcome == Outcome::BudgetExhausted
-            && off.0.steps == ELECT_CAP;
-        all_ok &= exact;
-        for (label, cell) in [("batch-off", off), ("batch-on", on)] {
-            t.row(row_of(
-                "election",
-                label,
-                n,
-                cell.0.steps,
-                cell.2,
-                exact,
-                cell.3,
-            ));
-        }
-    }
-
-    // -- Workloads 2 + 3: injected bursts on an Algorithm 1 relay ring --------
-    // Algorithm 1 implements the closed-form run handler, so a seeded run
-    // circulates and every hop is one fused O(1) transition.
-    let spec2 = RingSpec::oriented(vec![2, 5]);
-    let burst_cell = |batch: bool, burst: u64| {
-        let nodes = (0..spec2.len())
-            .map(|i| Alg1Node::new(spec2.id(i), spec2.cw_port(i)))
-            .collect::<Vec<Alg1Node>>();
-        let mut sim: Simulation<Pulse, Alg1Node> = Simulation::with_backend(
-            spec2.wiring(),
-            nodes,
-            SchedulerKind::Fifo.build(0),
-            QueueBackend::Counter,
-        );
-        sim.set_batch(batch);
-        sim.enable_metrics();
-        sim.start();
-        let channel = sim.ready_channels()[0];
-        sim.inject_run(channel, Pulse, burst);
-        let start = Instant::now();
-        let run = sim.run(Budget::steps(burst));
-        let ms = start.elapsed().as_millis();
-        let transitions = sim.metrics().expect("metrics enabled").transitions;
-        (run, sim.fingerprint(), transitions, ms)
-    };
-
-    const SMALL_BURST: u64 = 1_000_000;
-    let off = burst_cell(false, SMALL_BURST);
-    let on = burst_cell(true, SMALL_BURST);
-    let small_ok =
-        off.0 == on.0 && off.1 == on.1 && off.0.steps == SMALL_BURST && on.2 * 100 < off.2;
-    all_ok &= small_ok;
-    t.row(row_of(
-        "burst 1e6",
-        "batch-off",
-        2,
-        off.0.steps,
-        off.2,
-        small_ok,
-        off.3,
-    ));
-    t.row(row_of(
-        "burst 1e6",
-        "batch-on",
-        2,
-        on.0.steps,
-        on.2,
-        small_ok,
-        on.3,
-    ));
-
-    const BIG_BURST: u64 = 1_000_000_000;
-    let big = burst_cell(true, BIG_BURST);
-    let big_ok = big.0.outcome == Outcome::BudgetExhausted
-        && big.0.steps == BIG_BURST
-        && big.2 * 1000 <= BIG_BURST;
-    all_ok &= big_ok;
-    t.row(row_of(
-        "burst 1e9",
-        "batch-on",
-        2,
-        big.0.steps,
-        big.2,
-        big_ok,
-        big.3,
-    ));
-
-    t.set_verdict(if all_ok {
-        "batch-on reproduces per-pulse byte-for-byte; elections carry unit runs (no fusion, \
-         no overhead), while a 10⁹-pulse injected run collapses into a handful of O(1) \
-         fused transitions"
-    } else {
-        "MISMATCH: batch-on diverged from per-pulse, or a burst failed to fuse"
     });
     t
 }

@@ -21,7 +21,7 @@ pub mod stats;
 pub mod table;
 
 pub use check::{collect_metrics, compare, CheckReport, Metric};
-pub use experiments::{run_experiment, run_experiment_batch, run_experiment_with, Experiment};
+pub use experiments::{run_experiment, run_experiment_with, Experiment};
 pub use fleet::{run_fleet, run_fleet_round, FleetRunSummary};
 pub use parallel::{effective_jobs, par_map};
 pub use registry::protocols;

@@ -16,13 +16,6 @@
 //! seeded from its grid coordinates, so the output is byte-identical for
 //! every jobs value — only the wall clock changes.
 //!
-//! `--batch on|off` (default off) routes the heavyweight election workloads
-//! (E17's matrix, E18's matrix) through run-batched macro-stepping
-//! (`Simulation::set_batch`). Batched delivery is observationally
-//! equivalent to per-pulse delivery, so tables stay byte-identical in their
-//! verdict columns; only wall-clock columns move. E20 always compares both
-//! modes regardless of the flag.
-//!
 //! `--profile` turns on the event core's hot-path collector
 //! (`co_net::prof`) and prints a per-phase latency table (enqueue / pick /
 //! deliver / observe: sample counts, total ms, mean and tail nanoseconds)
@@ -35,7 +28,7 @@
 //! +10% to the first metric (proof the gate trips); `--report FILE` writes
 //! the human-readable report for CI artifact upload.
 
-use co_bench::{run_experiment_batch, Experiment};
+use co_bench::{run_experiment_with, Experiment};
 use std::process::ExitCode;
 
 const DEFAULT_BASELINE: &str = "bench_baseline.json";
@@ -127,31 +120,19 @@ fn main() -> ExitCode {
     let mut json = false;
     let mut jobs = 1usize;
     let mut profile = false;
-    let mut batch = false;
     let mut i = 0;
     while i < args.len() {
         match args[i].as_str() {
             "--exp" => {
                 i += 1;
                 let Some(name) = args.get(i) else {
-                    eprintln!("--exp requires an argument (e0..e22)");
+                    eprintln!("--exp requires an argument (e0..e19, e21 or e22)");
                     return ExitCode::FAILURE;
                 };
                 match Experiment::parse(name) {
                     Some(e) => selected.push(e),
                     None => {
-                        eprintln!("unknown experiment {name}; expected e0..e22");
-                        return ExitCode::FAILURE;
-                    }
-                }
-            }
-            "--batch" => {
-                i += 1;
-                match args.get(i).map(String::as_str) {
-                    Some("on") => batch = true,
-                    Some("off") => batch = false,
-                    _ => {
-                        eprintln!("--batch requires 'on' or 'off'");
+                        eprintln!("unknown experiment {name}; expected e0..e19, e21 or e22");
                         return ExitCode::FAILURE;
                     }
                 }
@@ -169,7 +150,7 @@ fn main() -> ExitCode {
             "--profile" => profile = true,
             "--help" | "-h" => {
                 println!(
-                    "usage: tables [--exp eN]... [--jobs N] [--batch on|off] [--json] [--profile]\n       tables check [--baseline FILE] [--update] [--inject-regression] [--report FILE]"
+                    "usage: tables [--exp eN]... [--jobs N] [--json] [--profile]\n       tables check [--baseline FILE] [--update] [--inject-regression] [--report FILE]"
                 );
                 return ExitCode::SUCCESS;
             }
@@ -186,7 +167,7 @@ fn main() -> ExitCode {
     co_net::prof::set_enabled(profile);
     for exp in selected {
         co_net::prof::reset();
-        let table = run_experiment_batch(exp, jobs, batch);
+        let table = run_experiment_with(exp, jobs);
         if json {
             println!("{}", table.to_json().to_string_compact());
         } else {

@@ -8,9 +8,8 @@
 //! layer.
 //!
 //! Capability surface: the baselines read message *content*, so none are
-//! batchable (run-batching is certified only for `Pulse` protocols), none
-//! are explore-safe (the explorer enumerates `Pulse` schedules) and none
-//! are fleet-capable (fleet rings are `Pulse`-only). All four join the
+//! explore-safe (the explorer enumerates `Pulse` schedules) and none are
+//! fleet-capable (fleet rings are `Pulse`-only). All four join the
 //! shrink toolkit through the unique-leader monitor, and Chang–Roberts has
 //! an async twin ([`crate::chang_roberts_async`]).
 
@@ -174,7 +173,6 @@ mod tests {
         for entry in reg.entries() {
             assert_eq!(entry.layer(), "classic", "{}", entry.name());
             assert!(entry.supports(Capability::Shrink), "{}", entry.name());
-            assert!(!entry.supports(Capability::Batch), "{}", entry.name());
             assert!(!entry.supports(Capability::Explore), "{}", entry.name());
             assert!(!entry.supports(Capability::Fleet), "{}", entry.name());
         }

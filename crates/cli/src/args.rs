@@ -22,10 +22,6 @@ pub struct CommonOpts {
     pub latency_seed: u64,
     /// Emit machine-readable JSON instead of text.
     pub json: bool,
-    /// Run-batched macro-stepping (`--batch on|off`). `None` means the flag
-    /// was not given: most commands then run per-pulse, while `replay`
-    /// follows the mode embedded in the recording.
-    pub batch: Option<bool>,
 }
 
 impl CommonOpts {
@@ -46,7 +42,6 @@ impl Default for CommonOpts {
             latency: LatencyModel::Zero,
             latency_seed: 0,
             json: false,
-            batch: None,
         }
     }
 }
@@ -134,9 +129,8 @@ pub enum Command {
     Replay {
         /// Which protocol to drive.
         protocol: ProtocolChoice,
-        /// The schedule to replay (from `record`, e.g. `0,3,2` or
-        /// `batch:0,3,2`), carrying the delivery mode it was recorded under.
-        schedule: RecordedSchedule,
+        /// The schedule to replay (from `record`, e.g. `0,3,2`).
+        schedule: Schedule,
     },
     /// Find a monitor-violating schedule and ddmin-minimize it.
     Shrink {
@@ -169,52 +163,6 @@ pub enum Command {
     Protocols,
     /// Print usage.
     Help,
-}
-
-/// A delivery schedule together with the delivery mode it was recorded
-/// under.
-///
-/// `record --batch on` emits `batch:`-prefixed schedules because a pick in a
-/// batched recording can stand for a whole fused pulse run — replaying those
-/// picks per-pulse (or vice versa) would drive a different trajectory.
-/// Schedules recorded per-pulse print bare (an optional `pulse:` prefix is
-/// also accepted), so recordings from before the mode existed keep parsing
-/// as per-pulse.
-#[derive(Clone, Debug, PartialEq)]
-pub struct RecordedSchedule {
-    /// Whether the recording ran under run-batched macro-stepping.
-    pub batch: bool,
-    /// The recorded channel picks.
-    pub picks: Schedule,
-}
-
-impl fmt::Display for RecordedSchedule {
-    fn fmt(&self, f: &mut fmt::Formatter<'_>) -> fmt::Result {
-        if self.batch {
-            write!(f, "batch:{}", self.picks)
-        } else {
-            write!(f, "{}", self.picks)
-        }
-    }
-}
-
-impl std::str::FromStr for RecordedSchedule {
-    type Err = co_net::snapshot::ParseScheduleError;
-
-    fn from_str(s: &str) -> Result<RecordedSchedule, Self::Err> {
-        let s = s.trim();
-        let (batch, picks) = if let Some(rest) = s.strip_prefix("batch:") {
-            (true, rest)
-        } else if let Some(rest) = s.strip_prefix("pulse:") {
-            (false, rest)
-        } else {
-            (false, s)
-        };
-        Ok(RecordedSchedule {
-            batch,
-            picks: picks.parse()?,
-        })
-    }
 }
 
 /// Which registered protocol the `record`/`replay`/`shrink`/`explore`/
@@ -352,6 +300,33 @@ fn err(msg: impl Into<String>) -> ParseError {
     ParseError(msg.into())
 }
 
+/// Ceiling on `--n` and on every `--ring-sizes` entry: 10× the largest ring
+/// any test, CI job or example runs (n = 100,000). Node tables are
+/// allocated up front, so a larger value is refused before any allocation.
+const MAX_N: u64 = 1_000_000;
+
+/// Ceiling on `--rings`: 10× the largest fleet any test, CI job or example
+/// runs (10⁶ rings).
+const MAX_RINGS: u64 = 10_000_000;
+
+/// Ceiling on `solitude --max-id`: every ID up to it is simulated and
+/// printed, so the output grows quadratically with it.
+const MAX_SOLITUDE_ID: u64 = 1_000;
+
+/// Ceiling on the nodes one fleet shard holds at once (its rings' node,
+/// queue and termination arenas): `min(--rings, shard size)` × the largest
+/// `--ring-sizes` entry.
+const MAX_FLEET_SHARD_NODES: u64 = 10_000_000;
+
+fn at_most(flag: &str, value: u64, ceiling: u64) -> Result<(), ParseError> {
+    if value > ceiling {
+        return Err(err(format!(
+            "{flag} must be at most {ceiling}, got {value}"
+        )));
+    }
+    Ok(())
+}
+
 fn parse_scheduler(s: &str) -> Result<SchedulerKind, ParseError> {
     // `Latency` is deliberately outside `SchedulerKind::ALL` (it models the
     // network, not an adversary), so it is matched by name here.
@@ -409,7 +384,7 @@ impl Cli {
         let mut rounds = 1u64;
         let mut duration_ms: Option<u64> = None;
         let mut protocol: Option<ProtocolChoice> = None;
-        let mut schedule: Option<RecordedSchedule> = None;
+        let mut schedule: Option<Schedule> = None;
         let mut max_configs = 2_000_000usize;
         let mut dedup = co_net::DedupKind::Exact;
         let mut checkpoint: Option<std::path::PathBuf> = None;
@@ -444,6 +419,7 @@ impl Cli {
                     if parsed == 0 {
                         return Err(err("--n must be positive"));
                     }
+                    at_most("--n", parsed as u64, MAX_N)?;
                     opts.ids = (1..=parsed as u64).collect();
                     n = Some(parsed);
                 }
@@ -464,17 +440,6 @@ impl Cli {
                         .map_err(|_| err("--latency-seed must be an integer"))?;
                 }
                 "--json" => opts.json = true,
-                "--batch" => {
-                    opts.batch = match value("--batch")?.as_str() {
-                        "on" => Some(true),
-                        "off" => Some(false),
-                        other => {
-                            return Err(err(format!(
-                                "--batch must be 'on' or 'off', got '{other}'"
-                            )))
-                        }
-                    };
-                }
                 "--scheme" => {
                     scheme = match value("--scheme")?.as_str() {
                         "doubled" => IdScheme::Doubled,
@@ -499,11 +464,14 @@ impl Cli {
                     max_id = value("--max-id")?
                         .parse()
                         .map_err(|_| err("--max-id must be an integer"))?;
+                    at_most("--max-id", max_id, MAX_SOLITUDE_ID)?;
                 }
                 "--exp" => {
                     let name = value("--exp")?;
                     exps.push(co_bench::Experiment::parse(name).ok_or_else(|| {
-                        err(format!("unknown experiment '{name}'; expected e0..e22"))
+                        err(format!(
+                            "unknown experiment '{name}'; expected e0..e19, e21 or e22"
+                        ))
                     })?);
                 }
                 "--jobs" => {
@@ -520,11 +488,15 @@ impl Cli {
                     if rings == 0 {
                         return Err(err("--rings must be positive"));
                     }
+                    at_most("--rings", rings, MAX_RINGS)?;
                 }
                 "--ring-sizes" => {
                     sizes = value("--ring-sizes")?
                         .parse()
                         .map_err(|e| err(format!("bad --ring-sizes: {e}")))?;
+                    // `max_len` covers the `N` form, the `uniform:` max and
+                    // every `mix:` entry.
+                    at_most("--ring-sizes", sizes.max_len() as u64, MAX_N)?;
                 }
                 "--fault-rate" => {
                     fault_rate = value("--fault-rate")?
@@ -553,9 +525,17 @@ impl Cli {
                 }
                 "--protocol" => protocol = Some(ProtocolChoice::parse(value("--protocol")?)?),
                 "--schedule" => {
+                    let text = value("--schedule")?;
+                    // A pick in a `batch:` recording could stand for a whole
+                    // fused pulse run, so it cannot be replayed per pulse.
+                    if text.trim_start().starts_with("batch:") {
+                        return Err(err(
+                            "batch-mode schedules ('batch:' prefix) are no longer supported: \
+                             re-record the run with 'co-ring record'",
+                        ));
+                    }
                     schedule = Some(
-                        value("--schedule")?
-                            .parse()
+                        text.parse()
                             .map_err(|e| err(format!("bad --schedule: {e}")))?,
                     );
                 }
@@ -632,6 +612,16 @@ impl Cli {
                 co_bench::protocols()
                     .require(protocol.name(), Capability::Fleet)
                     .map_err(|e| err(format!("fleet: {e}")))?;
+                // One shard's arenas hold every node of its rings at once.
+                let shard_nodes = rings
+                    .min(co_net::fleet::DEFAULT_SHARD_RINGS)
+                    .saturating_mul(sizes.max_len() as u64);
+                if shard_nodes > MAX_FLEET_SHARD_NODES {
+                    return Err(err(format!(
+                        "fleet: --rings and --ring-sizes put {shard_nodes} nodes in one \
+                         shard; at most {MAX_FLEET_SHARD_NODES} are allowed"
+                    )));
+                }
                 Command::Fleet {
                     rings,
                     sizes,
@@ -693,7 +683,7 @@ COMMANDS:
   solitude    Definition 21: print solitude patterns per ID
   baseline    Run a classical content-carrying baseline
   echo        Flood-echo wave on a general graph (§7 groundwork)
-  tables      Regenerate the paper's experiment tables (E0..E22)
+  tables      Regenerate the paper's experiment tables (E0..E19, E21, E22)
   fleet       Run a fleet of independent concurrent ring elections
   record      Run once, printing a replayable delivery schedule
   replay      Deterministically re-execute a recorded schedule
@@ -704,7 +694,7 @@ COMMANDS:
 
 OPTIONS:
   --ids a,b,c         node IDs clockwise            (default 1..=8)
-  --n N               shorthand for --ids 1,...,N
+  --n N               shorthand for --ids 1,...,N     (N <= {max_n})
   --scheduler NAME    fifo|solitude|lifo|random|round-robin|
                       starve-cw|starve-ccw|longest-queue|latency
                                                      (default random)
@@ -715,26 +705,23 @@ OPTIONS:
   --json              machine-readable output
   --scheme S          orient: doubled|improved       (default improved)
   --c X  --trials T   anonymous: parameter and trial count
-  --max-id K          solitude: largest ID
+  --max-id K          solitude: largest ID           (K <= {max_id})
   --algo A            baseline: cr|hs|peterson|franklin
   --graph G --root R  echo: ring:N | complete:N | path:N, wave root
   --exp eN            tables: select an experiment (repeatable; default all)
   --jobs N            tables/explore/fleet: worker threads (0 = one per core;
                       default 1, fleet defaults to 0)
-  --rings N           fleet: rings per round               (default 10000)
+  --rings N           fleet: rings per round  (default 10000; N <= {max_rings})
   --ring-sizes S      fleet: N | uniform:MIN..MAX | mix:a,b,c
-                                                     (default uniform:3..9)
+                      (default uniform:3..9; every size <= {max_n}, and
+                      one shard of min(rings, {shard}) rings <= {shard_nodes} nodes)
   --fault-rate F      fleet: P(one spurious CW pulse per ring) (default 0)
   --rounds R          fleet: rounds to run                 (default 1)
   --duration SECS     fleet: run whole rounds until SECS elapse
                       (overrides --rounds)
-  --batch MODE        on|off: run-batched macro-stepping for
-                      elect/stabilize/record/replay/tables  (default off;
-                      replay defaults to the mode embedded in the recording)
   --protocol P        record/replay/shrink/explore/fleet:
                       {protocols}
-  --schedule S        replay: schedule from 'record' — channel picks,
-                      'batch:'-prefixed when recorded under --batch on
+  --schedule S        replay: schedule from 'record' (channel picks)
   --max-configs N     explore: configuration cap (default 2000000)
   --dedup B           explore: fingerprint backend, exact|mmap[:BUDGET]
                       (default exact; mmap keeps the table in files —
@@ -744,12 +731,17 @@ OPTIONS:
   --checkpoint-every N  explore: configurations between checkpoints
                       (default 100000)
   --resume PATH       explore: continue from a checkpoint written by
-                      --checkpoint (same protocol/ids/batch/dedup required)
+                      --checkpoint (same protocol/ids/dedup required)
   --spill N           explore: spill frontier items beyond N per worker to
                       disk (default 0 = off)
   --scratch-dir DIR   explore: directory for mmap tables and spill files
                       (default system temp dir)
-"
+",
+        max_n = MAX_N,
+        max_id = MAX_SOLITUDE_ID,
+        max_rings = MAX_RINGS,
+        shard = co_net::fleet::DEFAULT_SHARD_RINGS,
+        shard_nodes = MAX_FLEET_SHARD_NODES,
     )
 }
 
@@ -1059,40 +1051,72 @@ mod tests {
     }
 
     #[test]
-    fn parses_batch_flag() {
-        let cli = Cli::parse(["elect", "--batch", "on"]).expect("parses");
-        assert_eq!(cli.opts.batch, Some(true));
-        let cli = Cli::parse(["elect", "--batch", "off"]).expect("parses");
-        assert_eq!(cli.opts.batch, Some(false));
-        let cli = Cli::parse(["elect"]).expect("parses");
-        assert_eq!(cli.opts.batch, None);
-        assert!(Cli::parse(["elect", "--batch", "maybe"]).is_err());
-        assert!(Cli::parse(["elect", "--batch"]).is_err());
+    fn batch_flag_is_unknown() {
+        // The retired run-batching switch parses like any unknown flag.
+        let flag = ["--", "batch"].concat();
+        let e = Cli::parse(["elect", flag.as_str(), "on"]).unwrap_err();
+        assert_eq!(e.to_string(), format!("unknown flag '{flag}'"));
     }
 
     #[test]
-    fn recorded_schedule_carries_its_mode() {
-        let bare: RecordedSchedule = "0,3,2".parse().expect("parses");
-        assert!(!bare.batch);
-        assert_eq!(bare.to_string(), "0,3,2");
+    fn batch_schedules_are_refused() {
+        let e = Cli::parse(["replay", "--schedule", "batch:1,0"]).unwrap_err();
+        assert!(e.to_string().contains("no longer supported"), "{e}");
+    }
 
-        let batched: RecordedSchedule = "batch:0,3,2".parse().expect("parses");
-        assert!(batched.batch);
-        assert_eq!(batched.picks, bare.picks);
-        assert_eq!(batched.to_string(), "batch:0,3,2");
+    #[test]
+    fn n_above_its_ceiling_is_refused() {
+        assert!(Cli::parse(["elect", "--n", &MAX_N.to_string()]).is_ok());
+        let e = Cli::parse(["elect", "--n", "18446744073709551615"]).unwrap_err();
+        assert!(e.to_string().contains("--n must be at most"), "{e}");
+        assert!(Cli::parse(["explore", "--n", "4000000000"]).is_err());
+    }
 
-        let explicit: RecordedSchedule = "pulse:0,3,2".parse().expect("parses");
-        assert_eq!(explicit, bare);
+    #[test]
+    fn rings_above_their_ceiling_are_refused() {
+        assert!(Cli::parse(["fleet", "--rings", &MAX_RINGS.to_string()]).is_ok());
+        let e = Cli::parse(["fleet", "--rings", "18446744073709551615"]).unwrap_err();
+        assert!(e.to_string().contains("--rings must be at most"), "{e}");
+    }
 
-        assert!("batch:0,x".parse::<RecordedSchedule>().is_err());
+    #[test]
+    fn ring_sizes_above_their_ceiling_are_refused() {
+        let too_big = (MAX_N + 1).to_string();
+        for sizes in [
+            too_big.clone(),
+            format!("uniform:3..{too_big}"),
+            format!("mix:3,{too_big},5"),
+        ] {
+            let e = Cli::parse(["fleet", "--ring-sizes", &sizes]).unwrap_err();
+            assert!(
+                e.to_string().contains("--ring-sizes must be at most"),
+                "{sizes}: {e}"
+            );
+        }
+        // Within the per-ring ceiling, a full shard of big rings is still
+        // too many nodes at once.
+        let e = Cli::parse(["fleet", "--ring-sizes", &MAX_N.to_string()]).unwrap_err();
+        assert!(e.to_string().contains("nodes in one shard"), "{e}");
+        assert!(Cli::parse(["fleet", "--rings", "1", "--ring-sizes", &MAX_N.to_string()]).is_ok());
+    }
 
-        let cli = Cli::parse(["replay", "--schedule", "batch:1,0"]).expect("parses");
-        match cli.command {
-            Command::Replay { schedule, .. } => {
-                assert!(schedule.batch);
-                assert_eq!(schedule.picks.to_string(), "1,0");
-            }
-            other => panic!("unexpected {other:?}"),
+    #[test]
+    fn max_id_above_its_ceiling_is_refused() {
+        assert!(Cli::parse(["solitude", "--max-id", &MAX_SOLITUDE_ID.to_string()]).is_ok());
+        let e = Cli::parse(["solitude", "--max-id", "18446744073709551615"]).unwrap_err();
+        assert!(e.to_string().contains("--max-id must be at most"), "{e}");
+    }
+
+    #[test]
+    fn help_states_the_ceilings() {
+        let text = usage();
+        for ceiling in [
+            MAX_N.to_string(),
+            MAX_RINGS.to_string(),
+            MAX_SOLITUDE_ID.to_string(),
+            MAX_FLEET_SHARD_NODES.to_string(),
+        ] {
+            assert!(text.contains(&ceiling), "{ceiling} missing from help");
         }
     }
 

@@ -1,6 +1,6 @@
 //! Command implementations for `co-ring`.
 
-use crate::args::{usage, Cli, Command, CommonOpts, ProtocolChoice, RecordedSchedule};
+use crate::args::{usage, Cli, Command, CommonOpts, ProtocolChoice};
 use co_bench::protocols;
 use co_compose::pipeline::elect_then_ring_size;
 use co_core::anonymous::{success_rate, SamplingConfig};
@@ -11,14 +11,6 @@ use co_core::{runner, IdScheme, Role};
 use co_json::{array, object, Value};
 use co_net::explore::{CheckpointPlan, ExploreCheckpoint, ExploreConfig, ExploreLimits};
 use co_net::{shrink_schedule, RingSpec, RunReport, Schedule, SchedulerKind};
-
-fn mode_name(batch: bool) -> &'static str {
-    if batch {
-        "batch"
-    } else {
-        "per-pulse"
-    }
-}
 
 /// Output of a command: human text plus an optional JSON value.
 #[derive(Clone, Debug)]
@@ -67,7 +59,7 @@ pub fn run(cli: &Cli) -> CommandOutput {
         Command::Solitude { max_id } => solitude(*max_id),
         Command::Baseline { which } => baseline(&cli.opts, *which),
         Command::Echo { graph, root } => echo(&cli.opts, graph, *root),
-        Command::Tables { exps, jobs } => tables(exps, *jobs, cli.opts.batch.unwrap_or(false)),
+        Command::Tables { exps, jobs } => tables(exps, *jobs),
         Command::Fleet {
             rings,
             sizes,
@@ -144,12 +136,11 @@ fn registry_error(e: &RegistryError) -> CommandOutput {
     }
 }
 
-fn drive_opts(opts: &CommonOpts, batch: bool) -> DriveOpts {
+fn drive_opts(opts: &CommonOpts) -> DriveOpts {
     DriveOpts {
         scheduler: opts.scheduler,
         seed: opts.seed,
         latency: opts.latency_plan(),
-        batch,
     }
 }
 
@@ -162,41 +153,27 @@ fn run_report_json(report: &RunReport) -> Value {
 }
 
 fn record(opts: &CommonOpts, protocol: ProtocolChoice) -> CommandOutput {
-    let batch = opts.batch.unwrap_or(false);
-    if batch {
-        // Run-batching is certified per protocol (the macro-stepping
-        // equivalence contract); uncertified protocols are refused with
-        // the registry's typed error instead of silently running fused.
-        if let Err(e) = protocols().require(protocol.name(), Capability::Batch) {
-            return registry_error(&e);
-        }
-    }
     let spec = RingSpec::oriented(opts.ids.clone());
-    let rec = protocol.spec().record(&spec, &drive_opts(opts, batch));
-    let schedule = RecordedSchedule {
-        batch,
-        picks: rec.picks,
-    };
+    let rec = protocol.spec().record(&spec, &drive_opts(opts));
+    let schedule = rec.picks;
     let text = format!(
-        "{protocol} on {spec} under {} (seed {}, {} delivery)\n\
+        "{protocol} on {spec} under {} (seed {})\n\
          outcome: {} | deliveries: {} | pulses: {}\n\
          fingerprint: {:016x} | leaders: {:?}\n\
          schedule ({} picks, feed to `replay --schedule`):\n{schedule}\n",
         opts.scheduler,
         opts.seed,
-        mode_name(batch),
         rec.report.outcome,
         rec.report.steps,
         rec.report.total_sent,
         rec.fingerprint,
         rec.leaders,
-        schedule.picks.len(),
+        schedule.len(),
     );
     let json = object([
         ("protocol", Value::from(protocol.to_string())),
         ("scheduler", Value::from(opts.scheduler.to_string())),
         ("seed", Value::from(opts.seed)),
-        ("batch", Value::from(batch)),
         ("report", run_report_json(&rec.report)),
         ("fingerprint", Value::from(rec.fingerprint)),
         ("leaders", array(rec.leaders.iter().copied())),
@@ -205,51 +182,17 @@ fn record(opts: &CommonOpts, protocol: ProtocolChoice) -> CommandOutput {
     ok(text, json)
 }
 
-fn replay(
-    opts: &CommonOpts,
-    protocol: ProtocolChoice,
-    schedule: &RecordedSchedule,
-) -> CommandOutput {
-    // The recording's embedded delivery mode is authoritative: a pick in a
-    // batched recording can stand for a whole fused pulse run, so replaying
-    // it in the other mode would silently drive a different trajectory. An
-    // explicit `--batch` that contradicts the recording is refused.
-    if let Some(requested) = opts.batch {
-        if requested != schedule.batch {
-            let text = format!(
-                "error: schedule was recorded with {} delivery but --batch {} \
-                 requests {} delivery; re-record with --batch {} or drop the flag\n",
-                mode_name(schedule.batch),
-                if requested { "on" } else { "off" },
-                mode_name(requested),
-                if schedule.batch { "on" } else { "off" },
-            );
-            let json = object([
-                ("error", Value::from("batch-mode-mismatch")),
-                ("recorded_batch", Value::from(schedule.batch)),
-                ("requested_batch", Value::from(requested)),
-            ]);
-            return CommandOutput {
-                text,
-                json,
-                code: 1,
-            };
-        }
-    }
+fn replay(opts: &CommonOpts, protocol: ProtocolChoice, schedule: &Schedule) -> CommandOutput {
     // The scheduler choice is irrelevant: the replay engine overrides it.
     // The latency plan is not: timestamps shape the trace, so a replay must
-    // run under the same `--latency`/`--latency-seed` as the recording. The
-    // delivery mode comes from the recording itself (checked above).
+    // run under the same `--latency`/`--latency-seed` as the recording.
     let spec = RingSpec::oriented(opts.ids.clone());
-    let rep = protocol
-        .spec()
-        .replay(&spec, &drive_opts(opts, schedule.batch), &schedule.picks);
+    let rep = protocol.spec().replay(&spec, &drive_opts(opts), schedule);
     let text = format!(
-        "replaying {} picks of {protocol} on {spec} ({} delivery, deterministic)\n\
+        "replaying {} picks of {protocol} on {spec} (deterministic)\n\
          outcome: {} | deliveries: {} | pulses: {}\n\
          fingerprint: {:016x} | leaders: {:?}\n",
-        schedule.picks.len(),
-        mode_name(schedule.batch),
+        schedule.len(),
         rep.report.outcome,
         rep.report.steps,
         rep.report.total_sent,
@@ -258,8 +201,7 @@ fn replay(
     );
     let json = object([
         ("protocol", Value::from(protocol.to_string())),
-        ("batch", Value::from(schedule.batch)),
-        ("schedule_len", Value::from(schedule.picks.len())),
+        ("schedule_len", Value::from(schedule.len())),
         ("report", run_report_json(&rep.report)),
         ("fingerprint", Value::from(rep.fingerprint)),
         ("leaders", array(rep.leaders.iter().copied())),
@@ -447,7 +389,7 @@ fn explore_cmd(
     ok(text, json)
 }
 
-fn tables(exps: &[co_bench::Experiment], jobs: usize, batch: bool) -> CommandOutput {
+fn tables(exps: &[co_bench::Experiment], jobs: usize) -> CommandOutput {
     let selected: Vec<co_bench::Experiment> = if exps.is_empty() {
         co_bench::Experiment::ALL.to_vec()
     } else {
@@ -456,7 +398,7 @@ fn tables(exps: &[co_bench::Experiment], jobs: usize, batch: bool) -> CommandOut
     let mut text = String::new();
     let mut docs = Vec::new();
     for exp in selected {
-        let table = co_bench::run_experiment_batch(exp, jobs, batch);
+        let table = co_bench::run_experiment_with(exp, jobs);
         text.push_str(&table.to_string());
         text.push('\n');
         docs.push(table.to_json());
@@ -617,13 +559,7 @@ fn fleet(
 
 fn elect(opts: &CommonOpts) -> CommandOutput {
     let spec = RingSpec::oriented(opts.ids.clone());
-    let report = runner::run_alg2_batch(
-        &spec,
-        opts.scheduler,
-        opts.seed,
-        &opts.latency_plan(),
-        opts.batch.unwrap_or(false),
-    );
+    let report = runner::run_alg2_latency(&spec, opts.scheduler, opts.seed, &opts.latency_plan());
     let text = format!(
         "Algorithm 2 on {spec} under {} (seed {})\noutcome: {}\n{}pulses: {} (Theorem 1 predicts {})\n",
         opts.scheduler,
@@ -638,13 +574,7 @@ fn elect(opts: &CommonOpts) -> CommandOutput {
 
 fn stabilize(opts: &CommonOpts) -> CommandOutput {
     let spec = RingSpec::oriented(opts.ids.clone());
-    let report = runner::run_alg1_batch(
-        &spec,
-        opts.scheduler,
-        opts.seed,
-        &opts.latency_plan(),
-        opts.batch.unwrap_or(false),
-    );
+    let report = runner::run_alg1_latency(&spec, opts.scheduler, opts.seed, &opts.latency_plan());
     let text = format!(
         "Algorithm 1 on {spec} under {} (seed {})\noutcome: {} (stabilizing: nodes never terminate)\n{}pulses: {} (Corollary 13 predicts {})\n",
         opts.scheduler,
@@ -1022,92 +952,6 @@ mod tests {
     }
 
     #[test]
-    fn elect_batch_matches_per_pulse() {
-        let off = run_line(&["elect", "--ids", "3,9,5", "--seed", "4"]);
-        let on = run_line(&["elect", "--ids", "3,9,5", "--seed", "4", "--batch", "on"]);
-        assert_eq!(on.code, 0);
-        assert_eq!(off.json, on.json); // observational equivalence, byte for byte
-    }
-
-    #[test]
-    fn batched_record_then_replay_round_trips() {
-        let rec = run_line(&[
-            "record",
-            "--ids",
-            "2,3,1",
-            "--scheduler",
-            "random",
-            "--seed",
-            "5",
-            "--batch",
-            "on",
-        ]);
-        assert_eq!(rec.code, 0);
-        assert_eq!(rec.json.get("batch"), Some(&Value::Bool(true)));
-        let Some(Value::Str(schedule)) = rec.json.get("schedule") else {
-            panic!("schedule should be a string")
-        };
-        assert!(schedule.starts_with("batch:"), "mode must be embedded");
-
-        // No --batch flag: the replay follows the recording's mode.
-        let rep = run_line(&["replay", "--ids", "2,3,1", "--schedule", schedule]);
-        assert_eq!(rep.code, 0);
-        assert_eq!(rep.json.get("batch"), Some(&Value::Bool(true)));
-        assert_eq!(
-            rec.json.get("report").and_then(|r| r.get("total_sent")),
-            rep.json.get("report").and_then(|r| r.get("total_sent")),
-        );
-        // An agreeing explicit flag is also fine.
-        let rep2 = run_line(&[
-            "replay",
-            "--ids",
-            "2,3,1",
-            "--schedule",
-            schedule,
-            "--batch",
-            "on",
-        ]);
-        assert_eq!(rep2.code, 0);
-        assert_eq!(rep.json, rep2.json);
-    }
-
-    #[test]
-    fn replay_refuses_a_batch_mode_mismatch() {
-        // Per-pulse recording, batched replay requested.
-        let out = run_line(&[
-            "replay",
-            "--ids",
-            "2,3,1",
-            "--schedule",
-            "0,1,2",
-            "--batch",
-            "on",
-        ]);
-        assert_eq!(out.code, 1);
-        assert_eq!(
-            out.json.get("error"),
-            Some(&Value::Str("batch-mode-mismatch".to_owned()))
-        );
-        assert_eq!(out.json.get("recorded_batch"), Some(&Value::Bool(false)));
-        assert_eq!(out.json.get("requested_batch"), Some(&Value::Bool(true)));
-        assert!(out.text.contains("recorded with per-pulse delivery"));
-
-        // Batched recording, per-pulse replay requested.
-        let out = run_line(&[
-            "replay",
-            "--ids",
-            "2,3,1",
-            "--schedule",
-            "batch:0,1,2",
-            "--batch",
-            "off",
-        ]);
-        assert_eq!(out.code, 1);
-        assert_eq!(out.json.get("recorded_batch"), Some(&Value::Bool(true)));
-        assert_eq!(out.json.get("requested_batch"), Some(&Value::Bool(false)));
-    }
-
-    #[test]
     fn latency_record_then_replay_round_trips() {
         fn line<'a>(cmd: &'a str, extra: &[&'a str]) -> Vec<&'a str> {
             let mut v = vec![
@@ -1295,29 +1139,6 @@ mod tests {
         }
         // Position 1 holds the maximum ID, so Chang-Roberts elects it.
         assert!(replay.text.contains("leaders: [1]"));
-    }
-
-    #[test]
-    fn batched_record_refuses_uncertified_protocols() {
-        let out = run_line(&[
-            "record",
-            "--protocol",
-            "chang-roberts",
-            "--ids",
-            "1,2",
-            "--batch",
-            "on",
-        ]);
-        assert_eq!(out.code, 1);
-        assert_eq!(
-            out.json.get("error").and_then(Value::as_str),
-            Some("missing-capability")
-        );
-        assert_eq!(
-            out.json.get("capability").and_then(Value::as_str),
-            Some("batch")
-        );
-        assert!(out.text.contains("does not support batch"));
     }
 
     #[test]

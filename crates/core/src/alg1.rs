@@ -31,7 +31,7 @@
 
 use crate::election::Role;
 use crate::invariants::CwInstanceView;
-use co_net::{Context, Fingerprint, Port, Protocol, Pulse, RunContext, Snapshot};
+use co_net::{Context, Fingerprint, Port, Protocol, Pulse, Snapshot};
 use std::fmt;
 
 /// A node running Algorithm 1 on an oriented ring.
@@ -121,37 +121,6 @@ impl Protocol<Pulse> for Alg1Node {
             self.role = Role::NonLeader;
             self.send_cw(ctx);
         }
-    }
-
-    fn on_message_run(
-        &mut self,
-        port: Port,
-        _msg: &Pulse,
-        count: u64,
-        ctx: &mut RunContext<'_, Pulse>,
-    ) -> bool {
-        debug_assert_eq!(
-            port,
-            self.cw_port.opposite(),
-            "Algorithm 1 received a pulse from an impossible direction"
-        );
-        // Closed form of `count` relay steps: ρ climbs from ρ₀ to ρ₀+count
-        // and exactly the pulse with ρ = ID (if the climb crosses it) is
-        // absorbed instead of relayed — it consumes no send, so the relayed
-        // pulses' sequence numbers stay consecutive either way.
-        let rho0 = self.rho_cw;
-        let rho1 = rho0 + count;
-        let absorbed = u64::from(rho0 < self.id && self.id <= rho1);
-        let sends = count - absorbed;
-        self.rho_cw = rho1;
-        self.role = if rho1 == self.id {
-            Role::Leader
-        } else {
-            Role::NonLeader
-        };
-        self.sigma_cw += sends;
-        ctx.send_run(self.cw_port, Pulse, sends);
-        true
     }
 
     fn output(&self) -> Option<Role> {

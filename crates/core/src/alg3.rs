@@ -42,7 +42,7 @@
 //! ```
 
 use crate::election::Role;
-use co_net::{Context, Fingerprint, Port, Protocol, Pulse, RunContext, Snapshot};
+use co_net::{Context, Fingerprint, Port, Protocol, Pulse, Snapshot};
 use rand::rngs::StdRng;
 use rand::{Rng, SeedableRng};
 use std::fmt;
@@ -246,39 +246,6 @@ impl Protocol<Pulse> for Alg3Node {
         }
         self.maybe_resample();
         self.update_output();
-    }
-
-    fn on_message_run(
-        &mut self,
-        port: Port,
-        _msg: &Pulse,
-        count: u64,
-        ctx: &mut RunContext<'_, Pulse>,
-    ) -> bool {
-        // Proposition 19 resampling draws from the RNG on a per-pulse
-        // schedule; there is no closed form, so decline and let the
-        // engine deliver pulse by pulse.
-        if self.resampler.is_some() {
-            return false;
-        }
-        // Closed form of `count` relay steps in one direction: ρ climbs
-        // from ρ₀ to ρ₀+count and exactly the pulse with ρ = ID^(i) (if
-        // crossed) is absorbed; it consumes no send, so the relayed pulses'
-        // sequence numbers stay consecutive. The output recomputation is
-        // monotone in ρ, so one update at the final counters matches the
-        // last per-pulse update.
-        let arrived = port.index();
-        let out = port.opposite();
-        let r0 = self.rho[arrived];
-        let r1 = r0 + count;
-        let threshold = self.virt[out.index()];
-        let absorbed = u64::from(r0 < threshold && threshold <= r1);
-        let sends = count - absorbed;
-        self.rho[arrived] = r1;
-        self.sigma[out.index()] += sends;
-        ctx.send_run(out, Pulse, sends);
-        self.update_output();
-        true
     }
 
     fn output(&self) -> Option<Alg3Output> {

@@ -161,8 +161,8 @@ where
     }
 }
 
-/// Options shared by the `record`/`replay` drivers: scheduler, seed,
-/// latency plan and delivery mode.
+/// Options shared by the `record`/`replay` drivers: scheduler, seed and
+/// latency plan.
 #[derive(Clone, Debug)]
 pub struct DriveOpts {
     /// Delivery adversary (ignored by `replay`, which follows the picks).
@@ -171,19 +171,16 @@ pub struct DriveOpts {
     pub seed: u64,
     /// Per-channel latency plan (replays must reuse the recording's plan).
     pub latency: LatencyPlan,
-    /// Run-batched macro-stepping.
-    pub batch: bool,
 }
 
 impl DriveOpts {
-    /// Zero-latency per-pulse options under `scheduler` / `seed`.
+    /// Zero-latency options under `scheduler` / `seed`.
     #[must_use]
     pub fn new(scheduler: SchedulerKind, seed: u64) -> DriveOpts {
         DriveOpts {
             scheduler,
             seed,
             latency: LatencyPlan::default(),
-            batch: false,
         }
     }
 }
@@ -230,7 +227,6 @@ fn record_driver<D: RingProtocol>(spec: &RingSpec, opts: &DriveOpts) -> Recorded
         opts.scheduler.build(opts.seed),
     );
     sim.set_latency(opts.latency.clone());
-    sim.set_batch(opts.batch);
     let (report, picks) = sim.run_recorded(Budget::default());
     Recorded {
         report,
@@ -246,11 +242,9 @@ fn replay_driver<D: RingProtocol>(
     schedule: &Schedule,
 ) -> Replayed {
     // The scheduler is irrelevant here — the replay engine overrides it —
-    // but the latency plan and delivery mode shape the trace and must match
-    // the recording's (the command layer enforces the mode).
+    // but the latency plan shapes the trace and must match the recording's.
     let mut sim = Simulation::new(spec.wiring(), D::nodes(spec), SchedulerKind::Fifo.build(0));
     sim.set_latency(opts.latency.clone());
-    sim.set_batch(opts.batch);
     let report = sim.replay(schedule, Budget::default());
     Replayed {
         report,
@@ -405,8 +399,6 @@ impl fmt::Debug for ExploreDriver {
 /// An optional protocol capability, gateable via [`Registry::require`].
 #[derive(Copy, Clone, Debug, PartialEq, Eq)]
 pub enum Capability {
-    /// Certified for run-batched macro-stepping (`--batch on`).
-    Batch,
     /// Safe for exhaustive exploration (`Pulse` messages, bounded state).
     Explore,
     /// Has an invariant monitor for the `shrink` hunt.
@@ -419,8 +411,7 @@ pub enum Capability {
 
 impl Capability {
     /// Every capability, in table-column order.
-    pub const ALL: [Capability; 5] = [
-        Capability::Batch,
+    pub const ALL: [Capability; 4] = [
         Capability::Explore,
         Capability::Shrink,
         Capability::Fleet,
@@ -431,7 +422,6 @@ impl Capability {
 impl fmt::Display for Capability {
     fn fmt(&self, f: &mut fmt::Formatter<'_>) -> fmt::Result {
         f.write_str(match self {
-            Capability::Batch => "batch",
             Capability::Explore => "explore",
             Capability::Shrink => "shrink",
             Capability::Fleet => "fleet",
@@ -495,7 +485,6 @@ pub struct ProtocolSpec {
     name: &'static str,
     layer: &'static str,
     summary: &'static str,
-    batchable: bool,
     async_twin: bool,
     record: RecordFn,
     replay: ReplayFn,
@@ -518,7 +507,6 @@ impl ProtocolSpec {
             name,
             layer,
             summary,
-            batchable: false,
             async_twin: false,
             record: record_driver::<D>,
             replay: replay_driver::<D>,
@@ -526,13 +514,6 @@ impl ProtocolSpec {
             shrink: None,
             fleet: None,
         }
-    }
-
-    /// Marks the protocol certified for run-batched macro-stepping.
-    #[must_use]
-    pub fn batchable(mut self) -> ProtocolSpec {
-        self.batchable = true;
-        self
     }
 
     /// Marks the protocol as having an async/await twin.
@@ -599,7 +580,6 @@ impl ProtocolSpec {
     #[must_use]
     pub fn supports(&self, cap: Capability) -> bool {
         match cap {
-            Capability::Batch => self.batchable,
             Capability::Explore => self.explore.is_some(),
             Capability::Shrink => self.shrink.is_some(),
             Capability::Fleet => self.fleet.is_some(),
@@ -762,16 +742,15 @@ impl Registry {
     #[must_use]
     pub fn table(&self) -> String {
         let mut out = format!(
-            "{:<20} {:<8} {:<6} {:<8} {:<7} {:<6} {:<11} summary\n",
-            "protocol", "layer", "batch", "explore", "shrink", "fleet", "async-twin"
+            "{:<20} {:<8} {:<8} {:<7} {:<6} {:<11} summary\n",
+            "protocol", "layer", "explore", "shrink", "fleet", "async-twin"
         );
         for spec in &self.entries {
             let mark = |cap| if spec.supports(cap) { "yes" } else { "-" };
             out.push_str(&format!(
-                "{:<20} {:<8} {:<6} {:<8} {:<7} {:<6} {:<11} {}\n",
+                "{:<20} {:<8} {:<8} {:<7} {:<6} {:<11} {}\n",
                 spec.name,
                 spec.layer,
-                mark(Capability::Batch),
                 mark(Capability::Explore),
                 mark(Capability::Shrink),
                 mark(Capability::Fleet),
@@ -913,9 +892,7 @@ impl MonitoredProtocol for UngatedDef {
 
 /// The paper's protocols as registry entries, in canonical order.
 ///
-/// Capability rationale: all four run under batch mode (the macro-stepping
-/// equivalence contract covers `Pulse` protocols); all four are
-/// explore-safe; `alg2`/`ungated` carry the Lemma 6–12 monitor (`alg1`/
+/// Capability rationale: all four are explore-safe; `alg2`/`ungated` carry the Lemma 6–12 monitor (`alg1`/
 /// `alg3` have no CCW counters to check); `alg1`/`alg2` are the fleet
 /// workloads; `alg1` has the async node-facade twin.
 #[must_use]
@@ -926,7 +903,6 @@ pub fn core_entries() -> Vec<ProtocolSpec> {
             "core",
             "Algorithm 1: quiescently stabilizing election",
         )
-        .batchable()
         .with_async_twin()
         .with_explore::<Alg1Def>()
         .with_fleet::<Alg1Def>(),
@@ -935,15 +911,12 @@ pub fn core_entries() -> Vec<ProtocolSpec> {
             "core",
             "Algorithm 2: quiescently terminating election",
         )
-        .batchable()
         .with_explore::<Alg2Def>()
         .with_monitor::<Alg2Def>()
         .with_fleet::<Alg2Def>(),
         ProtocolSpec::of::<Alg3Def>("alg3", "core", "Algorithm 3: election + ring orientation")
-            .batchable()
             .with_explore::<Alg3Def>(),
         ProtocolSpec::of::<UngatedDef>("ungated", "core", "Algorithm 2 without its receive gate")
-            .batchable()
             .with_explore::<UngatedDef>()
             .with_monitor::<UngatedDef>(),
     ]

@@ -37,29 +37,12 @@ pub fn run_alg1_latency(
     seed: u64,
     latency: &LatencyPlan,
 ) -> ElectionReport {
-    run_alg1_batch(spec, scheduler, seed, latency, false)
-}
-
-/// [`run_alg1_latency`] with run-batched macro-stepping on or off.
-///
-/// The batched engine is observationally equivalent to per-pulse delivery
-/// (`tests/batch_equivalence.rs`), so the report is byte-identical either
-/// way; the flag only changes how many engine transitions it takes.
-#[must_use]
-pub fn run_alg1_batch(
-    spec: &RingSpec,
-    scheduler: SchedulerKind,
-    seed: u64,
-    latency: &LatencyPlan,
-    batch: bool,
-) -> ElectionReport {
     let nodes = (0..spec.len())
         .map(|i| Alg1Node::new(spec.id(i), spec.cw_port(i)))
         .collect();
     let mut sim: Simulation<Pulse, Alg1Node> =
         Simulation::new(spec.wiring(), nodes, scheduler.build(seed));
     sim.set_latency(latency.clone());
-    sim.set_batch(batch);
     let run = sim.run(Budget::default());
     let roles: Vec<Role> = (0..spec.len()).map(|i| sim.node(i).role()).collect();
     report_from(spec, &run, roles, Some(spec.len() as u64 * spec.id_max()))
@@ -109,27 +92,6 @@ pub fn run_alg2_latency(
     latency: &LatencyPlan,
 ) -> ElectionReport {
     run_alg2_scheduler_latency(spec, scheduler.build(seed), latency)
-}
-
-/// [`run_alg2_latency`] with run-batched macro-stepping on or off.
-///
-/// See [`run_alg1_batch`] for the equivalence contract.
-#[must_use]
-pub fn run_alg2_batch(
-    spec: &RingSpec,
-    scheduler: SchedulerKind,
-    seed: u64,
-    latency: &LatencyPlan,
-    batch: bool,
-) -> ElectionReport {
-    let nodes = alg2_nodes(spec);
-    let mut sim: Simulation<Pulse, Alg2Node> =
-        Simulation::new(spec.wiring(), nodes, scheduler.build(seed));
-    sim.set_latency(latency.clone());
-    sim.set_batch(batch);
-    let run = sim.run(Budget::default());
-    let roles = alg2_roles(&sim, spec.len());
-    report_from(spec, &run, roles, Some(predicted_alg2(spec)))
 }
 
 /// Runs Algorithm 2 under an arbitrary (possibly custom) scheduler.
@@ -222,27 +184,11 @@ pub fn run_alg1_scaled(
     backend: QueueBackend,
     budget: Budget,
 ) -> ScaledReport {
-    run_alg1_scaled_batch(spec, scheduler, seed, backend, budget, false)
-}
-
-/// [`run_alg1_scaled`] with run-batched macro-stepping on or off.
-///
-/// See [`run_alg1_batch`] for the equivalence contract.
-#[must_use]
-pub fn run_alg1_scaled_batch(
-    spec: &RingSpec,
-    scheduler: SchedulerKind,
-    seed: u64,
-    backend: QueueBackend,
-    budget: Budget,
-    batch: bool,
-) -> ScaledReport {
     let nodes = (0..spec.len())
         .map(|i| Alg1Node::new(spec.id(i), spec.cw_port(i)))
         .collect();
     let mut sim: Simulation<Pulse, Alg1Node> =
         Simulation::with_backend(spec.wiring(), nodes, scheduler.build(seed), backend);
-    sim.set_batch(batch);
     let run = sim.run(budget);
     let roles: Vec<Role> = (0..spec.len()).map(|i| sim.node(i).role()).collect();
     ScaledReport {
@@ -263,25 +209,9 @@ pub fn run_alg2_scaled(
     backend: QueueBackend,
     budget: Budget,
 ) -> ScaledReport {
-    run_alg2_scaled_batch(spec, scheduler, seed, backend, budget, false)
-}
-
-/// [`run_alg2_scaled`] with run-batched macro-stepping on or off.
-///
-/// See [`run_alg1_batch`] for the equivalence contract.
-#[must_use]
-pub fn run_alg2_scaled_batch(
-    spec: &RingSpec,
-    scheduler: SchedulerKind,
-    seed: u64,
-    backend: QueueBackend,
-    budget: Budget,
-    batch: bool,
-) -> ScaledReport {
     let nodes = alg2_nodes(spec);
     let mut sim: Simulation<Pulse, Alg2Node> =
         Simulation::with_backend(spec.wiring(), nodes, scheduler.build(seed), backend);
-    sim.set_batch(batch);
     let run = sim.run(budget);
     let roles = alg2_roles(&sim, spec.len());
     ScaledReport {
@@ -303,28 +233,11 @@ pub fn run_alg3_scaled(
     backend: QueueBackend,
     budget: Budget,
 ) -> ScaledReport {
-    run_alg3_scaled_batch(spec, scheme, scheduler, seed, backend, budget, false)
-}
-
-/// [`run_alg3_scaled`] with run-batched macro-stepping on or off.
-///
-/// See [`run_alg1_batch`] for the equivalence contract.
-#[must_use]
-pub fn run_alg3_scaled_batch(
-    spec: &RingSpec,
-    scheme: IdScheme,
-    scheduler: SchedulerKind,
-    seed: u64,
-    backend: QueueBackend,
-    budget: Budget,
-    batch: bool,
-) -> ScaledReport {
     let nodes = (0..spec.len())
         .map(|i| Alg3Node::new(spec.id(i), scheme))
         .collect();
     let mut sim: Simulation<Pulse, Alg3Node> =
         Simulation::with_backend(spec.wiring(), nodes, scheduler.build(seed), backend);
-    sim.set_batch(batch);
     let run = sim.run(budget);
     let out = alg3_report_from(spec, scheme, &sim, &run);
     ScaledReport {

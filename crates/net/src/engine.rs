@@ -101,33 +101,6 @@ pub trait EventHandler<M: Message> {
         outbox: &mut Vec<(usize, M)>,
     );
 
-    /// Deliver a run of `count` identical messages (`msg` repeated, carrying
-    /// consecutive sequence numbers) to node `node` in one fused call,
-    /// buffering *run* sends `(port, message, count)` into `run_outbox`.
-    ///
-    /// Return `true` only if the node processed the run with exactly the
-    /// state, output, and sends that `count` consecutive
-    /// [`EventHandler::on_message`] calls would have produced, **and** the
-    /// node cannot enter a terminating state strictly before the run's last
-    /// pulse (termination is re-checked once, after the whole run). Handlers
-    /// that cannot guarantee this must return `false` *without mutating any
-    /// state* — the engine then re-delivers the same run pulse by pulse.
-    ///
-    /// The default declines, so every existing handler keeps its exact
-    /// per-pulse behaviour under batch mode.
-    fn on_message_run(
-        &mut self,
-        node: usize,
-        degree: usize,
-        port: usize,
-        msg: &M,
-        count: u64,
-        run_outbox: &mut Vec<(usize, M, u64)>,
-    ) -> bool {
-        let _ = (node, degree, port, msg, count, run_outbox);
-        false
-    }
-
     /// Whether node `node` has entered a terminating state.
     fn is_terminated(&self, node: usize) -> bool;
 
@@ -209,47 +182,6 @@ pub enum EngineEvent {
         /// Virtual time of the delivery (0 throughout untimed runs).
         at: u64,
     },
-    /// A run of `count` messages with consecutive sequence numbers was
-    /// delivered to one node in a single fused transition (batch mode).
-    ///
-    /// Semantically equal to `count` consecutive [`EngineEvent::Deliver`]
-    /// (or [`EngineEvent::DeliverIgnored`]) events for seqs
-    /// `seq .. seq + count`; the default [`Observer`] dispatch performs
-    /// exactly that expansion, so observers unaware of batching stay
-    /// correct. O(1)-minded observers override
-    /// [`Observer::on_deliver_run`].
-    DeliverRun {
-        /// Receiving node.
-        node: usize,
-        /// In-port the messages arrived at.
-        port: usize,
-        /// Sequence number of the first message of the run.
-        seq: u64,
-        /// Number of messages delivered (≥ 2).
-        count: u64,
-        /// Direction tag of the channel, if any.
-        direction: Option<Direction>,
-        /// Virtual time of the delivery (0 throughout untimed runs —
-        /// batching never happens under a latency plan).
-        at: u64,
-        /// Whether the receiver had already terminated (run ignored).
-        ignored: bool,
-    },
-    /// A run of `count` messages with consecutive sequence numbers was sent
-    /// out of one port in a single fused transition (batch mode) —
-    /// semantically `count` consecutive [`EngineEvent::Send`]s.
-    SendRun {
-        /// Sending node.
-        node: usize,
-        /// Out-port used.
-        port: usize,
-        /// Sequence number of the first message of the run.
-        seq: u64,
-        /// Number of messages sent (≥ 1).
-        count: u64,
-        /// Direction tag of the channel, if any.
-        direction: Option<Direction>,
-    },
     /// A message arrived at a terminated node and was ignored.
     DeliverIgnored {
         /// Receiving (terminated) node.
@@ -313,22 +245,6 @@ pub trait Observer {
             EngineEvent::DeliverIgnored { node, port, seq } => {
                 self.on_deliver_ignored(node, port, seq);
             }
-            EngineEvent::DeliverRun {
-                node,
-                port,
-                seq,
-                count,
-                direction,
-                at: _,
-                ignored,
-            } => self.on_deliver_run(node, port, seq, count, direction, ignored),
-            EngineEvent::SendRun {
-                node,
-                port,
-                seq,
-                count,
-                direction,
-            } => self.on_send_run(node, port, seq, count, direction),
             EngineEvent::Terminate { node } => self.on_terminate(node),
             EngineEvent::Fault { kind, seq } => self.on_fault(kind, seq),
             EngineEvent::TimerFired { node, token, at } => self.on_timer_fired(node, token, at),
@@ -353,48 +269,6 @@ pub trait Observer {
     /// A terminated node ignored a message.
     fn on_deliver_ignored(&mut self, node: usize, port: usize, seq: u64) {
         let _ = (node, port, seq);
-    }
-
-    /// A run of `count` messages (seqs `seq .. seq + count`) was delivered
-    /// in one fused batch transition.
-    ///
-    /// The default expands the run into `count` per-pulse
-    /// [`Observer::on_deliver`] / [`Observer::on_deliver_ignored`] calls, so
-    /// any observer written against the per-pulse stream sees exactly the
-    /// events a per-pulse engine would have emitted. Observers that can
-    /// aggregate in O(1) (like [`RunMetrics`]) override this.
-    fn on_deliver_run(
-        &mut self,
-        node: usize,
-        port: usize,
-        seq: u64,
-        count: u64,
-        direction: Option<Direction>,
-        ignored: bool,
-    ) {
-        for i in 0..count {
-            if ignored {
-                self.on_deliver_ignored(node, port, seq + i);
-            } else {
-                self.on_deliver(node, port, seq + i, direction);
-            }
-        }
-    }
-
-    /// A run of `count` messages (seqs `seq .. seq + count`) was sent in one
-    /// fused batch transition. Default: expand into `count` per-pulse
-    /// [`Observer::on_send`] calls.
-    fn on_send_run(
-        &mut self,
-        node: usize,
-        port: usize,
-        seq: u64,
-        count: u64,
-        direction: Option<Direction>,
-    ) {
-        for i in 0..count {
-            self.on_send(node, port, seq + i, direction);
-        }
     }
 
     /// A node terminated.
@@ -440,54 +314,6 @@ impl<A: Observer, B: Observer> Observer for (A, B) {
 
 impl Observer for Trace {
     fn on_event(&mut self, event: &EngineEvent) {
-        // Run-compressed batch events expand to their exact per-pulse
-        // stream: a trace never shows batching, so traced runs compare
-        // byte-for-byte across batch-on and batch-off engines. The cap-aware
-        // bulk push keeps a capped trace O(cap), not O(count).
-        match *event {
-            EngineEvent::DeliverRun {
-                node,
-                port,
-                seq,
-                count,
-                direction,
-                at,
-                ignored,
-            } => {
-                if ignored {
-                    self.push_run(count, |i| TraceEvent::DeliverIgnored {
-                        node,
-                        port,
-                        seq: seq + i,
-                    });
-                } else {
-                    self.push_run(count, |i| TraceEvent::Deliver {
-                        node,
-                        port,
-                        seq: seq + i,
-                        direction,
-                        at,
-                    });
-                }
-                return;
-            }
-            EngineEvent::SendRun {
-                node,
-                port,
-                seq,
-                count,
-                direction,
-            } => {
-                self.push_run(count, |i| TraceEvent::Send {
-                    node,
-                    port,
-                    seq: seq + i,
-                    direction,
-                });
-                return;
-            }
-            _ => {}
-        }
         self.push(match *event {
             EngineEvent::Start { node } => TraceEvent::Start { node },
             EngineEvent::Send {
@@ -522,9 +348,6 @@ impl Observer for Trace {
             EngineEvent::TimerFired { node, token, at } => {
                 TraceEvent::TimerFired { node, token, at }
             }
-            EngineEvent::DeliverRun { .. } | EngineEvent::SendRun { .. } => {
-                unreachable!("run events are expanded above")
-            }
         });
     }
 }
@@ -538,16 +361,8 @@ impl Observer for Trace {
 pub struct RunMetrics {
     /// Messages sent by nodes.
     pub sends: u64,
-    /// Pulses (messages) delivered to live nodes — batch-invariant: a fused
-    /// run of `k` pulses counts `k` here, exactly as `k` per-pulse
-    /// deliveries would.
+    /// Pulses (messages) delivered to live nodes.
     pub pulses_delivered: u64,
-    /// Engine transitions that performed deliveries. Per-pulse, every
-    /// delivery is its own transition (`transitions == pulses_delivered +
-    /// ignored`); in batch mode a fused run of `k` pulses is *one*
-    /// transition, so `pulses_delivered / transitions` is the measured
-    /// amortization factor.
-    pub transitions: u64,
     /// Messages delivered to terminated nodes and ignored.
     pub ignored: u64,
     /// Nodes that entered a terminating state.
@@ -577,20 +392,12 @@ impl RunMetrics {
     }
 
     fn gain(&mut self) {
-        self.gain_many(1);
-    }
-
-    fn gain_many(&mut self, count: u64) {
-        self.in_flight += count;
+        self.in_flight += 1;
         self.max_in_flight = self.max_in_flight.max(self.in_flight);
     }
 
     fn lose(&mut self) {
-        self.lose_many(1);
-    }
-
-    fn lose_many(&mut self, count: u64) {
-        self.in_flight = self.in_flight.saturating_sub(count);
+        self.in_flight = self.in_flight.saturating_sub(1);
     }
 }
 
@@ -602,44 +409,12 @@ impl Observer for RunMetrics {
 
     fn on_deliver(&mut self, _node: usize, _port: usize, _seq: u64, _dir: Option<Direction>) {
         self.pulses_delivered += 1;
-        self.transitions += 1;
         self.lose();
     }
 
     fn on_deliver_ignored(&mut self, _node: usize, _port: usize, _seq: u64) {
         self.ignored += 1;
-        self.transitions += 1;
         self.lose();
-    }
-
-    fn on_deliver_run(
-        &mut self,
-        _node: usize,
-        _port: usize,
-        _seq: u64,
-        count: u64,
-        _direction: Option<Direction>,
-        ignored: bool,
-    ) {
-        if ignored {
-            self.ignored += count;
-        } else {
-            self.pulses_delivered += count;
-        }
-        self.transitions += 1;
-        self.lose_many(count);
-    }
-
-    fn on_send_run(
-        &mut self,
-        _node: usize,
-        _port: usize,
-        _seq: u64,
-        count: u64,
-        _direction: Option<Direction>,
-    ) {
-        self.sends += count;
-        self.gain_many(count);
     }
 
     fn on_terminate(&mut self, _node: usize) {
@@ -662,10 +437,7 @@ impl Observer for RunMetrics {
 /// exists to turn a would-be hang (a bug) into a reported
 /// [`Outcome::BudgetExhausted`] instead of an endless loop.
 ///
-/// The unit is *pulses* (individual message deliveries), **not** engine
-/// transitions: a batched run that fuses `k` pulses into one transition
-/// consumes `k` budget, so budget-gated runs stop at the same pulse — with
-/// the same [`SimStats`] — whether batching is on or off.
+/// The unit is *pulses*: individual message deliveries.
 #[derive(Copy, Clone, Debug, PartialEq, Eq)]
 pub struct Budget {
     /// Maximum number of pulses delivered before aborting.
@@ -834,19 +606,6 @@ pub struct EngineStep {
     pub at: u64,
 }
 
-/// One batched engine transition, as reported by
-/// [`EventCore::try_step_batch`]: `count` pulses of one channel delivered
-/// under a single scheduler pick.
-#[derive(Copy, Clone, Debug, PartialEq, Eq)]
-pub struct EngineBatch {
-    /// The first pulse of the batch (its `seq` is the run's first sequence
-    /// number; the remaining pulses carry `seq + 1 .. seq + count`).
-    pub step: EngineStep,
-    /// Number of pulses delivered in this transition (≥ 1; 1 means the
-    /// transition degenerated to an ordinary per-pulse step).
-    pub count: u64,
-}
-
 /// A scheduler misbehaved and the engine refused to act on its answer.
 ///
 /// Returned by [`EventCore::try_step`] / [`crate::Simulation::try_step`]
@@ -991,43 +750,6 @@ impl PulseRuns {
 
     fn head_seq(&self) -> Option<u64> {
         self.runs.front().map(|&(start, _)| start)
-    }
-
-    /// Length of the head run (0 when empty): how many messages with
-    /// consecutive seqs the channel would deliver before hitting a gap.
-    fn head_run_len(&self) -> u64 {
-        self.runs.front().map_or(0, |&(_, len)| len)
-    }
-
-    /// Pops up to `max` messages off the head run in one operation.
-    /// Returns `(first_seq, taken, run_freed)`.
-    fn pop_run(&mut self, max: u64) -> Option<(u64, u64, bool)> {
-        let front = self.runs.front_mut()?;
-        let seq = front.0;
-        let take = front.1.min(max);
-        self.len -= take as usize;
-        if take == front.1 {
-            self.runs.pop_front();
-            Some((seq, take, true))
-        } else {
-            front.0 += take;
-            front.1 -= take;
-            Some((seq, take, false))
-        }
-    }
-
-    /// Pushes `count` messages with consecutive seqs `seq .. seq + count`
-    /// in one operation. Returns whether a new run entry was created.
-    fn push_run(&mut self, seq: u64, count: u64) -> bool {
-        self.len += count as usize;
-        if let Some(last) = self.runs.back_mut() {
-            if last.0 + last.1 == seq {
-                last.1 += count;
-                return false;
-            }
-        }
-        self.runs.push_back((seq, count));
-        true
     }
 }
 
@@ -1229,101 +951,6 @@ impl<M: Message> QueueStore<M> {
             }
         }
     }
-
-    /// Length of `channel`'s head run: the number of queued messages with
-    /// consecutive sequence numbers starting at the head. This is the
-    /// maximal batchable prefix — delivering it in one transition is
-    /// indistinguishable from delivering it pulse by pulse.
-    ///
-    /// The counter backend reads it off the head run entry in O(1); the vec
-    /// backend scans envelopes (capped at [`QueueStore::VEC_RUN_SCAN_CAP`]
-    /// so the probe stays O(1) too — a longer run is merely reported
-    /// shorter, which only shrinks a batch, never breaks one).
-    #[must_use]
-    pub fn head_run_len(&self, channel: usize) -> u64 {
-        match &self.repr {
-            StoreRepr::Vec(queues) => {
-                let q = &queues[channel];
-                let Some(first) = q.front() else { return 0 };
-                let mut len = 1u64;
-                for e in q.iter().skip(1).take(Self::VEC_RUN_SCAN_CAP - 1) {
-                    if e.seq != first.seq + len {
-                        break;
-                    }
-                    len += 1;
-                }
-                len
-            }
-            StoreRepr::Counter { chans, .. } => chans[channel].head_run_len(),
-        }
-    }
-
-    /// Cap on the vec backend's head-run probe (see
-    /// [`QueueStore::head_run_len`]).
-    pub const VEC_RUN_SCAN_CAP: usize = 64;
-
-    /// Pops up to `max` head-run messages of `channel` in one operation,
-    /// returning `(payload, first_seq, taken)`.
-    ///
-    /// Counter backend only — all messages of a counter run share the
-    /// prototype payload, so one clone represents the whole run. The vec
-    /// backend returns `None` (payloads may differ per envelope); callers
-    /// fall back to per-pulse pops.
-    fn pop_run(&mut self, channel: usize, max: u64) -> Option<(M, u64, u64)> {
-        match &mut self.repr {
-            StoreRepr::Vec(_) => None,
-            StoreRepr::Counter { proto, chans } => {
-                let (seq, taken, run_freed) = chans[channel].pop_run(max)?;
-                self.total -= taken as usize;
-                if run_freed {
-                    self.cur_bytes -= RUN_BYTES;
-                }
-                Some((proto.clone(), seq, taken))
-            }
-        }
-    }
-
-    /// The payload every message of `channel`'s head run carries, when the
-    /// store can prove they are all identical (counter backend: the shared
-    /// prototype). `None` on the vec backend.
-    fn run_payload(&self, channel: usize) -> Option<M> {
-        match &self.repr {
-            StoreRepr::Vec(_) => None,
-            StoreRepr::Counter { proto, chans } => {
-                if chans[channel].len == 0 {
-                    None
-                } else {
-                    Some(proto.clone())
-                }
-            }
-        }
-    }
-
-    /// Pushes `count` copies of `msg` with consecutive seqs
-    /// `seq .. seq + count` in one operation — O(1) on the counter backend
-    /// (at most one new run entry), O(count) envelope pushes on vec.
-    fn push_run(&mut self, channel: usize, msg: M, seq: u64, count: u64) {
-        self.total += count as usize;
-        match &mut self.repr {
-            StoreRepr::Vec(queues) => {
-                for i in 0..count {
-                    queues[channel].push_back(Envelope {
-                        msg: msg.clone(),
-                        seq: seq + i,
-                    });
-                }
-                self.cur_bytes += count as usize * std::mem::size_of::<Envelope<M>>();
-            }
-            StoreRepr::Counter { chans, .. } => {
-                if chans[channel].push_run(seq, count) {
-                    self.cur_bytes += RUN_BYTES;
-                }
-            }
-        }
-        if self.cur_bytes > self.peak_bytes {
-            self.peak_bytes = self.cur_bytes;
-        }
-    }
 }
 
 /// A full checkpoint of an [`EventCore`]'s mutable run state.
@@ -1424,12 +1051,6 @@ pub struct EventCore<M: Message, T: Topology> {
     /// The index itself is always maintained (the hooks are cheap no-ops for
     /// scan-only schedulers), so toggling is safe at any point mid-run.
     indexed_picks: bool,
-    /// Whether `run` / `try_step_batch` may fuse whole pulse runs into
-    /// single transitions. Engine *configuration* (like `indexed_picks`),
-    /// not run state: absent from [`CoreSnapshot`], safe to toggle between
-    /// steps, and proven observationally equivalent to per-pulse stepping by
-    /// `tests/batch_equivalence.rs`.
-    batch: bool,
     stats: SimStats,
     send_seq: u64,
     started: bool,
@@ -1437,8 +1058,6 @@ pub struct EventCore<M: Message, T: Topology> {
     metrics: Option<RunMetrics>,
     observers: Vec<Box<dyn Observer>>,
     outbox: Vec<(usize, M)>,
-    /// Recycled sink for [`EventHandler::on_message_run`] run sends.
-    run_outbox: Vec<(usize, M, u64)>,
     faults: FaultPlan,
     fault_stats: FaultStats,
     /// Channel picks made so far, when schedule recording is enabled.
@@ -1501,7 +1120,6 @@ impl<M: Message, T: Topology> EventCore<M, T> {
             ready_pos: vec![NOT_READY; channels],
             scheduler,
             indexed_picks: true,
-            batch: false,
             stats,
             send_seq: 0,
             started: false,
@@ -1509,7 +1127,6 @@ impl<M: Message, T: Topology> EventCore<M, T> {
             metrics: None,
             observers: Vec::new(),
             outbox: Vec::new(),
-            run_outbox: Vec::new(),
             faults: FaultPlan::new(),
             fault_stats: FaultStats::default(),
             recorded: None,
@@ -1671,26 +1288,6 @@ impl<M: Message, T: Topology> EventCore<M, T> {
     #[must_use]
     pub fn indexed_picks(&self) -> bool {
         self.indexed_picks
-    }
-
-    /// Enables or disables run-batched macro-stepping (off by default).
-    ///
-    /// With batching on, [`EventCore::run`] (and explicit
-    /// [`EventCore::try_step_batch`] calls) may deliver an entire head run
-    /// of consecutive pulses in one fused transition when no observer,
-    /// fault horizon, latency timer, scheduler, or budget boundary can
-    /// distinguish the interleaving; at every such boundary the engine
-    /// falls back to per-pulse delivery. Batch-on and batch-off runs
-    /// produce byte-identical [`RunReport`]s, [`SimStats`], fingerprints,
-    /// recorded schedules, and traces (see `tests/batch_equivalence.rs`).
-    pub fn set_batch(&mut self, enabled: bool) {
-        self.batch = enabled;
-    }
-
-    /// Whether run-batched macro-stepping is enabled.
-    #[must_use]
-    pub fn batch_enabled(&self) -> bool {
-        self.batch
     }
 
     /// Starts recording the sequence of channel picks as a [`Schedule`].
@@ -2025,19 +1622,6 @@ impl<M: Message, T: Topology> EventCore<M, T> {
         &mut self,
         handler: &mut H,
     ) -> Result<Option<EngineStep>, EngineError> {
-        match self.pick_next(handler)? {
-            Some(channel) => Ok(Some(self.deliver(handler, channel))),
-            None => Ok(None),
-        }
-    }
-
-    /// The shared pick preamble of [`EventCore::try_step`] and
-    /// [`EventCore::try_step_batch`]: services timers, then asks the
-    /// scheduler for the next channel. Returns `Ok(None)` on quiescence.
-    fn pick_next<H: EventHandler<M>>(
-        &mut self,
-        handler: &mut H,
-    ) -> Result<Option<usize>, EngineError> {
         self.start(handler);
         // Service the virtual clock before each pick: fire every due timer,
         // and when nothing is deliverable, jump the clock to the earliest
@@ -2077,76 +1661,7 @@ impl<M: Message, T: Topology> EventCore<M, T> {
             self.scan_pick()?
         };
         prof::stop(prof::Phase::Pick, t);
-        Ok(Some(picked))
-    }
-
-    /// Delivers up to `max_pulses` pulses in one batched transition: one
-    /// scheduler pick, then — when the pick's head run, the scheduler's
-    /// [`Scheduler::batch_quota`] contract, and the engine's boundary
-    /// conditions (no latency plan, no pending timers, fault horizon
-    /// exhausted for the fused send path) allow it — the whole batchable
-    /// prefix of that channel's head run in one go.
-    ///
-    /// Falls back to an ordinary single delivery (`count == 1`) at every
-    /// boundary, so interleaving `try_step_batch` with `try_step` is always
-    /// sound. Returns `Ok(None)` on quiescence, and the same errors as
-    /// [`EventCore::try_step`] — with the engine untouched — on a
-    /// misbehaving scheduler.
-    pub fn try_step_batch<H: EventHandler<M>>(
-        &mut self,
-        handler: &mut H,
-        max_pulses: u64,
-    ) -> Result<Option<EngineBatch>, EngineError> {
-        let Some(channel) = self.pick_next(handler)? else {
-            return Ok(None);
-        };
-        let quota = self.batch_quota(channel, max_pulses);
-        if quota <= 1 {
-            return Ok(Some(EngineBatch {
-                step: self.deliver(handler, channel),
-                count: 1,
-            }));
-        }
-        // The scheduler asserted (via `batch_quota`) that `quota` back-to-
-        // back picks would all land on this channel; account the fused
-        // picks before delivering so replay cursors and recording logs stay
-        // byte-exact with per-pulse stepping.
-        self.scheduler
-            .note_batch(ChannelId::from_index(channel), quota);
-        Ok(Some(self.deliver_run(handler, channel, quota)))
-    }
-
-    /// Panicking form of [`EventCore::try_step_batch`].
-    pub fn step_batch<H: EventHandler<M>>(
-        &mut self,
-        handler: &mut H,
-        max_pulses: u64,
-    ) -> Option<EngineBatch> {
-        match self.try_step_batch(handler, max_pulses) {
-            Ok(batch) => batch,
-            Err(e) => panic!("{e}"),
-        }
-    }
-
-    /// How many pulses the transition about to deliver from `channel` may
-    /// fuse: 1 at every boundary that could distinguish the interleaving,
-    /// otherwise the scheduler-approved prefix of the head run.
-    fn batch_quota(&mut self, channel: usize, max_pulses: u64) -> u64 {
-        // Latency plans timestamp every pulse individually (each delivery
-        // can advance the clock and re-order against timers), and pending
-        // timers may come due between any two pulses: both force per-pulse.
-        if max_pulses <= 1 || self.latency.is_some() || !self.timers.is_empty() {
-            return 1;
-        }
-        let run = self.queues.head_run_len(channel);
-        if run <= 1 {
-            return 1;
-        }
-        let view = self.ready[self.ready_pos[channel]];
-        self.scheduler
-            .batch_quota(view, run)
-            .clamp(1, run)
-            .min(max_pulses)
+        Ok(Some(self.deliver(handler, picked)))
     }
 
     /// The O(ready) pick path: shows the scheduler the ready slice and
@@ -2196,41 +1711,6 @@ impl<M: Message, T: Topology> EventCore<M, T> {
             return None;
         }
         Some(self.deliver(handler, channel))
-    }
-
-    /// Delivers up to `max_pulses` pulses of the head run of a *specific*
-    /// non-empty channel in one transition, bypassing the scheduler — the
-    /// batched branching primitive of macro-step exploration.
-    ///
-    /// No scheduler pick happens, so no scheduler quota applies; only the
-    /// engine's own boundaries (latency plan, pending timers, fault
-    /// horizon, handler declines) force per-pulse fallback. The resulting
-    /// configuration — and hence its fingerprint — is byte-identical to
-    /// delivering the same pulses through `count` [`EventCore::step_channel`]
-    /// calls. Starts the run if needed; returns `None` if the channel is
-    /// empty.
-    pub fn step_channel_batch<H: EventHandler<M>>(
-        &mut self,
-        handler: &mut H,
-        channel: usize,
-        max_pulses: u64,
-    ) -> Option<EngineBatch> {
-        self.start(handler);
-        if self.queues.len(channel) == 0 {
-            return None;
-        }
-        let quota = if max_pulses <= 1 || self.latency.is_some() || !self.timers.is_empty() {
-            1
-        } else {
-            self.queues.head_run_len(channel).clamp(1, max_pulses)
-        };
-        if quota <= 1 {
-            return Some(EngineBatch {
-                step: self.deliver(handler, channel),
-                count: 1,
-            });
-        }
-        Some(self.deliver_run(handler, channel, quota))
     }
 
     /// Indices of channels with at least one queued message, sorted.
@@ -2371,264 +1851,8 @@ impl<M: Message, T: Topology> EventCore<M, T> {
         }
     }
 
-    /// Delivers `count ≥ 2` pulses of `channel` under one already-made
-    /// scheduler pick.
-    ///
-    /// Tries the fused O(1) commit first; when any fused-path precondition
-    /// fails (vec backend, active fault horizon, handler without an exact
-    /// closed form) it degenerates to `count` ordinary [`EventCore::deliver`]
-    /// calls — trivially byte-identical to per-pulse stepping, still
-    /// amortizing the scheduler pick.
-    fn deliver_run<H: EventHandler<M>>(
-        &mut self,
-        handler: &mut H,
-        channel: usize,
-        count: u64,
-    ) -> EngineBatch {
-        debug_assert!(count >= 2);
-        // The fault plan triggers on send seqs; once the next seq is past
-        // the plan's horizon no future send can drop or duplicate, so the
-        // fused send path (which skips per-seq fault checks) is exact.
-        let faults_inert = match self.faults.horizon() {
-            None => true,
-            Some(h) => self.send_seq > h,
-        };
-        if faults_inert {
-            if let Some(batch) = self.deliver_fused(handler, channel, count) {
-                return batch;
-            }
-        }
-        let step = self.deliver(handler, channel);
-        for _ in 1..count {
-            self.deliver(handler, channel);
-        }
-        EngineBatch { step, count }
-    }
-
-    /// The fused batch commit: dispatch the whole run in one handler call
-    /// (or bulk-ignore it on a terminated receiver), then account pops,
-    /// ready/scheduler maintenance, stats, events, and run sends in O(1)
-    /// per run instead of O(count).
-    ///
-    /// Returns `None` — with no state mutated — when the store cannot prove
-    /// the run's payloads identical (vec backend) or the handler declines
-    /// the closed form; the caller falls back to the per-pulse loop.
-    fn deliver_fused<H: EventHandler<M>>(
-        &mut self,
-        handler: &mut H,
-        channel: usize,
-        count: u64,
-    ) -> Option<EngineBatch> {
-        let (node, port) = self.topology.endpoint(channel);
-        let ignored = self.terminated[node];
-        let mut run_outbox = std::mem::take(&mut self.run_outbox);
-        run_outbox.clear();
-        let accepted = if ignored {
-            // Bulk-ignore needs no dispatch, only a run pop (counter-only).
-            self.queues.backend() == QueueBackend::Counter
-        } else {
-            match self.queues.run_payload(channel) {
-                Some(payload) => {
-                    let t = prof::start();
-                    let ok = handler.on_message_run(
-                        node,
-                        self.topology.degree(node),
-                        port,
-                        &payload,
-                        count,
-                        &mut run_outbox,
-                    );
-                    prof::stop(prof::Phase::Deliver, t);
-                    ok
-                }
-                None => false,
-            }
-        };
-        if !accepted {
-            self.run_outbox = run_outbox;
-            return None;
-        }
-        let t = prof::start();
-        if let Some(rec) = &mut self.recorded {
-            // One recorded pick per pulse: schedules stay byte-exact across
-            // batch-on and batch-off engines.
-            rec.extend((0..count).map(|_| ChannelId::from_index(channel)));
-        }
-        let direction = self.topology.direction(channel);
-        let (_payload, seq, taken) = self
-            .queues
-            .pop_run(channel, count)
-            .expect("fused run pops from a counter channel with a head run");
-        debug_assert_eq!(taken, count, "batch quota never exceeds the head run");
-        let at = self.clock.now();
-        let pos = self.ready_pos[channel];
-        debug_assert_ne!(pos, NOT_READY, "delivered channel is in the ready array");
-        match self.queues.head_seq(channel) {
-            Some(next_head) => {
-                let view = &mut self.ready[pos];
-                view.queue_len -= count as usize;
-                view.head_seq = next_head;
-                let view = *view;
-                self.scheduler.on_head_change(view);
-            }
-            None => {
-                self.ready.swap_remove(pos);
-                self.ready_pos[channel] = NOT_READY;
-                if let Some(moved) = self.ready.get(pos) {
-                    self.ready_pos[moved.id.index()] = pos;
-                }
-                self.scheduler.on_unready(ChannelId::from_index(channel));
-            }
-        }
-        self.stats.steps += count;
-        if ignored {
-            self.stats.delivered_to_terminated += count;
-            if self.observing() {
-                self.emit(EngineEvent::DeliverRun {
-                    node,
-                    port,
-                    seq,
-                    count,
-                    direction,
-                    at,
-                    ignored: true,
-                });
-            }
-        } else {
-            self.stats.total_delivered += count;
-            self.stats.recv_by_port[node][port] += count;
-            if self.observing() {
-                self.emit(EngineEvent::DeliverRun {
-                    node,
-                    port,
-                    seq,
-                    count,
-                    direction,
-                    at,
-                    ignored: false,
-                });
-            }
-            self.flush_run_outbox(node, &mut run_outbox);
-            self.drain_timer_requests(node, handler);
-            self.note_termination(node, handler);
-        }
-        self.run_outbox = run_outbox;
-        prof::stop(prof::Phase::Batch, t);
-        Some(EngineBatch {
-            step: EngineStep {
-                channel,
-                node,
-                port,
-                seq,
-                direction,
-                ignored,
-                at,
-            },
-            count,
-        })
-    }
-
-    /// Flushes the run sends a fused dispatch buffered: bulk seq
-    /// assignment, bulk stats, one [`EngineEvent::SendRun`] and one
-    /// [`EventCore::enqueue_run`] per entry. Per-seq fault checks are
-    /// skipped — the caller verified the plan's horizon is exhausted.
-    fn flush_run_outbox(&mut self, node: usize, run_outbox: &mut Vec<(usize, M, u64)>) {
-        for (port, msg, count) in run_outbox.drain(..) {
-            if count == 0 {
-                continue;
-            }
-            let channel = self.topology.out_channel(node, port);
-            let seq = self.send_seq;
-            self.send_seq += count;
-            self.stats.total_sent += count;
-            self.stats.sent_by_port[node][port] += count;
-            let direction = self.topology.direction(channel);
-            if let Some(d) = direction {
-                self.stats.sent_by_direction[d.index()] += count;
-            }
-            if self.observing() {
-                self.emit(EngineEvent::SendRun {
-                    node,
-                    port,
-                    seq,
-                    count,
-                    direction,
-                });
-            }
-            self.enqueue_run(channel, msg, seq, count);
-        }
-    }
-
-    /// Enqueues `count` copies of `msg` with consecutive seqs in one
-    /// operation — the bulk (untimed-only) form of [`EventCore::enqueue`].
-    fn enqueue_run(&mut self, channel: usize, msg: M, seq: u64, count: u64) {
-        let t = prof::start();
-        debug_assert!(self.latency.is_none(), "bulk enqueues are untimed");
-        self.queues.push_run(channel, msg, seq, count);
-        let pos = self.ready_pos[channel];
-        if pos == NOT_READY {
-            self.ready_pos[channel] = self.ready.len();
-            let view = ChannelView {
-                id: ChannelId::from_index(channel),
-                queue_len: count as usize,
-                head_seq: seq,
-                direction: self.topology.direction(channel),
-                arrival: 0,
-            };
-            self.ready.push(view);
-            self.scheduler.on_ready(view);
-        } else {
-            self.ready[pos].queue_len += count as usize;
-            let view = self.ready[pos];
-            self.scheduler.on_head_change(view);
-        }
-        if let Some(m) = &mut self.metrics {
-            let peak = self.queues.peak_queue_bytes() as u64;
-            if peak > m.peak_queue_bytes {
-                m.peak_queue_bytes = peak;
-            }
-        }
-        prof::stop(prof::Phase::Enqueue, t);
-    }
-
-    /// Injects `count` spurious copies of `msg` with consecutive seqs into
-    /// a channel in one operation — the bulk form of [`EventCore::inject`],
-    /// sized for 10⁹-pulse burst experiments. Counted in
-    /// [`EventCore::fault_stats`] but not in `total_sent`.
-    pub fn inject_run(&mut self, channel: usize, msg: M, count: u64) {
-        if count == 0 {
-            return;
-        }
-        let seq = self.send_seq;
-        self.send_seq += count;
-        self.fault_stats.injected += count;
-        if self.observing() {
-            for i in 0..count {
-                self.emit(EngineEvent::Fault {
-                    kind: FaultKind::Injected,
-                    seq: seq + i,
-                });
-            }
-        }
-        if self.latency.is_some() {
-            for i in 0..count {
-                self.enqueue(channel, msg.clone(), seq + i);
-            }
-        } else {
-            self.enqueue_run(channel, msg, seq, count);
-        }
-    }
-
     /// Runs until quiescence or budget exhaustion.
-    ///
-    /// With [`EventCore::set_batch`] enabled, steps through
-    /// [`EventCore::try_step_batch`] with the remaining *pulse* budget as
-    /// the per-transition cap, so the run stops at exactly the same pulse a
-    /// per-pulse engine would.
     pub fn run<H: EventHandler<M>>(&mut self, handler: &mut H, budget: Budget) -> RunReport {
-        if self.batch {
-            return self.run_batched(handler, budget);
-        }
         self.start(handler);
         let mut executed: u64 = 0;
         while executed < budget.max_steps {
@@ -2636,18 +1860,6 @@ impl<M: Message, T: Topology> EventCore<M, T> {
                 break;
             }
             executed += 1;
-        }
-        self.report()
-    }
-
-    fn run_batched<H: EventHandler<M>>(&mut self, handler: &mut H, budget: Budget) -> RunReport {
-        self.start(handler);
-        let mut executed: u64 = 0;
-        while executed < budget.max_steps {
-            match self.step_batch(handler, budget.max_steps - executed) {
-                Some(batch) => executed += batch.count,
-                None => break,
-            }
         }
         self.report()
     }
@@ -2755,112 +1967,9 @@ mod tests {
         });
         assert_eq!(m.sends, 2);
         assert_eq!(m.pulses_delivered, 1);
-        assert_eq!(m.transitions, 2);
         assert_eq!(m.ignored, 1);
         assert_eq!(m.terminations, 1);
         assert_eq!(m.max_in_flight, 2);
-    }
-
-    #[test]
-    fn run_metrics_aggregate_run_events_in_o1() {
-        let mut m = RunMetrics::new();
-        m.on_event(&EngineEvent::SendRun {
-            node: 0,
-            port: 1,
-            seq: 0,
-            count: 5,
-            direction: None,
-        });
-        m.on_event(&EngineEvent::DeliverRun {
-            node: 1,
-            port: 0,
-            seq: 0,
-            count: 3,
-            direction: None,
-            at: 0,
-            ignored: false,
-        });
-        m.on_event(&EngineEvent::DeliverRun {
-            node: 1,
-            port: 0,
-            seq: 3,
-            count: 2,
-            direction: None,
-            at: 0,
-            ignored: true,
-        });
-        assert_eq!(m.sends, 5);
-        assert_eq!(m.pulses_delivered, 3);
-        assert_eq!(m.ignored, 2);
-        assert_eq!(m.transitions, 2);
-        assert_eq!(m.max_in_flight, 5);
-    }
-
-    #[test]
-    fn trace_expands_run_events_per_pulse() {
-        let mut t = Trace::new();
-        t.on_event(&EngineEvent::DeliverRun {
-            node: 2,
-            port: 0,
-            seq: 10,
-            count: 3,
-            direction: Some(Direction::Cw),
-            at: 0,
-            ignored: false,
-        });
-        t.on_event(&EngineEvent::SendRun {
-            node: 2,
-            port: 1,
-            seq: 13,
-            count: 2,
-            direction: Some(Direction::Cw),
-        });
-        assert_eq!(t.len(), 5);
-        assert_eq!(
-            t.events()[0],
-            TraceEvent::Deliver {
-                node: 2,
-                port: 0,
-                seq: 10,
-                direction: Some(Direction::Cw),
-                at: 0
-            }
-        );
-        assert_eq!(
-            t.events()[2],
-            TraceEvent::Deliver {
-                node: 2,
-                port: 0,
-                seq: 12,
-                direction: Some(Direction::Cw),
-                at: 0
-            }
-        );
-        assert_eq!(
-            t.events()[4],
-            TraceEvent::Send {
-                node: 2,
-                port: 1,
-                seq: 14,
-                direction: Some(Direction::Cw)
-            }
-        );
-    }
-
-    #[test]
-    fn capped_trace_expands_runs_in_o_cap() {
-        let mut t = Trace::with_capacity(3);
-        t.on_event(&EngineEvent::DeliverRun {
-            node: 0,
-            port: 0,
-            seq: 0,
-            count: 1 << 40, // would never finish if expansion were O(count)
-            direction: None,
-            at: 0,
-            ignored: true,
-        });
-        assert_eq!(t.len(), 3);
-        assert_eq!(t.dropped(), (1u64 << 40) - 3);
     }
 
     #[test]
@@ -2938,50 +2047,6 @@ mod tests {
         assert_eq!(runs.head_seq(), Some(20));
         assert_eq!(runs.pop(), Some((20, true)));
         assert_eq!(runs.pop(), None);
-    }
-
-    #[test]
-    fn pulse_runs_bulk_ops_match_per_pulse() {
-        let mut runs = PulseRuns::default();
-        assert!(runs.push_run(10, 4)); // one new run [10, 14)
-        assert!(!runs.push_run(14, 3)); // merges: [10, 17)
-        assert_eq!(runs.head_run_len(), 7);
-        assert!(runs.push_run(20, 2)); // gap: second run
-        assert_eq!(runs.len, 9);
-        // Partial pop leaves the run's tail in place.
-        assert_eq!(runs.pop_run(3), Some((10, 3, false)));
-        assert_eq!(runs.head_seq(), Some(13));
-        assert_eq!(runs.head_run_len(), 4);
-        // Over-asking is clamped to the head run, never crossing the gap.
-        assert_eq!(runs.pop_run(100), Some((13, 4, true)));
-        assert_eq!(runs.head_seq(), Some(20));
-        assert_eq!(runs.pop_run(2), Some((20, 2, true)));
-        assert_eq!(runs.pop_run(1), None);
-        assert_eq!(runs.len, 0);
-    }
-
-    #[test]
-    fn store_run_primitives_are_backend_aware() {
-        use crate::message::Pulse;
-        let mut counter: QueueStore<Pulse> = QueueStore::counter(2);
-        counter.push_run(0, Pulse, 0, 5);
-        counter.push(1, Pulse, 5);
-        counter.push(0, Pulse, 6); // gap on ch0: head run stays 5
-        assert_eq!(counter.head_run_len(0), 5);
-        assert_eq!(counter.run_payload(0), Some(Pulse));
-        assert_eq!(counter.pop_run(0, 3), Some((Pulse, 0, 3)));
-        assert_eq!(counter.total_len(), 4);
-        assert_eq!(counter.head_seq(0), Some(3));
-
-        // The vec backend probes head runs (so loop-mode batching still
-        // amortizes picks) but refuses bulk pops: payloads may differ.
-        let mut vec: QueueStore<u64> = QueueStore::vec(1);
-        vec.push(0, 7, 0);
-        vec.push(0, 8, 1);
-        vec.push(0, 9, 3); // seq gap
-        assert_eq!(vec.head_run_len(0), 2);
-        assert_eq!(vec.pop_run(0, 2), None);
-        assert_eq!(vec.run_payload(0), None);
     }
 
     #[test]

@@ -179,8 +179,7 @@ fn load_state<P: Protocol<Pulse> + Clone>(state: &mut ExploreState<P>, sim: &Sim
 }
 
 /// The scheduler of the explorer's simulations. Workers deliver only
-/// through [`Simulation::step_channel`] and
-/// [`Simulation::step_channel_batch`], which bypass the scheduler, so it
+/// through [`Simulation::step_channel`], which bypasses the scheduler, so it
 /// keeps no ready index for every restore to rebuild and never picks.
 #[derive(Debug)]
 struct ChannelPicks;
@@ -215,22 +214,6 @@ pub struct ExploreConfig {
     /// Defaults to [`QueueBackend::Counter`]: the explorer only carries
     /// pulses.
     pub backend: QueueBackend,
-    /// Macro-step successor expansion (off by default): each branch
-    /// delivers the chosen channel's *entire head run* in one fused
-    /// transition ([`Simulation::step_channel_batch`]) instead of a single
-    /// pulse.
-    ///
-    /// Every configuration this explorer visits has a fingerprint
-    /// byte-identical to the per-pulse explorer's fingerprint of the same
-    /// configuration — batching changes which interleavings are expanded,
-    /// never how a configuration hashes. The visited set is the macro-step
-    /// reachable *subset* of the per-pulse state space: configurations
-    /// "inside" a run (some but not all of a run's pulses delivered before
-    /// switching channels) are skipped, so safety predicates are only
-    /// checked at run boundaries. Use per-pulse exploration for
-    /// exhaustive safety; batched exploration for reachability and
-    /// quiescence questions at scale.
-    pub batch: bool,
     /// Frontier spill-to-disk high-water mark, in items per worker shard
     /// (`0` disables spilling). When a worker's shard grows past this mark,
     /// its *coldest* items (the shard front — the ones LIFO processing
@@ -262,7 +245,6 @@ impl Default for ExploreConfig {
             dedup: DedupKind::Exact,
             faults: FaultPlan::new(),
             backend: QueueBackend::Counter,
-            batch: false,
             spill_high_water: 0,
             scratch_dir: None,
             checkpoint: None,
@@ -281,7 +263,7 @@ pub struct CheckpointPlan {
     pub every: usize,
     /// Opaque instance-identity blob stored verbatim in the checkpoint.
     /// On resume the *caller* compares it against the current instance
-    /// (protocol, ids, batch mode, …) before handing the checkpoint to the
+    /// (protocol, ids, …) before handing the checkpoint to the
     /// explorer — the explorer treats it as bytes.
     pub meta: Vec<u8>,
 }
@@ -829,7 +811,6 @@ where
                 let at_quiescence = &at_quiescence;
                 let faults = &config.faults;
                 let backend = config.backend;
-                let batch = config.batch;
                 let spill_high_water = config.spill_high_water;
                 let my_seed = seed_snap.clone();
                 scope.spawn(move || {
@@ -906,13 +887,8 @@ where
                                 sim.restore(&my_seed);
                                 for &pick in &path {
                                     let channel = ChannelId::from_index(pick as usize);
-                                    if batch {
-                                        sim.step_channel_batch(channel, u64::MAX)
-                                            .expect("replayed channel has a message");
-                                    } else {
-                                        sim.step_channel(channel)
-                                            .expect("replayed channel has a message");
-                                    }
+                                    sim.step_channel(channel)
+                                        .expect("replayed channel has a message");
                                 }
                                 sim.snapshot()
                             }
@@ -945,13 +921,8 @@ where
                                 if branch > 0 {
                                     sim.restore(&snapshot);
                                 }
-                                if batch {
-                                    sim.step_channel_batch(channel, u64::MAX)
-                                        .expect("ready channel has a message");
-                                } else {
-                                    sim.step_channel(channel)
-                                        .expect("ready channel has a message");
-                                }
+                                sim.step_channel(channel)
+                                    .expect("ready channel has a message");
                                 let fp = config_fingerprint(&sim, horizon);
                                 if !index.insert(fp) {
                                     continue;
@@ -1228,7 +1199,6 @@ where
 mod tests {
     use super::*;
     use crate::dedup::FP_SHARDS;
-    use crate::sched::FifoScheduler;
     use crate::snapshot::Fingerprint;
     use crate::topology::RingSpec;
 
@@ -1577,74 +1547,6 @@ mod tests {
             assert!(report.complete, "{backend}");
             assert!(report.violations.is_empty(), "{backend}");
         }
-    }
-
-    #[test]
-    fn batched_successors_keep_fingerprints_and_verdicts() {
-        // Macro-step exploration visits the run-boundary subset of the
-        // state space, with every configuration hashing exactly as the
-        // per-pulse explorer hashes it.
-        let spec = RingSpec::oriented(vec![1, 3, 2]);
-        let per_pulse = explore(
-            &spec.wiring(),
-            mini_ring,
-            mini_safety,
-            mini_quiescence,
-            &ExploreConfig {
-                jobs: 1,
-                ..ExploreConfig::default()
-            },
-        );
-        let batched = explore(
-            &spec.wiring(),
-            mini_ring,
-            mini_safety,
-            mini_quiescence,
-            &ExploreConfig {
-                jobs: 1,
-                batch: true,
-                ..ExploreConfig::default()
-            },
-        );
-        assert!(batched.complete);
-        assert!(batched.violations.is_empty(), "{:?}", batched.violations);
-        assert!(batched.quiescent_configs >= 1);
-        assert!(
-            batched.configs <= per_pulse.configs,
-            "macro-steps expand a subset of interleavings"
-        );
-
-        // Fingerprint identity: a fused run-delivery lands on the same
-        // 64-bit fingerprint as pulse-by-pulse delivery of the same run.
-        let build = || -> Simulation<Pulse, MiniAlg1> {
-            Simulation::with_backend(
-                spec.wiring(),
-                mini_ring(),
-                Box::new(FifoScheduler::new()),
-                QueueBackend::Counter,
-            )
-        };
-        let mut fused = build();
-        fused.start();
-        // Find an empty channel and inject two pulses: their consecutive
-        // sequence numbers form a genuine head run of 2.
-        let ready = fused.ready_channels();
-        let channel = (0..6)
-            .map(ChannelId::from_index)
-            .find(|c| !ready.contains(c))
-            .expect("MiniAlg1 leaves the counterclockwise channels empty");
-        fused.inject_run(channel, Pulse, 2);
-        let mut stepped = build();
-        stepped.start();
-        stepped.inject_run(channel, Pulse, 2);
-        let (_, count) = fused
-            .step_channel_batch(channel, u64::MAX)
-            .expect("ready channel");
-        assert_eq!(count, 2, "the injected pulse extends the head run");
-        for _ in 0..count {
-            stepped.step_channel(channel).expect("ready channel");
-        }
-        assert_eq!(fused.fingerprint(), stepped.fingerprint());
     }
 
     #[test]

@@ -34,12 +34,11 @@
 //! (`tests/fleet_determinism.rs` locks this in for the paper's algorithms).
 //!
 //! Fleet runs are untimed, per-pulse and FIFO-scheduled: the virtual-clock
-//! and run-batching layers stay single-ring concerns. Fault injection is
-//! the engine's spurious-pulse primitive (`inject`): with probability
-//! `fault_rate` a ring receives one extra content-free pulse on a random
-//! clockwise channel, which counts toward `faults_injected` but never toward
-//! `total_sent`, exactly like
-//! [`EventCore::inject_run`](crate::EventCore::inject_run).
+//! layer stays a single-ring concern. Fault injection is the engine's
+//! spurious-pulse primitive: with probability `fault_rate` a ring receives
+//! one extra content-free pulse on a random clockwise channel, which counts
+//! toward `faults_injected` but never toward `total_sent`, exactly like
+//! [`EventCore::inject`](crate::EventCore::inject).
 
 use crate::dedup::splitmix64;
 use crate::engine::{Budget, Outcome, RunReport, SimStats};
@@ -543,7 +542,7 @@ fn run_ring<P: Protocol<Pulse>, O: RingObserver>(
     }
 
     // Fault injection: one spurious pulse, sequenced after start-up sends;
-    // counted as a fault, never as a send (`EventCore::inject_run`).
+    // counted as a fault, never as a send (`EventCore::inject`).
     if let Some(c) = inject {
         let seq = send_seq;
         send_seq += 1;

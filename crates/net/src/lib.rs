@@ -87,19 +87,19 @@ pub use dedup::{
     DedupBytes, DedupKind, FingerprintStore, MmapStore, ParseDedupError, ShardedIndex,
 };
 pub use engine::{
-    CoreSnapshot, EngineBatch, EngineError, EngineEvent, EngineStep, EventCore, EventHandler,
-    FaultKind, Observer, QueueBackend, QueueStore, RunMetrics, Topology,
+    CoreSnapshot, EngineError, EngineEvent, EngineStep, EventCore, EventHandler, FaultKind,
+    Observer, QueueBackend, QueueStore, RunMetrics, Topology,
 };
 pub use faults::{FaultPlan, FaultStats};
 pub use fleet::{FleetConfig, FleetReport, FleetRingDetail, PulseHistogram, RingPlan, RingSizes};
 pub use message::{Message, Pulse, UnitMessage};
-pub use multiport::{GraphContext, GraphProtocol, GraphRunContext, GraphSim, GraphWiring};
+pub use multiport::{GraphContext, GraphProtocol, GraphSim, GraphWiring};
 pub use port::{Direction, Port};
 pub use sched::{ChannelView, Scheduler, SchedulerKind};
 pub use shrink::shrink_schedule;
 pub use sim::{
-    Budget, Context, Outcome, Protocol, RunContext, RunReport, SimObserver, SimSnapshot, SimStats,
-    Simulation, StepInfo,
+    Budget, Context, Outcome, Protocol, RunReport, SimObserver, SimSnapshot, SimStats, Simulation,
+    StepInfo,
 };
 pub use snapshot::{Fingerprint, Schedule, Snapshot};
 pub use topology::{ChannelId, NodeIndex, RingSpec, Wiring};

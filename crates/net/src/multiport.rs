@@ -18,9 +18,7 @@
 //! `co-core::general` builds a first content-oblivious algorithm on top
 //! (the flood-echo wave).
 
-use crate::engine::{
-    EngineBatch, EngineStep, EventCore, EventHandler, Observer, RunMetrics, Topology,
-};
+use crate::engine::{EngineStep, EventCore, EventHandler, Observer, RunMetrics, Topology};
 use crate::faults::{FaultPlan, FaultStats};
 use crate::graph::MultiGraph;
 use crate::message::Message;
@@ -44,26 +42,6 @@ pub trait GraphProtocol<M: Message> {
 
     /// Called when a message is delivered to `port`.
     fn on_message(&mut self, port: usize, msg: M, ctx: &mut GraphContext<'_, M>);
-
-    /// Called (batch mode only) to deliver a run of `count` identical
-    /// messages in one fused event — the closed form of `count` consecutive
-    /// [`GraphProtocol::on_message`] calls for the same `(port, msg)`.
-    ///
-    /// Same contract as [`Protocol::on_message_run`](crate::Protocol::on_message_run):
-    /// return `true` only for an exact closed form that cannot terminate the
-    /// node before the run's last pulse; decline (`false`) without mutating
-    /// anything otherwise. The default declines, so unbatchable protocols
-    /// behave identically under batch mode.
-    fn on_message_run(
-        &mut self,
-        port: usize,
-        msg: &M,
-        count: u64,
-        ctx: &mut GraphRunContext<'_, M>,
-    ) -> bool {
-        let _ = (port, msg, count, ctx);
-        false
-    }
 
     /// Whether the node has terminated (then it ignores all messages).
     fn is_terminated(&self) -> bool {
@@ -91,42 +69,6 @@ impl<M: Message> GraphContext<'_, M> {
     pub fn send(&mut self, port: usize, msg: M) {
         assert!(port < self.degree, "port {port} out of range");
         self.outbox.push((port, msg));
-    }
-
-    /// This node's index.
-    #[must_use]
-    pub fn node(&self) -> usize {
-        self.node
-    }
-
-    /// This node's degree (number of ports).
-    #[must_use]
-    pub fn degree(&self) -> usize {
-        self.degree
-    }
-}
-
-/// Send buffer handed to [`GraphProtocol::on_message_run`] — the
-/// run-compressed sibling of [`GraphContext`].
-#[derive(Debug)]
-pub struct GraphRunContext<'a, M: Message> {
-    node: usize,
-    degree: usize,
-    outbox: &'a mut Vec<(usize, M, u64)>,
-}
-
-impl<M: Message> GraphRunContext<'_, M> {
-    /// Sends `count` copies of `msg` out of `port` (a no-op when
-    /// `count == 0`).
-    ///
-    /// # Panics
-    ///
-    /// Panics if `port >= degree`.
-    pub fn send_run(&mut self, port: usize, msg: M, count: u64) {
-        assert!(port < self.degree, "port {port} out of range");
-        if count > 0 {
-            self.outbox.push((port, msg, count));
-        }
     }
 
     /// This node's index.
@@ -295,23 +237,6 @@ impl<M: Message, P: GraphProtocol<M>> EventHandler<M> for GraphHandler<'_, M, P>
         self.nodes[node].on_message(port, msg, &mut ctx);
     }
 
-    fn on_message_run(
-        &mut self,
-        node: usize,
-        degree: usize,
-        port: usize,
-        msg: &M,
-        count: u64,
-        run_outbox: &mut Vec<(usize, M, u64)>,
-    ) -> bool {
-        let mut ctx = GraphRunContext {
-            node,
-            degree,
-            outbox: run_outbox,
-        };
-        self.nodes[node].on_message_run(port, msg, count, &mut ctx)
-    }
-
     fn is_terminated(&self, node: usize) -> bool {
         self.nodes[node].is_terminated()
     }
@@ -373,19 +298,6 @@ impl<M: Message, P: GraphProtocol<M>> GraphSim<M, P> {
         self.core.indexed_picks()
     }
 
-    /// Enables or disables run-batched macro-stepping for
-    /// [`GraphSim::run`] (off by default) — same semantics and equivalence
-    /// guarantees as [`Simulation::set_batch`](crate::Simulation::set_batch).
-    pub fn set_batch(&mut self, enabled: bool) {
-        self.core.set_batch(enabled);
-    }
-
-    /// Whether run-batched macro-stepping is enabled.
-    #[must_use]
-    pub fn batch_enabled(&self) -> bool {
-        self.core.batch_enabled()
-    }
-
     /// Counters of faults actually applied so far.
     #[must_use]
     pub fn fault_stats(&self) -> FaultStats {
@@ -437,14 +349,6 @@ impl<M: Message, P: GraphProtocol<M>> GraphSim<M, P> {
     pub fn step(&mut self) -> Option<EngineStep> {
         let mut handler = Self::handler(&mut self.nodes);
         self.core.step(&mut handler)
-    }
-
-    /// Delivers up to `max_pulses` pulses of one scheduler-picked channel
-    /// in a single transition (batches regardless of
-    /// [`GraphSim::batch_enabled`]; 1 at every distinguishable boundary).
-    pub fn step_batch(&mut self, max_pulses: u64) -> Option<EngineBatch> {
-        let mut handler = Self::handler(&mut self.nodes);
-        self.core.step_batch(&mut handler, max_pulses)
     }
 
     /// Runs to quiescence or budget exhaustion.

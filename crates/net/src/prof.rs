@@ -47,21 +47,16 @@ pub enum Phase {
     /// Virtual-clock timer servicing: popping due timers off the timer heap
     /// and running `on_timer` handlers.
     Timer,
-    /// Fused batch commit: popping a whole pulse run, run-aware
-    /// ready/scheduler maintenance, and bulk accounting (batch mode only;
-    /// the handler's run dispatch is attributed to `Deliver`).
-    Batch,
 }
 
 impl Phase {
     /// All phases, in display order.
-    pub const ALL: [Phase; 6] = [
+    pub const ALL: [Phase; 5] = [
         Phase::Enqueue,
         Phase::Pick,
         Phase::Deliver,
         Phase::Observe,
         Phase::Timer,
-        Phase::Batch,
     ];
 
     fn index(self) -> usize {
@@ -71,7 +66,6 @@ impl Phase {
             Phase::Deliver => 2,
             Phase::Observe => 3,
             Phase::Timer => 4,
-            Phase::Batch => 5,
         }
     }
 }
@@ -84,12 +78,11 @@ impl fmt::Display for Phase {
             Phase::Deliver => "deliver",
             Phase::Observe => "observe",
             Phase::Timer => "timer",
-            Phase::Batch => "batch",
         })
     }
 }
 
-const PHASES: usize = 6;
+const PHASES: usize = 5;
 
 static ENABLED: AtomicBool = AtomicBool::new(false);
 
@@ -112,7 +105,6 @@ impl PhaseCell {
 }
 
 static CELLS: [PhaseCell; PHASES] = [
-    PhaseCell::new(),
     PhaseCell::new(),
     PhaseCell::new(),
     PhaseCell::new(),

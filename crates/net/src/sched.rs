@@ -222,35 +222,6 @@ pub trait Scheduler: fmt::Debug {
     fn rebuild_index(&mut self, ready: &[ChannelView]) {
         let _ = ready;
     }
-
-    /// How many pulses of `picked`'s head run this scheduler is *provably*
-    /// going to pick consecutively, given that the channel it just picked
-    /// holds a head run of `run_len` consecutive sequence numbers.
-    ///
-    /// Returning `q > 1` asserts: for any state the engine can reach by
-    /// delivering the first `q − 1` of those pulses — including new enqueues
-    /// triggered by the deliveries, which always carry sequence numbers
-    /// larger than every seq in the run — this scheduler's next pick would
-    /// again be `picked.id`. (For the FIFO family this holds because the
-    /// head run's consecutive seqs occupy *all* seqs below any other
-    /// channel's head.) The engine clamps the answer to the actual run
-    /// length, the remaining pulse budget, and its own boundary conditions.
-    ///
-    /// Must not itself mutate state — the committed fused count arrives via
-    /// [`Scheduler::note_batch`]. The default (`1`) keeps any scheduler
-    /// without a proof on exact per-pulse stepping.
-    fn batch_quota(&mut self, picked: ChannelView, run_len: u64) -> u64 {
-        let _ = (picked, run_len);
-        1
-    }
-
-    /// The engine fused `count ≥ 2` deliveries of `id` under the single
-    /// pick that preceded this call. Schedulers with per-pick side effects
-    /// (script cursors, recorded logs) account for the `count − 1` picks
-    /// their `pick`/`indexed_pick` never saw; the default does nothing.
-    fn note_batch(&mut self, id: ChannelId, count: u64) {
-        let _ = (id, count);
-    }
 }
 
 /// Globally FIFO: always delivers the oldest in-flight message.
@@ -313,15 +284,6 @@ impl Scheduler for FifoScheduler {
         for v in ready {
             self.index.insert(v.id.index(), v.head_seq);
         }
-    }
-
-    fn batch_quota(&mut self, picked: ChannelView, run_len: u64) -> u64 {
-        // The picked channel won with the globally minimal head seq, and its
-        // head run holds `run_len` *consecutive* seqs — globally unique, so
-        // every other channel's head (and every future send) is larger than
-        // the whole run. FIFO repicks this channel until the run is spent.
-        let _ = picked;
-        run_len
     }
 }
 
@@ -386,14 +348,6 @@ impl Scheduler for SolitudeScheduler {
             self.index
                 .insert(v.id.index(), (v.head_seq, dir_rank(v.direction)));
         }
-    }
-
-    fn batch_quota(&mut self, picked: ChannelView, run_len: u64) -> u64 {
-        // Seq-first ordering with a direction tie-break: ties require equal
-        // head seqs, which are globally unique, so the FIFO run argument
-        // applies unchanged.
-        let _ = picked;
-        run_len
     }
 }
 
@@ -643,19 +597,6 @@ impl Scheduler for StarveDirectionScheduler {
             self.tier(v.direction).insert(v.id.index(), v.head_seq);
         }
     }
-
-    fn batch_quota(&mut self, picked: ChannelView, run_len: u64) -> u64 {
-        // A preferred-tier winner (minimal head seq among non-starved
-        // channels) keeps winning for its whole run: mid-run enqueues carry
-        // larger seqs, and a channel never changes tier. A deferred-tier
-        // pick only happened because `preferred` was empty — mid-run sends
-        // could repopulate it, so the starved tier stays per-pulse.
-        if picked.direction == Some(self.starved) {
-            1
-        } else {
-            run_len
-        }
-    }
 }
 
 /// Starves a single node: channels *toward* the victim deliver only when
@@ -740,17 +681,6 @@ impl Scheduler for StarveNodeScheduler {
         self.deferred.clear();
         for v in ready {
             self.tier(v.id).insert(v.id.index(), v.head_seq);
-        }
-    }
-
-    fn batch_quota(&mut self, picked: ChannelView, run_len: u64) -> u64 {
-        // Same two-tier argument as `StarveDirectionScheduler`: a
-        // preferred-tier winner holds for the whole run; a pick from the
-        // starved tier stays per-pulse.
-        if self.victims_channels.contains(&picked.id) {
-            1
-        } else {
-            run_len
         }
     }
 }
@@ -868,15 +798,6 @@ impl Scheduler for LatencyScheduler {
         for v in ready {
             self.index.insert(v.id.index(), (v.arrival, v.head_seq));
         }
-    }
-
-    fn batch_quota(&mut self, picked: ChannelView, run_len: u64) -> u64 {
-        // The engine only batches in untimed runs, where every arrival is 0
-        // and this scheduler degenerates to exact FIFO — the run argument
-        // applies. (Under a latency plan the engine forces per-pulse before
-        // ever asking.)
-        let _ = picked;
-        run_len
     }
 }
 
@@ -1094,28 +1015,6 @@ impl Scheduler for ReplayScheduler {
     fn restore_state(&mut self, state: &[u64]) {
         self.cursor = state[0] as usize;
     }
-
-    fn batch_quota(&mut self, picked: ChannelView, run_len: u64) -> u64 {
-        // Past the script's end the fallback is pure FIFO: full run. Within
-        // the script, fuse exactly the prefix of consecutive scripted picks
-        // naming this channel (the pick that led here already consumed one
-        // entry, hence `1 +`). The cursor itself moves in `note_batch`.
-        if self.cursor >= self.script.len() {
-            return run_len;
-        }
-        let scripted = self.script[self.cursor..]
-            .iter()
-            .take_while(|&&want| want == picked.id)
-            .count() as u64;
-        (1 + scripted).min(run_len)
-    }
-
-    fn note_batch(&mut self, _id: ChannelId, count: u64) {
-        // The pick consumed one script entry; the other `count − 1` fused
-        // pulses consume theirs here (they were verified equal to `id` in
-        // `batch_quota`, or lie past the script's end).
-        self.cursor = (self.cursor + (count - 1) as usize).min(self.script.len());
-    }
 }
 
 /// Wraps another scheduler and records every picked [`ChannelId`] into a
@@ -1183,22 +1082,6 @@ impl Scheduler for RecordingScheduler {
 
     fn restore_state(&mut self, state: &[u64]) {
         self.inner.restore_state(state);
-    }
-
-    fn batch_quota(&mut self, picked: ChannelView, run_len: u64) -> u64 {
-        self.inner.batch_quota(picked, run_len)
-    }
-
-    fn note_batch(&mut self, id: ChannelId, count: u64) {
-        // One logged pick per pulse (the pick itself logged the first), so
-        // recordings stay byte-exact with per-pulse runs.
-        {
-            let mut log = self.log.borrow_mut();
-            for _ in 1..count {
-                log.push(id);
-            }
-        }
-        self.inner.note_batch(id, count);
     }
 }
 
@@ -1872,74 +1755,5 @@ mod tests {
             assert!(pick < ready.len(), "{kind} returned invalid index");
             assert!(!kind.to_string().is_empty());
         }
-    }
-
-    #[test]
-    fn batch_quota_defaults_to_per_pulse() {
-        // Schedulers without a fusion proof must answer 1 regardless of run
-        // length, and note_batch must be a no-op for them.
-        let v = view(0, 8, 0, None);
-        assert_eq!(LifoScheduler::new().batch_quota(v, 8), 1);
-        assert_eq!(RandomScheduler::seeded(1).batch_quota(v, 8), 1);
-        assert_eq!(RoundRobinScheduler::new().batch_quota(v, 8), 1);
-        assert_eq!(LongestQueueScheduler::new().batch_quota(v, 8), 1);
-        assert_eq!(BoundedDelayScheduler::new(4, 0).batch_quota(v, 8), 1);
-    }
-
-    #[test]
-    fn fifo_family_quotas_cover_the_full_run() {
-        let v = view(3, 8, 10, Some(Direction::Cw));
-        assert_eq!(FifoScheduler::new().batch_quota(v, 8), 8);
-        assert_eq!(SolitudeScheduler::new().batch_quota(v, 8), 8);
-        assert_eq!(LatencyScheduler::new().batch_quota(v, 8), 8);
-    }
-
-    #[test]
-    fn starve_quotas_fuse_only_the_preferred_tier() {
-        let mut dir = StarveDirectionScheduler::new(Direction::Ccw);
-        assert_eq!(dir.batch_quota(view(0, 5, 0, Some(Direction::Cw)), 5), 5);
-        assert_eq!(dir.batch_quota(view(1, 5, 0, Some(Direction::Ccw)), 5), 1);
-        assert_eq!(dir.batch_quota(view(2, 5, 0, None), 5), 5);
-
-        let mut node = StarveNodeScheduler::new(0, vec![ChannelId::from_index(1)]);
-        assert_eq!(node.batch_quota(view(0, 5, 0, None), 5), 5);
-        assert_eq!(node.batch_quota(view(1, 5, 0, None), 5), 1);
-    }
-
-    #[test]
-    fn replay_quota_fuses_scripted_prefix_and_note_batch_moves_cursor() {
-        let c2 = ChannelId::from_index(2);
-        let c7 = ChannelId::from_index(7);
-        let mut s = ReplayScheduler::new(vec![c2, c2, c2, c7, c2]);
-        let ready = [view(2, 10, 0, None), view(7, 1, 50, None)];
-        s.rebuild_index(&ready);
-        assert_eq!(s.indexed_pick(), Some(c2)); // consumes script[0]
-                                                // Entries 1 and 2 also name channel 2; entry 3 (c7) breaks the run.
-        assert_eq!(s.batch_quota(ready[0], 10), 3);
-        s.note_batch(c2, 3);
-        assert_eq!(s.consumed(), 3);
-        // Clamped fusions advance the cursor only as far as delivered.
-        let mut t = ReplayScheduler::new(vec![c2, c2, c2]);
-        t.rebuild_index(&ready);
-        assert_eq!(t.indexed_pick(), Some(c2));
-        assert_eq!(t.batch_quota(ready[0], 2), 2); // run shorter than script
-        t.note_batch(c2, 2);
-        assert_eq!(t.consumed(), 2);
-        // Past the script's end the FIFO fallback fuses full runs.
-        assert_eq!(t.indexed_pick(), Some(c2));
-        assert_eq!(t.batch_quota(ready[0], 10), 10);
-        t.note_batch(c2, 10);
-        assert_eq!(t.consumed(), 3, "cursor saturates at the script length");
-    }
-
-    #[test]
-    fn recording_note_batch_logs_one_pick_per_pulse() {
-        let ready = [view(2, 4, 3, None)];
-        let (mut rec, log) = RecordingScheduler::new(Box::new(FifoScheduler::new()));
-        rec.rebuild_index(&ready);
-        let id = rec.indexed_pick().expect("fifo is indexed");
-        assert_eq!(rec.batch_quota(ready[0], 4), 4);
-        rec.note_batch(id, 4);
-        assert_eq!(*log.borrow(), vec![id; 4]);
     }
 }

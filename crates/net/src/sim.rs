@@ -57,27 +57,6 @@ pub trait Protocol<M: Message> {
     /// Called when a message is delivered to `port`.
     fn on_message(&mut self, port: Port, msg: M, ctx: &mut Context<'_, M>);
 
-    /// Called (batch mode only) to deliver a run of `count` identical
-    /// messages in one fused event: the closed form of `count` consecutive
-    /// [`Protocol::on_message`] calls for the same `(port, msg)`.
-    ///
-    /// Return `true` only if the node's state, output, and buffered sends
-    /// are exactly what the per-pulse calls would have produced **and** the
-    /// node cannot terminate strictly before the run's last pulse. Decline
-    /// (`false`) *without mutating anything* otherwise — the simulator then
-    /// delivers the same run pulse by pulse. The default declines, so
-    /// protocols without a closed form behave identically under batch mode.
-    fn on_message_run(
-        &mut self,
-        port: Port,
-        msg: &M,
-        count: u64,
-        ctx: &mut RunContext<'_, M>,
-    ) -> bool {
-        let _ = (port, msg, count, ctx);
-        false
-    }
-
     /// Whether the node has entered a terminating state.
     ///
     /// Once `true`, the simulator never calls [`Protocol::on_message`] again:
@@ -129,41 +108,6 @@ impl<'a, M: Message> Context<'a, M> {
 
     /// The index of the node executing the event (positions are opaque to
     /// paper algorithms; exposed for instrumentation and baselines).
-    #[must_use]
-    pub fn node(&self) -> NodeIndex {
-        self.node
-    }
-}
-
-/// Send buffer handed to [`Protocol::on_message_run`] — the run-compressed
-/// sibling of [`Context`].
-///
-/// Each [`RunContext::send_run`] buffers a *run* of identical messages; the
-/// simulator assigns them the exact consecutive sequence numbers the
-/// per-pulse sends would have received, in call order.
-#[derive(Debug)]
-pub struct RunContext<'a, M: Message> {
-    node: NodeIndex,
-    outbox: &'a mut Vec<(usize, M, u64)>,
-}
-
-impl<'a, M: Message> RunContext<'a, M> {
-    pub(crate) fn new_internal(
-        node: NodeIndex,
-        outbox: &'a mut Vec<(usize, M, u64)>,
-    ) -> RunContext<'a, M> {
-        RunContext { node, outbox }
-    }
-
-    /// Sends `count` copies of `msg` out of `port` (a no-op when
-    /// `count == 0`).
-    pub fn send_run(&mut self, port: Port, msg: M, count: u64) {
-        if count > 0 {
-            self.outbox.push((port.index(), msg, count));
-        }
-    }
-
-    /// The index of the node executing the event.
     #[must_use]
     pub fn node(&self) -> NodeIndex {
         self.node
@@ -308,19 +252,6 @@ impl<M: Message, P: Protocol<M>> EventHandler<M> for RingHandler<'_, M, P> {
     ) {
         let mut ctx = Context::new_internal(node, outbox);
         self.nodes[node].on_message(Port::from_index(port), msg, &mut ctx);
-    }
-
-    fn on_message_run(
-        &mut self,
-        node: usize,
-        _degree: usize,
-        port: usize,
-        msg: &M,
-        count: u64,
-        run_outbox: &mut Vec<(usize, M, u64)>,
-    ) -> bool {
-        let mut ctx = RunContext::new_internal(node, run_outbox);
-        self.nodes[node].on_message_run(Port::from_index(port), msg, count, &mut ctx)
     }
 
     fn is_terminated(&self, node: usize) -> bool {
@@ -472,25 +403,6 @@ impl<M: Message, P: Protocol<M>> Simulation<M, P> {
         self.core.indexed_picks()
     }
 
-    /// Enables or disables run-batched macro-stepping for
-    /// [`Simulation::run`]-family drivers (off by default).
-    ///
-    /// With batching on, a single transition may deliver an entire pulse
-    /// run whenever no observer, fault horizon, latency timer, or budget
-    /// boundary could distinguish the fused interleaving from per-pulse
-    /// delivery; every such boundary falls back to per-pulse. Reports,
-    /// stats, fingerprints, and recorded schedules are byte-identical
-    /// either way.
-    pub fn set_batch(&mut self, enabled: bool) {
-        self.core.set_batch(enabled);
-    }
-
-    /// Whether run-batched macro-stepping is enabled.
-    #[must_use]
-    pub fn batch_enabled(&self) -> bool {
-        self.core.batch_enabled()
-    }
-
     /// Counters of faults actually applied so far.
     #[must_use]
     pub fn fault_stats(&self) -> FaultStats {
@@ -502,13 +414,6 @@ impl<M: Message, P: Protocol<M>> Simulation<M, P> {
     /// but *not* in `total_sent` — no node sent it.
     pub fn inject(&mut self, channel: ChannelId, msg: M) {
         self.core.inject(channel.index(), msg);
-    }
-
-    /// Injects a run of `count` identical spurious messages into a channel
-    /// — the bulk form of [`Simulation::inject`], O(1) on the `Counter`
-    /// backend. Equivalent to calling `inject` `count` times.
-    pub fn inject_run(&mut self, channel: ChannelId, msg: M, count: u64) {
-        self.core.inject_run(channel.index(), msg, count);
     }
 
     /// Enables event tracing (unbounded if `cap` is `None`).
@@ -569,43 +474,10 @@ impl<M: Message, P: Protocol<M>> Simulation<M, P> {
             .map(|step| step.map(StepInfo::from_engine))
     }
 
-    /// Delivers up to `max_pulses` pulses of one scheduler-picked channel in
-    /// a single transition, returning the first delivery's [`StepInfo`] and
-    /// the number of pulses fused (1 at every boundary that could
-    /// distinguish the interleaving). Batches regardless of
-    /// [`Simulation::batch_enabled`] — the explicit call is the opt-in.
-    ///
-    /// # Panics
-    ///
-    /// Panics if the scheduler returns an out-of-range index; use
-    /// [`Simulation::try_step_batch`] for the typed error.
-    pub fn step_batch(&mut self, max_pulses: u64) -> Option<(StepInfo, u64)> {
-        let mut handler = Self::handler(&mut self.nodes);
-        self.core
-            .step_batch(&mut handler, max_pulses)
-            .map(|batch| (StepInfo::from_engine(batch.step), batch.count))
-    }
-
-    /// Like [`Simulation::step_batch`], but reports a misbehaving scheduler
-    /// as a typed [`EngineError`] with the simulation state untouched.
-    pub fn try_step_batch(
-        &mut self,
-        max_pulses: u64,
-    ) -> Result<Option<(StepInfo, u64)>, EngineError> {
-        let mut handler = Self::handler(&mut self.nodes);
-        self.core
-            .try_step_batch(&mut handler, max_pulses)
-            .map(|batch| batch.map(|b| (StepInfo::from_engine(b.step), b.count)))
-    }
-
     /// Runs until quiescence or budget exhaustion.
     ///
-    /// Honours [`Simulation::set_batch`]: with batching on, the engine
-    /// fuses pulse runs into single transitions where provably
-    /// indistinguishable (budget still counts pulses). Attach per-step
-    /// hooks with [`Simulation::run_with`]/[`Simulation::run_observed`],
-    /// which always step per-pulse so observers see every intermediate
-    /// configuration.
+    /// Attach per-step hooks with [`Simulation::run_with`] /
+    /// [`Simulation::run_observed`].
     pub fn run(&mut self, budget: Budget) -> RunReport {
         let mut handler = Self::handler(&mut self.nodes);
         self.core.run(&mut handler, budget)
@@ -697,9 +569,6 @@ impl<M: Message, P: Protocol<M>> Simulation<M, P> {
     /// FIFO fallback (for picks that are not ready, e.g. after the protocol
     /// changed) keeps every schedule — including shrunken subsequences —
     /// a valid asynchronous execution.
-    /// Honours [`Simulation::set_batch`]: a batched replay fuses exactly
-    /// the scripted pick runs and reproduces the same execution
-    /// byte-for-byte.
     pub fn replay(&mut self, schedule: &Schedule, budget: Budget) -> RunReport {
         self.core
             .set_scheduler(Box::new(ReplayScheduler::new(schedule.picks().to_vec())));
@@ -741,22 +610,6 @@ impl<M: Message, P: Protocol<M>> Simulation<M, P> {
         self.core
             .step_channel(&mut handler, channel.index())
             .map(StepInfo::from_engine)
-    }
-
-    /// Delivers up to `max_pulses` pulses of a *specific* channel's head
-    /// run in one transition, bypassing the scheduler — the batched
-    /// branching primitive of macro-step exploration. The resulting
-    /// configuration and fingerprint are byte-identical to delivering the
-    /// same pulses through that many [`Simulation::step_channel`] calls.
-    pub fn step_channel_batch(
-        &mut self,
-        channel: ChannelId,
-        max_pulses: u64,
-    ) -> Option<(StepInfo, u64)> {
-        let mut handler = Self::handler(&mut self.nodes);
-        self.core
-            .step_channel_batch(&mut handler, channel.index(), max_pulses)
-            .map(|batch| (StepInfo::from_engine(batch.step), batch.count))
     }
 
     /// Number of messages queued on `channel`.

@@ -124,22 +124,6 @@ impl Trace {
         }
     }
 
-    /// Appends `count` events `event(0) .. event(count - 1)`, honouring the
-    /// cap in O(retained) — events past the cap are counted as dropped
-    /// arithmetically, without being constructed. Used to expand
-    /// run-compressed batch events into their exact per-pulse stream.
-    pub fn push_run<F: FnMut(u64) -> TraceEvent>(&mut self, count: u64, mut event: F) {
-        let room = match self.cap {
-            Some(cap) => (cap.saturating_sub(self.events.len())) as u64,
-            None => count,
-        };
-        let retain = count.min(room);
-        for i in 0..retain {
-            self.events.push(event(i));
-        }
-        self.dropped += count - retain;
-    }
-
     /// The recorded events.
     #[must_use]
     pub fn events(&self) -> &[TraceEvent] {
