@@ -67,8 +67,8 @@ pub enum Experiment {
     /// throughput through the async facade.
     E19,
     /// Fleet mode: 10⁴ concurrent small-ring elections per cell through the
-    /// struct-of-arrays fleet harness — jobs-invariant aggregates, fault
-    /// behaviour, and elections/sec throughput.
+    /// fleet harness — jobs-invariant aggregates, fault behaviour, and
+    /// elections/sec throughput.
     E21,
     /// Out-of-core exploration: exact vs mmap dedup backends
     /// (bytes-per-config and configs/sec), frontier spill, and checkpointed
@@ -1862,10 +1862,10 @@ pub fn e21_fleet() -> Table {
 
 /// E21 with an explicit worker count (`0` = one per core).
 ///
-/// Runs the struct-of-arrays fleet harness (`co_net::fleet`) over a grid of
-/// protocol × fault-rate cells, each a fleet of 10,000 independent oriented
-/// rings with sizes drawn uniformly from 3..=9. Per cell the experiment
-/// checks three things:
+/// Runs the fleet harness (`co_net::fleet`) over a grid of protocol ×
+/// fault-rate cells, each a fleet of 10,000 independent oriented rings with
+/// sizes drawn uniformly from 3..=9. Per cell the experiment checks three
+/// things:
 ///
 /// 1. **Determinism across thread counts** — the parallel aggregate report
 ///    must equal the single-threaded reference byte-for-byte (`det`

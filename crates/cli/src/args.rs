@@ -313,9 +313,10 @@ const MAX_RINGS: u64 = 10_000_000;
 /// printed, so the output grows quadratically with it.
 const MAX_SOLITUDE_ID: u64 = 1_000;
 
-/// Ceiling on the nodes one fleet shard holds at once (its rings' node,
-/// queue and termination arenas): `min(--rings, shard size)` × the largest
-/// `--ring-sizes` entry.
+/// Ceiling on the nodes one fleet shard holds at once (its rings' node and
+/// termination arrays): `min(--rings, shard size)` × the largest
+/// `--ring-sizes` entry. At the default shard size that admits
+/// `--ring-sizes` up to 9,765.
 const MAX_FLEET_SHARD_NODES: u64 = 10_000_000;
 
 fn at_most(flag: &str, value: u64, ceiling: u64) -> Result<(), ParseError> {
@@ -612,7 +613,7 @@ impl Cli {
                 co_bench::protocols()
                     .require(protocol.name(), Capability::Fleet)
                     .map_err(|e| err(format!("fleet: {e}")))?;
-                // One shard's arenas hold every node of its rings at once.
+                // One shard holds every node of its rings at once.
                 let shard_nodes = rings
                     .min(co_net::fleet::DEFAULT_SHARD_RINGS)
                     .saturating_mul(sizes.max_len() as u64);
@@ -725,7 +726,8 @@ OPTIONS:
   --max-configs N     explore: configuration cap (default 2000000)
   --dedup B           explore: fingerprint backend, exact|mmap[:BUDGET]
                       (default exact; mmap keeps the table in files —
-                      BUDGET accepts k/M/G suffixes, e.g. mmap:512M)
+                      BUDGET accepts k/M/G suffixes, e.g. mmap:512M,
+                      and is at most {max_budget}G)
   --checkpoint PATH   explore: write a resumable checkpoint to PATH
                       periodically and at the end of the run
   --checkpoint-every N  explore: configurations between checkpoints
@@ -742,6 +744,7 @@ OPTIONS:
         max_rings = MAX_RINGS,
         shard = co_net::fleet::DEFAULT_SHARD_RINGS,
         shard_nodes = MAX_FLEET_SHARD_NODES,
+        max_budget = co_net::dedup::MMAP_MAX_BUDGET >> 30,
     )
 }
 
@@ -1098,6 +1101,9 @@ mod tests {
         let e = Cli::parse(["fleet", "--ring-sizes", &MAX_N.to_string()]).unwrap_err();
         assert!(e.to_string().contains("nodes in one shard"), "{e}");
         assert!(Cli::parse(["fleet", "--rings", "1", "--ring-sizes", &MAX_N.to_string()]).is_ok());
+        // A full default shard admits rings of up to 9,765 nodes.
+        assert!(Cli::parse(["fleet", "--ring-sizes", "9765"]).is_ok());
+        assert!(Cli::parse(["fleet", "--ring-sizes", "9766"]).is_err());
     }
 
     #[test]
@@ -1108,6 +1114,19 @@ mod tests {
     }
 
     #[test]
+    fn mmap_budget_in_gigabytes_above_its_ceiling_is_refused() {
+        let e = Cli::parse(["explore", "--dedup", "mmap:16000000G"]).unwrap_err();
+        assert!(e.to_string().contains("above the ceiling"), "{e}");
+        assert!(Cli::parse(["explore", "--dedup", "mmap:64G"]).is_ok());
+    }
+
+    #[test]
+    fn mmap_budget_of_u64_max_bytes_is_refused() {
+        let e = Cli::parse(["explore", "--dedup", "mmap:18446744073709551615"]).unwrap_err();
+        assert!(e.to_string().contains("above the ceiling"), "{e}");
+    }
+
+    #[test]
     fn help_states_the_ceilings() {
         let text = usage();
         for ceiling in [
@@ -1115,6 +1134,7 @@ mod tests {
             MAX_RINGS.to_string(),
             MAX_SOLITUDE_ID.to_string(),
             MAX_FLEET_SHARD_NODES.to_string(),
+            format!("{}G", co_net::dedup::MMAP_MAX_BUDGET >> 30),
         ] {
             assert!(text.contains(&ceiling), "{ceiling} missing from help");
         }

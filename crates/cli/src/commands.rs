@@ -292,6 +292,17 @@ fn explore_error(msg: String) -> CommandOutput {
     }
 }
 
+/// Checks that explore can create its scratch subdirectories (mmap tables,
+/// spill files) under `dir` (`None` = the system temp dir), the way the
+/// explorer will: `create_dir_all` of a fresh child, removed again here.
+fn check_scratch_dir(dir: Option<&std::path::Path>) -> Result<(), String> {
+    let root = dir.map_or_else(std::env::temp_dir, std::path::Path::to_path_buf);
+    let probe = root.join(format!("co-ring-probe-{}", std::process::id()));
+    std::fs::create_dir_all(&probe)
+        .and_then(|()| std::fs::remove_dir(&probe))
+        .map_err(|e| format!("scratch directory {}: {e}", root.display()))
+}
+
 fn explore_cmd(
     opts: &CommonOpts,
     protocol: ProtocolChoice,
@@ -334,6 +345,13 @@ fn explore_cmd(
             Err(e) => return explore_error(e),
         },
     };
+    // The explorer treats a scratch directory it cannot write as a bug;
+    // catch a bad `--scratch-dir` here, before any work.
+    if matches!(dedup, co_net::DedupKind::Mmap { .. }) || io.spill > 0 {
+        if let Err(e) = check_scratch_dir(io.scratch_dir.as_deref()) {
+            return explore_error(e);
+        }
+    }
     let config = ExploreConfig {
         limits: ExploreLimits {
             max_configs,
@@ -1037,6 +1055,61 @@ mod tests {
         assert!(*configs > 1);
         let out = run_line(&["explore", "--ids", "1,2", "--max-configs", "2"]);
         assert_eq!(out.json.get("complete"), Some(&Value::Bool(false)));
+    }
+
+    #[test]
+    fn explore_accepts_the_largest_max_configs() {
+        let out = run_line(&[
+            "explore",
+            "--n",
+            "4",
+            "--max-configs",
+            "18446744073709551615",
+        ]);
+        assert_eq!(out.code, 0, "{}", out.text);
+        assert_eq!(out.json.get("complete"), Some(&Value::Bool(true)));
+    }
+
+    /// A `--scratch-dir` below a regular file, which no one can create.
+    fn unusable_scratch_dir(tag: &str) -> (std::path::PathBuf, String) {
+        let file = std::env::temp_dir().join(format!("co-ring-{tag}-{}", std::process::id()));
+        std::fs::write(&file, b"not a directory").expect("scratch file");
+        let dir = file.join("scratch").to_string_lossy().into_owned();
+        (file, dir)
+    }
+
+    #[test]
+    fn explore_mmap_refuses_an_unusable_scratch_dir() {
+        let (file, dir) = unusable_scratch_dir("mmap-scratch");
+        let out = run_line(&[
+            "explore",
+            "--n",
+            "4",
+            "--dedup",
+            "mmap",
+            "--scratch-dir",
+            &dir,
+        ]);
+        std::fs::remove_file(file).expect("remove scratch file");
+        assert_eq!(out.code, 1, "{}", out.text);
+        assert!(
+            out.text.starts_with("error: scratch directory "),
+            "{}",
+            out.text
+        );
+    }
+
+    #[test]
+    fn explore_spill_refuses_an_unusable_scratch_dir() {
+        let (file, dir) = unusable_scratch_dir("spill-scratch");
+        let out = run_line(&["explore", "--n", "5", "--spill", "1", "--scratch-dir", &dir]);
+        std::fs::remove_file(file).expect("remove scratch file");
+        assert_eq!(out.code, 1, "{}", out.text);
+        assert!(
+            out.text.starts_with("error: scratch directory "),
+            "{}",
+            out.text
+        );
     }
 
     #[test]

@@ -62,6 +62,13 @@ fn shard_of(stored: u64) -> usize {
 /// grows by rehash, so the budget only sets where growing starts.
 pub const MMAP_DEFAULT_BUDGET: usize = 1 << 20;
 
+/// Ceiling on an `mmap:BUDGET` initial budget: 64 GiB, 64× the largest
+/// budget below it that any test, CI job or README example uses
+/// (`mmap:1g`). Tables grow past their initial size by rehashing, so the
+/// ceiling never caps capacity; it only refuses initial files the
+/// filesystem cannot create.
+pub const MMAP_MAX_BUDGET: usize = 64 << 30;
+
 /// Which deduplication backend a [`ShardedIndex`] uses.
 #[derive(Copy, Clone, Debug, Default, PartialEq, Eq)]
 pub enum DedupKind {
@@ -109,19 +116,32 @@ impl fmt::Display for DedupKind {
     }
 }
 
-/// Error parsing a [`DedupKind`]; lists the valid spellings, matching the
-/// registry's "one of: …" error style.
+/// Error parsing a [`DedupKind`].
 #[derive(Clone, Debug, PartialEq, Eq)]
-pub struct ParseDedupError(String);
+pub enum ParseDedupError {
+    /// Not a backend spelling; the message lists the valid ones, matching
+    /// the registry's "one of: …" error style.
+    Unknown(String),
+    /// An `mmap:BUDGET` above [`MMAP_MAX_BUDGET`].
+    BudgetTooLarge(usize),
+}
 
 impl fmt::Display for ParseDedupError {
     fn fmt(&self, f: &mut fmt::Formatter<'_>) -> fmt::Result {
-        write!(
-            f,
-            "unknown dedup backend '{}'; one of: {}",
-            self.0,
-            DedupKind::NAMES.join(", ")
-        )
+        match self {
+            ParseDedupError::Unknown(s) => write!(
+                f,
+                "unknown dedup backend '{s}'; one of: {}",
+                DedupKind::NAMES.join(", ")
+            ),
+            ParseDedupError::BudgetTooLarge(budget) => write!(
+                f,
+                "mmap budget {budget} bytes is above the ceiling of {} bytes \
+                 ({}G); tables grow past their initial budget by rehashing",
+                MMAP_MAX_BUDGET,
+                MMAP_MAX_BUDGET >> 30
+            ),
+        }
     }
 }
 
@@ -155,11 +175,14 @@ impl FromStr for DedupKind {
             };
             if let Ok(n) = digits.parse::<usize>() {
                 if let Some(budget) = n.checked_mul(scale).filter(|&b| b > 0) {
+                    if budget > MMAP_MAX_BUDGET {
+                        return Err(ParseDedupError::BudgetTooLarge(budget));
+                    }
                     return Ok(DedupKind::Mmap { budget });
                 }
             }
         }
-        Err(ParseDedupError(s.to_string()))
+        Err(ParseDedupError::Unknown(s.to_string()))
     }
 }
 
@@ -1017,6 +1040,20 @@ mod tests {
                 err.contains("one of: exact, mmap[:BUDGET]"),
                 "error must list valid kinds: {err}"
             );
+        }
+        assert_eq!(
+            DedupKind::parse("mmap:64G"),
+            Some(DedupKind::Mmap {
+                budget: MMAP_MAX_BUDGET
+            })
+        );
+        for too_big in ["mmap:65G", "mmap:16000000G", "mmap:18446744073709551615"] {
+            let err = too_big.parse::<DedupKind>().unwrap_err();
+            assert!(
+                matches!(err, ParseDedupError::BudgetTooLarge(_)),
+                "{too_big}: {err}"
+            );
+            assert!(err.to_string().contains("above the ceiling"), "{err}");
         }
         assert_eq!(DedupKind::default(), DedupKind::Exact);
         assert_eq!(DedupKind::ALL.len(), DedupKind::NAMES.len());

@@ -5,17 +5,14 @@
 //! of users") maps to millions of *small* concurrent elections, not one
 //! giant ring. A [`Simulation`](crate::Simulation) heap-allocates its own
 //! queues, scheduler and stats — fine for one ring, ruinous for 10⁶. This
-//! module packs a whole *shard* of rings into contiguous struct-of-arrays
-//! arenas instead:
+//! module packs a whole *shard* of rings into contiguous arrays instead:
 //!
 //! - **protocol state**: one `Vec<P>` holding every node of every ring in
 //!   the shard, addressed by per-ring offsets;
-//! - **queue runs**: a single free-listed run arena (16-byte
-//!   `(head_seq, len)` runs, exactly the counter backend's representation)
-//!   shared by all channels of the shard, with per-channel head/tail
-//!   cursors in flat arrays;
-//! - **scheduler cursors**: per-channel queue lengths in a flat array; the
-//!   FIFO pick is a min-`head_seq` scan over one ring's `2n` channels.
+//! - **queues**: one send-order queue per shard, reused by each ring in
+//!   turn. A pulse has no content, so a ring's whole queue state is its
+//!   in-flight sends in send order; the FIFO pick pops the front, and the
+//!   counter backend's 16-byte runs are blocks of equal adjacent entries.
 //!
 //! Rings are mutually independent, so a shard runs them one after another
 //! through the same arenas (maximum cache reuse, zero per-ring allocation
@@ -26,11 +23,12 @@
 //! `--jobs 8` and a re-run all produce the same bytes.
 //!
 //! Per-ring execution replicates the [`EventCore`](crate::EventCore)
-//! delivery semantics exactly — same send-sequence numbering, same FIFO
-//! (min `head_seq`) pick, same outcome taxonomy, same stats bookkeeping —
-//! which [`run_ring_detailed`] turns into a checkable contract: a one-ring
-//! fleet yields the same [`RunReport`], [`SimStats`] and fingerprint as the
-//! equivalent [`Simulation`](crate::Simulation) run
+//! delivery semantics exactly — same send order, same FIFO (oldest send
+//! first) pick, same outcome taxonomy, same stats bookkeeping — which
+//! [`run_ring_detailed`] turns into a checkable contract: a one-ring fleet
+//! yields the same [`RunReport`], [`SimStats`], fingerprint and
+//! counter-backend peak queue bytes as the equivalent
+//! [`Simulation`](crate::Simulation) run
 //! (`tests/fleet_determinism.rs` locks this in for the paper's algorithms).
 //!
 //! Fleet runs are untimed, per-pulse and FIFO-scheduled: the virtual-clock
@@ -50,6 +48,7 @@ use crate::Pulse;
 use rand::rngs::StdRng;
 use rand::seq::SliceRandom;
 use rand::{Rng, SeedableRng};
+use std::collections::VecDeque;
 use std::fmt;
 use std::ops::Range;
 use std::str::FromStr;
@@ -57,10 +56,10 @@ use std::str::FromStr;
 /// Bytes one queue run occupies in the counter backend: `(head_seq, len)`.
 pub const RUN_BYTES: u64 = 16;
 
-/// Default rings per shard — the arena granularity. Big enough to amortize
-/// arena allocation, small enough that a shard's arenas stay a few MB and
-/// stream through cache while other shards run on other threads.
-pub const DEFAULT_SHARD_RINGS: u64 = 8192;
+/// Default rings per shard — the unit of thread-level parallelism. Small
+/// enough that a 10⁴-ring round splits into ten shards the worker pool can
+/// balance, big enough that per-shard set-up stays noise.
+pub const DEFAULT_SHARD_RINGS: u64 = 1024;
 
 /// The deterministic per-ring seed: a splitmix64 chain over the fleet seed,
 /// round number and ring index.
@@ -184,9 +183,9 @@ pub struct FleetConfig {
     /// `8·n² + 256`, comfortably above the paper's `n·(2·ID_max + 1)`
     /// bound for fleet-assigned IDs (a permutation of `1..=n`).
     pub ring_budget: Option<u64>,
-    /// Rings per shard (arena granularity); shards are the unit of
-    /// thread-level parallelism. The value never affects results, only
-    /// memory footprint and load balance.
+    /// Rings per shard; shards are the unit of thread-level parallelism.
+    /// The value never affects results, only memory footprint and load
+    /// balance.
     pub shard_rings: u64,
 }
 
@@ -290,137 +289,57 @@ pub fn ring_plan(cfg: &FleetConfig, round: u64, ring: u64) -> RingPlan {
 }
 
 // ---------------------------------------------------------------------------
-// Queue arenas
+// Send-order queue
 // ---------------------------------------------------------------------------
 
-/// Sentinel for "no run" in the run arena's intrusive lists.
-const NO_RUN: u32 = u32::MAX;
+/// Marks a ring with no planned fault in the shard's per-ring inject table.
+const NO_INJECT: u32 = u32::MAX;
 
-/// Free-listed arena of queue runs: the counter backend's 16-byte
-/// `(head_seq, len)` representation, shared by every channel of a shard.
+/// One ring's in-flight pulses as ring-local channel indices in send order.
 ///
-/// Runs form singly linked per-channel chains through `next`; freed runs go
-/// on an intrusive free list, so a shard performs no queue allocation after
-/// its high-water mark.
-#[derive(Debug)]
-struct RunArena {
-    head_seq: Vec<u64>,
-    len: Vec<u64>,
-    next: Vec<u32>,
-    free: u32,
-    /// Currently live runs, and the high-water mark of the *current ring*
-    /// (reset by the per-ring loop; used for peak bytes/ring).
-    live: u64,
-    peak: u64,
+/// A pulse carries no content, so a channel queue is nothing but the set of
+/// its in-flight sends; under FIFO the oldest send is always delivered
+/// first. The whole queue state of a ring is therefore this one sequence:
+/// a send (or an injected fault) pushes its channel at the back, the FIFO
+/// pick pops the front, and `in_flight` is the length.
+///
+/// The counter backend stores a channel's queue as runs of consecutive
+/// sequence numbers. Sequence numbers are consecutive here too, so a run is
+/// a block of equal adjacent entries: `live_runs` rises on a push whose
+/// channel differs from the back entry and falls on a pop whose channel
+/// differs from the new front, which keeps `peak_runs × RUN_BYTES` exactly
+/// the engine's `peak_queue_bytes`.
+#[derive(Debug, Default)]
+struct SendQueue {
+    order: VecDeque<u32>,
+    live_runs: u64,
+    peak_runs: u64,
 }
 
-impl RunArena {
-    fn new() -> RunArena {
-        RunArena {
-            head_seq: Vec::new(),
-            len: Vec::new(),
-            next: Vec::new(),
-            free: NO_RUN,
-            live: 0,
-            peak: 0,
+impl SendQueue {
+    /// Empties the queue for the next ring, keeping its allocation.
+    fn reset(&mut self) {
+        self.order.clear();
+        self.live_runs = 0;
+        self.peak_runs = 0;
+    }
+
+    fn push(&mut self, c: usize) {
+        let c = c as u32;
+        if self.order.back() != Some(&c) {
+            self.live_runs += 1;
+            self.peak_runs = self.peak_runs.max(self.live_runs);
         }
+        self.order.push_back(c);
     }
 
-    /// Allocates a fresh single-message run starting at `seq`.
-    fn alloc(&mut self, seq: u64) -> u32 {
-        self.live += 1;
-        self.peak = self.peak.max(self.live);
-        if self.free == NO_RUN {
-            self.head_seq.push(seq);
-            self.len.push(1);
-            self.next.push(NO_RUN);
-            (self.head_seq.len() - 1) as u32
-        } else {
-            let idx = self.free;
-            self.free = self.next[idx as usize];
-            self.head_seq[idx as usize] = seq;
-            self.len[idx as usize] = 1;
-            self.next[idx as usize] = NO_RUN;
-            idx
+    /// Pops the oldest in-flight send: the FIFO pick.
+    fn pop(&mut self) -> Option<usize> {
+        let c = self.order.pop_front()?;
+        if self.order.front() != Some(&c) {
+            self.live_runs -= 1;
         }
-    }
-
-    fn release(&mut self, idx: u32) {
-        self.next[idx as usize] = self.free;
-        self.free = idx;
-        self.live -= 1;
-    }
-}
-
-/// One ring's view of the queue state: per-channel cursors (subslices of
-/// the shard's flat arrays) plus the shard-wide run arena.
-struct Queues<'a> {
-    len: &'a mut [u64],
-    head: &'a mut [u32],
-    tail: &'a mut [u32],
-    runs: &'a mut RunArena,
-}
-
-impl Queues<'_> {
-    /// Appends send `seq` to channel `c`, coalescing with the tail run when
-    /// the sequence is contiguous — the counter backend's enqueue.
-    fn enqueue(&mut self, c: usize, seq: u64) {
-        if self.len[c] > 0 {
-            let t = self.tail[c] as usize;
-            if self.runs.head_seq[t] + self.runs.len[t] == seq {
-                self.runs.len[t] += 1;
-            } else {
-                let idx = self.runs.alloc(seq);
-                self.runs.next[self.tail[c] as usize] = idx;
-                self.tail[c] = idx;
-            }
-        } else {
-            let idx = self.runs.alloc(seq);
-            self.head[c] = idx;
-            self.tail[c] = idx;
-        }
-        self.len[c] += 1;
-    }
-
-    /// Sequence number at the head of channel `c` (undefined if empty).
-    fn head_seq(&self, c: usize) -> u64 {
-        self.runs.head_seq[self.head[c] as usize]
-    }
-
-    /// Pops the head message of channel `c`.
-    fn pop(&mut self, c: usize) {
-        let h = self.head[c] as usize;
-        self.runs.head_seq[h] += 1;
-        self.runs.len[h] -= 1;
-        self.len[c] -= 1;
-        if self.runs.len[h] == 0 {
-            let next = self.runs.next[h];
-            self.head[c] = next;
-            if next == NO_RUN {
-                self.tail[c] = NO_RUN;
-            }
-            self.runs.release(h as u32);
-        }
-    }
-
-    /// Releases every run still queued (budget-exhausted rings) so the
-    /// arena can be reused by the next ring.
-    fn clear(&mut self) {
-        for c in 0..self.len.len() {
-            let mut h = self.head[c];
-            while h != NO_RUN {
-                let next = self.runs.next[h as usize];
-                self.runs.release(h);
-                h = next;
-            }
-            self.len[c] = 0;
-            self.head[c] = NO_RUN;
-            self.tail[c] = NO_RUN;
-        }
-    }
-
-    fn in_flight(&self) -> u64 {
-        self.len.iter().sum()
+        Some(c as usize)
     }
 }
 
@@ -487,55 +406,50 @@ impl RingRun {
     }
 }
 
-/// Flushes a node's buffered sends in call order, assigning globally unique
-/// per-ring sequence numbers — the engine's `flush_outbox`.
+/// Flushes a node's buffered sends in call order — the engine's
+/// `flush_outbox`. Queue position stands in for the send sequence number.
 fn flush<O: RingObserver>(
     node: usize,
     outbox: &mut Vec<(usize, Pulse)>,
-    q: &mut Queues<'_>,
-    send_seq: &mut u64,
+    q: &mut SendQueue,
     rr: &mut RingRun,
     obs: &mut O,
 ) {
     let t = prof::start();
     for (port, _msg) in outbox.drain(..) {
-        let seq = *send_seq;
-        *send_seq += 1;
         rr.total_sent += 1;
         // Oriented ring: port One (index 1) is the CW direction (slot 0).
         rr.sent_by_direction[1 - port] += 1;
         obs.on_send(node, port);
-        q.enqueue(node * 2 + port, seq);
+        q.push(node * 2 + port);
     }
     prof::stop(prof::Phase::Enqueue, t);
 }
 
 /// Runs one oriented ring to quiescence or budget exhaustion under FIFO
 /// delivery, replicating `EventCore` semantics exactly: start-up dispatch
-/// order, send sequencing, min-`head_seq` picks, ignored deliveries to
-/// terminated nodes, and the outcome taxonomy.
+/// order, send order, oldest-send-first picks, ignored deliveries to
+/// terminated nodes, and the outcome taxonomy. `q` is reset first and
+/// holds the pulses still in flight when the ring stops.
 fn run_ring<P: Protocol<Pulse>, O: RingObserver>(
     nodes: &mut [P],
     terminated: &mut [bool],
-    q: &mut Queues<'_>,
+    q: &mut SendQueue,
     outbox: &mut Vec<(usize, Pulse)>,
     inject: Option<usize>,
     budget: u64,
     obs: &mut O,
 ) -> RingRun {
     let n = nodes.len();
-    let channels = 2 * n;
-    debug_assert_eq!(q.len.len(), channels);
     let mut rr = RingRun::default();
-    let mut send_seq: u64 = 0;
-    q.runs.peak = q.runs.live; // ring-local high-water mark
+    q.reset();
 
     // Start-up: each node's on_start, flushed before the next node starts,
     // exactly like `EventCore::start`.
     for i in 0..n {
         let mut ctx = Context::buffered(i, outbox);
         nodes[i].on_start(&mut ctx);
-        flush(i, outbox, q, &mut send_seq, &mut rr, obs);
+        flush(i, outbox, q, &mut rr, obs);
         if !terminated[i] && nodes[i].is_terminated() {
             terminated[i] = true;
         }
@@ -544,28 +458,16 @@ fn run_ring<P: Protocol<Pulse>, O: RingObserver>(
     // Fault injection: one spurious pulse, sequenced after start-up sends;
     // counted as a fault, never as a send (`EventCore::inject`).
     if let Some(c) = inject {
-        let seq = send_seq;
-        send_seq += 1;
-        q.enqueue(c, seq);
+        q.push(c);
         rr.injected += 1;
     }
 
-    // Delivery loop: FIFO = globally oldest send first. Sequence numbers
-    // are unique within a ring, so the min scan never ties.
+    // Delivery loop: FIFO = globally oldest send first = the queue front.
     while rr.steps < budget {
         let t = prof::start();
-        let mut best: Option<(usize, u64)> = None;
-        for c in 0..channels {
-            if q.len[c] > 0 {
-                let hs = q.head_seq(c);
-                if best.is_none_or(|(_, b)| hs < b) {
-                    best = Some((c, hs));
-                }
-            }
-        }
+        let picked = q.pop();
         prof::stop(prof::Phase::Pick, t);
-        let Some((c, _)) = best else { break };
-        q.pop(c);
+        let Some(c) = picked else { break };
         rr.steps += 1;
 
         // Oriented wiring: channel (v, One) feeds the CW neighbour's port
@@ -587,15 +489,15 @@ fn run_ring<P: Protocol<Pulse>, O: RingObserver>(
         let mut ctx = Context::buffered(receiver, outbox);
         nodes[receiver].on_message(Port::from_index(in_port), Pulse, &mut ctx);
         prof::stop(prof::Phase::Deliver, t);
-        flush(receiver, outbox, q, &mut send_seq, &mut rr, obs);
+        flush(receiver, outbox, q, &mut rr, obs);
         if !terminated[receiver] && nodes[receiver].is_terminated() {
             terminated[receiver] = true;
         }
     }
 
-    rr.in_flight = q.in_flight();
+    rr.in_flight = q.order.len() as u64;
     rr.all_terminated = terminated.iter().all(|&t| t);
-    rr.peak_runs = q.runs.peak;
+    rr.peak_runs = q.peak_runs;
     rr
 }
 
@@ -869,7 +771,7 @@ impl fmt::Display for FleetReport {
 // ---------------------------------------------------------------------------
 
 /// Runs one shard of rings (`rings` is a range of ring indices) through
-/// shared struct-of-arrays arenas and returns its aggregate report.
+/// shared arrays and returns its aggregate report.
 ///
 /// `make(plan, pos)` builds the node at position `pos` of a planned ring
 /// (its ID is `plan.ids[pos]`, its clockwise port [`Port::One`]);
@@ -898,19 +800,16 @@ where
     for ring in rings {
         fill_plan(cfg, round, ring, &mut plan);
         ring_n.push(plan.n as u32);
-        ring_inject.push(plan.inject.map_or(NO_RUN, |c| c as u32));
+        ring_inject.push(plan.inject.map_or(NO_INJECT, |c| c as u32));
         for pos in 0..plan.n {
             nodes.push(make(&plan, pos));
         }
     }
 
-    // Flat channel/termination arenas for the whole shard.
-    let total_nodes = nodes.len();
-    let mut terminated = vec![false; total_nodes];
-    let mut qlen = vec![0u64; 2 * total_nodes];
-    let mut qhead = vec![NO_RUN; 2 * total_nodes];
-    let mut qtail = vec![NO_RUN; 2 * total_nodes];
-    let mut runs = RunArena::new();
+    // Termination arena for the whole shard; one send-order queue reused
+    // by every ring.
+    let mut terminated = vec![false; nodes.len()];
+    let mut q = SendQueue::default();
     let mut outbox: Vec<(usize, Pulse)> = Vec::new();
 
     // Run pass: rings execute one after another through the same arenas.
@@ -918,13 +817,7 @@ where
     let mut off = 0usize;
     for (i, &rn) in ring_n.iter().enumerate() {
         let n = rn as usize;
-        let mut q = Queues {
-            len: &mut qlen[2 * off..2 * (off + n)],
-            head: &mut qhead[2 * off..2 * (off + n)],
-            tail: &mut qtail[2 * off..2 * (off + n)],
-            runs: &mut runs,
-        };
-        let inject = (ring_inject[i] != NO_RUN).then_some(ring_inject[i] as usize);
+        let inject = (ring_inject[i] != NO_INJECT).then_some(ring_inject[i] as usize);
         let ring_nodes = &mut nodes[off..off + n];
         let rr = run_ring(
             ring_nodes,
@@ -935,9 +828,6 @@ where
             cfg.budget_for(n),
             &mut NullObserver,
         );
-        if rr.in_flight > 0 {
-            q.clear();
-        }
         let leaders = ring_nodes.iter().filter(|p| is_leader(p)).count() as u64;
         report.absorb(&rr, n as u64, leaders);
         off += n;
@@ -981,6 +871,9 @@ pub struct FleetRingDetail {
     pub stats: SimStats,
     /// End-state fingerprint, bit-for-bit `Simulation::fingerprint`.
     pub fingerprint: u64,
+    /// Peak queue bytes, byte-for-byte `Simulation::peak_queue_bytes` under
+    /// [`QueueBackend::Counter`](crate::QueueBackend::Counter).
+    pub peak_queue_bytes: u64,
     /// Number of nodes classified as leader at the end.
     pub leaders: u64,
     /// The pulse budget the ring ran under (for rebuilding the equivalent
@@ -1009,17 +902,8 @@ where
     let n = plan.n;
     let mut nodes: Vec<P> = (0..n).map(|pos| make(&plan, pos)).collect();
     let mut terminated = vec![false; n];
-    let mut qlen = vec![0u64; 2 * n];
-    let mut qhead = vec![NO_RUN; 2 * n];
-    let mut qtail = vec![NO_RUN; 2 * n];
-    let mut runs = RunArena::new();
+    let mut q = SendQueue::default();
     let mut outbox: Vec<(usize, Pulse)> = Vec::new();
-    let mut q = Queues {
-        len: &mut qlen,
-        head: &mut qhead,
-        tail: &mut qtail,
-        runs: &mut runs,
-    };
     let mut obs = PortCounters {
         sent: vec![[0; 2]; n],
         recv: vec![[0; 2]; n],
@@ -1035,15 +919,18 @@ where
         &mut obs,
     );
 
-    // Fingerprint before clearing leftovers: same write order as
-    // `Simulation::fingerprint` (node count, started flag, per-channel
-    // queue lengths in global channel order, termination flags, node
-    // fingerprints).
+    // Same write order as `Simulation::fingerprint`: node count, started
+    // flag, per-channel queue lengths in global channel order, termination
+    // flags, node fingerprints.
+    let mut queue_len = vec![0usize; 2 * n];
+    for &c in &q.order {
+        queue_len[c as usize] += 1;
+    }
     let mut fp = Fingerprint::new();
     fp.write_usize(n);
     fp.write_bool(true);
-    for c in 0..2 * n {
-        fp.write_usize(q.len[c] as usize);
+    for &len in &queue_len {
+        fp.write_usize(len);
     }
     for &t in &terminated {
         fp.write_bool(t);
@@ -1075,6 +962,7 @@ where
         report,
         stats,
         fingerprint,
+        peak_queue_bytes: rr.peak_runs * RUN_BYTES,
         leaders,
         budget: Budget::steps(budget),
     }
@@ -1083,7 +971,7 @@ where
 #[cfg(test)]
 mod tests {
     use super::*;
-    use crate::{RingSpec, SchedulerKind, Simulation};
+    use crate::{QueueBackend, RingSpec, SchedulerKind, Simulation};
 
     /// A miniature Algorithm 1: send CW on start, relay until the received
     /// count reaches the node's ID. Stabilizes with the ID_max holder as
@@ -1313,14 +1201,23 @@ mod tests {
                     .iter()
                     .map(|&id| MiniAlg1::new(id))
                     .collect();
-                let mut sim: Simulation<Pulse, MiniAlg1> =
-                    Simulation::new(spec.wiring(), nodes, SchedulerKind::Fifo.build(0));
+                let mut sim: Simulation<Pulse, MiniAlg1> = Simulation::with_backend(
+                    spec.wiring(),
+                    nodes,
+                    SchedulerKind::Fifo.build(0),
+                    QueueBackend::Counter,
+                );
                 let report = sim.run(detail.budget);
                 assert_eq!(detail.report, report, "n = {n}, seed = {seed}");
                 assert_eq!(&detail.stats, sim.stats(), "n = {n}, seed = {seed}");
                 assert_eq!(
                     detail.fingerprint,
                     sim.fingerprint(),
+                    "n = {n}, seed = {seed}"
+                );
+                assert_eq!(
+                    detail.peak_queue_bytes,
+                    sim.peak_queue_bytes() as u64,
                     "n = {n}, seed = {seed}"
                 );
             }

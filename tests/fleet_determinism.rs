@@ -8,10 +8,14 @@
 //!    is performed in shard order regardless of which thread ran what.
 //! 2. **Engine equivalence** — a one-ring fleet is not a reimplementation
 //!    wearing the engine's clothes: for the paper's actual protocols it
-//!    must produce the same `RunReport`, the same `SimStats` and the same
-//!    configuration fingerprint as a `Simulation` built from the identical
-//!    `RingPlan`, with and without an injected fault.
-//! 3. **Scale** (ignored by default, run by the CI `fleet-smoke` job in
+//!    must produce the same `RunReport`, the same `SimStats`, the same
+//!    configuration fingerprint and the same counter-backend peak queue
+//!    bytes as a `Simulation` built from the identical `RingPlan`, with and
+//!    without an injected fault.
+//! 3. **Golden reports** — two full multi-shard `FleetReport`s are pinned
+//!    to the exact figures `co-ring fleet` printed for them before the
+//!    fleet kernel was rewritten, at every `--jobs` value.
+//! 4. **Scale** (ignored by default, run by the CI `fleet-smoke` job in
 //!    release) — 10⁵ mixed-size rings and the headline 10⁶-ring fleet
 //!    complete in-process with every clean ring electing exactly one
 //!    leader.
@@ -24,8 +28,10 @@
 use co_bench::{protocols, run_fleet_round};
 use content_oblivious::core::registry::{Capability, FleetDriver};
 use content_oblivious::core::{Alg1Node, Alg2Node};
-use content_oblivious::net::fleet::{FleetConfig, FleetRingDetail, RingSizes};
-use content_oblivious::net::{ChannelId, Protocol, Pulse, RingSpec, SchedulerKind, Simulation};
+use content_oblivious::net::fleet::{FleetConfig, FleetReport, FleetRingDetail, RingSizes};
+use content_oblivious::net::{
+    ChannelId, Protocol, Pulse, QueueBackend, RingSpec, RunReport, SchedulerKind, Simulation,
+};
 
 fn mixed_cfg(rings: u64, seed: u64, fault_rate: f64) -> FleetConfig {
     let mut cfg = FleetConfig::new(rings);
@@ -68,17 +74,21 @@ fn aggregate_report_is_jobs_invariant_and_reproducible() {
     }
 }
 
-/// Replays `detail`'s ring plan through the real event core and checks the
-/// fleet produced the identical execution.
-fn assert_matches_simulation<P, F>(detail: &FleetRingDetail, make: F, label: &str)
+/// Replays `detail`'s ring plan through the real event core on `backend`
+/// and returns the finished simulation with its run report.
+fn simulate<P, F>(
+    detail: &FleetRingDetail,
+    make: &F,
+    backend: QueueBackend,
+) -> (Simulation<Pulse, P>, RunReport)
 where
-    P: Protocol<Pulse> + content_oblivious::net::Snapshot,
+    P: Protocol<Pulse>,
     F: Fn(&RingSpec, usize) -> P,
 {
     let spec = RingSpec::oriented(detail.plan.ids.clone());
     let nodes: Vec<P> = (0..spec.len()).map(|i| make(&spec, i)).collect();
     let mut sim: Simulation<Pulse, P> =
-        Simulation::new(spec.wiring(), nodes, SchedulerKind::Fifo.build(0));
+        Simulation::with_backend(spec.wiring(), nodes, SchedulerKind::Fifo.build(0), backend);
     // The fleet starts every node, then injects the planned fault (if any)
     // — mirror that order so send sequence numbers line up.
     sim.start();
@@ -86,23 +96,44 @@ where
         sim.inject(ChannelId::from_index(channel), Pulse);
     }
     let report = sim.run(detail.budget);
-    assert_eq!(detail.report, report, "{label}: RunReport");
-    assert_eq!(&detail.stats, sim.stats(), "{label}: SimStats");
-    assert_eq!(
-        detail.fingerprint,
-        sim.fingerprint(),
-        "{label}: fingerprint"
-    );
+    (sim, report)
+}
+
+/// Checks the fleet produced the identical execution to the event core: the
+/// same `RunReport`, `SimStats` and fingerprint on both queue backends, and
+/// the counter backend's peak queue bytes.
+fn assert_matches_simulation<P, F>(detail: &FleetRingDetail, make: F, label: &str)
+where
+    P: Protocol<Pulse> + content_oblivious::net::Snapshot,
+    F: Fn(&RingSpec, usize) -> P,
+{
+    for backend in [QueueBackend::Vec, QueueBackend::Counter] {
+        let (sim, report) = simulate(detail, &make, backend);
+        assert_eq!(detail.report, report, "{label}, {backend:?}: RunReport");
+        assert_eq!(&detail.stats, sim.stats(), "{label}, {backend:?}: SimStats");
+        assert_eq!(
+            detail.fingerprint,
+            sim.fingerprint(),
+            "{label}, {backend:?}: fingerprint"
+        );
+        if backend == QueueBackend::Counter {
+            assert_eq!(
+                detail.peak_queue_bytes,
+                sim.peak_queue_bytes() as u64,
+                "{label}: counter-backend peak queue bytes"
+            );
+        }
+    }
 }
 
 #[test]
 fn one_ring_fleet_matches_the_event_core_for_the_papers_algorithms() {
     for (protocol, driver) in fleet_entries() {
-        for n in [1usize, 2, 3, 5, 8] {
+        for n in [1usize, 2, 3, 5, 8, 13] {
             // fault_rate 1.0 guarantees the plan carries an injection; 0.0
             // guarantees it does not — both paths must match the engine.
             for fault_rate in [0.0, 1.0] {
-                for seed in 0..3u64 {
+                for seed in 0..5u64 {
                     let mut cfg = FleetConfig::new(1);
                     cfg.sizes = RingSizes::Fixed(n);
                     cfg.seed = seed;
@@ -130,6 +161,65 @@ fn one_ring_fleet_matches_the_event_core_for_the_papers_algorithms() {
                 }
             }
         }
+    }
+}
+
+/// Merges `rounds` fleet rounds the way `co-ring fleet --rounds` does.
+fn fleet_rounds(cfg: &FleetConfig, driver: FleetDriver, rounds: u64, jobs: usize) -> FleetReport {
+    let mut report = FleetReport::new();
+    for round in 0..rounds {
+        report.merge(&run_fleet_round(cfg, driver, round, jobs));
+    }
+    report
+}
+
+#[test]
+fn golden_fleet_reports_are_unchanged() {
+    // `co-ring fleet --protocol alg2 --rings 10000 --fault-rate 0.01
+    // --seed 101 --rounds 2`: the benchmark's fleet shape, two rounds.
+    let alg2 = mixed_cfg(10_000, 101, 0.01);
+    // `co-ring fleet --protocol alg1 --rings 5000 --ring-sizes
+    // uniform:3..40 --fault-rate 0.2 --seed 7`: up to 41 live queue runs
+    // per ring, so run merging and splitting both matter.
+    let mut alg1 = FleetConfig::new(5_000);
+    alg1.sizes = RingSizes::Uniform { min: 3, max: 40 };
+    alg1.seed = 7;
+    alg1.fault_rate = 0.2;
+    let cases = [
+        (
+            "alg2",
+            alg2,
+            2,
+            "fleet: 20000 rings (119820 nodes)\n\
+             outcomes: 19805 quiescent-terminated | 11 quiescent | \
+             0 terminated-nonquiescent | 184 budget-exhausted\n\
+             elections won (unique leader): 19807\n\
+             pulses: 1807554 delivered, 1807543 sent | faults injected: 195\n\
+             pulses-to-quiescence: p50=64 p99=160 max=171\n\
+             peak queue bytes/ring: 160\n",
+        ),
+        (
+            "alg1",
+            alg1,
+            1,
+            "fleet: 5000 rings (106889 nodes)\n\
+             outcomes: 0 quiescent-terminated | 4034 quiescent | \
+             0 terminated-nonquiescent | 966 budget-exhausted\n\
+             elections won (unique leader): 4034\n\
+             pulses: 7068025 delivered, 7068025 sent | faults injected: 966\n\
+             pulses-to-quiescence: p50=384 p99=1536 max=1600\n\
+             peak queue bytes/ring: 656\n",
+        ),
+    ];
+    for (protocol, cfg, rounds, expected) in cases {
+        let driver = protocols().fleet(protocol).expect("fleet-capable");
+        let report = fleet_rounds(&cfg, driver, rounds, 1);
+        assert_eq!(report.render(), expected, "{protocol}");
+        assert_eq!(
+            fleet_rounds(&cfg, driver, rounds, 0),
+            report,
+            "{protocol}: jobs-invariant"
+        );
     }
 }
 
