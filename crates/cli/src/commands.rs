@@ -369,7 +369,13 @@ fn explore_cmd(
         resume,
         ..ExploreConfig::default()
     };
-    let report = driver.run(&spec, &config);
+    let report = match driver.try_run(&spec, &config) {
+        Ok(report) => report,
+        Err(e) => {
+            let ck = io.resume.as_ref().expect("only a resumed run is refused");
+            return explore_error(format!("{}: {e}", ck.display()));
+        }
+    };
     let text = format!(
         "exhaustive exploration of {protocol} on {spec}\n\
          workers: {} | dedup: {}\n\
@@ -1165,6 +1171,47 @@ mod tests {
             ("truncated.ck", "dedup shard"),
         ] {
             let out = run_line(&["explore", "--ids", "3,1,2", "--resume", &path(name)]);
+            assert_eq!(out.code, 1, "{name}: {}", out.text);
+            assert!(out.text.starts_with("error:"), "{name}: {}", out.text);
+            assert!(out.text.contains(why), "{name}: {}", out.text);
+        }
+        let _ = std::fs::remove_dir_all(&dir);
+    }
+
+    #[test]
+    fn explore_resume_refuses_picks_that_do_not_replay() {
+        let dir = std::env::temp_dir().join(format!("co-ring-cli-picks-{}", std::process::id()));
+        std::fs::create_dir_all(&dir).expect("scratch dir");
+        let path = |name: &str| dir.join(name).to_string_lossy().into_owned();
+        let ring = ["--protocol", "alg2", "--n", "7"];
+        let cut = run_line(
+            &[
+                &[
+                    "explore",
+                    "--max-configs",
+                    "3000",
+                    "--checkpoint",
+                    &path("cut.ck"),
+                ],
+                &ring[..],
+            ]
+            .concat(),
+        );
+        assert_eq!(cut.code, 0, "{}", cut.text);
+        let ck = ExploreCheckpoint::read(dir.join("cut.ck").as_path()).expect("valid checkpoint");
+        // Channel 9999 does not exist; channel 0 is empty in the started
+        // initial configuration, where every path's first pick delivers.
+        for (pick, why) in [(9999, "channel 9999 does not exist"), (0, "holds no pulse")] {
+            let mut edited = ck.clone();
+            edited
+                .frontier
+                .iter_mut()
+                .find(|item| !item.picks.is_empty())
+                .expect("a non-empty frontier path")
+                .picks[0] = pick;
+            let name = format!("pick{pick}.ck");
+            edited.write_atomic(&dir.join(&name)).expect("write");
+            let out = run_line(&[&["explore", "--resume", &path(&name)], &ring[..]].concat());
             assert_eq!(out.code, 1, "{name}: {}", out.text);
             assert!(out.text.starts_with("error:"), "{name}: {}", out.text);
             assert!(out.text.contains(why), "{name}: {}", out.text);

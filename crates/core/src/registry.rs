@@ -42,7 +42,7 @@ use crate::ablation::UngatedAlg2Node;
 use crate::election::Role;
 use crate::invariants::Alg2MonitorObserver;
 use crate::{Alg1Node, Alg2Node, Alg3Node, IdScheme};
-use co_net::explore::{explore, ExploreConfig, ExploreReport};
+use co_net::explore::{try_explore, ExploreConfig, ExploreReport, ResumeError};
 use co_net::fleet::{self, FleetConfig, FleetReport, FleetRingDetail, RingPlan};
 use co_net::{
     Budget, LatencyPlan, Message, Port, Protocol, Pulse, RingSpec, RunReport, Schedule,
@@ -214,7 +214,7 @@ pub struct Replayed {
 
 type RecordFn = fn(&RingSpec, &DriveOpts) -> Recorded;
 type ReplayFn = fn(&RingSpec, &DriveOpts, &Schedule) -> Replayed;
-type ExploreFn = fn(&RingSpec, &ExploreConfig) -> ExploreReport;
+type ExploreFn = fn(&RingSpec, &ExploreConfig) -> Result<ExploreReport, ResumeError>;
 type HuntFn = fn(&RingSpec, SchedulerKind, u64) -> Option<Schedule>;
 type ViolatesFn = fn(&RingSpec, &Schedule) -> bool;
 type FleetShardFn = fn(&FleetConfig, u64, Range<u64>) -> FleetReport;
@@ -257,14 +257,14 @@ fn replay_driver<D: RingProtocol>(
 /// machinery (mmap dedup tables, frontier spill, checkpoint/resume) rides
 /// entirely inside [`ExploreConfig`], so this signature — and every
 /// registered protocol — is untouched by where the visited set lives.
-fn explore_driver<D>(spec: &RingSpec, config: &ExploreConfig) -> ExploreReport
+fn explore_driver<D>(spec: &RingSpec, config: &ExploreConfig) -> Result<ExploreReport, ResumeError>
 where
     D: RingProtocol<Msg = Pulse>,
     D::Node: Clone + Sync,
     <D::Node as Snapshot>::State: Send,
 {
     let nodes = D::nodes(spec);
-    explore(
+    try_explore(
         &spec.wiring(),
         move || nodes.clone(),
         |_| Ok(()),
@@ -384,8 +384,25 @@ pub struct ExploreDriver {
 
 impl ExploreDriver {
     /// Explores every delivery order of the protocol on `spec`.
+    ///
+    /// # Panics
+    ///
+    /// Panics if `config.resume` holds a checkpoint the explorer refuses;
+    /// [`ExploreDriver::try_run`] returns the [`ResumeError`] instead.
     #[must_use]
     pub fn run(&self, spec: &RingSpec, config: &ExploreConfig) -> ExploreReport {
+        self.try_run(spec, config)
+            .unwrap_or_else(|e| panic!("cannot resume the checkpoint: {e}"))
+    }
+
+    /// [`ExploreDriver::run`], with a checkpoint the explorer cannot resume
+    /// (another dedup backend, or a frontier path that does not replay)
+    /// returned as an error.
+    pub fn try_run(
+        &self,
+        spec: &RingSpec,
+        config: &ExploreConfig,
+    ) -> Result<ExploreReport, ResumeError> {
         (self.explore)(spec, config)
     }
 }

@@ -8,12 +8,16 @@
 //! verifying a safety predicate in each and a final predicate in every
 //! quiescent configuration.
 //!
-//! [`explore`] runs on the snapshot layer: the protocol implements
-//! [`Snapshot`], so the explorer checkpoints a real [`Simulation`] with
-//! [`Simulation::snapshot`], branches with [`Simulation::step_channel`], and
-//! deduplicates visited configurations by their stable 64-bit
-//! [`Simulation::fingerprint`] — **8 bytes per configuration** regardless of
-//! ring size. It runs on a pool of `jobs` work-stealing workers; with
+//! [`explore`] drives a real [`Simulation`] and keeps its frontier as flat
+//! pulse configurations. In the content-oblivious model every message is a
+//! bare pulse, so a configuration is just the node states ([`Snapshot`]),
+//! a pulse count per channel, the terminated flags and the send counters:
+//! a [`PulseConfig`]. The explorer records one per admitted configuration,
+//! loads it back into a worker's simulation before each branch, branches
+//! with [`Simulation::step_channel`], and deduplicates visited
+//! configurations by their stable 64-bit [`Simulation::fingerprint`] —
+//! **8 bytes per configuration** regardless of ring size. It runs on a
+//! pool of `jobs` work-stealing workers; with
 //! `jobs: 1` the visit order, and so the order of reported violations, is
 //! deterministic. The previous-generation explorer is kept as
 //! [`explore_reference`]: it stores full `(queues, terminated, node-keys)`
@@ -69,11 +73,13 @@ use crate::engine::QueueBackend;
 use crate::faults::FaultPlan;
 use crate::message::Pulse;
 use crate::port::Port;
+use crate::prof::{self, Phase};
 use crate::sched::{ChannelView, Scheduler};
-use crate::sim::{Context, Protocol, SimSnapshot, Simulation};
+use crate::sim::{Context, Protocol, Simulation};
 use crate::snapshot::{put_bytes, put_str, put_u32, put_u64, ByteReader, Fingerprint, Snapshot};
 use crate::topology::{ChannelId, Wiring};
 use std::collections::{HashSet, VecDeque};
+use std::fmt;
 use std::fs::{File, OpenOptions};
 use std::hash::Hash;
 use std::os::unix::fs::FileExt;
@@ -207,13 +213,6 @@ pub struct ExploreConfig {
     /// faults left to fire, the explorer therefore mixes the (clamped) send
     /// counter into the fingerprint so deduplication stays sound.
     pub faults: FaultPlan,
-    /// Queue storage backend for the worker simulations (see
-    /// [`QueueBackend`]). The visited state space, fingerprints, and report
-    /// are identical under either backend — asserted by differential
-    /// tests — so this only trades snapshot memory for envelope generality.
-    /// Defaults to [`QueueBackend::Counter`]: the explorer only carries
-    /// pulses.
-    pub backend: QueueBackend,
     /// Frontier spill-to-disk high-water mark, in items per worker shard
     /// (`0` disables spilling). When a worker's shard grows past this mark,
     /// its *coldest* items (the shard front — the ones LIFO processing
@@ -233,7 +232,8 @@ pub struct ExploreConfig {
     /// Resume from a previously written checkpoint instead of the initial
     /// configuration. The caller is responsible for checking
     /// [`ExploreCheckpoint::meta`] describes the same instance; the
-    /// explorer itself asserts the dedup backend matches.
+    /// explorer itself checks the dedup backend and replays every frontier
+    /// path before any worker starts (see [`ResumeError`]).
     pub resume: Option<ExploreCheckpoint>,
 }
 
@@ -244,7 +244,6 @@ impl Default for ExploreConfig {
             jobs: 0,
             dedup: DedupKind::Exact,
             faults: FaultPlan::new(),
-            backend: QueueBackend::Counter,
             spill_high_water: 0,
             scratch_dir: None,
             checkpoint: None,
@@ -570,12 +569,180 @@ impl Drop for SpillFile {
     }
 }
 
-/// One frontier entry: the snapshot to expand (or `None` for items loaded
-/// from a checkpoint/spill file, which are rematerialized by replaying
-/// `path` from the initial configuration), its depth, and — when paths are
-/// being tracked for spill/checkpoint — its replay path.
+/// One configuration of a pulse protocol as a flat record: every node's
+/// [`Snapshot::State`], one word per channel holding its pulse count, one
+/// word per node holding its terminated flag, and the send counters.
+///
+/// In the content-oblivious model every message is a bare pulse, so this
+/// is the whole configuration. It is the explorer's frontier item: two
+/// allocations, where a [`crate::SimSnapshot`] also carries queue runs,
+/// per-port statistics, the ready order, scheduler state, timers and the
+/// clock, none of which the explorer reads. [`PulseConfig::load`] writes
+/// it back into a running [`Simulation`], which then delivers by channel
+/// ([`Simulation::step_channel`]) exactly as the captured one would:
+/// equal [`Simulation::fingerprint`], send counters and successors.
+#[derive(Clone, Debug)]
+pub struct PulseConfig<S> {
+    nodes: Vec<S>,
+    /// The per-channel pulse counts, then the per-node terminated flags.
+    words: Vec<u32>,
+    /// The global send counter, which [`FaultPlan`]s trigger on.
+    send_seq: u64,
+    /// Pulses sent so far ([`ExploreState::sent`]).
+    sent: u64,
+}
+
+impl<S> PulseConfig<S> {
+    /// Captures `sim`'s current configuration.
+    #[must_use]
+    pub fn capture<P>(sim: &Simulation<Pulse, P>) -> PulseConfig<S>
+    where
+        P: Protocol<Pulse> + Snapshot<State = S>,
+    {
+        let t = prof::start();
+        let counts = (0..sim.wiring().channel_count())
+            .map(|ch| sim.queue_len(ChannelId::from_index(ch)) as u32);
+        let flags = (0..sim.nodes().len()).map(|v| u32::from(sim.is_terminated(v)));
+        let config = PulseConfig {
+            nodes: sim.nodes().iter().map(Snapshot::extract).collect(),
+            words: counts.chain(flags).collect(),
+            send_seq: sim.send_seq(),
+            sent: sim.stats().total_sent,
+        };
+        prof::stop(Phase::Record, t);
+        config
+    }
+
+    /// Loads this configuration into `sim` in place: node states, queue
+    /// counts, terminated flags and send counters. Statistics the
+    /// configuration does not hold (per-port counts, fault counters) keep
+    /// whatever values `sim` had.
+    ///
+    /// # Panics
+    ///
+    /// Panics if `sim` has a different ring size, does not store its
+    /// queues with [`QueueBackend::Counter`], has a latency plan installed
+    /// or a timer pending.
+    pub fn load<P>(&self, sim: &mut Simulation<Pulse, P>)
+    where
+        P: Protocol<Pulse> + Snapshot<State = S>,
+    {
+        let t = prof::start();
+        let (counts, terminated) = self.words.split_at(self.words.len() - self.nodes.len());
+        sim.load_pulse_config(&self.nodes, counts, terminated, self.send_seq, self.sent);
+        prof::stop(Phase::Load, t);
+    }
+}
+
+/// Why [`try_explore`] refused to resume a checkpoint. Every check runs
+/// before any worker starts, so a refused resume has explored nothing.
+#[derive(Clone, Debug, PartialEq, Eq)]
+pub enum ResumeError {
+    /// The checkpoint was written with a different dedup backend.
+    Dedup {
+        /// The backend named in the checkpoint.
+        checkpoint: String,
+        /// The backend of this run.
+        run: String,
+    },
+    /// A frontier path names a channel the ring does not have.
+    NoSuchChannel {
+        /// Index of the frontier item.
+        item: usize,
+        /// Position of the pick in the item's path.
+        step: usize,
+        /// The channel the pick names.
+        channel: u32,
+        /// Channels the ring has.
+        channels: usize,
+    },
+    /// A frontier path delivers from a channel that holds no pulse at that
+    /// point of its replay.
+    EmptyChannel {
+        /// Index of the frontier item.
+        item: usize,
+        /// Position of the pick in the item's path.
+        step: usize,
+        /// The channel the pick names.
+        channel: u32,
+    },
+}
+
+impl fmt::Display for ResumeError {
+    fn fmt(&self, f: &mut fmt::Formatter<'_>) -> fmt::Result {
+        match self {
+            ResumeError::Dedup { checkpoint, run } => write!(
+                f,
+                "checkpoint was written with dedup backend '{checkpoint}', this run uses '{run}'"
+            ),
+            ResumeError::NoSuchChannel {
+                item,
+                step,
+                channel,
+                channels,
+            } => write!(
+                f,
+                "frontier item {item}, pick {step}: channel {channel} does not exist \
+                 (the ring has {channels} channels)"
+            ),
+            ResumeError::EmptyChannel {
+                item,
+                step,
+                channel,
+            } => write!(
+                f,
+                "frontier item {item}, pick {step}: channel {channel} holds no pulse \
+                 at that point of the replay"
+            ),
+        }
+    }
+}
+
+impl std::error::Error for ResumeError {}
+
+/// Rematerializes frontier item `item` in `sim`: loads the started
+/// initial configuration `seed`, then delivers `picks` in order. Faults key
+/// on the global send sequence, which the replay reproduces exactly.
+fn replay<P>(
+    sim: &mut Simulation<Pulse, P>,
+    seed: &PulseConfig<P::State>,
+    item: usize,
+    picks: &[u32],
+) -> Result<(), ResumeError>
+where
+    P: Protocol<Pulse> + Snapshot,
+{
+    seed.load(sim);
+    let channels = sim.wiring().channel_count();
+    for (step, &channel) in picks.iter().enumerate() {
+        if channel as usize >= channels {
+            return Err(ResumeError::NoSuchChannel {
+                item,
+                step,
+                channel,
+                channels,
+            });
+        }
+        if sim
+            .step_channel(ChannelId::from_index(channel as usize))
+            .is_none()
+        {
+            return Err(ResumeError::EmptyChannel {
+                item,
+                step,
+                channel,
+            });
+        }
+    }
+    Ok(())
+}
+
+/// One frontier entry: the record to expand (or `None` for items
+/// loaded from a checkpoint/spill file, which are rematerialized by
+/// replaying `path` from the initial configuration), its depth, and — when
+/// paths are being tracked for spill/checkpoint — its replay path.
 struct Job<S> {
-    snap: Option<S>,
+    record: Option<PulseConfig<S>>,
     depth: usize,
     path: Vec<u32>,
 }
@@ -630,8 +797,8 @@ where
 /// A fixed pool of `config.jobs` workers (scoped std threads) each runs a
 /// depth-first loop over its own frontier shard, stealing from other
 /// shards when its own runs dry. Every worker owns a private
-/// [`Simulation`] it restores checkpoints into, so only snapshots — plain
-/// data — cross threads. Deduplication goes through a [`ShardedIndex`]
+/// [`Simulation`] it loads frontier records ([`PulseConfig`]) into, so only
+/// plain data crosses threads. Deduplication goes through a [`ShardedIndex`]
 /// ([`crate::dedup::FP_SHARDS`] locks keyed by fingerprint prefix) with the
 /// backend chosen by `config.dedup`: `exact` keeps the set on the heap at
 /// 8 bytes per configuration, so the explorer reaches ring sizes the
@@ -664,6 +831,11 @@ where
 /// Because every worker finishes expanding its current item (the
 /// resume-convergence invariant), `configs` may overshoot `max_configs` by
 /// up to one branching factor per worker.
+///
+/// # Panics
+///
+/// Panics if `config.resume` holds a checkpoint [`try_explore`] refuses;
+/// call that to get the [`ResumeError`] instead.
 pub fn explore<P, FM, FS, FQ>(
     wiring: &Wiring,
     make_nodes: FM,
@@ -671,6 +843,52 @@ pub fn explore<P, FM, FS, FQ>(
     at_quiescence: FQ,
     config: &ExploreConfig,
 ) -> ExploreReport
+where
+    P: Protocol<Pulse> + Snapshot + Clone,
+    P::State: Send,
+    FM: Fn() -> Vec<P> + Sync,
+    FS: Fn(&ExploreState<P>) -> Result<(), String> + Sync,
+    FQ: Fn(&ExploreState<P>) -> Result<(), String> + Sync,
+{
+    try_explore(wiring, make_nodes, safety, at_quiescence, config)
+        .unwrap_or_else(|e| panic!("cannot resume the checkpoint: {e}"))
+}
+
+/// A worker simulation: the explorer's scheduler, the counter queue
+/// backend and the run's fault plan, not yet started.
+fn worker_sim<P, FM>(wiring: &Wiring, make_nodes: &FM, faults: &FaultPlan) -> Simulation<Pulse, P>
+where
+    P: Protocol<Pulse>,
+    FM: Fn() -> Vec<P>,
+{
+    let nodes = make_nodes();
+    assert_eq!(nodes.len(), wiring.len(), "one protocol instance per node");
+    let mut sim = Simulation::with_backend(
+        wiring.clone(),
+        nodes,
+        Box::new(ChannelPicks),
+        QueueBackend::Counter,
+    );
+    sim.set_faults(faults.clone());
+    sim
+}
+
+/// [`explore`], with a checkpoint it cannot resume returned as a
+/// [`ResumeError`] instead of a panic.
+///
+/// Before any worker starts, a resumed run checks the checkpoint's dedup
+/// backend and replays every frontier path from the initial configuration:
+/// each pick must name an existing channel that holds a pulse at that
+/// point. A decoded checkpoint's checksum guards against accidental
+/// corruption only, so this is what keeps a hand-edited path from
+/// panicking a worker.
+pub fn try_explore<P, FM, FS, FQ>(
+    wiring: &Wiring,
+    make_nodes: FM,
+    safety: FS,
+    at_quiescence: FQ,
+    config: &ExploreConfig,
+) -> Result<ExploreReport, ResumeError>
 where
     P: Protocol<Pulse> + Snapshot + Clone,
     P::State: Send,
@@ -686,25 +904,31 @@ where
 
     // Seed: the started initial configuration — also the replay origin for
     // every spilled or checkpointed frontier item.
-    let nodes = make_nodes();
-    assert_eq!(nodes.len(), wiring.len(), "one protocol instance per node");
-    let mut seed_sim: Simulation<Pulse, P> = Simulation::with_backend(
-        wiring.clone(),
-        nodes,
-        Box::new(ChannelPicks),
-        config.backend,
-    );
-    seed_sim.set_faults(config.faults.clone());
+    let mut seed_sim = worker_sim(wiring, &make_nodes, &config.faults);
     seed_sim.start();
-    let seed_snap = seed_sim.snapshot();
+    let seed = PulseConfig::capture(&seed_sim);
+    let seed_fp = config_fingerprint(&seed_sim, horizon);
+
+    if let Some(ck) = &config.resume {
+        let run = config.dedup.to_string();
+        if ck.dedup != run {
+            return Err(ResumeError::Dedup {
+                checkpoint: ck.dedup.clone(),
+                run,
+            });
+        }
+        for (item, frontier) in ck.frontier.iter().enumerate() {
+            replay(&mut seed_sim, &seed, item, &frontier.picks)?;
+        }
+    }
 
     let index = ShardedIndex::with_dir(config.dedup, 0, 0.0, config.scratch_dir.as_deref());
 
     // One frontier shard per worker; each worker pops its own back (LIFO,
     // depth-first) and steals from other shards' fronts (oldest first,
     // which tends to hand over large subtrees).
-    type Frontier<P> = Mutex<VecDeque<Job<SimSnapshot<Pulse, P>>>>;
-    let shards: Vec<Frontier<P>> = (0..jobs).map(|_| Mutex::new(VecDeque::new())).collect();
+    type Frontier<S> = Mutex<VecDeque<Job<S>>>;
+    let shards: Vec<Frontier<P::State>> = (0..jobs).map(|_| Mutex::new(VecDeque::new())).collect();
 
     // In-flight item count: incremented before a push (including spilled
     // items), decremented after an item is fully processed. Zero with all
@@ -718,11 +942,6 @@ where
     let violations: Mutex<Vec<String>> = Mutex::new(Vec::new());
 
     if let Some(ck) = &config.resume {
-        assert_eq!(
-            ck.dedup,
-            config.dedup.to_string(),
-            "resume requires the checkpoint's dedup backend"
-        );
         index
             .load_shards(&ck.shards, ck.admitted)
             .expect("a decoded checkpoint's dedup shards load");
@@ -736,19 +955,19 @@ where
                 .lock()
                 .expect("fresh shard")
                 .push_back(Job {
-                    snap: None,
+                    record: None,
                     depth: item.depth,
                     path: item.picks.clone(),
                 });
         }
     } else {
-        index.insert(config_fingerprint(&seed_sim, horizon));
+        index.insert(seed_fp);
         if index.bytes().total() > limits.max_state_bytes {
             // The mmap backend preallocates its table files and can blow
             // the byte budget before the first delivery: stop before
             // expanding anything.
             let bytes = index.bytes();
-            return ExploreReport {
+            return Ok(ExploreReport {
                 configs: index.admitted(),
                 quiescent_configs: 0,
                 violations: Vec::new(),
@@ -758,11 +977,11 @@ where
                 visited_file_bytes: bytes.file,
                 spilled_jobs: 0,
                 checkpoints_written: 0,
-            };
+            });
         }
         pending.store(1, Ordering::Release);
         shards[0].lock().expect("fresh shard").push_back(Job {
-            snap: Some(seed_snap.clone()),
+            record: Some(seed.clone()),
             depth: 0,
             path: Vec::new(),
         });
@@ -810,18 +1029,12 @@ where
                 let safety = &safety;
                 let at_quiescence = &at_quiescence;
                 let faults = &config.faults;
-                let backend = config.backend;
                 let spill_high_water = config.spill_high_water;
-                let my_seed = seed_snap.clone();
+                let seed = seed.clone();
                 scope.spawn(move || {
-                    let mut sim: Simulation<Pulse, P> = Simulation::with_backend(
-                        wiring.clone(),
-                        make_nodes(),
-                        Box::new(ChannelPicks),
-                        backend,
-                    );
-                    sim.set_faults(faults.clone());
-                    sim.start();
+                    // Every item is loaded before it is read, so the
+                    // simulation never needs starting.
+                    let mut sim = worker_sim(wiring, make_nodes, faults);
                     let mut state = ExploreState {
                         nodes: Vec::new(),
                         queues: Vec::new(),
@@ -858,7 +1071,7 @@ where
                                     guard.as_mut().and_then(SpillFile::pop)
                                 {
                                     item = Some(Job {
-                                        snap: None,
+                                        record: None,
                                         depth,
                                         path: picks,
                                     });
@@ -866,7 +1079,12 @@ where
                                 }
                             }
                         }
-                        let Some(Job { snap, depth, path }) = item else {
+                        let Some(Job {
+                            record,
+                            depth,
+                            path,
+                        }) = item
+                        else {
                             if pending.load(Ordering::Acquire) == 0 {
                                 break;
                             }
@@ -875,22 +1093,18 @@ where
                         };
                         // Load the item into `sim`. Path-only items (spilled
                         // or resumed) are rematerialized by replaying their
-                        // channel picks from the seed. Faults key on the
-                        // global send sequence, which the replay reproduces
-                        // exactly.
-                        let snapshot = match snap {
-                            Some(s) => {
-                                sim.restore(&s);
-                                s
+                        // channel picks from the seed.
+                        let record = match record {
+                            Some(record) => {
+                                record.load(&mut sim);
+                                record
                             }
                             None => {
-                                sim.restore(&my_seed);
-                                for &pick in &path {
-                                    let channel = ChannelId::from_index(pick as usize);
-                                    sim.step_channel(channel)
-                                        .expect("replayed channel has a message");
-                                }
-                                sim.snapshot()
+                                replay(&mut sim, &seed, 0, &path).expect(
+                                    "resumed paths are validated up front and spilled ones \
+                                     were recorded by this run",
+                                );
+                                PulseConfig::capture(&sim)
                             }
                         };
                         load_state(&mut state, &sim);
@@ -915,11 +1129,11 @@ where
                             pruned.store(true, Ordering::Release);
                         } else {
                             // `load_state`, the predicates and
-                            // `ready_channels` leave `sim` at `snapshot`, so
-                            // only the later branches restore it.
+                            // `ready_channels` leave `sim` at `record`, so
+                            // only the later branches load it again.
                             for (branch, channel) in sim.ready_channels().into_iter().enumerate() {
                                 if branch > 0 {
-                                    sim.restore(&snapshot);
+                                    record.load(&mut sim);
                                 }
                                 sim.step_channel(channel)
                                     .expect("ready channel has a message");
@@ -940,14 +1154,15 @@ where
                                 } else {
                                     Vec::new()
                                 };
+                                let job = Job {
+                                    record: Some(PulseConfig::capture(&sim)),
+                                    depth: depth + 1,
+                                    path: succ_path,
+                                };
                                 pending.fetch_add(1, Ordering::AcqRel);
                                 let spill_me = {
                                     let mut shard = shards[me].lock().expect("shard poisoned");
-                                    shard.push_back(Job {
-                                        snap: Some(sim.snapshot()),
-                                        depth: depth + 1,
-                                        path: succ_path,
-                                    });
+                                    shard.push_back(job);
                                     // High water: evict the coldest item
                                     // (shard front — the one LIFO order
                                     // touches last) to disk.
@@ -1037,7 +1252,7 @@ where
     }
 
     let bytes = index.bytes();
-    ExploreReport {
+    Ok(ExploreReport {
         configs: index.admitted(),
         quiescent_configs: quiescent.into_inner(),
         violations: violations.into_inner().expect("violations poisoned"),
@@ -1047,17 +1262,18 @@ where
         visited_file_bytes: bytes.file,
         spilled_jobs: spilled_total.into_inner(),
         checkpoints_written,
-    }
+    })
 }
 
 /// The previous-generation explorer, kept as a differential-testing oracle.
 ///
-/// Instead of snapshots and fingerprints it re-implements delivery on a bare
-/// `(queues, nodes)` state and deduplicates through *full* state tuples
-/// `(queue counts, terminated flags, caller-supplied node keys)` — storage
-/// per configuration grows with the ring, which is exactly the limitation
-/// the snapshot-layer [`explore`] removes. Kept verbatim so tests can assert
-/// that the rewrite enumerates the identical state space.
+/// Instead of a [`Simulation`] and fingerprints it re-implements delivery on
+/// a bare `(queues, nodes)` state and deduplicates through *full* state
+/// tuples `(queue counts, terminated flags, caller-supplied node keys)` —
+/// storage per configuration grows with the ring, which is exactly the
+/// limitation the fingerprint-deduplicating [`explore`] removes. Kept
+/// verbatim so tests can assert that the rewrite enumerates the identical
+/// state space.
 pub fn explore_reference<P, K, FM, FF, FS, FQ>(
     wiring: &Wiring,
     make_nodes: FM,
@@ -1516,40 +1732,6 @@ mod tests {
     }
 
     #[test]
-    fn queue_backends_enumerate_the_same_state_space() {
-        // The visited set, quiescent count, and verdict must not depend on
-        // how the per-channel queues are stored.
-        let spec = RingSpec::oriented(vec![1, 3, 2]);
-        let single = explore(
-            &spec.wiring(),
-            mini_ring,
-            mini_safety,
-            mini_quiescence,
-            &workers(1),
-        );
-        for backend in QueueBackend::ALL {
-            let report = explore(
-                &spec.wiring(),
-                mini_ring,
-                mini_safety,
-                mini_quiescence,
-                &ExploreConfig {
-                    jobs: 1,
-                    backend,
-                    ..ExploreConfig::default()
-                },
-            );
-            assert_eq!(report.configs, single.configs, "{backend}");
-            assert_eq!(
-                report.quiescent_configs, single.quiescent_configs,
-                "{backend}"
-            );
-            assert!(report.complete, "{backend}");
-            assert!(report.violations.is_empty(), "{backend}");
-        }
-    }
-
-    #[test]
     fn mmap_matches_exact_out_of_core() {
         let spec = RingSpec::oriented(vec![1, 3, 2]);
         let exact = explore(
@@ -1832,6 +2014,84 @@ mod tests {
         assert_eq!(
             sorted(resumed.violations.clone()),
             sorted(uninterrupted.violations.clone())
+        );
+        let _ = std::fs::remove_dir_all(&dir);
+    }
+
+    #[test]
+    fn resume_refuses_paths_that_do_not_replay_before_exploring() {
+        let spec = RingSpec::oriented(vec![1, 3, 2]);
+        let dir = std::env::temp_dir().join(unique_name("co-ring-test-picks"));
+        std::fs::create_dir_all(&dir).expect("test scratch dir");
+        let ck_path = dir.join("explore.ck");
+        explore(
+            &spec.wiring(),
+            mini_ring,
+            mini_safety,
+            mini_quiescence,
+            &ExploreConfig {
+                limits: ExploreLimits {
+                    max_configs: 10,
+                    ..ExploreLimits::default()
+                },
+                checkpoint: Some(CheckpointPlan {
+                    path: ck_path.clone(),
+                    every: 0,
+                    meta: Vec::new(),
+                }),
+                ..workers(1)
+            },
+        );
+        let ck = ExploreCheckpoint::read(&ck_path).expect("checkpoint reads back");
+        let item = ck
+            .frontier
+            .iter()
+            .position(|item| !item.picks.is_empty())
+            .expect("a non-empty frontier path");
+        let resume = |ck: ExploreCheckpoint| {
+            try_explore(
+                &spec.wiring(),
+                mini_ring,
+                mini_safety,
+                mini_quiescence,
+                &ExploreConfig {
+                    resume: Some(ck),
+                    ..workers(1)
+                },
+            )
+        };
+        // Every MiniAlg1 node sends on port One at start, so channel 0
+        // (node 0's port Zero) is empty where each path's first pick lands.
+        let mut far = ck.clone();
+        far.frontier[item].picks[0] = 6;
+        let mut empty = ck.clone();
+        empty.frontier[item].picks[0] = 0;
+        let mut other_dedup = ck.clone();
+        other_dedup.dedup = "mmap:65536".into();
+        let refused = [
+            ResumeError::NoSuchChannel {
+                item,
+                step: 0,
+                channel: 6,
+                channels: 6,
+            },
+            ResumeError::EmptyChannel {
+                item,
+                step: 0,
+                channel: 0,
+            },
+            ResumeError::Dedup {
+                checkpoint: "mmap:65536".into(),
+                run: "exact".into(),
+            },
+        ];
+        for (bad, want) in [far, empty, other_dedup].into_iter().zip(refused) {
+            assert_eq!(resume(bad).expect_err("refused"), want);
+        }
+        assert!(
+            resume(ck)
+                .expect("the untouched checkpoint resumes")
+                .complete
         );
         let _ = std::fs::remove_dir_all(&dir);
     }

@@ -1,6 +1,7 @@
 //! Hot-path profiling for the event core — zero-cost when disabled.
 //!
-//! The engine's hot phases ([`Phase`]) are bracketed with
+//! The engine's hot phases ([`Phase`]), and the explorer's record and
+//! load of frontier configurations, are bracketed with
 //! [`start`]/[`stop`] pairs. While profiling is off (the default), each
 //! bracket is a single relaxed atomic load and no clock is read; switching
 //! [`set_enabled`]`(true)` turns every bracket into a timed sample feeding
@@ -32,7 +33,7 @@ use std::time::Instant;
 /// Histogram buckets: log₂ of nanoseconds, clamped to `[0, BUCKETS)`.
 const BUCKETS: usize = 32;
 
-/// The engine phases instrumented by the core's hot path.
+/// The phases instrumented by the core's hot path and by the explorer.
 #[derive(Copy, Clone, Debug, PartialEq, Eq)]
 pub enum Phase {
     /// Pushing a sent message into its channel queue (store push +
@@ -47,16 +48,24 @@ pub enum Phase {
     /// Virtual-clock timer servicing: popping due timers off the timer heap
     /// and running `on_timer` handlers.
     Timer,
+    /// The explorer writing a frontier record: one flat pulse configuration
+    /// per admitted configuration (see [`crate::explore::PulseConfig`]).
+    Record,
+    /// The explorer loading a frontier record into a worker simulation:
+    /// once per expanded branch and once per replayed path.
+    Load,
 }
 
 impl Phase {
     /// All phases, in display order.
-    pub const ALL: [Phase; 5] = [
+    pub const ALL: [Phase; PHASES] = [
         Phase::Enqueue,
         Phase::Pick,
         Phase::Deliver,
         Phase::Observe,
         Phase::Timer,
+        Phase::Record,
+        Phase::Load,
     ];
 
     fn index(self) -> usize {
@@ -66,6 +75,8 @@ impl Phase {
             Phase::Deliver => 2,
             Phase::Observe => 3,
             Phase::Timer => 4,
+            Phase::Record => 5,
+            Phase::Load => 6,
         }
     }
 }
@@ -78,11 +89,13 @@ impl fmt::Display for Phase {
             Phase::Deliver => "deliver",
             Phase::Observe => "observe",
             Phase::Timer => "timer",
+            Phase::Record => "record",
+            Phase::Load => "load",
         })
     }
 }
 
-const PHASES: usize = 5;
+const PHASES: usize = 7;
 
 static ENABLED: AtomicBool = AtomicBool::new(false);
 
@@ -104,13 +117,9 @@ impl PhaseCell {
     }
 }
 
-static CELLS: [PhaseCell; PHASES] = [
-    PhaseCell::new(),
-    PhaseCell::new(),
-    PhaseCell::new(),
-    PhaseCell::new(),
-    PhaseCell::new(),
-];
+#[allow(clippy::declare_interior_mutable_const)]
+const EMPTY_CELL: PhaseCell = PhaseCell::new();
+static CELLS: [PhaseCell; PHASES] = [EMPTY_CELL; PHASES];
 
 /// Whether profiling is currently collecting samples.
 #[inline]

@@ -152,9 +152,10 @@ impl StepInfo {
 ///
 /// Produced by [`Simulation::snapshot`] (which requires the protocol to
 /// implement [`Snapshot`]) and consumed by [`Simulation::restore`]. The
-/// pair turns a simulation into a branchable value: exhaustive exploration
-/// restores the same checkpoint once per ready channel and fans out with
-/// [`Simulation::step_channel`].
+/// pair turns a simulation into a branchable value: restore the same
+/// checkpoint once per ready channel and fan out with
+/// [`Simulation::step_channel`]. The exhaustive explorer branches the same
+/// way from a smaller record, [`crate::explore::PulseConfig`].
 pub struct SimSnapshot<M: Message, P: Snapshot> {
     core: CoreSnapshot<M>,
     nodes: Vec<P::State>,
@@ -708,6 +709,25 @@ impl<M: Message, P: Protocol<M> + Snapshot> Simulation<M, P> {
         );
         self.core.restore(&snapshot.core);
         for (node, state) in self.nodes.iter_mut().zip(&snapshot.nodes) {
+            node.restore(state);
+        }
+    }
+
+    /// Loads a pulse configuration: every node's state from `nodes`, and
+    /// the engine's queue counts, terminated flags and send counters (see
+    /// [`EventCore::load_pulse_config`]). The explorer's branch restore.
+    pub(crate) fn load_pulse_config(
+        &mut self,
+        nodes: &[P::State],
+        counts: &[u32],
+        terminated: &[u32],
+        send_seq: u64,
+        total_sent: u64,
+    ) {
+        assert_eq!(nodes.len(), self.nodes.len(), "one state per node");
+        self.core
+            .load_pulse_config(counts, terminated, send_seq, total_sent);
+        for (node, state) in self.nodes.iter_mut().zip(nodes) {
             node.restore(state);
         }
     }
