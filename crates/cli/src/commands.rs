@@ -1216,6 +1216,15 @@ mod tests {
             assert!(out.text.starts_with("error:"), "{name}: {}", out.text);
             assert!(out.text.contains(why), "{name}: {}", out.text);
         }
+        // A depth that is not the path's length used to resume and report
+        // `complete: false` with exit 0.
+        let mut deep = ck.clone();
+        deep.frontier[0].depth = 4_000_000_000;
+        deep.write_atomic(&dir.join("deep.ck")).expect("write");
+        let out = run_line(&[&["explore", "--resume", &path("deep.ck")], &ring[..]].concat());
+        assert_eq!(out.code, 1, "{}", out.text);
+        assert!(out.text.starts_with("error:"), "{}", out.text);
+        assert!(out.text.contains("claims depth 4000000000"), "{}", out.text);
         let _ = std::fs::remove_dir_all(&dir);
     }
 

@@ -951,31 +951,6 @@ impl<M: Message> QueueStore<M> {
             }
         }
     }
-
-    /// Refills the counter store in place with `counts[ch]` pulses per
-    /// channel: one run per non-empty channel, ending just below `next_seq`
-    /// so a later send to the channel extends it. Sequence numbers of
-    /// queued pulses steer no delivery the explorer makes, so any run
-    /// layout with the right lengths is the same configuration.
-    fn load_counts(&mut self, counts: &[u32], next_seq: u64) {
-        let StoreRepr::Counter { chans, .. } = &mut self.repr else {
-            panic!("pulse configurations load into the counter backend only");
-        };
-        assert_eq!(counts.len(), chans.len(), "one count per channel");
-        self.total = 0;
-        self.cur_bytes = 0;
-        for (chan, &count) in chans.iter_mut().zip(counts) {
-            chan.runs.clear();
-            chan.len = count as usize;
-            if count > 0 {
-                let len = u64::from(count);
-                chan.runs.push_back((next_seq.saturating_sub(len), len));
-                self.total += chan.len;
-                self.cur_bytes += RUN_BYTES;
-            }
-        }
-        self.peak_bytes = self.peak_bytes.max(self.cur_bytes);
-    }
 }
 
 /// A full checkpoint of an [`EventCore`]'s mutable run state.
@@ -1394,72 +1369,10 @@ impl<M: Message, T: Topology> EventCore<M, T> {
             }
             lat.last_arrival.clone_from(&snap.last_arrival);
         }
-        self.rebuild_ready(snapshot.ready_order.iter().copied());
-        self.stats.clone_from(&snapshot.stats);
-        self.send_seq = snapshot.send_seq;
-        self.started = snapshot.started;
-        self.fault_stats = snapshot.fault_stats;
-        self.scheduler.restore_state(&snapshot.scheduler_state);
-        // Indexes are derived state: absent from `CoreSnapshot` and
-        // `save_state` layouts by design, rebuilt from the restored ready
-        // set instead.
-        self.scheduler.rebuild_index(&self.ready);
-        if let Some(rec) = &mut self.recorded {
-            rec.truncate(snapshot.recorded_len);
-        }
-    }
-
-    /// Loads a pulse configuration in place: `counts[ch]` pulses queued on
-    /// each channel, node `v` terminated iff `terminated[v] != 0`, and the
-    /// send counters at `send_seq` and `total_sent`. The run counts as
-    /// started; the ready list is rebuilt in channel order.
-    ///
-    /// This is the explorer's branch restore. It writes exactly what
-    /// [`crate::Simulation::fingerprint`] hashes plus the two send counters
-    /// (fault plans trigger on `send_seq`; `total_sent` is what the
-    /// explorer's predicates see), and nothing the explorer never reads:
-    /// per-port statistics, fault counters, the recorded schedule and the
-    /// scheduler's saved state keep whatever values they had.
-    ///
-    /// # Panics
-    ///
-    /// Panics unless the store is the counter backend, and if a latency
-    /// plan is installed or a timer is pending: neither is part of a pulse
-    /// configuration.
-    pub(crate) fn load_pulse_config(
-        &mut self,
-        counts: &[u32],
-        terminated: &[u32],
-        send_seq: u64,
-        total_sent: u64,
-    ) {
-        assert!(
-            self.latency.is_none(),
-            "a pulse configuration carries no arrival timestamps"
-        );
-        assert!(
-            self.timers.is_empty(),
-            "a pulse configuration carries no timers"
-        );
-        assert_eq!(terminated.len(), self.terminated.len(), "one flag per node");
-        self.queues.load_counts(counts, send_seq);
-        for (flag, &word) in self.terminated.iter_mut().zip(terminated) {
-            *flag = word != 0;
-        }
-        self.send_seq = send_seq;
-        self.stats.total_sent = total_sent;
-        self.started = true;
-        self.rebuild_ready((0..counts.len()).filter(|&ch| counts[ch] > 0));
-        self.scheduler.rebuild_index(&self.ready);
-    }
-
-    /// Rebuilds the dense ready array (in the given order) from the queue
-    /// store, re-establishing the `ready`/`ready_pos` invariant after a
-    /// restore or a load.
-    fn rebuild_ready(&mut self, order: impl IntoIterator<Item = usize>) {
+        // Rebuild the dense ready array in the captured order.
         self.ready.clear();
         self.ready_pos.fill(NOT_READY);
-        for ch in order {
+        for &ch in &snapshot.ready_order {
             let head_seq = self
                 .queues
                 .head_seq(ch)
@@ -1472,6 +1385,18 @@ impl<M: Message, T: Topology> EventCore<M, T> {
                 direction: self.topology.direction(ch),
                 arrival: self.head_arrival(ch),
             });
+        }
+        self.stats.clone_from(&snapshot.stats);
+        self.send_seq = snapshot.send_seq;
+        self.started = snapshot.started;
+        self.fault_stats = snapshot.fault_stats;
+        self.scheduler.restore_state(&snapshot.scheduler_state);
+        // Indexes are derived state: absent from `CoreSnapshot` and
+        // `save_state` layouts by design, rebuilt from the restored ready
+        // set instead.
+        self.scheduler.rebuild_index(&self.ready);
+        if let Some(rec) = &mut self.recorded {
+            rec.truncate(snapshot.recorded_len);
         }
     }
 
@@ -1767,7 +1692,7 @@ impl<M: Message, T: Topology> EventCore<M, T> {
     /// bypassing the scheduler.
     ///
     /// This is the branching primitive of exhaustive exploration: after
-    /// restoring a snapshot or loading a configuration, each ready channel (see
+    /// restoring a snapshot, each ready channel (see
     /// [`EventCore::ready_channels`]) is one successor configuration.
     /// Starts the run if needed; returns `None` if the channel is empty.
     pub fn step_channel<H: EventHandler<M>>(

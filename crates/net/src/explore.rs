@@ -8,22 +8,24 @@
 //! verifying a safety predicate in each and a final predicate in every
 //! quiescent configuration.
 //!
-//! [`explore`] drives a real [`Simulation`] and keeps its frontier as flat
-//! pulse configurations. In the content-oblivious model every message is a
-//! bare pulse, so a configuration is just the node states ([`Snapshot`]),
-//! a pulse count per channel, the terminated flags and the send counters:
-//! a [`PulseConfig`]. The explorer records one per admitted configuration,
-//! loads it back into a worker's simulation before each branch, branches
-//! with [`Simulation::step_channel`], and deduplicates visited
-//! configurations by their stable 64-bit [`Simulation::fingerprint`] —
-//! **8 bytes per configuration** regardless of ring size. It runs on a
-//! pool of `jobs` work-stealing workers; with
-//! `jobs: 1` the visit order, and so the order of reported violations, is
-//! deterministic. The previous-generation explorer is kept as
-//! [`explore_reference`]: it stores full `(queues, terminated, node-keys)`
-//! tuples per configuration, which grows linearly with the ring and is what
-//! limited the reachable instance sizes. Differential tests assert the two
-//! enumerate identical state spaces where both fit in memory.
+//! In the content-oblivious model every message is a bare pulse, so a
+//! configuration is just the node states ([`Snapshot`]), a pulse count per
+//! channel, the terminated flags and the send counters: a [`PulseConfig`],
+//! the explorer's frontier item. A delivery changes only the receiving
+//! node, one count and that node's out-channel counts, so [`explore`]
+//! branches with a [`Probe`]: it clones the receiving node, delivers one
+//! pulse and hashes the successor from its parent's parts, and builds a
+//! record only for a successor whose fingerprint is new. The engine starts
+//! the initial configuration and nothing else. Visited configurations are
+//! deduplicated by their stable 64-bit fingerprint ([`config_fingerprint`])
+//! — **8 bytes per configuration** regardless of ring size. It runs on a
+//! pool of `jobs` work-stealing workers; with `jobs: 1` the visit order,
+//! and so the order of reported violations, is deterministic. The
+//! previous-generation explorer is kept as [`explore_reference`]: it stores
+//! full `(queues, terminated, node-keys)` tuples per configuration, which
+//! grows linearly with the ring and is what limited the reachable instance
+//! sizes. Differential tests assert the two enumerate identical state
+//! spaces where both fit in memory.
 //!
 //! ```rust
 //! use co_net::explore::{explore, ExploreConfig};
@@ -69,13 +71,13 @@
 //! ```
 
 use crate::dedup::{unique_name, validate_shard_images, DedupKind, ShardedIndex};
-use crate::engine::QueueBackend;
+use crate::engine::Topology;
 use crate::faults::FaultPlan;
 use crate::message::Pulse;
 use crate::port::Port;
 use crate::prof::{self, Phase};
-use crate::sched::{ChannelView, Scheduler};
-use crate::sim::{Context, Protocol, Simulation};
+use crate::sched::FifoScheduler;
+use crate::sim::{configuration_hash, Context, Protocol, Simulation};
 use crate::snapshot::{put_bytes, put_str, put_u32, put_u64, ByteReader, Fingerprint, Snapshot};
 use crate::topology::{ChannelId, Wiring};
 use std::collections::{HashSet, VecDeque};
@@ -164,35 +166,6 @@ impl<P> ExploreState<P> {
 fn note_violation(violations: &mut Vec<String>, msg: String) {
     if violations.len() < 16 && !violations.contains(&msg) {
         violations.push(msg);
-    }
-}
-
-/// Refills `state` from `sim` in place, reusing its buffers: each worker
-/// keeps one `ExploreState` for every configuration it pops.
-fn load_state<P: Protocol<Pulse> + Clone>(state: &mut ExploreState<P>, sim: &Simulation<Pulse, P>) {
-    let n = sim.wiring().len();
-    state.nodes.clear();
-    state.nodes.extend_from_slice(sim.nodes());
-    state.queues.clear();
-    state
-        .queues
-        .extend((0..2 * n).map(|ch| sim.queue_len(ChannelId::from_index(ch)) as u32));
-    state.terminated.clear();
-    state
-        .terminated
-        .extend((0..n).map(|v| sim.is_terminated(v)));
-    state.sent = sim.stats().total_sent;
-}
-
-/// The scheduler of the explorer's simulations. Workers deliver only
-/// through [`Simulation::step_channel`], which bypasses the scheduler, so it
-/// keeps no ready index for every restore to rebuild and never picks.
-#[derive(Debug)]
-struct ChannelPicks;
-
-impl Scheduler for ChannelPicks {
-    fn pick(&mut self, _ready: &[ChannelView]) -> usize {
-        unreachable!("the explorer delivers by channel, never through the scheduler")
     }
 }
 
@@ -577,19 +550,21 @@ impl Drop for SpillFile {
 /// is the whole configuration. It is the explorer's frontier item: two
 /// allocations, where a [`crate::SimSnapshot`] also carries queue runs,
 /// per-port statistics, the ready order, scheduler state, timers and the
-/// clock, none of which the explorer reads. [`PulseConfig::load`] writes
-/// it back into a running [`Simulation`], which then delivers by channel
-/// ([`Simulation::step_channel`]) exactly as the captured one would:
-/// equal [`Simulation::fingerprint`], send counters and successors.
+/// clock, none of which the explorer reads. The explorer never loads one
+/// into a [`Simulation`]: a [`Probe`] computes its successors from the
+/// record itself.
 #[derive(Clone, Debug)]
 pub struct PulseConfig<S> {
-    nodes: Vec<S>,
-    /// The per-channel pulse counts, then the per-node terminated flags.
-    words: Vec<u32>,
-    /// The global send counter, which [`FaultPlan`]s trigger on.
-    send_seq: u64,
+    /// Every node's state, in node order.
+    pub nodes: Vec<S>,
+    /// The per-channel pulse counts (by [`ChannelId::index`]), then one
+    /// terminated flag (0 or 1) per node.
+    pub words: Vec<u32>,
+    /// The next global send sequence number, which [`FaultPlan`]s trigger
+    /// on ([`Simulation::send_seq`]).
+    pub send_seq: u64,
     /// Pulses sent so far ([`ExploreState::sent`]).
-    sent: u64,
+    pub sent: u64,
 }
 
 impl<S> PulseConfig<S> {
@@ -599,38 +574,176 @@ impl<S> PulseConfig<S> {
     where
         P: Protocol<Pulse> + Snapshot<State = S>,
     {
-        let t = prof::start();
         let counts = (0..sim.wiring().channel_count())
             .map(|ch| sim.queue_len(ChannelId::from_index(ch)) as u32);
         let flags = (0..sim.nodes().len()).map(|v| u32::from(sim.is_terminated(v)));
-        let config = PulseConfig {
+        PulseConfig {
             nodes: sim.nodes().iter().map(Snapshot::extract).collect(),
             words: counts.chain(flags).collect(),
             send_seq: sim.send_seq(),
             sent: sim.stats().total_sent,
-        };
-        prof::stop(Phase::Record, t);
-        config
+        }
     }
+}
 
-    /// Loads this configuration into `sim` in place: node states, queue
-    /// counts, terminated flags and send counters. Statistics the
-    /// configuration does not hold (per-port counts, fault counters) keep
-    /// whatever values `sim` had.
+/// The explorer's successor function on flat records.
+///
+/// [`Probe::load`] restores a record's node states into the
+/// [`ExploreState`] the predicates read. [`Probe::probe`] then delivers one
+/// pulse from a channel of that record by cloning only the receiving node,
+/// and applies its sends to a copy of the counts by the engine's rules: a
+/// pulse to a terminated node is consumed and ignored; every send takes
+/// the next send sequence number and counts as sent;
+/// [`FaultPlan::should_drop`] and [`FaultPlan::should_duplicate`] apply at
+/// that number; termination latches. It returns the successor's dedup
+/// fingerprint, hashed from the parent's parts; only a successor the caller
+/// admits is built into a record ([`Probe::record`]). `tests/flat_record.rs`
+/// checks every probed successor against [`Simulation::step_channel`].
+#[derive(Debug)]
+pub struct Probe<'a, P> {
+    wiring: &'a Wiring,
+    faults: &'a FaultPlan,
+    /// The loaded configuration and its node fingerprints.
+    state: ExploreState<P>,
+    node_fps: Vec<u64>,
+    /// The last probed successor: its receiving node, that node after the
+    /// delivery, its words and its send counters.
+    dst: usize,
+    node: P,
+    words: Vec<u32>,
+    send_seq: u64,
+    sent: u64,
+    outbox: Vec<(usize, Pulse)>,
+}
+
+impl<'a, P: Protocol<Pulse> + Snapshot + Clone> Probe<'a, P> {
+    /// A probe for the ring `wiring` under `faults`. `nodes` supplies one
+    /// protocol instance per node, which every [`Probe::load`] overwrites.
     ///
     /// # Panics
     ///
-    /// Panics if `sim` has a different ring size, does not store its
-    /// queues with [`QueueBackend::Counter`], has a latency plan installed
-    /// or a timer pending.
-    pub fn load<P>(&self, sim: &mut Simulation<Pulse, P>)
-    where
-        P: Protocol<Pulse> + Snapshot<State = S>,
-    {
-        let t = prof::start();
-        let (counts, terminated) = self.words.split_at(self.words.len() - self.nodes.len());
-        sim.load_pulse_config(&self.nodes, counts, terminated, self.send_seq, self.sent);
-        prof::stop(Phase::Load, t);
+    /// Panics unless there is one instance per node.
+    #[must_use]
+    pub fn new(wiring: &'a Wiring, nodes: Vec<P>, faults: &'a FaultPlan) -> Probe<'a, P> {
+        assert_eq!(nodes.len(), wiring.len(), "one protocol instance per node");
+        Probe {
+            wiring,
+            faults,
+            node: nodes[0].clone(),
+            node_fps: vec![0; nodes.len()],
+            state: ExploreState {
+                nodes,
+                queues: Vec::new(),
+                terminated: Vec::new(),
+                sent: 0,
+            },
+            dst: 0,
+            words: Vec::new(),
+            send_seq: 0,
+            sent: 0,
+            outbox: Vec::new(),
+        }
+    }
+
+    /// Loads `record` as the configuration to probe from: the `parent` of
+    /// every later [`Probe::probe`] and [`Probe::record`] call.
+    ///
+    /// # Panics
+    ///
+    /// Panics if `record` is not a configuration of this ring.
+    pub fn load(&mut self, record: &PulseConfig<P::State>) {
+        let (n, channels) = (self.state.nodes.len(), self.wiring.channel_count());
+        assert!(
+            record.nodes.len() == n && record.words.len() == channels + n,
+            "a record of another ring"
+        );
+        let nodes = self.state.nodes.iter_mut().zip(&record.nodes);
+        for ((node, saved), fp) in nodes.zip(&mut self.node_fps) {
+            node.restore(saved);
+            *fp = node.fingerprint();
+        }
+        let (counts, flags) = record.words.split_at(channels);
+        self.state.queues.clear();
+        self.state.queues.extend_from_slice(counts);
+        self.state.terminated.clear();
+        self.state
+            .terminated
+            .extend(flags.iter().map(|&flag| flag != 0));
+        self.state.sent = record.sent;
+    }
+
+    /// The loaded configuration, as the predicates see it.
+    #[must_use]
+    pub fn state(&self) -> &ExploreState<P> {
+        &self.state
+    }
+
+    /// Delivers one pulse from `channel` of `parent`, the loaded record,
+    /// and returns the successor's dedup fingerprint — the value
+    /// [`config_fingerprint`] gives the simulation
+    /// [`Simulation::step_channel`] leaves — or `None` if the channel is
+    /// empty.
+    pub fn probe(&mut self, parent: &PulseConfig<P::State>, channel: usize) -> Option<u64> {
+        if parent.words[channel] == 0 {
+            return None;
+        }
+        let channels = self.state.queues.len();
+        let (dst, port) = self.wiring.endpoint(ChannelId::from_index(channel));
+        self.dst = dst;
+        self.words.clone_from(&parent.words);
+        self.words[channel] -= 1;
+        self.send_seq = parent.send_seq;
+        self.sent = parent.sent;
+        let mut dst_fp = self.node_fps[dst];
+        if !self.state.terminated[dst] {
+            self.node.clone_from(&self.state.nodes[dst]);
+            let mut ctx = Context::buffered(dst, &mut self.outbox);
+            self.node.on_message(port, Pulse, &mut ctx);
+            for (out_port, _) in self.outbox.drain(..) {
+                let seq = self.send_seq;
+                self.send_seq += 1;
+                self.sent += 1;
+                let out = Topology::out_channel(self.wiring, dst, out_port);
+                if self.faults.should_drop(seq) {
+                    continue;
+                }
+                self.words[out] += 1;
+                if self.faults.should_duplicate(seq) {
+                    self.send_seq += 1;
+                    self.words[out] += 1;
+                }
+            }
+            if self.node.is_terminated() {
+                self.words[channels + dst] = 1;
+            }
+            dst_fp = self.node.fingerprint();
+        }
+        let (counts, flags) = self.words.split_at(channels);
+        let node_fps = self.node_fps.iter().enumerate();
+        Some(configuration_hash(
+            true,
+            counts.iter().map(|&count| u64::from(count)),
+            flags.iter().map(|&flag| flag != 0),
+            node_fps.map(|(v, &fp)| if v == dst { dst_fp } else { fp }),
+            self.faults.horizon().map(|h| self.send_seq.min(h + 1)),
+        ))
+    }
+
+    /// The last probed successor of `parent` as a record: `parent` with
+    /// the receiving node's state and the words replaced.
+    #[must_use]
+    pub fn record(&self, parent: &PulseConfig<P::State>) -> PulseConfig<P::State> {
+        let mut nodes = parent.nodes.clone();
+        // A pulse to a terminated node changes no state.
+        if !self.state.terminated[self.dst] {
+            nodes[self.dst] = self.node.extract();
+        }
+        PulseConfig {
+            nodes,
+            words: self.words.clone(),
+            send_seq: self.send_seq,
+            sent: self.sent,
+        }
     }
 }
 
@@ -644,6 +757,15 @@ pub enum ResumeError {
         checkpoint: String,
         /// The backend of this run.
         run: String,
+    },
+    /// A frontier item's depth is not the length of its path.
+    DepthMismatch {
+        /// Index of the frontier item.
+        item: usize,
+        /// The depth the item claims.
+        depth: usize,
+        /// The number of picks in its path.
+        picks: usize,
     },
     /// A frontier path names a channel the ring does not have.
     NoSuchChannel {
@@ -675,6 +797,10 @@ impl fmt::Display for ResumeError {
                 f,
                 "checkpoint was written with dedup backend '{checkpoint}', this run uses '{run}'"
             ),
+            ResumeError::DepthMismatch { item, depth, picks } => write!(
+                f,
+                "frontier item {item} claims depth {depth}, but its path has length {picks}"
+            ),
             ResumeError::NoSuchChannel {
                 item,
                 step,
@@ -700,20 +826,21 @@ impl fmt::Display for ResumeError {
 
 impl std::error::Error for ResumeError {}
 
-/// Rematerializes frontier item `item` in `sim`: loads the started
-/// initial configuration `seed`, then delivers `picks` in order. Faults key
-/// on the global send sequence, which the replay reproduces exactly.
+/// Rematerializes frontier item `item`: delivers `picks` in order from the
+/// started initial configuration `seed`, through the same [`Probe`] the
+/// workers branch with. Faults key on the global send sequence, which the
+/// replay reproduces exactly.
 fn replay<P>(
-    sim: &mut Simulation<Pulse, P>,
+    probe: &mut Probe<'_, P>,
     seed: &PulseConfig<P::State>,
     item: usize,
     picks: &[u32],
-) -> Result<(), ResumeError>
+) -> Result<PulseConfig<P::State>, ResumeError>
 where
-    P: Protocol<Pulse> + Snapshot,
+    P: Protocol<Pulse> + Snapshot + Clone,
 {
-    seed.load(sim);
-    let channels = sim.wiring().channel_count();
+    let mut record = seed.clone();
+    let channels = probe.wiring.channel_count();
     for (step, &channel) in picks.iter().enumerate() {
         if channel as usize >= channels {
             return Err(ResumeError::NoSuchChannel {
@@ -723,18 +850,17 @@ where
                 channels,
             });
         }
-        if sim
-            .step_channel(ChannelId::from_index(channel as usize))
-            .is_none()
-        {
+        probe.load(&record);
+        if probe.probe(&record, channel as usize).is_none() {
             return Err(ResumeError::EmptyChannel {
                 item,
                 step,
                 channel,
             });
         }
+        record = probe.record(&record);
     }
-    Ok(())
+    Ok(record)
 }
 
 /// One frontier entry: the record to expand (or `None` for items
@@ -765,21 +891,13 @@ fn effective_jobs(requested: usize) -> usize {
 /// have happened can still diverge (a pending `drop_seq`/`duplicate_seq`
 /// fires for one and not the other), so the send counter — clamped to just
 /// past the plan's [`FaultPlan::horizon`], beyond which the plan is inert —
-/// is mixed in.
-fn config_fingerprint<P>(sim: &Simulation<Pulse, P>, fault_horizon: Option<u64>) -> u64
+/// is mixed in. [`Probe::probe`] returns the same value for a successor.
+#[must_use]
+pub fn config_fingerprint<P>(sim: &Simulation<Pulse, P>, faults: &FaultPlan) -> u64
 where
     P: Protocol<Pulse> + Snapshot,
 {
-    let base = sim.fingerprint();
-    match fault_horizon {
-        None => base,
-        Some(h) => {
-            let mut fp = Fingerprint::new();
-            fp.write_u64(base);
-            fp.write_u64(sim.send_seq().min(h + 1));
-            fp.finish()
-        }
-    }
+    sim.fingerprint_with(faults.horizon().map(|h| sim.send_seq().min(h + 1)))
 }
 
 /// Exhaustively explores every delivery order of a pulse protocol, with
@@ -796,9 +914,9 @@ where
 ///
 /// A fixed pool of `config.jobs` workers (scoped std threads) each runs a
 /// depth-first loop over its own frontier shard, stealing from other
-/// shards when its own runs dry. Every worker owns a private
-/// [`Simulation`] it loads frontier records ([`PulseConfig`]) into, so only
-/// plain data crosses threads. Deduplication goes through a [`ShardedIndex`]
+/// shards when its own runs dry. Every worker owns a private [`Probe`] it
+/// expands frontier records ([`PulseConfig`]) with, so only plain data
+/// crosses threads. Deduplication goes through a [`ShardedIndex`]
 /// ([`crate::dedup::FP_SHARDS`] locks keyed by fingerprint prefix) with the
 /// backend chosen by `config.dedup`: `exact` keeps the set on the heap at
 /// 8 bytes per configuration, so the explorer reaches ring sizes the
@@ -854,25 +972,6 @@ where
         .unwrap_or_else(|e| panic!("cannot resume the checkpoint: {e}"))
 }
 
-/// A worker simulation: the explorer's scheduler, the counter queue
-/// backend and the run's fault plan, not yet started.
-fn worker_sim<P, FM>(wiring: &Wiring, make_nodes: &FM, faults: &FaultPlan) -> Simulation<Pulse, P>
-where
-    P: Protocol<Pulse>,
-    FM: Fn() -> Vec<P>,
-{
-    let nodes = make_nodes();
-    assert_eq!(nodes.len(), wiring.len(), "one protocol instance per node");
-    let mut sim = Simulation::with_backend(
-        wiring.clone(),
-        nodes,
-        Box::new(ChannelPicks),
-        QueueBackend::Counter,
-    );
-    sim.set_faults(faults.clone());
-    sim
-}
-
 /// [`explore`], with a checkpoint it cannot resume returned as a
 /// [`ResumeError`] instead of a panic.
 ///
@@ -898,16 +997,18 @@ where
 {
     let jobs = effective_jobs(config.jobs);
     let limits = config.limits;
-    let horizon = config.faults.horizon();
     // Replay paths are only tracked when something might persist them.
     let track_paths = config.spill_high_water > 0 || config.checkpoint.is_some();
 
     // Seed: the started initial configuration — also the replay origin for
-    // every spilled or checkpointed frontier item.
-    let mut seed_sim = worker_sim(wiring, &make_nodes, &config.faults);
+    // every spilled or checkpointed frontier item. The engine starts it;
+    // every later configuration comes from a probe.
+    let mut seed_sim =
+        Simulation::new(wiring.clone(), make_nodes(), Box::new(FifoScheduler::new()));
+    seed_sim.set_faults(config.faults.clone());
     seed_sim.start();
     let seed = PulseConfig::capture(&seed_sim);
-    let seed_fp = config_fingerprint(&seed_sim, horizon);
+    let seed_fp = config_fingerprint(&seed_sim, &config.faults);
 
     if let Some(ck) = &config.resume {
         let run = config.dedup.to_string();
@@ -917,8 +1018,16 @@ where
                 run,
             });
         }
+        let mut probe = Probe::new(wiring, make_nodes(), &config.faults);
         for (item, frontier) in ck.frontier.iter().enumerate() {
-            replay(&mut seed_sim, &seed, item, &frontier.picks)?;
+            if frontier.depth != frontier.picks.len() {
+                return Err(ResumeError::DepthMismatch {
+                    item,
+                    depth: frontier.depth,
+                    picks: frontier.picks.len(),
+                });
+            }
+            replay(&mut probe, &seed, item, &frontier.picks)?;
         }
     }
 
@@ -1012,191 +1121,154 @@ where
             .filter(|plan| plan.every > 0)
             .map(|plan| index.admitted() + plan.every);
         pause.store(false, Ordering::Release);
-        std::thread::scope(|scope| {
-            for me in 0..jobs {
-                let shards = &shards;
-                let spills = &spills;
-                let spill_dir = spill_dir.as_deref();
-                let index = &index;
-                let pending = &pending;
-                let stop = &stop;
-                let pause = &pause;
-                let pruned = &pruned;
-                let quiescent = &quiescent;
-                let spilled_total = &spilled_total;
-                let violations = &violations;
-                let make_nodes = &make_nodes;
-                let safety = &safety;
-                let at_quiescence = &at_quiescence;
-                let faults = &config.faults;
-                let spill_high_water = config.spill_high_water;
-                let seed = seed.clone();
-                scope.spawn(move || {
-                    // Every item is loaded before it is read, so the
-                    // simulation never needs starting.
-                    let mut sim = worker_sim(wiring, make_nodes, faults);
-                    let mut state = ExploreState {
-                        nodes: Vec::new(),
-                        queues: Vec::new(),
-                        terminated: Vec::new(),
-                        sent: 0,
-                    };
-                    loop {
-                        if stop.load(Ordering::Acquire) || pause.load(Ordering::Acquire) {
+        let worker = |me: usize, seed: PulseConfig<P::State>| {
+            let mut probe = Probe::new(wiring, make_nodes(), &config.faults);
+            loop {
+                if stop.load(Ordering::Acquire) || pause.load(Ordering::Acquire) {
+                    break;
+                }
+                // Own shard first (LIFO — depth-first), then steal from the
+                // front of the others, then page back from spill files (own
+                // first). Each lock is taken and released in its own statement:
+                // holding the own-shard lock while probing a victim would
+                // deadlock two workers stealing from each other.
+                let mut item = shards[me].lock().expect("shard poisoned").pop_back();
+                if item.is_none() {
+                    for d in 1..jobs {
+                        item = shards[(me + d) % jobs]
+                            .lock()
+                            .expect("shard poisoned")
+                            .pop_front();
+                        if item.is_some() {
                             break;
                         }
-                        // Own shard first (LIFO — depth-first), then steal
-                        // from the front of the others, then page back from
-                        // spill files (own first). Each lock is taken and
-                        // released in its own statement: holding the
-                        // own-shard lock while probing a victim would
-                        // deadlock two workers stealing from each other.
-                        let mut item = shards[me].lock().expect("shard poisoned").pop_back();
-                        if item.is_none() {
-                            for d in 1..jobs {
-                                item = shards[(me + d) % jobs]
-                                    .lock()
-                                    .expect("shard poisoned")
-                                    .pop_front();
-                                if item.is_some() {
-                                    break;
-                                }
-                            }
-                        }
-                        if item.is_none() && spill_high_water > 0 {
-                            for d in 0..jobs {
-                                let mut guard =
-                                    spills[(me + d) % jobs].lock().expect("spill poisoned");
-                                if let Some((depth, picks)) =
-                                    guard.as_mut().and_then(SpillFile::pop)
-                                {
-                                    item = Some(Job {
-                                        record: None,
-                                        depth,
-                                        path: picks,
-                                    });
-                                    break;
-                                }
-                            }
-                        }
-                        let Some(Job {
-                            record,
-                            depth,
-                            path,
-                        }) = item
-                        else {
-                            if pending.load(Ordering::Acquire) == 0 {
-                                break;
-                            }
-                            std::thread::yield_now();
-                            continue;
-                        };
-                        // Load the item into `sim`. Path-only items (spilled
-                        // or resumed) are rematerialized by replaying their
-                        // channel picks from the seed.
-                        let record = match record {
-                            Some(record) => {
-                                record.load(&mut sim);
-                                record
-                            }
-                            None => {
-                                replay(&mut sim, &seed, 0, &path).expect(
-                                    "resumed paths are validated up front and spilled ones \
-                                     were recorded by this run",
-                                );
-                                PulseConfig::capture(&sim)
-                            }
-                        };
-                        load_state(&mut state, &sim);
-                        if let Err(e) = safety(&state) {
-                            note_violation(
-                                &mut violations.lock().expect("violations poisoned"),
-                                format!("safety: {e}"),
-                            );
-                        }
-                        if state.is_quiescent() {
-                            quiescent.fetch_add(1, Ordering::Relaxed);
-                            if let Err(e) = at_quiescence(&state) {
-                                note_violation(
-                                    &mut violations.lock().expect("violations poisoned"),
-                                    format!("at quiescence: {e}"),
-                                );
-                            }
-                        } else if depth >= limits.max_depth {
-                            // Depth pruning is permanent: the skipped
-                            // subtree is unrecoverable, unlike a transient
-                            // budget stop whose frontier stays intact.
-                            pruned.store(true, Ordering::Release);
-                        } else {
-                            // `load_state`, the predicates and
-                            // `ready_channels` leave `sim` at `record`, so
-                            // only the later branches load it again.
-                            for (branch, channel) in sim.ready_channels().into_iter().enumerate() {
-                                if branch > 0 {
-                                    record.load(&mut sim);
-                                }
-                                sim.step_channel(channel)
-                                    .expect("ready channel has a message");
-                                let fp = config_fingerprint(&sim, horizon);
-                                if !index.insert(fp) {
-                                    continue;
-                                }
-                                // Invariant (resume convergence): an
-                                // admitted successor is pushed before any
-                                // stop condition is honoured, and the
-                                // current item is expanded to completion —
-                                // so admitted = processed ∪ frontier at
-                                // every checkpoint.
-                                let succ_path = if track_paths {
-                                    let mut p = path.clone();
-                                    p.push(channel.index() as u32);
-                                    p
-                                } else {
-                                    Vec::new()
-                                };
-                                let job = Job {
-                                    record: Some(PulseConfig::capture(&sim)),
-                                    depth: depth + 1,
-                                    path: succ_path,
-                                };
-                                pending.fetch_add(1, Ordering::AcqRel);
-                                let spill_me = {
-                                    let mut shard = shards[me].lock().expect("shard poisoned");
-                                    shard.push_back(job);
-                                    // High water: evict the coldest item
-                                    // (shard front — the one LIFO order
-                                    // touches last) to disk.
-                                    (spill_high_water > 0 && shard.len() > spill_high_water)
-                                        .then(|| shard.pop_front())
-                                        .flatten()
-                                };
-                                if let Some(cold) = spill_me {
-                                    let mut guard = spills[me].lock().expect("spill poisoned");
-                                    guard
-                                        .get_or_insert_with(|| {
-                                            SpillFile::create(
-                                                spill_dir.expect("spill dir exists"),
-                                                me,
-                                            )
-                                        })
-                                        .push(cold.depth, &cold.path);
-                                    spilled_total.fetch_add(1, Ordering::Relaxed);
-                                }
-                                if index.admitted() > limits.max_configs
-                                    || index.bytes().total() > limits.max_state_bytes
-                                {
-                                    stop.store(true, Ordering::Release);
-                                }
-                            }
-                        }
-                        pending.fetch_sub(1, Ordering::AcqRel);
-                        if let Some(target) = leg_target {
-                            if index.admitted() >= target {
-                                pause.store(true, Ordering::Release);
-                            }
+                    }
+                }
+                if item.is_none() && config.spill_high_water > 0 {
+                    for d in 0..jobs {
+                        let mut guard = spills[(me + d) % jobs].lock().expect("spill poisoned");
+                        if let Some((depth, picks)) = guard.as_mut().and_then(SpillFile::pop) {
+                            item = Some(Job {
+                                record: None,
+                                depth,
+                                path: picks,
+                            });
+                            break;
                         }
                     }
-                });
+                }
+                let Some(Job {
+                    record,
+                    depth,
+                    path,
+                }) = item
+                else {
+                    if pending.load(Ordering::Acquire) == 0 {
+                        break;
+                    }
+                    std::thread::yield_now();
+                    continue;
+                };
+                // Path-only items (spilled or resumed) are rematerialized by
+                // replaying their channel picks from the seed.
+                let record = match record {
+                    Some(record) => record,
+                    None => replay(&mut probe, &seed, 0, &path).expect(
+                        "resumed paths are validated up front and spilled ones \
+                         were recorded by this run",
+                    ),
+                };
+                probe.load(&record);
+                let state = probe.state();
+                if let Err(e) = safety(state) {
+                    note_violation(
+                        &mut violations.lock().expect("violations poisoned"),
+                        format!("safety: {e}"),
+                    );
+                }
+                if state.is_quiescent() {
+                    quiescent.fetch_add(1, Ordering::Relaxed);
+                    if let Err(e) = at_quiescence(state) {
+                        note_violation(
+                            &mut violations.lock().expect("violations poisoned"),
+                            format!("at quiescence: {e}"),
+                        );
+                    }
+                } else if depth >= limits.max_depth {
+                    // Depth pruning is permanent: the skipped subtree is
+                    // unrecoverable, unlike a transient budget stop whose
+                    // frontier stays intact.
+                    pruned.store(true, Ordering::Release);
+                } else {
+                    // Branch on every non-empty channel, in channel order; only
+                    // admitted successors become records.
+                    for channel in 0..wiring.channel_count() {
+                        if record.words[channel] == 0 {
+                            continue;
+                        }
+                        let t = prof::start();
+                        let fp = probe.probe(&record, channel).expect("a pulse to deliver");
+                        prof::stop(Phase::Probe, t);
+                        if !index.insert(fp) {
+                            continue;
+                        }
+                        // Invariant (resume convergence): an admitted successor
+                        // is pushed before any stop condition is honoured, and
+                        // the current item is expanded to completion — so
+                        // admitted = processed ∪ frontier at every checkpoint.
+                        let t = prof::start();
+                        let succ = probe.record(&record);
+                        prof::stop(Phase::Record, t);
+                        let job = Job {
+                            record: Some(succ),
+                            depth: depth + 1,
+                            path: if track_paths {
+                                [path.as_slice(), &[channel as u32]].concat()
+                            } else {
+                                Vec::new()
+                            },
+                        };
+                        pending.fetch_add(1, Ordering::AcqRel);
+                        let spill_me = {
+                            let mut shard = shards[me].lock().expect("shard poisoned");
+                            shard.push_back(job);
+                            // High water: evict the coldest item (shard front —
+                            // the one LIFO order touches last) to disk.
+                            (config.spill_high_water > 0 && shard.len() > config.spill_high_water)
+                                .then(|| shard.pop_front())
+                                .flatten()
+                        };
+                        if let Some(cold) = spill_me {
+                            let mut guard = spills[me].lock().expect("spill poisoned");
+                            guard
+                                .get_or_insert_with(|| {
+                                    SpillFile::create(
+                                        spill_dir.as_deref().expect("spill dir exists"),
+                                        me,
+                                    )
+                                })
+                                .push(cold.depth, &cold.path);
+                            spilled_total.fetch_add(1, Ordering::Relaxed);
+                        }
+                        if index.admitted() > limits.max_configs
+                            || index.bytes().total() > limits.max_state_bytes
+                        {
+                            stop.store(true, Ordering::Release);
+                        }
+                    }
+                }
+                pending.fetch_sub(1, Ordering::AcqRel);
+                if let Some(target) = leg_target {
+                    if index.admitted() >= target {
+                        pause.store(true, Ordering::Release);
+                    }
+                }
+            }
+        };
+        std::thread::scope(|scope| {
+            for me in 0..jobs {
+                let seed = seed.clone();
+                scope.spawn(move || worker(me, seed));
             }
         });
 
@@ -1267,8 +1339,8 @@ where
 
 /// The previous-generation explorer, kept as a differential-testing oracle.
 ///
-/// Instead of a [`Simulation`] and fingerprints it re-implements delivery on
-/// a bare `(queues, nodes)` state and deduplicates through *full* state
+/// It clones a whole `(queues, nodes)` state per branch, with its own
+/// delivery loop and no fault plan, and deduplicates through *full* state
 /// tuples `(queue counts, terminated flags, caller-supplied node keys)` —
 /// storage per configuration grows with the ring, which is exactly the
 /// limitation the fingerprint-deduplicating [`explore`] removes. Kept
@@ -1302,7 +1374,7 @@ where
     let mut outbox: Vec<(usize, Pulse)> = Vec::new();
     let mut sent = 0u64;
     for (v, node) in nodes.iter_mut().enumerate() {
-        let mut ctx = Context::new_internal(v, &mut outbox);
+        let mut ctx = Context::buffered(v, &mut outbox);
         node.on_start(&mut ctx);
         for (port, _msg) in outbox.drain(..) {
             queues[ChannelId::new(v, Port::from_index(port)).index()] += 1;
@@ -1362,7 +1434,7 @@ where
             if !next.terminated[dst] {
                 let mut outbox: Vec<(usize, Pulse)> = Vec::new();
                 {
-                    let mut ctx = Context::new_internal(dst, &mut outbox);
+                    let mut ctx = Context::buffered(dst, &mut outbox);
                     next.nodes[dst].on_message(port, Pulse, &mut ctx);
                 }
                 for (out_port, _msg) in outbox.drain(..) {
@@ -2018,8 +2090,8 @@ mod tests {
         let _ = std::fs::remove_dir_all(&dir);
     }
 
-    #[test]
-    fn resume_refuses_paths_that_do_not_replay_before_exploring() {
+    /// A one-worker MiniAlg1 checkpoint cut at 10 configurations.
+    fn cut_checkpoint() -> ExploreCheckpoint {
         let spec = RingSpec::oriented(vec![1, 3, 2]);
         let dir = std::env::temp_dir().join(unique_name("co-ring-test-picks"));
         std::fs::create_dir_all(&dir).expect("test scratch dir");
@@ -2043,23 +2115,32 @@ mod tests {
             },
         );
         let ck = ExploreCheckpoint::read(&ck_path).expect("checkpoint reads back");
+        let _ = std::fs::remove_dir_all(&dir);
+        ck
+    }
+
+    fn resume(ck: ExploreCheckpoint) -> Result<ExploreReport, ResumeError> {
+        let spec = RingSpec::oriented(vec![1, 3, 2]);
+        try_explore(
+            &spec.wiring(),
+            mini_ring,
+            mini_safety,
+            mini_quiescence,
+            &ExploreConfig {
+                resume: Some(ck),
+                ..workers(1)
+            },
+        )
+    }
+
+    #[test]
+    fn resume_refuses_paths_that_do_not_replay_before_exploring() {
+        let ck = cut_checkpoint();
         let item = ck
             .frontier
             .iter()
             .position(|item| !item.picks.is_empty())
             .expect("a non-empty frontier path");
-        let resume = |ck: ExploreCheckpoint| {
-            try_explore(
-                &spec.wiring(),
-                mini_ring,
-                mini_safety,
-                mini_quiescence,
-                &ExploreConfig {
-                    resume: Some(ck),
-                    ..workers(1)
-                },
-            )
-        };
         // Every MiniAlg1 node sends on port One at start, so channel 0
         // (node 0's port Zero) is empty where each path's first pick lands.
         let mut far = ck.clone();
@@ -2093,7 +2174,53 @@ mod tests {
                 .expect("the untouched checkpoint resumes")
                 .complete
         );
-        let _ = std::fs::remove_dir_all(&dir);
+    }
+
+    #[test]
+    fn resume_refuses_a_depth_that_is_not_the_path_length() {
+        // A hand-edited depth used to resume silently: past `max_depth` it
+        // pruned the item, and the run reported `complete: false`.
+        let ck = cut_checkpoint();
+        let last = ck.frontier.len() - 1;
+        let picks = ck.frontier[last].picks.len();
+        for depth in [4_000_000_000, picks + 1, picks.saturating_sub(1)] {
+            if depth == picks {
+                continue;
+            }
+            let mut bad = ck.clone();
+            bad.frontier[last].depth = depth;
+            assert_eq!(
+                resume(bad).expect_err("refused"),
+                ResumeError::DepthMismatch {
+                    item: last,
+                    depth,
+                    picks,
+                }
+            );
+        }
+    }
+
+    #[test]
+    fn faulted_fingerprint_values_are_pinned() {
+        // The dedup fingerprint under a fault plan mixes the clamped send
+        // counter into `Simulation::fingerprint`; CORINGCK v2 checkpoints
+        // of faulted runs hold these values.
+        let spec = RingSpec::oriented(vec![1, 3, 2]);
+        let faults = FaultPlan::new().drop_seq(4).duplicate_seq(5);
+        let mut sim = Simulation::new(spec.wiring(), mini_ring(), Box::new(FifoScheduler::new()));
+        sim.set_faults(faults.clone());
+        sim.start();
+        for _ in 0..3 {
+            sim.step();
+        }
+        assert_eq!(
+            (sim.fingerprint(), sim.send_seq()),
+            (7_387_440_888_381_757_047, 5)
+        );
+        assert_eq!(
+            config_fingerprint(&sim, &faults),
+            12_694_067_265_446_715_990
+        );
     }
 
     fn shard_image(fps: &[u64]) -> Vec<u8> {

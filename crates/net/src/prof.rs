@@ -1,7 +1,7 @@
 //! Hot-path profiling for the event core — zero-cost when disabled.
 //!
-//! The engine's hot phases ([`Phase`]), and the explorer's record and
-//! load of frontier configurations, are bracketed with
+//! The engine's hot phases ([`Phase`]), and the explorer's successor
+//! probes and frontier records, are bracketed with
 //! [`start`]/[`stop`] pairs. While profiling is off (the default), each
 //! bracket is a single relaxed atomic load and no clock is read; switching
 //! [`set_enabled`]`(true)` turns every bracket into a timed sample feeding
@@ -48,12 +48,13 @@ pub enum Phase {
     /// Virtual-clock timer servicing: popping due timers off the timer heap
     /// and running `on_timer` handlers.
     Timer,
-    /// The explorer writing a frontier record: one flat pulse configuration
-    /// per admitted configuration (see [`crate::explore::PulseConfig`]).
+    /// The explorer building a frontier record: one flat pulse
+    /// configuration per admitted successor (see
+    /// [`crate::explore::PulseConfig`]).
     Record,
-    /// The explorer loading a frontier record into a worker simulation:
-    /// once per expanded branch and once per replayed path.
-    Load,
+    /// The explorer probing one successor of a record: the delivery and its
+    /// fingerprint, once per branch (see [`crate::explore::Probe`]).
+    Probe,
 }
 
 impl Phase {
@@ -65,7 +66,7 @@ impl Phase {
         Phase::Observe,
         Phase::Timer,
         Phase::Record,
-        Phase::Load,
+        Phase::Probe,
     ];
 
     fn index(self) -> usize {
@@ -76,7 +77,7 @@ impl Phase {
             Phase::Observe => 3,
             Phase::Timer => 4,
             Phase::Record => 5,
-            Phase::Load => 6,
+            Phase::Probe => 6,
         }
     }
 }
@@ -90,7 +91,7 @@ impl fmt::Display for Phase {
             Phase::Observe => "observe",
             Phase::Timer => "timer",
             Phase::Record => "record",
-            Phase::Load => "load",
+            Phase::Probe => "probe",
         })
     }
 }

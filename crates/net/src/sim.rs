@@ -84,18 +84,14 @@ pub struct Context<'a, M: Message> {
 }
 
 impl<'a, M: Message> Context<'a, M> {
-    pub(crate) fn new_internal(node: NodeIndex, outbox: &'a mut Vec<(usize, M)>) -> Context<'a, M> {
-        Context { node, outbox }
-    }
-
     /// Creates a context that buffers sends into `outbox` without any
     /// attached network.
     ///
     /// This is for harnesses that interpose on a protocol's sends — e.g.
     /// the universal ring simulator, which feeds a protocol's events
-    /// manually and re-encodes its outgoing messages as pulse trains.
-    /// Within a [`Simulation`] the context is provided by the engine;
-    /// ordinary protocol code never needs this.
+    /// manually and re-encodes its outgoing messages as pulse trains, and
+    /// the explorer's successor probe. Within a [`Simulation`] the context
+    /// is provided by the engine; ordinary protocol code never needs this.
     #[must_use]
     pub fn buffered(node: NodeIndex, outbox: &'a mut Vec<(usize, M)>) -> Context<'a, M> {
         Context { node, outbox }
@@ -154,8 +150,8 @@ impl StepInfo {
 /// implement [`Snapshot`]) and consumed by [`Simulation::restore`]. The
 /// pair turns a simulation into a branchable value: restore the same
 /// checkpoint once per ready channel and fan out with
-/// [`Simulation::step_channel`]. The exhaustive explorer branches the same
-/// way from a smaller record, [`crate::explore::PulseConfig`].
+/// [`Simulation::step_channel`]. The exhaustive explorer branches without
+/// a simulation, from a smaller record ([`crate::explore::PulseConfig`]).
 pub struct SimSnapshot<M: Message, P: Snapshot> {
     core: CoreSnapshot<M>,
     nodes: Vec<P::State>,
@@ -239,7 +235,7 @@ struct RingHandler<'a, M: Message, P: Protocol<M>> {
 
 impl<M: Message, P: Protocol<M>> EventHandler<M> for RingHandler<'_, M, P> {
     fn on_start(&mut self, node: usize, _degree: usize, outbox: &mut Vec<(usize, M)>) {
-        let mut ctx = Context::new_internal(node, outbox);
+        let mut ctx = Context::buffered(node, outbox);
         self.nodes[node].on_start(&mut ctx);
     }
 
@@ -251,7 +247,7 @@ impl<M: Message, P: Protocol<M>> EventHandler<M> for RingHandler<'_, M, P> {
         msg: M,
         outbox: &mut Vec<(usize, M)>,
     ) {
-        let mut ctx = Context::new_internal(node, outbox);
+        let mut ctx = Context::buffered(node, outbox);
         self.nodes[node].on_message(Port::from_index(port), msg, &mut ctx);
     }
 
@@ -713,25 +709,6 @@ impl<M: Message, P: Protocol<M> + Snapshot> Simulation<M, P> {
         }
     }
 
-    /// Loads a pulse configuration: every node's state from `nodes`, and
-    /// the engine's queue counts, terminated flags and send counters (see
-    /// [`EventCore::load_pulse_config`]). The explorer's branch restore.
-    pub(crate) fn load_pulse_config(
-        &mut self,
-        nodes: &[P::State],
-        counts: &[u32],
-        terminated: &[u32],
-        send_seq: u64,
-        total_sent: u64,
-    ) {
-        assert_eq!(nodes.len(), self.nodes.len(), "one state per node");
-        self.core
-            .load_pulse_config(counts, terminated, send_seq, total_sent);
-        for (node, state) in self.nodes.iter_mut().zip(nodes) {
-            node.restore(state);
-        }
-    }
-
     /// A stable 64-bit hash of the current *configuration*: per-channel
     /// queue lengths, termination flags, and every node's fingerprint.
     ///
@@ -744,20 +721,45 @@ impl<M: Message, P: Protocol<M> + Snapshot> Simulation<M, P> {
     /// [`Pulse`](crate::Pulse).
     #[must_use]
     pub fn fingerprint(&self) -> u64 {
-        let mut fp = Fingerprint::new();
-        fp.write_usize(self.nodes.len());
-        fp.write_bool(self.core.is_started());
-        for ch in 0..self.core.topology().channel_count() {
-            fp.write_usize(self.core.queue_len(ch));
-        }
-        for v in 0..self.nodes.len() {
-            fp.write_bool(self.core.is_terminated(v));
-        }
-        for node in &self.nodes {
-            fp.write_u64(node.fingerprint());
-        }
-        fp.finish()
+        self.fingerprint_with(None)
     }
+
+    /// [`configuration_hash`] of the current configuration.
+    pub(crate) fn fingerprint_with(&self, clamped_send_seq: Option<u64>) -> u64 {
+        configuration_hash(
+            self.core.is_started(),
+            (0..self.core.topology().channel_count()).map(|ch| self.core.queue_len(ch) as u64),
+            (0..self.nodes.len()).map(|v| self.core.is_terminated(v)),
+            self.nodes.iter().map(Snapshot::fingerprint),
+            clamped_send_seq,
+        )
+    }
+}
+
+/// The one configuration hash layout, behind [`Simulation::fingerprint`]
+/// and [`crate::explore::config_fingerprint`]: node count, started flag,
+/// queue lengths, terminated flags, node fingerprints; then the clamped
+/// send counter, if given, mixed into the finished hash. CORINGCK v2
+/// checkpoints store its values.
+pub(crate) fn configuration_hash(
+    started: bool,
+    counts: impl Iterator<Item = u64>,
+    terminated: impl Iterator<Item = bool>,
+    nodes: impl ExactSizeIterator<Item = u64>,
+    clamped_send_seq: Option<u64>,
+) -> u64 {
+    let mut fp = Fingerprint::new();
+    fp.write_usize(nodes.len());
+    fp.write_bool(started);
+    counts.for_each(|count| fp.write_u64(count));
+    terminated.for_each(|flag| fp.write_bool(flag));
+    nodes.for_each(|node| fp.write_u64(node));
+    clamped_send_seq.map_or(fp.finish(), |seq| {
+        let mut outer = Fingerprint::new();
+        outer.write_u64(fp.finish());
+        outer.write_u64(seq);
+        outer.finish()
+    })
 }
 
 impl<M: Message, P: Protocol<M> + fmt::Debug> fmt::Debug for Simulation<M, P> {
@@ -1026,6 +1028,19 @@ mod tests {
         b.run(Budget::default());
         assert_eq!(a.fingerprint(), b.fingerprint());
         assert_ne!(a.fingerprint(), ring_sim(3, 2).fingerprint());
+    }
+
+    #[test]
+    fn fingerprint_values_are_pinned() {
+        // Dedup sets in CORINGCK v2 checkpoints hold these values: a change
+        // of hash layout must bump the checkpoint version.
+        let mut sim = ring_sim(3, 2);
+        sim.start();
+        for _ in 0..4 {
+            sim.step();
+        }
+        assert!((0..3).any(|v| sim.is_terminated(v)) && !sim.is_quiescent());
+        assert_eq!(sim.fingerprint(), 7_155_887_305_805_846_364);
     }
 
     #[test]

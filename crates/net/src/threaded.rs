@@ -291,7 +291,7 @@ where
 impl<'a, M: Message> Context<'a, M> {
     /// Internal constructor used by the threaded runtime.
     pub(crate) fn for_threaded(node: NodeIndex, outbox: &'a mut Vec<(usize, M)>) -> Context<'a, M> {
-        Context::new_internal(node, outbox)
+        Context::buffered(node, outbox)
     }
 }
 
