@@ -4,7 +4,10 @@
 
 use co_bench::harness::{BenchmarkId, Criterion, Throughput};
 use co_bench::{criterion_group, criterion_main};
+use co_core::invariants::CwMonitorObserver;
+use co_core::registry::Alg1Def;
 use co_core::runner;
+use co_core::runner::RunOptions;
 use co_net::{RingSpec, SchedulerKind};
 
 fn bench_by_n(c: &mut Criterion) {
@@ -13,7 +16,7 @@ fn bench_by_n(c: &mut Criterion) {
         let spec = RingSpec::oriented((1..=n).collect());
         group.throughput(Throughput::Elements(n * n));
         group.bench_with_input(BenchmarkId::from_parameter(n), &spec, |b, spec| {
-            b.iter(|| runner::run_alg1(spec, SchedulerKind::Fifo, 0))
+            b.iter(|| runner::run::<Alg1Def>(spec, &RunOptions::new(SchedulerKind::Fifo, 0)))
         });
     }
     group.finish();
@@ -23,10 +26,17 @@ fn bench_monitored(c: &mut Criterion) {
     let mut group = c.benchmark_group("alg1/monitored");
     let spec = RingSpec::oriented((1..=32u64).collect());
     group.bench_function("plain", |b| {
-        b.iter(|| runner::run_alg1(&spec, SchedulerKind::Random, 2))
+        b.iter(|| runner::run::<Alg1Def>(&spec, &RunOptions::new(SchedulerKind::Random, 2)))
     });
     group.bench_function("with_lemma_monitors", |b| {
-        b.iter(|| runner::run_alg1_monitored(&spec, SchedulerKind::Random, 2).expect("invariants"))
+        b.iter(|| {
+            runner::run_monitored::<Alg1Def, _>(
+                &spec,
+                &RunOptions::new(SchedulerKind::Random, 2),
+                CwMonitorObserver::new(),
+            )
+            .expect("invariants")
+        })
     });
     group.finish();
 }

@@ -6,7 +6,9 @@
 
 use co_bench::harness::{BenchmarkId, Criterion, Throughput};
 use co_bench::{criterion_group, criterion_main};
+use co_core::registry::Alg2Def;
 use co_core::runner;
+use co_core::runner::RunOptions;
 use co_net::{RingSpec, SchedulerKind};
 
 fn bench_by_n(c: &mut Criterion) {
@@ -17,7 +19,7 @@ fn bench_by_n(c: &mut Criterion) {
         group.throughput(Throughput::Elements(pulses));
         group.bench_with_input(BenchmarkId::from_parameter(n), &spec, |b, spec| {
             b.iter(|| {
-                let report = runner::run_alg2(spec, SchedulerKind::Fifo, 0);
+                let report = runner::run::<Alg2Def>(spec, &RunOptions::new(SchedulerKind::Fifo, 0));
                 assert_eq!(report.total_messages, pulses);
                 report
             })
@@ -37,7 +39,7 @@ fn bench_by_id_max(c: &mut Criterion) {
         group.throughput(Throughput::Elements(pulses));
         group.bench_with_input(BenchmarkId::from_parameter(id_max), &spec, |b, spec| {
             b.iter(|| {
-                let report = runner::run_alg2(spec, SchedulerKind::Fifo, 0);
+                let report = runner::run::<Alg2Def>(spec, &RunOptions::new(SchedulerKind::Fifo, 0));
                 assert_eq!(report.total_messages, pulses);
                 report
             })
@@ -51,7 +53,7 @@ fn bench_by_scheduler(c: &mut Criterion) {
     let spec = RingSpec::oriented((1..=64u64).collect());
     for kind in SchedulerKind::ALL {
         group.bench_with_input(BenchmarkId::from_parameter(kind), &kind, |b, &kind| {
-            b.iter(|| runner::run_alg2(&spec, kind, 1))
+            b.iter(|| runner::run::<Alg2Def>(&spec, &RunOptions::new(kind, 1)))
         });
     }
     group.finish();

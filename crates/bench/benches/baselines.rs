@@ -4,6 +4,8 @@
 use co_bench::harness::{BenchmarkId, Criterion};
 use co_bench::{criterion_group, criterion_main};
 use co_classic::runner::Baseline;
+use co_core::registry::Alg2Def;
+use co_core::runner::RunOptions;
 use co_core::{runner, IdAssignment};
 use co_net::{RingSpec, SchedulerKind};
 use rand::rngs::StdRng;
@@ -17,12 +19,12 @@ fn bench_all(c: &mut Criterion) {
         for baseline in Baseline::ALL {
             let label = format!("{baseline}/n={n}");
             group.bench_with_input(BenchmarkId::from_parameter(label), &spec, |b, spec| {
-                b.iter(|| baseline.run(spec, SchedulerKind::Fifo, 2))
+                b.iter(|| baseline.run(spec, &RunOptions::new(SchedulerKind::Fifo, 2)))
             });
         }
         let label = format!("alg2-content-oblivious/n={n}");
         group.bench_with_input(BenchmarkId::from_parameter(label), &spec, |b, spec| {
-            b.iter(|| runner::run_alg2(spec, SchedulerKind::Fifo, 2))
+            b.iter(|| runner::run::<Alg2Def>(spec, &RunOptions::new(SchedulerKind::Fifo, 2)))
         });
     }
     group.finish();
@@ -34,10 +36,10 @@ fn bench_cr_worst_case(c: &mut Criterion) {
     let n = 256u64;
     let spec = RingSpec::oriented((1..=n).rev().collect());
     group.bench_function("chang_roberts", |b| {
-        b.iter(|| Baseline::ChangRoberts.run(&spec, SchedulerKind::Fifo, 0))
+        b.iter(|| Baseline::ChangRoberts.run(&spec, &RunOptions::new(SchedulerKind::Fifo, 0)))
     });
     group.bench_function("alg2", |b| {
-        b.iter(|| runner::run_alg2(&spec, SchedulerKind::Fifo, 0))
+        b.iter(|| runner::run::<Alg2Def>(&spec, &RunOptions::new(SchedulerKind::Fifo, 0)))
     });
     group.finish();
 }

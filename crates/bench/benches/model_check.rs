@@ -4,7 +4,7 @@
 
 use co_bench::harness::{BenchmarkId, Criterion};
 use co_bench::{criterion_group, criterion_main};
-use co_core::Alg2Node;
+use co_core::registry::{Alg2Def, RingProtocol};
 use co_net::explore::{explore, ExploreConfig};
 use co_net::RingSpec;
 
@@ -12,11 +12,7 @@ fn check(ids: &[u64]) -> usize {
     let spec = RingSpec::oriented(ids.to_vec());
     let report = explore(
         &spec.wiring(),
-        || {
-            (0..spec.len())
-                .map(|i| Alg2Node::new(spec.id(i), spec.cw_port(i)))
-                .collect()
-        },
+        || Alg2Def::nodes(&spec),
         |_| Ok(()),
         |_| Ok(()),
         &ExploreConfig {

@@ -159,7 +159,8 @@ impl CheckReport {
 #[must_use]
 pub fn collect_metrics(inject_regression_pct: Option<f64>) -> Vec<Metric> {
     use co_core::anonymous::{elect_anonymous, SamplingConfig};
-    use co_core::{runner, Alg2Node};
+    use co_core::registry::{Alg1Def, Alg2Def, RingProtocol};
+    use co_core::runner::{self, RunOptions};
     use co_net::explore::{explore, ExploreConfig};
     use co_net::{RingSpec, SchedulerKind};
 
@@ -168,14 +169,14 @@ pub fn collect_metrics(inject_regression_pct: Option<f64>) -> Vec<Metric> {
     // E1 / E2 — message complexity on a fixed n=8 ring. Theorem 1 and
     // Corollary 13 make these exact; any drift is a protocol bug.
     let spec8 = RingSpec::oriented(vec![5, 3, 8, 1, 7, 2, 6, 4]);
-    let alg2 = runner::run_alg2(&spec8, SchedulerKind::Fifo, 0);
+    let alg2 = runner::run::<Alg2Def>(&spec8, &RunOptions::new(SchedulerKind::Fifo, 0));
     metrics.push(Metric {
         name: "e1_alg2_pulses_n8",
         value: alg2.total_messages as f64,
         tolerance_pct: 0.0,
         direction: Direction::Both,
     });
-    let alg1 = runner::run_alg1(&spec8, SchedulerKind::Fifo, 0);
+    let alg1 = runner::run::<Alg1Def>(&spec8, &RunOptions::new(SchedulerKind::Fifo, 0));
     metrics.push(Metric {
         name: "e2_alg1_pulses_n8",
         value: alg1.total_messages as f64,
@@ -196,11 +197,7 @@ pub fn collect_metrics(inject_regression_pct: Option<f64>) -> Vec<Metric> {
     let spec3 = RingSpec::oriented(vec![1, 2, 4]);
     let snap = explore(
         &spec3.wiring(),
-        || {
-            (0..spec3.len())
-                .map(|i| Alg2Node::new(spec3.id(i), spec3.cw_port(i)))
-                .collect::<Vec<_>>()
-        },
+        || Alg2Def::nodes(&spec3),
         |_| Ok(()),
         |_| Ok(()),
         &ExploreConfig {
@@ -223,11 +220,7 @@ pub fn collect_metrics(inject_regression_pct: Option<f64>) -> Vec<Metric> {
 
     // E16 — explorer state count at one worker.
     let spec7 = RingSpec::oriented(vec![3, 5, 2, 4, 1, 6, 7]);
-    let make7 = || {
-        (0..spec7.len())
-            .map(|i| Alg2Node::new(spec7.id(i), spec7.cw_port(i)))
-            .collect::<Vec<_>>()
-    };
+    let make7 = || Alg2Def::nodes(&spec7);
     let exact = explore(
         &spec7.wiring(),
         make7,
@@ -272,7 +265,8 @@ pub fn collect_metrics(inject_regression_pct: Option<f64>) -> Vec<Metric> {
 /// the release gate compares against the *committed* baseline file, which
 /// trips on any cross-process drift.
 fn e17_metrics() -> &'static [Metric; 3] {
-    use co_core::runner;
+    use co_core::registry::Alg2Def;
+    use co_core::runner::{self, RunOptions};
     use co_net::{RingSpec, SchedulerKind};
     use std::sync::OnceLock;
 
@@ -285,15 +279,13 @@ fn e17_metrics() -> &'static [Metric; 3] {
             .into_iter()
             .enumerate()
         {
-            let out = runner::run_alg2_scaled(
-                &spec1000,
-                SchedulerKind::Fifo,
-                0,
+            let opts = RunOptions {
                 backend,
-                co_net::Budget::default(),
-            );
+                ..RunOptions::new(SchedulerKind::Fifo, 0)
+            };
+            let out = runner::run::<Alg2Def>(&spec1000, &opts);
             peaks[slot] = out.peak_queue_bytes;
-            steps = out.report.steps;
+            steps = out.steps;
         }
         [
             Metric {
@@ -331,7 +323,8 @@ fn e17_metrics() -> &'static [Metric; 3] {
 /// the committed baseline ever sees cross-run timing variance — absorbed
 /// by the 400% tolerance.
 fn e18_metrics() -> &'static [Metric; 3] {
-    use co_core::runner;
+    use co_core::registry::Alg2Def;
+    use co_core::runner::{self, RunOptions};
     use co_net::sched::{FifoScheduler, LongestQueueScheduler};
     use co_net::{
         Budget, ChannelId, ChannelView, QueueBackend, RingSpec, Scheduler, SchedulerKind,
@@ -377,14 +370,13 @@ fn e18_metrics() -> &'static [Metric; 3] {
         let spec5k = RingSpec::oriented((1..=5000u64).collect::<Vec<u64>>());
         let start = Instant::now();
         for kind in SchedulerKind::ALL {
-            let out = runner::run_alg2_scaled(
-                &spec5k,
-                kind,
-                0,
-                QueueBackend::Counter,
-                Budget::steps(100_000),
-            );
-            assert_eq!(out.report.steps, 100_000, "budget-capped cell under {kind}");
+            let opts = RunOptions {
+                backend: QueueBackend::Counter,
+                budget: Budget::steps(100_000),
+                ..RunOptions::new(kind, 0)
+            };
+            let out = runner::run::<Alg2Def>(&spec5k, &opts);
+            assert_eq!(out.steps, 100_000, "budget-capped cell under {kind}");
         }
         let matrix_ms = start.elapsed().as_millis() as f64;
         [
@@ -427,6 +419,7 @@ fn e18_metrics() -> &'static [Metric; 3] {
 ///   ([`co_net::runtime`]) for 2048 rounds. Same 400% `Increase` budget as
 ///   the `e18_*` timings (see the module docs).
 fn e19_metrics() -> &'static [Metric; 3] {
+    use co_core::registry::{Alg2Def, RingProtocol};
     use co_core::Alg2Node;
     use co_net::runtime::AsyncRing;
     use co_net::{
@@ -437,16 +430,10 @@ fn e19_metrics() -> &'static [Metric; 3] {
 
     static CELL: OnceLock<[Metric; 3]> = OnceLock::new();
     CELL.get_or_init(|| {
-        let alg2_nodes = |spec: &RingSpec| {
-            (0..spec.len())
-                .map(|i| Alg2Node::new(spec.id(i), spec.cw_port(i)))
-                .collect::<Vec<_>>()
-        };
-
         let spec300 = RingSpec::oriented((1..=300).collect::<Vec<u64>>());
         let mut timed: Simulation<Pulse, Alg2Node> = Simulation::new(
             spec300.wiring(),
-            alg2_nodes(&spec300),
+            Alg2Def::nodes(&spec300),
             SchedulerKind::Fifo.build(0),
         );
         timed.set_latency(LatencyPlan::new(LatencyModel::Fixed(1), 0));
@@ -456,7 +443,7 @@ fn e19_metrics() -> &'static [Metric; 3] {
         let spec50 = RingSpec::oriented((1..=50).collect::<Vec<u64>>());
         let mut latency: Simulation<Pulse, Alg2Node> = Simulation::new(
             spec50.wiring(),
-            alg2_nodes(&spec50),
+            Alg2Def::nodes(&spec50),
             SchedulerKind::Latency.build(0),
         );
         latency.set_latency(LatencyPlan::new(
@@ -515,6 +502,7 @@ fn e19_metrics() -> &'static [Metric; 3] {
 ///   n = 100,000 Algorithm 2 election on the counter backend: exactly the
 ///   cap, so budget boundaries stay pulse-exact at 200,000 channels.
 fn e20_metrics() -> &'static [Metric; 1] {
+    use co_core::registry::{Alg2Def, RingProtocol};
     use co_core::Alg2Node;
     use co_net::{Budget, Outcome, Pulse, QueueBackend, RingSpec, SchedulerKind, Simulation};
     use std::sync::OnceLock;
@@ -525,9 +513,7 @@ fn e20_metrics() -> &'static [Metric; 1] {
         // debug-profile tests, where every pulse is ~30× dearer.
         const ELECT_CAP: u64 = 500_000;
         let spec = RingSpec::oriented((1..=100_000u64).collect::<Vec<u64>>());
-        let nodes = (0..spec.len())
-            .map(|i| Alg2Node::new(spec.id(i), spec.cw_port(i)))
-            .collect();
+        let nodes = Alg2Def::nodes(&spec);
         let mut sim: Simulation<Pulse, Alg2Node> = Simulation::with_backend(
             spec.wiring(),
             nodes,
@@ -635,7 +621,7 @@ fn e21_metrics() -> &'static [Metric; 4] {
 ///   exhaustion throughput per backend; `Decrease`-gated at 80% (see the
 ///   module docs for why that budget).
 fn e22_metrics() -> &'static [Metric; 7] {
-    use co_core::Alg2Node;
+    use co_core::registry::{Alg2Def, RingProtocol};
     use co_net::explore::{
         explore, CheckpointPlan, ExploreCheckpoint, ExploreConfig, ExploreLimits,
     };
@@ -646,11 +632,7 @@ fn e22_metrics() -> &'static [Metric; 7] {
     static CELL: OnceLock<[Metric; 7]> = OnceLock::new();
     CELL.get_or_init(|| {
         let spec = RingSpec::oriented(vec![3, 5, 2, 4, 1, 6, 7]);
-        let make = || {
-            (0..spec.len())
-                .map(|i| Alg2Node::new(spec.id(i), spec.cw_port(i)))
-                .collect::<Vec<Alg2Node>>()
-        };
+        let make = || Alg2Def::nodes(&spec);
         let scratch = std::env::temp_dir();
         let mmap = DedupKind::Mmap { budget: 1 << 20 };
         let run = |config: &ExploreConfig| {

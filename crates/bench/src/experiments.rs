@@ -5,18 +5,27 @@
 
 use crate::table::Table;
 use co_classic::defective::Defective;
+use co_classic::registry::ChangRobertsDef;
 use co_classic::runner::Baseline;
 use co_classic::ChangRobertsNode;
 use co_compose::pipeline::{elect_then_aggregate, elect_then_replicate, elect_then_ring_size};
 use co_core::anonymous::SamplingConfig;
+use co_core::invariants::{Alg2MonitorObserver, CwMonitorObserver};
 use co_core::lower_bound::{
     lower_bound_messages, max_prefix_group, patterns_unique, solitude_pattern_alg2,
 };
-use co_core::{runner, IdAssignment, IdScheme, Role};
+use co_core::registry::{Alg1Def, Alg2Def, RingProtocol, UngatedDef};
+use co_core::runner::{self, RunOptions};
+use co_core::{IdAssignment, IdScheme, Role};
 use co_net::{Budget, Outcome, Protocol, RingSpec, SchedulerKind, Simulation};
 use rand::rngs::StdRng;
 use rand::SeedableRng;
 use std::fmt;
+
+/// A message count that may exceed a `u64` (a checked prediction).
+fn count(messages: Option<u64>) -> String {
+    messages.map_or_else(|| "> u64::MAX".to_owned(), |m| m.to_string())
+}
 
 /// The experiment catalogue.
 #[derive(Copy, Clone, Debug, PartialEq, Eq)]
@@ -188,9 +197,10 @@ pub fn e0_defective_sanity() -> Table {
     let mut all_dead = true;
     for n in [2usize, 4, 8, 16, 32, 64] {
         let spec = RingSpec::oriented((1..=n as u64).collect());
-        let healthy = co_classic::runner::run_chang_roberts(&spec, SchedulerKind::Random, 1);
-        let nodes = (0..n)
-            .map(|i| Defective::new(ChangRobertsNode::new(spec.id(i), spec.cw_port(i))))
+        let healthy = Baseline::ChangRoberts.run(&spec, &RunOptions::new(SchedulerKind::Random, 1));
+        let nodes = ChangRobertsDef::nodes(&spec)
+            .into_iter()
+            .map(Defective::new)
             .collect();
         let mut sim: Simulation<co_classic::chang_roberts::CrMsg, _> =
             Simulation::new(spec.wiring(), nodes, SchedulerKind::Random.build(1));
@@ -286,7 +296,7 @@ pub fn e1_theorem1() -> Table {
         t,
         |n, id_max| n * (2 * id_max + 1),
         |spec, kind, seed| {
-            let r = runner::run_alg2(spec, kind, seed);
+            let r = runner::run::<Alg2Def>(spec, &RunOptions::new(kind, seed));
             let valid = r.quiescently_terminated() && r.validate(spec).is_ok();
             (r.total_messages, valid, r.outcome)
         },
@@ -313,7 +323,7 @@ pub fn e2_algorithm1() -> Table {
         t,
         |n, id_max| n * id_max,
         |spec, kind, seed| {
-            let r = runner::run_alg1(spec, kind, seed);
+            let r = runner::run::<Alg1Def>(spec, &RunOptions::new(kind, seed));
             let valid = r.outcome == Outcome::Quiescent && r.validate(spec).is_ok();
             (r.total_messages, valid, r.outcome)
         },
@@ -326,8 +336,10 @@ fn alg3_sweep(mut t: Table, scheme: IdScheme) -> Table {
     for n in [1usize, 2, 4, 8, 16, 32, 64] {
         let ids = IdAssignment::Shuffled.generate(n, &mut rng);
         let spec = RingSpec::random_flips(ids, &mut rng);
-        let predicted = scheme.predicted_messages(n as u64, spec.id_max());
-        let out = runner::run_alg3(&spec, scheme, SchedulerKind::Random, 3);
+        let predicted = scheme
+            .predicted_messages(n as u64, spec.id_max())
+            .expect("IDs up to 64 fit");
+        let out = runner::run_alg3(&spec, scheme, &RunOptions::new(SchedulerKind::Random, 3));
         let ok = out.report.validate(&spec).is_ok()
             && out.orientation_consistent
             && out.report.total_messages == predicted;
@@ -515,7 +527,8 @@ pub fn e7_lower_bound() -> Table {
             let mut ids: Vec<u64> = (1..n).collect();
             ids.push(id_max);
             let spec = RingSpec::oriented(ids);
-            let measured = runner::run_alg2(&spec, SchedulerKind::Fifo, 0).total_messages;
+            let measured = runner::run::<Alg2Def>(&spec, &RunOptions::new(SchedulerKind::Fifo, 0))
+                .total_messages;
             let bound = lower_bound_messages(id_max, n);
             // Corollary 24 check on a subsample of patterns (k capped for
             // tractability: pattern extraction is Θ(k²) pulses total).
@@ -582,12 +595,14 @@ fn e8_baselines_jobs(jobs: usize) -> Table {
     let rows = crate::parallel::par_map(&specs, jobs, |(n, spec, big_spec)| {
         let mut cells = vec![n.to_string()];
         for baseline in Baseline::ALL {
-            let r = baseline.run(spec, SchedulerKind::Fifo, 1);
+            let r = baseline.run(spec, &RunOptions::new(SchedulerKind::Fifo, 1));
             cells.push(r.total_messages.to_string());
         }
-        let small = runner::run_alg2(spec, SchedulerKind::Fifo, 1).total_messages;
+        let small =
+            runner::run::<Alg2Def>(spec, &RunOptions::new(SchedulerKind::Fifo, 1)).total_messages;
         cells.push(small.to_string());
-        let big = runner::run_alg2(big_spec, SchedulerKind::Fifo, 1).total_messages;
+        let big = runner::run::<Alg2Def>(big_spec, &RunOptions::new(SchedulerKind::Fifo, 1))
+            .total_messages;
         cells.push(big.to_string());
         cells
     });
@@ -630,7 +645,7 @@ pub fn e9_composition() -> Table {
             rs_ok.to_string(),
             rs.quiescently_terminated.to_string(),
             rs.total_messages.to_string(),
-            rs.election_messages.to_string(),
+            count(rs.election_messages),
         ]);
 
         let inputs: Vec<u64> = (0..n as u64).map(|i| i * i).collect();
@@ -647,7 +662,7 @@ pub fn e9_composition() -> Table {
             agg_ok.to_string(),
             agg.quiescently_terminated.to_string(),
             agg.total_messages.to_string(),
-            agg.election_messages.to_string(),
+            count(agg.election_messages),
         ]);
 
         let script = vec![7i64, -11, 100];
@@ -660,7 +675,7 @@ pub fn e9_composition() -> Table {
             rep_ok.to_string(),
             rep.quiescently_terminated.to_string(),
             rep.total_messages.to_string(),
-            rep.election_messages.to_string(),
+            count(rep.election_messages),
         ]);
     }
     t.set_verdict(if all_ok {
@@ -704,11 +719,23 @@ fn e10_invariants_jobs(jobs: usize) -> Table {
         for kind in SchedulerKind::ALL {
             for seed in 0..4u64 {
                 runs += 1;
-                if runner::run_alg1_monitored(spec, kind, seed).is_err() {
+                if runner::run_monitored::<Alg1Def, _>(
+                    spec,
+                    &RunOptions::new(kind, seed),
+                    CwMonitorObserver::new(),
+                )
+                .is_err()
+                {
                     bad += 1;
                 }
                 runs += 1;
-                if runner::run_alg2_monitored(spec, kind, seed).is_err() {
+                if runner::run_monitored::<Alg2Def, _>(
+                    spec,
+                    &RunOptions::new(kind, seed),
+                    Alg2MonitorObserver::new(),
+                )
+                .is_err()
+                {
                     bad += 1;
                 }
             }
@@ -767,11 +794,7 @@ pub fn e11_ablation() -> Table {
 
         let gated = explore(
             &spec.wiring(),
-            || {
-                (0..spec.len())
-                    .map(|i| co_core::Alg2Node::new(spec.id(i), spec.cw_port(i)))
-                    .collect()
-            },
+            || Alg2Def::nodes(&spec),
             |_| Ok(()),
             |state| {
                 let roles: Vec<Role> = state.nodes.iter().map(co_core::Alg2Node::role).collect();
@@ -796,11 +819,7 @@ pub fn e11_ablation() -> Table {
 
         let ungated = explore(
             &spec.wiring(),
-            || {
-                (0..spec.len())
-                    .map(|i| UngatedAlg2Node::new(spec.id(i), spec.cw_port(i)))
-                    .collect()
-            },
+            || UngatedDef::nodes(&spec),
             |_| Ok(()),
             |state| {
                 let roles: Vec<Role> = state.nodes.iter().map(UngatedAlg2Node::role).collect();
@@ -863,11 +882,7 @@ pub fn e12_model_check() -> Table {
         let predicted = spec.len() as u64 * (2 * spec.id_max() + 1);
         let report = explore(
             &spec.wiring(),
-            || {
-                (0..spec.len())
-                    .map(|i| co_core::Alg2Node::new(spec.id(i), spec.cw_port(i)))
-                    .collect()
-            },
+            || Alg2Def::nodes(&spec),
             |_| Ok(()),
             |state| {
                 let ok = state.terminated.iter().all(|&x| x)
@@ -921,14 +936,12 @@ pub fn e13_model_violations() -> Table {
             ("drop seq 4", FaultPlan::new().drop_seq(4)),
             ("duplicate seq 1", FaultPlan::new().duplicate_seq(1)),
         ] {
-            let nodes = (0..spec.len())
-                .map(|i| co_core::Alg2Node::new(spec.id(i), spec.cw_port(i)))
-                .collect();
+            let nodes = Alg2Def::nodes(&spec);
             let mut sim: Simulation<co_net::Pulse, co_core::Alg2Node> =
                 Simulation::new(spec.wiring(), nodes, SchedulerKind::Fifo.build(0));
             sim.set_faults(plan);
             let faulty = sim.run(Budget::steps(500_000));
-            let healthy = runner::run_alg2(&spec, SchedulerKind::Fifo, 0);
+            let healthy = runner::run::<Alg2Def>(&spec, &RunOptions::new(SchedulerKind::Fifo, 0));
             let broken = faulty.outcome != Outcome::QuiescentTerminated;
             all_broken &= broken;
             t.row(vec![
@@ -1002,8 +1015,8 @@ pub fn e14_universal_simulation() -> Table {
             spec.id_max().to_string(),
             format!("{leader:?}"),
             correct.to_string(),
-            out.election_messages.to_string(),
-            (out.total_messages - out.election_messages).to_string(),
+            count(out.election_messages),
+            count(out.election_messages.map(|e| out.total_messages - e)),
             out.quiescently_terminated.to_string(),
         ]);
     }
@@ -1036,11 +1049,7 @@ pub fn e15_explore_dedup() -> Table {
         vec![1, 2, 4],
     ] {
         let spec = RingSpec::oriented(ids.clone());
-        let make = || {
-            (0..spec.len())
-                .map(|i| Alg2Node::new(spec.id(i), spec.cw_port(i)))
-                .collect::<Vec<_>>()
-        };
+        let make = || Alg2Def::nodes(&spec);
         let snap = explore(
             &spec.wiring(),
             make,
@@ -1133,7 +1142,6 @@ pub fn e16_parallel_explore() -> Table {
 /// `[1, jobs]`.
 #[must_use]
 pub fn e16_parallel_explore_jobs(jobs: usize) -> Table {
-    use co_core::{Alg1Node, Alg2Node};
     use co_net::explore::{explore, ExploreConfig, ExploreLimits};
     use co_net::FaultPlan;
     use std::time::Instant;
@@ -1187,18 +1195,10 @@ pub fn e16_parallel_explore_jobs(jobs: usize) -> Table {
             };
             let start = Instant::now();
             let report = if is_alg1 {
-                let make = || {
-                    (0..spec.len())
-                        .map(|i| Alg1Node::new(spec.id(i), spec.cw_port(i)))
-                        .collect::<Vec<Alg1Node>>()
-                };
+                let make = || Alg1Def::nodes(&spec);
                 explore(&spec.wiring(), make, |_| Ok(()), |_| Ok(()), &config)
             } else {
-                let make = || {
-                    (0..spec.len())
-                        .map(|i| Alg2Node::new(spec.id(i), spec.cw_port(i)))
-                        .collect::<Vec<Alg2Node>>()
-                };
+                let make = || Alg2Def::nodes(&spec);
                 explore(&spec.wiring(), make, |_| Ok(()), |_| Ok(()), &config)
             };
             (report, start.elapsed().as_millis())
@@ -1239,11 +1239,7 @@ pub fn e16_parallel_explore_jobs(jobs: usize) -> Table {
     let spec3 = RingSpec::oriented(vec![3u64, 5, 2]);
     let leader = spec3.max_position();
     let predicted = spec3.len() as u64 * (2 * spec3.id_max() + 1);
-    let make3 = || {
-        (0..spec3.len())
-            .map(|i| co_core::Alg2Node::new(spec3.id(i), spec3.cw_port(i)))
-            .collect::<Vec<co_core::Alg2Node>>()
-    };
+    let make3 = || Alg2Def::nodes(&spec3);
     for (label, plan, bounded) in [
         // A dropped pulse only shrinks the state space: the exploration is
         // exhaustive and proves the fault deadlocks EVERY schedule.
@@ -1458,17 +1454,15 @@ pub fn e17_scaling_jobs(jobs: usize) -> Table {
     let results = crate::parallel::par_map(&cells, jobs, |&(n, alg, backend)| {
         let spec = RingSpec::oriented((1..=n as u64).collect());
         let start = Instant::now();
+        let opts = RunOptions {
+            backend,
+            budget,
+            ..RunOptions::new(SchedulerKind::Fifo, 0)
+        };
         let out = match alg {
-            "alg1" => runner::run_alg1_scaled(&spec, SchedulerKind::Fifo, 0, backend, budget),
-            "alg2" => runner::run_alg2_scaled(&spec, SchedulerKind::Fifo, 0, backend, budget),
-            _ => runner::run_alg3_scaled(
-                &spec,
-                IdScheme::Improved,
-                SchedulerKind::Fifo,
-                0,
-                backend,
-                budget,
-            ),
+            "alg1" => runner::run::<Alg1Def>(&spec, &opts),
+            "alg2" => runner::run::<Alg2Def>(&spec, &opts),
+            _ => runner::run_alg3(&spec, IdScheme::Improved, &opts).report,
         };
         let ms = start.elapsed().as_millis();
         (out, ms)
@@ -1478,11 +1472,10 @@ pub fn e17_scaling_jobs(jobs: usize) -> Table {
         // step and pulse counts must be byte-identical.
         let counts: Vec<(u64, u64)> = chunk
             .iter()
-            .map(|(out, _)| (out.report.steps, out.report.total_messages))
+            .map(|(r, _)| (r.steps, r.total_messages))
             .collect();
         let backends_agree = counts[0] == counts[1];
-        for ((out, ms), &(n, alg, backend)) in chunk.iter().zip(items) {
-            let r = &out.report;
+        for ((r, ms), &(n, alg, backend)) in chunk.iter().zip(items) {
             let exact = r.reached_quiescence()
                 && Some(r.total_messages) == r.predicted_messages
                 && backends_agree;
@@ -1494,7 +1487,7 @@ pub fn e17_scaling_jobs(jobs: usize) -> Table {
                 r.steps,
                 r.total_messages,
                 exact,
-                out.peak_queue_bytes,
+                r.peak_queue_bytes,
                 *ms,
             ));
         }
@@ -1615,9 +1608,7 @@ pub fn e18_sched_index_jobs(jobs: usize) -> Table {
         // (steps, fingerprint, pick mean ns, pick share %, wall ms) per mode.
         let mut modes = Vec::new();
         for indexed in [true, false] {
-            let nodes = (0..n)
-                .map(|i| Alg2Node::new(spec.id(i), spec.cw_port(i)))
-                .collect();
+            let nodes = Alg2Def::nodes(&spec);
             let mut sim: Simulation<Pulse, Alg2Node> =
                 Simulation::new(spec.wiring(), nodes, kind.build(0));
             sim.set_indexed_picks(indexed);
@@ -1667,9 +1658,13 @@ pub fn e18_sched_index_jobs(jobs: usize) -> Table {
     let kinds: Vec<SchedulerKind> = SchedulerKind::ALL.to_vec();
     let results = crate::parallel::par_map(&kinds, jobs, |&kind| {
         let start = Instant::now();
-        let out =
-            runner::run_alg2_scaled(&spec5k, kind, 0, QueueBackend::Counter, Budget::steps(CAP));
-        (out.report.steps, start.elapsed().as_millis())
+        let opts = RunOptions {
+            backend: QueueBackend::Counter,
+            budget: Budget::steps(CAP),
+            ..RunOptions::new(kind, 0)
+        };
+        let out = runner::run::<Alg2Def>(&spec5k, &opts);
+        (out.steps, start.elapsed().as_millis())
     });
     for (&kind, &(steps, ms)) in kinds.iter().zip(&results) {
         // Theorem 1 puts the full election at 5000 × 10001 ≈ 50 M pulses
@@ -1753,9 +1748,7 @@ pub fn e19_virtual_time_jobs(jobs: usize) -> Table {
     ];
     let mut reference: Option<(u64, u64)> = None; // (steps, fingerprint)
     for (label, model) in modes {
-        let nodes = (0..n)
-            .map(|i| Alg2Node::new(spec.id(i), spec.cw_port(i)))
-            .collect();
+        let nodes = Alg2Def::nodes(&spec);
         let mut sim: Simulation<Pulse, Alg2Node> =
             Simulation::new(spec.wiring(), nodes, SchedulerKind::Fifo.build(0));
         sim.set_latency(LatencyPlan::new(model, 19));
@@ -1786,9 +1779,7 @@ pub fn e19_virtual_time_jobs(jobs: usize) -> Table {
     let spec2 = RingSpec::oriented((1..=200u64).collect());
     let results = crate::parallel::par_map(&seeds, jobs, |&seed| {
         let run_once = || {
-            let nodes = (0..spec2.len())
-                .map(|i| Alg2Node::new(spec2.id(i), spec2.cw_port(i)))
-                .collect();
+            let nodes = Alg2Def::nodes(&spec2);
             let mut sim: Simulation<Pulse, Alg2Node> =
                 Simulation::new(spec2.wiring(), nodes, SchedulerKind::Latency.build(seed));
             sim.set_latency(LatencyPlan::new(
@@ -1967,7 +1958,6 @@ pub fn e21_fleet_jobs(jobs: usize) -> Table {
 /// to the uninterrupted run.
 #[must_use]
 pub fn e22_out_of_core() -> Table {
-    use co_core::{Alg1Node, Alg2Node};
     use co_net::explore::{
         explore, CheckpointPlan, ExploreCheckpoint, ExploreConfig, ExploreLimits,
     };
@@ -2004,18 +1994,10 @@ pub fn e22_out_of_core() -> Table {
         let run = |config: &ExploreConfig| {
             let start = Instant::now();
             let report = if is_alg1 {
-                let make = || {
-                    (0..spec.len())
-                        .map(|i| Alg1Node::new(spec.id(i), spec.cw_port(i)))
-                        .collect::<Vec<Alg1Node>>()
-                };
+                let make = || Alg1Def::nodes(&spec);
                 explore(&spec.wiring(), make, |_| Ok(()), |_| Ok(()), config)
             } else {
-                let make = || {
-                    (0..spec.len())
-                        .map(|i| Alg2Node::new(spec.id(i), spec.cw_port(i)))
-                        .collect::<Vec<Alg2Node>>()
-                };
+                let make = || Alg2Def::nodes(&spec);
                 explore(&spec.wiring(), make, |_| Ok(()), |_| Ok(()), config)
             };
             (report, start.elapsed().as_secs_f64())
@@ -2069,11 +2051,7 @@ pub fn e22_out_of_core() -> Table {
     // run's exactly.
     let (full_configs, full_quiescent) = alg2_exact_report.unwrap_or((0, 0));
     let spec = RingSpec::oriented(vec![3, 5, 2, 4, 1, 6, 7]);
-    let make = || {
-        (0..spec.len())
-            .map(|i| Alg2Node::new(spec.id(i), spec.cw_port(i)))
-            .collect::<Vec<Alg2Node>>()
-    };
+    let make = || Alg2Def::nodes(&spec);
     let ck_path = scratch.join(format!("co-ring-e22-{}.ck", std::process::id()));
     let plan = CheckpointPlan {
         path: ck_path.clone(),

@@ -122,12 +122,12 @@ impl Snapshot for ChangRobertsNode {
 #[cfg(test)]
 mod tests {
     use super::*;
+    use crate::registry::ChangRobertsDef;
+    use co_core::registry::RingProtocol;
     use co_net::{Budget, Outcome, RingSpec, SchedulerKind, Simulation};
 
     fn run(spec: &RingSpec, kind: SchedulerKind, seed: u64) -> Simulation<CrMsg, ChangRobertsNode> {
-        let nodes = (0..spec.len())
-            .map(|i| ChangRobertsNode::new(spec.id(i), spec.cw_port(i)))
-            .collect();
+        let nodes = ChangRobertsDef::nodes(spec);
         let mut sim = Simulation::new(spec.wiring(), nodes, kind.build(seed));
         let report = sim.run(Budget::default());
         assert_eq!(report.outcome, Outcome::QuiescentTerminated, "{kind}");

@@ -132,7 +132,8 @@ mod tests {
         // The same ring *without* corruption elects correctly — the failure
         // above is the channel's fault, not the algorithm's.
         let spec = RingSpec::oriented(vec![3, 7, 2, 5]);
-        let report = crate::runner::run_chang_roberts(&spec, SchedulerKind::Fifo, 0);
+        let opts = co_core::runner::RunOptions::new(SchedulerKind::Fifo, 0);
+        let report = crate::runner::Baseline::ChangRoberts.run(&spec, &opts);
         assert_eq!(report.leader, Some(1));
     }
 }

@@ -166,6 +166,8 @@ impl Snapshot for FranklinNode {
 #[cfg(test)]
 mod tests {
     use super::*;
+    use crate::registry::FranklinDef;
+    use co_core::registry::RingProtocol;
     use co_net::{Budget, Outcome, RingSpec, SchedulerKind, Simulation};
 
     fn run(
@@ -173,9 +175,7 @@ mod tests {
         kind: SchedulerKind,
         seed: u64,
     ) -> Simulation<FranklinMsg, FranklinNode> {
-        let nodes = (0..spec.len())
-            .map(|i| FranklinNode::new(spec.id(i), spec.cw_port(i)))
-            .collect();
+        let nodes = FranklinDef::nodes(spec);
         let mut sim = Simulation::new(spec.wiring(), nodes, kind.build(seed));
         let report = sim.run(Budget::default());
         assert!(

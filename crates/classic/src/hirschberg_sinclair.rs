@@ -193,6 +193,8 @@ impl Snapshot for HirschbergSinclairNode {
 #[cfg(test)]
 mod tests {
     use super::*;
+    use crate::registry::HirschbergSinclairDef;
+    use co_core::registry::RingProtocol;
     use co_net::{Budget, Outcome, RingSpec, SchedulerKind, Simulation};
 
     fn run(
@@ -200,9 +202,7 @@ mod tests {
         kind: SchedulerKind,
         seed: u64,
     ) -> (Simulation<HsMsg, HirschbergSinclairNode>, Outcome) {
-        let nodes = (0..spec.len())
-            .map(|i| HirschbergSinclairNode::new(spec.id(i)))
-            .collect();
+        let nodes = HirschbergSinclairDef::nodes(spec);
         let mut sim = Simulation::new(spec.wiring(), nodes, kind.build(seed));
         let report = sim.run(Budget::default());
         (sim, report.outcome)

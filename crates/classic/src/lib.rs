@@ -19,13 +19,15 @@
 //! content-oblivious algorithms are needed.
 //!
 //! ```rust
-//! use co_classic::runner;
+//! use co_classic::runner::Baseline;
+//! use co_core::runner::RunOptions;
 //! use co_net::{RingSpec, SchedulerKind};
 //!
 //! let spec = RingSpec::oriented(vec![3, 7, 2, 5]);
-//! let cr = runner::run_chang_roberts(&spec, SchedulerKind::Random, 1);
+//! let opts = RunOptions::new(SchedulerKind::Random, 1);
+//! let cr = Baseline::ChangRoberts.run(&spec, &opts);
 //! assert_eq!(cr.leader, Some(1));
-//! let hs = runner::run_hirschberg_sinclair(&spec, SchedulerKind::Random, 1);
+//! let hs = Baseline::HirschbergSinclair.run(&spec, &opts);
 //! assert_eq!(hs.leader, Some(1));
 //! ```
 

@@ -151,6 +151,8 @@ impl Snapshot for PetersonNode {
 #[cfg(test)]
 mod tests {
     use super::*;
+    use crate::registry::PetersonDef;
+    use co_core::registry::RingProtocol;
     use co_net::{Budget, Outcome, RingSpec, SchedulerKind, Simulation};
 
     fn run(
@@ -158,9 +160,7 @@ mod tests {
         kind: SchedulerKind,
         seed: u64,
     ) -> Simulation<PetersonMsg, PetersonNode> {
-        let nodes = (0..spec.len())
-            .map(|i| PetersonNode::new(spec.id(i), spec.cw_port(i)))
-            .collect();
+        let nodes = PetersonDef::nodes(spec);
         let mut sim = Simulation::new(spec.wiring(), nodes, kind.build(seed));
         let report = sim.run(Budget::default());
         assert!(

@@ -17,17 +17,34 @@ use crate::chang_roberts::{ChangRobertsNode, CrMsg};
 use crate::franklin::{FranklinMsg, FranklinNode};
 use crate::hirschberg_sinclair::{HirschbergSinclairNode, HsMsg};
 use crate::peterson::{PetersonMsg, PetersonNode};
+use co_core::election::Role;
 use co_core::registry::{
-    role_leaders, MonitoredProtocol, ProtocolSpec, RingProtocol, UniqueLeaderMonitor,
+    Envelopes, MonitoredProtocol, ProtocolSpec, RingProtocol, UniqueLeaderMonitor,
 };
-use co_net::RingSpec;
+use co_net::{Protocol, RingSpec};
 
 /// Chang–Roberts definition (unidirectional, `O(n²)` messages).
-struct ChangRobertsDef;
+///
+/// Its messages carry content, so a run cannot ask for the counter queue
+/// backend; only [`Envelopes`] type-checks:
+///
+/// ```compile_fail
+/// use co_classic::registry::ChangRobertsDef;
+/// use co_core::runner::{run, RunOptions};
+/// use co_net::{QueueBackend, RingSpec, SchedulerKind};
+///
+/// let opts = RunOptions {
+///     backend: QueueBackend::Counter,
+///     ..RunOptions::new(SchedulerKind::Fifo, 0)
+/// };
+/// run::<ChangRobertsDef>(&RingSpec::oriented(vec![1, 2]), &opts);
+/// ```
+pub struct ChangRobertsDef;
 
 impl RingProtocol for ChangRobertsDef {
     type Msg = CrMsg;
     type Node = ChangRobertsNode;
+    type Backend = Envelopes;
 
     fn nodes(spec: &RingSpec) -> Vec<ChangRobertsNode> {
         (0..spec.len())
@@ -35,17 +52,18 @@ impl RingProtocol for ChangRobertsDef {
             .collect()
     }
 
-    fn leader_positions(nodes: &[ChangRobertsNode]) -> Vec<usize> {
-        role_leaders(nodes)
+    fn role(node: &ChangRobertsNode) -> Role {
+        node.output().unwrap_or(Role::NonLeader)
     }
 }
 
 /// Hirschberg–Sinclair definition (bidirectional, `O(n log n)` messages).
-struct HirschbergSinclairDef;
+pub struct HirschbergSinclairDef;
 
 impl RingProtocol for HirschbergSinclairDef {
     type Msg = HsMsg;
     type Node = HirschbergSinclairNode;
+    type Backend = Envelopes;
 
     fn nodes(spec: &RingSpec) -> Vec<HirschbergSinclairNode> {
         (0..spec.len())
@@ -53,17 +71,18 @@ impl RingProtocol for HirschbergSinclairDef {
             .collect()
     }
 
-    fn leader_positions(nodes: &[HirschbergSinclairNode]) -> Vec<usize> {
-        role_leaders(nodes)
+    fn role(node: &HirschbergSinclairNode) -> Role {
+        node.output().unwrap_or(Role::NonLeader)
     }
 }
 
 /// Peterson definition (unidirectional, `O(n log n)` messages).
-struct PetersonDef;
+pub struct PetersonDef;
 
 impl RingProtocol for PetersonDef {
     type Msg = PetersonMsg;
     type Node = PetersonNode;
+    type Backend = Envelopes;
 
     fn nodes(spec: &RingSpec) -> Vec<PetersonNode> {
         (0..spec.len())
@@ -71,17 +90,18 @@ impl RingProtocol for PetersonDef {
             .collect()
     }
 
-    fn leader_positions(nodes: &[PetersonNode]) -> Vec<usize> {
-        role_leaders(nodes)
+    fn role(node: &PetersonNode) -> Role {
+        node.output().unwrap_or(Role::NonLeader)
     }
 }
 
 /// Franklin definition (bidirectional, `O(n log n)` messages).
-struct FranklinDef;
+pub struct FranklinDef;
 
 impl RingProtocol for FranklinDef {
     type Msg = FranklinMsg;
     type Node = FranklinNode;
+    type Backend = Envelopes;
 
     fn nodes(spec: &RingSpec) -> Vec<FranklinNode> {
         (0..spec.len())
@@ -89,8 +109,8 @@ impl RingProtocol for FranklinDef {
             .collect()
     }
 
-    fn leader_positions(nodes: &[FranklinNode]) -> Vec<usize> {
-        role_leaders(nodes)
+    fn role(node: &FranklinNode) -> Role {
+        node.output().unwrap_or(Role::NonLeader)
     }
 }
 
@@ -151,7 +171,8 @@ pub fn classic_entries() -> Vec<ProtocolSpec> {
 #[cfg(test)]
 mod tests {
     use super::*;
-    use co_core::registry::{Capability, DriveOpts, Registry};
+    use co_core::registry::{Capability, Registry};
+    use co_core::runner::RunOptions;
     use co_net::{SchedulerKind, Simulation};
 
     fn classic_registry() -> Registry {
@@ -183,7 +204,7 @@ mod tests {
         let spec = RingSpec::oriented(vec![4, 9, 2, 7]);
         for entry in classic_registry().entries() {
             for kind in SchedulerKind::ALL {
-                let opts = DriveOpts::new(kind, 11);
+                let opts = RunOptions::new(kind, 11);
                 let rec = entry.record(&spec, &opts);
                 let rep = entry.replay(&spec, &opts, &rec.picks);
                 assert_eq!(rec.report, rep.report, "{} under {kind}", entry.name());

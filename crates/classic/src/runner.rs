@@ -1,13 +1,12 @@
-//! Runners producing [`ElectionReport`]s for the classical baselines,
-//! shaped identically to `co_core::runner` so the bench harness can compare
-//! message complexities directly (experiment E8).
+//! The classical baselines as one enumeration, run through
+//! `co_core::runner::run` like the paper's algorithms so the bench harness
+//! can compare message complexities directly (experiment E8).
 
-use crate::chang_roberts::{ChangRobertsNode, CrMsg};
-use crate::franklin::{FranklinMsg, FranklinNode};
-use crate::hirschberg_sinclair::{HirschbergSinclairNode, HsMsg};
-use crate::peterson::{PetersonMsg, PetersonNode};
-use co_core::election::{unique_leader, ElectionReport, Role};
-use co_net::{Budget, Message, Protocol, RingSpec, SchedulerKind, Simulation};
+use crate::registry::{ChangRobertsDef, FranklinDef, HirschbergSinclairDef, PetersonDef};
+use co_core::election::ElectionReport;
+use co_core::registry::Envelopes;
+use co_core::runner::{run, RunOptions};
+use co_net::RingSpec;
 use std::fmt;
 
 /// The classical baselines, enumerable for sweeps.
@@ -32,14 +31,15 @@ impl Baseline {
         Baseline::Franklin,
     ];
 
-    /// Runs this baseline on the given ring.
+    /// Runs this baseline on the given ring. Content-carrying messages
+    /// live in [`Envelopes`], their one queue backend.
     #[must_use]
-    pub fn run(self, spec: &RingSpec, scheduler: SchedulerKind, seed: u64) -> ElectionReport {
+    pub fn run(self, spec: &RingSpec, opts: &RunOptions<Envelopes>) -> ElectionReport {
         match self {
-            Baseline::ChangRoberts => run_chang_roberts(spec, scheduler, seed),
-            Baseline::HirschbergSinclair => run_hirschberg_sinclair(spec, scheduler, seed),
-            Baseline::Peterson => run_peterson(spec, scheduler, seed),
-            Baseline::Franklin => run_franklin(spec, scheduler, seed),
+            Baseline::ChangRoberts => run::<ChangRobertsDef>(spec, opts),
+            Baseline::HirschbergSinclair => run::<HirschbergSinclairDef>(spec, opts),
+            Baseline::Peterson => run::<PetersonDef>(spec, opts),
+            Baseline::Franklin => run::<FranklinDef>(spec, opts),
         }
     }
 
@@ -63,83 +63,17 @@ impl fmt::Display for Baseline {
     }
 }
 
-fn run_generic<M, P>(
-    spec: &RingSpec,
-    nodes: Vec<P>,
-    scheduler: SchedulerKind,
-    seed: u64,
-) -> ElectionReport
-where
-    M: Message,
-    P: Protocol<M, Output = Role>,
-{
-    let mut sim: Simulation<M, P> = Simulation::new(spec.wiring(), nodes, scheduler.build(seed));
-    let run = sim.run(Budget::default());
-    let roles: Vec<Role> = sim
-        .nodes()
-        .iter()
-        .map(|n| n.output().unwrap_or(Role::NonLeader))
-        .collect();
-    ElectionReport {
-        outcome: run.outcome,
-        total_messages: run.total_sent,
-        steps: run.steps,
-        leader: unique_leader(&roles),
-        roles,
-        predicted_messages: None,
-    }
-}
-
-/// Runs Chang–Roberts on an oriented ring.
-#[must_use]
-pub fn run_chang_roberts(spec: &RingSpec, scheduler: SchedulerKind, seed: u64) -> ElectionReport {
-    let nodes: Vec<ChangRobertsNode> = (0..spec.len())
-        .map(|i| ChangRobertsNode::new(spec.id(i), spec.cw_port(i)))
-        .collect();
-    run_generic::<CrMsg, _>(spec, nodes, scheduler, seed)
-}
-
-/// Runs Hirschberg–Sinclair on an oriented ring.
-#[must_use]
-pub fn run_hirschberg_sinclair(
-    spec: &RingSpec,
-    scheduler: SchedulerKind,
-    seed: u64,
-) -> ElectionReport {
-    let nodes: Vec<HirschbergSinclairNode> = (0..spec.len())
-        .map(|i| HirschbergSinclairNode::new(spec.id(i)))
-        .collect();
-    run_generic::<HsMsg, _>(spec, nodes, scheduler, seed)
-}
-
-/// Runs Peterson on an oriented ring.
-#[must_use]
-pub fn run_peterson(spec: &RingSpec, scheduler: SchedulerKind, seed: u64) -> ElectionReport {
-    let nodes: Vec<PetersonNode> = (0..spec.len())
-        .map(|i| PetersonNode::new(spec.id(i), spec.cw_port(i)))
-        .collect();
-    run_generic::<PetersonMsg, _>(spec, nodes, scheduler, seed)
-}
-
-/// Runs Franklin on an oriented ring.
-#[must_use]
-pub fn run_franklin(spec: &RingSpec, scheduler: SchedulerKind, seed: u64) -> ElectionReport {
-    let nodes: Vec<FranklinNode> = (0..spec.len())
-        .map(|i| FranklinNode::new(spec.id(i), spec.cw_port(i)))
-        .collect();
-    run_generic::<FranklinMsg, _>(spec, nodes, scheduler, seed)
-}
-
 #[cfg(test)]
 mod tests {
     use super::*;
+    use co_net::SchedulerKind;
 
     #[test]
     fn all_baselines_elect_one_leader() {
         let spec = RingSpec::oriented(vec![12, 5, 9, 3, 17, 8]);
         for baseline in Baseline::ALL {
             for kind in SchedulerKind::ALL {
-                let report = baseline.run(&spec, kind, 21);
+                let report = baseline.run(&spec, &RunOptions::new(kind, 21));
                 let leader = report
                     .leader
                     .unwrap_or_else(|| panic!("{baseline} under {kind}: no unique leader"));
@@ -155,13 +89,14 @@ mod tests {
         // On CR's worst case, the O(n log n) algorithms send fewer messages.
         let n = 64u64;
         let spec = RingSpec::oriented((1..=n).rev().collect());
-        let cr = run_chang_roberts(&spec, SchedulerKind::Fifo, 0).total_messages;
+        let fifo = RunOptions::new(SchedulerKind::Fifo, 0);
+        let cr = Baseline::ChangRoberts.run(&spec, &fifo).total_messages;
         for baseline in [
             Baseline::HirschbergSinclair,
             Baseline::Peterson,
             Baseline::Franklin,
         ] {
-            let m = baseline.run(&spec, SchedulerKind::Fifo, 0).total_messages;
+            let m = baseline.run(&spec, &fifo).total_messages;
             assert!(m < cr, "{baseline}: {m} >= CR's {cr}");
         }
     }
@@ -171,7 +106,7 @@ mod tests {
         for n in [1usize, 2] {
             let spec = RingSpec::oriented((1..=n as u64).collect());
             for baseline in Baseline::ALL {
-                let report = baseline.run(&spec, SchedulerKind::Random, 13);
+                let report = baseline.run(&spec, &RunOptions::new(SchedulerKind::Random, 13));
                 assert!(report.leader.is_some(), "{baseline} n={n}");
             }
         }

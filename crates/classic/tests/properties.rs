@@ -6,6 +6,7 @@
 //! reproducible from the printed case number.
 
 use co_classic::runner::Baseline;
+use co_core::runner::RunOptions;
 use co_core::Role;
 use co_net::{RingSpec, SchedulerKind};
 use rand::rngs::StdRng;
@@ -38,7 +39,7 @@ fn baselines_elect_uniquely() {
                 let ids = distinct_ids(&mut rng);
                 let seed = rng.gen_range(0u64..500);
                 let spec = RingSpec::oriented(ids);
-                let report = baseline.run(&spec, kind, seed);
+                let report = baseline.run(&spec, &RunOptions::new(kind, seed));
                 let leaders = report.roles.iter().filter(|r| **r == Role::Leader).count();
                 assert_eq!(leaders, 1, "case {case}: {baseline} under {kind}");
                 if baseline.elects_max() {
@@ -55,11 +56,11 @@ fn baselines_elect_uniquely() {
 fn chang_roberts_monotone_cost() {
     for n in 1u64..=64 {
         let desc = RingSpec::oriented((1..=n).rev().collect());
-        let report = Baseline::ChangRoberts.run(&desc, SchedulerKind::Fifo, 0);
+        let report = Baseline::ChangRoberts.run(&desc, &RunOptions::new(SchedulerKind::Fifo, 0));
         assert_eq!(report.total_messages, n * (n + 1) / 2 + n);
 
         let asc = RingSpec::oriented((1..=n).collect());
-        let report = Baseline::ChangRoberts.run(&asc, SchedulerKind::Fifo, 0);
+        let report = Baseline::ChangRoberts.run(&asc, &RunOptions::new(SchedulerKind::Fifo, 0));
         assert_eq!(report.total_messages, 2 * n + (n - 1));
     }
 }
@@ -75,15 +76,15 @@ fn log_algorithms_stay_within_envelopes() {
         let log_n = (n as f64).log2().max(1.0);
         let spec = RingSpec::oriented(ids);
         let hs = Baseline::HirschbergSinclair
-            .run(&spec, SchedulerKind::Random, seed)
+            .run(&spec, &RunOptions::new(SchedulerKind::Random, seed))
             .total_messages;
         assert!(hs as f64 <= 8.0 * n as f64 * (1.0 + log_n) + n as f64 + 4.0);
         let peterson = Baseline::Peterson
-            .run(&spec, SchedulerKind::Random, seed)
+            .run(&spec, &RunOptions::new(SchedulerKind::Random, seed))
             .total_messages;
         assert!(peterson as f64 <= 2.2 * n as f64 * log_n + 3.0 * n as f64 + 4.0);
         let franklin = Baseline::Franklin
-            .run(&spec, SchedulerKind::Random, seed)
+            .run(&spec, &RunOptions::new(SchedulerKind::Random, seed))
             .total_messages;
         assert!(franklin as f64 <= 2.0 * n as f64 * (log_n + 1.0) + 2.0 * n as f64 + 4.0);
     }

@@ -452,14 +452,19 @@ impl Cli {
                     c = value("--c")?
                         .parse()
                         .map_err(|_| err("--c must be a float"))?;
-                    if c <= 0.0 {
-                        return Err(err("--c must be positive"));
+                    if !(c.is_finite() && c > 0.0) {
+                        return Err(err(format!(
+                            "--c must be a positive finite number, got {c}"
+                        )));
                     }
                 }
                 "--trials" => {
                     trials = value("--trials")?
                         .parse()
                         .map_err(|_| err("--trials must be an integer"))?;
+                    if trials == 0 {
+                        return Err(err("--trials must be at least 1"));
+                    }
                 }
                 "--max-id" => {
                     max_id = value("--max-id")?
@@ -1171,6 +1176,20 @@ mod tests {
 
         assert!(Cli::parse(["elect", "--latency", "uniform:9..1"]).is_err());
         assert!(Cli::parse(["elect", "--latency", "sometimes"]).is_err());
+    }
+
+    #[test]
+    fn refuses_a_non_finite_c_and_zero_trials() {
+        for c in ["nan", "NaN", "inf", "-inf", "infinity", "0", "-1"] {
+            let e = Cli::parse(["anonymous", "--c", c]).expect_err(c);
+            assert!(
+                e.to_string().starts_with("--c must be a positive finite"),
+                "{c}: {e}"
+            );
+        }
+        let e = Cli::parse(["anonymous", "--trials", "0"]).expect_err("zero trials");
+        assert_eq!(e.to_string(), "--trials must be at least 1");
+        assert!(Cli::parse(["anonymous", "--c", "0.5", "--trials", "1"]).is_ok());
     }
 
     #[test]

@@ -6,8 +6,9 @@ use co_compose::pipeline::elect_then_ring_size;
 use co_core::anonymous::{success_rate, SamplingConfig};
 use co_core::election::ElectionReport;
 use co_core::lower_bound::solitude_pattern_alg2;
-use co_core::registry::{Capability, DriveOpts, RegistryError};
-use co_core::{runner, IdScheme, Role};
+use co_core::registry::{Alg1Def, Alg2Def, Capability, RegistryError};
+use co_core::runner::{self, RunOptions};
+use co_core::{IdScheme, Role};
 use co_json::{array, object, Value};
 use co_net::explore::{CheckpointPlan, ExploreCheckpoint, ExploreConfig, ExploreLimits};
 use co_net::{shrink_schedule, RingSpec, RunReport, Schedule, SchedulerKind};
@@ -136,12 +137,17 @@ fn registry_error(e: &RegistryError) -> CommandOutput {
     }
 }
 
-fn drive_opts(opts: &CommonOpts) -> DriveOpts {
-    DriveOpts {
-        scheduler: opts.scheduler,
-        seed: opts.seed,
+fn run_options<B: Default>(opts: &CommonOpts) -> RunOptions<B> {
+    RunOptions {
         latency: opts.latency_plan(),
+        ..RunOptions::new(opts.scheduler, opts.seed)
     }
+}
+
+/// A predicted message count, or a note that it exceeds a `u64` (and so
+/// was not computed).
+fn count(predicted: Option<u64>) -> String {
+    predicted.map_or_else(|| "a count that exceeds u64".to_owned(), |p| p.to_string())
 }
 
 fn run_report_json(report: &RunReport) -> Value {
@@ -154,7 +160,7 @@ fn run_report_json(report: &RunReport) -> Value {
 
 fn record(opts: &CommonOpts, protocol: ProtocolChoice) -> CommandOutput {
     let spec = RingSpec::oriented(opts.ids.clone());
-    let rec = protocol.spec().record(&spec, &drive_opts(opts));
+    let rec = protocol.spec().record(&spec, &run_options(opts));
     let schedule = rec.picks;
     let text = format!(
         "{protocol} on {spec} under {} (seed {})\n\
@@ -187,7 +193,7 @@ fn replay(opts: &CommonOpts, protocol: ProtocolChoice, schedule: &Schedule) -> C
     // The latency plan is not: timestamps shape the trace, so a replay must
     // run under the same `--latency`/`--latency-seed` as the recording.
     let spec = RingSpec::oriented(opts.ids.clone());
-    let rep = protocol.spec().replay(&spec, &drive_opts(opts), schedule);
+    let rep = protocol.spec().replay(&spec, &run_options(opts), schedule);
     let text = format!(
         "replaying {} picks of {protocol} on {spec} (deterministic)\n\
          outcome: {} | deliveries: {} | pulses: {}\n\
@@ -583,7 +589,7 @@ fn fleet(
 
 fn elect(opts: &CommonOpts) -> CommandOutput {
     let spec = RingSpec::oriented(opts.ids.clone());
-    let report = runner::run_alg2_latency(&spec, opts.scheduler, opts.seed, &opts.latency_plan());
+    let report = runner::run::<Alg2Def>(&spec, &run_options(opts));
     let text = format!(
         "Algorithm 2 on {spec} under {} (seed {})\noutcome: {}\n{}pulses: {} (Theorem 1 predicts {})\n",
         opts.scheduler,
@@ -591,14 +597,14 @@ fn elect(opts: &CommonOpts) -> CommandOutput {
         report.outcome,
         describe_roles(&spec, &report.roles),
         report.total_messages,
-        report.predicted_messages.unwrap_or(0),
+        count(report.predicted_messages),
     );
     ok(text, election_json(&report))
 }
 
 fn stabilize(opts: &CommonOpts) -> CommandOutput {
     let spec = RingSpec::oriented(opts.ids.clone());
-    let report = runner::run_alg1_latency(&spec, opts.scheduler, opts.seed, &opts.latency_plan());
+    let report = runner::run::<Alg1Def>(&spec, &run_options(opts));
     let text = format!(
         "Algorithm 1 on {spec} under {} (seed {})\noutcome: {} (stabilizing: nodes never terminate)\n{}pulses: {} (Corollary 13 predicts {})\n",
         opts.scheduler,
@@ -606,7 +612,7 @@ fn stabilize(opts: &CommonOpts) -> CommandOutput {
         report.outcome,
         describe_roles(&spec, &report.roles),
         report.total_messages,
-        report.predicted_messages.unwrap_or(0),
+        count(report.predicted_messages),
     );
     ok(text, election_json(&report))
 }
@@ -616,7 +622,7 @@ fn orient(opts: &CommonOpts, scheme: IdScheme) -> CommandOutput {
     use rand::SeedableRng;
     let mut rng = StdRng::seed_from_u64(opts.seed);
     let spec = RingSpec::random_flips(opts.ids.clone(), &mut rng);
-    let out = runner::run_alg3(&spec, scheme, opts.scheduler, opts.seed);
+    let out = runner::run_alg3(&spec, scheme, &run_options(opts));
     let ports: String = out
         .cw_ports
         .iter()
@@ -635,7 +641,7 @@ fn orient(opts: &CommonOpts, scheme: IdScheme) -> CommandOutput {
         ports,
         out.orientation_consistent,
         out.report.total_messages,
-        out.report.predicted_messages.unwrap_or(0),
+        count(out.report.predicted_messages),
     );
     let json = object([
         ("report", election_json(&out.report)),
@@ -700,7 +706,7 @@ fn compose(opts: &CommonOpts) -> CommandOutput {
         out.leader,
         out.outputs,
         out.total_messages,
-        out.election_messages,
+        count(out.election_messages),
     );
     ok(text, json)
 }
@@ -745,7 +751,7 @@ fn solitude(max_id: u64) -> CommandOutput {
 
 fn baseline(opts: &CommonOpts, which: co_classic::runner::Baseline) -> CommandOutput {
     let spec = RingSpec::oriented(opts.ids.clone());
-    let report = which.run(&spec, opts.scheduler, opts.seed);
+    let report = which.run(&spec, &run_options(opts));
     let text = format!(
         "{which} (content-carrying baseline) on {spec}\noutcome: {}\n{}messages: {}\n\
          NOTE: this algorithm reads message content and cannot run on\n\

@@ -224,6 +224,7 @@ impl CcwInstanceView for UngatedAlg2Node {
 #[cfg(test)]
 mod tests {
     use super::*;
+    use crate::registry::{RingProtocol, UngatedDef};
     use co_net::explore::{explore, ExploreConfig};
     use co_net::{RingSpec, SchedulerKind};
 
@@ -323,9 +324,7 @@ mod tests {
         let mut runs = 0;
         for kind in SchedulerKind::ALL {
             for seed in 0..8u64 {
-                let nodes = (0..3)
-                    .map(|i| UngatedAlg2Node::new(spec.id(i), spec.cw_port(i)))
-                    .collect();
+                let nodes = UngatedDef::nodes(&spec);
                 let mut sim: co_net::Simulation<Pulse, UngatedAlg2Node> =
                     co_net::Simulation::new(spec.wiring(), nodes, kind.build(seed));
                 let report = sim.run(co_net::Budget::steps(100_000));

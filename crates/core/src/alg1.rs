@@ -175,12 +175,11 @@ impl fmt::Display for Alg1Node {
 #[cfg(test)]
 mod tests {
     use super::*;
+    use crate::registry::{Alg1Def, RingProtocol};
     use co_net::{Budget, Outcome, RingSpec, SchedulerKind, Simulation};
 
     fn run(spec: &RingSpec, kind: SchedulerKind, seed: u64) -> Simulation<Pulse, Alg1Node> {
-        let nodes = (0..spec.len())
-            .map(|i| Alg1Node::new(spec.id(i), spec.cw_port(i)))
-            .collect();
+        let nodes = Alg1Def::nodes(spec);
         let mut sim = Simulation::new(spec.wiring(), nodes, kind.build(seed));
         let report = sim.run(Budget::default());
         assert_eq!(report.outcome, Outcome::Quiescent, "{kind} did not quiesce");

@@ -30,11 +30,13 @@
 //! pulse.
 //!
 //! ```rust
-//! use co_core::{runner, Role};
+//! use co_core::registry::Alg2Def;
+//! use co_core::runner::{self, RunOptions};
+//! use co_core::Role;
 //! use co_net::{RingSpec, SchedulerKind};
 //!
 //! let spec = RingSpec::oriented(vec![4, 9, 2]);
-//! let report = runner::run_alg2(&spec, SchedulerKind::Lifo, 7);
+//! let report = runner::run::<Alg2Def>(&spec, &RunOptions::new(SchedulerKind::Lifo, 7));
 //! assert!(report.quiescently_terminated());
 //! assert_eq!(report.roles[1], Role::Leader);
 //! assert_eq!(report.total_messages, 3 * (2 * 9 + 1));
@@ -351,12 +353,11 @@ impl fmt::Display for Alg2Node {
 #[cfg(test)]
 mod tests {
     use super::*;
+    use crate::registry::{Alg2Def, RingProtocol};
     use co_net::{Budget, Outcome, RingSpec, SchedulerKind, Simulation};
 
     fn run(spec: &RingSpec, kind: SchedulerKind, seed: u64) -> Simulation<Pulse, Alg2Node> {
-        let nodes = (0..spec.len())
-            .map(|i| Alg2Node::new(spec.id(i), spec.cw_port(i)))
-            .collect();
+        let nodes = Alg2Def::nodes(spec);
         let mut sim = Simulation::new(spec.wiring(), nodes, kind.build(seed));
         let report = sim.run(Budget::default());
         assert_eq!(
@@ -435,9 +436,7 @@ mod tests {
     #[test]
     fn leader_terminates_last() {
         let spec = RingSpec::oriented(vec![4, 2, 7, 1]);
-        let nodes = (0..4)
-            .map(|i| Alg2Node::new(spec.id(i), spec.cw_port(i)))
-            .collect();
+        let nodes = Alg2Def::nodes(&spec);
         let mut sim: Simulation<Pulse, Alg2Node> =
             Simulation::new(spec.wiring(), nodes, SchedulerKind::Random.build(5));
         let mut order = Vec::new();

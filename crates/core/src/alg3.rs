@@ -29,12 +29,14 @@
 //! pairwise-distinct IDs with high probability.
 //!
 //! ```rust
-//! use co_core::{runner, IdScheme, Role};
+//! use co_core::runner::{self, RunOptions};
+//! use co_core::{IdScheme, Role};
 //! use co_net::{RingSpec, SchedulerKind};
 //!
 //! // A non-oriented ring: nodes 1 and 3 have flipped ports.
 //! let spec = RingSpec::with_flips(vec![4, 9, 2, 5], vec![false, true, false, true]);
-//! let report = runner::run_alg3(&spec, IdScheme::Improved, SchedulerKind::Random, 3);
+//! let opts = RunOptions::new(SchedulerKind::Random, 3);
+//! let report = runner::run_alg3(&spec, IdScheme::Improved, &opts);
 //! assert!(report.report.reached_quiescence());
 //! assert_eq!(report.report.roles[1], Role::Leader);
 //! assert!(report.orientation_consistent);
@@ -71,13 +73,15 @@ impl IdScheme {
     }
 
     /// The exact total message complexity on a ring of `n` nodes with
-    /// maximal ID `id_max` (Proposition 15 / Theorem 2).
+    /// maximal ID `id_max` (Proposition 15 / Theorem 2), or `None` when it
+    /// does not fit in a `u64`.
     #[must_use]
-    pub fn predicted_messages(self, n: u64, id_max: u64) -> u64 {
-        match self {
-            IdScheme::Doubled => n * (4 * id_max - 1),
-            IdScheme::Improved => n * (2 * id_max + 1),
-        }
+    pub fn predicted_messages(self, n: u64, id_max: u64) -> Option<u64> {
+        let per_node = match self {
+            IdScheme::Doubled => id_max.checked_mul(4)?.checked_sub(1)?,
+            IdScheme::Improved => id_max.checked_mul(2)?.checked_add(1)?,
+        };
+        per_node.checked_mul(n)
     }
 }
 
@@ -139,8 +143,8 @@ impl Alg3Node {
         }
     }
 
-    /// Creates a node that additionally re-samples its ID per
-    /// Proposition 19: whenever a pulse arrives and `min(ρ_0, ρ_1)`
+    /// This node, additionally re-sampling its ID per Proposition 19
+    /// (drawing from a generator seeded with `seed`): whenever a pulse arrives and `min(ρ_0, ρ_1)`
     /// exceeds the current ID, the ID is redrawn uniformly from
     /// `1..min(ρ_0, ρ_1)`.
     ///
@@ -148,15 +152,10 @@ impl Alg3Node {
     /// both counters have passed every threshold derived from the old ID, so
     /// the node is already a permanent relay in both directions — but it
     /// leaves all nodes with pairwise-distinct IDs with high probability.
-    ///
-    /// # Panics
-    ///
-    /// Panics if `id == 0`.
     #[must_use]
-    pub fn with_resampling(id: u64, scheme: IdScheme, seed: u64) -> Alg3Node {
-        let mut node = Alg3Node::new(id, scheme);
-        node.resampler = Some(StdRng::seed_from_u64(seed));
-        node
+    pub fn with_resampling(mut self, seed: u64) -> Alg3Node {
+        self.resampler = Some(StdRng::seed_from_u64(seed));
+        self
     }
 
     /// The node's current ID (may change under Proposition 19 resampling).
@@ -385,7 +384,7 @@ mod tests {
                     "mask {mask} scheme {scheme}"
                 );
                 assert_eq!(
-                    sim.stats().total_sent,
+                    Some(sim.stats().total_sent),
                     scheme.predicted_messages(3, 9),
                     "mask {mask} scheme {scheme}"
                 );
@@ -438,7 +437,7 @@ mod tests {
         // Proposition 19 on a ring with duplicate IDs below the max.
         let spec = RingSpec::oriented(vec![4, 4, 9, 4, 4]);
         let nodes = (0..spec.len())
-            .map(|i| Alg3Node::with_resampling(spec.id(i), IdScheme::Improved, 1000 + i as u64))
+            .map(|i| Alg3Node::new(spec.id(i), IdScheme::Improved).with_resampling(1000 + i as u64))
             .collect();
         let mut sim: Simulation<Pulse, Alg3Node> =
             Simulation::new(spec.wiring(), nodes, SchedulerKind::Random.build(5));
@@ -456,6 +455,22 @@ mod tests {
         assert_eq!(IdScheme::Doubled.virtual_id(5, 1), 10);
         assert_eq!(IdScheme::Improved.virtual_id(5, 0), 5);
         assert_eq!(IdScheme::Improved.virtual_id(5, 1), 6);
+    }
+
+    #[test]
+    fn predictions_that_overflow_are_none() {
+        assert_eq!(IdScheme::Doubled.predicted_messages(3, 9), Some(3 * 35));
+        assert_eq!(IdScheme::Improved.predicted_messages(3, 9), Some(3 * 19));
+        assert_eq!(IdScheme::Improved.predicted_messages(2, u64::MAX / 2), None);
+        assert_eq!(
+            IdScheme::Improved.predicted_messages(1, u64::MAX / 2),
+            Some(u64::MAX)
+        );
+        assert_eq!(
+            IdScheme::Doubled.predicted_messages(1, u64::MAX / 4 + 1),
+            None
+        );
+        assert_eq!(IdScheme::Improved.predicted_messages(1, u64::MAX), None);
     }
 
     #[test]

@@ -27,7 +27,7 @@
 //!   `None` (the default) is the paper-faithful behaviour. Probability of
 //!   the guard firing is `p^max_bits` per node and is reported.
 //! * This module defines no `Protocol` of its own — after sampling, the
-//!   ring runs [`Alg3Node`], which implements `co_net::Snapshot`, so
+//!   ring runs [`crate::Alg3Node`], which implements `co_net::Snapshot`, so
 //!   anonymous elections participate in record/replay and exploration
 //!   through the Algorithm 3 phase.
 //!
@@ -42,9 +42,9 @@
 //! assert!(result.messages > 0);
 //! ```
 
-use crate::alg3::{Alg3Node, Alg3Output, IdScheme};
-use crate::election::Role;
-use co_net::{Budget, Outcome, RingSpec, SchedulerKind, Simulation};
+use crate::alg3::IdScheme;
+use crate::runner::{run_alg3, RunOptions};
+use co_net::{Outcome, RingSpec, SchedulerKind};
 use rand::rngs::StdRng;
 use rand::{Rng, SeedableRng};
 
@@ -162,46 +162,21 @@ pub fn elect_anonymous(
 
     let mut rng = StdRng::seed_from_u64(seed.wrapping_add(0x9E37_79B9));
     let spec = RingSpec::random_flips(ids.clone(), &mut rng);
-    let nodes = (0..n)
-        .map(|i| Alg3Node::new(spec.id(i), IdScheme::Improved))
-        .collect();
-    let mut sim: Simulation<co_net::Pulse, Alg3Node> =
-        Simulation::new(spec.wiring(), nodes, scheduler.build(seed));
-    let report = sim.run(Budget::default());
-    let quiescent = report.outcome == Outcome::Quiescent;
-
-    let outputs: Vec<Option<Alg3Output>> = (0..n).map(|i| sim.node(i).output()).collect();
-    let success = quiescent && validate_outputs(&spec, &outputs);
+    let out = run_alg3(&spec, IdScheme::Improved, &RunOptions::new(scheduler, seed));
+    let quiescent = out.report.outcome == Outcome::Quiescent;
+    // One leader, at a holder of the maximum ID, and one orientation.
+    let success = quiescent
+        && out.orientation_consistent
+        && out.report.leader.is_some_and(|l| spec.id(l) == id_max);
 
     AnonymousResult {
         ids,
         id_max,
         unique_max,
         success,
-        messages: report.total_sent,
+        messages: out.report.total_messages,
         quiescent,
     }
-}
-
-/// Validates anonymous-election outputs: one leader at a maximum holder and
-/// a globally consistent orientation.
-fn validate_outputs(spec: &RingSpec, outputs: &[Option<Alg3Output>]) -> bool {
-    let n = spec.len();
-    let Some(outputs) = outputs.iter().copied().collect::<Option<Vec<Alg3Output>>>() else {
-        return false;
-    };
-    let leaders: Vec<usize> = outputs
-        .iter()
-        .enumerate()
-        .filter(|(_, o)| o.role == Role::Leader)
-        .map(|(i, _)| i)
-        .collect();
-    if leaders.len() != 1 || spec.id(leaders[0]) != spec.id_max() {
-        return false;
-    }
-    let all_cw = (0..n).all(|i| outputs[i].cw_port == spec.cw_port(i));
-    let all_ccw = (0..n).all(|i| outputs[i].cw_port == spec.ccw_port(i));
-    all_cw || all_ccw
 }
 
 /// Empirical success-rate estimate over `trials` independent runs.

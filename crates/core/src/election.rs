@@ -87,8 +87,11 @@ pub struct ElectionReport {
     /// Every node's final role (position order).
     pub roles: Vec<Role>,
     /// The theoretical message complexity for this ring, when the paper
-    /// gives an exact formula (e.g. `n(2·ID_max + 1)` for Algorithm 2).
+    /// gives an exact formula (e.g. `n(2·ID_max + 1)` for Algorithm 2) and
+    /// it fits in a `u64`.
     pub predicted_messages: Option<u64>,
+    /// High-water mark of queued-message storage over the run, in bytes.
+    pub peak_queue_bytes: usize,
 }
 
 impl ElectionReport {
@@ -174,6 +177,7 @@ mod tests {
             leader: Some(0),
             roles: vec![Role::Leader, Role::NonLeader, Role::NonLeader],
             predicted_messages: None,
+            peak_queue_bytes: 0,
         };
         assert_eq!(
             report.validate(&spec),
@@ -194,6 +198,7 @@ mod tests {
             leader: Some(1),
             roles: vec![Role::NonLeader, Role::Leader, Role::NonLeader],
             predicted_messages: Some(57),
+            peak_queue_bytes: 0,
         };
         assert!(report.validate(&spec).is_ok());
         assert!(report.quiescently_terminated());
@@ -209,6 +214,7 @@ mod tests {
             leader: None,
             roles: vec![Role::NonLeader],
             predicted_messages: None,
+            peak_queue_bytes: 0,
         };
         assert!(matches!(
             report.validate(&spec),

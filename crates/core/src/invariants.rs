@@ -88,7 +88,7 @@ fn violation(lemma: &'static str, node: Option<NodeIndex>, detail: String) -> In
 /// [`Simulation::run_observed`]:
 ///
 /// ```rust
-/// use co_core::invariants::CwMonitorObserver;
+/// use co_core::invariants::{CwMonitorObserver, Verdict};
 /// use co_core::Alg1Node;
 /// use co_net::{Budget, Pulse, RingSpec, SchedulerKind, Simulation};
 ///
@@ -340,7 +340,7 @@ pub fn cw_in_flight<M: Message, P: Protocol<M>>(sim: &Simulation<M, P>) -> u64 {
 /// unreliable past that point).
 ///
 /// Attach with [`Simulation::run_observed`], then call
-/// [`CwMonitorObserver::finish`] to collect the verdict including the
+/// [`Verdict::finish`] to collect the verdict including the
 /// end-of-run checks (Lemma 12, last absorber).
 #[derive(Clone, Debug, Default)]
 pub struct CwMonitorObserver {
@@ -366,14 +366,21 @@ impl CwMonitorObserver {
     pub fn violation(&self) -> Option<&InvariantViolation> {
         self.violation.as_ref()
     }
+}
 
-    /// Final verdict: the first per-step violation if one was latched,
-    /// otherwise the end-of-run checks ([`CwMonitor::check_final`]).
+/// An observer that renders a verdict once the run is over.
+pub trait Verdict<V> {
+    /// The first violation latched during the run, else the end-of-run
+    /// checks on `nodes`, the final configuration.
     ///
     /// # Errors
     ///
     /// Returns the first [`InvariantViolation`] observed over the whole run.
-    pub fn finish<V: CwInstanceView>(self, nodes: &[V]) -> Result<(), InvariantViolation> {
+    fn finish(self, nodes: &[V]) -> Result<(), InvariantViolation>;
+}
+
+impl<V: CwInstanceView> Verdict<V> for CwMonitorObserver {
+    fn finish(self, nodes: &[V]) -> Result<(), InvariantViolation> {
         if let Some(v) = self.violation {
             return Err(v);
         }
@@ -422,14 +429,10 @@ impl Alg2MonitorObserver {
     pub fn violation(&self) -> Option<&InvariantViolation> {
         self.violation.as_ref()
     }
+}
 
-    /// Final verdict: the first per-step violation if one was latched,
-    /// otherwise the CW instance's end-of-run checks.
-    ///
-    /// # Errors
-    ///
-    /// Returns the first [`InvariantViolation`] observed over the whole run.
-    pub fn finish<V: CwInstanceView>(self, nodes: &[V]) -> Result<(), InvariantViolation> {
+impl<V: CwInstanceView> Verdict<V> for Alg2MonitorObserver {
+    fn finish(self, nodes: &[V]) -> Result<(), InvariantViolation> {
         if let Some(v) = self.violation {
             return Err(v);
         }

@@ -23,12 +23,14 @@
 //! ## Quickstart
 //!
 //! ```rust
-//! use co_core::{runner, IdAssignment};
+//! use co_core::registry::Alg2Def;
+//! use co_core::runner::{self, RunOptions};
+//! use co_core::IdAssignment;
 //! use co_net::{RingSpec, SchedulerKind};
 //!
 //! // Elect a leader on an oriented ring of 8 nodes with IDs 1..=8.
 //! let spec = RingSpec::oriented((1..=8).collect());
-//! let report = runner::run_alg2(&spec, SchedulerKind::Random, 42);
+//! let report = runner::run::<Alg2Def>(&spec, &RunOptions::new(SchedulerKind::Random, 42));
 //!
 //! assert!(report.quiescently_terminated());
 //! assert_eq!(report.leader, Some(7));              // position of ID 8

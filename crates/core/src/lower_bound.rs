@@ -381,7 +381,8 @@ mod tests {
 
     #[test]
     fn theorem20_witness_forces_the_bound() {
-        use crate::runner;
+        use crate::registry::Alg2Def;
+        use crate::runner::{self, RunOptions};
         use co_net::SchedulerKind;
         // The witness ring's measured complexity must dominate n·s, which
         // itself dominates the pigeonhole bound n⌊log(k/n)⌋.
@@ -391,7 +392,8 @@ mod tests {
             assert!(spec.ids_unique());
             let pigeonhole = (k / n as u64).ilog2() as usize;
             assert!(s >= pigeonhole, "k={k} n={n}: s={s} < {pigeonhole}");
-            let report = runner::run_alg2(&spec, SchedulerKind::Solitude, 0);
+            let report =
+                runner::run::<Alg2Def>(&spec, &RunOptions::new(SchedulerKind::Solitude, 0));
             assert!(
                 report.total_messages >= (n * s) as u64,
                 "k={k} n={n}: measured {} < n·s = {}",

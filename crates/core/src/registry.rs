@@ -41,23 +41,26 @@
 use crate::ablation::UngatedAlg2Node;
 use crate::election::Role;
 use crate::invariants::Alg2MonitorObserver;
+use crate::runner::{simulation, RunOptions};
 use crate::{Alg1Node, Alg2Node, Alg3Node, IdScheme};
 use co_net::explore::{try_explore, ExploreConfig, ExploreReport, ResumeError};
 use co_net::fleet::{self, FleetConfig, FleetReport, FleetRingDetail, RingPlan};
 use co_net::{
-    Budget, LatencyPlan, Message, Port, Protocol, Pulse, RingSpec, RunReport, Schedule,
-    SchedulerKind, SimObserver, Simulation, Snapshot, StepInfo,
+    Budget, Message, Port, Protocol, Pulse, QueueBackend, RingSpec, RunReport, Schedule, Scheduler,
+    SchedulerKind, SimObserver, Simulation, Snapshot, StepInfo, UnitMessage,
 };
 use std::fmt;
+use std::marker::PhantomData;
 use std::ops::Range;
 use std::sync::OnceLock;
 
 /// How to instantiate a protocol on an oriented [`RingSpec`] and read its
 /// election outcome.
 ///
-/// Implemented on a zero-sized *definition* type (e.g. `Alg2Def`), not on
-/// the node: the registry monomorphizes the generic drivers per definition
-/// and stores them as function pointers.
+/// Implemented on a zero-sized *definition* type (e.g. [`Alg2Def`]), not
+/// on the node: the registry monomorphizes the generic drivers per
+/// definition and stores them as function pointers, and
+/// [`crate::runner::run`] runs any definition to an election report.
 pub trait RingProtocol: 'static {
     /// The protocol's message type (a [`Pulse`] for the content-oblivious
     /// algorithms, content-carrying for the classic baselines).
@@ -66,12 +69,72 @@ pub trait RingProtocol: 'static {
     /// The per-node state machine.
     type Node: Protocol<Self::Msg> + Snapshot;
 
-    /// Builds the node set for `spec`, position by position.
+    /// The queue storage a run may pick: [`QueueBackend`] for `Pulse`
+    /// protocols, [`Envelopes`] for content-carrying ones.
+    type Backend: Backend<Self::Msg>;
+
+    /// Builds the node set for `spec`, position by position. This is the
+    /// one place the protocol's nodes are made from a ring.
     fn nodes(spec: &RingSpec) -> Vec<Self::Node>;
+
+    /// The node's output decision so far; a node that has not output one
+    /// (an Algorithm 2 node before it terminates) counts as a non-leader.
+    fn role(node: &Self::Node) -> Role;
+
+    /// The paper's exact message count on `spec`, when the paper gives one
+    /// and it fits in a `u64`.
+    fn predicted(_spec: &RingSpec) -> Option<u64> {
+        None
+    }
 
     /// Positions (ring indices) of every node currently claiming
     /// leadership.
-    fn leader_positions(nodes: &[Self::Node]) -> Vec<usize>;
+    fn leader_positions(nodes: &[Self::Node]) -> Vec<usize> {
+        (0..nodes.len())
+            .filter(|&i| Self::role(&nodes[i]) == Role::Leader)
+            .collect()
+    }
+}
+
+/// Where a run keeps its in-flight messages, chosen per message type: the
+/// counter backend needs a unit message, so a content-carrying protocol's
+/// only choice is [`Envelopes`] and cannot be handed
+/// [`QueueBackend::Counter`].
+pub trait Backend<M: Message>: Copy + Default + fmt::Debug + 'static {
+    /// A simulation of `nodes` on `spec`'s wiring storing queues this way.
+    fn simulation<P: Protocol<M>>(
+        self,
+        spec: &RingSpec,
+        nodes: Vec<P>,
+        scheduler: Box<dyn Scheduler>,
+    ) -> Simulation<M, P>;
+}
+
+impl<M: UnitMessage> Backend<M> for QueueBackend {
+    fn simulation<P: Protocol<M>>(
+        self,
+        spec: &RingSpec,
+        nodes: Vec<P>,
+        scheduler: Box<dyn Scheduler>,
+    ) -> Simulation<M, P> {
+        Simulation::with_backend(spec.wiring(), nodes, scheduler, self)
+    }
+}
+
+/// Per-channel envelope queues ([`QueueBackend::Vec`]'s layout): the one
+/// storage every message type supports.
+#[derive(Copy, Clone, Debug, Default, PartialEq, Eq)]
+pub struct Envelopes;
+
+impl<M: Message> Backend<M> for Envelopes {
+    fn simulation<P: Protocol<M>>(
+        self,
+        spec: &RingSpec,
+        nodes: Vec<P>,
+        scheduler: Box<dyn Scheduler>,
+    ) -> Simulation<M, P> {
+        Simulation::new(spec.wiring(), nodes, scheduler)
+    }
 }
 
 /// A [`RingProtocol`] with an invariant monitor the `shrink` hunt can run.
@@ -98,21 +161,6 @@ pub trait FleetSpec: 'static {
 
     /// Whether this node currently claims leadership.
     fn is_leader(node: &Self::Node) -> bool;
-}
-
-/// Leader positions of a node set whose protocol output is a [`Role`].
-#[must_use]
-pub fn role_leaders<M, P>(nodes: &[P]) -> Vec<usize>
-where
-    M: Message,
-    P: Protocol<M, Output = Role>,
-{
-    nodes
-        .iter()
-        .enumerate()
-        .filter(|(_, n)| n.output() == Some(Role::Leader))
-        .map(|(i, _)| i)
-        .collect()
 }
 
 /// Latches a violation when more than one node outputs [`Role::Leader`].
@@ -161,30 +209,6 @@ where
     }
 }
 
-/// Options shared by the `record`/`replay` drivers: scheduler, seed and
-/// latency plan.
-#[derive(Clone, Debug)]
-pub struct DriveOpts {
-    /// Delivery adversary (ignored by `replay`, which follows the picks).
-    pub scheduler: SchedulerKind,
-    /// Scheduler seed.
-    pub seed: u64,
-    /// Per-channel latency plan (replays must reuse the recording's plan).
-    pub latency: LatencyPlan,
-}
-
-impl DriveOpts {
-    /// Zero-latency options under `scheduler` / `seed`.
-    #[must_use]
-    pub fn new(scheduler: SchedulerKind, seed: u64) -> DriveOpts {
-        DriveOpts {
-            scheduler,
-            seed,
-            latency: LatencyPlan::default(),
-        }
-    }
-}
-
 /// Outcome of a recorded run: the report, the replayable picks, the final
 /// configuration fingerprint and the elected leader positions.
 #[derive(Clone, Debug)]
@@ -212,22 +236,17 @@ pub struct Replayed {
     pub leaders: Vec<usize>,
 }
 
-type RecordFn = fn(&RingSpec, &DriveOpts) -> Recorded;
-type ReplayFn = fn(&RingSpec, &DriveOpts, &Schedule) -> Replayed;
+type RecordFn = fn(&RingSpec, &RunOptions<Envelopes>) -> Recorded;
+type ReplayFn = fn(&RingSpec, &RunOptions<Envelopes>, &Schedule) -> Replayed;
 type ExploreFn = fn(&RingSpec, &ExploreConfig) -> Result<ExploreReport, ResumeError>;
 type HuntFn = fn(&RingSpec, SchedulerKind, u64) -> Option<Schedule>;
 type ViolatesFn = fn(&RingSpec, &Schedule) -> bool;
 type FleetShardFn = fn(&FleetConfig, u64, Range<u64>) -> FleetReport;
 type FleetDetailFn = fn(&FleetConfig, u64, u64) -> FleetRingDetail;
 
-fn record_driver<D: RingProtocol>(spec: &RingSpec, opts: &DriveOpts) -> Recorded {
-    let mut sim = Simulation::new(
-        spec.wiring(),
-        D::nodes(spec),
-        opts.scheduler.build(opts.seed),
-    );
-    sim.set_latency(opts.latency.clone());
-    let (report, picks) = sim.run_recorded(Budget::default());
+fn record_driver<D: RingProtocol>(spec: &RingSpec, opts: &RunOptions<Envelopes>) -> Recorded {
+    let mut sim = simulation::<D, _>(spec, D::nodes(spec), opts);
+    let (report, picks) = sim.run_recorded(opts.budget);
     Recorded {
         report,
         picks,
@@ -238,14 +257,13 @@ fn record_driver<D: RingProtocol>(spec: &RingSpec, opts: &DriveOpts) -> Recorded
 
 fn replay_driver<D: RingProtocol>(
     spec: &RingSpec,
-    opts: &DriveOpts,
+    opts: &RunOptions<Envelopes>,
     schedule: &Schedule,
 ) -> Replayed {
-    // The scheduler is irrelevant here — the replay engine overrides it —
-    // but the latency plan shapes the trace and must match the recording's.
-    let mut sim = Simulation::new(spec.wiring(), D::nodes(spec), SchedulerKind::Fifo.build(0));
-    sim.set_latency(opts.latency.clone());
-    let report = sim.replay(schedule, Budget::default());
+    // The replay engine overrides the scheduler, but the latency plan
+    // shapes the trace and must match the recording's.
+    let mut sim = simulation::<D, _>(spec, D::nodes(spec), opts);
+    let report = sim.replay(schedule, opts.budget);
     Replayed {
         report,
         fingerprint: sim.fingerprint(),
@@ -606,13 +624,19 @@ impl ProtocolSpec {
 
     /// Records one run on `spec` under `opts`.
     #[must_use]
-    pub fn record(&self, spec: &RingSpec, opts: &DriveOpts) -> Recorded {
+    pub fn record(&self, spec: &RingSpec, opts: &RunOptions<Envelopes>) -> Recorded {
         (self.record)(spec, opts)
     }
 
-    /// Deterministically replays `schedule` on `spec`.
+    /// Deterministically replays `schedule` on `spec` (`opts`' scheduler
+    /// and seed are unused: the schedule decides every delivery).
     #[must_use]
-    pub fn replay(&self, spec: &RingSpec, opts: &DriveOpts, schedule: &Schedule) -> Replayed {
+    pub fn replay(
+        &self,
+        spec: &RingSpec,
+        opts: &RunOptions<Envelopes>,
+        schedule: &Schedule,
+    ) -> Replayed {
         (self.replay)(spec, opts, schedule)
     }
 
@@ -781,12 +805,14 @@ impl Registry {
 
 // --- The paper's protocols as registry definitions. ---------------------
 
-/// Algorithm 1 definition (quiescently stabilizing election).
-struct Alg1Def;
+/// Algorithm 1 definition (quiescently stabilizing election; Corollary 13
+/// predicts `n·ID_max` pulses).
+pub struct Alg1Def;
 
 impl RingProtocol for Alg1Def {
     type Msg = Pulse;
     type Node = Alg1Node;
+    type Backend = QueueBackend;
 
     fn nodes(spec: &RingSpec) -> Vec<Alg1Node> {
         (0..spec.len())
@@ -794,8 +820,12 @@ impl RingProtocol for Alg1Def {
             .collect()
     }
 
-    fn leader_positions(nodes: &[Alg1Node]) -> Vec<usize> {
-        role_leaders(nodes)
+    fn role(node: &Alg1Node) -> Role {
+        node.output().unwrap_or(Role::NonLeader)
+    }
+
+    fn predicted(spec: &RingSpec) -> Option<u64> {
+        (spec.len() as u64).checked_mul(spec.id_max())
     }
 }
 
@@ -812,12 +842,14 @@ impl FleetSpec for Alg1Def {
     }
 }
 
-/// Algorithm 2 definition (quiescently terminating election).
-struct Alg2Def;
+/// Algorithm 2 definition (quiescently terminating election; Theorem 1
+/// predicts `n(2·ID_max + 1)` pulses).
+pub struct Alg2Def;
 
 impl RingProtocol for Alg2Def {
     type Msg = Pulse;
     type Node = Alg2Node;
+    type Backend = QueueBackend;
 
     fn nodes(spec: &RingSpec) -> Vec<Alg2Node> {
         (0..spec.len())
@@ -825,8 +857,13 @@ impl RingProtocol for Alg2Def {
             .collect()
     }
 
-    fn leader_positions(nodes: &[Alg2Node]) -> Vec<usize> {
-        role_leaders(nodes)
+    fn role(node: &Alg2Node) -> Role {
+        node.output().unwrap_or(Role::NonLeader)
+    }
+
+    fn predicted(spec: &RingSpec) -> Option<u64> {
+        let per_node = spec.id_max().checked_mul(2)?.checked_add(1)?;
+        per_node.checked_mul(spec.len() as u64)
     }
 }
 
@@ -854,35 +891,58 @@ impl FleetSpec for Alg2Def {
     }
 }
 
-/// Algorithm 3 definition (election + orientation, improved ID scheme).
-struct Alg3Def;
+/// An [`IdScheme`] as a type, so each scheme of Algorithm 3 is its own
+/// definition ([`Alg3Def`]).
+pub trait SchemeType: 'static {
+    /// The scheme this type stands for.
+    const SCHEME: IdScheme;
+}
 
-impl RingProtocol for Alg3Def {
+/// [`IdScheme::Improved`] (Theorem 2) as a type.
+pub struct Improved;
+
+impl SchemeType for Improved {
+    const SCHEME: IdScheme = IdScheme::Improved;
+}
+
+/// [`IdScheme::Doubled`] (Proposition 15) as a type.
+pub struct Doubled;
+
+impl SchemeType for Doubled {
+    const SCHEME: IdScheme = IdScheme::Doubled;
+}
+
+/// Algorithm 3 definition (election + orientation) under virtual-ID scheme
+/// `S`; the registry's `alg3` is the [`Improved`] one.
+pub struct Alg3Def<S = Improved>(PhantomData<S>);
+
+impl<S: SchemeType> RingProtocol for Alg3Def<S> {
     type Msg = Pulse;
     type Node = Alg3Node;
+    type Backend = QueueBackend;
 
     fn nodes(spec: &RingSpec) -> Vec<Alg3Node> {
         (0..spec.len())
-            .map(|i| Alg3Node::new(spec.id(i), IdScheme::Improved))
+            .map(|i| Alg3Node::new(spec.id(i), S::SCHEME))
             .collect()
     }
 
-    fn leader_positions(nodes: &[Alg3Node]) -> Vec<usize> {
-        nodes
-            .iter()
-            .enumerate()
-            .filter(|(_, n)| n.output().is_some_and(|o| o.role == Role::Leader))
-            .map(|(i, _)| i)
-            .collect()
+    fn role(node: &Alg3Node) -> Role {
+        node.output().map_or(Role::NonLeader, |o| o.role)
+    }
+
+    fn predicted(spec: &RingSpec) -> Option<u64> {
+        S::SCHEME.predicted_messages(spec.len() as u64, spec.id_max())
     }
 }
 
 /// The deliberately broken receive-gate ablation of Algorithm 2.
-struct UngatedDef;
+pub struct UngatedDef;
 
 impl RingProtocol for UngatedDef {
     type Msg = Pulse;
     type Node = UngatedAlg2Node;
+    type Backend = QueueBackend;
 
     fn nodes(spec: &RingSpec) -> Vec<UngatedAlg2Node> {
         (0..spec.len())
@@ -890,8 +950,8 @@ impl RingProtocol for UngatedDef {
             .collect()
     }
 
-    fn leader_positions(nodes: &[UngatedAlg2Node]) -> Vec<usize> {
-        role_leaders(nodes)
+    fn role(node: &UngatedAlg2Node) -> Role {
+        node.output().unwrap_or(Role::NonLeader)
     }
 }
 
@@ -988,7 +1048,7 @@ mod tests {
     fn record_replay_round_trips_for_every_entry() {
         let spec = RingSpec::oriented(vec![2, 3, 1]);
         for entry in core_registry().entries() {
-            let opts = DriveOpts::new(SchedulerKind::Random, 5);
+            let opts = RunOptions::new(SchedulerKind::Random, 5);
             let rec = entry.record(&spec, &opts);
             let rep = entry.replay(&spec, &opts, &rec.picks);
             assert_eq!(rec.report, rep.report, "{}", entry.name());

@@ -10,6 +10,8 @@
 //! cargo run --example adversary_gauntlet
 //! ```
 
+use content_oblivious::core::registry::{Alg1Def, Alg2Def};
+use content_oblivious::core::runner::RunOptions;
 use content_oblivious::core::{runner, IdScheme};
 use content_oblivious::net::{RingSpec, SchedulerKind};
 
@@ -29,9 +31,9 @@ fn main() {
     println!("{}", "-".repeat(88));
 
     for kind in SchedulerKind::ALL {
-        let a1 = runner::run_alg1(&oriented, kind, 1);
-        let a2 = runner::run_alg2(&oriented, kind, 1);
-        let a3 = runner::run_alg3(&scrambled, IdScheme::Improved, kind, 1);
+        let a1 = runner::run::<Alg1Def>(&oriented, &RunOptions::new(kind, 1));
+        let a2 = runner::run::<Alg2Def>(&oriented, &RunOptions::new(kind, 1));
+        let a3 = runner::run_alg3(&scrambled, IdScheme::Improved, &RunOptions::new(kind, 1));
 
         let ok1 =
             a1.validate(&oriented).is_ok() && a1.total_messages == a1.predicted_messages.unwrap();

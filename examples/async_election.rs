@@ -15,6 +15,8 @@
 //!    election in virtual time, byte-identically on every rerun.
 
 use content_oblivious::classic::chang_roberts_async_ring;
+use content_oblivious::core::registry::Alg1Def;
+use content_oblivious::core::runner::RunOptions;
 use content_oblivious::core::{alg1_async_ring, runner, Role};
 use content_oblivious::net::{Budget, LatencyModel, LatencyPlan, Outcome, RingSpec, SchedulerKind};
 
@@ -26,7 +28,7 @@ fn main() {
     // -- Act 1: Algorithm 1, async vs state machine ---------------------------
     let mut ring = alg1_async_ring(&spec, SchedulerKind::Random.build(0xC0FFEE));
     let report = ring.run(Budget::default());
-    let twin = runner::run_alg1(&spec, SchedulerKind::Random, 0xC0FFEE);
+    let twin = runner::run::<Alg1Def>(&spec, &RunOptions::new(SchedulerKind::Random, 0xC0FFEE));
     println!("\nAlgorithm 1 (async): outcome {}", report.outcome);
     for (i, role) in ring.outputs().iter().enumerate() {
         let marker = if *role == Some(Role::Leader) {

@@ -31,7 +31,7 @@ fn main() {
     println!("[ring-size] every node's answer: {:?}", out.outputs);
     assert_eq!(out.outputs, vec![Some(6); 6]);
     println!(
-        "[ring-size] total pulses {} (election alone: {})\n",
+        "[ring-size] total pulses {} (election alone: {:?})\n",
         out.total_messages, out.election_messages
     );
 

@@ -9,7 +9,9 @@ use content_oblivious::core::lower_bound::{
     lower_bound_messages, max_prefix_group, patterns_unique, solitude_pattern_alg2,
     theorem20_witness,
 };
+use content_oblivious::core::registry::Alg2Def;
 use content_oblivious::core::runner;
+use content_oblivious::core::runner::RunOptions;
 use content_oblivious::net::SchedulerKind;
 
 fn main() {
@@ -49,7 +51,7 @@ fn main() {
     );
     for (k, n) in [(64u64, 2usize), (64, 4), (128, 4), (128, 8)] {
         let (spec, s) = theorem20_witness(k, n);
-        let report = runner::run_alg2(&spec, SchedulerKind::Solitude, 0);
+        let report = runner::run::<Alg2Def>(&spec, &RunOptions::new(SchedulerKind::Solitude, 0));
         println!(
             "{:>6} {:>4} {:>12} {:>14} {:>16}",
             k,

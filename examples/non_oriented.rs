@@ -9,6 +9,8 @@
 //! cargo run --example non_oriented
 //! ```
 
+use content_oblivious::core::registry::Alg2Def;
+use content_oblivious::core::runner::RunOptions;
 use content_oblivious::core::{runner, IdScheme, Role};
 use content_oblivious::net::{Port, RingSpec, SchedulerKind};
 
@@ -32,7 +34,7 @@ fn render(spec: &RingSpec) {
 fn run(label: &str, spec: &RingSpec, scheme: IdScheme) {
     println!("\n=== {label}: {spec} / scheme: {scheme} ===");
     render(spec);
-    let out = runner::run_alg3(spec, scheme, SchedulerKind::Random, 7);
+    let out = runner::run_alg3(spec, scheme, &RunOptions::new(SchedulerKind::Random, 7));
     assert!(out.report.reached_quiescence());
     for i in 0..spec.len() {
         let role = out.report.roles[i];
@@ -79,12 +81,16 @@ fn main() {
 
     // The orientation output really is usable: feed it back as an oriented
     // ring and run the terminating Algorithm 2 on top.
-    let out = runner::run_alg3(&scrambled, IdScheme::Improved, SchedulerKind::Random, 7);
+    let out = runner::run_alg3(
+        &scrambled,
+        IdScheme::Improved,
+        &RunOptions::new(SchedulerKind::Random, 7),
+    );
     let flips: Vec<bool> = (0..5)
         .map(|i| out.cw_ports[i].expect("stabilized") == Port::Zero)
         .collect();
     let reoriented = RingSpec::with_flips(ids, flips);
-    let report = runner::run_alg2(&reoriented, SchedulerKind::Random, 8);
+    let report = runner::run::<Alg2Def>(&reoriented, &RunOptions::new(SchedulerKind::Random, 8));
     assert!(report.quiescently_terminated());
     println!(
         "\nre-running Algorithm 2 on the self-oriented ring: {}",

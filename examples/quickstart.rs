@@ -5,6 +5,8 @@
 //! cargo run --example quickstart
 //! ```
 
+use content_oblivious::core::registry::Alg2Def;
+use content_oblivious::core::runner::RunOptions;
 use content_oblivious::core::{runner, Role};
 use content_oblivious::net::{RingSpec, SchedulerKind};
 
@@ -18,7 +20,7 @@ fn main() {
 
     // Run Algorithm 2 (quiescently terminating leader election) under a
     // randomized adversarial scheduler.
-    let report = runner::run_alg2(&spec, SchedulerKind::Random, 0xC0FFEE);
+    let report = runner::run::<Alg2Def>(&spec, &RunOptions::new(SchedulerKind::Random, 0xC0FFEE));
 
     println!("\noutcome:            {}", report.outcome);
     for (i, role) in report.roles.iter().enumerate() {

@@ -6,6 +6,7 @@
 //! cargo run --example threaded
 //! ```
 
+use content_oblivious::core::registry::{Alg1Def, Alg2Def, RingProtocol};
 use content_oblivious::core::{Alg1Node, Alg2Node, Role};
 use content_oblivious::net::threaded::{run_threaded, ThreadedOptions, ThreadedOutcome};
 use content_oblivious::net::{Pulse, RingSpec};
@@ -22,9 +23,7 @@ fn main() {
     };
 
     // --- Algorithm 2: terminating; threads stop on their own. -------------
-    let nodes: Vec<Alg2Node> = (0..spec.len())
-        .map(|i| Alg2Node::new(spec.id(i), spec.cw_port(i)))
-        .collect();
+    let nodes: Vec<Alg2Node> = Alg2Def::nodes(&spec);
     let report = run_threaded::<Pulse, _>(&spec.wiring(), nodes, &opts);
     println!("[alg2/threads] outcome: {:?}", report.outcome);
     assert_eq!(report.outcome, ThreadedOutcome::AllTerminated);
@@ -44,9 +43,7 @@ fn main() {
     assert_eq!(report.total_sent, n * (2 * id_max + 1));
 
     // --- Algorithm 1: stabilizing; quiescence detected by the watchdog. ---
-    let nodes: Vec<Alg1Node> = (0..spec.len())
-        .map(|i| Alg1Node::new(spec.id(i), spec.cw_port(i)))
-        .collect();
+    let nodes: Vec<Alg1Node> = Alg1Def::nodes(&spec);
     let report = run_threaded::<Pulse, _>(&spec.wiring(), nodes, &opts);
     println!("\n[alg1/threads] outcome: {:?}", report.outcome);
     assert_eq!(report.outcome, ThreadedOutcome::Quiescent);

@@ -36,13 +36,11 @@ fn main() {
         },
     );
 
-    println!(
-        "phase 1  (Algorithm 2 election):   {} pulses",
-        out.election_messages
-    );
+    let election = out.election_messages.expect("small IDs");
+    println!("phase 1  (Algorithm 2 election):   {election} pulses");
     println!(
         "phase 2  (simulated Chang-Roberts): {} pulses",
-        out.total_messages - out.election_messages
+        out.total_messages - election
     );
     println!(
         "outcome: quiescent termination = {}\n",

@@ -3,6 +3,7 @@
 //! polynomial magnitude; resampling leaves all IDs distinct whp.
 
 use content_oblivious::core::anonymous::{elect_anonymous, success_rate, SamplingConfig};
+use content_oblivious::core::runner::RunOptions;
 use content_oblivious::core::{runner, IdScheme};
 use content_oblivious::net::{RingSpec, SchedulerKind};
 use std::collections::BTreeSet;
@@ -72,8 +73,11 @@ fn proposition19_resampling_yields_distinct_ids_whp() {
     for seed in 0..trials {
         let ids = vec![3u64, 3, 3, 3, 500];
         let spec = RingSpec::oriented(ids);
-        let (report, final_ids) =
-            runner::run_alg3_resampling(&spec, IdScheme::Improved, SchedulerKind::Random, seed);
+        let (report, final_ids) = runner::run_alg3_resampling(
+            &spec,
+            IdScheme::Improved,
+            &RunOptions::new(SchedulerKind::Random, seed),
+        );
         assert!(report.report.reached_quiescence(), "seed {seed}");
         assert_eq!(report.report.leader, Some(4), "seed {seed}");
         assert_eq!(final_ids[4], 500, "seed {seed}: max keeps its ID");

@@ -12,6 +12,8 @@
 
 use content_oblivious::classic::chang_roberts::{ChangRobertsNode, CrMsg};
 use content_oblivious::classic::chang_roberts_async_ring;
+use content_oblivious::classic::registry::ChangRobertsDef;
+use content_oblivious::core::registry::{Alg1Def, RingProtocol};
 use content_oblivious::core::{alg1_async_ring, Alg1Node, Role};
 use content_oblivious::net::runtime::AsyncRing;
 use content_oblivious::net::{
@@ -68,9 +70,7 @@ fn alg1_async_matches_the_state_machine_across_the_matrix() {
     for kind in SchedulerKind::ALL {
         for faults in &fault_plans() {
             let ctx = format!("{kind}/faults={}", !faults.is_empty());
-            let nodes: Vec<Alg1Node> = (0..spec.len())
-                .map(|i| Alg1Node::new(spec.id(i), spec.cw_port(i)))
-                .collect();
+            let nodes: Vec<Alg1Node> = Alg1Def::nodes(&spec);
             let (m_report, m_stats, m_fp, m_nodes) = machine_run(&spec, nodes, kind, faults);
             let (a_report, a_stats, a_fp, a_outputs) =
                 async_run(alg1_async_ring(&spec, kind.build(11)), faults);
@@ -96,9 +96,7 @@ fn chang_roberts_async_matches_the_state_machine_across_the_matrix() {
         } else {
             FaultPlan::new()
         };
-        let nodes: Vec<ChangRobertsNode> = (0..spec.len())
-            .map(|i| ChangRobertsNode::new(spec.id(i), spec.cw_port(i)))
-            .collect();
+        let nodes: Vec<ChangRobertsNode> = ChangRobertsDef::nodes(&spec);
         let mut sim: Simulation<CrMsg, ChangRobertsNode> =
             Simulation::new(spec.wiring(), nodes, kind.build(11));
         sim.set_faults(faults.clone());
@@ -129,9 +127,7 @@ fn async_recording_replays_on_both_representations() {
     assert_eq!(recorder.outputs(), async_replay.outputs());
 
     // ...and on the state-machine twin: one schedule, three identical runs.
-    let nodes: Vec<Alg1Node> = (0..spec.len())
-        .map(|i| Alg1Node::new(spec.id(i), spec.cw_port(i)))
-        .collect();
+    let nodes: Vec<Alg1Node> = Alg1Def::nodes(&spec);
     let mut machine: Simulation<Pulse, Alg1Node> =
         Simulation::new(spec.wiring(), nodes, SchedulerKind::Fifo.build(0));
     let machine_report = machine.replay(&schedule, Budget::steps(50_000));

@@ -10,7 +10,8 @@
 //! exhaustive explorer enumerates the same state space under either store.
 //! Only `peak_queue_bytes` may differ: it measures the storage itself.
 
-use content_oblivious::core::{Alg1Node, Alg2Node, Alg3Node, IdScheme};
+use content_oblivious::core::registry::{Alg1Def, Alg2Def, Alg3Def, RingProtocol};
+use content_oblivious::core::Alg2Node;
 use content_oblivious::net::{
     Budget, FaultPlan, Protocol, Pulse, QueueBackend, RingSpec, RunReport, SchedulerKind,
     Simulation, Snapshot,
@@ -86,34 +87,10 @@ where
 #[test]
 fn all_schedulers_algorithms_and_faults_agree_across_backends() {
     let spec = RingSpec::oriented(vec![3, 6, 1, 5, 2]);
-    assert_equivalent(
-        &spec,
-        || {
-            (0..spec.len())
-                .map(|i| Alg1Node::new(spec.id(i), spec.cw_port(i)))
-                .collect::<Vec<_>>()
-        },
-        "alg1",
-    );
-    assert_equivalent(
-        &spec,
-        || {
-            (0..spec.len())
-                .map(|i| Alg2Node::new(spec.id(i), spec.cw_port(i)))
-                .collect::<Vec<_>>()
-        },
-        "alg2",
-    );
+    assert_equivalent(&spec, || Alg1Def::nodes(&spec), "alg1");
+    assert_equivalent(&spec, || Alg2Def::nodes(&spec), "alg2");
     let flipped = RingSpec::with_flips(vec![3, 6, 1, 5, 2], vec![true, false, true, false, false]);
-    assert_equivalent(
-        &flipped,
-        || {
-            (0..flipped.len())
-                .map(|i| Alg3Node::new(flipped.id(i), IdScheme::Improved))
-                .collect::<Vec<_>>()
-        },
-        "alg3",
-    );
+    assert_equivalent(&flipped, || <Alg3Def>::nodes(&flipped), "alg3");
 }
 
 /// Snapshot fingerprints are backend-independent at every prefix of a run,
@@ -122,11 +99,7 @@ fn all_schedulers_algorithms_and_faults_agree_across_backends() {
 #[test]
 fn fingerprints_agree_at_every_step() {
     let spec = RingSpec::oriented(vec![2, 4, 1]);
-    let make = || {
-        (0..spec.len())
-            .map(|i| Alg2Node::new(spec.id(i), spec.cw_port(i)))
-            .collect::<Vec<_>>()
-    };
+    let make = || Alg2Def::nodes(&spec);
     for kind in SchedulerKind::ALL {
         let mut vec_sim: Simulation<Pulse, Alg2Node> =
             Simulation::with_backend(spec.wiring(), make(), kind.build(9), QueueBackend::Vec);
@@ -156,11 +129,7 @@ fn explorer_state_space_is_backend_independent() {
     use std::collections::HashSet;
 
     let spec = RingSpec::oriented(vec![1, 2, 4]);
-    let make = || {
-        (0..spec.len())
-            .map(|i| Alg2Node::new(spec.id(i), spec.cw_port(i)))
-            .collect::<Vec<_>>()
-    };
+    let make = || Alg2Def::nodes(&spec);
     let report = explore(
         &spec.wiring(),
         make,

@@ -84,7 +84,7 @@ fn election_phase_cost_is_invariant_within_pipeline() {
                 out.total_messages, baseline.total_messages,
                 "{kind} seed {seed}: total pulse count must be schedule-independent"
             );
-            assert_eq!(out.election_messages, 3 * (2 * 9 + 1));
+            assert_eq!(out.election_messages, Some(3 * (2 * 9 + 1)));
         }
     }
 }

@@ -5,7 +5,9 @@
 
 use content_oblivious::classic::chang_roberts::{ChangRobertsNode, CrMsg};
 use content_oblivious::classic::defective::Defective;
-use content_oblivious::classic::runner as classic_runner;
+use content_oblivious::classic::runner::Baseline;
+use content_oblivious::core::registry::Alg2Def;
+use content_oblivious::core::runner::RunOptions;
 use content_oblivious::core::{runner, Role};
 use content_oblivious::net::{Budget, Outcome, Protocol, RingSpec, SchedulerKind, Simulation};
 
@@ -37,9 +39,9 @@ fn same_rings_succeed_with_reliable_channels_and_with_pulses() {
     // content (Chang-Roberts) and with pure pulses (Algorithm 2).
     for n in [2usize, 8, 32] {
         let spec = RingSpec::oriented((1..=n as u64).collect());
-        let cr = classic_runner::run_chang_roberts(&spec, SchedulerKind::Random, 3);
+        let cr = Baseline::ChangRoberts.run(&spec, &RunOptions::new(SchedulerKind::Random, 3));
         assert_eq!(cr.leader, Some(n - 1), "CR n={n}");
-        let alg2 = runner::run_alg2(&spec, SchedulerKind::Random, 3);
+        let alg2 = runner::run::<Alg2Def>(&spec, &RunOptions::new(SchedulerKind::Random, 3));
         assert_eq!(alg2.leader, Some(n - 1), "Alg2 n={n}");
         assert!(alg2.quiescently_terminated());
     }
@@ -52,8 +54,8 @@ fn content_oblivious_cost_is_the_price_of_robustness() {
     // (Theorem 4 shows some ID_max dependence is unavoidable).
     let n = 32u64;
     let spec = RingSpec::oriented((1..=n).collect());
-    let cr = classic_runner::run_chang_roberts(&spec, SchedulerKind::Fifo, 0);
-    let alg2 = runner::run_alg2(&spec, SchedulerKind::Fifo, 0);
+    let cr = Baseline::ChangRoberts.run(&spec, &RunOptions::new(SchedulerKind::Fifo, 0));
+    let alg2 = runner::run::<Alg2Def>(&spec, &RunOptions::new(SchedulerKind::Fifo, 0));
     assert_eq!(alg2.total_messages, n * (2 * n + 1));
     assert!(alg2.total_messages > cr.total_messages);
 }

@@ -3,6 +3,9 @@
 //! (Theorems 1 and 2, Proposition 15) and step-wise invariant monitoring
 //! (Lemmas 6–12, 17).
 
+use content_oblivious::core::invariants::Alg2MonitorObserver;
+use content_oblivious::core::registry::{Alg1Def, Alg2Def, RingProtocol};
+use content_oblivious::core::runner::RunOptions;
 use content_oblivious::core::{runner, IdAssignment, IdScheme, Role};
 use content_oblivious::net::{Outcome, RingSpec, SchedulerKind};
 use rand::rngs::StdRng;
@@ -39,7 +42,7 @@ fn alg1_exact_complexity_and_election_everywhere() {
         let n = spec.len() as u64;
         let id_max = spec.id_max();
         for kind in SchedulerKind::ALL {
-            let report = runner::run_alg1(&spec, kind, 42);
+            let report = runner::run::<Alg1Def>(&spec, &RunOptions::new(kind, 42));
             assert_eq!(report.outcome, Outcome::Quiescent, "{spec} {kind}");
             report
                 .validate(&spec)
@@ -55,7 +58,7 @@ fn alg2_exact_complexity_and_quiescent_termination_everywhere() {
         let n = spec.len() as u64;
         let id_max = spec.id_max();
         for kind in SchedulerKind::ALL {
-            let report = runner::run_alg2(&spec, kind, 43);
+            let report = runner::run::<Alg2Def>(&spec, &RunOptions::new(kind, 43));
             assert_eq!(
                 report.outcome,
                 Outcome::QuiescentTerminated,
@@ -78,8 +81,12 @@ fn alg2_invariants_hold_stepwise() {
             let ids = IdAssignment::Shuffled.generate(n, &mut rng);
             let spec = RingSpec::oriented(ids);
             for kind in SchedulerKind::ALL {
-                runner::run_alg2_monitored(&spec, kind, seed)
-                    .unwrap_or_else(|v| panic!("{spec} {kind} seed {seed}: {v}"));
+                runner::run_monitored::<Alg2Def, _>(
+                    &spec,
+                    &RunOptions::new(kind, seed),
+                    Alg2MonitorObserver::new(),
+                )
+                .unwrap_or_else(|v| panic!("{spec} {kind} seed {seed}: {v}"));
             }
         }
     }
@@ -94,7 +101,7 @@ fn alg3_elects_and_orients_across_port_layouts() {
             let spec = RingSpec::random_flips(ids, &mut rng);
             for scheme in [IdScheme::Doubled, IdScheme::Improved] {
                 for kind in SchedulerKind::ALL {
-                    let out = runner::run_alg3(&spec, scheme, kind, trial);
+                    let out = runner::run_alg3(&spec, scheme, &RunOptions::new(kind, trial));
                     assert_eq!(
                         out.report.outcome,
                         Outcome::Quiescent,
@@ -105,7 +112,7 @@ fn alg3_elects_and_orients_across_port_layouts() {
                         .unwrap_or_else(|e| panic!("{spec} {scheme} {kind}: {e}"));
                     assert!(out.orientation_consistent, "{spec} {scheme} {kind}");
                     assert_eq!(
-                        out.report.total_messages,
+                        Some(out.report.total_messages),
                         scheme.predicted_messages(spec.len() as u64, spec.id_max()),
                         "{spec} {scheme} {kind}"
                     );
@@ -122,7 +129,7 @@ fn message_complexity_depends_on_id_max_not_n() {
     let mut last = 0;
     for id_max in [10u64, 100, 1000, 10_000] {
         let spec = RingSpec::oriented(vec![1, 2, 3, id_max]);
-        let report = runner::run_alg2(&spec, SchedulerKind::Fifo, 0);
+        let report = runner::run::<Alg2Def>(&spec, &RunOptions::new(SchedulerKind::Fifo, 0));
         assert_eq!(report.total_messages, 4 * (2 * id_max + 1));
         assert!(report.total_messages > last);
         last = report.total_messages;
@@ -147,9 +154,7 @@ fn alg2_direction_split_matches_the_analysis() {
         SchedulerKind::Lifo,
         SchedulerKind::Random,
     ] {
-        let nodes = (0..4)
-            .map(|i| Alg2Node::new(spec.id(i), spec.cw_port(i)))
-            .collect();
+        let nodes = Alg2Def::nodes(&spec);
         let mut sim: Simulation<Pulse, Alg2Node> =
             Simulation::new(spec.wiring(), nodes, kind.build(9));
         sim.enable_trace(None);
@@ -173,7 +178,7 @@ fn duplicate_ids_lemma16_all_max_holders_win_alg1() {
     // holders as leaders and everyone at exactly ID_max pulses.
     let spec = RingSpec::oriented(vec![6, 2, 6, 6, 1]);
     for kind in SchedulerKind::ALL {
-        let report = runner::run_alg1(&spec, kind, 5);
+        let report = runner::run::<Alg1Def>(&spec, &RunOptions::new(kind, 5));
         assert_eq!(report.outcome, Outcome::Quiescent, "{kind}");
         assert_eq!(report.total_messages, 5 * 6, "{kind}");
         let leaders: Vec<usize> = report
@@ -198,20 +203,19 @@ fn large_ring_smoke_n5000_counter_backend() {
     use content_oblivious::net::{Budget, QueueBackend};
     let n = 5000usize;
     let spec = RingSpec::oriented((1..=n as u64).collect());
-    let out = runner::run_alg2_scaled(
-        &spec,
-        SchedulerKind::Fifo,
-        0,
-        QueueBackend::Counter,
-        Budget::steps(120_000_000),
-    );
-    assert!(out.report.quiescently_terminated());
+    let opts = RunOptions {
+        backend: QueueBackend::Counter,
+        budget: Budget::steps(120_000_000),
+        ..RunOptions::new(SchedulerKind::Fifo, 0)
+    };
+    let out = runner::run::<Alg2Def>(&spec, &opts);
+    assert!(out.quiescently_terminated());
     assert_eq!(
-        out.report.total_messages,
+        out.total_messages,
         n as u64 * (2 * n as u64 + 1),
         "Theorem 1 at n = 5000"
     );
-    assert_eq!(out.report.leader, Some(n - 1));
+    assert_eq!(out.leader, Some(n - 1));
     assert!(
         out.peak_queue_bytes > 0 && out.peak_queue_bytes < 1 << 20,
         "counter store stays under a megabyte, got {}",
@@ -238,9 +242,7 @@ fn large_ring_smoke_n100000_backends_agree() {
     let spec = RingSpec::oriented((1..=n as u64).collect());
     let mut cells = Vec::new();
     for backend in QueueBackend::ALL {
-        let nodes = (0..n)
-            .map(|i| Alg2Node::new(spec.id(i), spec.cw_port(i)))
-            .collect();
+        let nodes = Alg2Def::nodes(&spec);
         let mut sim: Simulation<Pulse, Alg2Node> =
             Simulation::with_backend(spec.wiring(), nodes, SchedulerKind::Fifo.build(0), backend);
         let run = sim.run(Budget::steps(CAP));

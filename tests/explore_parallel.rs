@@ -10,17 +10,15 @@
 //!    the same violation set;
 //! 3. the n=4 Algorithm 1 sweep completes at 8 workers.
 
-use content_oblivious::core::ablation::UngatedAlg2Node;
-use content_oblivious::core::{Alg1Node, Alg2Node, Alg3Node, IdScheme, Role};
+use content_oblivious::core::registry::{Alg1Def, Alg2Def, Alg3Def, RingProtocol, UngatedDef};
+use content_oblivious::core::{Alg2Node, Role};
 use content_oblivious::net::explore::{explore, ExploreConfig, ExploreLimits, ExploreState};
 use content_oblivious::net::{DedupKind, FaultPlan, RingSpec};
 use rand::rngs::StdRng;
 use rand::{Rng, SeedableRng};
 
 fn alg2_nodes(spec: &RingSpec) -> Vec<Alg2Node> {
-    (0..spec.len())
-        .map(|i| Alg2Node::new(spec.id(i), spec.cw_port(i)))
-        .collect()
+    Alg2Def::nodes(spec)
 }
 
 fn no_check<P>(_: &ExploreState<P>) -> Result<(), String> {
@@ -48,11 +46,7 @@ fn parallel_exact_is_a_drop_in_for_the_sequential_explorer() {
 
     let seq_alg1 = explore(
         &spec.wiring(),
-        || {
-            (0..spec.len())
-                .map(|i| Alg1Node::new(spec.id(i), spec.cw_port(i)))
-                .collect::<Vec<_>>()
-        },
+        || Alg1Def::nodes(&spec),
         no_check,
         no_check,
         &workers(1),
@@ -66,11 +60,7 @@ fn parallel_exact_is_a_drop_in_for_the_sequential_explorer() {
     );
     let seq_alg3 = explore(
         &spec.wiring(),
-        || {
-            (0..spec.len())
-                .map(|i| Alg3Node::new(spec.id(i), IdScheme::Improved))
-                .collect::<Vec<_>>()
-        },
+        || <Alg3Def>::nodes(&spec),
         no_check,
         no_check,
         &workers(1),
@@ -80,11 +70,7 @@ fn parallel_exact_is_a_drop_in_for_the_sequential_explorer() {
         let config = workers(jobs);
         let par = explore(
             &spec.wiring(),
-            || {
-                (0..spec.len())
-                    .map(|i| Alg1Node::new(spec.id(i), spec.cw_port(i)))
-                    .collect::<Vec<_>>()
-            },
+            || Alg1Def::nodes(&spec),
             no_check,
             no_check,
             &config,
@@ -107,11 +93,7 @@ fn parallel_exact_is_a_drop_in_for_the_sequential_explorer() {
 
         let par = explore(
             &spec.wiring(),
-            || {
-                (0..spec.len())
-                    .map(|i| Alg3Node::new(spec.id(i), IdScheme::Improved))
-                    .collect::<Vec<_>>()
-            },
+            || <Alg3Def>::nodes(&spec),
             no_check,
             no_check,
             &config,
@@ -127,11 +109,7 @@ fn parallel_agrees_with_sequential_on_the_ablation() {
     // schedules, but its *deduplicated* state space on this tiny ring is
     // still finite — every worker count must agree on it exactly.
     let spec = RingSpec::oriented(vec![2u64, 3, 1]);
-    let make = || {
-        (0..spec.len())
-            .map(|i| UngatedAlg2Node::new(spec.id(i), spec.cw_port(i)))
-            .collect::<Vec<_>>()
-    };
+    let make = || UngatedDef::nodes(&spec);
     let seq = explore(&spec.wiring(), make, no_check, no_check, &workers(1));
     assert!(seq.complete);
     let par = explore(&spec.wiring(), make, no_check, no_check, &workers(4));
@@ -244,11 +222,7 @@ fn mmap_and_exact_agree_on_a_seeded_fault_sweep() {
 #[test]
 fn acceptance_n4_alg1_sweep_with_8_workers() {
     let spec = RingSpec::oriented(vec![2u64, 4, 1, 3]);
-    let make = || {
-        (0..spec.len())
-            .map(|i| Alg1Node::new(spec.id(i), spec.cw_port(i)))
-            .collect::<Vec<_>>()
-    };
+    let make = || Alg1Def::nodes(&spec);
     let seq = explore(&spec.wiring(), make, no_check, no_check, &workers(1));
     assert!(seq.complete && seq.violations.is_empty());
     let par = explore(&spec.wiring(), make, no_check, no_check, &workers(8));

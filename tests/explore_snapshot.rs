@@ -3,6 +3,7 @@
 //! dedup memory, and under an equal byte budget it must reach strictly
 //! more configurations.
 
+use content_oblivious::core::registry::{Alg2Def, RingProtocol};
 use content_oblivious::core::{Alg2Node, Role};
 use content_oblivious::net::explore::{
     explore, explore_reference, ExploreConfig, ExploreLimits, ExploreState,
@@ -24,9 +25,7 @@ fn reference_key(node: &Alg2Node) -> Key {
 }
 
 fn make_nodes(spec: &RingSpec) -> Vec<Alg2Node> {
-    (0..spec.len())
-        .map(|i| Alg2Node::new(spec.id(i), spec.cw_port(i)))
-        .collect()
+    Alg2Def::nodes(spec)
 }
 
 fn no_check(_: &ExploreState<Alg2Node>) -> Result<(), String> {

@@ -4,15 +4,17 @@
 //! check.
 
 use content_oblivious::classic::chang_roberts::{ChangRobertsNode, CrMsg};
+use content_oblivious::classic::registry::ChangRobertsDef;
 use content_oblivious::compose::pipeline::elect_then_replicate;
-use content_oblivious::core::{runner, Role};
+use content_oblivious::core::registry::{Alg2Def, RingProtocol};
+use content_oblivious::core::Role;
 use content_oblivious::net::sched::{
     LifoScheduler, PhaseSwitchScheduler, RecordingScheduler, ReplayScheduler,
     StarveDirectionScheduler,
 };
 use content_oblivious::net::threaded::{run_threaded, ThreadedOptions, ThreadedOutcome};
 use content_oblivious::net::{
-    Budget, Direction, Protocol, Pulse, RingSpec, SchedulerKind, Simulation,
+    Budget, Direction, Outcome, Protocol, Pulse, RingSpec, SchedulerKind, Simulation,
 };
 use rand::rngs::StdRng;
 use rand::{Rng, SeedableRng};
@@ -22,9 +24,7 @@ use std::collections::BTreeSet;
 fn chang_roberts_runs_on_real_threads() {
     // The threaded runtime is generic over message types, not just pulses.
     let spec = RingSpec::oriented(vec![4, 11, 2, 8]);
-    let nodes: Vec<ChangRobertsNode> = (0..4)
-        .map(|i| ChangRobertsNode::new(spec.id(i), spec.cw_port(i)))
-        .collect();
+    let nodes: Vec<ChangRobertsNode> = ChangRobertsDef::nodes(&spec);
     let report = run_threaded::<CrMsg, _>(
         &spec.wiring(),
         nodes,
@@ -52,14 +52,19 @@ fn phase_switch_adversary_preserves_theorem1() {
             Box::new(StarveDirectionScheduler::new(Direction::Cw)),
             switch_at,
         ));
-        let report = runner::run_alg2_scheduler(&spec, scheduler);
-        assert!(report.quiescently_terminated(), "switch at {switch_at}");
-        assert_eq!(report.leader, Some(1), "switch at {switch_at}");
+        let mut sim = Simulation::new(spec.wiring(), Alg2Def::nodes(&spec), scheduler);
+        let report = sim.run(Budget::default());
         assert_eq!(
-            report.total_messages,
-            4 * (2 * 12 + 1),
+            report.outcome,
+            Outcome::QuiescentTerminated,
             "switch at {switch_at}"
         );
+        assert_eq!(
+            Alg2Def::leader_positions(sim.nodes()),
+            vec![1],
+            "switch at {switch_at}"
+        );
+        assert_eq!(report.total_sent, 4 * (2 * 12 + 1), "switch at {switch_at}");
     }
 }
 
@@ -68,11 +73,7 @@ fn recorded_schedule_replays_identically() {
     // Record a random adversary's schedule, then replay it: both runs must
     // produce identical step counts and node states.
     let spec = RingSpec::oriented(vec![3, 7, 5]);
-    let make_nodes = || {
-        (0..3)
-            .map(|i| content_oblivious::core::Alg2Node::new(spec.id(i), spec.cw_port(i)))
-            .collect::<Vec<_>>()
-    };
+    let make_nodes = || Alg2Def::nodes(&spec);
     let (recording, log) = RecordingScheduler::new(SchedulerKind::Random.build(99));
     let mut original: Simulation<Pulse, _> =
         Simulation::new(spec.wiring(), make_nodes(), Box::new(recording));
@@ -124,7 +125,6 @@ fn replication_converges_universally() {
 /// 5-node instances tractable.
 #[test]
 fn alg2_exhaustive_larger_rings() {
-    use content_oblivious::core::Alg2Node;
     use content_oblivious::net::explore::{explore, ExploreConfig, ExploreLimits};
     for ids in [vec![1u64, 2, 3, 4], vec![4, 2, 1, 3], vec![2, 4, 1, 5, 3]] {
         let spec = RingSpec::oriented(ids.clone());
@@ -132,11 +132,7 @@ fn alg2_exhaustive_larger_rings() {
         let predicted = spec.len() as u64 * (2 * spec.id_max() + 1);
         let report = explore(
             &spec.wiring(),
-            || {
-                (0..spec.len())
-                    .map(|i| Alg2Node::new(spec.id(i), spec.cw_port(i)))
-                    .collect()
-            },
+            || Alg2Def::nodes(&spec),
             |_| Ok(()),
             |state| {
                 let ok = state.terminated.iter().all(|&t| t)

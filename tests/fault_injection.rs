@@ -4,15 +4,15 @@
 //! load-bearing.
 
 use content_oblivious::core::invariants::CwMonitor;
+use content_oblivious::core::registry::Alg1Def;
+use content_oblivious::core::registry::{Alg2Def, RingProtocol};
 use content_oblivious::core::{Alg1Node, Alg2Node, Role};
 use content_oblivious::net::{
     Budget, ChannelId, FaultPlan, Outcome, Port, Pulse, RingSpec, SchedulerKind, Simulation,
 };
 
 fn alg2_sim(spec: &RingSpec, kind: SchedulerKind, seed: u64) -> Simulation<Pulse, Alg2Node> {
-    let nodes = (0..spec.len())
-        .map(|i| Alg2Node::new(spec.id(i), spec.cw_port(i)))
-        .collect();
+    let nodes = Alg2Def::nodes(spec);
     Simulation::new(spec.wiring(), nodes, kind.build(seed))
 }
 
@@ -43,9 +43,7 @@ fn dropped_pulse_breaks_lemma9_equivalence() {
     // still has ρ_cw < ID — exactly the configuration Lemma 9 proves
     // impossible in the fault-free model. The monitor sees the violation.
     let spec = RingSpec::oriented(vec![2, 4, 3]);
-    let nodes: Vec<Alg1Node> = (0..3)
-        .map(|i| Alg1Node::new(spec.id(i), spec.cw_port(i)))
-        .collect();
+    let nodes: Vec<Alg1Node> = Alg1Def::nodes(&spec);
     let mut sim: Simulation<Pulse, Alg1Node> =
         Simulation::new(spec.wiring(), nodes, SchedulerKind::Fifo.build(0));
     sim.set_faults(FaultPlan::new().drop_seq(2));
@@ -64,9 +62,7 @@ fn duplicated_pulse_overshoots_counters() {
     // A duplicated pulse inflates some ρ_cw beyond ID_max (Corollary 14
     // violation) or yields a wrong election.
     let spec = RingSpec::oriented(vec![2, 4, 3]);
-    let nodes: Vec<Alg1Node> = (0..3)
-        .map(|i| Alg1Node::new(spec.id(i), spec.cw_port(i)))
-        .collect();
+    let nodes: Vec<Alg1Node> = Alg1Def::nodes(&spec);
     let mut sim: Simulation<Pulse, Alg1Node> =
         Simulation::new(spec.wiring(), nodes, SchedulerKind::Fifo.build(0));
     sim.set_faults(FaultPlan::new().duplicate_seq(1));
@@ -91,9 +87,7 @@ fn injected_pulse_corrupts_the_election() {
     // Channel noise inventing a pulse out of thin air (forbidden by the
     // model) likewise corrupts the run.
     let spec = RingSpec::oriented(vec![2, 4, 3]);
-    let nodes: Vec<Alg1Node> = (0..3)
-        .map(|i| Alg1Node::new(spec.id(i), spec.cw_port(i)))
-        .collect();
+    let nodes: Vec<Alg1Node> = Alg1Def::nodes(&spec);
     let mut sim: Simulation<Pulse, Alg1Node> =
         Simulation::new(spec.wiring(), nodes, SchedulerKind::Fifo.build(0));
     sim.start();

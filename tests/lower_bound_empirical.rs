@@ -5,6 +5,8 @@ use content_oblivious::core::lower_bound::{
     lower_bound_messages, max_prefix_group, patterns_unique, solitude_pattern_alg1,
     solitude_pattern_alg2, solitude_pattern_alg3, SolitudePattern,
 };
+use content_oblivious::core::registry::Alg2Def;
+use content_oblivious::core::runner::RunOptions;
 use content_oblivious::core::{runner, IdScheme};
 use content_oblivious::net::{RingSpec, SchedulerKind};
 
@@ -59,7 +61,7 @@ fn theorem4_lower_bound_below_measured_cost() {
             let mut ids: Vec<u64> = (1..n).collect();
             ids.push(id_max);
             let spec = RingSpec::oriented(ids);
-            let report = runner::run_alg2(&spec, SchedulerKind::Fifo, 0);
+            let report = runner::run::<Alg2Def>(&spec, &RunOptions::new(SchedulerKind::Fifo, 0));
             let lower = lower_bound_messages(id_max, n);
             assert!(
                 report.total_messages >= lower,

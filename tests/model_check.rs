@@ -3,7 +3,9 @@
 //! asynchronous schedule and verify the theorems in each reachable
 //! configuration.
 
-use content_oblivious::core::{Alg1Node, Alg2Node, Alg3Node, IdScheme, Role};
+use content_oblivious::core::registry::Alg3Def;
+use content_oblivious::core::registry::{Alg1Def, Alg2Def, RingProtocol};
+use content_oblivious::core::{Alg2Node, Role};
 use content_oblivious::net::explore::{explore, ExploreConfig};
 use content_oblivious::net::RingSpec;
 
@@ -14,11 +16,7 @@ fn check_alg2_all_schedules(ids: Vec<u64>) {
     let leader_pos = spec.max_position();
     let report = explore(
         &spec.wiring(),
-        || {
-            (0..spec.len())
-                .map(|i| Alg2Node::new(spec.id(i), spec.cw_port(i)))
-                .collect()
-        },
+        || Alg2Def::nodes(&spec),
         |state| {
             // Safety in every reachable configuration: Lemma 6 for the CW
             // instance and Corollary 14.
@@ -98,11 +96,7 @@ fn alg1_exhaustive_stabilization() {
         let id_max = spec.id_max();
         let report = explore(
             &spec.wiring(),
-            || {
-                (0..spec.len())
-                    .map(|i| Alg1Node::new(spec.id(i), spec.cw_port(i)))
-                    .collect()
-            },
+            || Alg1Def::nodes(&spec),
             |_| Ok(()),
             |state| {
                 for (i, node) in state.nodes.iter().enumerate() {
@@ -144,11 +138,7 @@ fn alg3_exhaustive_orientation() {
         let id_max = 2u64;
         let report = explore(
             &spec.wiring(),
-            || {
-                (0..2)
-                    .map(|i| Alg3Node::new(spec.id(i), IdScheme::Improved))
-                    .collect()
-            },
+            || <Alg3Def>::nodes(&spec),
             |_| Ok(()),
             |state| {
                 let outs: Vec<_> = state

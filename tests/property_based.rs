@@ -5,6 +5,9 @@
 //! framework (the build is fully offline), so every failure reproduces from
 //! the printed case number.
 
+use content_oblivious::core::invariants::Alg2MonitorObserver;
+use content_oblivious::core::registry::{Alg1Def, Alg2Def};
+use content_oblivious::core::runner::RunOptions;
 use content_oblivious::core::{
     anonymous::{sample_ids, SamplingConfig},
     lower_bound, runner, IdScheme, Role,
@@ -45,7 +48,7 @@ fn theorem1_universal() {
         let seed = rng.gen_range(0u64..1000);
         let n = spec.len() as u64;
         let id_max = spec.id_max();
-        let report = runner::run_alg2(&spec, kind, seed);
+        let report = runner::run::<Alg2Def>(&spec, &RunOptions::new(kind, seed));
         assert_eq!(report.outcome, Outcome::QuiescentTerminated, "case {case}");
         assert!(report.validate(&spec).is_ok(), "case {case}");
         assert_eq!(report.total_messages, n * (2 * id_max + 1), "case {case}");
@@ -60,7 +63,11 @@ fn alg2_invariants_universal() {
         let spec = RingSpec::oriented(distinct_ids(&mut rng));
         let kind = scheduler_for(case);
         let seed = rng.gen_range(0u64..1000);
-        let result = runner::run_alg2_monitored(&spec, kind, seed);
+        let result = runner::run_monitored::<Alg2Def, _>(
+            &spec,
+            &RunOptions::new(kind, seed),
+            Alg2MonitorObserver::new(),
+        );
         assert!(result.is_ok(), "case {case}: violation: {:?}", result.err());
     }
 }
@@ -78,7 +85,7 @@ fn theorem2_universal() {
         let spec = RingSpec::with_flips(ids, flips);
         let n = spec.len() as u64;
         let id_max = spec.id_max();
-        let out = runner::run_alg3(&spec, IdScheme::Improved, kind, seed);
+        let out = runner::run_alg3(&spec, IdScheme::Improved, &RunOptions::new(kind, seed));
         assert_eq!(out.report.outcome, Outcome::Quiescent, "case {case}");
         assert!(out.report.validate(&spec).is_ok(), "case {case}");
         assert!(out.orientation_consistent, "case {case}");
@@ -99,7 +106,11 @@ fn proposition15_universal() {
         let seed = rng.gen_range(0u64..1000);
         let n = spec.len() as u64;
         let id_max = spec.id_max();
-        let out = runner::run_alg3(&spec, IdScheme::Doubled, SchedulerKind::Random, seed);
+        let out = runner::run_alg3(
+            &spec,
+            IdScheme::Doubled,
+            &RunOptions::new(SchedulerKind::Random, seed),
+        );
         assert!(out.report.validate(&spec).is_ok(), "case {case}");
         assert_eq!(
             out.report.total_messages,
@@ -140,7 +151,7 @@ fn upper_dominates_lower_bound() {
         if id_max < n {
             continue;
         }
-        let report = runner::run_alg2(&spec, SchedulerKind::Random, seed);
+        let report = runner::run::<Alg2Def>(&spec, &RunOptions::new(SchedulerKind::Random, seed));
         let lower = lower_bound::lower_bound_messages(id_max, n);
         assert!(report.total_messages >= lower, "case {case}");
     }
@@ -179,7 +190,7 @@ fn alg1_unique_max_wins_with_duplicates() {
         // Force a unique maximum by adding a fresh largest ID.
         ids.push(51 + seed % 20);
         let spec = RingSpec::oriented(ids);
-        let report = runner::run_alg1(&spec, kind, seed);
+        let report = runner::run::<Alg1Def>(&spec, &RunOptions::new(kind, seed));
         assert_eq!(report.outcome, Outcome::Quiescent, "case {case}");
         let leaders: Vec<usize> = report
             .roles

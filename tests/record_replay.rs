@@ -3,7 +3,8 @@
 //! [`RunReport`], same [`SimStats`] — for every scheduler kind, a spread of
 //! seeds, and each of the paper's three algorithms.
 
-use content_oblivious::core::{Alg1Node, Alg2Node, Alg3Node, IdScheme};
+use content_oblivious::core::registry::{Alg1Def, Alg2Def, Alg3Def, RingProtocol};
+use content_oblivious::core::Alg2Node;
 use content_oblivious::net::{
     Budget, Protocol, Pulse, RingSpec, Schedule, SchedulerKind, Simulation,
 };
@@ -52,16 +53,7 @@ fn alg1_replays_identically_under_every_scheduler() {
     let spec = RingSpec::oriented(vec![3, 1, 4, 2]);
     for kind in SchedulerKind::ALL {
         for seed in [0u64, 7, 42, 1000] {
-            assert_replay_identical(
-                &spec,
-                || {
-                    (0..spec.len())
-                        .map(|i| Alg1Node::new(spec.id(i), spec.cw_port(i)))
-                        .collect()
-                },
-                kind,
-                seed,
-            );
+            assert_replay_identical(&spec, || Alg1Def::nodes(&spec), kind, seed);
         }
     }
 }
@@ -71,16 +63,7 @@ fn alg2_replays_identically_under_every_scheduler() {
     let spec = RingSpec::oriented(vec![2, 5, 1, 3]);
     for kind in SchedulerKind::ALL {
         for seed in [0u64, 7, 42, 1000] {
-            assert_replay_identical(
-                &spec,
-                || {
-                    (0..spec.len())
-                        .map(|i| Alg2Node::new(spec.id(i), spec.cw_port(i)))
-                        .collect()
-                },
-                kind,
-                seed,
-            );
+            assert_replay_identical(&spec, || Alg2Def::nodes(&spec), kind, seed);
         }
     }
 }
@@ -92,16 +75,7 @@ fn alg3_replays_identically_under_every_scheduler() {
     let spec = RingSpec::with_flips(vec![2, 4, 1], vec![true, false, true]);
     for kind in SchedulerKind::ALL {
         for seed in [0u64, 7, 42] {
-            assert_replay_identical(
-                &spec,
-                || {
-                    (0..spec.len())
-                        .map(|i| Alg3Node::new(spec.id(i), IdScheme::Improved))
-                        .collect()
-                },
-                kind,
-                seed,
-            );
+            assert_replay_identical(&spec, || <Alg3Def>::nodes(&spec), kind, seed);
         }
     }
 }
@@ -112,11 +86,7 @@ fn replay_reproduces_outputs_not_just_counters() {
     // report: same roles at every position.
     let spec = RingSpec::oriented(vec![4, 9, 1, 6, 2]);
     for kind in [SchedulerKind::Random, SchedulerKind::LongestQueue] {
-        let make = || {
-            (0..spec.len())
-                .map(|i| Alg2Node::new(spec.id(i), spec.cw_port(i)))
-                .collect::<Vec<_>>()
-        };
+        let make = || Alg2Def::nodes(&spec);
         let mut recorded: Simulation<Pulse, Alg2Node> =
             Simulation::new(spec.wiring(), make(), kind.build(13));
         let (_, schedule) = recorded.run_recorded(Budget::default());

@@ -17,7 +17,8 @@
 //!    shrink run over a classic baseline.
 
 use co_bench::protocols;
-use content_oblivious::core::registry::{Capability, DriveOpts, RegistryError};
+use content_oblivious::core::registry::{Capability, RegistryError};
+use content_oblivious::core::runner::RunOptions;
 use content_oblivious::net::{RingSpec, Schedule, SchedulerKind};
 
 #[test]
@@ -90,7 +91,7 @@ fn every_entry_replays_byte_identically_through_the_spec() {
     for entry in protocols().entries() {
         for kind in SchedulerKind::ALL {
             for seed in [0u64, 7, 42] {
-                let opts = DriveOpts::new(kind, seed);
+                let opts = RunOptions::new(kind, seed);
                 let rec = entry.record(&spec, &opts);
                 let rep = entry.replay(&spec, &opts, &rec.picks);
                 let tag = format!("{} under {kind} seed {seed}", entry.name());
@@ -115,7 +116,7 @@ fn chang_roberts_records_replays_and_shrinks_through_the_registry() {
     let entry = protocols().get("chang-roberts").expect("registered");
 
     for kind in SchedulerKind::ALL {
-        let opts = DriveOpts::new(kind, 23);
+        let opts = RunOptions::new(kind, 23);
         let rec = entry.record(&spec, &opts);
         let rep = entry.replay(&spec, &opts, &rec.picks);
         assert_eq!(rec.report, rep.report, "{kind}");

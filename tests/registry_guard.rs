@@ -5,7 +5,9 @@
 //! the bench crate), so onboarding a protocol meant editing a pyramid of
 //! match arms per layer. This test pins the refactor: no source file in
 //! `crates/cli` or `crates/bench` may name a per-protocol variant again —
-//! they resolve `ProtocolSpec` entries through the registry instead.
+//! they resolve `ProtocolSpec` entries through the registry instead. Nor
+//! may they, or the runners, build a registered protocol's node set: that
+//! is `RingProtocol::nodes`' job.
 
 use std::fs;
 use std::path::{Path, PathBuf};
@@ -57,5 +59,53 @@ fn driver_layers_contain_no_per_protocol_match_arms() {
         leaks.is_empty(),
         "per-protocol dispatch leaked out of the registry:\n{}",
         leaks.join("\n")
+    );
+}
+
+/// Constructors of the registered protocols' nodes. A line that calls one
+/// with a ring position's ID (`spec.id(i)`) is building a node set that
+/// `RingProtocol::nodes` already builds.
+const REGISTERED_NODES: &[&str] = &[
+    "Alg1Node::new(",
+    "Alg2Node::new(",
+    "Alg3Node::new(",
+    "UngatedAlg2Node::new(",
+    "ChangRobertsNode::new(",
+    "HirschbergSinclairNode::new(",
+    "PetersonNode::new(",
+    "FranklinNode::new(",
+];
+
+#[test]
+fn node_sets_are_built_only_by_their_definitions() {
+    let root = Path::new(env!("CARGO_MANIFEST_DIR"));
+    let mut sources = vec![
+        root.join("crates/core/src/runner.rs"),
+        root.join("crates/classic/src/runner.rs"),
+    ];
+    for layer in ["crates/cli/src", "crates/bench/src"] {
+        rust_sources(&root.join(layer), &mut sources);
+    }
+    let mut copies = Vec::new();
+    for path in &sources {
+        let text = fs::read_to_string(path).expect("source is UTF-8");
+        for (lineno, line) in text.lines().enumerate() {
+            // The universal simulation wires every node's CW port to
+            // `Port::One`: a different node set, not a copy.
+            let per_position = line.contains(".id(i)") && !line.contains("Port::One");
+            if per_position && REGISTERED_NODES.iter().any(|c| line.contains(c)) {
+                copies.push(format!(
+                    "{}:{}: {}",
+                    path.display(),
+                    lineno + 1,
+                    line.trim()
+                ));
+            }
+        }
+    }
+    assert!(
+        copies.is_empty(),
+        "node sets built outside their RingProtocol::nodes:\n{}",
+        copies.join("\n")
     );
 }

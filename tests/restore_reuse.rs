@@ -8,6 +8,7 @@
 //! snapshots of different shapes, with steps in between that dirty the
 //! buffers — and requires it to match a fresh simulation restored once.
 
+use content_oblivious::core::registry::{Alg2Def, RingProtocol};
 use content_oblivious::core::Alg2Node;
 use content_oblivious::net::{
     Budget, ChannelId, FaultPlan, LatencyModel, LatencyPlan, Pulse, QueueBackend, RingSpec,
@@ -30,9 +31,7 @@ enum Plan {
 
 fn build(backend: QueueBackend, plan: Plan) -> Simulation<Pulse, Alg2Node> {
     let spec = RingSpec::oriented(IDS.to_vec());
-    let nodes = (0..spec.len())
-        .map(|i| Alg2Node::new(spec.id(i), spec.cw_port(i)))
-        .collect();
+    let nodes = Alg2Def::nodes(&spec);
     let mut sim = Simulation::with_backend(
         spec.wiring(),
         nodes,

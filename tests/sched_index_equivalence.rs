@@ -19,7 +19,8 @@
 //!    versa), and a snapshot taken mid-run under one mode continues
 //!    identically under the other.
 
-use content_oblivious::core::{Alg1Node, Alg2Node, Alg3Node, IdScheme};
+use content_oblivious::core::registry::{Alg1Def, Alg2Def, Alg3Def, RingProtocol};
+use content_oblivious::core::Alg2Node;
 use content_oblivious::net::sched::{
     BoundedDelayScheduler, FifoScheduler, LifoScheduler, LongestQueueScheduler,
     PhaseSwitchScheduler, RecordingScheduler, RoundRobinScheduler, SolitudeScheduler,
@@ -331,34 +332,10 @@ where
 #[test]
 fn full_grid_agrees_with_indexes_on_and_off() {
     let spec = RingSpec::oriented(vec![3, 6, 1, 5, 2]);
-    assert_modes_equivalent(
-        &spec,
-        || {
-            (0..spec.len())
-                .map(|i| Alg1Node::new(spec.id(i), spec.cw_port(i)))
-                .collect::<Vec<_>>()
-        },
-        "alg1",
-    );
-    assert_modes_equivalent(
-        &spec,
-        || {
-            (0..spec.len())
-                .map(|i| Alg2Node::new(spec.id(i), spec.cw_port(i)))
-                .collect::<Vec<_>>()
-        },
-        "alg2",
-    );
+    assert_modes_equivalent(&spec, || Alg1Def::nodes(&spec), "alg1");
+    assert_modes_equivalent(&spec, || Alg2Def::nodes(&spec), "alg2");
     let flipped = RingSpec::with_flips(vec![3, 6, 1, 5, 2], vec![true, false, true, false, false]);
-    assert_modes_equivalent(
-        &flipped,
-        || {
-            (0..flipped.len())
-                .map(|i| Alg3Node::new(flipped.id(i), IdScheme::Improved))
-                .collect::<Vec<_>>()
-        },
-        "alg3",
-    );
+    assert_modes_equivalent(&flipped, || <Alg3Def>::nodes(&flipped), "alg3");
 }
 
 // ---------------------------------------------------------------------------
@@ -367,9 +344,7 @@ fn full_grid_agrees_with_indexes_on_and_off() {
 
 fn alg2_sim(kind: SchedulerKind, seed: u64, indexed: bool) -> Simulation<Pulse, Alg2Node> {
     let spec = RingSpec::oriented(vec![4, 2, 7, 1]);
-    let nodes = (0..spec.len())
-        .map(|i| Alg2Node::new(spec.id(i), spec.cw_port(i)))
-        .collect();
+    let nodes = Alg2Def::nodes(&spec);
     let mut sim = Simulation::new(spec.wiring(), nodes, kind.build(seed));
     sim.set_indexed_picks(indexed);
     sim

@@ -6,14 +6,13 @@
 
 use content_oblivious::core::ablation::UngatedAlg2Node;
 use content_oblivious::core::invariants::Alg2MonitorObserver;
+use content_oblivious::core::registry::{RingProtocol, UngatedDef};
 use content_oblivious::net::{
     shrink_schedule, Budget, Pulse, RingSpec, Schedule, SchedulerKind, Simulation,
 };
 
 fn ungated(spec: &RingSpec) -> Vec<UngatedAlg2Node> {
-    (0..spec.len())
-        .map(|i| UngatedAlg2Node::new(spec.id(i), spec.cw_port(i)))
-        .collect()
+    UngatedDef::nodes(spec)
 }
 
 /// Finds a recorded schedule under which the ablation violates the CW/CCW

@@ -2,6 +2,9 @@
 //! leader, same exact message counts — the algorithms' guarantees are
 //! schedule-independent, and OS threads are just one more adversary.
 
+use content_oblivious::core::registry::Alg2Def;
+use content_oblivious::core::registry::{Alg1Def, RingProtocol};
+use content_oblivious::core::runner::RunOptions;
 use content_oblivious::core::{runner, Alg1Node, Alg2Node, Role};
 use content_oblivious::net::threaded::{run_threaded, ThreadedOptions, ThreadedOutcome};
 use content_oblivious::net::{Pulse, RingSpec, SchedulerKind};
@@ -16,11 +19,9 @@ fn opts() -> ThreadedOptions {
 #[test]
 fn alg2_threaded_matches_simulator() {
     let spec = RingSpec::oriented(vec![8, 3, 14, 5, 11, 2]);
-    let sim_report = runner::run_alg2(&spec, SchedulerKind::Random, 9);
+    let sim_report = runner::run::<Alg2Def>(&spec, &RunOptions::new(SchedulerKind::Random, 9));
 
-    let nodes: Vec<Alg2Node> = (0..spec.len())
-        .map(|i| Alg2Node::new(spec.id(i), spec.cw_port(i)))
-        .collect();
+    let nodes: Vec<Alg2Node> = Alg2Def::nodes(&spec);
     let threaded = run_threaded::<Pulse, _>(&spec.wiring(), nodes, &opts());
 
     assert_eq!(threaded.outcome, ThreadedOutcome::AllTerminated);
@@ -32,9 +33,7 @@ fn alg2_threaded_matches_simulator() {
 #[test]
 fn alg1_threaded_quiesces_at_id_max() {
     let spec = RingSpec::oriented(vec![6, 13, 4]);
-    let nodes: Vec<Alg1Node> = (0..spec.len())
-        .map(|i| Alg1Node::new(spec.id(i), spec.cw_port(i)))
-        .collect();
+    let nodes: Vec<Alg1Node> = Alg1Def::nodes(&spec);
     let threaded = run_threaded::<Pulse, _>(&spec.wiring(), nodes, &opts());
     assert_eq!(threaded.outcome, ThreadedOutcome::Quiescent);
     assert_eq!(threaded.total_sent, 3 * 13);
@@ -55,9 +54,7 @@ fn alg2_threaded_repeated_runs_are_deterministic_in_count() {
     let spec = RingSpec::oriented(vec![4, 10, 7]);
     let expected = 3 * (2 * 10 + 1);
     for run in 0..5 {
-        let nodes: Vec<Alg2Node> = (0..spec.len())
-            .map(|i| Alg2Node::new(spec.id(i), spec.cw_port(i)))
-            .collect();
+        let nodes: Vec<Alg2Node> = Alg2Def::nodes(&spec);
         let threaded = run_threaded::<Pulse, _>(&spec.wiring(), nodes, &opts());
         assert_eq!(
             threaded.outcome,

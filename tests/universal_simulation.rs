@@ -98,8 +98,8 @@ fn simulation_cost_accounting() {
         cr_decode,
     );
     assert!(out.quiescently_terminated);
-    assert_eq!(out.election_messages, 3 * (2 * 4 + 1));
-    assert!(out.total_messages > out.election_messages);
+    assert_eq!(out.election_messages, Some(3 * (2 * 4 + 1)));
+    assert!(Some(out.total_messages) > out.election_messages);
 }
 
 #[test]

@@ -11,7 +11,8 @@
 //! * the virtual clock itself (final `now`, timestamps) is part of the
 //!   replayed state, not an afterthought.
 
-use content_oblivious::core::{Alg1Node, Alg2Node, Alg3Node, IdScheme};
+use content_oblivious::core::registry::{Alg1Def, Alg2Def, Alg3Def, RingProtocol};
+use content_oblivious::core::Alg2Node;
 use content_oblivious::net::{
     Budget, FaultPlan, LatencyModel, LatencyPlan, Outcome, Protocol, Pulse, QueueBackend, RingSpec,
     RunReport, SchedulerKind, Simulation, Snapshot,
@@ -48,21 +49,6 @@ fn observe<P: Protocol<Pulse> + Snapshot>(
 #[test]
 fn zero_latency_is_invisible_across_the_matrix() {
     let spec = RingSpec::oriented(IDS.to_vec());
-    let alg1 = |spec: &RingSpec| {
-        (0..spec.len())
-            .map(|i| Alg1Node::new(spec.id(i), spec.cw_port(i)))
-            .collect::<Vec<_>>()
-    };
-    let alg2 = |spec: &RingSpec| {
-        (0..spec.len())
-            .map(|i| Alg2Node::new(spec.id(i), spec.cw_port(i)))
-            .collect::<Vec<_>>()
-    };
-    let alg3 = |spec: &RingSpec| {
-        (0..spec.len())
-            .map(|i| Alg3Node::new(spec.id(i), IdScheme::Improved))
-            .collect::<Vec<_>>()
-    };
     for kind in SchedulerKind::ALL {
         for backend in [QueueBackend::Vec, QueueBackend::Counter] {
             for faults in &fault_plans() {
@@ -82,9 +68,9 @@ fn zero_latency_is_invisible_across_the_matrix() {
                         assert_eq!(plain.2, 0, "untimed clock never moves: {ctx}");
                     }};
                 }
-                pin!(alg1);
-                pin!(alg2);
-                pin!(alg3);
+                pin!(Alg1Def::nodes);
+                pin!(Alg2Def::nodes);
+                pin!(<Alg3Def>::nodes);
             }
         }
     }
@@ -99,11 +85,7 @@ fn seeded_latency_reruns_are_byte_identical() {
         .into_iter()
         .chain([SchedulerKind::Latency]);
     for kind in kinds {
-        let nodes = |spec: &RingSpec| {
-            (0..spec.len())
-                .map(|i| Alg2Node::new(spec.id(i), spec.cw_port(i)))
-                .collect::<Vec<_>>()
-        };
+        let nodes = Alg2Def::nodes;
         let a = observe(
             &spec,
             nodes(&spec),
@@ -130,11 +112,7 @@ fn seeded_latency_reruns_are_byte_identical() {
 fn latency_survives_record_replay() {
     let spec = RingSpec::oriented(IDS.to_vec());
     let plan = LatencyPlan::new(LatencyModel::Uniform { min: 2, max: 6 }, 5);
-    let nodes = |spec: &RingSpec| {
-        (0..spec.len())
-            .map(|i| Alg2Node::new(spec.id(i), spec.cw_port(i)))
-            .collect::<Vec<_>>()
-    };
+    let nodes = Alg2Def::nodes;
 
     let mut recorder: Simulation<Pulse, Alg2Node> =
         Simulation::new(spec.wiring(), nodes(&spec), SchedulerKind::Random.build(13));
@@ -158,9 +136,7 @@ fn latency_survives_record_replay() {
 fn snapshot_restore_forks_agree_under_latency() {
     let spec = RingSpec::oriented(IDS.to_vec());
     let plan = LatencyPlan::new(LatencyModel::Uniform { min: 1, max: 4 }, 21);
-    let nodes: Vec<Alg2Node> = (0..spec.len())
-        .map(|i| Alg2Node::new(spec.id(i), spec.cw_port(i)))
-        .collect();
+    let nodes: Vec<Alg2Node> = Alg2Def::nodes(&spec);
     let mut sim: Simulation<Pulse, Alg2Node> =
         Simulation::new(spec.wiring(), nodes, SchedulerKind::Random.build(2));
     sim.set_latency(plan);
