@@ -22,7 +22,8 @@ fn bench_schemes(c: &mut Criterion) {
             group.bench_with_input(BenchmarkId::from_parameter(label), &spec, |b, spec| {
                 b.iter(|| {
                     let out =
-                        runner::run_alg3(spec, scheme, &RunOptions::new(SchedulerKind::Fifo, 0));
+                        runner::run_alg3(spec, scheme, &RunOptions::new(SchedulerKind::Fifo, 0))
+                            .expect("IDs fit");
                     assert_eq!(out.report.total_messages, pulses);
                     out
                 })
@@ -42,6 +43,7 @@ fn bench_resampling_overhead(c: &mut Criterion) {
                 IdScheme::Improved,
                 &RunOptions::new(SchedulerKind::Random, 4),
             )
+            .expect("IDs fit")
         })
     });
     group.bench_function("with", |b| {
@@ -51,6 +53,7 @@ fn bench_resampling_overhead(c: &mut Criterion) {
                 IdScheme::Improved,
                 &RunOptions::new(SchedulerKind::Random, 4),
             )
+            .expect("IDs fit")
         })
     });
     group.finish();

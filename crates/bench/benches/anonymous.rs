@@ -4,6 +4,7 @@
 use co_bench::harness::{BenchmarkId, Criterion};
 use co_bench::{criterion_group, criterion_main};
 use co_core::anonymous::{elect_anonymous, SamplingConfig};
+use co_core::runner::RunOptions;
 use co_net::SchedulerKind;
 
 fn bench_by_n(c: &mut Criterion) {
@@ -15,7 +16,7 @@ fn bench_by_n(c: &mut Criterion) {
             let mut seed = 0u64;
             b.iter(|| {
                 seed += 1;
-                elect_anonymous(n, &cfg, SchedulerKind::Random, seed)
+                elect_anonymous(n, &cfg, &RunOptions::new(SchedulerKind::Random, seed))
             })
         });
     }
@@ -34,7 +35,7 @@ fn bench_by_c(c: &mut Criterion) {
                 let mut seed = 0u64;
                 b.iter(|| {
                     seed += 1;
-                    elect_anonymous(16, cfg, SchedulerKind::Random, seed)
+                    elect_anonymous(16, cfg, &RunOptions::new(SchedulerKind::Random, seed))
                 })
             },
         );

@@ -3,6 +3,7 @@
 use co_bench::harness::{BenchmarkId, Criterion};
 use co_bench::{criterion_group, criterion_main};
 use co_compose::pipeline::{elect_then_aggregate, elect_then_ring_size};
+use co_core::runner::RunOptions;
 use co_net::{RingSpec, SchedulerKind};
 
 fn bench_ring_size(c: &mut Criterion) {
@@ -10,7 +11,7 @@ fn bench_ring_size(c: &mut Criterion) {
     for n in [8u64, 32, 128] {
         let spec = RingSpec::oriented((1..=n).collect());
         group.bench_with_input(BenchmarkId::from_parameter(n), &spec, |b, spec| {
-            b.iter(|| elect_then_ring_size(spec, SchedulerKind::Fifo, 0))
+            b.iter(|| elect_then_ring_size(spec, &RunOptions::new(SchedulerKind::Fifo, 0)))
         });
     }
     group.finish();
@@ -22,7 +23,7 @@ fn bench_aggregate(c: &mut Criterion) {
         let spec = RingSpec::oriented((1..=n).collect());
         let inputs: Vec<u64> = (0..n).collect();
         group.bench_with_input(BenchmarkId::from_parameter(n), &spec, |b, spec| {
-            b.iter(|| elect_then_aggregate(spec, &inputs, SchedulerKind::Fifo, 0))
+            b.iter(|| elect_then_aggregate(spec, &inputs, &RunOptions::new(SchedulerKind::Fifo, 0)))
         });
     }
     group.finish();

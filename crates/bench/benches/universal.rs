@@ -7,6 +7,7 @@ use co_bench::harness::{BenchmarkId, Criterion};
 use co_bench::{criterion_group, criterion_main};
 use co_classic::chang_roberts::{ChangRobertsNode, CrMsg};
 use co_compose::universal::simulate_on_defective_ring;
+use co_core::runner::RunOptions;
 use co_net::{Port, RingSpec, SchedulerKind};
 
 fn cr_encode(m: &CrMsg) -> u64 {
@@ -33,8 +34,7 @@ fn bench_by_n(c: &mut Criterion) {
             b.iter(|| {
                 simulate_on_defective_ring(
                     spec,
-                    SchedulerKind::Fifo,
-                    0,
+                    &RunOptions::new(SchedulerKind::Fifo, 0),
                     |i| ChangRobertsNode::new(spec.id(i), Port::One),
                     cr_encode,
                     cr_decode,
@@ -55,8 +55,7 @@ fn bench_by_id_magnitude(c: &mut Criterion) {
             b.iter(|| {
                 simulate_on_defective_ring(
                     spec,
-                    SchedulerKind::Fifo,
-                    0,
+                    &RunOptions::new(SchedulerKind::Fifo, 0),
                     |i| ChangRobertsNode::new(spec.id(i), Port::One),
                     cr_encode,
                     cr_decode,

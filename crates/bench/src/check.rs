@@ -185,7 +185,11 @@ pub fn collect_metrics(inject_regression_pct: Option<f64>) -> Vec<Metric> {
     });
 
     // E5 — one fixed-seed anonymous election; pulses follow the sampled IDs.
-    let anon = elect_anonymous(16, &SamplingConfig::new(2.0), SchedulerKind::Fifo, 7);
+    let anon = elect_anonymous(
+        16,
+        &SamplingConfig::new(2.0),
+        &RunOptions::new(SchedulerKind::Fifo, 7),
+    );
     metrics.push(Metric {
         name: "e5_anon_pulses_n16_c2_seed7",
         value: anon.messages as f64,
@@ -314,8 +318,8 @@ fn e17_metrics() -> &'static [Metric; 3] {
 /// module docs).
 ///
 /// Two micro-benchmarks drive a scheduler's incremental index through the
-/// exact per-step sequence the engine uses — `indexed_pick` followed by an
-/// `on_head_change` re-key — over a 4000-channel ready set, and one macro
+/// exact per-step sequence the engine uses — `pick` followed by an
+/// `on_change` re-key — over a 4000-channel ready set, and one macro
 /// metric times the full 8-scheduler matrix on the n = 5000 Algorithm 2
 /// election (budget-capped so debug test runs stay affordable). Collected
 /// once per process (`OnceLock`): the in-process gate tests compare a
@@ -333,8 +337,8 @@ fn e18_metrics() -> &'static [Metric; 3] {
     use std::sync::OnceLock;
     use std::time::Instant;
 
-    /// ns/op of `indexed_pick` + `on_head_change` over `channels` ready
-    /// channels, re-keyed by `key` per op.
+    /// ns/op of `pick` + `on_change` over `channels` ready channels, each
+    /// picked channel re-keyed with the next send seq.
     fn pick_ns(scheduler: &mut dyn Scheduler, channels: usize, ops: u64) -> f64 {
         let views: Vec<ChannelView> = (0..channels)
             .map(|i| ChannelView {
@@ -349,9 +353,9 @@ fn e18_metrics() -> &'static [Metric; 3] {
         let start = Instant::now();
         let mut sink = 0usize;
         for seq in channels as u64..channels as u64 + ops {
-            let id = scheduler.indexed_pick().expect("scheduler keeps an index");
+            let id = scheduler.pick(&views);
             sink ^= id.index();
-            scheduler.on_head_change(ChannelView {
+            scheduler.on_change(ChannelView {
                 id,
                 queue_len: 1 + id.index() % 5,
                 head_seq: seq,

@@ -666,6 +666,25 @@ impl Cli {
             "help" | "--help" | "-h" => Command::Help,
             other => return Err(err(format!("unknown command '{other}'; try 'help'"))),
         };
+        // Algorithm 3 runs on virtual IDs derived from the real ones; refuse
+        // IDs whose virtual IDs would not fit in a u64.
+        let alg3_scheme = match &command {
+            Command::Orient { scheme } => Some(*scheme),
+            Command::Record { protocol }
+            | Command::Replay { protocol, .. }
+            | Command::Shrink { protocol }
+            | Command::Explore { protocol, .. }
+                if protocol.name() == "alg3" =>
+            {
+                Some(IdScheme::Improved)
+            }
+            _ => None,
+        };
+        if let Some(scheme) = alg3_scheme {
+            scheme
+                .check_ids(&opts.ids)
+                .map_err(|e| err(format!("{cmd}: {e}")))?;
+        }
         Ok(Cli { command, opts })
     }
 }
@@ -1190,6 +1209,25 @@ mod tests {
         let e = Cli::parse(["anonymous", "--trials", "0"]).expect_err("zero trials");
         assert_eq!(e.to_string(), "--trials must be at least 1");
         assert!(Cli::parse(["anonymous", "--c", "0.5", "--trials", "1"]).is_ok());
+    }
+
+    #[test]
+    fn refuses_ids_whose_alg3_virtual_ids_overflow() {
+        let max = u64::MAX.to_string();
+        let (improved, doubled) = (format!("1,{max}"), format!("1,{}", 1u64 << 63));
+        for args in [
+            vec!["orient", "--ids", &improved],
+            vec!["orient", "--scheme", "doubled", "--ids", &doubled],
+            vec!["record", "--protocol", "alg3", "--ids", &max],
+            vec!["explore", "--protocol", "alg3", "--ids", &max],
+        ] {
+            let e = Cli::parse(args.clone()).expect_err("virtual ID overflows");
+            assert!(e.to_string().contains("too large"), "{args:?}: {e}");
+        }
+        // The largest ID that fits, and other protocols, still parse.
+        let fits = (u64::MAX - 1).to_string();
+        assert!(Cli::parse(["orient", "--ids", &fits]).is_ok());
+        assert!(Cli::parse(["record", "--protocol", "alg2", "--ids", &max]).is_ok());
     }
 
     #[test]

@@ -622,7 +622,19 @@ fn orient(opts: &CommonOpts, scheme: IdScheme) -> CommandOutput {
     use rand::SeedableRng;
     let mut rng = StdRng::seed_from_u64(opts.seed);
     let spec = RingSpec::random_flips(opts.ids.clone(), &mut rng);
-    let out = runner::run_alg3(&spec, scheme, &run_options(opts));
+    let out = match runner::run_alg3(&spec, scheme, &run_options(opts)) {
+        Ok(out) => out,
+        Err(e) => {
+            return CommandOutput {
+                text: format!("error: {e}\n"),
+                json: object([
+                    ("error", Value::from("virtual-id-overflow")),
+                    ("message", Value::from(e.to_string())),
+                ]),
+                code: 1,
+            }
+        }
+    };
     let ports: String = out
         .cw_ports
         .iter()
@@ -661,7 +673,7 @@ fn anonymous(opts: &CommonOpts, n: usize, c: f64, trials: u64) -> CommandOutput 
     // 16-bit cap keeps the heavy geometric tail simulatable interactively;
     // see SamplingConfig::max_bits for the (documented) deviation.
     let cfg = SamplingConfig::new(c).with_max_bits(16);
-    let stats = success_rate(n, &cfg, opts.scheduler, trials, opts.seed);
+    let stats = success_rate(n, &cfg, &run_options(opts), trials);
     let text = format!(
         "Anonymous ring n={n}, c={c}, {trials} trials (Theorem 3)\n\
          success:     {:.1}% (failures are exactly tied maxima)\n\
@@ -687,7 +699,7 @@ fn anonymous(opts: &CommonOpts, n: usize, c: f64, trials: u64) -> CommandOutput 
 
 fn compose(opts: &CommonOpts) -> CommandOutput {
     let spec = RingSpec::oriented(opts.ids.clone());
-    let out = elect_then_ring_size(&spec, opts.scheduler, opts.seed);
+    let out = elect_then_ring_size(&spec, &run_options(opts));
     let json = object([
         (
             "quiescently_terminated",

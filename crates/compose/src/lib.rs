@@ -27,10 +27,11 @@
 //!
 //! ```rust
 //! use co_compose::pipeline::elect_then_ring_size;
+//! use co_core::runner::RunOptions;
 //! use co_net::{RingSpec, SchedulerKind};
 //!
 //! let spec = RingSpec::oriented(vec![4, 1, 7, 3, 6]);
-//! let out = elect_then_ring_size(&spec, SchedulerKind::Random, 11);
+//! let out = elect_then_ring_size(&spec, &RunOptions::new(SchedulerKind::Random, 11));
 //! assert!(out.quiescently_terminated);
 //! // Every node — not just the leader — learned the ring size.
 //! assert_eq!(out.outputs, vec![Some(5); 5]);

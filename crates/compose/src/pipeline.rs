@@ -21,10 +21,9 @@
 use crate::apps::{AggregateApp, AggregateOutput, ReplicatedCounterApp, RingSizeApp};
 use crate::broadcast::{RoundApp, RoundNode};
 use co_core::registry::{Alg2Def, RingProtocol};
+use co_core::runner::{self, RunOptions};
 use co_core::{Alg2Node, Role};
-use co_net::{
-    Budget, Context, Outcome, Port, Protocol, Pulse, RingSpec, SchedulerKind, Simulation,
-};
+use co_net::{Context, Outcome, Port, Protocol, Pulse, RingSpec};
 use std::fmt;
 
 /// A node that runs Algorithm 2 and, upon (quiescent) termination, switches
@@ -141,15 +140,15 @@ pub struct PipelineOutput<O> {
     pub election_messages: Option<u64>,
 }
 
-/// Runs the pipeline with an arbitrary application factory.
+/// Runs the pipeline with an arbitrary application factory under `opts`'
+/// scheduler, seed, latency plan, queue backend and budget.
 ///
 /// `make_app(position, role)` builds each node's phase-two app once its
 /// role is known.
 #[must_use]
 pub fn run_pipeline<A, F>(
     spec: &RingSpec,
-    scheduler: SchedulerKind,
-    seed: u64,
+    opts: &RunOptions,
     make_app: F,
 ) -> PipelineOutput<A::Output>
 where
@@ -162,8 +161,8 @@ where
             ElectThenCompute::new(spec.id(i), spec.cw_port(i), move |role| make(i, role))
         })
         .collect();
-    let mut sim = Simulation::new(spec.wiring(), nodes, scheduler.build(seed));
-    let report = sim.run(Budget::default());
+    let mut sim = runner::simulation(spec, nodes, opts);
+    let report = sim.run(opts.budget);
     let leader = (0..spec.len()).find(|&i| sim.node(i).role() == Some(Role::Leader));
     let outputs = (0..spec.len()).map(|i| sim.node(i).output()).collect();
     let election_messages = Alg2Def::predicted(spec);
@@ -178,14 +177,8 @@ where
 
 /// Corollary 5 demo: elect, then every node learns the ring size.
 #[must_use]
-pub fn elect_then_ring_size(
-    spec: &RingSpec,
-    scheduler: SchedulerKind,
-    seed: u64,
-) -> PipelineOutput<u64> {
-    run_pipeline(spec, scheduler, seed, |_, role| {
-        RingSizeApp::new(role == Role::Leader)
-    })
+pub fn elect_then_ring_size(spec: &RingSpec, opts: &RunOptions) -> PipelineOutput<u64> {
+    run_pipeline(spec, opts, |_, role| RingSizeApp::new(role == Role::Leader))
 }
 
 /// Corollary 5 demo: elect, then aggregate per-node inputs (max, sum,
@@ -194,12 +187,11 @@ pub fn elect_then_ring_size(
 pub fn elect_then_aggregate(
     spec: &RingSpec,
     inputs: &[u64],
-    scheduler: SchedulerKind,
-    seed: u64,
+    opts: &RunOptions,
 ) -> PipelineOutput<AggregateOutput> {
     assert_eq!(inputs.len(), spec.len(), "one input per node");
     let inputs = inputs.to_vec();
-    run_pipeline(spec, scheduler, seed, move |i, role| {
+    run_pipeline(spec, opts, move |i, role| {
         AggregateApp::new(inputs[i], role == Role::Leader)
     })
 }
@@ -210,11 +202,10 @@ pub fn elect_then_aggregate(
 pub fn elect_then_replicate(
     spec: &RingSpec,
     script: &[i64],
-    scheduler: SchedulerKind,
-    seed: u64,
+    opts: &RunOptions,
 ) -> PipelineOutput<i64> {
     let script = script.to_vec();
-    run_pipeline(spec, scheduler, seed, move |_, role| {
+    run_pipeline(spec, opts, move |_, role| {
         if role == Role::Leader {
             ReplicatedCounterApp::root(script.clone())
         } else {
@@ -230,11 +221,10 @@ pub fn elect_then_replicate(
 pub fn elect_then_broadcast_bytes(
     spec: &RingSpec,
     message: &[u8],
-    scheduler: SchedulerKind,
-    seed: u64,
+    opts: &RunOptions,
 ) -> PipelineOutput<Vec<u8>> {
     let message = message.to_vec();
-    run_pipeline(spec, scheduler, seed, move |_, role| {
+    run_pipeline(spec, opts, move |_, role| {
         if role == Role::Leader {
             crate::apps::BytesApp::root(message.clone())
         } else {
@@ -246,12 +236,13 @@ pub fn elect_then_broadcast_bytes(
 #[cfg(test)]
 mod tests {
     use super::*;
+    use co_net::SchedulerKind;
 
     #[test]
     fn ring_size_after_election_all_schedulers() {
         let spec = RingSpec::oriented(vec![4, 9, 2, 7, 5]);
         for kind in SchedulerKind::ALL {
-            let out = elect_then_ring_size(&spec, kind, 3);
+            let out = elect_then_ring_size(&spec, &RunOptions::new(kind, 3));
             assert!(out.quiescently_terminated, "{kind}");
             assert_eq!(out.leader, Some(1), "{kind}");
             assert_eq!(out.outputs, vec![Some(5); 5], "{kind}");
@@ -263,7 +254,7 @@ mod tests {
     fn aggregate_after_election() {
         let spec = RingSpec::oriented(vec![3, 11, 6, 2]);
         let inputs = [10u64, 20, 30, 40];
-        let out = elect_then_aggregate(&spec, &inputs, SchedulerKind::Random, 9);
+        let out = elect_then_aggregate(&spec, &inputs, &RunOptions::new(SchedulerKind::Random, 9));
         assert!(out.quiescently_terminated);
         assert_eq!(out.leader, Some(1));
         for (i, o) in out.outputs.iter().enumerate() {
@@ -280,7 +271,11 @@ mod tests {
     #[test]
     fn replicated_counter_after_election() {
         let spec = RingSpec::oriented(vec![8, 1, 5]);
-        let out = elect_then_replicate(&spec, &[100, -42, 7], SchedulerKind::Lifo, 1);
+        let out = elect_then_replicate(
+            &spec,
+            &[100, -42, 7],
+            &RunOptions::new(SchedulerKind::Lifo, 1),
+        );
         assert!(out.quiescently_terminated);
         assert_eq!(out.leader, Some(0));
         assert_eq!(out.outputs, vec![Some(65); 3]);
@@ -290,7 +285,8 @@ mod tests {
     fn bytes_after_election() {
         let spec = RingSpec::oriented(vec![6, 2, 9, 4]);
         let msg = b"hello, defective world".to_vec();
-        let out = elect_then_broadcast_bytes(&spec, &msg, SchedulerKind::Random, 4);
+        let out =
+            elect_then_broadcast_bytes(&spec, &msg, &RunOptions::new(SchedulerKind::Random, 4));
         assert!(out.quiescently_terminated);
         assert_eq!(out.outputs, vec![Some(msg); 4]);
     }
@@ -298,7 +294,7 @@ mod tests {
     #[test]
     fn single_node_pipeline() {
         let spec = RingSpec::oriented(vec![6]);
-        let out = elect_then_ring_size(&spec, SchedulerKind::Fifo, 0);
+        let out = elect_then_ring_size(&spec, &RunOptions::new(SchedulerKind::Fifo, 0));
         assert!(out.quiescently_terminated);
         assert_eq!(out.outputs, vec![Some(1)]);
     }
@@ -306,7 +302,7 @@ mod tests {
     #[test]
     fn election_cost_matches_theorem1_within_pipeline() {
         let spec = RingSpec::oriented(vec![2, 5, 3]);
-        let out = elect_then_ring_size(&spec, SchedulerKind::Fifo, 0);
+        let out = elect_then_ring_size(&spec, &RunOptions::new(SchedulerKind::Fifo, 0));
         // Phase 1 costs exactly n(2·ID_max + 1); phase 2's cost comes on
         // top: counting rounds + announcement + halt + grants.
         use crate::broadcast::{halt_cost, round_cost, GRANT_COST};

@@ -37,6 +37,7 @@
 //! ```rust
 //! use co_compose::universal::simulate_on_defective_ring;
 //! use co_classic::chang_roberts::{ChangRobertsNode, CrMsg};
+//! use co_core::runner::RunOptions;
 //! use co_core::Role;
 //! use co_net::{Port, RingSpec, SchedulerKind};
 //!
@@ -45,8 +46,7 @@
 //! let spec = RingSpec::oriented(vec![4, 2, 5]);
 //! let out = simulate_on_defective_ring(
 //!     &spec,
-//!     SchedulerKind::Random,
-//!     7,
+//!     &RunOptions::new(SchedulerKind::Random, 7),
 //!     |i| ChangRobertsNode::new(spec.id(i), Port::One),
 //!     |m| match *m {
 //!         CrMsg::Candidate(id) => id << 1,
@@ -60,8 +60,9 @@
 
 use crate::broadcast::{RoundApp, TokenAction};
 use crate::pipeline::{run_pipeline, PipelineOutput};
+use co_core::runner::RunOptions;
 use co_core::Role;
-use co_net::{Context, Fingerprint, Message, Port, Protocol, RingSpec, SchedulerKind, Snapshot};
+use co_net::{Context, Fingerprint, Message, Port, Protocol, RingSpec, Snapshot};
 use std::collections::VecDeque;
 use std::fmt;
 
@@ -326,8 +327,7 @@ impl<P: fmt::Debug, M> fmt::Debug for UniversalApp<P, M> {
 #[must_use]
 pub fn simulate_on_defective_ring<P, M>(
     spec: &RingSpec,
-    scheduler: SchedulerKind,
-    seed: u64,
+    opts: &RunOptions,
     make_inner: impl Fn(usize) -> P,
     encode: fn(&M) -> u64,
     decode: fn(u64) -> M,
@@ -340,7 +340,7 @@ where
         spec.is_oriented(),
         "the universal simulation targets oriented rings (Corollary 5)"
     );
-    run_pipeline(spec, scheduler, seed, move |i, role| {
+    run_pipeline(spec, opts, move |i, role| {
         UniversalApp::new(make_inner(i), role == Role::Leader, encode, decode)
     })
 }
@@ -349,6 +349,7 @@ where
 mod tests {
     use super::*;
     use co_net::Pulse;
+    use co_net::SchedulerKind;
 
     /// A trivial simulated protocol: floods one token around its ring and
     /// counts receipts.
@@ -381,8 +382,7 @@ mod tests {
         let spec = RingSpec::oriented(vec![2, 7, 4, 3]);
         let out = simulate_on_defective_ring(
             &spec,
-            SchedulerKind::Random,
-            3,
+            &RunOptions::new(SchedulerKind::Random, 3),
             |i| OneLap {
                 start: i == 0,
                 seen: 0,
@@ -401,8 +401,7 @@ mod tests {
         let spec = RingSpec::oriented(vec![5]);
         let out = simulate_on_defective_ring(
             &spec,
-            SchedulerKind::Fifo,
-            0,
+            &RunOptions::new(SchedulerKind::Fifo, 0),
             |_| OneLap {
                 start: true,
                 seen: 0,

@@ -36,7 +36,7 @@
 //! // A non-oriented ring: nodes 1 and 3 have flipped ports.
 //! let spec = RingSpec::with_flips(vec![4, 9, 2, 5], vec![false, true, false, true]);
 //! let opts = RunOptions::new(SchedulerKind::Random, 3);
-//! let report = runner::run_alg3(&spec, IdScheme::Improved, &opts);
+//! let report = runner::run_alg3(&spec, IdScheme::Improved, &opts).expect("IDs fit");
 //! assert!(report.report.reached_quiescence());
 //! assert_eq!(report.report.roles[1], Role::Leader);
 //! assert!(report.orientation_consistent);
@@ -59,13 +59,43 @@ pub enum IdScheme {
 }
 
 impl IdScheme {
+    /// The largest real ID whose virtual IDs fit in a `u64`:
+    /// `u64::MAX / 2` doubled, `u64::MAX − 1` improved.
+    #[must_use]
+    pub const fn max_id(self) -> u64 {
+        match self {
+            IdScheme::Doubled => u64::MAX / 2,
+            IdScheme::Improved => u64::MAX - 1,
+        }
+    }
+
+    /// Refuses a ring whose IDs include one above [`IdScheme::max_id`].
+    ///
+    /// # Errors
+    ///
+    /// The first such ID, as a [`VirtualIdOverflow`].
+    pub fn check_ids(self, ids: &[u64]) -> Result<(), VirtualIdOverflow> {
+        match ids.iter().find(|&&id| id > self.max_id()) {
+            Some(&id) => Err(VirtualIdOverflow { id, scheme: self }),
+            None => Ok(()),
+        }
+    }
+
     /// The virtual ID `ID^(i)` for a node with real ID `id`.
     ///
     /// `ID^(i)` governs the pulses *arriving at* `Port_{1−i}` (equivalently:
     /// the execution whose pulses this node re-sends from `Port_i`).
+    ///
+    /// # Panics
+    ///
+    /// Panics if `id` exceeds [`IdScheme::max_id`] (the virtual ID would
+    /// not fit in a `u64`).
     #[must_use]
     pub fn virtual_id(self, id: u64, i: usize) -> u64 {
         debug_assert!(i < 2);
+        if let Err(e) = self.check_ids(&[id]) {
+            panic!("{e}");
+        }
         match self {
             IdScheme::Doubled => 2 * id - 1 + i as u64,
             IdScheme::Improved => id + i as u64,
@@ -93,6 +123,30 @@ impl fmt::Display for IdScheme {
         }
     }
 }
+
+/// A real ID too large for a virtual-ID scheme: `ID^(1)` would exceed
+/// `u64::MAX` (see [`IdScheme::max_id`]).
+#[derive(Copy, Clone, Debug, PartialEq, Eq)]
+pub struct VirtualIdOverflow {
+    /// The offending ID.
+    pub id: u64,
+    /// The scheme it was refused under.
+    pub scheme: IdScheme,
+}
+
+impl fmt::Display for VirtualIdOverflow {
+    fn fmt(&self, f: &mut fmt::Formatter<'_>) -> fmt::Result {
+        write!(
+            f,
+            "ID {} is too large for the {} virtual-ID scheme (at most {})",
+            self.id,
+            self.scheme,
+            self.scheme.max_id()
+        )
+    }
+}
+
+impl std::error::Error for VirtualIdOverflow {}
 
 /// The stabilizing output of an [`Alg3Node`]: a role plus the port the node
 /// believes leads to its clockwise neighbour.
@@ -128,7 +182,7 @@ impl Alg3Node {
     ///
     /// # Panics
     ///
-    /// Panics if `id == 0`.
+    /// Panics if `id == 0` or `id > scheme.max_id()`.
     #[must_use]
     pub fn new(id: u64, scheme: IdScheme) -> Alg3Node {
         assert!(id > 0, "IDs must be positive integers");
@@ -455,6 +509,35 @@ mod tests {
         assert_eq!(IdScheme::Doubled.virtual_id(5, 1), 10);
         assert_eq!(IdScheme::Improved.virtual_id(5, 0), 5);
         assert_eq!(IdScheme::Improved.virtual_id(5, 1), 6);
+        // The largest accepted IDs still fit.
+        assert_eq!(IdScheme::Improved.virtual_id(u64::MAX - 1, 1), u64::MAX);
+        assert_eq!(IdScheme::Doubled.virtual_id(u64::MAX / 2, 1), u64::MAX - 1);
+    }
+
+    #[test]
+    fn ids_whose_virtual_ids_overflow_are_refused() {
+        let improved = IdScheme::Improved;
+        assert_eq!(improved.check_ids(&[1, u64::MAX - 1]), Ok(()));
+        let e = improved
+            .check_ids(&[1, u64::MAX])
+            .expect_err("ID^(1) = 2^64");
+        assert_eq!(
+            e,
+            VirtualIdOverflow {
+                id: u64::MAX,
+                scheme: improved
+            }
+        );
+        assert!(e.to_string().contains("too large"), "{e}");
+        let doubled = IdScheme::Doubled;
+        assert_eq!(doubled.check_ids(&[u64::MAX / 2]), Ok(()));
+        assert!(doubled.check_ids(&[1, 1 << 63]).is_err());
+    }
+
+    #[test]
+    #[should_panic(expected = "too large")]
+    fn virtual_id_panics_instead_of_wrapping() {
+        let _ = IdScheme::Doubled.virtual_id(1 << 63, 0);
     }
 
     #[test]

@@ -33,10 +33,11 @@
 //!
 //! ```rust
 //! use co_core::anonymous::{elect_anonymous, SamplingConfig};
+//! use co_core::runner::RunOptions;
 //! use co_net::SchedulerKind;
 //!
 //! let cfg = SamplingConfig::new(1.0).with_max_bits(16);
-//! let result = elect_anonymous(8, &cfg, SchedulerKind::Random, 42);
+//! let result = elect_anonymous(8, &cfg, &RunOptions::new(SchedulerKind::Random, 42));
 //! // With c = 1 a ring of 8 succeeds with high probability; this seed does.
 //! assert!(result.success);
 //! assert!(result.messages > 0);
@@ -44,7 +45,7 @@
 
 use crate::alg3::IdScheme;
 use crate::runner::{run_alg3, RunOptions};
-use co_net::{Outcome, RingSpec, SchedulerKind};
+use co_net::{Outcome, RingSpec};
 use rand::rngs::StdRng;
 use rand::{Rng, SeedableRng};
 
@@ -146,23 +147,23 @@ pub struct AnonymousResult {
 /// Runs one anonymous-ring election: Algorithm 4 sampling followed by
 /// Algorithm 3 (improved scheme) on a randomly port-flipped ring.
 ///
+/// `opts.seed` seeds the ID sampling, the port flips and the scheduler;
+/// the run honours `opts`' scheduler, latency plan, backend and budget.
+///
 /// Success means: quiescence, exactly one `Leader` (at a maximum holder),
 /// and a consistent orientation. By Lemma 16 plus Lemma 18 this happens
 /// with probability `1 − O(n^{-c})`.
 #[must_use]
-pub fn elect_anonymous(
-    n: usize,
-    cfg: &SamplingConfig,
-    scheduler: SchedulerKind,
-    seed: u64,
-) -> AnonymousResult {
+pub fn elect_anonymous(n: usize, cfg: &SamplingConfig, opts: &RunOptions) -> AnonymousResult {
+    let seed = opts.seed;
     let ids = sample_ids(n, cfg, seed);
     let id_max = *ids.iter().max().expect("n > 0");
     let unique_max = ids.iter().filter(|&&id| id == id_max).count() == 1;
 
     let mut rng = StdRng::seed_from_u64(seed.wrapping_add(0x9E37_79B9));
     let spec = RingSpec::random_flips(ids.clone(), &mut rng);
-    let out = run_alg3(&spec, IdScheme::Improved, &RunOptions::new(scheduler, seed));
+    let out = run_alg3(&spec, IdScheme::Improved, opts)
+        .expect("sampled IDs have at most 62 bits, below IdScheme::Improved.max_id()");
     let quiescent = out.report.outcome == Outcome::Quiescent;
     // One leader, at a holder of the maximum ID, and one orientation.
     let success = quiescent
@@ -179,7 +180,9 @@ pub fn elect_anonymous(
     }
 }
 
-/// Empirical success-rate estimate over `trials` independent runs.
+/// Empirical success-rate estimate over `trials` independent runs of
+/// [`elect_anonymous`] under `opts`, trial `t` seeded with
+/// `opts.seed + t·0x2545_F491`.
 ///
 /// Returns `(successes, unique_max_count, mean_id_max, max_messages)` — the
 /// quantities Theorem 3 and Lemma 18 bound.
@@ -187,9 +190,8 @@ pub fn elect_anonymous(
 pub fn success_rate(
     n: usize,
     cfg: &SamplingConfig,
-    scheduler: SchedulerKind,
+    opts: &RunOptions,
     trials: u64,
-    seed: u64,
 ) -> AnonymousStats {
     let mut successes = 0u64;
     let mut unique = 0u64;
@@ -197,12 +199,11 @@ pub fn success_rate(
     let mut max_messages = 0u64;
     let mut max_id_max = 0u64;
     for t in 0..trials {
-        let r = elect_anonymous(
-            n,
-            cfg,
-            scheduler,
-            seed.wrapping_add(t.wrapping_mul(0x2545_F491)),
-        );
+        let trial = RunOptions {
+            seed: opts.seed.wrapping_add(t.wrapping_mul(0x2545_F491)),
+            ..opts.clone()
+        };
+        let r = elect_anonymous(n, cfg, &trial);
         successes += u64::from(r.success);
         unique += u64::from(r.unique_max);
         sum_id_max += u128::from(r.id_max);
@@ -247,6 +248,7 @@ impl AnonymousStats {
 #[cfg(test)]
 mod tests {
     use super::*;
+    use co_net::SchedulerKind;
 
     #[test]
     fn sampled_ids_are_positive_and_bounded() {
@@ -299,7 +301,7 @@ mod tests {
         let mut ok = 0;
         let mut unique_trials = 0;
         for seed in 0..20 {
-            let r = elect_anonymous(6, &cfg, SchedulerKind::Random, seed);
+            let r = elect_anonymous(6, &cfg, &RunOptions::new(SchedulerKind::Random, seed));
             assert!(r.quiescent, "seed {seed} must reach quiescence");
             if r.unique_max {
                 unique_trials += 1;
@@ -318,7 +320,7 @@ mod tests {
     #[test]
     fn stats_aggregate() {
         let cfg = SamplingConfig::new(1.0).with_max_bits(10);
-        let stats = success_rate(4, &cfg, SchedulerKind::Fifo, 20, 99);
+        let stats = success_rate(4, &cfg, &RunOptions::new(SchedulerKind::Fifo, 99), 20);
         assert_eq!(stats.trials, 20);
         assert!(stats.rate() > 0.5, "rate {}", stats.rate());
         assert!(stats.mean_id_max >= 1.0);

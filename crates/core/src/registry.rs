@@ -245,7 +245,7 @@ type FleetShardFn = fn(&FleetConfig, u64, Range<u64>) -> FleetReport;
 type FleetDetailFn = fn(&FleetConfig, u64, u64) -> FleetRingDetail;
 
 fn record_driver<D: RingProtocol>(spec: &RingSpec, opts: &RunOptions<Envelopes>) -> Recorded {
-    let mut sim = simulation::<D, _>(spec, D::nodes(spec), opts);
+    let mut sim = simulation(spec, D::nodes(spec), opts);
     let (report, picks) = sim.run_recorded(opts.budget);
     Recorded {
         report,
@@ -262,7 +262,7 @@ fn replay_driver<D: RingProtocol>(
 ) -> Replayed {
     // The replay engine overrides the scheduler, but the latency plan
     // shapes the trace and must match the recording's.
-    let mut sim = simulation::<D, _>(spec, D::nodes(spec), opts);
+    let mut sim = simulation(spec, D::nodes(spec), opts);
     let report = sim.replay(schedule, opts.budget);
     Replayed {
         report,

@@ -8,13 +8,13 @@
 //! count. [`run_monitored`] is the same loop under a lemma monitor, and
 //! [`run_alg3`] adds Algorithm 3's orientation data.
 
-use crate::alg3::{Alg3Node, IdScheme};
+use crate::alg3::{Alg3Node, IdScheme, VirtualIdOverflow};
 use crate::election::{unique_leader, ElectionReport};
 use crate::invariants::{InvariantViolation, Verdict};
 use crate::registry::{Alg3Def, Backend, Doubled, Improved, RingProtocol, SchemeType};
 use co_net::{
-    Budget, LatencyPlan, Port, QueueBackend, RingSpec, RunReport, SchedulerKind, SimObserver,
-    Simulation,
+    Budget, LatencyPlan, Message, Port, Protocol, QueueBackend, RingSpec, RunReport, SchedulerKind,
+    SimObserver, Simulation,
 };
 
 /// How to run an election. `B` is the protocol's [`RingProtocol::Backend`]
@@ -49,12 +49,13 @@ impl<B: Default> RunOptions<B> {
     }
 }
 
-/// Builds `nodes` on `spec` under `opts`' scheduler, backend and latency.
-pub(crate) fn simulation<D: RingProtocol, B: Backend<D::Msg>>(
+/// Builds `nodes` on `spec` under `opts`' scheduler, backend and latency
+/// (the budget is the caller's to run).
+pub fn simulation<M: Message, P: Protocol<M>, B: Backend<M>>(
     spec: &RingSpec,
-    nodes: Vec<D::Node>,
+    nodes: Vec<P>,
     opts: &RunOptions<B>,
-) -> Simulation<D::Msg, D::Node> {
+) -> Simulation<M, P> {
     let mut sim = opts
         .backend
         .simulation(spec, nodes, opts.scheduler.build(opts.seed));
@@ -65,7 +66,7 @@ pub(crate) fn simulation<D: RingProtocol, B: Backend<D::Msg>>(
 /// Runs protocol `D` on `spec` to quiescence or the budget.
 #[must_use]
 pub fn run<D: RingProtocol>(spec: &RingSpec, opts: &RunOptions<D::Backend>) -> ElectionReport {
-    let mut sim = simulation::<D, _>(spec, D::nodes(spec), opts);
+    let mut sim = simulation(spec, D::nodes(spec), opts);
     let run = sim.run(opts.budget);
     report::<D>(spec, &sim, &run)
 }
@@ -85,7 +86,7 @@ where
     D: RingProtocol,
     O: SimObserver<D::Msg, D::Node> + Verdict<D::Node>,
 {
-    let mut sim = simulation::<D, _>(spec, D::nodes(spec), opts);
+    let mut sim = simulation(spec, D::nodes(spec), opts);
     let run = sim.run_observed(opts.budget, &mut monitor);
     monitor.finish(sim.nodes())?;
     Ok(report::<D>(spec, &sim, &run))
@@ -121,19 +122,30 @@ pub struct Alg3Report {
 }
 
 /// Runs Algorithm 3 under `scheme` on a (possibly non-oriented) ring.
-#[must_use]
-pub fn run_alg3(spec: &RingSpec, scheme: IdScheme, opts: &RunOptions) -> Alg3Report {
-    alg3(spec, scheme, opts, false).0
+///
+/// # Errors
+///
+/// Refuses, before running, a ring with an ID whose virtual IDs do not fit
+/// in a `u64` ([`IdScheme::check_ids`]).
+pub fn run_alg3(
+    spec: &RingSpec,
+    scheme: IdScheme,
+    opts: &RunOptions,
+) -> Result<Alg3Report, VirtualIdOverflow> {
+    Ok(alg3(spec, scheme, opts, false)?.0)
 }
 
 /// [`run_alg3`] with Proposition 19 ID resampling (node `i` draws from
 /// seed `opts.seed ^ i << 32 | i`); also returns each node's final ID.
-#[must_use]
+///
+/// # Errors
+///
+/// As [`run_alg3`].
 pub fn run_alg3_resampling(
     spec: &RingSpec,
     scheme: IdScheme,
     opts: &RunOptions,
-) -> (Alg3Report, Vec<u64>) {
+) -> Result<(Alg3Report, Vec<u64>), VirtualIdOverflow> {
     alg3(spec, scheme, opts, true)
 }
 
@@ -142,11 +154,12 @@ fn alg3(
     scheme: IdScheme,
     opts: &RunOptions,
     resample: bool,
-) -> (Alg3Report, Vec<u64>) {
-    match scheme {
+) -> Result<(Alg3Report, Vec<u64>), VirtualIdOverflow> {
+    scheme.check_ids(spec.ids())?;
+    Ok(match scheme {
         IdScheme::Improved => alg3_under::<Improved>(spec, opts, resample),
         IdScheme::Doubled => alg3_under::<Doubled>(spec, opts, resample),
-    }
+    })
 }
 
 fn alg3_under<S: SchemeType>(
@@ -162,7 +175,7 @@ fn alg3_under<S: SchemeType>(
             .map(|(i, n)| n.with_resampling(seed(i)))
             .collect();
     }
-    let mut sim = simulation::<Alg3Def<S>, _>(spec, nodes, opts);
+    let mut sim = simulation(spec, nodes, opts);
     let run = sim.run(opts.budget);
     let cw_ports: Vec<Option<Port>> = sim
         .nodes()
@@ -234,7 +247,8 @@ mod tests {
             &spec,
             IdScheme::Improved,
             &RunOptions::new(SchedulerKind::Random, 2),
-        );
+        )
+        .expect("IDs fit");
         assert!(out.report.reached_quiescence());
         assert!(out.orientation_consistent);
         assert_eq!(out.report.leader, Some(1));
@@ -268,7 +282,9 @@ mod tests {
             [
                 run::<Alg1Def>(&spec, &opts),
                 run::<Alg2Def>(&spec, &opts),
-                run_alg3(&spec, IdScheme::Improved, &opts).report,
+                run_alg3(&spec, IdScheme::Improved, &opts)
+                    .expect("IDs fit")
+                    .report,
             ]
         });
         for (v, c) in vec.iter().zip(&counter) {
@@ -284,10 +300,24 @@ mod tests {
     fn resampling_returns_final_ids() {
         let spec = RingSpec::oriented(vec![2, 2, 7, 2]);
         let opts = RunOptions::new(SchedulerKind::Fifo, 3);
-        let (out, ids) = run_alg3_resampling(&spec, IdScheme::Improved, &opts);
+        let (out, ids) = run_alg3_resampling(&spec, IdScheme::Improved, &opts).expect("IDs fit");
         assert!(out.report.reached_quiescence());
         assert_eq!(ids.len(), 4);
         assert_eq!(ids[2], 7, "the max node keeps its ID");
         assert!(ids.iter().all(|&id| id >= 1));
+    }
+
+    #[test]
+    fn run_alg3_refuses_ids_whose_virtual_ids_overflow() {
+        let opts = RunOptions::new(SchedulerKind::Fifo, 0);
+        for (scheme, id) in [
+            (IdScheme::Improved, u64::MAX),
+            (IdScheme::Doubled, (u64::MAX >> 1) + 1),
+        ] {
+            let spec = RingSpec::oriented(vec![1, id]);
+            let want = VirtualIdOverflow { id, scheme };
+            assert_eq!(run_alg3(&spec, scheme, &opts).err(), Some(want));
+            assert_eq!(run_alg3_resampling(&spec, scheme, &opts).err(), Some(want));
+        }
     }
 }

@@ -614,15 +614,8 @@ pub struct EngineStep {
 /// and carry on.
 #[derive(Copy, Clone, Debug, PartialEq, Eq)]
 pub enum EngineError {
-    /// The scheduler returned an index outside the ready list it was shown.
-    SchedulerOutOfRange {
-        /// The index the scheduler returned.
-        pick: usize,
-        /// Length of the ready list it was picking from.
-        ready_len: usize,
-    },
-    /// The scheduler's indexed fast path named a channel with no queued
-    /// messages (a broken incremental index).
+    /// The scheduler picked a channel with no queued messages: one that is
+    /// not in the ready set it was shown (e.g. a broken incremental index).
     SchedulerIdleChannel {
         /// The channel the scheduler named.
         channel: usize,
@@ -632,14 +625,9 @@ pub enum EngineError {
 impl fmt::Display for EngineError {
     fn fmt(&self, f: &mut fmt::Formatter<'_>) -> fmt::Result {
         match *self {
-            EngineError::SchedulerOutOfRange { pick, ready_len } => write!(
-                f,
-                "scheduler returned out-of-range index {pick} (ready list has {ready_len} entries)"
-            ),
-            EngineError::SchedulerIdleChannel { channel } => write!(
-                f,
-                "scheduler's indexed pick named channel {channel}, which is not ready"
-            ),
+            EngineError::SchedulerIdleChannel { channel } => {
+                write!(f, "scheduler picked channel {channel}, which is not ready")
+            }
         }
     }
 }
@@ -1046,11 +1034,6 @@ pub struct EventCore<M: Message, T: Topology> {
     ready: Vec<ChannelView>,
     ready_pos: Vec<usize>,
     scheduler: Box<dyn Scheduler>,
-    /// Whether `try_step` consults the scheduler's incremental index
-    /// (`indexed_pick`) before falling back to the O(ready) scan `pick`.
-    /// The index itself is always maintained (the hooks are cheap no-ops for
-    /// scan-only schedulers), so toggling is safe at any point mid-run.
-    indexed_picks: bool,
     stats: SimStats,
     send_seq: u64,
     started: bool,
@@ -1119,7 +1102,6 @@ impl<M: Message, T: Topology> EventCore<M, T> {
             ready: Vec::new(),
             ready_pos: vec![NOT_READY; channels],
             scheduler,
-            indexed_picks: true,
             stats,
             send_seq: 0,
             started: false,
@@ -1268,26 +1250,10 @@ impl<M: Message, T: Topology> EventCore<M, T> {
     /// fresh core) and by exploration (drive the core channel-by-channel
     /// while keeping a trivial scheduler installed). The incoming
     /// scheduler's incremental index is seeded from the current ready set,
-    /// so a mid-run swap keeps indexed picks exact.
+    /// so a mid-run swap keeps its picks exact.
     pub fn set_scheduler(&mut self, scheduler: Box<dyn Scheduler>) {
         self.scheduler = scheduler;
         self.scheduler.rebuild_index(&self.ready);
-    }
-
-    /// Enables or disables the indexed fast-pick path (on by default).
-    ///
-    /// Indexed and scan picks are bit-identical for every built-in
-    /// scheduler (proved by `tests/sched_index_equivalence.rs`); the toggle
-    /// exists to measure and cross-check the two paths. The index stays
-    /// maintained either way, so the switch is safe mid-run.
-    pub fn set_indexed_picks(&mut self, enabled: bool) {
-        self.indexed_picks = enabled;
-    }
-
-    /// Whether the indexed fast-pick path is enabled.
-    #[must_use]
-    pub fn indexed_picks(&self) -> bool {
-        self.indexed_picks
     }
 
     /// Starts recording the sequence of channel picks as a [`Schedule`].
@@ -1474,11 +1440,11 @@ impl<M: Message, T: Topology> EventCore<M, T> {
                 arrival,
             };
             self.ready.push(view);
-            self.scheduler.on_ready(view);
+            self.scheduler.on_change(view);
         } else {
             self.ready[pos].queue_len += 1;
             let view = self.ready[pos];
-            self.scheduler.on_head_change(view);
+            self.scheduler.on_change(view);
         }
         if let Some(m) = &mut self.metrics {
             let peak = self.queues.peak_queue_bytes() as u64;
@@ -1611,7 +1577,7 @@ impl<M: Message, T: Topology> EventCore<M, T> {
     /// Starts the run if [`EventCore::start`] has not run yet. Returns
     /// `Ok(None)` when the network is quiescent (no messages in transit)
     /// and `Err` — with the engine state untouched — if the scheduler
-    /// returns an out-of-range index.
+    /// picks a channel that is not ready.
     pub fn try_step<H: EventHandler<M>>(
         &mut self,
         handler: &mut H,
@@ -1638,37 +1604,16 @@ impl<M: Message, T: Topology> EventCore<M, T> {
             return Ok(None);
         }
         let t = prof::start();
-        let picked = if self.indexed_picks {
-            match self.scheduler.indexed_pick() {
-                Some(id) => {
-                    let ch = id.index();
-                    if ch >= self.ready_pos.len() || self.ready_pos[ch] == NOT_READY {
-                        prof::stop(prof::Phase::Pick, t);
-                        return Err(EngineError::SchedulerIdleChannel { channel: ch });
-                    }
-                    ch
-                }
-                // No index kept (e.g. `RandomScheduler`): scan fallback.
-                None => self.scan_pick()?,
-            }
-        } else {
-            self.scan_pick()?
-        };
+        let channel = self.scheduler.pick(&self.ready).index();
         prof::stop(prof::Phase::Pick, t);
-        Ok(Some(self.deliver(handler, picked)))
-    }
-
-    /// The O(ready) pick path: shows the scheduler the ready slice and
-    /// validates its answer. Returns the picked *channel* index.
-    fn scan_pick(&mut self) -> Result<usize, EngineError> {
-        let pick = self.scheduler.pick(&self.ready);
-        if pick >= self.ready.len() {
-            return Err(EngineError::SchedulerOutOfRange {
-                pick,
-                ready_len: self.ready.len(),
-            });
+        if self
+            .ready_pos
+            .get(channel)
+            .is_none_or(|&pos| pos == NOT_READY)
+        {
+            return Err(EngineError::SchedulerIdleChannel { channel });
         }
-        Ok(self.ready[pick].id.index())
+        Ok(Some(self.deliver(handler, channel)))
     }
 
     /// Delivers one message chosen by the scheduler.
@@ -1678,8 +1623,8 @@ impl<M: Message, T: Topology> EventCore<M, T> {
     ///
     /// # Panics
     ///
-    /// Panics if the scheduler returns an out-of-range index (before any
-    /// engine state is mutated — see [`EventCore::try_step`] for the
+    /// Panics if the scheduler picks a channel that is not ready (before
+    /// any engine state is mutated — see [`EventCore::try_step`] for the
     /// non-panicking form).
     pub fn step<H: EventHandler<M>>(&mut self, handler: &mut H) -> Option<EngineStep> {
         match self.try_step(handler) {
@@ -1792,7 +1737,7 @@ impl<M: Message, T: Topology> EventCore<M, T> {
                 view.head_seq = next_head;
                 view.arrival = next_arrival;
                 let view = *view;
-                self.scheduler.on_head_change(view);
+                self.scheduler.on_change(view);
             }
             None => {
                 self.ready.swap_remove(pos);
@@ -2014,12 +1959,8 @@ mod tests {
 
     #[test]
     fn engine_error_displays_the_offense() {
-        let e = EngineError::SchedulerOutOfRange {
-            pick: 9,
-            ready_len: 2,
-        };
-        let text = e.to_string();
-        assert!(text.contains('9') && text.contains('2'), "{text}");
+        let text = EngineError::SchedulerIdleChannel { channel: 9 }.to_string();
+        assert!(text.contains('9') && text.contains("not ready"), "{text}");
     }
 
     #[test]

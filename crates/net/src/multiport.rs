@@ -285,19 +285,6 @@ impl<M: Message, P: GraphProtocol<M>> GraphSim<M, P> {
         self.core.set_faults(faults);
     }
 
-    /// Enables or disables the scheduler's O(log C) indexed pick path
-    /// (on by default). With it off every step uses the O(ready) scan
-    /// `pick`; both paths are pick-for-pick identical.
-    pub fn set_indexed_picks(&mut self, enabled: bool) {
-        self.core.set_indexed_picks(enabled);
-    }
-
-    /// Whether the indexed pick path is being consulted.
-    #[must_use]
-    pub fn indexed_picks(&self) -> bool {
-        self.core.indexed_picks()
-    }
-
     /// Counters of faults actually applied so far.
     #[must_use]
     pub fn fault_stats(&self) -> FaultStats {

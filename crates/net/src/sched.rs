@@ -141,23 +141,28 @@ impl<K: Ord + Copy> ReadyIndex<K> {
 
 /// The asynchrony adversary: picks which ready channel delivers next.
 ///
-/// Implementations must return an index into `ready` (not a [`ChannelId`]).
-/// `ready` is always non-empty, but its *order is unspecified*: the engine
+/// [`Scheduler::pick`] names one channel of `ready` (always non-empty) by
+/// its [`ChannelId`]. The *order* of `ready` is unspecified: the engine
 /// maintains it as a dense array updated in place (swap-remove on empty),
 /// so positions are an artifact of run history. Deterministic adversaries
-/// must therefore pick by channel *identity* — `id`, `head_seq` (globally
-/// unique across channels), `queue_len`, `direction` — rather than by array
-/// position. Index-based picks (e.g. [`RandomScheduler`]) remain
+/// therefore pick by channel *identity* — `id`, `head_seq` (globally unique
+/// across channels), `queue_len`, `direction`, `arrival` — and the
+/// built-in ones answer from a [`ReadyIndex`] kept current by the
+/// [`Scheduler::on_change`] / [`Scheduler::on_unready`] hooks, ignoring
+/// `ready`. Position-based adversaries ([`RandomScheduler`],
+/// [`BoundedDelayScheduler`]) scan `ready` instead; they remain
 /// deterministic per run because the engine's array evolution is itself
 /// deterministic, but they are not stable under re-orderings.
 ///
-/// Any implementation yields *some* valid asynchronous schedule: per-channel
-/// FIFO is enforced by the simulator and every message is eventually
-/// delivered as long as the run continues (delays are finite because runs
-/// are finite).
+/// The engine refuses an answer that names a channel which is not ready
+/// ([`crate::EngineError::SchedulerIdleChannel`]) before mutating any
+/// state. Any valid answer yields *some* valid asynchronous schedule:
+/// per-channel FIFO is enforced by the simulator and every message is
+/// eventually delivered as long as the run continues (delays are finite
+/// because runs are finite).
 pub trait Scheduler: fmt::Debug {
-    /// Chooses the next channel to deliver from; returns an index into `ready`.
-    fn pick(&mut self, ready: &[ChannelView]) -> usize;
+    /// Chooses the next channel to deliver from: one of `ready`.
+    fn pick(&mut self, ready: &[ChannelView]) -> ChannelId;
 
     /// Serializes the scheduler's mutable state as a flat word vector.
     ///
@@ -176,35 +181,14 @@ pub trait Scheduler: fmt::Debug {
     /// the default (for stateless schedulers) ignores the input.
     fn restore_state(&mut self, _state: &[u64]) {}
 
-    /// Picks the next channel *by identity* from the scheduler's
-    /// incrementally maintained index, if it keeps one.
+    /// A ready channel's view was inserted or changed (an upsert): its
+    /// queue went from empty to non-empty, its head advanced after a
+    /// delivery left messages queued, or its queue grew on enqueue.
     ///
-    /// `None` means "no index — show me the ready slice": the engine falls
-    /// back to [`Scheduler::pick`]. An implementation returning `Some(id)`
-    /// must name a currently ready channel and must choose exactly the
-    /// channel its own `pick` would have chosen on the same ready set — the
-    /// property suite in `tests/sched_index_equivalence.rs` holds every
-    /// built-in index to that contract. Implementations with per-pick side
-    /// effects (cursors, phase counters) must apply them here exactly as in
-    /// `pick`: the engine calls only one of the two per step.
-    fn indexed_pick(&mut self) -> Option<ChannelId> {
-        None
-    }
-
-    /// A channel became ready: its queue went from empty to non-empty.
-    ///
-    /// Driven by the engine on every enqueue into an empty channel
-    /// (including fault injections), before the next pick. The default — for
-    /// scan-only adversaries — ignores it.
-    fn on_ready(&mut self, view: ChannelView) {
-        let _ = view;
-    }
-
-    /// A ready channel's view changed in place: its head advanced after a
-    /// delivery left messages queued, or its queue grew on enqueue. Fired
-    /// for *any* in-place `head_seq`/`queue_len` change, so indexes keyed on
-    /// either stay current.
-    fn on_head_change(&mut self, view: ChannelView) {
+    /// Driven by the engine on every such change (fault injections
+    /// included), before the next pick, so an index keyed on any view field
+    /// stays current. The default — for scanning adversaries — ignores it.
+    fn on_change(&mut self, view: ChannelView) {
         let _ = view;
     }
 
@@ -217,11 +201,21 @@ pub trait Scheduler: fmt::Debug {
     ///
     /// Called by the engine after a snapshot restore or a scheduler swap, so
     /// indexes never need to appear in [`Scheduler::save_state`] layouts or
-    /// `CoreSnapshot`s — they are derived state. The default (scan-only
+    /// `CoreSnapshot`s — they are derived state. The default (scanning
     /// schedulers) does nothing.
     fn rebuild_index(&mut self, ready: &[ChannelView]) {
         let _ = ready;
     }
+}
+
+/// The answer of an index-backed pick.
+///
+/// The engine keeps every index in step with its non-empty ready set, so
+/// an empty index means the hooks were never fed.
+fn indexed(channel: Option<usize>) -> ChannelId {
+    ChannelId::from_index(
+        channel.expect("pick on an empty index: call rebuild_index(ready) before picking"),
+    )
 }
 
 /// Globally FIFO: always delivers the oldest in-flight message.
@@ -238,7 +232,9 @@ pub trait Scheduler: fmt::Debug {
 ///     ChannelView { id: ChannelId::from_index(0), queue_len: 1, head_seq: 9, direction: None, arrival: 0 },
 ///     ChannelView { id: ChannelId::from_index(1), queue_len: 1, head_seq: 2, direction: None, arrival: 0 },
 /// ];
-/// assert_eq!(FifoScheduler::new().pick(&ready), 1); // oldest send first
+/// let mut fifo = FifoScheduler::new();
+/// fifo.rebuild_index(&ready);
+/// assert_eq!(fifo.pick(&ready), ChannelId::from_index(1)); // oldest send first
 /// ```
 #[derive(Clone, Debug, Default)]
 pub struct FifoScheduler {
@@ -254,24 +250,11 @@ impl FifoScheduler {
 }
 
 impl Scheduler for FifoScheduler {
-    fn pick(&mut self, ready: &[ChannelView]) -> usize {
-        ready
-            .iter()
-            .enumerate()
-            .min_by_key(|(_, v)| v.head_seq)
-            .map(|(i, _)| i)
-            .expect("ready is non-empty")
+    fn pick(&mut self, _ready: &[ChannelView]) -> ChannelId {
+        indexed(self.index.first())
     }
 
-    fn indexed_pick(&mut self) -> Option<ChannelId> {
-        self.index.first().map(ChannelId::from_index)
-    }
-
-    fn on_ready(&mut self, view: ChannelView) {
-        self.index.insert(view.id.index(), view.head_seq);
-    }
-
-    fn on_head_change(&mut self, view: ChannelView) {
+    fn on_change(&mut self, view: ChannelView) {
         self.index.insert(view.id.index(), view.head_seq);
     }
 
@@ -315,25 +298,11 @@ impl SolitudeScheduler {
 }
 
 impl Scheduler for SolitudeScheduler {
-    fn pick(&mut self, ready: &[ChannelView]) -> usize {
-        ready
-            .iter()
-            .enumerate()
-            .min_by_key(|(_, v)| (v.head_seq, dir_rank(v.direction)))
-            .map(|(i, _)| i)
-            .expect("ready is non-empty")
+    fn pick(&mut self, _ready: &[ChannelView]) -> ChannelId {
+        indexed(self.index.first())
     }
 
-    fn indexed_pick(&mut self) -> Option<ChannelId> {
-        self.index.first().map(ChannelId::from_index)
-    }
-
-    fn on_ready(&mut self, view: ChannelView) {
-        self.index
-            .insert(view.id.index(), (view.head_seq, dir_rank(view.direction)));
-    }
-
-    fn on_head_change(&mut self, view: ChannelView) {
+    fn on_change(&mut self, view: ChannelView) {
         self.index
             .insert(view.id.index(), (view.head_seq, dir_rank(view.direction)));
     }
@@ -367,24 +336,11 @@ impl LifoScheduler {
 }
 
 impl Scheduler for LifoScheduler {
-    fn pick(&mut self, ready: &[ChannelView]) -> usize {
-        ready
-            .iter()
-            .enumerate()
-            .max_by_key(|(_, v)| v.head_seq)
-            .map(|(i, _)| i)
-            .expect("ready is non-empty")
+    fn pick(&mut self, _ready: &[ChannelView]) -> ChannelId {
+        indexed(self.index.last())
     }
 
-    fn indexed_pick(&mut self) -> Option<ChannelId> {
-        self.index.last().map(ChannelId::from_index)
-    }
-
-    fn on_ready(&mut self, view: ChannelView) {
-        self.index.insert(view.id.index(), view.head_seq);
-    }
-
-    fn on_head_change(&mut self, view: ChannelView) {
+    fn on_change(&mut self, view: ChannelView) {
         self.index.insert(view.id.index(), view.head_seq);
     }
 
@@ -402,9 +358,8 @@ impl Scheduler for LifoScheduler {
 
 /// Uniformly random delivery, seeded for reproducibility.
 ///
-/// The one built-in adversary that picks by array *position* rather than
-/// channel identity, so it keeps no [`ReadyIndex`]: its `indexed_pick`
-/// stays `None` and the engine always shows it the ready slice.
+/// Picks by array *position* rather than channel identity, so it keeps no
+/// [`ReadyIndex`] and scans the ready slice it is shown.
 ///
 /// ```rust
 /// use co_net::sched::{RandomScheduler, Scheduler};
@@ -435,8 +390,8 @@ impl RandomScheduler {
 }
 
 impl Scheduler for RandomScheduler {
-    fn pick(&mut self, ready: &[ChannelView]) -> usize {
-        self.rng.gen_range(0..ready.len())
+    fn pick(&mut self, ready: &[ChannelView]) -> ChannelId {
+        ready[self.rng.gen_range(0..ready.len())].id
     }
 
     fn save_state(&self) -> Vec<u64> {
@@ -468,32 +423,21 @@ impl RoundRobinScheduler {
 }
 
 impl Scheduler for RoundRobinScheduler {
-    fn pick(&mut self, ready: &[ChannelView]) -> usize {
+    fn pick(&mut self, _ready: &[ChannelView]) -> ChannelId {
         // Deliver from the lowest-indexed ready channel at or past the
         // cursor, wrapping to the lowest overall; then advance the cursor
-        // past it. Keyed on channel index, not array position, so the pick
-        // is independent of the ready array's order.
-        let cursor = self.cursor;
-        let pick = ready
-            .iter()
-            .enumerate()
-            .min_by_key(|(_, v)| (v.id.index() < cursor, v.id.index()))
-            .map(|(i, _)| i)
-            .expect("ready is non-empty");
-        self.cursor = ready[pick].id.index() + 1;
-        pick
+        // past it.
+        let next = indexed(
+            self.index
+                .first_at_or_after((), self.cursor)
+                .or_else(|| self.index.first()),
+        );
+        self.cursor = next.index() + 1;
+        next
     }
 
-    fn indexed_pick(&mut self) -> Option<ChannelId> {
-        let next = self
-            .index
-            .first_at_or_after((), self.cursor)
-            .or_else(|| self.index.first())?;
-        self.cursor = next + 1;
-        Some(ChannelId::from_index(next))
-    }
-
-    fn on_ready(&mut self, view: ChannelView) {
+    /// The key is `()`, so re-keying a channel already indexed is a no-op.
+    fn on_change(&mut self, view: ChannelView) {
         self.index.insert(view.id.index(), ());
     }
 
@@ -554,32 +498,12 @@ impl StarveDirectionScheduler {
 }
 
 impl Scheduler for StarveDirectionScheduler {
-    fn pick(&mut self, ready: &[ChannelView]) -> usize {
-        ready
-            .iter()
-            .enumerate()
-            .min_by_key(|(_, v)| {
-                let starved = v.direction == Some(self.starved);
-                (starved, v.head_seq)
-            })
-            .map(|(i, _)| i)
-            .expect("ready is non-empty")
+    fn pick(&mut self, _ready: &[ChannelView]) -> ChannelId {
+        indexed(self.preferred.first().or_else(|| self.deferred.first()))
     }
 
-    fn indexed_pick(&mut self) -> Option<ChannelId> {
-        self.preferred
-            .first()
-            .or_else(|| self.deferred.first())
-            .map(ChannelId::from_index)
-    }
-
-    fn on_ready(&mut self, view: ChannelView) {
-        self.tier(view.direction)
-            .insert(view.id.index(), view.head_seq);
-    }
-
-    fn on_head_change(&mut self, view: ChannelView) {
-        // A channel's direction never changes, so the upsert lands in the
+    fn on_change(&mut self, view: ChannelView) {
+        // A channel's direction never changes, so an upsert lands in the
         // same tier the channel was registered in.
         self.tier(view.direction)
             .insert(view.id.index(), view.head_seq);
@@ -604,8 +528,8 @@ impl Scheduler for StarveDirectionScheduler {
 #[derive(Clone, Debug)]
 pub struct StarveNodeScheduler {
     victim: usize,
-    /// Channels toward the victim, hashed once in `new` so the per-candidate
-    /// membership test is O(1) instead of an O(victims) `Vec::contains`.
+    /// Channels toward the victim, hashed once in `new` so sorting a channel
+    /// into its tier is O(1).
     victims_channels: HashSet<ChannelId>,
     /// Channels not aimed at the victim, FIFO by head seq.
     preferred: ReadyIndex<u64>,
@@ -644,30 +568,11 @@ impl StarveNodeScheduler {
 }
 
 impl Scheduler for StarveNodeScheduler {
-    fn pick(&mut self, ready: &[ChannelView]) -> usize {
-        ready
-            .iter()
-            .enumerate()
-            .min_by_key(|(_, v)| {
-                let starved = self.victims_channels.contains(&v.id);
-                (starved, v.head_seq)
-            })
-            .map(|(i, _)| i)
-            .expect("ready is non-empty")
+    fn pick(&mut self, _ready: &[ChannelView]) -> ChannelId {
+        indexed(self.preferred.first().or_else(|| self.deferred.first()))
     }
 
-    fn indexed_pick(&mut self) -> Option<ChannelId> {
-        self.preferred
-            .first()
-            .or_else(|| self.deferred.first())
-            .map(ChannelId::from_index)
-    }
-
-    fn on_ready(&mut self, view: ChannelView) {
-        self.tier(view.id).insert(view.id.index(), view.head_seq);
-    }
-
-    fn on_head_change(&mut self, view: ChannelView) {
+    fn on_change(&mut self, view: ChannelView) {
         self.tier(view.id).insert(view.id.index(), view.head_seq);
     }
 
@@ -689,9 +594,9 @@ impl Scheduler for StarveNodeScheduler {
 #[derive(Clone, Debug, Default)]
 pub struct LongestQueueScheduler {
     /// Keyed on `(queue_len, Reverse(head_seq))` so the set's maximum is the
-    /// longest queue, oldest head on ties — exactly the scan's `max_by_key`.
-    /// `on_head_change` re-keys on every in-place view change, which covers
-    /// both queue growth (enqueue) and head advance (partial drain).
+    /// longest queue, oldest head on ties. `on_change` re-keys on every
+    /// view change, which covers both queue growth (enqueue) and head
+    /// advance (partial drain).
     index: ReadyIndex<(usize, Reverse<u64>)>,
 }
 
@@ -704,25 +609,11 @@ impl LongestQueueScheduler {
 }
 
 impl Scheduler for LongestQueueScheduler {
-    fn pick(&mut self, ready: &[ChannelView]) -> usize {
-        ready
-            .iter()
-            .enumerate()
-            .max_by_key(|(_, v)| (v.queue_len, Reverse(v.head_seq)))
-            .map(|(i, _)| i)
-            .expect("ready is non-empty")
+    fn pick(&mut self, _ready: &[ChannelView]) -> ChannelId {
+        indexed(self.index.last())
     }
 
-    fn indexed_pick(&mut self) -> Option<ChannelId> {
-        self.index.last().map(ChannelId::from_index)
-    }
-
-    fn on_ready(&mut self, view: ChannelView) {
-        self.index
-            .insert(view.id.index(), (view.queue_len, Reverse(view.head_seq)));
-    }
-
-    fn on_head_change(&mut self, view: ChannelView) {
+    fn on_change(&mut self, view: ChannelView) {
         self.index
             .insert(view.id.index(), (view.queue_len, Reverse(view.head_seq)));
     }
@@ -766,25 +657,11 @@ impl LatencyScheduler {
 }
 
 impl Scheduler for LatencyScheduler {
-    fn pick(&mut self, ready: &[ChannelView]) -> usize {
-        ready
-            .iter()
-            .enumerate()
-            .min_by_key(|(_, v)| (v.arrival, v.head_seq))
-            .map(|(i, _)| i)
-            .expect("ready is non-empty")
+    fn pick(&mut self, _ready: &[ChannelView]) -> ChannelId {
+        indexed(self.index.first())
     }
 
-    fn indexed_pick(&mut self) -> Option<ChannelId> {
-        self.index.first().map(ChannelId::from_index)
-    }
-
-    fn on_ready(&mut self, view: ChannelView) {
-        self.index
-            .insert(view.id.index(), (view.arrival, view.head_seq));
-    }
-
-    fn on_head_change(&mut self, view: ChannelView) {
+    fn on_change(&mut self, view: ChannelView) {
         self.index
             .insert(view.id.index(), (view.arrival, view.head_seq));
     }
@@ -849,7 +726,7 @@ impl BoundedDelayScheduler {
 }
 
 impl Scheduler for BoundedDelayScheduler {
-    fn pick(&mut self, ready: &[ChannelView]) -> usize {
+    fn pick(&mut self, ready: &[ChannelView]) -> ChannelId {
         let now = self.clock.tick();
         let bound = self.bound;
         // Register deadlines for newly seen heads. Entries for channels this
@@ -873,14 +750,14 @@ impl Scheduler for BoundedDelayScheduler {
             let id = ChannelId::from_index(ch);
             self.by_deadline.pop_first();
             self.deadlines.remove(&id);
-            if let Some(at) = ready.iter().position(|v| v.id == id) {
-                return at;
+            if ready.iter().any(|v| v.id == id) {
+                return id;
             }
             // Stale: the channel drained without this adversary picking it.
         }
-        let at = self.rng.gen_range(0..ready.len());
-        self.forget(ready[at].id);
-        at
+        let id = ready[self.rng.gen_range(0..ready.len())].id;
+        self.forget(id);
+        id
     }
 
     fn save_state(&self) -> Vec<u64> {
@@ -926,17 +803,15 @@ impl Scheduler for BoundedDelayScheduler {
 /// [`ChannelId`] if it is ready, falling back to FIFO otherwise (and after
 /// the recording is exhausted).
 ///
-/// Combined with [`RecordingScheduler`], this reproduces any previously
-/// observed execution exactly — the tool behind regression-pinning an
-/// adversarial interleaving.
+/// Fed a schedule recorded with [`crate::Simulation::run_recorded`], this
+/// reproduces the observed execution exactly — the tool behind
+/// regression-pinning an adversarial interleaving.
 #[derive(Clone, Debug)]
 pub struct ReplayScheduler {
     script: Vec<ChannelId>,
     cursor: usize,
     /// FIFO index over the ready set: one O(1) membership probe for the
-    /// scripted pick plus an O(log C) oldest-head fallback, replacing the
-    /// two O(ready) scans (and the fresh `FifoScheduler` allocation) the
-    /// scan path needs per fallback.
+    /// scripted pick plus an O(log C) oldest-head fallback.
     fifo: ReadyIndex<u64>,
 }
 
@@ -959,41 +834,17 @@ impl ReplayScheduler {
 }
 
 impl Scheduler for ReplayScheduler {
-    fn pick(&mut self, ready: &[ChannelView]) -> usize {
-        if let Some(&want) = self.script.get(self.cursor) {
-            self.cursor += 1;
-            if let Some(at) = ready.iter().position(|v| v.id == want) {
-                return at;
-            }
-        }
-        // FIFO fallback, inline: oldest head first.
-        ready
-            .iter()
-            .enumerate()
-            .min_by_key(|(_, v)| v.head_seq)
-            .map(|(i, _)| i)
-            .expect("ready is non-empty")
-    }
-
-    fn indexed_pick(&mut self) -> Option<ChannelId> {
-        // Resolve the fallback before consuming a script entry: if the
-        // index is unexpectedly empty the engine must retry via the scan
-        // path with the script position untouched.
-        let fallback = self.fifo.first().map(ChannelId::from_index)?;
+    fn pick(&mut self, _ready: &[ChannelView]) -> ChannelId {
         if let Some(&want) = self.script.get(self.cursor) {
             self.cursor += 1;
             if self.fifo.contains(want.index()) {
-                return Some(want);
+                return want;
             }
         }
-        Some(fallback)
+        indexed(self.fifo.first())
     }
 
-    fn on_ready(&mut self, view: ChannelView) {
-        self.fifo.insert(view.id.index(), view.head_seq);
-    }
-
-    fn on_head_change(&mut self, view: ChannelView) {
+    fn on_change(&mut self, view: ChannelView) {
         self.fifo.insert(view.id.index(), view.head_seq);
     }
 
@@ -1014,74 +865,6 @@ impl Scheduler for ReplayScheduler {
 
     fn restore_state(&mut self, state: &[u64]) {
         self.cursor = state[0] as usize;
-    }
-}
-
-/// Wraps another scheduler and records every picked [`ChannelId`] into a
-/// shared log, for later replay with [`ReplayScheduler`].
-#[derive(Debug)]
-pub struct RecordingScheduler {
-    inner: Box<dyn Scheduler>,
-    log: std::rc::Rc<std::cell::RefCell<Vec<ChannelId>>>,
-}
-
-impl RecordingScheduler {
-    /// Wraps `inner`; returns the scheduler and a handle to the growing log.
-    #[must_use]
-    pub fn new(
-        inner: Box<dyn Scheduler>,
-    ) -> (
-        RecordingScheduler,
-        std::rc::Rc<std::cell::RefCell<Vec<ChannelId>>>,
-    ) {
-        let log = std::rc::Rc::new(std::cell::RefCell::new(Vec::new()));
-        (
-            RecordingScheduler {
-                inner,
-                log: std::rc::Rc::clone(&log),
-            },
-            log,
-        )
-    }
-}
-
-impl Scheduler for RecordingScheduler {
-    fn pick(&mut self, ready: &[ChannelView]) -> usize {
-        let at = self.inner.pick(ready);
-        self.log.borrow_mut().push(ready[at].id);
-        at
-    }
-
-    fn indexed_pick(&mut self) -> Option<ChannelId> {
-        let id = self.inner.indexed_pick()?;
-        self.log.borrow_mut().push(id);
-        Some(id)
-    }
-
-    fn on_ready(&mut self, view: ChannelView) {
-        self.inner.on_ready(view);
-    }
-
-    fn on_head_change(&mut self, view: ChannelView) {
-        self.inner.on_head_change(view);
-    }
-
-    fn on_unready(&mut self, id: ChannelId) {
-        self.inner.on_unready(id);
-    }
-
-    fn rebuild_index(&mut self, ready: &[ChannelView]) {
-        self.inner.rebuild_index(ready);
-    }
-
-    fn save_state(&self) -> Vec<u64> {
-        // The log is shared (and append-only), so only the inner adversary's
-        // state needs capturing.
-        self.inner.save_state()
-    }
-
-    fn restore_state(&mut self, state: &[u64]) {
-        self.inner.restore_state(state);
     }
 }
 
@@ -1114,7 +897,7 @@ impl PhaseSwitchScheduler {
 }
 
 impl Scheduler for PhaseSwitchScheduler {
-    fn pick(&mut self, ready: &[ChannelView]) -> usize {
+    fn pick(&mut self, ready: &[ChannelView]) -> ChannelId {
         let pick = if self.delivered < self.switch_after {
             self.first.pick(ready)
         } else {
@@ -1124,27 +907,9 @@ impl Scheduler for PhaseSwitchScheduler {
         pick
     }
 
-    fn indexed_pick(&mut self) -> Option<ChannelId> {
-        let active = if self.delivered < self.switch_after {
-            &mut self.first
-        } else {
-            &mut self.second
-        };
-        // Count the delivery only if the active child answers by index;
-        // on `None` the engine falls back to `pick`, which counts it.
-        let id = active.indexed_pick()?;
-        self.delivered += 1;
-        Some(id)
-    }
-
-    fn on_ready(&mut self, view: ChannelView) {
-        self.first.on_ready(view);
-        self.second.on_ready(view);
-    }
-
-    fn on_head_change(&mut self, view: ChannelView) {
-        self.first.on_head_change(view);
-        self.second.on_head_change(view);
+    fn on_change(&mut self, view: ChannelView) {
+        self.first.on_change(view);
+        self.second.on_change(view);
     }
 
     fn on_unready(&mut self, id: ChannelId) {
@@ -1291,32 +1056,39 @@ mod tests {
         }
     }
 
+    /// `s`'s pick on `ready` after seeding its index from `ready`.
+    fn pick_fresh(s: &mut dyn Scheduler, ready: &[ChannelView]) -> ChannelId {
+        s.rebuild_index(ready);
+        s.pick(ready)
+    }
+
+    fn ch(index: usize) -> ChannelId {
+        ChannelId::from_index(index)
+    }
+
     #[test]
     fn fifo_picks_oldest() {
-        let mut s = FifoScheduler::new();
         let ready = [
             view(0, 1, 9, None),
             view(1, 1, 3, None),
             view(2, 1, 5, None),
         ];
-        assert_eq!(s.pick(&ready), 1);
+        assert_eq!(pick_fresh(&mut FifoScheduler::new(), &ready), ch(1));
     }
 
     #[test]
     fn solitude_breaks_ties_cw_first() {
-        let mut s = SolitudeScheduler::new();
         let ready = [
             view(0, 1, 3, Some(Direction::Ccw)),
             view(1, 1, 3, Some(Direction::Cw)),
         ];
-        assert_eq!(s.pick(&ready), 1);
+        assert_eq!(pick_fresh(&mut SolitudeScheduler::new(), &ready), ch(1));
     }
 
     #[test]
     fn lifo_picks_youngest() {
-        let mut s = LifoScheduler::new();
         let ready = [view(0, 1, 9, None), view(1, 1, 3, None)];
-        assert_eq!(s.pick(&ready), 0);
+        assert_eq!(pick_fresh(&mut LifoScheduler::new(), &ready), ch(0));
     }
 
     #[test]
@@ -1326,16 +1098,16 @@ mod tests {
             view(1, 1, 1, None),
             view(2, 1, 2, None),
         ];
-        let picks_a: Vec<usize> = {
+        let picks_a: Vec<ChannelId> = {
             let mut s = RandomScheduler::seeded(7);
             (0..16).map(|_| s.pick(&ready)).collect()
         };
-        let picks_b: Vec<usize> = {
+        let picks_b: Vec<ChannelId> = {
             let mut s = RandomScheduler::seeded(7);
             (0..16).map(|_| s.pick(&ready)).collect()
         };
         assert_eq!(picks_a, picks_b);
-        assert!(picks_a.iter().all(|&p| p < 3));
+        assert!(picks_a.iter().all(|p| p.index() < 3));
     }
 
     #[test]
@@ -1346,10 +1118,11 @@ mod tests {
             view(2, 1, 1, None),
             view(5, 1, 2, None),
         ];
-        assert_eq!(s.pick(&ready), 0);
-        assert_eq!(s.pick(&ready), 1);
-        assert_eq!(s.pick(&ready), 2);
-        assert_eq!(s.pick(&ready), 0); // wraps
+        s.rebuild_index(&ready);
+        assert_eq!(s.pick(&ready), ch(0));
+        assert_eq!(s.pick(&ready), ch(2));
+        assert_eq!(s.pick(&ready), ch(5));
+        assert_eq!(s.pick(&ready), ch(0)); // wraps
     }
 
     #[test]
@@ -1364,10 +1137,10 @@ mod tests {
         let shuffled = [sorted[2], sorted[0], sorted[1]];
         let mut a = RoundRobinScheduler::new();
         let mut b = RoundRobinScheduler::new();
+        a.rebuild_index(&sorted);
+        b.rebuild_index(&shuffled);
         for _ in 0..5 {
-            let pa = a.pick(&sorted);
-            let pb = b.pick(&shuffled);
-            assert_eq!(sorted[pa].id, shuffled[pb].id);
+            assert_eq!(a.pick(&sorted), b.pick(&shuffled));
         }
     }
 
@@ -1379,26 +1152,32 @@ mod tests {
             view(1, 1, 5, Some(Direction::Cw)),
         ];
         // CCW is older but starved; CW wins.
-        assert_eq!(s.pick(&ready), 1);
+        assert_eq!(pick_fresh(&mut s, &ready), ch(1));
         // Only CCW ready: it must be delivered (finite delays).
-        let only = [view(0, 1, 0, Some(Direction::Ccw))];
-        assert_eq!(s.pick(&only), 0);
+        s.on_unready(ch(1));
+        assert_eq!(s.pick(&ready[..1]), ch(0));
     }
 
     #[test]
-    fn starve_node_defers_incoming() {
-        let incoming = vec![ChannelId::from_index(0)];
-        let mut s = StarveNodeScheduler::new(0, incoming);
-        assert_eq!(s.victim(), 0);
-        let ready = [view(0, 1, 0, None), view(3, 1, 9, None)];
-        assert_eq!(s.pick(&ready), 1);
+    fn starve_node_defers_victim_channels() {
+        let mut s = StarveNodeScheduler::new(1, vec![ch(0), ch(2)]);
+        assert_eq!(s.victim(), 1);
+        let ready = [
+            view(0, 1, 0, None),
+            view(2, 1, 1, None),
+            view(5, 1, 9, None),
+        ];
+        // Non-victim channel 5 wins despite the older heads toward the victim.
+        assert_eq!(pick_fresh(&mut s, &ready), ch(5));
+        s.on_unready(ch(5));
+        // Only victim channels left: oldest head among them.
+        assert_eq!(s.pick(&ready[..2]), ch(0));
     }
 
     #[test]
     fn longest_queue_first() {
-        let mut s = LongestQueueScheduler::new();
         let ready = [view(0, 2, 0, None), view(1, 7, 5, None)];
-        assert_eq!(s.pick(&ready), 1);
+        assert_eq!(pick_fresh(&mut LongestQueueScheduler::new(), &ready), ch(1));
     }
 
     #[test]
@@ -1406,29 +1185,16 @@ mod tests {
         let mut s = LatencyScheduler::new();
         let ready = [viewt(0, 9, 7), viewt(1, 3, 4), viewt(2, 1, 4)];
         // Channel 1 and 2 tie on arrival 4; the older head (seq 1) wins.
-        assert_eq!(s.pick(&ready), 2);
+        assert_eq!(pick_fresh(&mut s, &ready), ch(2));
+        // A head advance re-keys the index.
+        s.on_change(viewt(2, 8, 9));
+        assert_eq!(s.pick(&ready), ch(1));
         // All-zero arrivals (no latency plan): degenerates to FIFO.
         let untimed = [view(0, 1, 9, None), view(1, 1, 3, None)];
-        assert_eq!(s.pick(&untimed), FifoScheduler::new().pick(&untimed));
-    }
-
-    #[test]
-    fn latency_indexed_pick_matches_scan() {
-        let ready = [viewt(0, 2, 5), viewt(3, 7, 1), viewt(6, 4, 1)];
-        let mut indexed = LatencyScheduler::new();
-        let mut scan = LatencyScheduler::new();
-        indexed.rebuild_index(&ready);
-        for round in 0..3 {
-            let id = indexed.indexed_pick().expect("index built");
-            let at = scan.pick(&ready);
-            assert_eq!(id, ready[at].id, "diverged at round {round}");
-        }
-        // Head advance re-keys the index.
-        indexed.on_head_change(viewt(3, 8, 9));
-        assert_eq!(indexed.indexed_pick(), Some(ChannelId::from_index(6)));
-        indexed.on_unready(ChannelId::from_index(6));
-        indexed.on_unready(ChannelId::from_index(0));
-        assert_eq!(indexed.indexed_pick(), Some(ChannelId::from_index(3)));
+        assert_eq!(
+            pick_fresh(&mut s, &untimed),
+            pick_fresh(&mut FifoScheduler::new(), &untimed)
+        );
     }
 
     #[test]
@@ -1437,7 +1203,7 @@ mod tests {
         assert_eq!(SchedulerKind::Latency.to_string(), "latency");
         let ready = [viewt(0, 1, 3), viewt(1, 0, 8)];
         let mut s = SchedulerKind::Latency.build(0);
-        assert_eq!(s.pick(&ready), 0);
+        assert_eq!(pick_fresh(s.as_mut(), &ready), ch(0));
     }
 
     #[test]
@@ -1453,8 +1219,7 @@ mod tests {
         // Track how long channel 0 survives without being picked.
         let mut survived = 0;
         for _ in 0..16 {
-            let p = s.pick(&ready);
-            if p == 0 {
+            if s.pick(&ready) == ch(0) {
                 break;
             }
             survived += 1;
@@ -1469,34 +1234,20 @@ mod tests {
         // After the first pick, every remaining head is immediately overdue.
         let first = s.pick(&ready);
         let second = s.pick(&ready);
-        assert!(first < 2 && second < 2);
+        assert!(first.index() < 2 && second.index() < 2);
     }
 
     #[test]
     fn replay_follows_script_with_fifo_fallback() {
         let ready = [view(0, 1, 5, None), view(2, 1, 3, None)];
         let mut s = ReplayScheduler::new(vec![
-            ChannelId::from_index(2),
-            ChannelId::from_index(9), // not ready: falls back to FIFO
+            ch(0),
+            ch(9), // never ready: falls back to FIFO
         ]);
-        assert_eq!(s.pick(&ready), 1); // scripted: channel 2
-        assert_eq!(s.pick(&ready), 1); // fallback FIFO: oldest head (seq 3)
+        assert_eq!(pick_fresh(&mut s, &ready), ch(0)); // scripted
+        assert_eq!(s.pick(&ready), ch(2)); // fallback FIFO: oldest head (seq 3)
         assert_eq!(s.consumed(), 2);
-        assert_eq!(s.pick(&ready), 1); // script exhausted: FIFO
-    }
-
-    #[test]
-    fn recording_then_replay_reproduces_picks() {
-        let ready = [
-            view(0, 1, 5, None),
-            view(2, 1, 3, None),
-            view(4, 1, 9, None),
-        ];
-        let (mut rec, log) = RecordingScheduler::new(Box::new(LifoScheduler::new()));
-        let original: Vec<usize> = (0..4).map(|_| rec.pick(&ready)).collect();
-        let mut replay = ReplayScheduler::new(log.borrow().clone());
-        let replayed: Vec<usize> = (0..4).map(|_| replay.pick(&ready)).collect();
-        assert_eq!(original, replayed);
+        assert_eq!(s.pick(&ready), ch(2)); // script exhausted: FIFO
     }
 
     #[test]
@@ -1507,9 +1258,17 @@ mod tests {
             Box::new(LifoScheduler::new()),
             2,
         );
-        assert_eq!(s.pick(&ready), 0); // FIFO: oldest
-        assert_eq!(s.pick(&ready), 0);
-        assert_eq!(s.pick(&ready), 1); // switched to LIFO: youngest
+        assert_eq!(pick_fresh(&mut s, &ready), ch(0)); // FIFO: oldest
+        assert_eq!(s.pick(&ready), ch(0));
+        assert_eq!(s.pick(&ready), ch(1)); // switched to LIFO: youngest
+                                           // A scanning child counts its deliveries the same way.
+        let mut mixed = PhaseSwitchScheduler::new(
+            Box::new(RandomScheduler::seeded(3)),
+            Box::new(LifoScheduler::new()),
+            1,
+        );
+        assert!(pick_fresh(&mut mixed, &ready).index() < 2);
+        assert_eq!(mixed.pick(&ready), ch(1)); // switched
     }
 
     #[test]
@@ -1524,10 +1283,10 @@ mod tests {
             s.pick(&ready);
         }
         let saved = s.save_state();
-        let future: Vec<usize> = (0..32).map(|_| s.pick(&ready)).collect();
+        let future: Vec<ChannelId> = (0..32).map(|_| s.pick(&ready)).collect();
         let mut restored = RandomScheduler::seeded(0);
         restored.restore_state(&saved);
-        let resumed: Vec<usize> = (0..32).map(|_| restored.pick(&ready)).collect();
+        let resumed: Vec<ChannelId> = (0..32).map(|_| restored.pick(&ready)).collect();
         assert_eq!(future, resumed);
     }
 
@@ -1543,10 +1302,10 @@ mod tests {
             s.pick(&ready);
         }
         let saved = s.save_state();
-        let future: Vec<usize> = (0..16).map(|_| s.pick(&ready)).collect();
+        let future: Vec<ChannelId> = (0..16).map(|_| s.pick(&ready)).collect();
         let mut restored = BoundedDelayScheduler::new(3, 0);
         restored.restore_state(&saved);
-        let resumed: Vec<usize> = (0..16).map(|_| restored.pick(&ready)).collect();
+        let resumed: Vec<ChannelId> = (0..16).map(|_| restored.pick(&ready)).collect();
         assert_eq!(future, resumed);
     }
 
@@ -1562,14 +1321,14 @@ mod tests {
             s.pick(&ready);
         }
         let saved = s.save_state();
-        let future: Vec<usize> = (0..16).map(|_| s.pick(&ready)).collect();
+        let future: Vec<ChannelId> = (0..16).map(|_| s.pick(&ready)).collect();
         let mut restored = PhaseSwitchScheduler::new(
             Box::new(RandomScheduler::seeded(0)),
             Box::new(RandomScheduler::seeded(0)),
             5,
         );
         restored.restore_state(&saved);
-        let resumed: Vec<usize> = (0..16).map(|_| restored.pick(&ready)).collect();
+        let resumed: Vec<ChannelId> = (0..16).map(|_| restored.pick(&ready)).collect();
         assert_eq!(future, resumed);
     }
 
@@ -1615,110 +1374,6 @@ mod tests {
         assert_eq!(idx.first(), Some(0));
     }
 
-    /// Drives a scheduler's hooks over a ready set so `indexed_pick` can be
-    /// exercised outside an engine.
-    fn feed(s: &mut dyn Scheduler, ready: &[ChannelView]) {
-        s.rebuild_index(ready);
-    }
-
-    #[test]
-    fn indexed_picks_match_scan_picks_for_every_kind() {
-        // One fixed ready set; the real property suite
-        // (tests/sched_index_equivalence.rs) runs randomized mutation
-        // sequences through the engine.
-        let ready = [
-            view(0, 2, 7, Some(Direction::Cw)),
-            view(3, 1, 2, Some(Direction::Ccw)),
-            view(4, 5, 11, Some(Direction::Cw)),
-            view(6, 5, 3, None),
-        ];
-        for kind in SchedulerKind::ALL {
-            if kind == SchedulerKind::Random {
-                let mut s = kind.build(5);
-                feed(s.as_mut(), &ready);
-                assert_eq!(s.indexed_pick(), None, "random keeps no index");
-                continue;
-            }
-            let mut indexed = kind.build(5);
-            let mut scan = kind.build(5);
-            feed(indexed.as_mut(), &ready);
-            for round in 0..4 {
-                let id = indexed.indexed_pick().expect("index built");
-                let at = scan.pick(&ready);
-                assert_eq!(id, ready[at].id, "{kind} diverged at round {round}");
-            }
-        }
-    }
-
-    #[test]
-    fn starve_node_indexed_pick_defers_victim_channels() {
-        let incoming = vec![ChannelId::from_index(0), ChannelId::from_index(2)];
-        let mut s = StarveNodeScheduler::new(1, incoming);
-        let ready = [
-            view(0, 1, 0, None),
-            view(2, 1, 1, None),
-            view(5, 1, 9, None),
-        ];
-        s.rebuild_index(&ready);
-        // Non-victim channel 5 wins despite the younger heads toward the victim.
-        assert_eq!(s.indexed_pick(), Some(ChannelId::from_index(5)));
-        s.on_unready(ChannelId::from_index(5));
-        // Only victim channels left: oldest head among them.
-        assert_eq!(s.indexed_pick(), Some(ChannelId::from_index(0)));
-    }
-
-    #[test]
-    fn replay_indexed_pick_follows_script_with_indexed_fallback() {
-        let ready = [view(0, 1, 5, None), view(2, 1, 3, None)];
-        let mut s = ReplayScheduler::new(vec![
-            ChannelId::from_index(2),
-            ChannelId::from_index(9), // never ready: indexed FIFO fallback
-        ]);
-        // Without an index the scan path must be used instead.
-        assert_eq!(s.indexed_pick(), None);
-        assert_eq!(s.consumed(), 0, "script untouched while index is empty");
-        s.rebuild_index(&ready);
-        assert_eq!(s.indexed_pick(), Some(ChannelId::from_index(2))); // scripted
-        assert_eq!(s.indexed_pick(), Some(ChannelId::from_index(2))); // fallback: oldest head
-        assert_eq!(s.consumed(), 2);
-        assert_eq!(s.indexed_pick(), Some(ChannelId::from_index(2))); // script exhausted
-    }
-
-    #[test]
-    fn recording_logs_indexed_picks_too() {
-        let ready = [view(0, 1, 5, None), view(2, 1, 3, None)];
-        let (mut rec, log) = RecordingScheduler::new(Box::new(FifoScheduler::new()));
-        rec.rebuild_index(&ready);
-        let id = rec.indexed_pick().expect("inner fifo is indexed");
-        assert_eq!(id, ChannelId::from_index(2));
-        assert_eq!(*log.borrow(), vec![ChannelId::from_index(2)]);
-    }
-
-    #[test]
-    fn phase_switch_indexed_pick_counts_deliveries_once() {
-        let ready = [view(0, 1, 1, None), view(1, 1, 9, None)];
-        let mut s = PhaseSwitchScheduler::new(
-            Box::new(FifoScheduler::new()),
-            Box::new(LifoScheduler::new()),
-            2,
-        );
-        s.rebuild_index(&ready);
-        assert_eq!(s.indexed_pick(), Some(ChannelId::from_index(0))); // FIFO
-        assert_eq!(s.indexed_pick(), Some(ChannelId::from_index(0)));
-        assert_eq!(s.indexed_pick(), Some(ChannelId::from_index(1))); // LIFO
-                                                                      // A child without an index defers to the scan path without
-                                                                      // double-counting the delivery.
-        let mut mixed = PhaseSwitchScheduler::new(
-            Box::new(RandomScheduler::seeded(3)),
-            Box::new(LifoScheduler::new()),
-            1,
-        );
-        mixed.rebuild_index(&ready);
-        assert_eq!(mixed.indexed_pick(), None);
-        assert!(mixed.pick(&ready) < ready.len()); // scan path counts the delivery once
-        assert_eq!(mixed.indexed_pick(), Some(ChannelId::from_index(1))); // switched
-    }
-
     #[test]
     fn bounded_delay_save_layout_is_unchanged() {
         // The serialized layout is a public stability contract:
@@ -1742,8 +1397,7 @@ mod tests {
             view(9, 1, 2, None),
         ];
         s.clock.set(43); // next pick ticks to 44: channel 4 becomes overdue
-        let at = s.pick(&ready);
-        assert_eq!(ready[at].id, ChannelId::from_index(4));
+        assert_eq!(s.pick(&ready), ch(4));
     }
 
     #[test]
@@ -1751,8 +1405,11 @@ mod tests {
         let ready = [view(0, 1, 0, Some(Direction::Cw)), view(1, 1, 1, None)];
         for kind in SchedulerKind::ALL {
             let mut s = kind.build(123);
-            let pick = s.pick(&ready);
-            assert!(pick < ready.len(), "{kind} returned invalid index");
+            let pick = pick_fresh(s.as_mut(), &ready);
+            assert!(
+                pick.index() < ready.len(),
+                "{kind} picked a channel not ready"
+            );
             assert!(!kind.to_string().is_empty());
         }
     }

@@ -387,19 +387,6 @@ impl<M: Message, P: Protocol<M>> Simulation<M, P> {
         self.core.net_fingerprint()
     }
 
-    /// Enables or disables the scheduler's O(log C) indexed pick path
-    /// (on by default). With it off every step uses the O(ready) scan
-    /// `pick`; both paths are pick-for-pick identical.
-    pub fn set_indexed_picks(&mut self, enabled: bool) {
-        self.core.set_indexed_picks(enabled);
-    }
-
-    /// Whether the indexed pick path is being consulted.
-    #[must_use]
-    pub fn indexed_picks(&self) -> bool {
-        self.core.indexed_picks()
-    }
-
     /// Counters of faults actually applied so far.
     #[must_use]
     pub fn fault_stats(&self) -> FaultStats {
@@ -454,7 +441,7 @@ impl<M: Message, P: Protocol<M>> Simulation<M, P> {
     ///
     /// # Panics
     ///
-    /// Panics if the scheduler returns an out-of-range index; use
+    /// Panics if the scheduler picks a channel that is not ready; use
     /// [`Simulation::try_step`] to get a typed [`EngineError`] instead.
     pub fn step(&mut self) -> Option<StepInfo> {
         let mut handler = Self::handler(&mut self.nodes);
@@ -1073,13 +1060,13 @@ mod tests {
         assert!(ctr_sim.peak_queue_bytes() > 0);
     }
 
-    /// A deliberately broken adversary: always answers an index far past
-    /// the ready list.
+    /// A deliberately broken adversary: always names a channel far past
+    /// every ready one.
     #[derive(Clone, Debug)]
-    struct OutOfRangeScheduler;
-    impl Scheduler for OutOfRangeScheduler {
-        fn pick(&mut self, ready: &[ChannelView]) -> usize {
-            ready.len() + 41
+    struct IdleChannelScheduler;
+    impl Scheduler for IdleChannelScheduler {
+        fn pick(&mut self, _ready: &[ChannelView]) -> ChannelId {
+            ChannelId::from_index(999)
         }
     }
     use crate::sched::ChannelView;
@@ -1089,18 +1076,14 @@ mod tests {
         let spec = RingSpec::oriented(vec![1, 2, 3]);
         let nodes = (0..3).map(|_| Ticker::new(2)).collect();
         let mut sim: Simulation<Pulse, Ticker> =
-            Simulation::new(spec.wiring(), nodes, Box::new(OutOfRangeScheduler));
+            Simulation::new(spec.wiring(), nodes, Box::new(IdleChannelScheduler));
         sim.start();
         let before_steps = sim.stats().steps;
         let before_in_flight = sim.in_flight();
-        let err = sim.try_step().expect_err("scheduler is out of range");
-        assert_eq!(
-            err,
-            EngineError::SchedulerOutOfRange {
-                pick: 3 + 41,
-                ready_len: 3
-            }
-        );
+        let err = sim.try_step().expect_err("scheduler names an idle channel");
+        assert_eq!(err, EngineError::SchedulerIdleChannel { channel: 999 });
+        let text = err.to_string();
+        assert!(text.contains("999") && text.contains("not ready"), "{text}");
         // The error is raised before any delivery: nothing moved.
         assert_eq!(sim.stats().steps, before_steps);
         assert_eq!(sim.in_flight(), before_in_flight);
@@ -1110,56 +1093,58 @@ mod tests {
         assert_eq!(report.outcome, Outcome::QuiescentTerminated);
     }
 
-    /// A broken *indexed* adversary: the scan path is honest FIFO, but
-    /// `indexed_pick` names a channel that is never ready.
-    #[derive(Clone, Debug)]
-    struct IdleIndexScheduler;
-    impl Scheduler for IdleIndexScheduler {
-        fn pick(&mut self, ready: &[ChannelView]) -> usize {
-            ready
-                .iter()
-                .enumerate()
-                .min_by_key(|(_, v)| v.head_seq)
-                .map(|(at, _)| at)
-                .expect("pick called with ready channels")
+    /// A broken incremental index: FIFO that never hears `on_unready`, so
+    /// it goes on naming channels that have drained.
+    #[derive(Debug, Default)]
+    struct StaleIndexScheduler(FifoScheduler);
+    impl Scheduler for StaleIndexScheduler {
+        fn pick(&mut self, ready: &[ChannelView]) -> ChannelId {
+            self.0.pick(ready)
         }
-        fn indexed_pick(&mut self) -> Option<ChannelId> {
-            Some(ChannelId::from_index(999))
+        fn on_change(&mut self, view: ChannelView) {
+            self.0.on_change(view);
+        }
+        fn rebuild_index(&mut self, ready: &[ChannelView]) {
+            self.0.rebuild_index(ready);
         }
     }
 
     #[test]
-    fn try_step_reports_idle_indexed_pick_and_scan_fallback_recovers() {
+    fn try_step_reports_a_pick_of_a_drained_channel() {
         let spec = RingSpec::oriented(vec![1, 2, 3]);
         let nodes = (0..3).map(|_| Ticker::new(2)).collect();
         let mut sim: Simulation<Pulse, Ticker> =
-            Simulation::new(spec.wiring(), nodes, Box::new(IdleIndexScheduler));
-        assert!(sim.indexed_picks(), "indexed picks are on by default");
+            Simulation::new(spec.wiring(), nodes, Box::<StaleIndexScheduler>::default());
         sim.start();
-        let before_steps = sim.stats().steps;
-        let err = sim
-            .try_step()
-            .expect_err("indexed pick names an idle channel");
-        assert_eq!(err, EngineError::SchedulerIdleChannel { channel: 999 });
-        let text = err.to_string();
-        assert!(text.contains("999") && text.contains("not ready"), "{text}");
-        // The error is raised before any delivery: nothing moved.
-        assert_eq!(sim.stats().steps, before_steps);
-        // Disabling the indexed path routes around the broken index; the
-        // honest scan `pick` finishes the election.
-        sim.set_indexed_picks(false);
-        assert!(!sim.indexed_picks());
+        let err = loop {
+            let before_steps = sim.stats().steps;
+            match sim.try_step() {
+                Ok(step) => assert!(step.is_some(), "the stale index must misfire first"),
+                Err(e) => {
+                    // The error is raised before any delivery: nothing moved.
+                    assert_eq!(sim.stats().steps, before_steps);
+                    break e;
+                }
+            }
+        };
+        let EngineError::SchedulerIdleChannel { channel } = err;
+        assert!(channel < spec.wiring().channel_count(), "a real channel");
+        assert!(!sim
+            .ready_channels()
+            .contains(&ChannelId::from_index(channel)));
+        // A fixed scheduler, seeded from the ready set, finishes the run.
+        sim.core.set_scheduler(Box::new(FifoScheduler::new()));
         let report = sim.run(Budget::default());
         assert_eq!(report.outcome, Outcome::QuiescentTerminated);
     }
 
     #[test]
-    #[should_panic(expected = "out-of-range index")]
+    #[should_panic(expected = "not ready")]
     fn step_panics_on_buggy_scheduler() {
         let spec = RingSpec::oriented(vec![1, 2]);
         let nodes = (0..2).map(|_| Ticker::new(2)).collect();
         let mut sim: Simulation<Pulse, Ticker> =
-            Simulation::new(spec.wiring(), nodes, Box::new(OutOfRangeScheduler));
+            Simulation::new(spec.wiring(), nodes, Box::new(IdleChannelScheduler));
         sim.step();
     }
 

@@ -129,7 +129,8 @@ fn simulator_conserves_messages() {
     }
 }
 
-/// Scheduler contract: every built-in adversary returns in-range picks
+/// Scheduler contract: once its index is seeded with `rebuild_index`,
+/// every built-in adversary picks a channel of the ready set it is shown,
 /// on arbitrary ready sets.
 #[test]
 fn scheduler_contract() {
@@ -151,9 +152,13 @@ fn scheduler_contract() {
                 })
                 .collect();
             let mut sched = kind.build(rng.gen::<u64>());
+            sched.rebuild_index(&ready);
             for _ in 0..32 {
                 let pick = sched.pick(&ready);
-                assert!(pick < ready.len(), "case {case}: {kind} out of range");
+                assert!(
+                    ready.iter().any(|v| v.id == pick),
+                    "case {case}: {kind} picked {pick:?}, which is not ready"
+                );
             }
         }
     }

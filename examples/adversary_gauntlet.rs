@@ -33,7 +33,8 @@ fn main() {
     for kind in SchedulerKind::ALL {
         let a1 = runner::run::<Alg1Def>(&oriented, &RunOptions::new(kind, 1));
         let a2 = runner::run::<Alg2Def>(&oriented, &RunOptions::new(kind, 1));
-        let a3 = runner::run_alg3(&scrambled, IdScheme::Improved, &RunOptions::new(kind, 1));
+        let a3 = runner::run_alg3(&scrambled, IdScheme::Improved, &RunOptions::new(kind, 1))
+            .expect("IDs fit");
 
         let ok1 =
             a1.validate(&oriented).is_ok() && a1.total_messages == a1.predicted_messages.unwrap();

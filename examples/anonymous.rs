@@ -10,6 +10,7 @@
 //! ```
 
 use content_oblivious::core::anonymous::{elect_anonymous, success_rate, SamplingConfig};
+use content_oblivious::core::runner::RunOptions;
 use content_oblivious::net::SchedulerKind;
 
 fn main() {
@@ -19,7 +20,7 @@ fn main() {
 
     // One detailed trial.
     println!("--- one trial on an anonymous ring of n = 10 ---");
-    let r = elect_anonymous(10, &cfg, SchedulerKind::Random, 2024);
+    let r = elect_anonymous(10, &cfg, &RunOptions::new(SchedulerKind::Random, 2024));
     println!("sampled IDs: {:?}", r.ids);
     println!(
         "ID_max = {} (unique: {}), messages = {}, success = {}",
@@ -34,7 +35,7 @@ fn main() {
         "n", "success", "unique max", "mean ID_max", "max messages"
     );
     for n in [4usize, 8, 16, 32, 64] {
-        let stats = success_rate(n, &cfg, SchedulerKind::Random, 100, 1234);
+        let stats = success_rate(n, &cfg, &RunOptions::new(SchedulerKind::Random, 1234), 100);
         println!(
             "{:>6} {:>9.1}% {:>11.1}% {:>14.1} {:>14}",
             n,
@@ -54,7 +55,7 @@ fn main() {
     );
     for c in [0.5f64, 1.0, 2.0] {
         let cfg = SamplingConfig::new(c).with_max_bits(14);
-        let stats = success_rate(16, &cfg, SchedulerKind::Random, 100, 99);
+        let stats = success_rate(16, &cfg, &RunOptions::new(SchedulerKind::Random, 99), 100);
         println!(
             "{:>6.1} {:>9.1}% {:>14.1} {:>14}",
             c,

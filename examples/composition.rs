@@ -14,6 +14,7 @@
 use content_oblivious::compose::pipeline::{
     elect_then_aggregate, elect_then_replicate, elect_then_ring_size,
 };
+use content_oblivious::core::runner::RunOptions;
 use content_oblivious::net::{RingSpec, SchedulerKind};
 
 fn main() {
@@ -22,7 +23,7 @@ fn main() {
     println!("ring: {spec}\n");
 
     // --- 1. Ring size ------------------------------------------------------
-    let out = elect_then_ring_size(&spec, SchedulerKind::Random, 42);
+    let out = elect_then_ring_size(&spec, &RunOptions::new(SchedulerKind::Random, 42));
     assert!(out.quiescently_terminated);
     println!(
         "[ring-size] leader at position {:?} (ID {})",
@@ -37,7 +38,7 @@ fn main() {
 
     // --- 2. Aggregation ----------------------------------------------------
     let inputs = vec![100u64, 250, 30, 480, 75, 120];
-    let out = elect_then_aggregate(&spec, &inputs, SchedulerKind::Random, 7);
+    let out = elect_then_aggregate(&spec, &inputs, &RunOptions::new(SchedulerKind::Random, 7));
     assert!(out.quiescently_terminated);
     println!("[aggregate] inputs: {inputs:?}");
     for (i, o) in out.outputs.iter().enumerate() {
@@ -52,7 +53,7 @@ fn main() {
 
     // --- 3. Replicated counter --------------------------------------------
     let script = vec![500i64, -125, 42, -17];
-    let out = elect_then_replicate(&spec, &script, SchedulerKind::Random, 9);
+    let out = elect_then_replicate(&spec, &script, &RunOptions::new(SchedulerKind::Random, 9));
     assert!(out.quiescently_terminated);
     let expected: i64 = script.iter().sum();
     println!("[replicate] leader applies script {script:?}");

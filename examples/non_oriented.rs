@@ -34,7 +34,8 @@ fn render(spec: &RingSpec) {
 fn run(label: &str, spec: &RingSpec, scheme: IdScheme) {
     println!("\n=== {label}: {spec} / scheme: {scheme} ===");
     render(spec);
-    let out = runner::run_alg3(spec, scheme, &RunOptions::new(SchedulerKind::Random, 7));
+    let out = runner::run_alg3(spec, scheme, &RunOptions::new(SchedulerKind::Random, 7))
+        .expect("IDs fit");
     assert!(out.report.reached_quiescence());
     for i in 0..spec.len() {
         let role = out.report.roles[i];
@@ -85,7 +86,8 @@ fn main() {
         &scrambled,
         IdScheme::Improved,
         &RunOptions::new(SchedulerKind::Random, 7),
-    );
+    )
+    .expect("IDs fit");
     let flips: Vec<bool> = (0..5)
         .map(|i| out.cw_ports[i].expect("stabilized") == Port::Zero)
         .collect();

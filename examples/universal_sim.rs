@@ -9,6 +9,7 @@
 
 use content_oblivious::classic::chang_roberts::{ChangRobertsNode, CrMsg};
 use content_oblivious::compose::universal::simulate_on_defective_ring;
+use content_oblivious::core::runner::RunOptions;
 use content_oblivious::core::Role;
 use content_oblivious::net::{Port, RingSpec, SchedulerKind};
 
@@ -20,8 +21,7 @@ fn main() {
 
     let out = simulate_on_defective_ring(
         &spec,
-        SchedulerKind::Random,
-        2024,
+        &RunOptions::new(SchedulerKind::Random, 2024),
         |i| ChangRobertsNode::new(spec.id(i), Port::One),
         |m| match *m {
             CrMsg::Candidate(id) => id << 1,

@@ -11,7 +11,7 @@ use std::collections::BTreeSet;
 #[test]
 fn success_rate_is_high_and_failures_track_tied_maxima() {
     let cfg = SamplingConfig::new(1.0).with_max_bits(12);
-    let stats = success_rate(12, &cfg, SchedulerKind::Random, 100, 42);
+    let stats = success_rate(12, &cfg, &RunOptions::new(SchedulerKind::Random, 42), 100);
     // Theorem 3: success whp. With c = 1 and n = 12 the tie probability is
     // small; demand a comfortable margin rather than a tight constant.
     assert!(stats.rate() > 0.85, "success rate {} too low", stats.rate());
@@ -23,7 +23,7 @@ fn success_rate_is_high_and_failures_track_tied_maxima() {
 fn unique_max_implies_successful_election_always() {
     let cfg = SamplingConfig::new(1.0).with_max_bits(12);
     for seed in 0..60u64 {
-        let r = elect_anonymous(9, &cfg, SchedulerKind::Random, seed);
+        let r = elect_anonymous(9, &cfg, &RunOptions::new(SchedulerKind::Random, seed));
         assert!(r.quiescent, "seed {seed}");
         if r.unique_max {
             assert!(r.success, "seed {seed}: unique max must elect");
@@ -38,8 +38,8 @@ fn id_magnitude_grows_with_n_as_lemma18_predicts() {
     // the heavy tail simulatable in debug builds without affecting the
     // comparison: both configurations share the cap.)
     let cfg = SamplingConfig::new(1.0).with_max_bits(11);
-    let small = success_rate(4, &cfg, SchedulerKind::Fifo, 60, 7).mean_id_max;
-    let large = success_rate(64, &cfg, SchedulerKind::Fifo, 60, 7).mean_id_max;
+    let small = success_rate(4, &cfg, &RunOptions::new(SchedulerKind::Fifo, 7), 60).mean_id_max;
+    let large = success_rate(64, &cfg, &RunOptions::new(SchedulerKind::Fifo, 7), 60).mean_id_max;
     assert!(
         large > 2.0 * small,
         "mean ID_max should grow with n: {small} vs {large}"
@@ -50,7 +50,7 @@ fn id_magnitude_grows_with_n_as_lemma18_predicts() {
 fn message_complexity_stays_polynomial(/* Theorem 3: n^{O(1)} */) {
     let cfg = SamplingConfig::new(0.5).with_max_bits(12);
     for n in [4usize, 16, 64] {
-        let stats = success_rate(n, &cfg, SchedulerKind::Random, 20, 11);
+        let stats = success_rate(n, &cfg, &RunOptions::new(SchedulerKind::Random, 11), 20);
         // Messages per trial = n(2·ID_max + 1); with ID_max = n^{O(c²)} this
         // is polynomial. Enforce a generous concrete ceiling.
         let ceiling = (n as u64) * (1 << 14);
@@ -77,7 +77,8 @@ fn proposition19_resampling_yields_distinct_ids_whp() {
             &spec,
             IdScheme::Improved,
             &RunOptions::new(SchedulerKind::Random, seed),
-        );
+        )
+        .expect("IDs fit");
         assert!(report.report.reached_quiescence(), "seed {seed}");
         assert_eq!(report.report.leader, Some(4), "seed {seed}");
         assert_eq!(final_ids[4], 500, "seed {seed}: max keeps its ID");

@@ -5,6 +5,7 @@
 use content_oblivious::compose::pipeline::{
     elect_then_aggregate, elect_then_replicate, elect_then_ring_size,
 };
+use content_oblivious::core::runner::RunOptions;
 use content_oblivious::core::IdAssignment;
 use content_oblivious::net::{RingSpec, SchedulerKind};
 use rand::rngs::StdRng;
@@ -17,7 +18,7 @@ fn ring_size_pipeline_matrix() {
         let ids = IdAssignment::Shuffled.generate(n, &mut rng);
         let spec = RingSpec::oriented(ids);
         for kind in SchedulerKind::ALL {
-            let out = elect_then_ring_size(&spec, kind, 77);
+            let out = elect_then_ring_size(&spec, &RunOptions::new(kind, 77));
             assert!(out.quiescently_terminated, "n={n} {kind}");
             assert_eq!(out.leader, Some(spec.max_position()), "n={n} {kind}");
             assert_eq!(out.outputs, vec![Some(n as u64); n], "n={n} {kind}");
@@ -39,7 +40,7 @@ fn aggregate_pipeline_matrix() {
             SchedulerKind::Lifo,
             SchedulerKind::Random,
         ] {
-            let out = elect_then_aggregate(&spec, &inputs, kind, 5);
+            let out = elect_then_aggregate(&spec, &inputs, &RunOptions::new(kind, 5));
             assert!(out.quiescently_terminated, "n={n} {kind}");
             let mut distances = Vec::new();
             for (i, o) in out.outputs.iter().enumerate() {
@@ -64,7 +65,7 @@ fn replicated_counter_pipeline() {
     let script = vec![1i64, -2, 300, -4_000, 50_000];
     let expected: i64 = script.iter().sum();
     for kind in SchedulerKind::ALL {
-        let out = elect_then_replicate(&spec, &script, kind, 13);
+        let out = elect_then_replicate(&spec, &script, &RunOptions::new(kind, 13));
         assert!(out.quiescently_terminated, "{kind}");
         assert_eq!(out.outputs, vec![Some(expected); 4], "{kind}");
     }
@@ -76,10 +77,10 @@ fn election_phase_cost_is_invariant_within_pipeline() {
     // Theorem 1's n(2·ID_max + 1): total = phase1 + phase2, with phase2
     // deterministic for the ring-size app.
     let spec = RingSpec::oriented(vec![5, 2, 9]);
-    let baseline = elect_then_ring_size(&spec, SchedulerKind::Fifo, 0);
+    let baseline = elect_then_ring_size(&spec, &RunOptions::new(SchedulerKind::Fifo, 0));
     for kind in SchedulerKind::ALL {
         for seed in 0..3u64 {
-            let out = elect_then_ring_size(&spec, kind, seed);
+            let out = elect_then_ring_size(&spec, &RunOptions::new(kind, seed));
             assert_eq!(
                 out.total_messages, baseline.total_messages,
                 "{kind} seed {seed}: total pulse count must be schedule-independent"

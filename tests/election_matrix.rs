@@ -101,7 +101,8 @@ fn alg3_elects_and_orients_across_port_layouts() {
             let spec = RingSpec::random_flips(ids, &mut rng);
             for scheme in [IdScheme::Doubled, IdScheme::Improved] {
                 for kind in SchedulerKind::ALL {
-                    let out = runner::run_alg3(&spec, scheme, &RunOptions::new(kind, trial));
+                    let out = runner::run_alg3(&spec, scheme, &RunOptions::new(kind, trial))
+                        .expect("IDs fit");
                     assert_eq!(
                         out.report.outcome,
                         Outcome::Quiescent,

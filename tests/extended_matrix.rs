@@ -7,10 +7,10 @@ use content_oblivious::classic::chang_roberts::{ChangRobertsNode, CrMsg};
 use content_oblivious::classic::registry::ChangRobertsDef;
 use content_oblivious::compose::pipeline::elect_then_replicate;
 use content_oblivious::core::registry::{Alg2Def, RingProtocol};
+use content_oblivious::core::runner::RunOptions;
 use content_oblivious::core::Role;
 use content_oblivious::net::sched::{
-    LifoScheduler, PhaseSwitchScheduler, RecordingScheduler, ReplayScheduler,
-    StarveDirectionScheduler,
+    LifoScheduler, PhaseSwitchScheduler, ReplayScheduler, StarveDirectionScheduler,
 };
 use content_oblivious::net::threaded::{run_threaded, ThreadedOptions, ThreadedOutcome};
 use content_oblivious::net::{
@@ -74,12 +74,12 @@ fn recorded_schedule_replays_identically() {
     // produce identical step counts and node states.
     let spec = RingSpec::oriented(vec![3, 7, 5]);
     let make_nodes = || Alg2Def::nodes(&spec);
-    let (recording, log) = RecordingScheduler::new(SchedulerKind::Random.build(99));
     let mut original: Simulation<Pulse, _> =
-        Simulation::new(spec.wiring(), make_nodes(), Box::new(recording));
-    let first = original.run(Budget::default());
+        Simulation::new(spec.wiring(), make_nodes(), SchedulerKind::Random.build(99));
+    let (first, schedule) = original.run_recorded(Budget::default());
+    assert_eq!(schedule.len() as u64, first.steps, "one pick per delivery");
 
-    let replay = ReplayScheduler::new(log.borrow().clone());
+    let replay = ReplayScheduler::new(schedule.picks().to_vec());
     let mut replayed: Simulation<Pulse, _> =
         Simulation::new(spec.wiring(), make_nodes(), Box::new(replay));
     let second = replayed.run(Budget::default());
@@ -113,7 +113,7 @@ fn replication_converges_universally() {
         let kind = SchedulerKind::ALL[case as usize % SchedulerKind::ALL.len()];
         let seed = rng.gen_range(0u64..500);
         let spec = RingSpec::oriented(ids);
-        let out = elect_then_replicate(&spec, &script, kind, seed);
+        let out = elect_then_replicate(&spec, &script, &RunOptions::new(kind, seed));
         assert!(out.quiescently_terminated, "case {case} under {kind}");
         let expected: i64 = script.iter().sum();
         assert_eq!(out.outputs, vec![Some(expected); spec.len()], "case {case}");

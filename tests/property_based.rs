@@ -85,7 +85,8 @@ fn theorem2_universal() {
         let spec = RingSpec::with_flips(ids, flips);
         let n = spec.len() as u64;
         let id_max = spec.id_max();
-        let out = runner::run_alg3(&spec, IdScheme::Improved, &RunOptions::new(kind, seed));
+        let out = runner::run_alg3(&spec, IdScheme::Improved, &RunOptions::new(kind, seed))
+            .expect("IDs fit");
         assert_eq!(out.report.outcome, Outcome::Quiescent, "case {case}");
         assert!(out.report.validate(&spec).is_ok(), "case {case}");
         assert!(out.orientation_consistent, "case {case}");
@@ -110,7 +111,8 @@ fn proposition15_universal() {
             &spec,
             IdScheme::Doubled,
             &RunOptions::new(SchedulerKind::Random, seed),
-        );
+        )
+        .expect("IDs fit");
         assert!(out.report.validate(&spec).is_ok(), "case {case}");
         assert_eq!(
             out.report.total_messages,

@@ -1,9 +1,11 @@
 //! Pins the election runner's answers: one FNV-1a digest over every
 //! `ElectionReport` of a protocol × scheduler × ring × backend grid, plus
-//! the options the runner must honour (latency, budget) and the predicted
-//! counts it must refuse to wrap.
+//! the options every runner must honour (latency, budget) and the
+//! predicted counts it must refuse to wrap.
 
 use content_oblivious::classic::runner::Baseline;
+use content_oblivious::compose::pipeline::elect_then_ring_size;
+use content_oblivious::core::anonymous::{elect_anonymous, SamplingConfig};
 use content_oblivious::core::election::{ElectionReport, Role};
 use content_oblivious::core::invariants::{Alg2MonitorObserver, CwMonitorObserver};
 use content_oblivious::core::registry::{Alg1Def, Alg2Def};
@@ -78,12 +80,16 @@ fn runner_answers_match_the_pinned_digest() {
                 h.report(&runner::run::<Alg1Def>(&spec, &opts));
                 h.report(&runner::run::<Alg2Def>(&spec, &opts));
                 for scheme in SCHEMES {
-                    h.report(&runner::run_alg3(&spec, scheme, &opts).report);
+                    h.report(
+                        &runner::run_alg3(&spec, scheme, &opts)
+                            .expect("IDs fit")
+                            .report,
+                    );
                 }
             }
             let opts = RunOptions::new(kind, seed);
             for scheme in SCHEMES {
-                h.alg3(&runner::run_alg3(&spec, scheme, &opts));
+                h.alg3(&runner::run_alg3(&spec, scheme, &opts).expect("IDs fit"));
             }
             let envelopes = RunOptions::new(kind, seed);
             for baseline in Baseline::ALL {
@@ -94,7 +100,8 @@ fn runner_answers_match_the_pinned_digest() {
             let ccw = runner::run_monitored::<Alg2Def, _>(&spec, &opts, Alg2MonitorObserver::new());
             h.report(&ccw.unwrap());
             let dupes = RingSpec::oriented(vec![2, 2, 7, 2]);
-            let (out, ids) = runner::run_alg3_resampling(&dupes, IdScheme::Improved, &opts);
+            let (out, ids) =
+                runner::run_alg3_resampling(&dupes, IdScheme::Improved, &opts).expect("IDs fit");
             h.alg3(&out);
             for id in ids {
                 h.word(id);
@@ -107,7 +114,7 @@ fn runner_answers_match_the_pinned_digest() {
         h.report(&runner::run::<Alg1Def>(&spec, &latency));
         h.report(&runner::run::<Alg2Def>(&spec, &latency));
         for scheme in SCHEMES {
-            h.alg3(&runner::run_alg3(&spec, scheme, &latency));
+            h.alg3(&runner::run_alg3(&spec, scheme, &latency).expect("IDs fit"));
         }
         // The baselines' options differ only in their backend's type.
         let latency = RunOptions {
@@ -140,7 +147,11 @@ fn alg3_and_baselines_honour_the_latency_plan() {
         latency: uniform(1, 50),
         ..zero.clone()
     };
-    let alg3 = |opts| runner::run_alg3(&spec, IdScheme::Improved, opts).report;
+    let alg3 = |opts| {
+        runner::run_alg3(&spec, IdScheme::Improved, opts)
+            .expect("IDs fit")
+            .report
+    };
     assert_eq!(alg3(&zero).steps, 12);
     assert_ne!(alg3(&zero).total_messages, alg3(&timed).total_messages);
 
@@ -156,6 +167,38 @@ fn alg3_and_baselines_honour_the_latency_plan() {
     let (untimed, timed) = (hs(LatencyPlan::zero()), hs(uniform(1, 50)));
     assert_eq!(untimed.steps, 12);
     assert_ne!(untimed.total_messages, timed.total_messages);
+}
+
+/// The Corollary 5 pipeline and the anonymous-ring election honour the
+/// options' latency plan and budget too: cut at the same step budget under
+/// `SchedulerKind::Latency`, each has sent a different number of pulses
+/// with a non-zero plan than with the zero plan.
+#[test]
+fn compose_and_anonymous_honour_the_latency_plan() {
+    let zero = RunOptions {
+        budget: Budget::steps(20),
+        ..RunOptions::new(SchedulerKind::Latency, 3)
+    };
+    let timed = RunOptions {
+        latency: uniform(1, 50),
+        ..zero.clone()
+    };
+    let spec = RingSpec::oriented(vec![3, 8, 1, 6, 4, 7]);
+    let compose = |opts| elect_then_ring_size(&spec, opts).total_messages;
+    assert_ne!(compose(&zero), compose(&timed));
+    let full = elect_then_ring_size(&spec, &RunOptions::new(SchedulerKind::Latency, 3));
+    assert!(
+        full.quiescently_terminated,
+        "the default budget still finishes"
+    );
+    assert!(
+        compose(&zero) < full.total_messages,
+        "the budget cut the run"
+    );
+
+    let cfg = SamplingConfig::new(1.0).with_max_bits(8);
+    let anonymous = |opts| elect_anonymous(6, &cfg, opts).messages;
+    assert_ne!(anonymous(&zero), anonymous(&timed));
 }
 
 /// Theorem 1, Corollary 13 and Theorem 2's counts overflow a `u64` for
@@ -179,10 +222,14 @@ fn predictions_that_do_not_fit_are_none() {
     assert_eq!(runner::run::<Alg1Def>(&two, &opts).predicted_messages, None);
 
     let half = RingSpec::oriented(vec![(1 << 63) - 1, 3]);
-    let report = runner::run_alg3(&half, IdScheme::Improved, &opts).report;
+    let report = runner::run_alg3(&half, IdScheme::Improved, &opts)
+        .expect("IDs fit")
+        .report;
     assert_eq!(report.steps, 10);
     assert_eq!(report.predicted_messages, None);
     let solo = RingSpec::oriented(vec![(1 << 63) - 1]);
-    let report = runner::run_alg3(&solo, IdScheme::Improved, &opts).report;
+    let report = runner::run_alg3(&solo, IdScheme::Improved, &opts)
+        .expect("IDs fit")
+        .report;
     assert_eq!(report.predicted_messages, Some(u64::MAX));
 }

@@ -1,38 +1,162 @@
-//! Indexed-pick equivalence: the incrementally maintained scheduler
-//! indexes must be pick-for-pick identical to the retained O(ready) scan
-//! implementations.
+//! Indexed-pick equivalence: every built-in scheduler's incrementally
+//! maintained index must be pick-for-pick identical to its O(ready) scan
+//! order, kept here as the test-only [`ScanOracle`].
 //!
 //! Three layers of evidence:
 //!
 //! 1. A property harness that replays random ready-set mutation sequences
 //!    (enqueue / head-advance / drain, modelled exactly like the engine's
-//!    dense ready array) against two copies of the same scheduler — one
-//!    driven through the incremental hooks + `indexed_pick`, one shown the
-//!    ready slice per scan `pick` — and demands channel-for-channel
-//!    agreement, surviving mid-sequence `rebuild_index` calls.
+//!    dense ready array) against a built-in scheduler — driven through the
+//!    incremental hooks — and its oracle, shown only the ready slice per
+//!    pick, and demands channel-for-channel agreement, surviving
+//!    mid-sequence `rebuild_index` calls.
 //! 2. The full simulation grid — 8 scheduler adversaries × {Alg1, Alg2,
-//!    Alg3} × fault plans × both queue backends — run with indexed picks
-//!    on vs off, demanding byte-identical `RunReport`/`SimStats`/
-//!    fingerprints.
-//! 3. Cross-mode record/replay and mid-run snapshot/restore: a schedule
-//!    recorded with indexes on replays bit-exact with them off (and vice
-//!    versa), and a snapshot taken mid-run under one mode continues
-//!    identically under the other.
+//!    Alg3} × fault plans × both queue backends — run under the built-in
+//!    scheduler and under its oracle, demanding byte-identical
+//!    `RunReport`/`SimStats`/fingerprints.
+//! 3. Cross record/replay and mid-run snapshot/restore: a schedule
+//!    recorded under the built-in scheduler replays bit-exact under the
+//!    oracle's replay (and vice versa), and a snapshot taken mid-run under
+//!    one continues identically under the other.
 
 use content_oblivious::core::registry::{Alg1Def, Alg2Def, Alg3Def, RingProtocol};
 use content_oblivious::core::Alg2Node;
 use content_oblivious::net::sched::{
-    BoundedDelayScheduler, FifoScheduler, LifoScheduler, LongestQueueScheduler,
-    PhaseSwitchScheduler, RecordingScheduler, RoundRobinScheduler, SolitudeScheduler,
-    StarveDirectionScheduler, StarveNodeScheduler,
+    BoundedDelayScheduler, LongestQueueScheduler, PhaseSwitchScheduler, ReplayScheduler,
+    RoundRobinScheduler, StarveDirectionScheduler, StarveNodeScheduler,
 };
 use content_oblivious::net::{
-    Budget, ChannelId, ChannelView, Direction, FaultPlan, Protocol, Pulse, QueueBackend, RingSpec,
-    RunReport, Scheduler, SchedulerKind, Simulation, Snapshot,
+    Budget, ChannelId, ChannelView, Direction, FaultPlan, LatencyModel, LatencyPlan, Protocol,
+    Pulse, QueueBackend, RingSpec, RunReport, Scheduler, SchedulerKind, Simulation, Snapshot,
 };
 use rand::rngs::StdRng;
 use rand::{Rng, SeedableRng};
-use std::collections::VecDeque;
+use std::cmp::Reverse;
+use std::collections::{HashSet, VecDeque};
+
+// ---------------------------------------------------------------------------
+// The reference: scan orders over the ready slice.
+// ---------------------------------------------------------------------------
+
+/// One built-in adversary's order as an O(ready) scan of the slice it is
+/// shown. It keeps no index and ignores every hook; its mutable state
+/// (round-robin and replay cursors, the random stream) saves in the same
+/// layout as the built-in's, so snapshots cross between the two.
+#[derive(Debug)]
+enum ScanOracle {
+    Fifo,
+    Solitude,
+    Lifo,
+    Random(StdRng),
+    RoundRobin {
+        cursor: usize,
+    },
+    StarveDirection(Direction),
+    StarveNode(HashSet<ChannelId>),
+    LongestQueue,
+    Latency,
+    Replay {
+        script: Vec<ChannelId>,
+        cursor: usize,
+    },
+}
+
+impl ScanOracle {
+    /// The oracle of `kind.build(seed)`.
+    fn of(kind: SchedulerKind, seed: u64) -> ScanOracle {
+        match kind {
+            SchedulerKind::Fifo => ScanOracle::Fifo,
+            SchedulerKind::Solitude => ScanOracle::Solitude,
+            SchedulerKind::Lifo => ScanOracle::Lifo,
+            SchedulerKind::Random => ScanOracle::Random(StdRng::seed_from_u64(seed)),
+            SchedulerKind::RoundRobin => ScanOracle::RoundRobin { cursor: 0 },
+            SchedulerKind::StarveCw => ScanOracle::StarveDirection(Direction::Cw),
+            SchedulerKind::StarveCcw => ScanOracle::StarveDirection(Direction::Ccw),
+            SchedulerKind::LongestQueue => ScanOracle::LongestQueue,
+            SchedulerKind::Latency => ScanOracle::Latency,
+        }
+    }
+
+    /// The oracle of `ReplayScheduler::new(script)`.
+    fn replay(script: Vec<ChannelId>) -> ScanOracle {
+        ScanOracle::Replay { script, cursor: 0 }
+    }
+}
+
+/// The ready channel with the smallest `key`.
+fn min_by<K: Ord>(ready: &[ChannelView], key: impl Fn(&ChannelView) -> K) -> ChannelId {
+    ready
+        .iter()
+        .min_by_key(|v| key(v))
+        .expect("ready is non-empty")
+        .id
+}
+
+/// CW before CCW, untagged last — the Definition-21 tie-break.
+fn dir_rank(direction: Option<Direction>) -> u8 {
+    match direction {
+        Some(Direction::Cw) => 0,
+        Some(Direction::Ccw) => 1,
+        None => 2,
+    }
+}
+
+impl Scheduler for ScanOracle {
+    fn pick(&mut self, ready: &[ChannelView]) -> ChannelId {
+        match self {
+            ScanOracle::Fifo => min_by(ready, |v| v.head_seq),
+            ScanOracle::Solitude => min_by(ready, |v| (v.head_seq, dir_rank(v.direction))),
+            ScanOracle::Lifo => min_by(ready, |v| Reverse(v.head_seq)),
+            ScanOracle::Random(rng) => ready[rng.gen_range(0..ready.len())].id,
+            ScanOracle::RoundRobin { cursor } => {
+                let at = *cursor;
+                let id = min_by(ready, |v| (v.id.index() < at, v.id.index()));
+                *cursor = id.index() + 1;
+                id
+            }
+            ScanOracle::StarveDirection(starved) => {
+                let starved = Some(*starved);
+                min_by(ready, |v| (v.direction == starved, v.head_seq))
+            }
+            ScanOracle::StarveNode(victims) => {
+                min_by(ready, |v| (victims.contains(&v.id), v.head_seq))
+            }
+            ScanOracle::LongestQueue => min_by(ready, |v| (Reverse(v.queue_len), v.head_seq)),
+            ScanOracle::Latency => min_by(ready, |v| (v.arrival, v.head_seq)),
+            ScanOracle::Replay { script, cursor } => {
+                if let Some(&want) = script.get(*cursor) {
+                    *cursor += 1;
+                    if ready.iter().any(|v| v.id == want) {
+                        return want;
+                    }
+                }
+                min_by(ready, |v| v.head_seq)
+            }
+        }
+    }
+
+    fn save_state(&self) -> Vec<u64> {
+        match self {
+            ScanOracle::Random(rng) => rng.to_state().to_vec(),
+            ScanOracle::RoundRobin { cursor } | ScanOracle::Replay { cursor, .. } => {
+                vec![*cursor as u64]
+            }
+            _ => Vec::new(),
+        }
+    }
+
+    fn restore_state(&mut self, state: &[u64]) {
+        match self {
+            ScanOracle::Random(rng) => {
+                *rng = StdRng::from_state(state.try_into().expect("random state is 4 words"));
+            }
+            ScanOracle::RoundRobin { cursor } | ScanOracle::Replay { cursor, .. } => {
+                *cursor = state[0] as usize;
+            }
+            _ => {}
+        }
+    }
+}
 
 // ---------------------------------------------------------------------------
 // Layer 1: the ready-set mutation property harness.
@@ -40,10 +164,12 @@ use std::collections::VecDeque;
 
 /// A faithful model of the engine's ready bookkeeping: a dense
 /// `Vec<ChannelView>` mutated in place, swap-removed on drain, backed by
-/// per-channel FIFO queues of globally unique send seqs.
+/// per-channel FIFO queues of globally unique send seqs with per-channel
+/// non-decreasing arrival times.
 struct ReadyModel {
     ready: Vec<ChannelView>,
-    queues: Vec<VecDeque<u64>>,
+    queues: Vec<VecDeque<(u64, u64)>>,
+    last_arrival: Vec<u64>,
     next_seq: u64,
 }
 
@@ -52,6 +178,7 @@ impl ReadyModel {
         ReadyModel {
             ready: Vec::new(),
             queues: (0..channels).map(|_| VecDeque::new()).collect(),
+            last_arrival: vec![0; channels],
             next_seq: 0,
         }
     }
@@ -69,16 +196,19 @@ impl ReadyModel {
         self.ready.iter().position(|v| v.id.index() == channel)
     }
 
-    /// Enqueues the next seq onto `channel`, firing the matching hook on
-    /// `indexed` exactly as the engine does.
-    fn enqueue(&mut self, channel: usize, indexed: &mut dyn Scheduler) {
+    /// Enqueues the next seq onto `channel`, arriving no earlier than
+    /// `arrival` (nor before the channel's previous message), firing the
+    /// hook on `indexed` exactly as the engine does.
+    fn enqueue(&mut self, channel: usize, arrival: u64, indexed: &mut dyn Scheduler) {
         let seq = self.next_seq;
         self.next_seq += 1;
-        self.queues[channel].push_back(seq);
+        let arrival = arrival.max(self.last_arrival[channel]);
+        self.last_arrival[channel] = arrival;
+        self.queues[channel].push_back((seq, arrival));
         match self.pos_of(channel) {
             Some(at) => {
                 self.ready[at].queue_len += 1;
-                indexed.on_head_change(self.ready[at]);
+                indexed.on_change(self.ready[at]);
             }
             None => {
                 let view = ChannelView {
@@ -86,10 +216,10 @@ impl ReadyModel {
                     queue_len: 1,
                     head_seq: seq,
                     direction: Self::direction(channel),
-                    arrival: 0,
+                    arrival,
                 };
                 self.ready.push(view);
-                indexed.on_ready(view);
+                indexed.on_change(view);
             }
         }
     }
@@ -99,10 +229,12 @@ impl ReadyModel {
         let at = self.pos_of(channel).expect("delivering a ready channel");
         self.queues[channel].pop_front();
         match self.queues[channel].front() {
-            Some(&next_head) => {
-                self.ready[at].head_seq = next_head;
-                self.ready[at].queue_len -= 1;
-                indexed.on_head_change(self.ready[at]);
+            Some(&(next_head, next_arrival)) => {
+                let view = &mut self.ready[at];
+                view.head_seq = next_head;
+                view.arrival = next_arrival;
+                view.queue_len -= 1;
+                indexed.on_change(*view);
             }
             None => {
                 self.ready.swap_remove(at);
@@ -112,13 +244,14 @@ impl ReadyModel {
     }
 }
 
-/// Runs `iters` random mutations against two same-configured schedulers:
-/// `indexed` sees only the incremental hooks (plus the occasional rebuild),
-/// `scan` sees only ready slices. Every pick must name the same channel.
+/// Runs `iters` random mutations against a built-in scheduler and its
+/// oracle: `indexed` sees the incremental hooks (plus the occasional
+/// rebuild), `oracle` only ready slices. Every pick must name the same
+/// channel.
 fn assert_picks_agree(
     label: &str,
     mut indexed: Box<dyn Scheduler>,
-    mut scan: Box<dyn Scheduler>,
+    mut oracle: Box<dyn Scheduler>,
     channels: usize,
     seed: u64,
     iters: usize,
@@ -133,39 +266,33 @@ fn assert_picks_agree(
         }
         if model.ready.is_empty() || rng.gen_range(0u32..100) < 55 {
             let channel = rng.gen_range(0..channels);
-            model.enqueue(channel, indexed.as_mut());
+            let arrival = step as u64 / 8 + rng.gen_range(0u64..16);
+            model.enqueue(channel, arrival, indexed.as_mut());
         } else {
-            let scan_at = scan.pick(&model.ready);
-            let scan_id = model.ready[scan_at].id;
-            // The engine's step: consult the index, fall back to scan.
-            let indexed_id = match indexed.indexed_pick() {
-                Some(id) => id,
-                None => {
-                    let at = indexed.pick(&model.ready);
-                    model.ready[at].id
-                }
-            };
-            assert_eq!(
-                indexed_id, scan_id,
-                "{label}: pick #{picks} diverged at step {step}"
-            );
-            model.deliver(scan_id.index(), indexed.as_mut());
+            let want = oracle.pick(&model.ready);
+            let got = indexed.pick(&model.ready);
+            assert_eq!(got, want, "{label}: pick #{picks} diverged at step {step}");
+            model.deliver(want.index(), indexed.as_mut());
             picks += 1;
         }
     }
     assert!(picks > iters / 4, "{label}: the harness exercised picks");
 }
 
-/// Every built-in `SchedulerKind`, across several seeds and channel counts.
+/// Every built-in `SchedulerKind` (the realistic-time `Latency` too, on
+/// non-zero arrivals), across several seeds and channel counts.
 #[test]
 fn random_mutation_sequences_agree_for_every_kind() {
-    for kind in SchedulerKind::ALL {
+    let kinds = SchedulerKind::ALL
+        .into_iter()
+        .chain([SchedulerKind::Latency]);
+    for kind in kinds {
         for seed in [0u64, 1, 42] {
             for channels in [3usize, 10, 33] {
                 assert_picks_agree(
                     &format!("{kind} seed {seed} channels {channels}"),
                     kind.build(seed),
-                    kind.build(seed),
+                    Box::new(ScanOracle::of(kind, seed)),
                     channels,
                     seed ^ (channels as u64) << 8,
                     2_000,
@@ -176,14 +303,14 @@ fn random_mutation_sequences_agree_for_every_kind() {
 }
 
 /// The composite and special-purpose adversaries outside `SchedulerKind`:
-/// starve-node, phase-switch, recording wrappers, bounded-delay.
+/// starve-node, phase-switch, replay, bounded-delay.
 #[test]
 fn special_schedulers_agree_too() {
     let victims = |n: usize| (0..n).filter(|c| c % 3 == 0).map(ChannelId::from_index);
     assert_picks_agree(
         "starve-node",
         Box::new(StarveNodeScheduler::new(0, victims(12).collect())),
-        Box::new(StarveNodeScheduler::new(0, victims(12).collect())),
+        Box::new(ScanOracle::StarveNode(victims(12).collect())),
         12,
         5,
         2_000,
@@ -191,7 +318,7 @@ fn special_schedulers_agree_too() {
     assert_picks_agree(
         "starve-direction",
         Box::new(StarveDirectionScheduler::new(Direction::Ccw)),
-        Box::new(StarveDirectionScheduler::new(Direction::Ccw)),
+        Box::new(ScanOracle::StarveDirection(Direction::Ccw)),
         9,
         6,
         2_000,
@@ -199,21 +326,22 @@ fn special_schedulers_agree_too() {
     assert_picks_agree(
         "phase-switch fifo->lifo",
         Box::new(PhaseSwitchScheduler::new(
-            Box::new(FifoScheduler::new()),
-            Box::new(LifoScheduler::new()),
+            SchedulerKind::Fifo.build(0),
+            SchedulerKind::Lifo.build(0),
             50,
         )),
         Box::new(PhaseSwitchScheduler::new(
-            Box::new(FifoScheduler::new()),
-            Box::new(LifoScheduler::new()),
+            Box::new(ScanOracle::Fifo),
+            Box::new(ScanOracle::Lifo),
             50,
         )),
         8,
         7,
         2_000,
     );
-    // Bounded-delay keeps no index (its picks are RNG-coupled); the harness
-    // still proves the lazy deadline bookkeeping changes nothing observable.
+    // Bounded-delay scans the slice itself (its picks are RNG-coupled),
+    // so it is its own reference: the harness proves the lazy deadline
+    // bookkeeping is blind to the hooks and rebuilds the other copy sees.
     assert_picks_agree(
         "bounded-delay",
         Box::new(BoundedDelayScheduler::new(6, 11)),
@@ -222,28 +350,25 @@ fn special_schedulers_agree_too() {
         8,
         2_000,
     );
-    // Recording wrappers log identical pick sequences through either path.
-    let (indexed_rec, indexed_log) = RecordingScheduler::new(Box::new(SolitudeScheduler::new()));
-    let (scan_rec, scan_log) = RecordingScheduler::new(Box::new(SolitudeScheduler::new()));
+    // Replay follows its script while the scripted channel is ready and
+    // falls back to FIFO otherwise; the script names absent channels too.
+    let mut rng = StdRng::seed_from_u64(9);
+    let script: Vec<ChannelId> = (0..600)
+        .map(|_| ChannelId::from_index(rng.gen_range(0..14)))
+        .collect();
     assert_picks_agree(
-        "recording(solitude)",
-        Box::new(indexed_rec),
-        Box::new(scan_rec),
+        "replay",
+        Box::new(ReplayScheduler::new(script.clone())),
+        Box::new(ScanOracle::replay(script)),
         10,
         9,
         2_000,
     );
-    assert_eq!(
-        indexed_log.borrow().as_slice(),
-        scan_log.borrow().as_slice(),
-        "recorded logs match pick for pick"
-    );
-    assert!(!indexed_log.borrow().is_empty());
     // Round-robin cursors wrap identically under both paths.
     assert_picks_agree(
         "round-robin",
         Box::new(RoundRobinScheduler::new()),
-        Box::new(RoundRobinScheduler::new()),
+        Box::new(ScanOracle::RoundRobin { cursor: 0 }),
         13,
         10,
         2_000,
@@ -252,7 +377,7 @@ fn special_schedulers_agree_too() {
     assert_picks_agree(
         "longest-queue",
         Box::new(LongestQueueScheduler::new()),
-        Box::new(LongestQueueScheduler::new()),
+        Box::new(ScanOracle::LongestQueue),
         7,
         12,
         2_000,
@@ -260,7 +385,7 @@ fn special_schedulers_agree_too() {
 }
 
 // ---------------------------------------------------------------------------
-// Layer 2: the full simulation grid, indexed picks on vs off.
+// Layer 2: the full simulation grid, built-in scheduler vs oracle.
 // ---------------------------------------------------------------------------
 
 /// Everything a run exposes.
@@ -273,23 +398,39 @@ struct Observed {
     terminated: Vec<bool>,
 }
 
+/// Which implementation of an adversary a run uses.
+#[derive(Copy, Clone, Debug)]
+enum Impl {
+    BuiltIn,
+    Oracle,
+}
+
+fn scheduler(kind: SchedulerKind, seed: u64, which: Impl) -> Box<dyn Scheduler> {
+    match which {
+        Impl::BuiltIn => kind.build(seed),
+        Impl::Oracle => Box::new(ScanOracle::of(kind, seed)),
+    }
+}
+
+#[allow(clippy::too_many_arguments)]
 fn observe<P, F>(
     spec: &RingSpec,
     make: F,
     kind: SchedulerKind,
     seed: u64,
     plan: &FaultPlan,
+    latency: &LatencyPlan,
     backend: QueueBackend,
-    indexed: bool,
+    which: Impl,
 ) -> Observed
 where
     P: Protocol<Pulse> + Snapshot,
     F: Fn() -> Vec<P>,
 {
     let mut sim: Simulation<Pulse, P> =
-        Simulation::with_backend(spec.wiring(), make(), kind.build(seed), backend);
-    sim.set_indexed_picks(indexed);
+        Simulation::with_backend(spec.wiring(), make(), scheduler(kind, seed, which), backend);
     sim.set_faults(plan.clone());
+    sim.set_latency(latency.clone());
     let report = sim.run(Budget::steps(200_000));
     let stats = sim.stats();
     Observed {
@@ -301,7 +442,7 @@ where
     }
 }
 
-fn assert_modes_equivalent<P, F>(spec: &RingSpec, make: F, label: &str)
+fn assert_oracle_equivalent<P, F>(spec: &RingSpec, make: F, label: &str)
 where
     P: Protocol<Pulse> + Snapshot,
     F: Fn() -> Vec<P>,
@@ -311,14 +452,22 @@ where
         ("drop4", FaultPlan::new().drop_seq(4)),
         ("dup1", FaultPlan::new().duplicate_seq(1)),
     ];
-    for kind in SchedulerKind::ALL {
+    // The adversarial family untimed, plus earliest-arrival delivery under
+    // a seeded latency plan (untimed it is FIFO).
+    let timed = LatencyPlan::new(LatencyModel::Uniform { min: 1, max: 10 }, 3);
+    let cells = SchedulerKind::ALL
+        .into_iter()
+        .map(|kind| (kind, LatencyPlan::zero()))
+        .chain([(SchedulerKind::Latency, timed)]);
+    for (kind, latency) in cells {
         for seed in [0u64, 7] {
             for (plan_label, plan) in &plans {
                 for backend in QueueBackend::ALL {
-                    let on = observe(spec, &make, kind, seed, plan, backend, true);
-                    let off = observe(spec, &make, kind, seed, plan, backend, false);
+                    let run =
+                        |which| observe(spec, &make, kind, seed, plan, &latency, backend, which);
                     assert_eq!(
-                        on, off,
+                        run(Impl::BuiltIn),
+                        run(Impl::Oracle),
                         "{label} under {kind} seed {seed} plan {plan_label} backend {backend}"
                     );
                 }
@@ -327,55 +476,63 @@ where
     }
 }
 
-/// The full grid: 8 schedulers × 3 algorithms × 3 fault plans × 2 backends
-/// × 2 seeds, every observable equal with indexes on vs off.
+/// The full grid: 8 schedulers (plus timed `Latency`) × 3 algorithms × 3
+/// fault plans × 2 backends × 2 seeds, every observable equal under the
+/// built-in scheduler and its scan oracle.
 #[test]
-fn full_grid_agrees_with_indexes_on_and_off() {
+fn full_grid_agrees_with_the_scan_oracle() {
     let spec = RingSpec::oriented(vec![3, 6, 1, 5, 2]);
-    assert_modes_equivalent(&spec, || Alg1Def::nodes(&spec), "alg1");
-    assert_modes_equivalent(&spec, || Alg2Def::nodes(&spec), "alg2");
+    assert_oracle_equivalent(&spec, || Alg1Def::nodes(&spec), "alg1");
+    assert_oracle_equivalent(&spec, || Alg2Def::nodes(&spec), "alg2");
     let flipped = RingSpec::with_flips(vec![3, 6, 1, 5, 2], vec![true, false, true, false, false]);
-    assert_modes_equivalent(&flipped, || <Alg3Def>::nodes(&flipped), "alg3");
+    assert_oracle_equivalent(&flipped, || <Alg3Def>::nodes(&flipped), "alg3");
 }
 
 // ---------------------------------------------------------------------------
-// Layer 3: cross-mode record/replay and snapshot/restore.
+// Layer 3: cross record/replay and snapshot/restore.
 // ---------------------------------------------------------------------------
 
-fn alg2_sim(kind: SchedulerKind, seed: u64, indexed: bool) -> Simulation<Pulse, Alg2Node> {
+fn alg2_sim(scheduler: Box<dyn Scheduler>) -> Simulation<Pulse, Alg2Node> {
     let spec = RingSpec::oriented(vec![4, 2, 7, 1]);
     let nodes = Alg2Def::nodes(&spec);
-    let mut sim = Simulation::new(spec.wiring(), nodes, kind.build(seed));
-    sim.set_indexed_picks(indexed);
-    sim
+    Simulation::new(spec.wiring(), nodes, scheduler)
 }
 
-/// A schedule recorded under one pick mode replays bit-exact under the
-/// other, in both directions.
+/// A schedule recorded under the built-in scheduler replays bit-exact
+/// through the oracle's replay, and one recorded under the oracle replays
+/// bit-exact through the built-in `ReplayScheduler`.
 #[test]
 fn schedules_cross_replay_between_modes() {
     for kind in SchedulerKind::ALL {
-        for (record_indexed, replay_indexed) in [(true, false), (false, true)] {
-            let mut recorder = alg2_sim(kind, 3, record_indexed);
+        for (record, replay) in [(Impl::BuiltIn, Impl::Oracle), (Impl::Oracle, Impl::BuiltIn)] {
+            let mut recorder = alg2_sim(scheduler(kind, 3, record));
             let (report, schedule) = recorder.run_recorded(Budget::default());
-            let mut replayer = alg2_sim(kind, 3, replay_indexed);
-            let replayed = replayer.replay(&schedule, Budget::default());
-            assert_eq!(
-                report, replayed,
-                "{kind} recorded indexed={record_indexed} replayed indexed={replay_indexed}"
-            );
-            assert_eq!(recorder.fingerprint(), replayer.fingerprint(), "{kind}");
+            let (replayed, fingerprint) = match replay {
+                Impl::BuiltIn => {
+                    let mut sim = alg2_sim(SchedulerKind::Fifo.build(0));
+                    (sim.replay(&schedule, Budget::default()), sim.fingerprint())
+                }
+                Impl::Oracle => {
+                    let picks = schedule.picks().to_vec();
+                    let mut sim = alg2_sim(Box::new(ScanOracle::replay(picks)));
+                    (sim.run(Budget::default()), sim.fingerprint())
+                }
+            };
+            let label = format!("{kind} recorded {record:?} replayed {replay:?}");
+            assert_eq!(report, replayed, "{label}");
+            assert_eq!(recorder.fingerprint(), fingerprint, "{label}");
         }
     }
 }
 
-/// A snapshot taken mid-run with indexes on restores into an engine with
-/// them off (and vice versa) and walks the identical configuration chain.
+/// A snapshot taken mid-run under the built-in scheduler restores into an
+/// engine running the oracle (and vice versa) and walks the identical
+/// configuration chain.
 #[test]
 fn snapshots_cross_restore_between_modes() {
     for kind in SchedulerKind::ALL {
-        for (first_indexed, second_indexed) in [(true, false), (false, true)] {
-            let mut a = alg2_sim(kind, 5, first_indexed);
+        for (first, second) in [(Impl::BuiltIn, Impl::Oracle), (Impl::Oracle, Impl::BuiltIn)] {
+            let mut a = alg2_sim(scheduler(kind, 5, first));
             a.start();
             for _ in 0..40 {
                 if a.step().is_none() {
@@ -383,7 +540,7 @@ fn snapshots_cross_restore_between_modes() {
                 }
             }
             let snap = a.snapshot();
-            let mut b = alg2_sim(kind, 5, second_indexed);
+            let mut b = alg2_sim(scheduler(kind, 5, second));
             b.restore(&snap);
             assert_eq!(a.fingerprint(), b.fingerprint(), "{kind}: restore point");
             loop {

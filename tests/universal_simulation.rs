@@ -6,6 +6,7 @@
 use content_oblivious::classic::chang_roberts::{ChangRobertsNode, CrMsg};
 use content_oblivious::classic::peterson::{PetersonMsg, PetersonNode};
 use content_oblivious::compose::universal::simulate_on_defective_ring;
+use content_oblivious::core::runner::RunOptions;
 use content_oblivious::core::Role;
 use content_oblivious::net::{Port, RingSpec, SchedulerKind};
 
@@ -34,8 +35,7 @@ fn chang_roberts_runs_over_pulses() {
     ] {
         let out = simulate_on_defective_ring(
             &spec,
-            kind,
-            11,
+            &RunOptions::new(kind, 11),
             |i| ChangRobertsNode::new(spec.id(i), Port::One),
             cr_encode,
             cr_decode,
@@ -59,8 +59,7 @@ fn peterson_runs_over_pulses() {
     let spec = RingSpec::oriented(vec![3, 6, 2, 5]);
     let out = simulate_on_defective_ring(
         &spec,
-        SchedulerKind::Random,
-        5,
+        &RunOptions::new(SchedulerKind::Random, 5),
         |i| PetersonNode::new(spec.id(i), Port::One),
         |m| match *m {
             PetersonMsg::Token(t) => t << 1,
@@ -91,8 +90,7 @@ fn simulation_cost_accounting() {
     let spec = RingSpec::oriented(vec![2, 4, 3]);
     let out = simulate_on_defective_ring(
         &spec,
-        SchedulerKind::Fifo,
-        0,
+        &RunOptions::new(SchedulerKind::Fifo, 0),
         |i| ChangRobertsNode::new(spec.id(i), Port::One),
         cr_encode,
         cr_decode,
@@ -108,8 +106,7 @@ fn universal_simulation_requires_oriented_ring() {
     let spec = RingSpec::with_flips(vec![1, 2], vec![true, false]);
     let _ = simulate_on_defective_ring(
         &spec,
-        SchedulerKind::Fifo,
-        0,
+        &RunOptions::new(SchedulerKind::Fifo, 0),
         |i| ChangRobertsNode::new(spec.id(i), Port::One),
         cr_encode,
         cr_decode,
