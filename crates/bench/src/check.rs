@@ -318,8 +318,9 @@ fn e17_metrics() -> &'static [Metric; 3] {
 /// module docs).
 ///
 /// Two micro-benchmarks drive a scheduler's incremental index through the
-/// exact per-step sequence the engine uses — `pick` followed by an
-/// `on_change` re-key — over a 4000-channel ready set, and one macro
+/// per-step hooks the engine uses — `pick`, then an `on_send` that
+/// re-keys the picked channel with the next send seq as its head — over a
+/// 4000-channel ready set, and one macro
 /// metric times the full 8-scheduler matrix on the n = 5000 Algorithm 2
 /// election (budget-capped so debug test runs stay affordable). Collected
 /// once per process (`OnceLock`): the in-process gate tests compare a
@@ -337,8 +338,8 @@ fn e18_metrics() -> &'static [Metric; 3] {
     use std::sync::OnceLock;
     use std::time::Instant;
 
-    /// ns/op of `pick` + `on_change` over `channels` ready channels, each
-    /// picked channel re-keyed with the next send seq.
+    /// ns/op of `pick` + `on_send` over `channels` ready channels, each
+    /// picked channel's head replaced by the next send seq.
     fn pick_ns(scheduler: &mut dyn Scheduler, channels: usize, ops: u64) -> f64 {
         let views: Vec<ChannelView> = (0..channels)
             .map(|i| ChannelView {
@@ -350,18 +351,25 @@ fn e18_metrics() -> &'static [Metric; 3] {
             })
             .collect();
         scheduler.rebuild_index(&views);
+        for v in &views {
+            scheduler.on_send(v.head_seq, 0, *v);
+        }
         let start = Instant::now();
         let mut sink = 0usize;
         for seq in channels as u64..channels as u64 + ops {
             let id = scheduler.pick(&views);
             sink ^= id.index();
-            scheduler.on_change(ChannelView {
-                id,
-                queue_len: 1 + id.index() % 5,
-                head_seq: seq,
-                direction: None,
-                arrival: 0,
-            });
+            scheduler.on_send(
+                seq,
+                0,
+                ChannelView {
+                    id,
+                    queue_len: 1 + id.index() % 5,
+                    head_seq: seq,
+                    direction: None,
+                    arrival: 0,
+                },
+            );
         }
         black_box(sink);
         start.elapsed().as_nanos() as f64 / ops as f64

@@ -205,8 +205,10 @@ mod tests {
         for entry in classic_registry().entries() {
             for kind in SchedulerKind::ALL {
                 let opts = RunOptions::new(kind, 11);
-                let rec = entry.record(&spec, &opts);
-                let rep = entry.replay(&spec, &opts, &rec.picks);
+                let rec = entry.record(&spec, &opts).expect("positive IDs");
+                let rep = entry
+                    .replay(&spec, &opts, &rec.picks)
+                    .expect("positive IDs");
                 assert_eq!(rec.report, rep.report, "{} under {kind}", entry.name());
                 assert_eq!(
                     rec.fingerprint,

@@ -6,9 +6,9 @@ use co_compose::pipeline::elect_then_ring_size;
 use co_core::anonymous::{success_rate, SamplingConfig};
 use co_core::election::ElectionReport;
 use co_core::lower_bound::solitude_pattern_alg2;
-use co_core::registry::{Alg1Def, Alg2Def, Capability, RegistryError};
+use co_core::registry::{Alg1Def, Alg2Def, Capability, ExploreError, RegistryError};
 use co_core::runner::{self, RunOptions};
-use co_core::{IdScheme, Role};
+use co_core::{IdScheme, InvalidId, Role};
 use co_json::{array, object, Value};
 use co_net::explore::{CheckpointPlan, ExploreCheckpoint, ExploreConfig, ExploreLimits};
 use co_net::{shrink_schedule, RingSpec, RunReport, Schedule, SchedulerKind};
@@ -160,7 +160,10 @@ fn run_report_json(report: &RunReport) -> Value {
 
 fn record(opts: &CommonOpts, protocol: ProtocolChoice) -> CommandOutput {
     let spec = RingSpec::oriented(opts.ids.clone());
-    let rec = protocol.spec().record(&spec, &run_options(opts));
+    let rec = match protocol.spec().record(&spec, &run_options(opts)) {
+        Ok(rec) => rec,
+        Err(e) => return id_error(&e),
+    };
     let schedule = rec.picks;
     let text = format!(
         "{protocol} on {spec} under {} (seed {})\n\
@@ -193,7 +196,10 @@ fn replay(opts: &CommonOpts, protocol: ProtocolChoice, schedule: &Schedule) -> C
     // The latency plan is not: timestamps shape the trace, so a replay must
     // run under the same `--latency`/`--latency-seed` as the recording.
     let spec = RingSpec::oriented(opts.ids.clone());
-    let rep = protocol.spec().replay(&spec, &run_options(opts), schedule);
+    let rep = match protocol.spec().replay(&spec, &run_options(opts), schedule) {
+        Ok(rep) => rep,
+        Err(e) => return id_error(&e),
+    };
     let text = format!(
         "replaying {} picks of {protocol} on {spec} (deterministic)\n\
          outcome: {} | deliveries: {} | pulses: {}\n\
@@ -284,6 +290,18 @@ struct ExploreIo {
     resume: Option<std::path::PathBuf>,
     spill: usize,
     scratch_dir: Option<std::path::PathBuf>,
+}
+
+/// A ring the protocol cannot build nodes from.
+fn id_error(e: &InvalidId) -> CommandOutput {
+    CommandOutput {
+        text: format!("error: {e}\n"),
+        json: object([
+            ("error", Value::from("ids")),
+            ("message", Value::from(e.to_string())),
+        ]),
+        code: 1,
+    }
 }
 
 fn explore_error(msg: String) -> CommandOutput {
@@ -377,10 +395,11 @@ fn explore_cmd(
     };
     let report = match driver.try_run(&spec, &config) {
         Ok(report) => report,
-        Err(e) => {
+        Err(ExploreError::Resume(e)) => {
             let ck = io.resume.as_ref().expect("only a resumed run is refused");
             return explore_error(format!("{}: {e}", ck.display()));
         }
+        Err(ExploreError::Ids(e)) => return explore_error(e.to_string()),
     };
     let text = format!(
         "exhaustive exploration of {protocol} on {spec}\n\

@@ -69,14 +69,16 @@ impl IdScheme {
         }
     }
 
-    /// Refuses a ring whose IDs include one above [`IdScheme::max_id`].
+    /// Refuses a ring whose IDs include 0 or one above
+    /// [`IdScheme::max_id`].
     ///
     /// # Errors
     ///
-    /// The first such ID, as a [`VirtualIdOverflow`].
-    pub fn check_ids(self, ids: &[u64]) -> Result<(), VirtualIdOverflow> {
-        match ids.iter().find(|&&id| id > self.max_id()) {
-            Some(&id) => Err(VirtualIdOverflow { id, scheme: self }),
+    /// The first such ID, as an [`InvalidId`].
+    pub fn check_ids(self, ids: &[u64]) -> Result<(), InvalidId> {
+        match ids.iter().find(|&&id| id == 0 || id > self.max_id()) {
+            Some(0) => Err(InvalidId::Zero { scheme: self }),
+            Some(&id) => Err(InvalidId::TooLarge { id, scheme: self }),
             None => Ok(()),
         }
     }
@@ -86,20 +88,17 @@ impl IdScheme {
     /// `ID^(i)` governs the pulses *arriving at* `Port_{1−i}` (equivalently:
     /// the execution whose pulses this node re-sends from `Port_i`).
     ///
-    /// # Panics
+    /// # Errors
     ///
-    /// Panics if `id` exceeds [`IdScheme::max_id`] (the virtual ID would
-    /// not fit in a `u64`).
-    #[must_use]
-    pub fn virtual_id(self, id: u64, i: usize) -> u64 {
+    /// `id` is 0 or exceeds [`IdScheme::max_id`] (the virtual ID would not
+    /// be a positive `u64`), as an [`InvalidId`].
+    pub fn virtual_id(self, id: u64, i: usize) -> Result<u64, InvalidId> {
         debug_assert!(i < 2);
-        if let Err(e) = self.check_ids(&[id]) {
-            panic!("{e}");
-        }
-        match self {
+        self.check_ids(&[id])?;
+        Ok(match self {
             IdScheme::Doubled => 2 * id - 1 + i as u64,
             IdScheme::Improved => id + i as u64,
-        }
+        })
     }
 
     /// The exact total message complexity on a ring of `n` nodes with
@@ -124,29 +123,42 @@ impl fmt::Display for IdScheme {
     }
 }
 
-/// A real ID too large for a virtual-ID scheme: `ID^(1)` would exceed
-/// `u64::MAX` (see [`IdScheme::max_id`]).
+/// A real ID a virtual-ID scheme cannot run.
 #[derive(Copy, Clone, Debug, PartialEq, Eq)]
-pub struct VirtualIdOverflow {
-    /// The offending ID.
-    pub id: u64,
-    /// The scheme it was refused under.
-    pub scheme: IdScheme,
+pub enum InvalidId {
+    /// ID 0: the paper's IDs are positive integers (and the doubled
+    /// scheme's `ID^(0) = 2·0 − 1` is not a `u64`).
+    Zero {
+        /// The scheme it was refused under.
+        scheme: IdScheme,
+    },
+    /// An ID whose `ID^(1)` would exceed `u64::MAX` (see
+    /// [`IdScheme::max_id`]).
+    TooLarge {
+        /// The offending ID.
+        id: u64,
+        /// The scheme it was refused under.
+        scheme: IdScheme,
+    },
 }
 
-impl fmt::Display for VirtualIdOverflow {
+impl fmt::Display for InvalidId {
     fn fmt(&self, f: &mut fmt::Formatter<'_>) -> fmt::Result {
-        write!(
-            f,
-            "ID {} is too large for the {} virtual-ID scheme (at most {})",
-            self.id,
-            self.scheme,
-            self.scheme.max_id()
-        )
+        match *self {
+            InvalidId::Zero { scheme } => write!(
+                f,
+                "ID 0 is not a positive integer, as the {scheme} virtual-ID scheme requires"
+            ),
+            InvalidId::TooLarge { id, scheme } => write!(
+                f,
+                "ID {id} is too large for the {scheme} virtual-ID scheme (at most {})",
+                scheme.max_id()
+            ),
+        }
     }
 }
 
-impl std::error::Error for VirtualIdOverflow {}
+impl std::error::Error for InvalidId {}
 
 /// The stabilizing output of an [`Alg3Node`]: a role plus the port the node
 /// believes leads to its clockwise neighbour.
@@ -182,14 +194,15 @@ impl Alg3Node {
     ///
     /// # Panics
     ///
-    /// Panics if `id == 0` or `id > scheme.max_id()`.
+    /// Panics if `id == 0` or `id > scheme.max_id()`
+    /// ([`IdScheme::check_ids`] refuses both up front).
     #[must_use]
     pub fn new(id: u64, scheme: IdScheme) -> Alg3Node {
-        assert!(id > 0, "IDs must be positive integers");
+        let virt = |i| scheme.virtual_id(id, i).unwrap_or_else(|e| panic!("{e}"));
         Alg3Node {
             id,
             scheme,
-            virt: [scheme.virtual_id(id, 0), scheme.virtual_id(id, 1)],
+            virt: [virt(0), virt(1)],
             rho: [0; 2],
             sigma: [0; 2],
             output: None,
@@ -362,7 +375,7 @@ impl fmt::Display for Alg3Node {
 #[cfg(test)]
 mod tests {
     use super::*;
-    use co_net::{Budget, Outcome, RingSpec, SchedulerKind, Simulation};
+    use co_net::{Budget, Direction, Outcome, RingSpec, SchedulerKind, Simulation};
 
     fn run(
         spec: &RingSpec,
@@ -505,13 +518,16 @@ mod tests {
 
     #[test]
     fn virtual_id_schemes() {
-        assert_eq!(IdScheme::Doubled.virtual_id(5, 0), 9);
-        assert_eq!(IdScheme::Doubled.virtual_id(5, 1), 10);
-        assert_eq!(IdScheme::Improved.virtual_id(5, 0), 5);
-        assert_eq!(IdScheme::Improved.virtual_id(5, 1), 6);
+        assert_eq!(IdScheme::Doubled.virtual_id(5, 0), Ok(9));
+        assert_eq!(IdScheme::Doubled.virtual_id(5, 1), Ok(10));
+        assert_eq!(IdScheme::Improved.virtual_id(5, 0), Ok(5));
+        assert_eq!(IdScheme::Improved.virtual_id(5, 1), Ok(6));
         // The largest accepted IDs still fit.
-        assert_eq!(IdScheme::Improved.virtual_id(u64::MAX - 1, 1), u64::MAX);
-        assert_eq!(IdScheme::Doubled.virtual_id(u64::MAX / 2, 1), u64::MAX - 1);
+        assert_eq!(IdScheme::Improved.virtual_id(u64::MAX - 1, 1), Ok(u64::MAX));
+        assert_eq!(
+            IdScheme::Doubled.virtual_id(u64::MAX / 2, 1),
+            Ok(u64::MAX - 1)
+        );
     }
 
     #[test]
@@ -523,7 +539,7 @@ mod tests {
             .expect_err("ID^(1) = 2^64");
         assert_eq!(
             e,
-            VirtualIdOverflow {
+            InvalidId::TooLarge {
                 id: u64::MAX,
                 scheme: improved
             }
@@ -535,9 +551,43 @@ mod tests {
     }
 
     #[test]
-    #[should_panic(expected = "too large")]
-    fn virtual_id_panics_instead_of_wrapping() {
-        let _ = IdScheme::Doubled.virtual_id(1 << 63, 0);
+    fn virtual_id_refuses_instead_of_wrapping() {
+        let e = IdScheme::Doubled
+            .virtual_id(1 << 63, 0)
+            .expect_err("2·2^63 − 1 is not a u64");
+        assert!(e.to_string().contains("too large"), "{e}");
+    }
+
+    #[test]
+    fn id_zero_is_refused_under_both_schemes() {
+        for scheme in [IdScheme::Doubled, IdScheme::Improved] {
+            let want = InvalidId::Zero { scheme };
+            assert_eq!(scheme.check_ids(&[3, 0, 5]), Err(want));
+            // Doubled: 2·0 − 1 would wrap to u64::MAX; it is refused.
+            assert_eq!(scheme.virtual_id(0, 0), Err(want));
+            assert_eq!(scheme.virtual_id(0, 1), Err(want));
+            assert!(want.to_string().contains("positive"), "{want}");
+        }
+    }
+
+    #[test]
+    fn solitude_delivers_the_first_sent_pulse_first() {
+        // One node: on_start sends CCW from Port_0 (seq 0), then CW from
+        // Port_1 (seq 1). Every send has its own seq, so the Definition-21
+        // CW-first tie-break never applies: Solitude delivers the CCW
+        // pulse first, exactly as Fifo does.
+        let spec = RingSpec::oriented(vec![4]);
+        for kind in [SchedulerKind::Solitude, SchedulerKind::Fifo] {
+            let node = Alg3Node::new(4, IdScheme::Improved);
+            let mut sim: Simulation<Pulse, Alg3Node> =
+                Simulation::new(spec.wiring(), vec![node], kind.build(0));
+            let first = sim.step().expect("two pulses in flight");
+            assert_eq!(
+                (first.seq, first.direction),
+                (0, Some(Direction::Ccw)),
+                "{kind}"
+            );
+        }
     }
 
     #[test]

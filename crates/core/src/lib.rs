@@ -58,7 +58,7 @@ pub mod runner;
 pub use alg1::Alg1Node;
 pub use alg1_async::{alg1_async_ring, alg1_future};
 pub use alg2::Alg2Node;
-pub use alg3::{Alg3Node, Alg3Output, IdScheme, VirtualIdOverflow};
+pub use alg3::{Alg3Node, Alg3Output, IdScheme, InvalidId};
 pub use election::{ElectionError, ElectionReport, Role};
 pub use id::IdAssignment;
 pub use registry::{Capability, ProtocolSpec, Registry, RegistryError};

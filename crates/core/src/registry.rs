@@ -42,7 +42,7 @@ use crate::ablation::UngatedAlg2Node;
 use crate::election::Role;
 use crate::invariants::Alg2MonitorObserver;
 use crate::runner::{simulation, RunOptions};
-use crate::{Alg1Node, Alg2Node, Alg3Node, IdScheme};
+use crate::{Alg1Node, Alg2Node, Alg3Node, IdScheme, InvalidId};
 use co_net::explore::{try_explore, ExploreConfig, ExploreReport, ResumeError};
 use co_net::fleet::{self, FleetConfig, FleetReport, FleetRingDetail, RingPlan};
 use co_net::{
@@ -85,6 +85,17 @@ pub trait RingProtocol: 'static {
     /// and it fits in a `u64`.
     fn predicted(_spec: &RingSpec) -> Option<u64> {
         None
+    }
+
+    /// Refuses a ring whose IDs [`RingProtocol::nodes`] cannot build nodes
+    /// from. The registry drivers check it first; every ring is fine by
+    /// default.
+    ///
+    /// # Errors
+    ///
+    /// The first ID the protocol refuses.
+    fn check(_spec: &RingSpec) -> Result<(), InvalidId> {
+        Ok(())
     }
 
     /// Positions (ring indices) of every node currently claiming
@@ -236,60 +247,98 @@ pub struct Replayed {
     pub leaders: Vec<usize>,
 }
 
-type RecordFn = fn(&RingSpec, &RunOptions<Envelopes>) -> Recorded;
-type ReplayFn = fn(&RingSpec, &RunOptions<Envelopes>, &Schedule) -> Replayed;
-type ExploreFn = fn(&RingSpec, &ExploreConfig) -> Result<ExploreReport, ResumeError>;
+type RecordFn = fn(&RingSpec, &RunOptions<Envelopes>) -> Result<Recorded, InvalidId>;
+type ReplayFn = fn(&RingSpec, &RunOptions<Envelopes>, &Schedule) -> Result<Replayed, InvalidId>;
+type ExploreFn = fn(&RingSpec, &ExploreConfig) -> Result<ExploreReport, ExploreError>;
 type HuntFn = fn(&RingSpec, SchedulerKind, u64) -> Option<Schedule>;
 type ViolatesFn = fn(&RingSpec, &Schedule) -> bool;
 type FleetShardFn = fn(&FleetConfig, u64, Range<u64>) -> FleetReport;
 type FleetDetailFn = fn(&FleetConfig, u64, u64) -> FleetRingDetail;
 
-fn record_driver<D: RingProtocol>(spec: &RingSpec, opts: &RunOptions<Envelopes>) -> Recorded {
+fn record_driver<D: RingProtocol>(
+    spec: &RingSpec,
+    opts: &RunOptions<Envelopes>,
+) -> Result<Recorded, InvalidId> {
+    D::check(spec)?;
     let mut sim = simulation(spec, D::nodes(spec), opts);
     let (report, picks) = sim.run_recorded(opts.budget);
-    Recorded {
+    Ok(Recorded {
         report,
         picks,
         fingerprint: sim.fingerprint(),
         leaders: D::leader_positions(sim.nodes()),
-    }
+    })
 }
 
 fn replay_driver<D: RingProtocol>(
     spec: &RingSpec,
     opts: &RunOptions<Envelopes>,
     schedule: &Schedule,
-) -> Replayed {
+) -> Result<Replayed, InvalidId> {
+    D::check(spec)?;
     // The replay engine overrides the scheduler, but the latency plan
     // shapes the trace and must match the recording's.
     let mut sim = simulation(spec, D::nodes(spec), opts);
     let report = sim.replay(schedule, opts.budget);
-    Replayed {
+    Ok(Replayed {
         report,
         fingerprint: sim.fingerprint(),
         leaders: D::leader_positions(sim.nodes()),
-    }
+    })
 }
 
 /// The one seam between the registry and the explorer. The out-of-core
 /// machinery (mmap dedup tables, frontier spill, checkpoint/resume) rides
 /// entirely inside [`ExploreConfig`], so this signature — and every
 /// registered protocol — is untouched by where the visited set lives.
-fn explore_driver<D>(spec: &RingSpec, config: &ExploreConfig) -> Result<ExploreReport, ResumeError>
+fn explore_driver<D>(spec: &RingSpec, config: &ExploreConfig) -> Result<ExploreReport, ExploreError>
 where
     D: RingProtocol<Msg = Pulse>,
     D::Node: Clone + Sync,
     <D::Node as Snapshot>::State: Send,
 {
+    D::check(spec)?;
     let nodes = D::nodes(spec);
-    try_explore(
+    Ok(try_explore(
         &spec.wiring(),
         move || nodes.clone(),
         |_| Ok(()),
         |_| Ok(()),
         config,
-    )
+    )?)
 }
+
+/// Why a registry exploration did not run.
+#[derive(Clone, Debug, PartialEq, Eq)]
+pub enum ExploreError {
+    /// The ring has an ID the protocol refuses ([`RingProtocol::check`]).
+    Ids(InvalidId),
+    /// The checkpoint in `config.resume` cannot be resumed.
+    Resume(ResumeError),
+}
+
+impl From<InvalidId> for ExploreError {
+    fn from(e: InvalidId) -> ExploreError {
+        ExploreError::Ids(e)
+    }
+}
+
+impl From<ResumeError> for ExploreError {
+    fn from(e: ResumeError) -> ExploreError {
+        ExploreError::Resume(e)
+    }
+}
+
+impl fmt::Display for ExploreError {
+    fn fmt(&self, f: &mut fmt::Formatter<'_>) -> fmt::Result {
+        match self {
+            ExploreError::Ids(e) => e.fmt(f),
+            ExploreError::Resume(e) => write!(f, "cannot resume the checkpoint: {e}"),
+        }
+    }
+}
+
+impl std::error::Error for ExploreError {}
 
 fn hunt_driver<D: MonitoredProtocol>(
     spec: &RingSpec,
@@ -405,22 +454,26 @@ impl ExploreDriver {
     ///
     /// # Panics
     ///
-    /// Panics if `config.resume` holds a checkpoint the explorer refuses;
-    /// [`ExploreDriver::try_run`] returns the [`ResumeError`] instead.
+    /// Panics if the protocol refuses `spec`'s IDs or `config.resume`
+    /// holds a checkpoint the explorer refuses; [`ExploreDriver::try_run`]
+    /// returns the [`ExploreError`] instead.
     #[must_use]
     pub fn run(&self, spec: &RingSpec, config: &ExploreConfig) -> ExploreReport {
-        self.try_run(spec, config)
-            .unwrap_or_else(|e| panic!("cannot resume the checkpoint: {e}"))
+        self.try_run(spec, config).unwrap_or_else(|e| panic!("{e}"))
     }
 
-    /// [`ExploreDriver::run`], with a checkpoint the explorer cannot resume
-    /// (another dedup backend, or a frontier path that does not replay)
-    /// returned as an error.
+    /// [`ExploreDriver::run`], with a ring the protocol refuses or a
+    /// checkpoint the explorer cannot resume (another dedup backend, or a
+    /// frontier path that does not replay) returned as an error.
+    ///
+    /// # Errors
+    ///
+    /// See [`ExploreError`].
     pub fn try_run(
         &self,
         spec: &RingSpec,
         config: &ExploreConfig,
-    ) -> Result<ExploreReport, ResumeError> {
+    ) -> Result<ExploreReport, ExploreError> {
         (self.explore)(spec, config)
     }
 }
@@ -623,20 +676,30 @@ impl ProtocolSpec {
     }
 
     /// Records one run on `spec` under `opts`.
-    #[must_use]
-    pub fn record(&self, spec: &RingSpec, opts: &RunOptions<Envelopes>) -> Recorded {
+    ///
+    /// # Errors
+    ///
+    /// The protocol refuses one of `spec`'s IDs ([`RingProtocol::check`]).
+    pub fn record(
+        &self,
+        spec: &RingSpec,
+        opts: &RunOptions<Envelopes>,
+    ) -> Result<Recorded, InvalidId> {
         (self.record)(spec, opts)
     }
 
     /// Deterministically replays `schedule` on `spec` (`opts`' scheduler
     /// and seed are unused: the schedule decides every delivery).
-    #[must_use]
+    ///
+    /// # Errors
+    ///
+    /// As [`ProtocolSpec::record`].
     pub fn replay(
         &self,
         spec: &RingSpec,
         opts: &RunOptions<Envelopes>,
         schedule: &Schedule,
-    ) -> Replayed {
+    ) -> Result<Replayed, InvalidId> {
         (self.replay)(spec, opts, schedule)
     }
 
@@ -927,6 +990,10 @@ impl<S: SchemeType> RingProtocol for Alg3Def<S> {
             .collect()
     }
 
+    fn check(spec: &RingSpec) -> Result<(), InvalidId> {
+        S::SCHEME.check_ids(spec.ids())
+    }
+
     fn role(node: &Alg3Node) -> Role {
         node.output().map_or(Role::NonLeader, |o| o.role)
     }
@@ -1049,12 +1116,35 @@ mod tests {
         let spec = RingSpec::oriented(vec![2, 3, 1]);
         for entry in core_registry().entries() {
             let opts = RunOptions::new(SchedulerKind::Random, 5);
-            let rec = entry.record(&spec, &opts);
-            let rep = entry.replay(&spec, &opts, &rec.picks);
+            let rec = entry.record(&spec, &opts).expect("positive IDs");
+            let rep = entry
+                .replay(&spec, &opts, &rec.picks)
+                .expect("positive IDs");
             assert_eq!(rec.report, rep.report, "{}", entry.name());
             assert_eq!(rec.fingerprint, rep.fingerprint, "{}", entry.name());
             assert_eq!(rec.leaders, rep.leaders, "{}", entry.name());
         }
+    }
+
+    #[test]
+    fn alg3_drivers_refuse_ids_whose_virtual_ids_overflow() {
+        let alg3 = core_registry().get("alg3").unwrap();
+        let opts = RunOptions::new(SchedulerKind::Fifo, 0);
+        // `RingSpec` itself refuses ID 0; an ID whose `ID^(1)` is 2^64
+        // reaches the drivers.
+        let spec = RingSpec::oriented(vec![1, u64::MAX]);
+        let want = InvalidId::TooLarge {
+            id: u64::MAX,
+            scheme: IdScheme::Improved,
+        };
+        assert_eq!(alg3.record(&spec, &opts).err(), Some(want));
+        let schedule = Schedule::new();
+        assert_eq!(alg3.replay(&spec, &opts, &schedule).err(), Some(want));
+        let explore = alg3.explore_driver().expect("explore-capable");
+        assert_eq!(
+            explore.try_run(&spec, &ExploreConfig::default()).err(),
+            Some(ExploreError::Ids(want))
+        );
     }
 
     #[test]

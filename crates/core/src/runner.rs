@@ -8,7 +8,7 @@
 //! count. [`run_monitored`] is the same loop under a lemma monitor, and
 //! [`run_alg3`] adds Algorithm 3's orientation data.
 
-use crate::alg3::{Alg3Node, IdScheme, VirtualIdOverflow};
+use crate::alg3::{Alg3Node, IdScheme, InvalidId};
 use crate::election::{unique_leader, ElectionReport};
 use crate::invariants::{InvariantViolation, Verdict};
 use crate::registry::{Alg3Def, Backend, Doubled, Improved, RingProtocol, SchemeType};
@@ -125,13 +125,13 @@ pub struct Alg3Report {
 ///
 /// # Errors
 ///
-/// Refuses, before running, a ring with an ID whose virtual IDs do not fit
-/// in a `u64` ([`IdScheme::check_ids`]).
+/// Refuses, before running, a ring with an ID of 0 or one whose virtual
+/// IDs do not fit in a `u64` ([`IdScheme::check_ids`]).
 pub fn run_alg3(
     spec: &RingSpec,
     scheme: IdScheme,
     opts: &RunOptions,
-) -> Result<Alg3Report, VirtualIdOverflow> {
+) -> Result<Alg3Report, InvalidId> {
     Ok(alg3(spec, scheme, opts, false)?.0)
 }
 
@@ -145,7 +145,7 @@ pub fn run_alg3_resampling(
     spec: &RingSpec,
     scheme: IdScheme,
     opts: &RunOptions,
-) -> Result<(Alg3Report, Vec<u64>), VirtualIdOverflow> {
+) -> Result<(Alg3Report, Vec<u64>), InvalidId> {
     alg3(spec, scheme, opts, true)
 }
 
@@ -154,7 +154,7 @@ fn alg3(
     scheme: IdScheme,
     opts: &RunOptions,
     resample: bool,
-) -> Result<(Alg3Report, Vec<u64>), VirtualIdOverflow> {
+) -> Result<(Alg3Report, Vec<u64>), InvalidId> {
     scheme.check_ids(spec.ids())?;
     Ok(match scheme {
         IdScheme::Improved => alg3_under::<Improved>(spec, opts, resample),
@@ -315,7 +315,7 @@ mod tests {
             (IdScheme::Doubled, (u64::MAX >> 1) + 1),
         ] {
             let spec = RingSpec::oriented(vec![1, id]);
-            let want = VirtualIdOverflow { id, scheme };
+            let want = InvalidId::TooLarge { id, scheme };
             assert_eq!(run_alg3(&spec, scheme, &opts).err(), Some(want));
             assert_eq!(run_alg3_resampling(&spec, scheme, &opts).err(), Some(want));
         }

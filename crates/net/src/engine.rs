@@ -903,6 +903,33 @@ impl<M: Message> QueueStore<M> {
         self.peak_bytes
     }
 
+    /// Appends `channel`'s queued messages to `out` as runs of consecutive
+    /// seqs, front first (one run per message for the vec backend).
+    fn channel_runs(&self, channel: usize, out: &mut Vec<SendRun>) {
+        match &self.repr {
+            StoreRepr::Vec(queues) => {
+                out.extend(queues[channel].iter().enumerate().map(|(at, e)| SendRun {
+                    start: e.seq,
+                    len: 1,
+                    channel,
+                    at,
+                }));
+            }
+            StoreRepr::Counter { chans, .. } => {
+                let mut at = 0;
+                for &(start, len) in &chans[channel].runs {
+                    out.push(SendRun {
+                        start,
+                        len,
+                        channel,
+                        at,
+                    });
+                    at += len as usize;
+                }
+            }
+        }
+    }
+
     fn push(&mut self, channel: usize, msg: M, seq: u64) {
         self.total += 1;
         match &mut self.repr {
@@ -1015,6 +1042,16 @@ struct LatencySnapshot {
 
 const NOT_READY: usize = usize::MAX;
 
+/// Queued messages with send seqs `start..start + len` on `channel`, the
+/// first of them at queue position `at`.
+#[derive(Copy, Clone, Debug)]
+struct SendRun {
+    start: u64,
+    len: u64,
+    channel: usize,
+    at: usize,
+}
+
 /// The generic event core: queues, scheduler dispatch, faults, accounting,
 /// and observer emission over any [`Topology`].
 ///
@@ -1059,6 +1096,8 @@ pub struct EventCore<M: Message, T: Topology> {
     latency: Option<LatencyState>,
     /// Recycled sink for [`EventHandler::drain_timers`] requests.
     timer_buf: Vec<(u64, u64)>,
+    /// Recycled list of the in-flight runs a scheduler re-index replays.
+    run_buf: Vec<SendRun>,
 }
 
 impl<M: Message, T: Topology> EventCore<M, T> {
@@ -1117,6 +1156,7 @@ impl<M: Message, T: Topology> EventCore<M, T> {
             timer_seq: 0,
             latency: None,
             timer_buf: Vec::new(),
+            run_buf: Vec::new(),
         }
     }
 
@@ -1249,11 +1289,38 @@ impl<M: Message, T: Topology> EventCore<M, T> {
     /// Used by replay (install a [`crate::sched::ReplayScheduler`] on a
     /// fresh core) and by exploration (drive the core channel-by-channel
     /// while keeping a trivial scheduler installed). The incoming
-    /// scheduler's incremental index is seeded from the current ready set,
-    /// so a mid-run swap keeps its picks exact.
+    /// scheduler's incremental index is seeded from the current ready set
+    /// and in-flight messages, so a mid-run swap keeps its picks exact.
     pub fn set_scheduler(&mut self, scheduler: Box<dyn Scheduler>) {
         self.scheduler = scheduler;
+        self.reindex_scheduler();
+    }
+
+    /// Seeds the scheduler's index from the in-flight state: the ready
+    /// views through [`Scheduler::rebuild_index`], then every queued
+    /// message, in send order, through [`Scheduler::on_send`] with its
+    /// channel's current view.
+    fn reindex_scheduler(&mut self) {
         self.scheduler.rebuild_index(&self.ready);
+        let mut runs = std::mem::take(&mut self.run_buf);
+        runs.clear();
+        for view in &self.ready {
+            self.queues.channel_runs(view.id.index(), &mut runs);
+        }
+        // A run is consecutive seqs of one channel, so runs never overlap
+        // and sorting them by start sorts every message by seq.
+        runs.sort_unstable_by_key(|run| run.start);
+        for run in &runs {
+            let view = self.ready[self.ready_pos[run.channel]];
+            for k in 0..run.len {
+                let arrival = self
+                    .latency
+                    .as_ref()
+                    .map_or(0, |lat| lat.arrivals[run.channel][run.at + k as usize]);
+                self.scheduler.on_send(run.start + k, arrival, view);
+            }
+        }
+        self.run_buf = runs;
     }
 
     /// Starts recording the sequence of channel picks as a [`Schedule`].
@@ -1358,9 +1425,9 @@ impl<M: Message, T: Topology> EventCore<M, T> {
         self.fault_stats = snapshot.fault_stats;
         self.scheduler.restore_state(&snapshot.scheduler_state);
         // Indexes are derived state: absent from `CoreSnapshot` and
-        // `save_state` layouts by design, rebuilt from the restored ready
-        // set instead.
-        self.scheduler.rebuild_index(&self.ready);
+        // `save_state` layouts by design, rebuilt from the restored queues
+        // instead.
+        self.reindex_scheduler();
         if let Some(rec) = &mut self.recorded {
             rec.truncate(snapshot.recorded_len);
         }
@@ -1430,7 +1497,7 @@ impl<M: Message, T: Topology> EventCore<M, T> {
         };
         self.queues.push(channel, msg, seq);
         let pos = self.ready_pos[channel];
-        if pos == NOT_READY {
+        let view = if pos == NOT_READY {
             self.ready_pos[channel] = self.ready.len();
             let view = ChannelView {
                 id: ChannelId::from_index(channel),
@@ -1440,12 +1507,11 @@ impl<M: Message, T: Topology> EventCore<M, T> {
                 arrival,
             };
             self.ready.push(view);
-            self.scheduler.on_change(view);
+            view
         } else {
             self.ready[pos].queue_len += 1;
-            let view = self.ready[pos];
-            self.scheduler.on_change(view);
-        }
+            self.ready[pos]
+        };
         if let Some(m) = &mut self.metrics {
             let peak = self.queues.peak_queue_bytes() as u64;
             if peak > m.peak_queue_bytes {
@@ -1453,6 +1519,9 @@ impl<M: Message, T: Topology> EventCore<M, T> {
             }
         }
         prof::stop(prof::Phase::Enqueue, t);
+        let t = prof::start();
+        self.scheduler.on_send(seq, arrival, view);
+        prof::stop(prof::Phase::Index, t);
     }
 
     fn flush_outbox(&mut self, node: usize, outbox: &mut Vec<(usize, M)>) {
@@ -1737,7 +1806,9 @@ impl<M: Message, T: Topology> EventCore<M, T> {
                 view.head_seq = next_head;
                 view.arrival = next_arrival;
                 let view = *view;
+                let t = prof::start();
                 self.scheduler.on_change(view);
+                prof::stop(prof::Phase::Index, t);
             }
             None => {
                 self.ready.swap_remove(pos);
@@ -1745,7 +1816,9 @@ impl<M: Message, T: Topology> EventCore<M, T> {
                 if let Some(moved) = self.ready.get(pos) {
                     self.ready_pos[moved.id.index()] = pos;
                 }
+                let t = prof::start();
                 self.scheduler.on_unready(ChannelId::from_index(channel));
+                prof::stop(prof::Phase::Index, t);
             }
         }
         let (node, port) = self.topology.endpoint(channel);

@@ -41,6 +41,10 @@ pub enum Phase {
     Enqueue,
     /// The scheduler choosing the next channel to deliver from.
     Pick,
+    /// Scheduler index upkeep: the engine's [`crate::Scheduler::on_send`],
+    /// [`crate::Scheduler::on_change`] and [`crate::Scheduler::on_unready`]
+    /// hooks on every enqueue and delivery.
+    Index,
     /// Protocol dispatch: the receiving node's `on_message` handler.
     Deliver,
     /// Observer fan-out: trace, metrics, and attached observers.
@@ -62,6 +66,7 @@ impl Phase {
     pub const ALL: [Phase; PHASES] = [
         Phase::Enqueue,
         Phase::Pick,
+        Phase::Index,
         Phase::Deliver,
         Phase::Observe,
         Phase::Timer,
@@ -73,11 +78,12 @@ impl Phase {
         match self {
             Phase::Enqueue => 0,
             Phase::Pick => 1,
-            Phase::Deliver => 2,
-            Phase::Observe => 3,
-            Phase::Timer => 4,
-            Phase::Record => 5,
-            Phase::Probe => 6,
+            Phase::Index => 2,
+            Phase::Deliver => 3,
+            Phase::Observe => 4,
+            Phase::Timer => 5,
+            Phase::Record => 6,
+            Phase::Probe => 7,
         }
     }
 }
@@ -87,6 +93,7 @@ impl fmt::Display for Phase {
         f.write_str(match self {
             Phase::Enqueue => "enqueue",
             Phase::Pick => "pick",
+            Phase::Index => "index",
             Phase::Deliver => "deliver",
             Phase::Observe => "observe",
             Phase::Timer => "timer",
@@ -96,7 +103,7 @@ impl fmt::Display for Phase {
     }
 }
 
-const PHASES: usize = 7;
+const PHASES: usize = 8;
 
 static ENABLED: AtomicBool = AtomicBool::new(false);
 

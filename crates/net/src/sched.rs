@@ -16,7 +16,7 @@ use crate::topology::ChannelId;
 use rand::rngs::StdRng;
 use rand::{Rng, SeedableRng};
 use std::cmp::Reverse;
-use std::collections::{BTreeSet, HashMap, HashSet};
+use std::collections::{BTreeMap, BTreeSet, HashMap, HashSet, VecDeque};
 use std::fmt;
 
 /// A read-only view of one non-empty channel offered to the scheduler.
@@ -45,10 +45,11 @@ pub struct ChannelView {
 /// channel's current key, so re-keying and removal need only the channel
 /// index — which is all the engine's incremental hooks provide.
 ///
-/// Because every built-in deterministic scheduler keys on `head_seq`
-/// (globally unique across channels), the trailing channel index never
-/// decides an ordering among simultaneously ready channels; it only makes
-/// set elements unique.
+/// Backs the adversaries whose order is not send order: Lifo, RoundRobin,
+/// StarveDirection, StarveNode, LongestQueue and Replay (Fifo, Solitude
+/// and Latency pop a send-order queue instead). Every key but RoundRobin's
+/// includes `head_seq` (globally unique across channels), so the trailing
+/// channel index only makes set elements unique.
 #[derive(Clone, Debug)]
 pub struct ReadyIndex<K: Ord + Copy> {
     set: BTreeSet<(K, usize)>,
@@ -139,6 +140,176 @@ impl<K: Ord + Copy> ReadyIndex<K> {
     }
 }
 
+/// One run of consecutive sends on one channel: the messages with send
+/// sequence numbers `start..start + len`.
+#[derive(Copy, Clone, Debug)]
+struct Run {
+    start: u64,
+    len: u64,
+    channel: usize,
+}
+
+/// The head seq of a channel with nothing queued.
+const IDLE: u64 = u64::MAX;
+
+/// Whether part of `run` is still in flight on a channel whose head message
+/// is `head`: a channel delivers in send order, so every seq below its head
+/// is delivered (an idle channel's `head` is [`IDLE`], above every seq).
+fn in_flight(run: &Run, head: u64) -> bool {
+    head < run.start + run.len
+}
+
+/// Every in-flight message in send order: the queue behind
+/// [`FifoScheduler`], [`SolitudeScheduler`] and [`LatencyScheduler`].
+///
+/// Messages are held as run-length entries, like the counter backend's
+/// queues, in one deque per virtual arrival tick (every message of an
+/// untimed order is filed under tick 0). Send seqs are handed out in
+/// increasing order and a channel's arrivals never decrease, so a
+/// channel's head is its least `(arrival, seq)` message, and the least
+/// `(arrival, seq)` in flight — the front of the earliest tick — is always
+/// some channel's head. A pick therefore reads one front entry instead of
+/// ordering the heads.
+///
+/// Deliveries are not removed eagerly: `head` tracks each channel's head
+/// seq from the `on_change`/`on_unready` hooks, and a pick drops front
+/// entries whose seqs all lie below their channel's head. That also
+/// covers deliveries the scheduler did not pick (`step_channel`, or the
+/// idle half of a [`PhaseSwitchScheduler`]); their entries are dropped
+/// wholesale once stale entries could outnumber in-flight messages, so the
+/// queue stays within twice the in-flight count.
+#[derive(Clone, Debug, Default)]
+struct SendOrder {
+    /// The earliest tick filed, kept out of `later` so that an untimed
+    /// order never touches the map.
+    front_tick: u64,
+    /// Entries filed under `front_tick`, in send order.
+    front: VecDeque<Run>,
+    /// Later ticks → entries filed under them, in send order.
+    later: BTreeMap<u64, VecDeque<Run>>,
+    /// Emptied deques, kept for the next tick.
+    spare: Vec<VecDeque<Run>>,
+    /// Head seq per channel ([`IDLE`] while nothing is queued).
+    head: Vec<u64>,
+    /// Messages in flight.
+    live: usize,
+    /// Entries held, stale ones included.
+    entries: usize,
+}
+
+impl SendOrder {
+    fn grow(&mut self, channel: usize) {
+        if self.head.len() <= channel {
+            self.head.resize(channel + 1, IDLE);
+        }
+    }
+
+    /// Files message `seq` on `channel` under `tick`.
+    fn push(&mut self, channel: usize, seq: u64, tick: u64) {
+        self.grow(channel);
+        self.live += 1;
+        if tick < self.front_tick && !self.front.is_empty() {
+            let earlier = self.spare.pop().unwrap_or_default();
+            let front = std::mem::replace(&mut self.front, earlier);
+            self.later.insert(self.front_tick, front);
+        }
+        let runs = if tick <= self.front_tick || self.front.is_empty() && self.later.is_empty() {
+            self.front_tick = tick;
+            &mut self.front
+        } else {
+            let spare = &mut self.spare;
+            self.later
+                .entry(tick)
+                .or_insert_with(|| spare.pop().unwrap_or_default())
+        };
+        match runs.back_mut() {
+            Some(run) if run.channel == channel && run.start + run.len == seq => run.len += 1,
+            _ => {
+                runs.push_back(Run {
+                    start: seq,
+                    len: 1,
+                    channel,
+                });
+                self.entries += 1;
+            }
+        }
+    }
+
+    /// `channel`'s head is now `seq`: newly queued, or advanced by one
+    /// delivery.
+    fn set_head(&mut self, channel: usize, seq: u64) {
+        self.grow(channel);
+        let old = std::mem::replace(&mut self.head[channel], seq);
+        if old != IDLE && old != seq {
+            self.live = self.live.saturating_sub(1);
+        }
+        self.settle();
+    }
+
+    /// `channel` drained: its last message was delivered.
+    fn unready(&mut self, channel: usize) {
+        self.grow(channel);
+        self.head[channel] = IDLE;
+        self.live = self.live.saturating_sub(1);
+        self.settle();
+    }
+
+    /// Compacts once stale entries could outnumber in-flight messages.
+    fn settle(&mut self) {
+        if self.entries > 2 * self.live {
+            self.compact();
+        }
+    }
+
+    fn clear(&mut self) {
+        self.front.clear();
+        let spare = &mut self.spare;
+        spare.extend(
+            std::mem::take(&mut self.later)
+                .into_values()
+                .map(|mut runs| {
+                    runs.clear();
+                    runs
+                }),
+        );
+        self.front_tick = 0;
+        self.head.fill(IDLE);
+        self.live = 0;
+        self.entries = 0;
+    }
+
+    /// Drops every entry whose seqs were all delivered.
+    fn compact(&mut self) {
+        let head = &self.head;
+        self.front.retain(|run| in_flight(run, head[run.channel]));
+        let mut entries = self.front.len();
+        self.later.retain(|_, runs| {
+            runs.retain(|run| in_flight(run, head[run.channel]));
+            entries += runs.len();
+            !runs.is_empty()
+        });
+        self.entries = entries;
+    }
+
+    /// The channel of the least `(tick, seq)` message in flight.
+    fn front(&mut self) -> ChannelId {
+        loop {
+            while let Some(run) = self.front.front() {
+                if in_flight(run, self.head[run.channel]) {
+                    return ChannelId::from_index(run.channel);
+                }
+                self.front.pop_front();
+                self.entries -= 1;
+            }
+            let (tick, runs) = self.later.pop_first().expect(
+                "pick on an empty send order: report every in-flight message through on_send",
+            );
+            self.front_tick = tick;
+            self.spare.push(std::mem::replace(&mut self.front, runs));
+        }
+    }
+}
+
 /// The asynchrony adversary: picks which ready channel delivers next.
 ///
 /// [`Scheduler::pick`] names one channel of `ready` (always non-empty) by
@@ -147,9 +318,11 @@ impl<K: Ord + Copy> ReadyIndex<K> {
 /// so positions are an artifact of run history. Deterministic adversaries
 /// therefore pick by channel *identity* — `id`, `head_seq` (globally unique
 /// across channels), `queue_len`, `direction`, `arrival` — and the
-/// built-in ones answer from a [`ReadyIndex`] kept current by the
-/// [`Scheduler::on_change`] / [`Scheduler::on_unready`] hooks, ignoring
-/// `ready`. Position-based adversaries ([`RandomScheduler`],
+/// built-in ones answer from an index kept current by the
+/// [`Scheduler::on_send`] / [`Scheduler::on_change`] /
+/// [`Scheduler::on_unready`] hooks, ignoring `ready`: a send-order queue
+/// for Fifo, Solitude and Latency, a [`ReadyIndex`] for the rest.
+/// Position-based adversaries ([`RandomScheduler`],
 /// [`BoundedDelayScheduler`]) scan `ready` instead; they remain
 /// deterministic per run because the engine's array evolution is itself
 /// deterministic, but they are not stable under re-orderings.
@@ -181,9 +354,24 @@ pub trait Scheduler: fmt::Debug {
     /// the default (for stateless schedulers) ignores the input.
     fn restore_state(&mut self, _state: &[u64]) {}
 
+    /// A message was queued under global send sequence number `seq`,
+    /// arriving at virtual time `arrival` (0 in untimed runs), on the
+    /// channel `view` now describes: it just became ready, or its queue
+    /// grew.
+    ///
+    /// Driven by the engine on every enqueue (sends, fault duplicates and
+    /// injections), in increasing `seq` order. The default upserts `view`
+    /// through [`Scheduler::on_change`], all that an index over ready views
+    /// needs; a send-order index also files the message.
+    fn on_send(&mut self, seq: u64, arrival: u64, view: ChannelView) {
+        let _ = (seq, arrival);
+        self.on_change(view);
+    }
+
     /// A ready channel's view was inserted or changed (an upsert): its
-    /// queue went from empty to non-empty, its head advanced after a
-    /// delivery left messages queued, or its queue grew on enqueue.
+    /// head advanced after a delivery left messages queued, or (through
+    /// the default [`Scheduler::on_send`]) an enqueue made it ready or
+    /// grew its queue.
     ///
     /// Driven by the engine on every such change (fault injections
     /// included), before the next pick, so an index keyed on any view field
@@ -197,14 +385,24 @@ pub trait Scheduler: fmt::Debug {
         let _ = id;
     }
 
-    /// Rebuilds the incremental index from scratch from the full ready set.
+    /// Forgets every index entry, as if nothing were in flight. The default
+    /// (scanning schedulers) keeps no index.
+    fn clear_index(&mut self) {}
+
+    /// Rebuilds the incremental index from the full ready set: clears it,
+    /// then upserts every view.
     ///
-    /// Called by the engine after a snapshot restore or a scheduler swap, so
-    /// indexes never need to appear in [`Scheduler::save_state`] layouts or
-    /// `CoreSnapshot`s — they are derived state. The default (scanning
-    /// schedulers) does nothing.
+    /// Called by the engine after a snapshot restore or a scheduler swap,
+    /// followed by one [`Scheduler::on_send`] per in-flight message in
+    /// send order (each with its channel's current view), so indexes
+    /// never need to appear in
+    /// [`Scheduler::save_state`] layouts or `CoreSnapshot`s — they are
+    /// derived state.
     fn rebuild_index(&mut self, ready: &[ChannelView]) {
-        let _ = ready;
+        self.clear_index();
+        for &view in ready {
+            self.on_change(view);
+        }
     }
 }
 
@@ -220,25 +418,32 @@ fn indexed(channel: Option<usize>) -> ChannelId {
 
 /// Globally FIFO: always delivers the oldest in-flight message.
 ///
-/// This is the "synchronous-looking" schedule and also the canonical
-/// scheduler of the paper's Definition 21 (solitude patterns) when combined
-/// with its CW-first tie-break — see [`SolitudeScheduler`].
+/// This is the "synchronous-looking" schedule. The oldest message in
+/// flight is always some channel's head, so the pick pops the front of the
+/// send order the [`Scheduler::on_send`] hook builds (amortized O(1), no
+/// per-delivery re-keying).
 ///
 /// ```rust
 /// use co_net::sched::{FifoScheduler, Scheduler};
 /// use co_net::{ChannelId, ChannelView};
 ///
-/// let ready = [
-///     ChannelView { id: ChannelId::from_index(0), queue_len: 1, head_seq: 9, direction: None, arrival: 0 },
-///     ChannelView { id: ChannelId::from_index(1), queue_len: 1, head_seq: 2, direction: None, arrival: 0 },
-/// ];
+/// let view = |ch: usize, head_seq: u64| ChannelView {
+///     id: ChannelId::from_index(ch),
+///     queue_len: 1,
+///     head_seq,
+///     direction: None,
+///     arrival: 0,
+/// };
+/// let ready = [view(0, 9), view(1, 2)];
 /// let mut fifo = FifoScheduler::new();
-/// fifo.rebuild_index(&ready);
+/// // The engine reports each send with the view of the channel it joined.
+/// fifo.on_send(2, 0, ready[1]);
+/// fifo.on_send(9, 0, ready[0]);
 /// assert_eq!(fifo.pick(&ready), ChannelId::from_index(1)); // oldest send first
 /// ```
 #[derive(Clone, Debug, Default)]
 pub struct FifoScheduler {
-    index: ReadyIndex<u64>,
+    order: SendOrder,
 }
 
 impl FifoScheduler {
@@ -247,78 +452,49 @@ impl FifoScheduler {
     pub fn new() -> FifoScheduler {
         FifoScheduler::default()
     }
+
+    /// Entries the send order holds, stale ones included: at most twice
+    /// the in-flight count, however the deliveries were chosen.
+    #[must_use]
+    pub fn queued_runs(&self) -> usize {
+        self.order.entries
+    }
 }
 
 impl Scheduler for FifoScheduler {
     fn pick(&mut self, _ready: &[ChannelView]) -> ChannelId {
-        indexed(self.index.first())
+        self.order.front()
+    }
+
+    fn on_send(&mut self, seq: u64, _arrival: u64, view: ChannelView) {
+        self.order.push(view.id.index(), seq, 0);
+        self.order.set_head(view.id.index(), view.head_seq);
     }
 
     fn on_change(&mut self, view: ChannelView) {
-        self.index.insert(view.id.index(), view.head_seq);
+        self.order.set_head(view.id.index(), view.head_seq);
     }
 
     fn on_unready(&mut self, id: ChannelId) {
-        self.index.remove(id.index());
+        self.order.unready(id.index());
     }
 
-    fn rebuild_index(&mut self, ready: &[ChannelView]) {
-        self.index.clear();
-        for v in ready {
-            self.index.insert(v.id.index(), v.head_seq);
-        }
+    fn clear_index(&mut self) {
+        self.order.clear();
     }
 }
 
-/// The canonical scheduler of Definition 21: delivers messages one by one in
-/// the order they were sent, breaking ties by prioritising clockwise pulses.
+/// The canonical scheduler of Definition 21 as run here: messages are
+/// delivered one by one in the order they were sent.
 ///
-/// Ties can only occur between messages sent during the same event; the
-/// direction tag orders those (CW before CCW, untagged last).
-#[derive(Clone, Debug, Default)]
-pub struct SolitudeScheduler {
-    index: ReadyIndex<(u64, u8)>,
-}
-
-/// CW before CCW, untagged last — the Definition-21 tie-break order.
-fn dir_rank(direction: Option<Direction>) -> u8 {
-    match direction {
-        Some(Direction::Cw) => 0,
-        Some(Direction::Ccw) => 1,
-        None => 2,
-    }
-}
-
-impl SolitudeScheduler {
-    /// Creates the canonical Definition-21 scheduler.
-    #[must_use]
-    pub fn new() -> SolitudeScheduler {
-        SolitudeScheduler::default()
-    }
-}
-
-impl Scheduler for SolitudeScheduler {
-    fn pick(&mut self, _ready: &[ChannelView]) -> ChannelId {
-        indexed(self.index.first())
-    }
-
-    fn on_change(&mut self, view: ChannelView) {
-        self.index
-            .insert(view.id.index(), (view.head_seq, dir_rank(view.direction)));
-    }
-
-    fn on_unready(&mut self, id: ChannelId) {
-        self.index.remove(id.index());
-    }
-
-    fn rebuild_index(&mut self, ready: &[ChannelView]) {
-        self.index.clear();
-        for v in ready {
-            self.index
-                .insert(v.id.index(), (v.head_seq, dir_rank(v.direction)));
-        }
-    }
-}
+/// Definition 21 breaks ties between messages sent during the same event by
+/// delivering clockwise pulses first. Every send takes its own global
+/// sequence number, so no two in-flight messages ever tie: sends made in
+/// the same dispatch are delivered in outbox order, CW or not, and this
+/// scheduler is [`FifoScheduler`]. (On a one-node ring, an Algorithm 3
+/// node sends CCW from `Port_0` before CW, and the CCW pulse is delivered
+/// first.)
+pub type SolitudeScheduler = FifoScheduler;
 
 /// Adversarially anti-FIFO: always delivers the *youngest* head message,
 /// maximally delaying old messages (while respecting per-channel FIFO).
@@ -348,11 +524,8 @@ impl Scheduler for LifoScheduler {
         self.index.remove(id.index());
     }
 
-    fn rebuild_index(&mut self, ready: &[ChannelView]) {
+    fn clear_index(&mut self) {
         self.index.clear();
-        for v in ready {
-            self.index.insert(v.id.index(), v.head_seq);
-        }
     }
 }
 
@@ -445,11 +618,8 @@ impl Scheduler for RoundRobinScheduler {
         self.index.remove(id.index());
     }
 
-    fn rebuild_index(&mut self, ready: &[ChannelView]) {
+    fn clear_index(&mut self) {
         self.index.clear();
-        for v in ready {
-            self.index.insert(v.id.index(), ());
-        }
     }
 
     fn save_state(&self) -> Vec<u64> {
@@ -514,12 +684,9 @@ impl Scheduler for StarveDirectionScheduler {
         self.deferred.remove(id.index());
     }
 
-    fn rebuild_index(&mut self, ready: &[ChannelView]) {
+    fn clear_index(&mut self) {
         self.preferred.clear();
         self.deferred.clear();
-        for v in ready {
-            self.tier(v.direction).insert(v.id.index(), v.head_seq);
-        }
     }
 }
 
@@ -581,12 +748,9 @@ impl Scheduler for StarveNodeScheduler {
         self.deferred.remove(id.index());
     }
 
-    fn rebuild_index(&mut self, ready: &[ChannelView]) {
+    fn clear_index(&mut self) {
         self.preferred.clear();
         self.deferred.clear();
-        for v in ready {
-            self.tier(v.id).insert(v.id.index(), v.head_seq);
-        }
     }
 }
 
@@ -622,12 +786,8 @@ impl Scheduler for LongestQueueScheduler {
         self.index.remove(id.index());
     }
 
-    fn rebuild_index(&mut self, ready: &[ChannelView]) {
+    fn clear_index(&mut self) {
         self.index.clear();
-        for v in ready {
-            self.index
-                .insert(v.id.index(), (v.queue_len, Reverse(v.head_seq)));
-        }
     }
 }
 
@@ -641,11 +801,14 @@ impl Scheduler for LongestQueueScheduler {
 /// broken by `head_seq`, so without a latency plan this degenerates to
 /// exactly the [`FifoScheduler`] schedule.
 ///
-/// Like the FIFO family it keeps a [`ReadyIndex`], keyed on
-/// `(arrival, head_seq)`, so picks stay O(log C).
+/// Like [`FifoScheduler`] it pops a send order, here filed by arrival tick:
+/// the least `(arrival, seq)` in flight is always a channel head, because
+/// send seqs increase and the engine clamps each channel's arrivals to be
+/// non-decreasing. A pick is amortized O(1) plus a lookup among the
+/// distinct arrival ticks in flight.
 #[derive(Clone, Debug, Default)]
 pub struct LatencyScheduler {
-    index: ReadyIndex<(u64, u64)>,
+    order: SendOrder,
 }
 
 impl LatencyScheduler {
@@ -654,27 +817,35 @@ impl LatencyScheduler {
     pub fn new() -> LatencyScheduler {
         LatencyScheduler::default()
     }
+
+    /// Entries the send order holds, stale ones included: at most twice
+    /// the in-flight count, however the deliveries were chosen.
+    #[must_use]
+    pub fn queued_runs(&self) -> usize {
+        self.order.entries
+    }
 }
 
 impl Scheduler for LatencyScheduler {
     fn pick(&mut self, _ready: &[ChannelView]) -> ChannelId {
-        indexed(self.index.first())
+        self.order.front()
+    }
+
+    fn on_send(&mut self, seq: u64, arrival: u64, view: ChannelView) {
+        self.order.push(view.id.index(), seq, arrival);
+        self.order.set_head(view.id.index(), view.head_seq);
     }
 
     fn on_change(&mut self, view: ChannelView) {
-        self.index
-            .insert(view.id.index(), (view.arrival, view.head_seq));
+        self.order.set_head(view.id.index(), view.head_seq);
     }
 
     fn on_unready(&mut self, id: ChannelId) {
-        self.index.remove(id.index());
+        self.order.unready(id.index());
     }
 
-    fn rebuild_index(&mut self, ready: &[ChannelView]) {
-        self.index.clear();
-        for v in ready {
-            self.index.insert(v.id.index(), (v.arrival, v.head_seq));
-        }
+    fn clear_index(&mut self) {
+        self.order.clear();
     }
 }
 
@@ -852,11 +1023,8 @@ impl Scheduler for ReplayScheduler {
         self.fifo.remove(id.index());
     }
 
-    fn rebuild_index(&mut self, ready: &[ChannelView]) {
+    fn clear_index(&mut self) {
         self.fifo.clear();
-        for v in ready {
-            self.fifo.insert(v.id.index(), v.head_seq);
-        }
     }
 
     fn save_state(&self) -> Vec<u64> {
@@ -907,6 +1075,11 @@ impl Scheduler for PhaseSwitchScheduler {
         pick
     }
 
+    fn on_send(&mut self, seq: u64, arrival: u64, view: ChannelView) {
+        self.first.on_send(seq, arrival, view);
+        self.second.on_send(seq, arrival, view);
+    }
+
     fn on_change(&mut self, view: ChannelView) {
         self.first.on_change(view);
         self.second.on_change(view);
@@ -917,9 +1090,9 @@ impl Scheduler for PhaseSwitchScheduler {
         self.second.on_unready(id);
     }
 
-    fn rebuild_index(&mut self, ready: &[ChannelView]) {
-        self.first.rebuild_index(ready);
-        self.second.rebuild_index(ready);
+    fn clear_index(&mut self) {
+        self.first.clear_index();
+        self.second.clear_index();
     }
 
     fn save_state(&self) -> Vec<u64> {
@@ -958,7 +1131,8 @@ impl Scheduler for PhaseSwitchScheduler {
 pub enum SchedulerKind {
     /// Globally FIFO delivery.
     Fifo,
-    /// Definition-21 canonical (FIFO, CW-first tie-break).
+    /// Definition-21 canonical: send order, which is [`SchedulerKind::Fifo`]
+    /// (see [`SolitudeScheduler`]).
     Solitude,
     /// Anti-FIFO (youngest head first).
     Lifo,
@@ -1056,9 +1230,15 @@ mod tests {
         }
     }
 
-    /// `s`'s pick on `ready` after seeding its index from `ready`.
+    /// `s`'s pick on `ready` after seeding its index from `ready`, as the
+    /// engine does: the views, then each head's send in seq order.
     fn pick_fresh(s: &mut dyn Scheduler, ready: &[ChannelView]) -> ChannelId {
         s.rebuild_index(ready);
+        let mut heads = ready.to_vec();
+        heads.sort_by_key(|v| v.head_seq);
+        for v in heads {
+            s.on_send(v.head_seq, v.arrival, v);
+        }
         s.pick(ready)
     }
 
@@ -1077,12 +1257,82 @@ mod tests {
     }
 
     #[test]
-    fn solitude_breaks_ties_cw_first() {
+    fn solitude_delivers_same_dispatch_sends_in_outbox_order() {
+        // A CCW send (seq 0) and then a CW send (seq 1) from one dispatch:
+        // distinct seqs, so the CCW pulse goes first.
         let ready = [
-            view(0, 1, 3, Some(Direction::Ccw)),
-            view(1, 1, 3, Some(Direction::Cw)),
+            view(0, 1, 0, Some(Direction::Ccw)),
+            view(1, 1, 1, Some(Direction::Cw)),
         ];
-        assert_eq!(pick_fresh(&mut SolitudeScheduler::new(), &ready), ch(1));
+        assert_eq!(pick_fresh(&mut SolitudeScheduler::new(), &ready), ch(0));
+    }
+
+    #[test]
+    fn send_order_skips_deliveries_it_did_not_pick() {
+        let mut s = FifoScheduler::new();
+        // Channel 0 queues seqs 0, 1, 3; channel 1 queues seq 2.
+        s.on_send(0, 0, view(0, 1, 0, None));
+        s.on_send(1, 0, view(0, 2, 0, None));
+        s.on_send(2, 0, view(1, 1, 2, None));
+        s.on_send(3, 0, view(0, 3, 0, None));
+        assert_eq!(s.queued_runs(), 3); // (0..2 on 0), (2 on 1), (3 on 0)
+                                        // Channel 0 delivers twice out of band (`step_channel`).
+        s.on_change(view(0, 2, 1, None));
+        s.on_change(view(0, 1, 3, None));
+        assert_eq!(s.pick(&[]), ch(1)); // the stale front run is dropped
+        s.on_unready(ch(1));
+        assert_eq!(s.pick(&[]), ch(0));
+        // Out-of-band drains of every channel leave nothing to pick.
+        s.on_unready(ch(0));
+        let mut empty = std::panic::AssertUnwindSafe(s);
+        assert!(std::panic::catch_unwind(move || empty.pick(&[])).is_err());
+    }
+
+    #[test]
+    fn send_order_stays_within_twice_the_in_flight_count() {
+        // Never pick: deliver out of band, always from the channel whose
+        // head is youngest, while each delivery sends on another channel.
+        let mut s = LatencyScheduler::new();
+        let mut queues: Vec<VecDeque<(u64, u64)>> = vec![VecDeque::new(); 4];
+        let mut seq = 0u64;
+        let mut send = |s: &mut LatencyScheduler, queues: &mut [VecDeque<(u64, u64)>], c: usize| {
+            let arrival = seq % 7;
+            let arrival = arrival.max(queues[c].back().map_or(0, |&(_, a)| a));
+            queues[c].push_back((seq, arrival));
+            let (head, at) = queues[c][0];
+            let channel = ChannelView {
+                arrival: at,
+                ..view(c, queues[c].len(), head, None)
+            };
+            s.on_send(seq, arrival, channel);
+            seq += 1;
+        };
+        for c in 0..4 {
+            for _ in 0..3 {
+                send(&mut s, &mut queues, c);
+            }
+        }
+        for step in 0..20_000usize {
+            let c = (0..4)
+                .filter(|&c| !queues[c].is_empty())
+                .max_by_key(|&c| queues[c][0].0)
+                .expect("something in flight");
+            queues[c].pop_front();
+            match queues[c].front() {
+                Some(&(head, at)) => s.on_change(ChannelView {
+                    arrival: at,
+                    ..view(c, queues[c].len(), head, None)
+                }),
+                None => s.on_unready(ch(c)),
+            }
+            send(&mut s, &mut queues, (c + 1 + step % 3) % 4);
+            let in_flight: usize = queues.iter().map(VecDeque::len).sum();
+            assert!(
+                s.queued_runs() <= 2 * in_flight,
+                "step {step}: {} entries for {in_flight} in flight",
+                s.queued_runs()
+            );
+        }
     }
 
     #[test]
@@ -1186,8 +1436,17 @@ mod tests {
         let ready = [viewt(0, 9, 7), viewt(1, 3, 4), viewt(2, 1, 4)];
         // Channel 1 and 2 tie on arrival 4; the older head (seq 1) wins.
         assert_eq!(pick_fresh(&mut s, &ready), ch(2));
-        // A head advance re-keys the index.
-        s.on_change(viewt(2, 8, 9));
+        // Channel 2 queues seq 10 (arriving at 9) behind its head, then
+        // delivers the head: seq 10 becomes the head.
+        s.on_send(
+            10,
+            9,
+            ChannelView {
+                queue_len: 2,
+                ..viewt(2, 1, 4)
+            },
+        );
+        s.on_change(viewt(2, 10, 9));
         assert_eq!(s.pick(&ready), ch(1));
         // All-zero arrivals (no latency plan): degenerates to FIFO.
         let untimed = [view(0, 1, 9, None), view(1, 1, 3, None)];

@@ -1101,11 +1101,14 @@ mod tests {
         fn pick(&mut self, ready: &[ChannelView]) -> ChannelId {
             self.0.pick(ready)
         }
+        fn on_send(&mut self, seq: u64, arrival: u64, view: ChannelView) {
+            self.0.on_send(seq, arrival, view);
+        }
         fn on_change(&mut self, view: ChannelView) {
             self.0.on_change(view);
         }
-        fn rebuild_index(&mut self, ready: &[ChannelView]) {
-            self.0.rebuild_index(ready);
+        fn clear_index(&mut self) {
+            self.0.clear_index();
         }
     }
 

@@ -129,7 +129,8 @@ fn simulator_conserves_messages() {
     }
 }
 
-/// Scheduler contract: once its index is seeded with `rebuild_index`,
+/// Scheduler contract: once its index is seeded as the engine seeds it —
+/// `rebuild_index`, then one `on_send` per queued message in send order —
 /// every built-in adversary picks a channel of the ready set it is shown,
 /// on arbitrary ready sets.
 #[test]
@@ -153,6 +154,12 @@ fn scheduler_contract() {
                 .collect();
             let mut sched = kind.build(rng.gen::<u64>());
             sched.rebuild_index(&ready);
+            // Channel i queues seqs 7i, 7i + 1, …: increasing in i.
+            for v in &ready {
+                for k in 0..v.queue_len as u64 {
+                    sched.on_send(v.head_seq + k, v.arrival, *v);
+                }
+            }
             for _ in 0..32 {
                 let pick = sched.pick(&ready);
                 assert!(

@@ -92,8 +92,10 @@ fn every_entry_replays_byte_identically_through_the_spec() {
         for kind in SchedulerKind::ALL {
             for seed in [0u64, 7, 42] {
                 let opts = RunOptions::new(kind, seed);
-                let rec = entry.record(&spec, &opts);
-                let rep = entry.replay(&spec, &opts, &rec.picks);
+                let rec = entry.record(&spec, &opts).expect("positive IDs");
+                let rep = entry
+                    .replay(&spec, &opts, &rec.picks)
+                    .expect("positive IDs");
                 let tag = format!("{} under {kind} seed {seed}", entry.name());
                 assert_eq!(rec.report, rep.report, "{tag}: RunReport differs");
                 assert_eq!(rec.fingerprint, rep.fingerprint, "{tag}: fingerprint");
@@ -117,8 +119,10 @@ fn chang_roberts_records_replays_and_shrinks_through_the_registry() {
 
     for kind in SchedulerKind::ALL {
         let opts = RunOptions::new(kind, 23);
-        let rec = entry.record(&spec, &opts);
-        let rep = entry.replay(&spec, &opts, &rec.picks);
+        let rec = entry.record(&spec, &opts).expect("positive IDs");
+        let rep = entry
+            .replay(&spec, &opts, &rec.picks)
+            .expect("positive IDs");
         assert_eq!(rec.report, rep.report, "{kind}");
         assert_eq!(rec.fingerprint, rep.fingerprint, "{kind}");
         // Position 1 holds the maximum ID; Chang–Roberts elects it.

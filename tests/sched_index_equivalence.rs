@@ -6,10 +6,12 @@
 //!
 //! 1. A property harness that replays random ready-set mutation sequences
 //!    (enqueue / head-advance / drain, modelled exactly like the engine's
-//!    dense ready array) against a built-in scheduler — driven through the
-//!    incremental hooks — and its oracle, shown only the ready slice per
-//!    pick, and demands channel-for-channel agreement, surviving
-//!    mid-sequence `rebuild_index` calls.
+//!    dense ready array and its per-message sends) against a built-in
+//!    scheduler — driven through the incremental hooks — and its oracle,
+//!    shown only the ready slice per pick, and demands channel-for-channel
+//!    agreement, surviving mid-sequence re-indexes (`rebuild_index`, then
+//!    every in-flight send replayed in send order) and deliveries the
+//!    scheduler did not pick (`Simulation::step_channel`).
 //! 2. The full simulation grid — 8 scheduler adversaries × {Alg1, Alg2,
 //!    Alg3} × fault plans × both queue backends — run under the built-in
 //!    scheduler and under its oracle, demanding byte-identical
@@ -22,8 +24,9 @@
 use content_oblivious::core::registry::{Alg1Def, Alg2Def, Alg3Def, RingProtocol};
 use content_oblivious::core::Alg2Node;
 use content_oblivious::net::sched::{
-    BoundedDelayScheduler, LongestQueueScheduler, PhaseSwitchScheduler, ReplayScheduler,
-    RoundRobinScheduler, StarveDirectionScheduler, StarveNodeScheduler,
+    BoundedDelayScheduler, FifoScheduler, LatencyScheduler, LongestQueueScheduler,
+    PhaseSwitchScheduler, ReplayScheduler, RoundRobinScheduler, StarveDirectionScheduler,
+    StarveNodeScheduler,
 };
 use content_oblivious::net::{
     Budget, ChannelId, ChannelView, Direction, FaultPlan, LatencyModel, LatencyPlan, Protocol,
@@ -31,8 +34,10 @@ use content_oblivious::net::{
 };
 use rand::rngs::StdRng;
 use rand::{Rng, SeedableRng};
+use std::cell::Cell;
 use std::cmp::Reverse;
 use std::collections::{HashSet, VecDeque};
+use std::rc::Rc;
 
 // ---------------------------------------------------------------------------
 // The reference: scan orders over the ready slice.
@@ -198,17 +203,18 @@ impl ReadyModel {
 
     /// Enqueues the next seq onto `channel`, arriving no earlier than
     /// `arrival` (nor before the channel's previous message), firing the
-    /// hook on `indexed` exactly as the engine does.
+    /// hook on `indexed` exactly as the engine does: the send, with the
+    /// view of the channel it joined.
     fn enqueue(&mut self, channel: usize, arrival: u64, indexed: &mut dyn Scheduler) {
         let seq = self.next_seq;
         self.next_seq += 1;
         let arrival = arrival.max(self.last_arrival[channel]);
         self.last_arrival[channel] = arrival;
         self.queues[channel].push_back((seq, arrival));
-        match self.pos_of(channel) {
+        let view = match self.pos_of(channel) {
             Some(at) => {
                 self.ready[at].queue_len += 1;
-                indexed.on_change(self.ready[at]);
+                self.ready[at]
             }
             None => {
                 let view = ChannelView {
@@ -219,8 +225,29 @@ impl ReadyModel {
                     arrival,
                 };
                 self.ready.push(view);
-                indexed.on_change(view);
+                view
             }
+        };
+        indexed.on_send(seq, arrival, view);
+    }
+
+    /// Re-seeds `indexed` as the engine does after a restore or a
+    /// scheduler swap: the ready views, then every in-flight message in
+    /// send order, each with its channel's view.
+    fn reindex(&self, indexed: &mut dyn Scheduler) {
+        indexed.rebuild_index(&self.ready);
+        let mut in_flight: Vec<(u64, u64, ChannelView)> = self
+            .ready
+            .iter()
+            .flat_map(|&view| {
+                self.queues[view.id.index()]
+                    .iter()
+                    .map(move |&(seq, arrival)| (seq, arrival, view))
+            })
+            .collect();
+        in_flight.sort_unstable_by_key(|&(seq, ..)| seq);
+        for (seq, arrival, view) in in_flight {
+            indexed.on_send(seq, arrival, view);
         }
     }
 
@@ -246,7 +273,7 @@ impl ReadyModel {
 
 /// Runs `iters` random mutations against a built-in scheduler and its
 /// oracle: `indexed` sees the incremental hooks (plus the occasional
-/// rebuild), `oracle` only ready slices. Every pick must name the same
+/// re-index), `oracle` only ready slices. Every pick must name the same
 /// channel.
 fn assert_picks_agree(
     label: &str,
@@ -260,9 +287,9 @@ fn assert_picks_agree(
     let mut rng = StdRng::seed_from_u64(seed);
     let mut picks = 0usize;
     for step in 0..iters {
-        // A rebuild mid-sequence must be a no-op for subsequent picks.
+        // A re-index mid-sequence must be a no-op for subsequent picks.
         if step % 97 == 96 {
-            indexed.rebuild_index(&model.ready);
+            model.reindex(indexed.as_mut());
         }
         if model.ready.is_empty() || rng.gen_range(0u32..100) < 55 {
             let channel = rng.gen_range(0..channels);
@@ -382,6 +409,154 @@ fn special_schedulers_agree_too() {
         12,
         2_000,
     );
+}
+
+/// The send-order schedulers, untimed and (for `Latency`) under
+/// `uniform:1..10`.
+fn send_order_cells() -> [(SchedulerKind, LatencyPlan); 3] {
+    let timed = LatencyPlan::new(LatencyModel::Uniform { min: 1, max: 10 }, 11);
+    [
+        (SchedulerKind::Fifo, LatencyPlan::zero()),
+        (SchedulerKind::Solitude, LatencyPlan::zero()),
+        (SchedulerKind::Latency, timed),
+    ]
+}
+
+/// Deliveries the scheduler did not pick (`step_channel`, the explorer's
+/// primitive) interleaved with scheduled steps and with restores of the
+/// built-in run's own snapshots (which re-seed its index from the queues):
+/// the send-order schedulers drop what was delivered behind their back and
+/// still pick what their scan oracle picks, step for step.
+#[test]
+fn step_channel_deliveries_interleave_with_scheduled_picks() {
+    let spec = RingSpec::oriented(vec![5, 9, 2, 7, 4, 8]);
+    for (kind, latency) in send_order_cells() {
+        for seed in [0u64, 3, 17] {
+            let sim = |which| {
+                let mut sim = Simulation::new(
+                    spec.wiring(),
+                    Alg2Def::nodes(&spec),
+                    scheduler(kind, seed, which),
+                );
+                sim.set_latency(latency.clone());
+                sim.start();
+                sim
+            };
+            let (mut built_in, mut oracle) = (sim(Impl::BuiltIn), sim(Impl::Oracle));
+            let mut rng = StdRng::seed_from_u64(seed);
+            let mut picks = 0usize;
+            loop {
+                let ready = built_in.ready_channels();
+                assert_eq!(ready, oracle.ready_channels(), "{kind} seed {seed}");
+                if ready.is_empty() {
+                    break;
+                }
+                let roll = rng.gen_range(0u32..100);
+                if roll < 5 {
+                    let snap = built_in.snapshot();
+                    built_in.restore(&snap);
+                }
+                let (a, b) = if roll < 40 {
+                    let channel = ready[rng.gen_range(0..ready.len())];
+                    (built_in.step_channel(channel), oracle.step_channel(channel))
+                } else {
+                    picks += 1;
+                    (built_in.step(), oracle.step())
+                };
+                assert_eq!(a, b, "{kind} seed {seed}: step after {picks} picks");
+                assert_eq!(built_in.fingerprint(), oracle.fingerprint(), "{kind}");
+            }
+            assert_eq!(built_in.stats(), oracle.stats(), "{kind} seed {seed}");
+            assert!(picks > 50, "{kind} seed {seed}: the walk exercised picks");
+        }
+    }
+}
+
+/// A send-order scheduler that publishes its queue size after every hook.
+#[derive(Debug)]
+struct Watched<S> {
+    inner: S,
+    runs: fn(&S) -> usize,
+    held: Rc<Cell<usize>>,
+}
+
+impl<S: Scheduler> Scheduler for Watched<S> {
+    fn pick(&mut self, ready: &[ChannelView]) -> ChannelId {
+        self.inner.pick(ready)
+    }
+    fn on_send(&mut self, seq: u64, arrival: u64, view: ChannelView) {
+        self.inner.on_send(seq, arrival, view);
+        self.held.set((self.runs)(&self.inner));
+    }
+    fn on_change(&mut self, view: ChannelView) {
+        self.inner.on_change(view);
+        self.held.set((self.runs)(&self.inner));
+    }
+    fn on_unready(&mut self, id: ChannelId) {
+        self.inner.on_unready(id);
+        self.held.set((self.runs)(&self.inner));
+    }
+    fn clear_index(&mut self) {
+        self.inner.clear_index();
+    }
+}
+
+/// A long walk of `step_channel` deliveries only — no pick ever drops from the
+/// send order — keeps it within twice the in-flight count.
+#[test]
+fn step_channel_only_walks_keep_the_send_order_bounded() {
+    let spec = RingSpec::oriented(vec![40, 7, 33, 12, 25, 3, 18, 29]);
+    let held = Rc::new(Cell::new(0));
+    let schedulers: [(&str, Box<dyn Scheduler>); 2] = [
+        (
+            "fifo",
+            Box::new(Watched {
+                inner: FifoScheduler::new(),
+                runs: FifoScheduler::queued_runs,
+                held: Rc::clone(&held),
+            }),
+        ),
+        (
+            "latency",
+            Box::new(Watched {
+                inner: LatencyScheduler::new(),
+                runs: LatencyScheduler::queued_runs,
+                held: Rc::clone(&held),
+            }),
+        ),
+    ];
+    for (label, scheduler) in schedulers {
+        let mut sim = Simulation::new(spec.wiring(), Alg2Def::nodes(&spec), scheduler);
+        if label == "latency" {
+            sim.set_latency(LatencyPlan::new(
+                LatencyModel::Uniform { min: 1, max: 10 },
+                5,
+            ));
+        }
+        sim.start();
+        let mut rng = StdRng::seed_from_u64(21);
+        let mut steps = 0u64;
+        while !sim.is_quiescent() {
+            // Favour the youngest-indexed ready channel so deliveries run
+            // far out of send order.
+            let ready = sim.ready_channels();
+            let channel = if rng.gen_range(0u32..4) == 0 {
+                ready[rng.gen_range(0..ready.len())]
+            } else {
+                ready[ready.len() - 1]
+            };
+            sim.step_channel(channel).expect("ready channel");
+            steps += 1;
+            let in_flight = sim.in_flight() as usize;
+            assert!(
+                held.get() <= 2 * in_flight,
+                "{label} step {steps}: {} entries for {in_flight} in flight",
+                held.get()
+            );
+        }
+        // Theorem 1: n(2·ID_max + 1) pulses under any schedule.
+        assert_eq!(steps, 8 * (2 * 40 + 1), "{label}");
+    }
 }
 
 // ---------------------------------------------------------------------------
@@ -546,7 +721,7 @@ fn snapshots_cross_restore_between_modes() {
             loop {
                 let sa = a.step();
                 let sb = b.step();
-                assert_eq!(sa.is_some(), sb.is_some(), "{kind}");
+                assert_eq!(sa, sb, "{kind}");
                 assert_eq!(a.fingerprint(), b.fingerprint(), "{kind}");
                 if sa.is_none() {
                     break;
@@ -554,5 +729,42 @@ fn snapshots_cross_restore_between_modes() {
             }
             assert_eq!(a.stats(), b.stats(), "{kind}");
         }
+    }
+}
+
+/// The send-order schedulers on a large ring: the n = 300 Algorithm 2
+/// election under Fifo, Solitude and Latency (`uniform:1..10`), snapshotted
+/// mid-run and restored into a fresh simulation of the same kind, must
+/// match its scan oracle byte for byte — report, statistics, fingerprint
+/// and, since Theorem 1 fixes the first three under every schedule, the
+/// picks after the restore. Release-mode CI runs it (`large-n-smoke`).
+#[test]
+#[ignore = "n = 300 in release: run with --ignored"]
+fn large_ring_send_order_matches_the_scan_oracle() {
+    let n = 300u64;
+    let spec = RingSpec::oriented((1..=n).rev().collect());
+    for (kind, latency) in send_order_cells() {
+        let run = |which| {
+            let build = || {
+                let mut sim = Simulation::with_backend(
+                    spec.wiring(),
+                    Alg2Def::nodes(&spec),
+                    scheduler(kind, 1, which),
+                    QueueBackend::Counter,
+                );
+                sim.set_latency(latency.clone());
+                sim
+            };
+            let mut first = build();
+            let half = Budget::steps(n * (2 * n + 1) / 2);
+            first.run(half);
+            let mut sim = build();
+            sim.restore(&first.snapshot());
+            let (report, picks) = sim.run_recorded(Budget::default());
+            (report, sim.stats().clone(), sim.fingerprint(), picks)
+        };
+        let (built_in, oracle) = (run(Impl::BuiltIn), run(Impl::Oracle));
+        assert_eq!(built_in.0.total_sent, n * (2 * n + 1), "{kind}");
+        assert_eq!(built_in, oracle, "{kind}");
     }
 }
