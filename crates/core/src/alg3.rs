@@ -194,8 +194,10 @@ impl Alg3Node {
     ///
     /// # Panics
     ///
-    /// Panics if `id == 0` or `id > scheme.max_id()`
-    /// ([`IdScheme::check_ids`] refuses both up front).
+    /// Panics with the [`InvalidId`] message if `id == 0` ("ID 0 is not a
+    /// positive integer, …") or `id > scheme.max_id()`. This is the
+    /// contract: callers holding untrusted IDs refuse them up front with
+    /// [`IdScheme::check_ids`], as `run_alg3`, the registry and the CLI do.
     #[must_use]
     pub fn new(id: u64, scheme: IdScheme) -> Alg3Node {
         let virt = |i| scheme.virtual_id(id, i).unwrap_or_else(|e| panic!("{e}"));
@@ -607,7 +609,7 @@ mod tests {
     }
 
     #[test]
-    #[should_panic(expected = "positive")]
+    #[should_panic(expected = "ID 0 is not a positive integer")]
     fn rejects_zero_id() {
         let _ = Alg3Node::new(0, IdScheme::Improved);
     }

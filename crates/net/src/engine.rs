@@ -5,8 +5,8 @@
 //! queues behind a pluggable [`QueueStore`], the incrementally maintained
 //! ready list, scheduler dispatch, fault application ([`FaultPlan`]), budget
 //! and quiescence accounting ([`Budget`], [`Outcome`]), aggregate statistics
-//! ([`SimStats`]), and event emission to [`Observer`]s (including the
-//! optional [`Trace`] and the [`RunMetrics`] run-summary collector).
+//! ([`SimStats`]), and event recording into the optional [`Trace`] and the
+//! [`RunMetrics`] run-summary collector.
 //!
 //! Two abstractions parameterize the core:
 //!
@@ -125,7 +125,8 @@ pub trait EventHandler<M: Message> {
     }
 }
 
-/// A model-violating channel fault, as reported to [`Observer`]s.
+/// A model-violating channel fault, as recorded in a [`TraceEvent::Fault`]
+/// and counted in [`RunMetrics::faults`].
 #[derive(Copy, Clone, Debug, PartialEq, Eq)]
 pub enum FaultKind {
     /// A sent message was silently discarded.
@@ -146,216 +147,11 @@ impl fmt::Display for FaultKind {
     }
 }
 
-/// One observable engine event, as delivered to [`Observer`]s.
-///
-/// Ports and channels are the core's dense `usize` indices; for a ring they
-/// coincide with [`Port::index`](crate::Port::index) and
-/// [`ChannelId::index`](crate::ChannelId::index).
-#[derive(Copy, Clone, Debug, PartialEq, Eq)]
-pub enum EngineEvent {
-    /// A node executed its initialisation step.
-    Start {
-        /// The node.
-        node: usize,
-    },
-    /// A node sent a message.
-    Send {
-        /// Sending node.
-        node: usize,
-        /// Out-port used.
-        port: usize,
-        /// Global send sequence number.
-        seq: u64,
-        /// Direction tag of the channel, if any.
-        direction: Option<Direction>,
-    },
-    /// A message was delivered to (and processed by) a live node.
-    Deliver {
-        /// Receiving node.
-        node: usize,
-        /// In-port the message arrived at.
-        port: usize,
-        /// Global send sequence number.
-        seq: u64,
-        /// Direction tag of the channel, if any.
-        direction: Option<Direction>,
-        /// Virtual time of the delivery (0 throughout untimed runs).
-        at: u64,
-    },
-    /// A message arrived at a terminated node and was ignored.
-    DeliverIgnored {
-        /// Receiving (terminated) node.
-        node: usize,
-        /// In-port the message arrived at.
-        port: usize,
-        /// Global send sequence number.
-        seq: u64,
-    },
-    /// A node entered its terminating state.
-    Terminate {
-        /// The node.
-        node: usize,
-    },
-    /// A channel fault was applied.
-    Fault {
-        /// What happened.
-        kind: FaultKind,
-        /// Sequence number of the affected message.
-        seq: u64,
-    },
-    /// A virtual-clock timer fired.
-    TimerFired {
-        /// The node whose timer fired.
-        node: usize,
-        /// The token the node armed the timer with.
-        token: u64,
-        /// Virtual time at which it fired (≥ the armed deadline).
-        at: u64,
-    },
-}
-
-/// A passive spectator of engine events.
-///
-/// Observers replace the old `run_with` closure hook as the instrumentation
-/// seam: [`Trace`] records events verbatim, [`RunMetrics`] aggregates them,
-/// and `co-core`'s invariant monitors hang off the facade-level observer
-/// (which additionally sees global simulation state between events).
-///
-/// Either override [`Observer::on_event`] and match, or override the
-/// per-kind methods — the default `on_event` dispatches to them.
-pub trait Observer {
-    /// Called on every engine event; dispatches to the per-kind methods by
-    /// default.
-    fn on_event(&mut self, event: &EngineEvent) {
-        match *event {
-            EngineEvent::Start { node } => self.on_start(node),
-            EngineEvent::Send {
-                node,
-                port,
-                seq,
-                direction,
-            } => self.on_send(node, port, seq, direction),
-            EngineEvent::Deliver {
-                node,
-                port,
-                seq,
-                direction,
-                at: _,
-            } => self.on_deliver(node, port, seq, direction),
-            EngineEvent::DeliverIgnored { node, port, seq } => {
-                self.on_deliver_ignored(node, port, seq);
-            }
-            EngineEvent::Terminate { node } => self.on_terminate(node),
-            EngineEvent::Fault { kind, seq } => self.on_fault(kind, seq),
-            EngineEvent::TimerFired { node, token, at } => self.on_timer_fired(node, token, at),
-        }
-    }
-
-    /// A node ran its start-up action.
-    fn on_start(&mut self, node: usize) {
-        let _ = node;
-    }
-
-    /// A node sent a message.
-    fn on_send(&mut self, node: usize, port: usize, seq: u64, direction: Option<Direction>) {
-        let _ = (node, port, seq, direction);
-    }
-
-    /// A live node received a message.
-    fn on_deliver(&mut self, node: usize, port: usize, seq: u64, direction: Option<Direction>) {
-        let _ = (node, port, seq, direction);
-    }
-
-    /// A terminated node ignored a message.
-    fn on_deliver_ignored(&mut self, node: usize, port: usize, seq: u64) {
-        let _ = (node, port, seq);
-    }
-
-    /// A node terminated.
-    fn on_terminate(&mut self, node: usize) {
-        let _ = node;
-    }
-
-    /// A channel fault was applied.
-    fn on_fault(&mut self, kind: FaultKind, seq: u64) {
-        let _ = (kind, seq);
-    }
-
-    /// A virtual-clock timer fired.
-    fn on_timer_fired(&mut self, node: usize, token: u64, at: u64) {
-        let _ = (node, token, at);
-    }
-}
-
-impl Observer for () {
-    fn on_event(&mut self, _event: &EngineEvent) {}
-}
-
-impl<O: Observer + ?Sized> Observer for &mut O {
-    fn on_event(&mut self, event: &EngineEvent) {
-        (**self).on_event(event);
-    }
-}
-
-impl<O: Observer> Observer for Option<O> {
-    fn on_event(&mut self, event: &EngineEvent) {
-        if let Some(o) = self {
-            o.on_event(event);
-        }
-    }
-}
-
-impl<A: Observer, B: Observer> Observer for (A, B) {
-    fn on_event(&mut self, event: &EngineEvent) {
-        self.0.on_event(event);
-        self.1.on_event(event);
-    }
-}
-
-impl Observer for Trace {
-    fn on_event(&mut self, event: &EngineEvent) {
-        self.push(match *event {
-            EngineEvent::Start { node } => TraceEvent::Start { node },
-            EngineEvent::Send {
-                node,
-                port,
-                seq,
-                direction,
-            } => TraceEvent::Send {
-                node,
-                port,
-                seq,
-                direction,
-            },
-            EngineEvent::Deliver {
-                node,
-                port,
-                seq,
-                direction,
-                at,
-            } => TraceEvent::Deliver {
-                node,
-                port,
-                seq,
-                direction,
-                at,
-            },
-            EngineEvent::DeliverIgnored { node, port, seq } => {
-                TraceEvent::DeliverIgnored { node, port, seq }
-            }
-            EngineEvent::Terminate { node } => TraceEvent::Terminate { node },
-            EngineEvent::Fault { kind, seq } => TraceEvent::Fault { kind, seq },
-            EngineEvent::TimerFired { node, token, at } => {
-                TraceEvent::TimerFired { node, token, at }
-            }
-        });
-    }
-}
-
 /// Run-summary metrics aggregated from engine events.
 ///
-/// A cheap always-on-capable [`Observer`]: unlike a [`Trace`] it keeps O(1)
-/// state regardless of run length, so it can instrument the full
+/// Once [`EventCore::enable_metrics`] is called, the engine folds every
+/// [`TraceEvent`] it emits into it. Unlike a [`Trace`] it keeps O(1) state
+/// regardless of run length, so it can instrument the full
 /// `n(2·ID_max + 1)`-pulse executions of the paper's algorithms.
 #[derive(Copy, Clone, Debug, Default, PartialEq, Eq)]
 pub struct RunMetrics {
@@ -377,9 +173,8 @@ pub struct RunMetrics {
     /// This field is *backend-dependent by design* — it is the measured
     /// footprint of the storage actually in use, not an estimate, so the
     /// same run costs far fewer bytes under [`QueueBackend::Counter`] than
-    /// under [`QueueBackend::Vec`]. Filled in by the owning engine (events
-    /// carry no size information); stays 0 when `RunMetrics` is used as a
-    /// free-standing observer.
+    /// under [`QueueBackend::Vec`]. Filled in by the owning engine from its
+    /// store: events carry no size information.
     pub peak_queue_bytes: u64,
     in_flight: u64,
 }
@@ -399,34 +194,32 @@ impl RunMetrics {
     fn lose(&mut self) {
         self.in_flight = self.in_flight.saturating_sub(1);
     }
-}
 
-impl Observer for RunMetrics {
-    fn on_send(&mut self, _node: usize, _port: usize, _seq: u64, _direction: Option<Direction>) {
-        self.sends += 1;
-        self.gain();
-    }
-
-    fn on_deliver(&mut self, _node: usize, _port: usize, _seq: u64, _dir: Option<Direction>) {
-        self.pulses_delivered += 1;
-        self.lose();
-    }
-
-    fn on_deliver_ignored(&mut self, _node: usize, _port: usize, _seq: u64) {
-        self.ignored += 1;
-        self.lose();
-    }
-
-    fn on_terminate(&mut self, _node: usize) {
-        self.terminations += 1;
-    }
-
-    fn on_fault(&mut self, kind: FaultKind, _seq: u64) {
-        self.faults += 1;
-        match kind {
-            // A dropped message was counted at its send but never travels.
-            FaultKind::Dropped => self.lose(),
-            FaultKind::Duplicated | FaultKind::Injected => self.gain(),
+    /// Folds one engine event into the summary.
+    pub(crate) fn record(&mut self, event: &TraceEvent) {
+        match *event {
+            TraceEvent::Send { .. } => {
+                self.sends += 1;
+                self.gain();
+            }
+            TraceEvent::Deliver { .. } => {
+                self.pulses_delivered += 1;
+                self.lose();
+            }
+            TraceEvent::DeliverIgnored { .. } => {
+                self.ignored += 1;
+                self.lose();
+            }
+            TraceEvent::Terminate { .. } => self.terminations += 1,
+            TraceEvent::Fault { kind, .. } => {
+                self.faults += 1;
+                match kind {
+                    // A dropped message was counted at its send but never travels.
+                    FaultKind::Dropped => self.lose(),
+                    FaultKind::Duplicated | FaultKind::Injected => self.gain(),
+                }
+            }
+            TraceEvent::Start { .. } | TraceEvent::TimerFired { .. } => {}
         }
     }
 }
@@ -978,10 +771,9 @@ impl<M: Message> QueueStore<M> {
 /// on, including under ready-order-sensitive adversaries such as
 /// [`crate::sched::RandomScheduler`].
 ///
-/// Deliberately *not* captured: traces, metrics, attached observers, and the
-/// recorded schedule beyond its length at capture time. Those are
-/// instrumentation of one particular execution; a restore rewinds the
-/// engine, not the observer pipeline.
+/// Deliberately *not* captured: traces, metrics, and the recorded schedule
+/// beyond its length at capture time. Those are instrumentation of one
+/// particular execution; a restore rewinds the engine, not its records.
 #[derive(Clone, Debug)]
 pub struct CoreSnapshot<M> {
     terminated: Vec<bool>,
@@ -1053,7 +845,7 @@ struct SendRun {
 }
 
 /// The generic event core: queues, scheduler dispatch, faults, accounting,
-/// and observer emission over any [`Topology`].
+/// and event recording over any [`Topology`].
 ///
 /// Node programs live *outside* the core, behind an [`EventHandler`] passed
 /// into [`EventCore::start`] / [`EventCore::step`] / [`EventCore::run`] —
@@ -1076,7 +868,6 @@ pub struct EventCore<M: Message, T: Topology> {
     started: bool,
     trace: Option<Trace>,
     metrics: Option<RunMetrics>,
-    observers: Vec<Box<dyn Observer>>,
     outbox: Vec<(usize, M)>,
     faults: FaultPlan,
     fault_stats: FaultStats,
@@ -1146,7 +937,6 @@ impl<M: Message, T: Topology> EventCore<M, T> {
             started: false,
             trace: None,
             metrics: None,
-            observers: Vec::new(),
             outbox: Vec::new(),
             faults: FaultPlan::new(),
             fault_stats: FaultStats::default(),
@@ -1277,11 +1067,6 @@ impl<M: Message, T: Topology> EventCore<M, T> {
     #[must_use]
     pub fn metrics(&self) -> Option<&RunMetrics> {
         self.metrics.as_ref()
-    }
-
-    /// Attaches an additional boxed observer for the rest of the run.
-    pub fn attach_observer(&mut self, observer: Box<dyn Observer>) {
-        self.observers.push(observer);
     }
 
     /// Replaces the delivery adversary for subsequent steps.
@@ -1442,19 +1227,20 @@ impl<M: Message, T: Topology> EventCore<M, T> {
     }
 
     fn observing(&self) -> bool {
-        self.trace.is_some() || self.metrics.is_some() || !self.observers.is_empty()
+        self.trace.is_some() || self.metrics.is_some()
     }
 
-    fn emit(&mut self, event: EngineEvent) {
+    /// Kept out of line: every call site is behind an `observing()` check,
+    /// and inlining the recording body into the delivery and send paths
+    /// slowed untraced runs (`elect-n1000`) by about a tenth.
+    #[inline(never)]
+    fn emit(&mut self, event: TraceEvent) {
         let t = prof::start();
         if let Some(tr) = &mut self.trace {
-            tr.on_event(&event);
+            tr.push(event);
         }
         if let Some(m) = &mut self.metrics {
-            m.on_event(&event);
-        }
-        for o in &mut self.observers {
-            o.on_event(&event);
+            m.record(&event);
         }
         prof::stop(prof::Phase::Observe, t);
     }
@@ -1467,7 +1253,7 @@ impl<M: Message, T: Topology> EventCore<M, T> {
         self.send_seq += 1;
         self.fault_stats.injected += 1;
         if self.observing() {
-            self.emit(EngineEvent::Fault {
+            self.emit(TraceEvent::Fault {
                 kind: FaultKind::Injected,
                 seq,
             });
@@ -1536,7 +1322,7 @@ impl<M: Message, T: Topology> EventCore<M, T> {
                 self.stats.sent_by_direction[d.index()] += 1;
             }
             if self.observing() {
-                self.emit(EngineEvent::Send {
+                self.emit(TraceEvent::Send {
                     node,
                     port,
                     seq,
@@ -1545,20 +1331,24 @@ impl<M: Message, T: Topology> EventCore<M, T> {
             }
             if self.faults.should_drop(seq) {
                 self.fault_stats.dropped += 1;
-                self.emit(EngineEvent::Fault {
-                    kind: FaultKind::Dropped,
-                    seq,
-                });
+                if self.observing() {
+                    self.emit(TraceEvent::Fault {
+                        kind: FaultKind::Dropped,
+                        seq,
+                    });
+                }
                 continue;
             }
             if self.faults.should_duplicate(seq) {
                 self.fault_stats.duplicated += 1;
                 let dup_seq = self.send_seq;
                 self.send_seq += 1;
-                self.emit(EngineEvent::Fault {
-                    kind: FaultKind::Duplicated,
-                    seq: dup_seq,
-                });
+                if self.observing() {
+                    self.emit(TraceEvent::Fault {
+                        kind: FaultKind::Duplicated,
+                        seq: dup_seq,
+                    });
+                }
                 self.enqueue(channel, msg.clone(), seq);
                 self.enqueue(channel, msg, dup_seq);
             } else {
@@ -1571,7 +1361,7 @@ impl<M: Message, T: Topology> EventCore<M, T> {
         if !self.terminated[node] && handler.is_terminated(node) {
             self.terminated[node] = true;
             if self.observing() {
-                self.emit(EngineEvent::Terminate { node });
+                self.emit(TraceEvent::Terminate { node });
             }
         }
     }
@@ -1584,7 +1374,7 @@ impl<M: Message, T: Topology> EventCore<M, T> {
         self.started = true;
         for node in 0..self.topology.len() {
             if self.observing() {
-                self.emit(EngineEvent::Start { node });
+                self.emit(TraceEvent::Start { node });
             }
             let mut outbox = std::mem::take(&mut self.outbox);
             handler.on_start(node, self.topology.degree(node), &mut outbox);
@@ -1628,7 +1418,7 @@ impl<M: Message, T: Topology> EventCore<M, T> {
             self.stats.timer_fires += 1;
             let at = self.clock.now();
             if self.observing() {
-                self.emit(EngineEvent::TimerFired { node, token, at });
+                self.emit(TraceEvent::TimerFired { node, token, at });
             }
             let mut outbox = std::mem::take(&mut self.outbox);
             handler.on_timer(node, self.topology.degree(node), token, &mut outbox);
@@ -1828,13 +1618,13 @@ impl<M: Message, T: Topology> EventCore<M, T> {
         if ignored {
             self.stats.delivered_to_terminated += 1;
             if self.observing() {
-                self.emit(EngineEvent::DeliverIgnored { node, port, seq });
+                self.emit(TraceEvent::DeliverIgnored { node, port, seq });
             }
         } else {
             self.stats.total_delivered += 1;
             self.stats.recv_by_port[node][port] += 1;
             if self.observing() {
-                self.emit(EngineEvent::Deliver {
+                self.emit(TraceEvent::Deliver {
                     node,
                     port,
                     seq,
@@ -1952,27 +1742,27 @@ mod tests {
     #[test]
     fn run_metrics_track_in_flight_extremes() {
         let mut m = RunMetrics::new();
-        m.on_event(&EngineEvent::Send {
+        m.record(&TraceEvent::Send {
             node: 0,
             port: 1,
             seq: 0,
             direction: None,
         });
-        m.on_event(&EngineEvent::Send {
+        m.record(&TraceEvent::Send {
             node: 1,
             port: 0,
             seq: 1,
             direction: None,
         });
-        m.on_event(&EngineEvent::Deliver {
+        m.record(&TraceEvent::Deliver {
             node: 1,
             port: 0,
             seq: 0,
             direction: None,
             at: 0,
         });
-        m.on_event(&EngineEvent::Terminate { node: 1 });
-        m.on_event(&EngineEvent::DeliverIgnored {
+        m.record(&TraceEvent::Terminate { node: 1 });
+        m.record(&TraceEvent::DeliverIgnored {
             node: 1,
             port: 0,
             seq: 1,
@@ -1982,42 +1772,6 @@ mod tests {
         assert_eq!(m.ignored, 1);
         assert_eq!(m.terminations, 1);
         assert_eq!(m.max_in_flight, 2);
-    }
-
-    #[test]
-    fn observer_composition_fans_out() {
-        let mut pair = (RunMetrics::new(), Some(RunMetrics::new()));
-        let ev = EngineEvent::Send {
-            node: 0,
-            port: 0,
-            seq: 0,
-            direction: None,
-        };
-        pair.on_event(&ev);
-        let mut by_ref = &mut pair;
-        Observer::on_event(&mut by_ref, &ev);
-        ().on_event(&ev);
-        assert_eq!(pair.0.sends, 2);
-        assert_eq!(pair.1.expect("present").sends, 2);
-    }
-
-    #[test]
-    fn trace_observer_records_engine_events() {
-        let mut t = Trace::new();
-        t.on_event(&EngineEvent::Start { node: 3 });
-        t.on_event(&EngineEvent::Fault {
-            kind: FaultKind::Dropped,
-            seq: 7,
-        });
-        assert_eq!(t.events().len(), 2);
-        assert_eq!(t.events()[0], TraceEvent::Start { node: 3 });
-        assert_eq!(
-            t.events()[1],
-            TraceEvent::Fault {
-                kind: FaultKind::Dropped,
-                seq: 7
-            }
-        );
     }
 
     #[test]

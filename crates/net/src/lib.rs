@@ -87,8 +87,8 @@ pub use dedup::{
     DedupBytes, DedupKind, FingerprintStore, MmapStore, ParseDedupError, ShardedIndex,
 };
 pub use engine::{
-    CoreSnapshot, EngineError, EngineEvent, EngineStep, EventCore, EventHandler, FaultKind,
-    Observer, QueueBackend, QueueStore, RunMetrics, Topology,
+    CoreSnapshot, EngineError, EngineStep, EventCore, EventHandler, FaultKind, QueueBackend,
+    QueueStore, RunMetrics, Topology,
 };
 pub use faults::{FaultPlan, FaultStats};
 pub use fleet::{FleetConfig, FleetReport, FleetRingDetail, PulseHistogram, RingPlan, RingSizes};

@@ -18,7 +18,7 @@
 //! `co-core::general` builds a first content-oblivious algorithm on top
 //! (the flood-echo wave).
 
-use crate::engine::{EngineStep, EventCore, EventHandler, Observer, RunMetrics, Topology};
+use crate::engine::{EngineStep, EventCore, EventHandler, RunMetrics, Topology};
 use crate::faults::{FaultPlan, FaultStats};
 use crate::graph::MultiGraph;
 use crate::message::Message;
@@ -318,12 +318,6 @@ impl<M: Message, P: GraphProtocol<M>> GraphSim<M, P> {
     #[must_use]
     pub fn metrics(&self) -> Option<&RunMetrics> {
         self.core.metrics()
-    }
-
-    /// Attaches an engine-level [`Observer`] that sees the raw event stream
-    /// for the rest of the run.
-    pub fn attach_observer(&mut self, observer: Box<dyn Observer>) {
-        self.core.attach_observer(observer);
     }
 
     /// Runs every `on_start` (idempotent).

@@ -47,7 +47,8 @@ pub enum Phase {
     Index,
     /// Protocol dispatch: the receiving node's `on_message` handler.
     Deliver,
-    /// Observer fan-out: trace, metrics, and attached observers.
+    /// Event recording: appending to the trace and folding into the run
+    /// metrics, whichever of the two is enabled.
     Observe,
     /// Virtual-clock timer servicing: popping due timers off the timer heap
     /// and running `on_timer` handlers.

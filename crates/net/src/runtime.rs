@@ -50,7 +50,7 @@
 //! ```
 
 use crate::clock::LatencyPlan;
-use crate::engine::{Budget, EventCore, EventHandler, Observer, RunMetrics, RunReport, SimStats};
+use crate::engine::{Budget, EventCore, EventHandler, RunMetrics, RunReport, SimStats};
 use crate::faults::{FaultPlan, FaultStats};
 use crate::message::Message;
 use crate::port::Port;
@@ -461,11 +461,6 @@ impl<M: Message, Out: Clone + fmt::Debug> AsyncRing<M, Out> {
     #[must_use]
     pub fn metrics(&self) -> Option<&RunMetrics> {
         self.core.metrics()
-    }
-
-    /// Attaches an engine-level [`Observer`] for the rest of the run.
-    pub fn attach_observer(&mut self, observer: Box<dyn Observer>) {
-        self.core.attach_observer(observer);
     }
 
     /// Runs every node future's first poll (in node order). Idempotent.

@@ -16,7 +16,7 @@
 //! [`Simulation`] is a thin, `Port`-typed facade over the generic
 //! [`EventCore`] (see the [`engine`](crate::engine)
 //! module): the core owns queues, scheduler dispatch, faults, accounting,
-//! and event emission, while this facade pins the topology to the two-port
+//! and event recording, while this facade pins the topology to the two-port
 //! ring [`Wiring`] and dispatches events into [`Protocol`] nodes.
 //!
 //! The run loop is exposed one step at a time ([`Simulation::step`]) so that
@@ -25,8 +25,7 @@
 //! via [`Simulation::run_observed`].
 
 use crate::engine::{
-    CoreSnapshot, EngineError, EngineStep, EventCore, EventHandler, Observer, QueueBackend,
-    RunMetrics,
+    CoreSnapshot, EngineError, EngineStep, EventCore, EventHandler, QueueBackend, RunMetrics,
 };
 use crate::faults::{FaultPlan, FaultStats};
 use crate::message::{Message, UnitMessage};
@@ -177,54 +176,14 @@ impl<M: Message, P: Snapshot> fmt::Debug for SimSnapshot<M, P> {
 
 /// A whole-run spectator with access to the global simulation state.
 ///
-/// Where the engine-level [`Observer`] sees the raw
-/// event stream, a `SimObserver` is called *after* each delivery with the
-/// full post-event [`Simulation`] — node states included — which is what
-/// `co-core`'s invariant monitors (executable Lemmas 6–12) need.
-///
-/// Observers compose: `(A, B)` runs both, `Option<O>` runs if present,
-/// `&mut O` forwards, and `()` observes nothing.
+/// Where a [`Trace`] or [`RunMetrics`] records the engine's raw events, a
+/// `SimObserver` is called *after* each delivery with the full post-event
+/// [`Simulation`] — node states included — which is what `co-core`'s
+/// invariant monitors (executable Lemmas 6–12 and 17) need. Attach one with
+/// [`Simulation::run_observed`] or [`Simulation::replay_observed`].
 pub trait SimObserver<M: Message, P: Protocol<M>> {
     /// Called after every delivery with the post-event state.
     fn after_step(&mut self, sim: &Simulation<M, P>, step: &StepInfo);
-}
-
-impl<M: Message, P: Protocol<M>> SimObserver<M, P> for () {
-    fn after_step(&mut self, _sim: &Simulation<M, P>, _step: &StepInfo) {}
-}
-
-impl<M: Message, P: Protocol<M>, O: SimObserver<M, P> + ?Sized> SimObserver<M, P> for &mut O {
-    fn after_step(&mut self, sim: &Simulation<M, P>, step: &StepInfo) {
-        (**self).after_step(sim, step);
-    }
-}
-
-impl<M: Message, P: Protocol<M>, O: SimObserver<M, P>> SimObserver<M, P> for Option<O> {
-    fn after_step(&mut self, sim: &Simulation<M, P>, step: &StepInfo) {
-        if let Some(o) = self {
-            o.after_step(sim, step);
-        }
-    }
-}
-
-impl<M: Message, P: Protocol<M>, A: SimObserver<M, P>, B: SimObserver<M, P>> SimObserver<M, P>
-    for (A, B)
-{
-    fn after_step(&mut self, sim: &Simulation<M, P>, step: &StepInfo) {
-        self.0.after_step(sim, step);
-        self.1.after_step(sim, step);
-    }
-}
-
-/// Adapts a closure to [`SimObserver`] for [`Simulation::run_with`].
-struct HookObserver<F>(F);
-
-impl<M: Message, P: Protocol<M>, F: FnMut(&Simulation<M, P>, &StepInfo)> SimObserver<M, P>
-    for HookObserver<F>
-{
-    fn after_step(&mut self, sim: &Simulation<M, P>, step: &StepInfo) {
-        (self.0)(sim, step);
-    }
 }
 
 /// Adapts a `&mut [P]` node slice to the engine's [`EventHandler`].
@@ -422,12 +381,6 @@ impl<M: Message, P: Protocol<M>> Simulation<M, P> {
         self.core.metrics()
     }
 
-    /// Attaches an engine-level [`Observer`] that sees the raw event stream
-    /// for the rest of the run.
-    pub fn attach_observer(&mut self, observer: Box<dyn Observer>) {
-        self.core.attach_observer(observer);
-    }
-
     /// Runs every node's `on_start` (in node order). Idempotent.
     pub fn start(&mut self) {
         let mut handler = Self::handler(&mut self.nodes);
@@ -460,21 +413,21 @@ impl<M: Message, P: Protocol<M>> Simulation<M, P> {
 
     /// Runs until quiescence or budget exhaustion.
     ///
-    /// Attach per-step hooks with [`Simulation::run_with`] /
-    /// [`Simulation::run_observed`].
+    /// Attach a per-step [`SimObserver`] with [`Simulation::run_observed`].
     pub fn run(&mut self, budget: Budget) -> RunReport {
         let mut handler = Self::handler(&mut self.nodes);
         self.core.run(&mut handler, budget)
     }
 
-    /// Runs until quiescence or budget exhaustion, invoking `hook` after
-    /// every delivery with the post-event simulation state.
+    /// Runs until quiescence or budget exhaustion under a [`SimObserver`],
+    /// which sees the post-event simulation state after every delivery.
     ///
-    /// This is the closure-flavoured convenience over
-    /// [`Simulation::run_observed`]:
+    /// This is how `co-core`'s invariant monitors (executable Lemmas 6–12)
+    /// watch every intermediate configuration:
     ///
     /// ```rust
-    /// # use co_net::{Budget, Context, Port, Protocol, Pulse, RingSpec, SchedulerKind, Simulation};
+    /// # use co_net::{Budget, Context, Port, Protocol, Pulse, RingSpec, SchedulerKind};
+    /// # use co_net::{SimObserver, Simulation, StepInfo};
     /// # #[derive(Debug)]
     /// # struct Quiet;
     /// # impl Protocol<Pulse> for Quiet {
@@ -487,24 +440,16 @@ impl<M: Message, P: Protocol<M>> Simulation<M, P> {
     /// # let nodes = vec![Quiet, Quiet];
     /// # let mut sim: Simulation<Pulse, Quiet> =
     /// #     Simulation::new(spec.wiring(), nodes, SchedulerKind::Fifo.build(0));
-    /// let mut max_in_flight = 0;
-    /// sim.run_with(Budget::default(), |sim, _step| {
-    ///     max_in_flight = max_in_flight.max(sim.in_flight());
-    /// });
-    /// assert!(max_in_flight <= 2);
+    /// struct MaxInFlight(u64);
+    /// impl SimObserver<Pulse, Quiet> for MaxInFlight {
+    ///     fn after_step(&mut self, sim: &Simulation<Pulse, Quiet>, _step: &StepInfo) {
+    ///         self.0 = self.0.max(sim.in_flight());
+    ///     }
+    /// }
+    /// let mut peak = MaxInFlight(0);
+    /// sim.run_observed(Budget::default(), &mut peak);
+    /// assert!(peak.0 <= 2);
     /// ```
-    pub fn run_with<F>(&mut self, budget: Budget, hook: F) -> RunReport
-    where
-        F: FnMut(&Simulation<M, P>, &StepInfo),
-    {
-        self.run_observed(budget, &mut HookObserver(hook))
-    }
-
-    /// Runs until quiescence or budget exhaustion under a [`SimObserver`].
-    ///
-    /// The observer is how `co-core`'s invariant monitors (executable
-    /// Lemmas 6–12) watch every intermediate configuration; compose several
-    /// with tuples: `&mut (monitor, metrics_probe)`.
     pub fn run_observed<O>(&mut self, budget: Budget, observer: &mut O) -> RunReport
     where
         O: SimObserver<M, P> + ?Sized,
@@ -763,6 +708,7 @@ impl<M: Message, P: Protocol<M> + fmt::Debug> fmt::Debug for Simulation<M, P> {
 #[cfg(test)]
 mod tests {
     use super::*;
+    use crate::engine::FaultKind;
     use crate::message::Pulse;
     use crate::sched::{FifoScheduler, SchedulerKind};
     use crate::topology::RingSpec;
@@ -892,15 +838,44 @@ mod tests {
     }
 
     #[test]
-    fn run_with_hook_sees_every_step() {
-        let mut sim = ring_sim(3, 4);
-        let mut seen = 0u64;
-        let report = sim.run_with(Budget::default(), |_, _| seen += 1);
-        assert_eq!(seen, report.steps);
+    fn fault_events_reach_the_trace_and_the_metrics() {
+        let mut sim = ring_sim(4, 5);
+        sim.set_faults(FaultPlan::new().drop_seq(1).duplicate_seq(2));
+        sim.enable_trace(None);
+        sim.enable_metrics();
+        sim.run(Budget::default());
+        let trace = sim.trace().expect("trace enabled");
+        let faults: Vec<TraceEvent> = trace
+            .events()
+            .iter()
+            .copied()
+            .filter(|e| matches!(e, TraceEvent::Fault { .. }))
+            .collect();
+        // The duplicate takes the next sequence number after its original.
+        let want = [
+            TraceEvent::Fault {
+                kind: FaultKind::Dropped,
+                seq: 1,
+            },
+            TraceEvent::Fault {
+                kind: FaultKind::Duplicated,
+                seq: 3,
+            },
+        ];
+        assert_eq!(faults, want);
+        // The engine's metrics are the trace folded through `record`.
+        let metrics = *sim.metrics().expect("metrics enabled");
+        let mut folded = RunMetrics::new();
+        for event in trace.events() {
+            folded.record(event);
+        }
+        folded.peak_queue_bytes = metrics.peak_queue_bytes;
+        assert_eq!(folded, metrics);
+        assert_eq!(metrics.faults, 2);
     }
 
     #[test]
-    fn sim_observers_compose() {
+    fn sim_observer_sees_every_step() {
         struct Counter(u64);
         impl SimObserver<Pulse, Ticker> for Counter {
             fn after_step(&mut self, _sim: &Simulation<Pulse, Ticker>, _step: &StepInfo) {
@@ -908,10 +883,10 @@ mod tests {
             }
         }
         let mut sim = ring_sim(3, 4);
-        let mut pair = (Counter(0), Some(Counter(0)));
-        let report = sim.run_observed(Budget::default(), &mut pair);
-        assert_eq!(pair.0 .0, report.steps);
-        assert_eq!(pair.1.expect("present").0, report.steps);
+        let mut counter = Counter(0);
+        let report = sim.run_observed(Budget::default(), &mut counter);
+        assert!(report.steps > 0);
+        assert_eq!(counter.0, report.steps);
     }
 
     #[test]

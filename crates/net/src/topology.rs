@@ -271,8 +271,10 @@ impl RingSpec {
     ///
     /// # Panics
     ///
-    /// Panics if `ids` is empty or any ID is zero (the paper requires
-    /// positive integer IDs).
+    /// Panics with "IDs must be positive integers" if any ID is zero, and
+    /// panics if `ids` is empty. This is the contract, not a stopgap: the
+    /// paper's IDs are positive integers, so a zero ID is a caller bug.
+    /// Check untrusted IDs before building a ring, as the CLI does.
     #[must_use]
     pub fn oriented(ids: Vec<u64>) -> RingSpec {
         let flips = vec![false; ids.len()];
@@ -283,7 +285,9 @@ impl RingSpec {
     ///
     /// # Panics
     ///
-    /// Panics if `ids` is empty, any ID is zero, or `flips.len() != ids.len()`.
+    /// Panics with "IDs must be positive integers" if any ID is zero, and
+    /// panics if `ids` is empty or `flips.len() != ids.len()`. As for
+    /// [`RingSpec::oriented`], the panic on ID 0 is the contract.
     #[must_use]
     pub fn with_flips(ids: Vec<u64>, flips: Vec<bool>) -> RingSpec {
         assert!(!ids.is_empty(), "a ring needs at least one node");
@@ -511,9 +515,15 @@ mod tests {
     }
 
     #[test]
-    #[should_panic(expected = "IDs must be positive")]
+    #[should_panic(expected = "IDs must be positive integers")]
     fn zero_id_rejected() {
         let _ = RingSpec::oriented(vec![0, 1]);
+    }
+
+    #[test]
+    #[should_panic(expected = "IDs must be positive integers")]
+    fn zero_id_rejected_with_flips() {
+        let _ = RingSpec::with_flips(vec![2, 0, 1], vec![false, true, false]);
     }
 
     #[test]

@@ -5,18 +5,18 @@
 //! `n · ID_max` pulses; when enabled, the trace can be capped to a maximum
 //! length.
 //!
-//! `Trace` implements the engine's [`Observer`](crate::engine::Observer)
-//! trait, so it records exactly the event stream the unified event core
-//! emits — for rings *and* general graphs alike. Ports are the core's dense
-//! `usize` indices; on a ring they coincide with
-//! [`Port::index`](crate::Port::index).
+//! [`TraceEvent`] is the unified event core's one event type: a `Trace`
+//! stores exactly the events the core emits, for rings *and* general graphs
+//! alike, and [`RunMetrics`](crate::RunMetrics) folds the same events into
+//! its summary. Ports are the core's dense `usize` indices; on a ring they
+//! coincide with [`Port::index`](crate::Port::index).
 
 use crate::engine::FaultKind;
 use crate::port::Direction;
 use crate::topology::NodeIndex;
 
-/// One observable network event.
-#[derive(Clone, Debug, PartialEq, Eq)]
+/// One observable network event, as the engine emits it.
+#[derive(Copy, Clone, Debug, PartialEq, Eq)]
 pub enum TraceEvent {
     /// A node executed its initialisation step.
     Start {

@@ -2,24 +2,29 @@
 //! observationally identical to the generic `VecDeque` store.
 //!
 //! The two [`QueueBackend`]s differ only in how queued pulses are
-//! represented; every externally visible quantity — [`RunReport`],
-//! [`co_net::SimStats`], configuration fingerprints, node roles — must be
-//! byte-identical on the same run. This suite proves it over the full grid
-//! of all 8 scheduler adversaries × {Alg1, Alg2, Alg3} × fault plans
-//! (clean / dropped pulse / duplicated pulse), and checks that the
-//! exhaustive explorer enumerates the same state space under either store.
+//! represented; every externally visible quantity — the channel picked at
+//! each step, [`RunReport`], [`co_net::SimStats`], configuration
+//! fingerprints, node roles — must be byte-identical on the same run. This
+//! suite proves it over the full grid of all 8 scheduler adversaries ×
+//! {Alg1, Alg2, Alg3} × fault plans (clean / dropped pulse / duplicated
+//! pulse), and checks that the exhaustive explorer enumerates the same
+//! state space under either store.
 //! Only `peak_queue_bytes` may differ: it measures the storage itself.
 
 use content_oblivious::core::registry::{Alg1Def, Alg2Def, Alg3Def, RingProtocol};
 use content_oblivious::core::Alg2Node;
 use content_oblivious::net::{
-    Budget, FaultPlan, Protocol, Pulse, QueueBackend, RingSpec, RunReport, SchedulerKind,
+    Budget, FaultPlan, Protocol, Pulse, QueueBackend, RingSpec, RunReport, Schedule, SchedulerKind,
     Simulation, Snapshot,
 };
 
 /// Everything a run exposes, minus the backend-dependent memory accounting.
+/// The pick sequence is part of it: Theorems 1–3 make the end state the same
+/// under every schedule, so only the picks show that both stores drove the
+/// scheduler identically.
 #[derive(Debug, PartialEq)]
 struct Observed {
+    schedule: Schedule,
     report: RunReport,
     total_sent: u64,
     total_delivered: u64,
@@ -44,9 +49,10 @@ where
     sim.set_faults(plan.clone());
     // Faulted runs may deadlock or circulate forever; the bounded budget
     // classifies them identically on both backends.
-    let report = sim.run(Budget::steps(200_000));
+    let (report, schedule) = sim.run_recorded(Budget::steps(200_000));
     let stats = sim.stats();
     let observed = Observed {
+        schedule,
         total_sent: stats.total_sent,
         total_delivered: stats.total_delivered,
         fingerprint: sim.fingerprint(),
@@ -83,7 +89,7 @@ where
 }
 
 /// The full grid: 8 schedulers × 3 algorithms × 3 fault plans × 2 seeds,
-/// every observable equal between the two stores.
+/// the same channel picks and every observable equal between the two stores.
 #[test]
 fn all_schedulers_algorithms_and_faults_agree_across_backends() {
     let spec = RingSpec::oriented(vec![3, 6, 1, 5, 2]);

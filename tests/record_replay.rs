@@ -1,7 +1,8 @@
 //! Record/replay determinism: a recorded [`Schedule`] replayed on a fresh
-//! simulation must reproduce the original run byte-for-byte — same
-//! [`RunReport`], same [`SimStats`] — for every scheduler kind, a spread of
-//! seeds, and each of the paper's three algorithms.
+//! simulation must reproduce the original run byte-for-byte — the same
+//! picks, the same [`RunReport`], the same [`SimStats`] — for every
+//! scheduler kind, a spread of seeds, and each of the paper's three
+//! algorithms.
 
 use content_oblivious::core::registry::{Alg1Def, Alg2Def, Alg3Def, RingProtocol};
 use content_oblivious::core::Alg2Node;
@@ -27,9 +28,17 @@ where
         make(),
         SchedulerKind::Lifo.build(seed ^ 0xdead),
     );
+    replayed.enable_schedule_recording();
     let replay_report = replayed.replay(&schedule, Budget::default());
 
     let tag = format!("{kind} seed {seed}");
+    // Theorems 1–3 make the report the same under every schedule; the picks
+    // are what shows the replay followed the recording.
+    assert_eq!(
+        replayed.recorded_schedule().as_ref(),
+        Some(&schedule),
+        "{tag}: replayed picks differ"
+    );
     assert_eq!(report, replay_report, "{tag}: RunReport differs");
     assert_eq!(
         format!("{:?}", recorded.stats()),

@@ -14,8 +14,10 @@
 //!    scheduler did not pick (`Simulation::step_channel`).
 //! 2. The full simulation grid — 8 scheduler adversaries × {Alg1, Alg2,
 //!    Alg3} × fault plans × both queue backends — run under the built-in
-//!    scheduler and under its oracle, demanding byte-identical
-//!    `RunReport`/`SimStats`/fingerprints.
+//!    scheduler and under its oracle, demanding the same recorded pick
+//!    sequence and byte-identical `RunReport`/`SimStats`/fingerprints.
+//!    The picks are what tells two adversaries apart: Theorems 1–3 make
+//!    the end state the same under every schedule.
 //! 3. Cross record/replay and mid-run snapshot/restore: a schedule
 //!    recorded under the built-in scheduler replays bit-exact under the
 //!    oracle's replay (and vice versa), and a snapshot taken mid-run under
@@ -30,7 +32,8 @@ use content_oblivious::net::sched::{
 };
 use content_oblivious::net::{
     Budget, ChannelId, ChannelView, Direction, FaultPlan, LatencyModel, LatencyPlan, Protocol,
-    Pulse, QueueBackend, RingSpec, RunReport, Scheduler, SchedulerKind, Simulation, Snapshot,
+    Pulse, QueueBackend, RingSpec, RunReport, Schedule, Scheduler, SchedulerKind, Simulation,
+    Snapshot,
 };
 use rand::rngs::StdRng;
 use rand::{Rng, SeedableRng};
@@ -563,9 +566,10 @@ fn step_channel_only_walks_keep_the_send_order_bounded() {
 // Layer 2: the full simulation grid, built-in scheduler vs oracle.
 // ---------------------------------------------------------------------------
 
-/// Everything a run exposes.
+/// Everything a run exposes, down to the channel picked at every step.
 #[derive(Debug, PartialEq)]
 struct Observed {
+    schedule: Schedule,
     report: RunReport,
     total_sent: u64,
     total_delivered: u64,
@@ -606,9 +610,10 @@ where
         Simulation::with_backend(spec.wiring(), make(), scheduler(kind, seed, which), backend);
     sim.set_faults(plan.clone());
     sim.set_latency(latency.clone());
-    let report = sim.run(Budget::steps(200_000));
+    let (report, schedule) = sim.run_recorded(Budget::steps(200_000));
     let stats = sim.stats();
     Observed {
+        schedule,
         total_sent: stats.total_sent,
         total_delivered: stats.total_delivered,
         fingerprint: sim.fingerprint(),
@@ -652,8 +657,8 @@ where
 }
 
 /// The full grid: 8 schedulers (plus timed `Latency`) × 3 algorithms × 3
-/// fault plans × 2 backends × 2 seeds, every observable equal under the
-/// built-in scheduler and its scan oracle.
+/// fault plans × 2 backends × 2 seeds, the pick sequence and every
+/// observable equal under the built-in scheduler and its scan oracle.
 #[test]
 fn full_grid_agrees_with_the_scan_oracle() {
     let spec = RingSpec::oriented(vec![3, 6, 1, 5, 2]);
@@ -673,29 +678,28 @@ fn alg2_sim(scheduler: Box<dyn Scheduler>) -> Simulation<Pulse, Alg2Node> {
     Simulation::new(spec.wiring(), nodes, scheduler)
 }
 
-/// A schedule recorded under the built-in scheduler replays bit-exact
-/// through the oracle's replay, and one recorded under the oracle replays
-/// bit-exact through the built-in `ReplayScheduler`.
+/// A schedule recorded under the built-in scheduler replays bit-exact,
+/// pick for pick, through the oracle's replay, and one recorded under the
+/// oracle replays bit-exact through the built-in `ReplayScheduler`.
 #[test]
 fn schedules_cross_replay_between_modes() {
     for kind in SchedulerKind::ALL {
         for (record, replay) in [(Impl::BuiltIn, Impl::Oracle), (Impl::Oracle, Impl::BuiltIn)] {
             let mut recorder = alg2_sim(scheduler(kind, 3, record));
             let (report, schedule) = recorder.run_recorded(Budget::default());
-            let (replayed, fingerprint) = match replay {
-                Impl::BuiltIn => {
-                    let mut sim = alg2_sim(SchedulerKind::Fifo.build(0));
-                    (sim.replay(&schedule, Budget::default()), sim.fingerprint())
-                }
-                Impl::Oracle => {
-                    let picks = schedule.picks().to_vec();
-                    let mut sim = alg2_sim(Box::new(ScanOracle::replay(picks)));
-                    (sim.run(Budget::default()), sim.fingerprint())
-                }
+            let mut sim = match replay {
+                Impl::BuiltIn => alg2_sim(SchedulerKind::Fifo.build(0)),
+                Impl::Oracle => alg2_sim(Box::new(ScanOracle::replay(schedule.picks().to_vec()))),
+            };
+            sim.enable_schedule_recording();
+            let replayed = match replay {
+                Impl::BuiltIn => sim.replay(&schedule, Budget::default()),
+                Impl::Oracle => sim.run(Budget::default()),
             };
             let label = format!("{kind} recorded {record:?} replayed {replay:?}");
+            assert_eq!(sim.recorded_schedule(), Some(schedule), "{label}: picks");
             assert_eq!(report, replayed, "{label}");
-            assert_eq!(recorder.fingerprint(), fingerprint, "{label}");
+            assert_eq!(recorder.fingerprint(), sim.fingerprint(), "{label}");
         }
     }
 }
