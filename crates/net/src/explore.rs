@@ -14,11 +14,12 @@
 //! the explorer's frontier item. A delivery changes only the receiving
 //! node, one count and that node's out-channel counts, so [`explore`]
 //! branches with a [`Probe`]: it clones the receiving node, delivers one
-//! pulse and hashes the successor from its parent's parts, and builds a
-//! record only for a successor whose fingerprint is new. The engine starts
-//! the initial configuration and nothing else. Visited configurations are
-//! deduplicated by their stable 64-bit fingerprint ([`config_fingerprint`])
-//! — **8 bytes per configuration** regardless of ring size. It runs on a
+//! pulse and updates its parent's hash sum by the terms of the words and
+//! the node that changed, and builds a record only for a successor whose
+//! fingerprint is new. The engine starts the initial configuration and
+//! nothing else. Visited configurations are deduplicated by their stable
+//! 64-bit fingerprint ([`config_fingerprint`]) — **8 bytes per
+//! configuration** regardless of ring size. It runs on a
 //! pool of `jobs` work-stealing workers; with `jobs: 1` the visit order,
 //! and so the order of reported violations, is deterministic. The
 //! previous-generation explorer is kept as [`explore_reference`]: it stores
@@ -77,7 +78,7 @@ use crate::message::Pulse;
 use crate::port::Port;
 use crate::prof::{self, Phase};
 use crate::sched::FifoScheduler;
-use crate::sim::{configuration_hash, Context, Protocol, Simulation};
+use crate::sim::{swap_term, with_send_seq, Context, Protocol, Simulation};
 use crate::snapshot::{put_bytes, put_str, put_u32, put_u64, ByteReader, Fingerprint, Snapshot};
 use crate::topology::{ChannelId, Wiring};
 use std::collections::{HashSet, VecDeque};
@@ -291,10 +292,12 @@ pub struct ExploreCheckpoint {
 }
 
 const CK_MAGIC: &[u8; 8] = b"CORINGCK";
-/// Version 2: fingerprints from the word-at-a-time [`Fingerprint`] and a
-/// trailing payload checksum. Version 1 files hold fingerprints of the
-/// older byte-wise hash, which no configuration hashes to any more.
-const CK_VERSION: u32 = 2;
+/// Version 3: fingerprints from the position-keyed sum of
+/// [`Simulation::fingerprint`], and a trailing payload checksum. Version 2
+/// files hold fingerprints of the chained word-at-a-time hash, version 1
+/// files those of the older byte-wise hash; no configuration hashes to
+/// either any more.
+const CK_VERSION: u32 = 3;
 /// Magic (8 bytes) and version (4 bytes).
 const CK_HEADER: usize = 12;
 
@@ -308,6 +311,30 @@ fn checksum(bytes: &[u8]) -> u64 {
     }
     fp.write_bytes(words.remainder());
     fp.finish()
+}
+
+/// Walks a checkpoint payload's layout without building anything: every
+/// length prefix and count is checked against the bytes actually present
+/// before [`ExploreCheckpoint::decode`] allocates for it, so a payload it
+/// refuses here costs no allocation beyond the error message.
+fn walk_layout(payload: &[u8]) -> Result<(), String> {
+    let mut r = ByteReader::new(payload);
+    r.take(CK_HEADER)?;
+    r.bytes()?; // meta
+    r.bytes()?; // dedup backend
+    r.take(3 * 8 + 4)?; // admitted, quiescent, spilled, pruned
+    for _ in 0..2 {
+        // Violations, then dedup shard images.
+        for _ in 0..r.len()? {
+            r.bytes()?;
+        }
+    }
+    for _ in 0..r.len()? {
+        r.u64()?; // depth
+        let bytes = r.len()?.checked_mul(4);
+        r.take(bytes.ok_or("frontier path length overflows")?)?;
+    }
+    r.finish()
 }
 
 impl ExploreCheckpoint {
@@ -365,7 +392,7 @@ impl ExploreCheckpoint {
         }
         let version = header.u32()?;
         if version != CK_VERSION {
-            let why = if version == 1 {
+            let why = if version < CK_VERSION {
                 ": its fingerprints come from an older hash, so resuming it would \
                  re-admit configurations it already counted"
             } else {
@@ -384,6 +411,7 @@ impl ExploreCheckpoint {
         if checksum(payload) != u64::from_le_bytes(stored.try_into().expect("8B")) {
             return Err("checkpoint checksum mismatch: the file is corrupted".into());
         }
+        walk_layout(payload)?;
         let mut r = ByteReader::new(payload);
         r.take(CK_HEADER)?;
         let meta = r.bytes()?.to_vec();
@@ -543,20 +571,27 @@ impl Drop for SpillFile {
 }
 
 /// One configuration of a pulse protocol as a flat record: every node's
-/// [`Snapshot::State`], one word per channel holding its pulse count, one
-/// word per node holding its terminated flag, and the send counters.
+/// [`Snapshot::State`] and fingerprint, one word per channel holding its
+/// pulse count, one word per node holding its terminated flag, the send
+/// counters, and the configuration's hash sum.
 ///
 /// In the content-oblivious model every message is a bare pulse, so this
-/// is the whole configuration. It is the explorer's frontier item: two
+/// is the whole configuration. It is the explorer's frontier item: three
 /// allocations, where a [`crate::SimSnapshot`] also carries queue runs,
 /// per-port statistics, the ready order, scheduler state, timers and the
 /// clock, none of which the explorer reads. The explorer never loads one
 /// into a [`Simulation`]: a [`Probe`] computes its successors from the
-/// record itself.
+/// record itself, and the node fingerprints and hash sum the record keeps
+/// let the probe hash a successor by updating the parent's sum instead of
+/// rehashing it. Records come from [`PulseConfig::capture`] and
+/// [`Probe::record`], which keep those two in step with `nodes` and
+/// `words`; editing either field in place leaves them stale.
 #[derive(Clone, Debug)]
 pub struct PulseConfig<S> {
     /// Every node's state, in node order.
     pub nodes: Vec<S>,
+    /// Every node's [`Snapshot::fingerprint`], in node order.
+    fps: Vec<u64>,
     /// The per-channel pulse counts (by [`ChannelId::index`]), then one
     /// terminated flag (0 or 1) per node.
     pub words: Vec<u32>,
@@ -565,6 +600,10 @@ pub struct PulseConfig<S> {
     pub send_seq: u64,
     /// Pulses sent so far ([`ExploreState::sent`]).
     pub sent: u64,
+    /// The configuration's hash before any send counter is mixed in: the
+    /// [`Simulation::fingerprint`] of this configuration, a wrapping sum of
+    /// one term per word and per node fingerprint.
+    sum: u64,
 }
 
 impl<S> PulseConfig<S> {
@@ -579,9 +618,11 @@ impl<S> PulseConfig<S> {
         let flags = (0..sim.nodes().len()).map(|v| u32::from(sim.is_terminated(v)));
         PulseConfig {
             nodes: sim.nodes().iter().map(Snapshot::extract).collect(),
+            fps: sim.nodes().iter().map(Snapshot::fingerprint).collect(),
             words: counts.chain(flags).collect(),
             send_seq: sim.send_seq(),
             sent: sim.stats().total_sent,
+            sum: sim.fingerprint(),
         }
     }
 }
@@ -596,24 +637,37 @@ impl<S> PulseConfig<S> {
 /// the next send sequence number and counts as sent;
 /// [`FaultPlan::should_drop`] and [`FaultPlan::should_duplicate`] apply at
 /// that number; termination latches. It returns the successor's dedup
-/// fingerprint, hashed from the parent's parts; only a successor the caller
-/// admits is built into a record ([`Probe::record`]). `tests/flat_record.rs`
-/// checks every probed successor against [`Simulation::step_channel`].
+/// fingerprint: the parent's hash sum with the terms of the changed words
+/// (the delivered count, the out-channel counts, the terminated flag) and
+/// of the receiving node swapped for their new ones, so a probe hashes at
+/// most four words and one node fingerprint, not the whole configuration.
+/// Only a successor the caller admits is built into a record
+/// ([`Probe::record`]). `tests/flat_record.rs` checks every probed
+/// successor and its fingerprint against [`Simulation::step_channel`].
 #[derive(Debug)]
 pub struct Probe<'a, P> {
     wiring: &'a Wiring,
     faults: &'a FaultPlan,
-    /// The loaded configuration and its node fingerprints.
+    /// The loaded configuration.
     state: ExploreState<P>,
-    node_fps: Vec<u64>,
     /// The last probed successor: its receiving node, that node after the
-    /// delivery, its words and its send counters.
+    /// delivery and its fingerprint, its words, its send counters and its
+    /// hash sum.
     dst: usize,
     node: P,
+    dst_fp: u64,
     words: Vec<u32>,
     send_seq: u64,
     sent: u64,
+    sum: u64,
     outbox: Vec<(usize, Pulse)>,
+}
+
+/// Sets word `i` of `words` to `value` and swaps its hash term in `sum`.
+#[inline]
+fn set_word(words: &mut [u32], sum: &mut u64, i: usize, value: u32) {
+    *sum = swap_term(*sum, i + 1, u64::from(words[i]), u64::from(value));
+    words[i] = value;
 }
 
 impl<'a, P: Protocol<Pulse> + Snapshot + Clone> Probe<'a, P> {
@@ -630,7 +684,6 @@ impl<'a, P: Protocol<Pulse> + Snapshot + Clone> Probe<'a, P> {
             wiring,
             faults,
             node: nodes[0].clone(),
-            node_fps: vec![0; nodes.len()],
             state: ExploreState {
                 nodes,
                 queues: Vec::new(),
@@ -638,15 +691,18 @@ impl<'a, P: Protocol<Pulse> + Snapshot + Clone> Probe<'a, P> {
                 sent: 0,
             },
             dst: 0,
+            dst_fp: 0,
             words: Vec::new(),
             send_seq: 0,
             sent: 0,
+            sum: 0,
             outbox: Vec::new(),
         }
     }
 
     /// Loads `record` as the configuration to probe from: the `parent` of
-    /// every later [`Probe::probe`] and [`Probe::record`] call.
+    /// every later [`Probe::probe`] and [`Probe::record`] call. Nothing is
+    /// hashed: the record carries its node fingerprints and sum.
     ///
     /// # Panics
     ///
@@ -654,13 +710,11 @@ impl<'a, P: Protocol<Pulse> + Snapshot + Clone> Probe<'a, P> {
     pub fn load(&mut self, record: &PulseConfig<P::State>) {
         let (n, channels) = (self.state.nodes.len(), self.wiring.channel_count());
         assert!(
-            record.nodes.len() == n && record.words.len() == channels + n,
+            record.nodes.len() == n && record.fps.len() == n && record.words.len() == channels + n,
             "a record of another ring"
         );
-        let nodes = self.state.nodes.iter_mut().zip(&record.nodes);
-        for ((node, saved), fp) in nodes.zip(&mut self.node_fps) {
+        for (node, saved) in self.state.nodes.iter_mut().zip(&record.nodes) {
             node.restore(saved);
-            *fp = node.fingerprint();
         }
         let (counts, flags) = record.words.split_at(channels);
         self.state.queues.clear();
@@ -684,17 +738,19 @@ impl<'a, P: Protocol<Pulse> + Snapshot + Clone> Probe<'a, P> {
     /// [`Simulation::step_channel`] leaves — or `None` if the channel is
     /// empty.
     pub fn probe(&mut self, parent: &PulseConfig<P::State>, channel: usize) -> Option<u64> {
-        if parent.words[channel] == 0 {
+        let count = parent.words[channel];
+        if count == 0 {
             return None;
         }
         let channels = self.state.queues.len();
         let (dst, port) = self.wiring.endpoint(ChannelId::from_index(channel));
         self.dst = dst;
         self.words.clone_from(&parent.words);
-        self.words[channel] -= 1;
+        let mut sum = parent.sum;
+        set_word(&mut self.words, &mut sum, channel, count - 1);
         self.send_seq = parent.send_seq;
         self.sent = parent.sent;
-        let mut dst_fp = self.node_fps[dst];
+        self.dst_fp = parent.fps[dst];
         if !self.state.terminated[dst] {
             self.node.clone_from(&self.state.nodes[dst]);
             let mut ctx = Context::buffered(dst, &mut self.outbox);
@@ -707,42 +763,46 @@ impl<'a, P: Protocol<Pulse> + Snapshot + Clone> Probe<'a, P> {
                 if self.faults.should_drop(seq) {
                     continue;
                 }
-                self.words[out] += 1;
+                let mut count = self.words[out] + 1;
                 if self.faults.should_duplicate(seq) {
                     self.send_seq += 1;
-                    self.words[out] += 1;
+                    count += 1;
                 }
+                set_word(&mut self.words, &mut sum, out, count);
             }
             if self.node.is_terminated() {
-                self.words[channels + dst] = 1;
+                set_word(&mut self.words, &mut sum, channels + dst, 1);
             }
-            dst_fp = self.node.fingerprint();
+            self.dst_fp = self.node.fingerprint();
+            let position = self.words.len() + 1 + dst;
+            sum = swap_term(sum, position, parent.fps[dst], self.dst_fp);
         }
-        let (counts, flags) = self.words.split_at(channels);
-        let node_fps = self.node_fps.iter().enumerate();
-        Some(configuration_hash(
-            true,
-            counts.iter().map(|&count| u64::from(count)),
-            flags.iter().map(|&flag| flag != 0),
-            node_fps.map(|(v, &fp)| if v == dst { dst_fp } else { fp }),
-            self.faults.horizon().map(|h| self.send_seq.min(h + 1)),
-        ))
+        self.sum = sum;
+        Some(match self.faults.horizon() {
+            Some(h) => with_send_seq(sum, self.send_seq.min(h + 1)),
+            None => sum,
+        })
     }
 
     /// The last probed successor of `parent` as a record: `parent` with
-    /// the receiving node's state and the words replaced.
+    /// the receiving node's state and fingerprint, the words, the send
+    /// counters and the sum replaced.
     #[must_use]
     pub fn record(&self, parent: &PulseConfig<P::State>) -> PulseConfig<P::State> {
         let mut nodes = parent.nodes.clone();
+        let mut fps = parent.fps.clone();
         // A pulse to a terminated node changes no state.
         if !self.state.terminated[self.dst] {
             nodes[self.dst] = self.node.extract();
+            fps[self.dst] = self.dst_fp;
         }
         PulseConfig {
             nodes,
+            fps,
             words: self.words.clone(),
             send_seq: self.send_seq,
             sent: self.sent,
+            sum: self.sum,
         }
     }
 }
@@ -1178,7 +1238,9 @@ where
                          were recorded by this run",
                     ),
                 };
+                let t = prof::start();
                 probe.load(&record);
+                prof::stop(Phase::Load, t);
                 let state = probe.state();
                 if let Err(e) = safety(state) {
                     note_violation(
@@ -2203,7 +2265,7 @@ mod tests {
     #[test]
     fn faulted_fingerprint_values_are_pinned() {
         // The dedup fingerprint under a fault plan mixes the clamped send
-        // counter into `Simulation::fingerprint`; CORINGCK v2 checkpoints
+        // counter into `Simulation::fingerprint`; CORINGCK v3 checkpoints
         // of faulted runs hold these values.
         let spec = RingSpec::oriented(vec![1, 3, 2]);
         let faults = FaultPlan::new().drop_seq(4).duplicate_seq(5);
@@ -2215,12 +2277,9 @@ mod tests {
         }
         assert_eq!(
             (sim.fingerprint(), sim.send_seq()),
-            (7_387_440_888_381_757_047, 5)
+            (14_868_369_542_588_901_726, 5)
         );
-        assert_eq!(
-            config_fingerprint(&sim, &faults),
-            12_694_067_265_446_715_990
-        );
+        assert_eq!(config_fingerprint(&sim, &faults), 6_839_187_351_640_412_027);
     }
 
     fn shard_image(fps: &[u64]) -> Vec<u8> {

@@ -42,8 +42,8 @@ use crate::dedup::splitmix64;
 use crate::engine::{Budget, Outcome, RunReport, SimStats};
 use crate::port::Port;
 use crate::prof;
-use crate::sim::{Context, Protocol};
-use crate::snapshot::{Fingerprint, Snapshot};
+use crate::sim::{configuration_hash, Context, Protocol};
+use crate::snapshot::Snapshot;
 use crate::Pulse;
 use rand::rngs::StdRng;
 use rand::seq::SliceRandom;
@@ -919,26 +919,19 @@ where
         &mut obs,
     );
 
-    // Same write order as `Simulation::fingerprint`: node count, started
-    // flag, per-channel queue lengths in global channel order, termination
-    // flags, node fingerprints.
-    let mut queue_len = vec![0usize; 2 * n];
+    // The layout of `Simulation::fingerprint`, over per-channel queue
+    // lengths in global channel order.
+    let mut queue_len = vec![0u64; 2 * n];
     for &c in &q.order {
         queue_len[c as usize] += 1;
     }
-    let mut fp = Fingerprint::new();
-    fp.write_usize(n);
-    fp.write_bool(true);
-    for &len in &queue_len {
-        fp.write_usize(len);
-    }
-    for &t in &terminated {
-        fp.write_bool(t);
-    }
-    for node in &nodes {
-        fp.write_u64(node.fingerprint());
-    }
-    let fingerprint = fp.finish();
+    let fingerprint = configuration_hash(
+        true,
+        queue_len.into_iter(),
+        terminated.iter().copied(),
+        nodes.iter().map(Snapshot::fingerprint),
+        None,
+    );
 
     let stats = SimStats {
         total_sent: rr.total_sent,
@@ -971,6 +964,7 @@ where
 #[cfg(test)]
 mod tests {
     use super::*;
+    use crate::snapshot::Fingerprint;
     use crate::{QueueBackend, RingSpec, SchedulerKind, Simulation};
 
     /// A miniature Algorithm 1: send CW on start, relay until the received

@@ -1,7 +1,7 @@
 //! Hot-path profiling for the event core — zero-cost when disabled.
 //!
-//! The engine's hot phases ([`Phase`]), and the explorer's successor
-//! probes and frontier records, are bracketed with
+//! The engine's hot phases ([`Phase`]), and the explorer's record loads,
+//! successor probes and frontier records, are bracketed with
 //! [`start`]/[`stop`] pairs. While profiling is off (the default), each
 //! bracket is a single relaxed atomic load and no clock is read; switching
 //! [`set_enabled`]`(true)` turns every bracket into a timed sample feeding
@@ -60,6 +60,9 @@ pub enum Phase {
     /// The explorer probing one successor of a record: the delivery and its
     /// fingerprint, once per branch (see [`crate::explore::Probe`]).
     Probe,
+    /// The explorer loading a popped record into its probe, once per
+    /// expanded configuration ([`crate::explore::Probe::load`]).
+    Load,
 }
 
 impl Phase {
@@ -73,6 +76,7 @@ impl Phase {
         Phase::Timer,
         Phase::Record,
         Phase::Probe,
+        Phase::Load,
     ];
 
     fn index(self) -> usize {
@@ -85,6 +89,7 @@ impl Phase {
             Phase::Timer => 5,
             Phase::Record => 6,
             Phase::Probe => 7,
+            Phase::Load => 8,
         }
     }
 }
@@ -100,11 +105,12 @@ impl fmt::Display for Phase {
             Phase::Timer => "timer",
             Phase::Record => "record",
             Phase::Probe => "probe",
+            Phase::Load => "load",
         })
     }
 }
 
-const PHASES: usize = 8;
+const PHASES: usize = 9;
 
 static ENABLED: AtomicBool = AtomicBool::new(false);
 

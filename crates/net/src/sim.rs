@@ -24,6 +24,7 @@
 //! global state between events; for whole runs, attach a [`SimObserver`]
 //! via [`Simulation::run_observed`].
 
+use crate::dedup::splitmix64;
 use crate::engine::{
     CoreSnapshot, EngineError, EngineStep, EventCore, EventHandler, QueueBackend, RunMetrics,
 };
@@ -668,11 +669,19 @@ impl<M: Message, P: Protocol<M> + Snapshot> Simulation<M, P> {
     }
 }
 
-/// The one configuration hash layout, behind [`Simulation::fingerprint`]
-/// and [`crate::explore::config_fingerprint`]: node count, started flag,
-/// queue lengths, terminated flags, node fingerprints; then the clamped
-/// send counter, if given, mixed into the finished hash. CORINGCK v2
-/// checkpoints store its values.
+/// The one configuration hash layout, behind [`Simulation::fingerprint`],
+/// [`crate::explore::config_fingerprint`], the explorer's
+/// [`crate::explore::Probe`] and the fleet's end-state fingerprint.
+///
+/// The hash is a wrapping sum of position-keyed terms
+/// ([`configuration_term`]): position 0 holds the node count and the
+/// started flag, then one position per queue length, one per terminated
+/// flag and one per node fingerprint, in that order. A term depends only
+/// on its position and its word, so a delivery, which changes at most
+/// four words and one node, updates the sum by swapping those terms
+/// alone; the probe does exactly that. With a fault plan, the clamped
+/// send counter is then mixed into the finished sum
+/// ([`with_send_seq`]). CORINGCK v3 checkpoints store its values.
 pub(crate) fn configuration_hash(
     started: bool,
     counts: impl Iterator<Item = u64>,
@@ -680,18 +689,44 @@ pub(crate) fn configuration_hash(
     nodes: impl ExactSizeIterator<Item = u64>,
     clamped_send_seq: Option<u64>,
 ) -> u64 {
+    let header = ((nodes.len() as u64) << 1) | u64::from(started);
+    let words = counts.chain(terminated.map(u64::from)).chain(nodes);
+    let sum = words
+        .enumerate()
+        .fold(configuration_term(0, header), |sum, (i, word)| {
+            sum.wrapping_add(configuration_term(i + 1, word))
+        });
+    clamped_send_seq.map_or(sum, |seq| with_send_seq(sum, seq))
+}
+
+/// The term of `word` at `position` of the [`configuration_hash`] layout:
+/// SplitMix64 of the word offset by a per-position multiple of the golden
+/// ratio, so distinct positions draw from distinct streams.
+#[inline]
+fn configuration_term(position: usize, word: u64) -> u64 {
+    splitmix64(word.wrapping_add((position as u64).wrapping_mul(POSITION_STRIDE)))
+}
+
+/// A [`configuration_hash`] sum with the term of `old` at `position`
+/// swapped for the term of `new`. Counting the queue lengths and then the
+/// terminated flags as `words` words, word `i` sits at position `i + 1`
+/// and node `v`'s fingerprint at position `words + 1 + v`.
+#[inline]
+pub(crate) fn swap_term(sum: u64, position: usize, old: u64, new: u64) -> u64 {
+    sum.wrapping_sub(configuration_term(position, old))
+        .wrapping_add(configuration_term(position, new))
+}
+
+/// ⌊2^64 / φ⌋, SplitMix64's own stream increment.
+const POSITION_STRIDE: u64 = 0x9E37_79B9_7F4A_7C15;
+
+/// The fault-aware finish of a [`configuration_hash`] sum: the clamped
+/// send counter mixed in after the sum.
+pub(crate) fn with_send_seq(sum: u64, clamped_send_seq: u64) -> u64 {
     let mut fp = Fingerprint::new();
-    fp.write_usize(nodes.len());
-    fp.write_bool(started);
-    counts.for_each(|count| fp.write_u64(count));
-    terminated.for_each(|flag| fp.write_bool(flag));
-    nodes.for_each(|node| fp.write_u64(node));
-    clamped_send_seq.map_or(fp.finish(), |seq| {
-        let mut outer = Fingerprint::new();
-        outer.write_u64(fp.finish());
-        outer.write_u64(seq);
-        outer.finish()
-    })
+    fp.write_u64(sum);
+    fp.write_u64(clamped_send_seq);
+    fp.finish()
 }
 
 impl<M: Message, P: Protocol<M> + fmt::Debug> fmt::Debug for Simulation<M, P> {
@@ -994,7 +1029,7 @@ mod tests {
 
     #[test]
     fn fingerprint_values_are_pinned() {
-        // Dedup sets in CORINGCK v2 checkpoints hold these values: a change
+        // Dedup sets in CORINGCK v3 checkpoints hold these values: a change
         // of hash layout must bump the checkpoint version.
         let mut sim = ring_sim(3, 2);
         sim.start();
@@ -1002,7 +1037,7 @@ mod tests {
             sim.step();
         }
         assert!((0..3).any(|v| sim.is_terminated(v)) && !sim.is_quiescent());
-        assert_eq!(sim.fingerprint(), 7_155_887_305_805_846_364);
+        assert_eq!(sim.fingerprint(), 13_513_442_218_975_725_207);
     }
 
     #[test]

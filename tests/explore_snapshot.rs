@@ -34,7 +34,19 @@ fn no_check(_: &ExploreState<Alg2Node>) -> Result<(), String> {
 
 #[test]
 fn snapshot_explorer_covers_the_same_space_in_fewer_bytes() {
-    for ids in [vec![1u64, 2], vec![3, 1], vec![1, 2, 3], vec![2, 3, 1]] {
+    // The reference dedups on full state tuples, so it cannot collide. The
+    // 5- and 6-node rings give the fingerprint's position-keyed sum
+    // thousands of configurations that differ by one moved pulse: a
+    // structured collision among them would show up as a lower count.
+    let rings = [
+        vec![1u64, 2],
+        vec![3, 1],
+        vec![1, 2, 3],
+        vec![2, 3, 1],
+        vec![1, 2, 3, 4, 5],
+        vec![1, 2, 3, 4, 5, 6],
+    ];
+    for ids in rings {
         let spec = RingSpec::oriented(ids.clone());
         let snap = explore(
             &spec.wiring(),

@@ -285,14 +285,14 @@ fn registry_explore_counts_are_unchanged() {
     let _ = std::fs::remove_dir_all(&dir);
 }
 
-/// `tests/fixtures/alg2-n5-cut200.ck` was written by the engine-stepping
-/// explorer: `co-ring explore --protocol alg2 --n 5 --max-configs 200
-/// --checkpoint alg2-n5-cut200.ck`. Its dedup shards hold that explorer's
-/// fingerprints, so resuming it re-admits nothing only if the probe hashes
+/// `tests/fixtures/alg2-n5-cut200-v3.ck` was written by `co-ring explore
+/// --protocol alg2 --n 5 --max-configs 200 --checkpoint
+/// alg2-n5-cut200-v3.ck`. Its dedup shards hold the fingerprints of that
+/// build, so resuming it re-admits nothing only if the probe still hashes
 /// every configuration to the same value.
 #[test]
 fn an_older_checkpoint_resumes_to_the_uninterrupted_count() {
-    let path = Path::new(env!("CARGO_MANIFEST_DIR")).join("tests/fixtures/alg2-n5-cut200.ck");
+    let path = Path::new(env!("CARGO_MANIFEST_DIR")).join("tests/fixtures/alg2-n5-cut200-v3.ck");
     let ck = ExploreCheckpoint::read(&path).expect("the fixture decodes");
     assert_eq!(ck.admitted, 201);
     assert!(!ck.is_finished());
@@ -312,4 +312,16 @@ fn an_older_checkpoint_resumes_to_the_uninterrupted_count() {
         let got = (resumed.configs, resumed.quiescent_configs, resumed.complete);
         assert_eq!(got, (1_024, 1, true), "jobs={jobs}");
     }
+}
+
+/// `tests/fixtures/alg2-n5-cut200.ck` is the same cut written as CORINGCK
+/// v2, whose dedup shards hold fingerprints of the chained hash that
+/// preceded the position-keyed sum. Resuming it would re-admit every
+/// configuration it counted, so decoding must refuse it and say why.
+#[test]
+fn a_version_2_checkpoint_is_refused() {
+    let path = Path::new(env!("CARGO_MANIFEST_DIR")).join("tests/fixtures/alg2-n5-cut200.ck");
+    let err = ExploreCheckpoint::read(&path).expect_err("v2 is refused");
+    assert!(err.contains("version 2"), "{err}");
+    assert!(err.contains("older hash"), "{err}");
 }

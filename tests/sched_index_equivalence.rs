@@ -32,8 +32,8 @@ use content_oblivious::net::sched::{
 };
 use content_oblivious::net::{
     Budget, ChannelId, ChannelView, Direction, FaultPlan, LatencyModel, LatencyPlan, Protocol,
-    Pulse, QueueBackend, RingSpec, RunReport, Schedule, Scheduler, SchedulerKind, Simulation,
-    Snapshot,
+    Pulse, QueueBackend, RingSpec, RunReport, Schedule, Scheduler, SchedulerKind, SimObserver,
+    Simulation, Snapshot, StepInfo,
 };
 use rand::rngs::StdRng;
 use rand::{Rng, SeedableRng};
@@ -577,6 +577,20 @@ struct Observed {
     terminated: Vec<bool>,
 }
 
+/// Counts the deliveries that leave a pulse in the picked channel and one
+/// elsewhere. Only there does round-robin's choice between picking the
+/// channel again and moving on to the next show in its picks.
+struct HeldAfterPick(usize);
+
+impl<P: Protocol<Pulse>> SimObserver<Pulse, P> for HeldAfterPick {
+    fn after_step(&mut self, sim: &Simulation<Pulse, P>, step: &StepInfo) {
+        let held = sim.queue_len(step.channel) as u64;
+        if held > 0 && sim.in_flight() > held {
+            self.0 += 1;
+        }
+    }
+}
+
 /// Which implementation of an adversary a run uses.
 #[derive(Copy, Clone, Debug)]
 enum Impl {
@@ -622,6 +636,27 @@ where
     }
 }
 
+/// [`HeldAfterPick`] over a built-in round-robin run of the grid cell.
+fn round_robin_held<P, F>(
+    spec: &RingSpec,
+    make: F,
+    seed: u64,
+    plan: &FaultPlan,
+    backend: QueueBackend,
+) -> usize
+where
+    P: Protocol<Pulse>,
+    F: Fn() -> Vec<P>,
+{
+    let scheduler = SchedulerKind::RoundRobin.build(seed);
+    let mut sim: Simulation<Pulse, P> =
+        Simulation::with_backend(spec.wiring(), make(), scheduler, backend);
+    sim.set_faults(plan.clone());
+    let mut held = HeldAfterPick(0);
+    sim.run_observed(Budget::steps(200_000), &mut held);
+    held.0
+}
+
 fn assert_oracle_equivalent<P, F>(spec: &RingSpec, make: F, label: &str)
 where
     P: Protocol<Pulse> + Snapshot,
@@ -639,6 +674,7 @@ where
         .into_iter()
         .map(|kind| (kind, LatencyPlan::zero()))
         .chain([(SchedulerKind::Latency, timed)]);
+    let mut held = 0;
     for (kind, latency) in cells {
         for seed in [0u64, 7] {
             for (plan_label, plan) in &plans {
@@ -650,10 +686,20 @@ where
                         run(Impl::Oracle),
                         "{label} under {kind} seed {seed} plan {plan_label} backend {backend}"
                     );
+                    if kind == SchedulerKind::RoundRobin {
+                        held += round_robin_held(spec, &make, seed, plan, backend);
+                    }
                 }
             }
         }
     }
+    // A round-robin cursor left on the picked channel picks the same
+    // channels as the oracle unless some delivery leaves a pulse behind
+    // in the picked channel while another channel holds one.
+    assert!(
+        held > 0,
+        "{label}: no round-robin delivery left a pulse in the picked channel"
+    );
 }
 
 /// The full grid: 8 schedulers (plus timed `Latency`) × 3 algorithms × 3
