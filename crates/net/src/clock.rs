@@ -63,12 +63,6 @@ impl VirtualClock {
         self.now += 1;
         self.now
     }
-
-    /// Overwrites the current time (snapshot restore only — this may move
-    /// the clock backwards).
-    pub fn set(&mut self, now: u64) {
-        self.now = now;
-    }
 }
 
 /// A per-channel message latency distribution, in virtual ticks.
@@ -280,8 +274,6 @@ mod tests {
         c.advance_to(3);
         assert_eq!(c.now(), 5, "advance_to never moves backwards");
         assert_eq!(c.tick(), 6);
-        c.set(2);
-        assert_eq!(c.now(), 2, "set (restore) may move backwards");
         assert_eq!(VirtualClock::at(9).now(), 9);
     }
 

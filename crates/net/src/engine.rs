@@ -285,7 +285,7 @@ impl fmt::Display for Outcome {
 }
 
 /// Aggregate counters of a simulation.
-#[derive(Debug, Default, PartialEq, Eq)]
+#[derive(Clone, Debug, Default, PartialEq, Eq)]
 pub struct SimStats {
     /// Total messages sent (= the paper's message complexity when the run
     /// reaches quiescence).
@@ -307,37 +307,6 @@ pub struct SimStats {
     /// Virtual-clock timers fired (0 throughout untimed runs and for
     /// protocols that never arm timers).
     pub timer_fires: u64,
-}
-
-// `Clone` by hand so that `clone_from` — every snapshot restore — copies
-// into the existing per-port buffers instead of reallocating them.
-impl Clone for SimStats {
-    fn clone(&self) -> SimStats {
-        let mut out = SimStats::default();
-        out.clone_from(self);
-        out
-    }
-
-    fn clone_from(&mut self, src: &SimStats) {
-        let SimStats {
-            total_sent,
-            total_delivered,
-            delivered_to_terminated,
-            steps,
-            sent_by_direction,
-            sent_by_port,
-            recv_by_port,
-            timer_fires,
-        } = src;
-        self.total_sent = *total_sent;
-        self.total_delivered = *total_delivered;
-        self.delivered_to_terminated = *delivered_to_terminated;
-        self.steps = *steps;
-        self.sent_by_direction = *sent_by_direction;
-        self.sent_by_port.clone_from(sent_by_port);
-        self.recv_by_port.clone_from(recv_by_port);
-        self.timer_fires = *timer_fires;
-    }
 }
 
 impl SimStats {
@@ -482,24 +451,10 @@ struct Envelope<M> {
 /// numbers. `runs[0]` is the head run (next delivery = its start seq); the
 /// rest is the spill list created by sequence gaps (interleaved sends on
 /// other channels) or fault-injected duplicates.
-#[derive(Debug, Default)]
+#[derive(Clone, Debug, Default)]
 struct PulseRuns {
     runs: VecDeque<(u64, u64)>,
     len: usize,
-}
-
-impl Clone for PulseRuns {
-    fn clone(&self) -> PulseRuns {
-        PulseRuns {
-            runs: self.runs.clone(),
-            len: self.len,
-        }
-    }
-
-    fn clone_from(&mut self, src: &PulseRuns) {
-        self.runs.clone_from(&src.runs);
-        self.len = src.len;
-    }
 }
 
 impl PulseRuns {
@@ -536,42 +491,10 @@ impl PulseRuns {
 
 const RUN_BYTES: usize = std::mem::size_of::<(u64, u64)>();
 
-#[derive(Debug)]
+#[derive(Clone, Debug)]
 enum StoreRepr<M> {
     Vec(Vec<VecDeque<Envelope<M>>>),
     Counter { proto: M, chans: Vec<PulseRuns> },
-}
-
-// `Clone` by hand (here and on `QueueStore`): the derived `clone_from` is
-// `*self = src.clone()`, which would reallocate every channel on each
-// snapshot restore; this one copies into the existing buffers.
-impl<M: Clone> Clone for StoreRepr<M> {
-    fn clone(&self) -> StoreRepr<M> {
-        match self {
-            StoreRepr::Vec(queues) => StoreRepr::Vec(queues.clone()),
-            StoreRepr::Counter { proto, chans } => StoreRepr::Counter {
-                proto: proto.clone(),
-                chans: chans.clone(),
-            },
-        }
-    }
-
-    fn clone_from(&mut self, src: &StoreRepr<M>) {
-        match (self, src) {
-            (StoreRepr::Vec(queues), StoreRepr::Vec(src)) => queues.clone_from(src),
-            (
-                StoreRepr::Counter { proto, chans },
-                StoreRepr::Counter {
-                    proto: src_proto,
-                    chans: src_chans,
-                },
-            ) => {
-                proto.clone_from(src_proto);
-                chans.clone_from(src_chans);
-            }
-            (this, src) => *this = src.clone(),
-        }
-    }
 }
 
 /// Pluggable per-channel FIFO storage — the concrete state behind a
@@ -582,30 +505,12 @@ impl<M: Clone> Clone for StoreRepr<M> {
 /// keeps the byte accounting ([`QueueStore::queue_bytes`] /
 /// [`QueueStore::peak_queue_bytes`]) that backs `RunMetrics::
 /// peak_queue_bytes` and the E17 memory column.
-#[derive(Debug)]
+#[derive(Clone, Debug)]
 pub struct QueueStore<M> {
     repr: StoreRepr<M>,
     total: usize,
     cur_bytes: usize,
     peak_bytes: usize,
-}
-
-impl<M: Clone> Clone for QueueStore<M> {
-    fn clone(&self) -> QueueStore<M> {
-        QueueStore {
-            repr: self.repr.clone(),
-            total: self.total,
-            cur_bytes: self.cur_bytes,
-            peak_bytes: self.peak_bytes,
-        }
-    }
-
-    fn clone_from(&mut self, src: &QueueStore<M>) {
-        self.repr.clone_from(&src.repr);
-        self.total = src.total;
-        self.cur_bytes = src.cur_bytes;
-        self.peak_bytes = src.peak_bytes;
-    }
 }
 
 impl<M: Message> QueueStore<M> {
@@ -761,15 +666,12 @@ impl<M: Message> QueueStore<M> {
     }
 }
 
-/// A full checkpoint of an [`EventCore`]'s mutable run state.
-///
-/// Captures channel queues (messages and their sequence numbers), node
-/// termination flags, the global send counter, aggregate statistics, fault
-/// counters, the ready-list order, and the scheduler's serialized state —
-/// everything that influences the rest of the run. Restoring a snapshot
-/// makes the core behave exactly as the captured one would from that point
-/// on, including under ready-order-sensitive adversaries such as
-/// [`crate::sched::RandomScheduler`].
+/// A copy of an [`EventCore`]'s run state: every field a delivery can
+/// change — queues, termination flags, the dense ready array, the
+/// scheduler (its random stream, cursors and index included), statistics,
+/// counters, clock, timers and latency streams — plus the length of the
+/// recorded schedule. Restoring it makes the core behave exactly as the
+/// captured one would from that point on.
 ///
 /// Deliberately *not* captured: traces, metrics, and the recorded schedule
 /// beyond its length at capture time. Those are instrumentation of one
@@ -778,17 +680,18 @@ impl<M: Message> QueueStore<M> {
 pub struct CoreSnapshot<M> {
     terminated: Vec<bool>,
     queues: QueueStore<M>,
-    ready_order: Vec<usize>,
+    ready: Vec<ChannelView>,
+    ready_pos: Vec<usize>,
+    scheduler: Box<dyn Scheduler>,
     stats: SimStats,
     send_seq: u64,
     started: bool,
     fault_stats: FaultStats,
-    scheduler_state: Vec<u64>,
-    recorded_len: usize,
-    clock: u64,
+    clock: VirtualClock,
+    timers: BTreeSet<TimerEntry>,
     timer_seq: u64,
-    timers: Vec<TimerEntry>,
-    latency: Option<LatencySnapshot>,
+    latency: Option<LatencyState>,
+    recorded_len: usize,
 }
 
 /// One pending timer: `(fire_at, arm_seq, node, token)`. Ordered by deadline
@@ -821,15 +724,6 @@ impl LatencyState {
             plan,
         }
     }
-}
-
-/// Snapshot of a [`LatencyState`] (the plan itself is engine configuration,
-/// not run state, and is not captured).
-#[derive(Clone, Debug)]
-struct LatencySnapshot {
-    rng_states: Vec<[u64; 4]>,
-    arrivals: Vec<Vec<u64>>,
-    last_arrival: Vec<u64>,
 }
 
 const NOT_READY: usize = usize::MAX;
@@ -1123,39 +1017,57 @@ impl<M: Message, T: Topology> EventCore<M, T> {
             .map(|picks| Schedule::from_picks(picks.clone()))
     }
 
-    /// Captures the core's full mutable run state as a [`CoreSnapshot`].
+    /// Copies the core's run state into a [`CoreSnapshot`].
     #[must_use]
     pub fn snapshot(&self) -> CoreSnapshot<M> {
+        // Exhaustive, so that a new field must be sorted into run state or
+        // configuration before this compiles.
+        let EventCore {
+            topology: _,
+            terminated,
+            queues,
+            ready,
+            ready_pos,
+            scheduler,
+            stats,
+            send_seq,
+            started,
+            trace: _,
+            metrics: _,
+            outbox: _,
+            faults: _,
+            fault_stats,
+            recorded,
+            clock,
+            timers,
+            timer_seq,
+            latency,
+            timer_buf: _,
+            run_buf: _,
+        } = self;
         CoreSnapshot {
-            terminated: self.terminated.clone(),
-            queues: self.queues.clone(),
-            ready_order: self.ready.iter().map(|v| v.id.index()).collect(),
-            stats: self.stats.clone(),
-            send_seq: self.send_seq,
-            started: self.started,
-            fault_stats: self.fault_stats,
-            scheduler_state: self.scheduler.save_state(),
-            recorded_len: self.recorded.as_ref().map_or(0, Vec::len),
-            clock: self.clock.now(),
-            timer_seq: self.timer_seq,
-            timers: self.timers.iter().copied().collect(),
-            latency: self.latency.as_ref().map(|lat| LatencySnapshot {
-                rng_states: lat.rngs.iter().map(StdRng::to_state).collect(),
-                arrivals: lat
-                    .arrivals
-                    .iter()
-                    .map(|q| q.iter().copied().collect())
-                    .collect(),
-                last_arrival: lat.last_arrival.clone(),
-            }),
+            terminated: terminated.clone(),
+            queues: queues.clone(),
+            ready: ready.clone(),
+            ready_pos: ready_pos.clone(),
+            scheduler: scheduler.clone(),
+            stats: stats.clone(),
+            send_seq: *send_seq,
+            started: *started,
+            fault_stats: *fault_stats,
+            clock: *clock,
+            timers: timers.clone(),
+            timer_seq: *timer_seq,
+            latency: latency.clone(),
+            recorded_len: recorded.as_ref().map_or(0, Vec::len),
         }
     }
 
-    /// Restores a state previously captured by [`EventCore::snapshot`].
+    /// Restores a state previously captured by [`EventCore::snapshot`],
+    /// scheduler included.
     ///
     /// The snapshot must come from a core over the same topology (same
-    /// channel count), the same [`QueueBackend`], and the same scheduler
-    /// type.
+    /// channel count), the same [`QueueBackend`] and the same latency mode.
     pub fn restore(&mut self, snapshot: &CoreSnapshot<M>) {
         assert_eq!(
             snapshot.queues.channel_count(),
@@ -1172,47 +1084,21 @@ impl<M: Message, T: Topology> EventCore<M, T> {
             self.latency.is_some(),
             "snapshot is for a different latency mode"
         );
+        // Every field is read here, so one that `snapshot` fills and this
+        // forgets is dead code.
         self.terminated.clone_from(&snapshot.terminated);
         self.queues.clone_from(&snapshot.queues);
-        self.clock.set(snapshot.clock);
-        self.timer_seq = snapshot.timer_seq;
-        self.timers = snapshot.timers.iter().copied().collect();
-        if let (Some(lat), Some(snap)) = (&mut self.latency, &snapshot.latency) {
-            for (rng, state) in lat.rngs.iter_mut().zip(&snap.rng_states) {
-                *rng = StdRng::from_state(*state);
-            }
-            for (q, saved) in lat.arrivals.iter_mut().zip(&snap.arrivals) {
-                q.clear();
-                q.extend(saved.iter().copied());
-            }
-            lat.last_arrival.clone_from(&snap.last_arrival);
-        }
-        // Rebuild the dense ready array in the captured order.
-        self.ready.clear();
-        self.ready_pos.fill(NOT_READY);
-        for &ch in &snapshot.ready_order {
-            let head_seq = self
-                .queues
-                .head_seq(ch)
-                .expect("the ready order lists only non-empty channels");
-            self.ready_pos[ch] = self.ready.len();
-            self.ready.push(ChannelView {
-                id: ChannelId::from_index(ch),
-                queue_len: self.queues.len(ch),
-                head_seq,
-                direction: self.topology.direction(ch),
-                arrival: self.head_arrival(ch),
-            });
-        }
+        self.ready.clone_from(&snapshot.ready);
+        self.ready_pos.clone_from(&snapshot.ready_pos);
+        self.scheduler.clone_from(&snapshot.scheduler);
         self.stats.clone_from(&snapshot.stats);
         self.send_seq = snapshot.send_seq;
         self.started = snapshot.started;
         self.fault_stats = snapshot.fault_stats;
-        self.scheduler.restore_state(&snapshot.scheduler_state);
-        // Indexes are derived state: absent from `CoreSnapshot` and
-        // `save_state` layouts by design, rebuilt from the restored queues
-        // instead.
-        self.reindex_scheduler();
+        self.clock = snapshot.clock;
+        self.timers.clone_from(&snapshot.timers);
+        self.timer_seq = snapshot.timer_seq;
+        self.latency.clone_from(&snapshot.latency);
         if let Some(rec) = &mut self.recorded {
             rec.truncate(snapshot.recorded_len);
         }

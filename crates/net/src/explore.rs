@@ -571,12 +571,12 @@ impl Drop for SpillFile {
 }
 
 /// One configuration of a pulse protocol as a flat record: every node's
-/// [`Snapshot::State`] and fingerprint, one word per channel holding its
-/// pulse count, one word per node holding its terminated flag, the send
+/// [`Snapshot::State`] beside its fingerprint, one word per channel holding
+/// its pulse count, one word per node holding its terminated flag, the send
 /// counters, and the configuration's hash sum.
 ///
 /// In the content-oblivious model every message is a bare pulse, so this
-/// is the whole configuration. It is the explorer's frontier item: three
+/// is the whole configuration. It is the explorer's frontier item: two
 /// allocations, where a [`crate::SimSnapshot`] also carries queue runs,
 /// per-port statistics, the ready order, scheduler state, timers and the
 /// clock, none of which the explorer reads. The explorer never loads one
@@ -584,14 +584,13 @@ impl Drop for SpillFile {
 /// record itself, and the node fingerprints and hash sum the record keeps
 /// let the probe hash a successor by updating the parent's sum instead of
 /// rehashing it. Records come from [`PulseConfig::capture`] and
-/// [`Probe::record`], which keep those two in step with `nodes` and
+/// [`Probe::record`], which keep them in step with the states and
 /// `words`; editing either field in place leaves them stale.
 #[derive(Clone, Debug)]
 pub struct PulseConfig<S> {
-    /// Every node's state, in node order.
-    pub nodes: Vec<S>,
-    /// Every node's [`Snapshot::fingerprint`], in node order.
-    fps: Vec<u64>,
+    /// Every node's state and its [`Snapshot::fingerprint`], in node
+    /// order.
+    pub nodes: Vec<(S, u64)>,
     /// The per-channel pulse counts (by [`ChannelId::index`]), then one
     /// terminated flag (0 or 1) per node.
     pub words: Vec<u32>,
@@ -617,8 +616,11 @@ impl<S> PulseConfig<S> {
             .map(|ch| sim.queue_len(ChannelId::from_index(ch)) as u32);
         let flags = (0..sim.nodes().len()).map(|v| u32::from(sim.is_terminated(v)));
         PulseConfig {
-            nodes: sim.nodes().iter().map(Snapshot::extract).collect(),
-            fps: sim.nodes().iter().map(Snapshot::fingerprint).collect(),
+            nodes: sim
+                .nodes()
+                .iter()
+                .map(|node| (node.extract(), node.fingerprint()))
+                .collect(),
             words: counts.chain(flags).collect(),
             send_seq: sim.send_seq(),
             sent: sim.stats().total_sent,
@@ -710,10 +712,10 @@ impl<'a, P: Protocol<Pulse> + Snapshot + Clone> Probe<'a, P> {
     pub fn load(&mut self, record: &PulseConfig<P::State>) {
         let (n, channels) = (self.state.nodes.len(), self.wiring.channel_count());
         assert!(
-            record.nodes.len() == n && record.fps.len() == n && record.words.len() == channels + n,
+            record.nodes.len() == n && record.words.len() == channels + n,
             "a record of another ring"
         );
-        for (node, saved) in self.state.nodes.iter_mut().zip(&record.nodes) {
+        for (node, (saved, _)) in self.state.nodes.iter_mut().zip(&record.nodes) {
             node.restore(saved);
         }
         let (counts, flags) = record.words.split_at(channels);
@@ -750,7 +752,8 @@ impl<'a, P: Protocol<Pulse> + Snapshot + Clone> Probe<'a, P> {
         set_word(&mut self.words, &mut sum, channel, count - 1);
         self.send_seq = parent.send_seq;
         self.sent = parent.sent;
-        self.dst_fp = parent.fps[dst];
+        let parent_fp = parent.nodes[dst].1;
+        self.dst_fp = parent_fp;
         if !self.state.terminated[dst] {
             self.node.clone_from(&self.state.nodes[dst]);
             let mut ctx = Context::buffered(dst, &mut self.outbox);
@@ -775,7 +778,7 @@ impl<'a, P: Protocol<Pulse> + Snapshot + Clone> Probe<'a, P> {
             }
             self.dst_fp = self.node.fingerprint();
             let position = self.words.len() + 1 + dst;
-            sum = swap_term(sum, position, parent.fps[dst], self.dst_fp);
+            sum = swap_term(sum, position, parent_fp, self.dst_fp);
         }
         self.sum = sum;
         Some(match self.faults.horizon() {
@@ -790,15 +793,12 @@ impl<'a, P: Protocol<Pulse> + Snapshot + Clone> Probe<'a, P> {
     #[must_use]
     pub fn record(&self, parent: &PulseConfig<P::State>) -> PulseConfig<P::State> {
         let mut nodes = parent.nodes.clone();
-        let mut fps = parent.fps.clone();
         // A pulse to a terminated node changes no state.
         if !self.state.terminated[self.dst] {
-            nodes[self.dst] = self.node.extract();
-            fps[self.dst] = self.dst_fp;
+            nodes[self.dst] = (self.node.extract(), self.dst_fp);
         }
         PulseConfig {
             nodes,
-            fps,
             words: self.words.clone(),
             send_seq: self.send_seq,
             sent: self.sent,

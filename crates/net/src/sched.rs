@@ -333,26 +333,12 @@ impl SendOrder {
 /// per-channel FIFO is enforced by the simulator and every message is
 /// eventually delivered as long as the run continues (delays are finite
 /// because runs are finite).
-pub trait Scheduler: fmt::Debug {
+///
+/// Every scheduler is `Clone` (through [`CloneScheduler`]), so an engine
+/// snapshot copies its adversary — stream, cursors and index — whole.
+pub trait Scheduler: fmt::Debug + CloneScheduler {
     /// Chooses the next channel to deliver from: one of `ready`.
     fn pick(&mut self, ready: &[ChannelView]) -> ChannelId;
-
-    /// Serializes the scheduler's mutable state as a flat word vector.
-    ///
-    /// Stateless schedulers return an empty vector (the default). Together
-    /// with [`Scheduler::restore_state`] this lets the engine checkpoint and
-    /// resume an adversary mid-run without knowing its concrete type —
-    /// `Box<dyn Scheduler>` stays object-safe because both methods are
-    /// default-bodied.
-    fn save_state(&self) -> Vec<u64> {
-        Vec::new()
-    }
-
-    /// Restores state captured by [`Scheduler::save_state`].
-    ///
-    /// Must accept exactly the vectors its own `save_state` produces;
-    /// the default (for stateless schedulers) ignores the input.
-    fn restore_state(&mut self, _state: &[u64]) {}
 
     /// A message was queued under global send sequence number `seq`,
     /// arriving at virtual time `arrival` (0 in untimed runs), on the
@@ -392,17 +378,35 @@ pub trait Scheduler: fmt::Debug {
     /// Rebuilds the incremental index from the full ready set: clears it,
     /// then upserts every view.
     ///
-    /// Called by the engine after a snapshot restore or a scheduler swap,
-    /// followed by one [`Scheduler::on_send`] per in-flight message in
-    /// send order (each with its channel's current view), so indexes
-    /// never need to appear in
-    /// [`Scheduler::save_state`] layouts or `CoreSnapshot`s — they are
-    /// derived state.
+    /// Called by the engine when a scheduler is installed mid-run
+    /// ([`crate::EventCore::set_scheduler`]), followed by one
+    /// [`Scheduler::on_send`] per in-flight message in send order (each
+    /// with its channel's current view), so a new adversary starts from
+    /// the queues it inherits.
     fn rebuild_index(&mut self, ready: &[ChannelView]) {
         self.clear_index();
         for &view in ready {
             self.on_change(view);
         }
+    }
+}
+
+/// Boxed cloning for [`Scheduler`] trait objects: blanket-implemented for
+/// every `Clone` scheduler, so `Box<dyn Scheduler>` is `Clone` too.
+pub trait CloneScheduler {
+    /// A boxed copy of this scheduler.
+    fn clone_box(&self) -> Box<dyn Scheduler>;
+}
+
+impl<T: Scheduler + Clone + 'static> CloneScheduler for T {
+    fn clone_box(&self) -> Box<dyn Scheduler> {
+        Box::new(self.clone())
+    }
+}
+
+impl Clone for Box<dyn Scheduler> {
+    fn clone(&self) -> Box<dyn Scheduler> {
+        (**self).clone_box()
     }
 }
 
@@ -566,15 +570,6 @@ impl Scheduler for RandomScheduler {
     fn pick(&mut self, ready: &[ChannelView]) -> ChannelId {
         ready[self.rng.gen_range(0..ready.len())].id
     }
-
-    fn save_state(&self) -> Vec<u64> {
-        self.rng.to_state().to_vec()
-    }
-
-    fn restore_state(&mut self, state: &[u64]) {
-        let words: [u64; 4] = state.try_into().expect("RandomScheduler state is 4 words");
-        self.rng = StdRng::from_state(words);
-    }
 }
 
 /// Round-robin over channel indices: fair but staggered delivery.
@@ -620,14 +615,6 @@ impl Scheduler for RoundRobinScheduler {
 
     fn clear_index(&mut self) {
         self.index.clear();
-    }
-
-    fn save_state(&self) -> Vec<u64> {
-        vec![self.cursor as u64]
-    }
-
-    fn restore_state(&mut self, state: &[u64]) {
-        self.cursor = state[0] as usize;
     }
 }
 
@@ -863,15 +850,12 @@ pub struct BoundedDelayScheduler {
     bound: u64,
     rng: StdRng,
     /// The adversary's private virtual clock: one tick per pick. Deadlines
-    /// are expressed in this clock's time; its current value serializes as
-    /// word 0 of [`Scheduler::save_state`], byte-compatible with the step
-    /// counter it replaced.
+    /// are expressed in this clock's time.
     clock: VirtualClock,
     /// `deadline[channel] = clock time by which its head must deliver`.
     deadlines: HashMap<ChannelId, u64>,
     /// Mirror of `deadlines` ordered by `(deadline, channel)`, so the
-    /// overdue lookup is a peek at the minimum instead of a map scan. Purely
-    /// derived — rebuilt on restore, absent from the serialized layout.
+    /// overdue lookup is a peek at the minimum instead of a map scan.
     by_deadline: BTreeSet<(u64, usize)>,
 }
 
@@ -929,44 +913,6 @@ impl Scheduler for BoundedDelayScheduler {
         let id = ready[self.rng.gen_range(0..ready.len())].id;
         self.forget(id);
         id
-    }
-
-    fn save_state(&self) -> Vec<u64> {
-        // Layout: clock, rng[0..4], then (channel, deadline) pairs sorted by
-        // channel so the serialized form is deterministic. Word 0 predates
-        // the `VirtualClock` (it was a raw pick counter) and the layout is
-        // pinned byte-for-byte by `bounded_delay_save_layout_is_unchanged`;
-        // the `by_deadline` mirror is derived state and never serialized.
-        let mut state = vec![self.clock.now()];
-        state.extend(self.rng.to_state());
-        let mut pairs: Vec<(u64, u64)> = self
-            .deadlines
-            .iter()
-            .map(|(id, &d)| (id.index() as u64, d))
-            .collect();
-        pairs.sort_unstable();
-        for (id, d) in pairs {
-            state.push(id);
-            state.push(d);
-        }
-        state
-    }
-
-    fn restore_state(&mut self, state: &[u64]) {
-        self.clock.set(state[0]);
-        let words: [u64; 4] = state[1..5]
-            .try_into()
-            .expect("BoundedDelayScheduler rng state is 4 words");
-        self.rng = StdRng::from_state(words);
-        self.deadlines = state[5..]
-            .chunks_exact(2)
-            .map(|pair| (ChannelId::from_index(pair[0] as usize), pair[1]))
-            .collect();
-        self.by_deadline = self
-            .deadlines
-            .iter()
-            .map(|(id, &d)| (d, id.index()))
-            .collect();
     }
 }
 
@@ -1026,20 +972,12 @@ impl Scheduler for ReplayScheduler {
     fn clear_index(&mut self) {
         self.fifo.clear();
     }
-
-    fn save_state(&self) -> Vec<u64> {
-        vec![self.cursor as u64]
-    }
-
-    fn restore_state(&mut self, state: &[u64]) {
-        self.cursor = state[0] as usize;
-    }
 }
 
 /// Switches from one adversary to another after a fixed number of
 /// deliveries — e.g. FIFO while the CW instance races ahead, then LIFO to
 /// torture the CCW tail.
-#[derive(Debug)]
+#[derive(Clone, Debug)]
 pub struct PhaseSwitchScheduler {
     first: Box<dyn Scheduler>,
     second: Box<dyn Scheduler>,
@@ -1093,22 +1031,6 @@ impl Scheduler for PhaseSwitchScheduler {
     fn clear_index(&mut self) {
         self.first.clear_index();
         self.second.clear_index();
-    }
-
-    fn save_state(&self) -> Vec<u64> {
-        // Layout: delivered, len(first-state), first-state..., second-state...
-        let first = self.first.save_state();
-        let mut state = vec![self.delivered, first.len() as u64];
-        state.extend(first);
-        state.extend(self.second.save_state());
-        state
-    }
-
-    fn restore_state(&mut self, state: &[u64]) {
-        self.delivered = state[0];
-        let first_len = state[1] as usize;
-        self.first.restore_state(&state[2..2 + first_len]);
-        self.second.restore_state(&state[2 + first_len..]);
     }
 }
 
@@ -1531,67 +1453,6 @@ mod tests {
     }
 
     #[test]
-    fn save_restore_resumes_random_stream() {
-        let ready = [
-            view(0, 1, 0, None),
-            view(1, 1, 1, None),
-            view(2, 1, 2, None),
-        ];
-        let mut s = RandomScheduler::seeded(99);
-        for _ in 0..13 {
-            s.pick(&ready);
-        }
-        let saved = s.save_state();
-        let future: Vec<ChannelId> = (0..32).map(|_| s.pick(&ready)).collect();
-        let mut restored = RandomScheduler::seeded(0);
-        restored.restore_state(&saved);
-        let resumed: Vec<ChannelId> = (0..32).map(|_| restored.pick(&ready)).collect();
-        assert_eq!(future, resumed);
-    }
-
-    #[test]
-    fn save_restore_roundtrips_bounded_delay() {
-        let ready = [
-            view(0, 1, 0, None),
-            view(1, 1, 1, None),
-            view(2, 1, 2, None),
-        ];
-        let mut s = BoundedDelayScheduler::new(3, 5);
-        for _ in 0..7 {
-            s.pick(&ready);
-        }
-        let saved = s.save_state();
-        let future: Vec<ChannelId> = (0..16).map(|_| s.pick(&ready)).collect();
-        let mut restored = BoundedDelayScheduler::new(3, 0);
-        restored.restore_state(&saved);
-        let resumed: Vec<ChannelId> = (0..16).map(|_| restored.pick(&ready)).collect();
-        assert_eq!(future, resumed);
-    }
-
-    #[test]
-    fn save_restore_roundtrips_phase_switch() {
-        let ready = [view(0, 1, 1, None), view(1, 1, 9, None)];
-        let mut s = PhaseSwitchScheduler::new(
-            Box::new(RandomScheduler::seeded(4)),
-            Box::new(RandomScheduler::seeded(8)),
-            5,
-        );
-        for _ in 0..3 {
-            s.pick(&ready);
-        }
-        let saved = s.save_state();
-        let future: Vec<ChannelId> = (0..16).map(|_| s.pick(&ready)).collect();
-        let mut restored = PhaseSwitchScheduler::new(
-            Box::new(RandomScheduler::seeded(0)),
-            Box::new(RandomScheduler::seeded(0)),
-            5,
-        );
-        restored.restore_state(&saved);
-        let resumed: Vec<ChannelId> = (0..16).map(|_| restored.pick(&ready)).collect();
-        assert_eq!(future, resumed);
-    }
-
-    #[test]
     fn ready_index_orders_and_upserts() {
         let mut idx: ReadyIndex<u64> = ReadyIndex::new();
         assert!(idx.is_empty());
@@ -1631,32 +1492,6 @@ mod tests {
         assert_eq!(idx.first_at_or_after((), 3), Some(5));
         assert_eq!(idx.first_at_or_after((), 6), None); // caller wraps to first()
         assert_eq!(idx.first(), Some(0));
-    }
-
-    #[test]
-    fn bounded_delay_save_layout_is_unchanged() {
-        // The serialized layout is a public stability contract:
-        // [picks, rng[0..4], (channel, deadline) pairs sorted by channel].
-        // Restoring a handcrafted vector and saving must reproduce it
-        // byte-for-byte even though the in-memory representation now keeps a
-        // derived deadline mirror.
-        let rng_words = StdRng::seed_from_u64(77).to_state();
-        let mut handcrafted = vec![42u64];
-        handcrafted.extend(rng_words);
-        handcrafted.extend([1, 50, 4, 44, 9, 60]); // pairs sorted by channel
-        let mut s = BoundedDelayScheduler::new(3, 0);
-        s.restore_state(&handcrafted);
-        assert_eq!(s.save_state(), handcrafted);
-        // And the restored deadline mirror drives picks: channel 4 has the
-        // oldest deadline (44 <= picks=42 is false... all deadlines 44..60
-        // are in the future at picks=42; two picks later 44 is overdue).
-        let ready = [
-            view(1, 1, 0, None),
-            view(4, 1, 1, None),
-            view(9, 1, 2, None),
-        ];
-        s.clock.set(43); // next pick ticks to 44: channel 4 becomes overdue
-        assert_eq!(s.pick(&ready), ch(4));
     }
 
     #[test]

@@ -626,10 +626,11 @@ impl<M: Message, P: Protocol<M> + Snapshot> Simulation<M, P> {
         }
     }
 
-    /// Restores a state captured by [`Simulation::snapshot`].
+    /// Restores a state captured by [`Simulation::snapshot`], the
+    /// snapshot's scheduler included.
     ///
     /// The snapshot must come from a simulation of the same configuration
-    /// (same wiring, same node count, same scheduler type).
+    /// (same wiring, node count, queue backend and latency mode).
     pub fn restore(&mut self, snapshot: &SimSnapshot<M, P>) {
         assert_eq!(
             snapshot.nodes.len(),
@@ -743,9 +744,10 @@ impl<M: Message, P: Protocol<M> + fmt::Debug> fmt::Debug for Simulation<M, P> {
 #[cfg(test)]
 mod tests {
     use super::*;
+    use crate::clock::{LatencyModel, LatencyPlan};
     use crate::engine::FaultKind;
     use crate::message::Pulse;
-    use crate::sched::{FifoScheduler, SchedulerKind};
+    use crate::sched::{BoundedDelayScheduler, FifoScheduler, PhaseSwitchScheduler, SchedulerKind};
     use crate::topology::RingSpec;
     use crate::trace::TraceEvent;
 
@@ -978,22 +980,120 @@ mod tests {
         }
     }
 
+    /// Starts one pulse each way and relays every receipt onward in its
+    /// direction of travel until `budget` receipts, so both directions
+    /// carry traffic and every adversary has choices to make.
+    #[derive(Clone, Debug)]
+    struct Bouncer {
+        budget: u64,
+        seen: u64,
+    }
+
+    impl Protocol<Pulse> for Bouncer {
+        type Output = u64;
+        fn on_start(&mut self, ctx: &mut Context<'_, Pulse>) {
+            ctx.send(Port::Zero, Pulse);
+            ctx.send(Port::One, Pulse);
+        }
+        fn on_message(&mut self, port: Port, _msg: Pulse, ctx: &mut Context<'_, Pulse>) {
+            self.seen += 1;
+            if self.seen < self.budget {
+                ctx.send(port.opposite(), Pulse);
+            }
+        }
+        fn is_terminated(&self) -> bool {
+            self.seen >= self.budget
+        }
+        fn output(&self) -> Option<u64> {
+            Some(self.seen)
+        }
+    }
+
+    impl Snapshot for Bouncer {
+        type State = u64;
+        fn extract(&self) -> u64 {
+            self.seen
+        }
+        fn restore(&mut self, state: &u64) {
+            self.seen = *state;
+        }
+        fn fingerprint(&self) -> u64 {
+            let mut fp = Fingerprint::new();
+            fp.write_u64(self.seen);
+            fp.finish()
+        }
+    }
+
+    fn bouncer_sim(
+        scheduler: Box<dyn Scheduler>,
+        latency: LatencyPlan,
+    ) -> Simulation<Pulse, Bouncer> {
+        let spec = RingSpec::oriented(vec![4, 1, 3, 2]);
+        let nodes = (0..4).map(|_| Bouncer { budget: 6, seen: 0 }).collect();
+        let mut sim = Simulation::new(spec.wiring(), nodes, scheduler);
+        sim.set_latency(latency);
+        sim
+    }
+
+    /// A snapshot taken mid-run and restored after the run finished replays
+    /// the same continuation under every scheduler type: the restore copies
+    /// back random streams (Random, BoundedDelay), cursors (RoundRobin,
+    /// Replay), the delivery count of a phase switch still ahead, deadlines,
+    /// send orders, ready indexes, and latency streams with the clock.
     #[test]
     fn snapshot_restore_rewinds_a_run() {
-        let mut sim = ring_sim(3, 5);
-        sim.start();
-        for _ in 0..4 {
-            sim.step();
-        }
-        let checkpoint = sim.snapshot();
-        let fp_at_checkpoint = sim.fingerprint();
-        let final_report = sim.run(Budget::default());
-        assert_ne!(sim.fingerprint(), fp_at_checkpoint);
+        const CHECKPOINT: usize = 5;
+        let untimed = LatencyPlan::zero;
+        let timed = LatencyPlan::new(LatencyModel::Uniform { min: 1, max: 10 }, 3);
+        let script = bouncer_sim(SchedulerKind::Lifo.build(0), untimed())
+            .run_recorded(Budget::default())
+            .1
+            .picks()
+            .to_vec();
+        let mut cases: Vec<(String, Box<dyn Scheduler>, LatencyPlan)> = SchedulerKind::ALL
+            .iter()
+            .map(|kind| (kind.to_string(), kind.build(7), untimed()))
+            .collect();
+        cases.push(("latency".into(), SchedulerKind::Latency.build(0), timed));
+        cases.push((
+            "bounded-delay".into(),
+            Box::new(BoundedDelayScheduler::new(2, 5)),
+            untimed(),
+        ));
+        cases.push((
+            "phase-switch".into(),
+            Box::new(PhaseSwitchScheduler::new(
+                SchedulerKind::Random.build(4),
+                SchedulerKind::Random.build(8),
+                2 * CHECKPOINT as u64,
+            )),
+            untimed(),
+        ));
+        cases.push((
+            "replay".into(),
+            Box::new(ReplayScheduler::new(script)),
+            untimed(),
+        ));
+        for (label, scheduler, latency) in cases {
+            let mut sim = bouncer_sim(scheduler, latency);
+            sim.enable_schedule_recording();
+            sim.start();
+            for _ in 0..CHECKPOINT {
+                sim.step().expect("the run is still going");
+            }
+            let checkpoint = sim.snapshot();
+            let fp_at_checkpoint = sim.fingerprint();
+            let (report, picks) = sim.run_recorded(Budget::default());
+            let stats = sim.stats().clone();
+            assert_ne!(sim.fingerprint(), fp_at_checkpoint, "{label}");
 
-        sim.restore(&checkpoint);
-        assert_eq!(sim.fingerprint(), fp_at_checkpoint);
-        let rerun_report = sim.run(Budget::default());
-        assert_eq!(final_report, rerun_report);
+            sim.restore(&checkpoint);
+            assert_eq!(sim.fingerprint(), fp_at_checkpoint, "{label}");
+            let rerun = sim.run_recorded(Budget::default());
+            assert_eq!(picks, rerun.1, "{label}: picks");
+            assert_eq!(report, rerun.0, "{label}: report");
+            assert_eq!(&stats, sim.stats(), "{label}: stats");
+        }
     }
 
     #[test]
@@ -1105,7 +1205,7 @@ mod tests {
 
     /// A broken incremental index: FIFO that never hears `on_unready`, so
     /// it goes on naming channels that have drained.
-    #[derive(Debug, Default)]
+    #[derive(Clone, Debug, Default)]
     struct StaleIndexScheduler(FifoScheduler);
     impl Scheduler for StaleIndexScheduler {
         fn pick(&mut self, ready: &[ChannelView]) -> ChannelId {

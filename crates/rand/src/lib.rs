@@ -126,23 +126,11 @@ pub mod rngs {
     }
 
     impl StdRng {
-        /// Returns the raw xoshiro256++ state, for snapshot/restore.
-        ///
-        /// Together with [`StdRng::from_state`] this lets simulations capture
-        /// a generator mid-stream and later resume it at exactly the same
-        /// point, which is what makes scheduler state replayable.
+        /// Returns the raw xoshiro256++ state (four words that identify
+        /// the rest of the stream).
         #[must_use]
         pub fn to_state(&self) -> [u64; 4] {
             self.s
-        }
-
-        /// Rebuilds a generator from a state captured by [`StdRng::to_state`].
-        ///
-        /// The resulting generator produces the identical output stream the
-        /// captured one would have produced from that point on.
-        #[must_use]
-        pub fn from_state(s: [u64; 4]) -> StdRng {
-            StdRng { s }
         }
 
         fn splitmix64(state: &mut u64) -> u64 {
@@ -272,18 +260,6 @@ mod tests {
         sorted.sort_unstable();
         assert_eq!(sorted, (0..50).collect::<Vec<_>>());
         assert_ne!(v, sorted, "shuffle of 50 elements should move something");
-    }
-
-    #[test]
-    fn state_roundtrip_resumes_stream() {
-        let mut a = StdRng::seed_from_u64(11);
-        for _ in 0..17 {
-            a.next_u64();
-        }
-        let mut b = StdRng::from_state(a.to_state());
-        for _ in 0..64 {
-            assert_eq!(a.next_u64(), b.next_u64());
-        }
     }
 
     #[test]

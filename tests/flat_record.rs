@@ -33,14 +33,20 @@ use rand::rngs::StdRng;
 use rand::{Rng, SeedableRng};
 use std::path::Path;
 
-/// The node fingerprints of a record's states, restored into `scratch`.
-fn node_fps<P: Snapshot>(scratch: &mut [P], states: &[P::State]) -> Vec<u64> {
+/// The node fingerprints of a record's states, restored into `scratch`;
+/// each must equal the fingerprint the record keeps beside its state.
+fn node_fps<P: Snapshot>(scratch: &mut [P], nodes: &[(P::State, u64)]) -> Vec<u64> {
     scratch
         .iter_mut()
-        .zip(states)
-        .map(|(node, state)| {
+        .zip(nodes)
+        .map(|(node, (state, kept))| {
             node.restore(state);
-            node.fingerprint()
+            assert_eq!(
+                node.fingerprint(),
+                *kept,
+                "a record's kept node fingerprint"
+            );
+            *kept
         })
         .collect()
 }

@@ -8,6 +8,9 @@
 //! they resolve `ProtocolSpec` entries through the registry instead. Nor
 //! may they, or the runners, build a registered protocol's node set: that
 //! is `RingProtocol::nodes`' job.
+//!
+//! A second guard keeps the engine's snapshot a plain copy of its run
+//! state: no scheduler under `crates/` serializes itself into words again.
 
 use std::fs;
 use std::path::{Path, PathBuf};
@@ -107,5 +110,39 @@ fn node_sets_are_built_only_by_their_definitions() {
         copies.is_empty(),
         "node sets built outside their RingProtocol::nodes:\n{}",
         copies.join("\n")
+    );
+}
+
+/// Names of the word-vector encoding of scheduler and latency state that
+/// engine snapshots used before they became a copy of the run state.
+const SECOND_ENCODING: &[&str] = &["fn save_state", "fn restore_state", "LatencySnapshot"];
+
+#[test]
+fn engine_snapshots_keep_no_second_encoding_of_run_state() {
+    let root = Path::new(env!("CARGO_MANIFEST_DIR"));
+    let mut sources = Vec::new();
+    rust_sources(&root.join("crates"), &mut sources);
+    assert!(
+        sources
+            .iter()
+            .any(|p| p.ends_with("crates/net/src/engine.rs")),
+        "guard must actually see the engine, found {} files",
+        sources.len()
+    );
+    let mut leaks = Vec::new();
+    for path in &sources {
+        let text = fs::read_to_string(path).expect("source is UTF-8");
+        for (lineno, line) in text.lines().enumerate() {
+            for needle in SECOND_ENCODING {
+                if line.contains(needle) {
+                    leaks.push(format!("{}:{}: {needle}", path.display(), lineno + 1));
+                }
+            }
+        }
+    }
+    assert!(
+        leaks.is_empty(),
+        "engine snapshots copy their run state; a second encoding is back:\n{}",
+        leaks.join("\n")
     );
 }

@@ -1,12 +1,12 @@
 //! Snapshot restore into a long-lived simulation.
 //!
-//! `Simulation::restore` copies a snapshot into the simulation's existing
-//! queue, statistics and latency buffers instead of reallocating them. A
-//! buffer that kept stale contents from an earlier, differently shaped
-//! configuration would leak into the restored one; this suite drives one
-//! simulation through a seeded sequence of restores — cycling through
-//! snapshots of different shapes, with steps in between that dirty the
-//! buffers — and requires it to match a fresh simulation restored once.
+//! `Simulation::restore` replaces the simulation's run state — queues,
+//! ready array, scheduler, statistics, clock and latency streams — with a
+//! copy of the snapshot's. Anything it left behind from an earlier,
+//! differently shaped configuration would leak into the restored one;
+//! this suite drives one simulation through a seeded sequence of restores
+//! — cycling through snapshots of different shapes, with steps in between
+//! — and requires it to match a fresh simulation restored once.
 
 use content_oblivious::core::registry::{Alg2Def, RingProtocol};
 use content_oblivious::core::Alg2Node;
@@ -126,7 +126,7 @@ fn a_long_lived_simulation_matches_a_fresh_one_after_every_restore() {
 
 #[test]
 fn counter_snapshots_cover_spill_runs() {
-    // The restore test above only exercises run-list reuse if some counter
+    // The restore test above only restores spill runs if some counter
     // channel holds more than its head run: more run entries than ready
     // channels, at 16 bytes per entry.
     for plan in [Plan::Plain, Plan::Duplicates] {

@@ -18,10 +18,9 @@
 //!    sequence and byte-identical `RunReport`/`SimStats`/fingerprints.
 //!    The picks are what tells two adversaries apart: Theorems 1–3 make
 //!    the end state the same under every schedule.
-//! 3. Cross record/replay and mid-run snapshot/restore: a schedule
-//!    recorded under the built-in scheduler replays bit-exact under the
-//!    oracle's replay (and vice versa), and a snapshot taken mid-run under
-//!    one continues identically under the other.
+//! 3. Cross record/replay: a schedule recorded under the built-in
+//!    scheduler replays bit-exact under the oracle's replay (and vice
+//!    versa).
 
 use content_oblivious::core::registry::{Alg1Def, Alg2Def, Alg3Def, RingProtocol};
 use content_oblivious::core::Alg2Node;
@@ -47,13 +46,12 @@ use std::rc::Rc;
 // ---------------------------------------------------------------------------
 
 /// One built-in adversary's order as an O(ready) scan of the slice it is
-/// shown. It keeps no index and ignores every hook; its mutable state
-/// (round-robin and replay cursors, the random stream) saves in the same
-/// layout as the built-in's, so snapshots cross between the two.
-#[derive(Debug)]
+/// shown. It keeps no index and ignores every hook. Solitude's oracle is
+/// Fifo's: every send takes its own seq, so no two heads ever tie and
+/// Definition 21's CW-first tie-break decides nothing.
+#[derive(Clone, Debug)]
 enum ScanOracle {
     Fifo,
-    Solitude,
     Lifo,
     Random(StdRng),
     RoundRobin {
@@ -73,8 +71,7 @@ impl ScanOracle {
     /// The oracle of `kind.build(seed)`.
     fn of(kind: SchedulerKind, seed: u64) -> ScanOracle {
         match kind {
-            SchedulerKind::Fifo => ScanOracle::Fifo,
-            SchedulerKind::Solitude => ScanOracle::Solitude,
+            SchedulerKind::Fifo | SchedulerKind::Solitude => ScanOracle::Fifo,
             SchedulerKind::Lifo => ScanOracle::Lifo,
             SchedulerKind::Random => ScanOracle::Random(StdRng::seed_from_u64(seed)),
             SchedulerKind::RoundRobin => ScanOracle::RoundRobin { cursor: 0 },
@@ -100,20 +97,10 @@ fn min_by<K: Ord>(ready: &[ChannelView], key: impl Fn(&ChannelView) -> K) -> Cha
         .id
 }
 
-/// CW before CCW, untagged last — the Definition-21 tie-break.
-fn dir_rank(direction: Option<Direction>) -> u8 {
-    match direction {
-        Some(Direction::Cw) => 0,
-        Some(Direction::Ccw) => 1,
-        None => 2,
-    }
-}
-
 impl Scheduler for ScanOracle {
     fn pick(&mut self, ready: &[ChannelView]) -> ChannelId {
         match self {
             ScanOracle::Fifo => min_by(ready, |v| v.head_seq),
-            ScanOracle::Solitude => min_by(ready, |v| (v.head_seq, dir_rank(v.direction))),
             ScanOracle::Lifo => min_by(ready, |v| Reverse(v.head_seq)),
             ScanOracle::Random(rng) => ready[rng.gen_range(0..ready.len())].id,
             ScanOracle::RoundRobin { cursor } => {
@@ -140,28 +127,6 @@ impl Scheduler for ScanOracle {
                 }
                 min_by(ready, |v| v.head_seq)
             }
-        }
-    }
-
-    fn save_state(&self) -> Vec<u64> {
-        match self {
-            ScanOracle::Random(rng) => rng.to_state().to_vec(),
-            ScanOracle::RoundRobin { cursor } | ScanOracle::Replay { cursor, .. } => {
-                vec![*cursor as u64]
-            }
-            _ => Vec::new(),
-        }
-    }
-
-    fn restore_state(&mut self, state: &[u64]) {
-        match self {
-            ScanOracle::Random(rng) => {
-                *rng = StdRng::from_state(state.try_into().expect("random state is 4 words"));
-            }
-            ScanOracle::RoundRobin { cursor } | ScanOracle::Replay { cursor, .. } => {
-                *cursor = state[0] as usize;
-            }
-            _ => {}
         }
     }
 }
@@ -234,9 +199,9 @@ impl ReadyModel {
         indexed.on_send(seq, arrival, view);
     }
 
-    /// Re-seeds `indexed` as the engine does after a restore or a
-    /// scheduler swap: the ready views, then every in-flight message in
-    /// send order, each with its channel's view.
+    /// Re-seeds `indexed` as the engine does after a scheduler swap: the
+    /// ready views, then every in-flight message in send order, each with
+    /// its channel's view.
     fn reindex(&self, indexed: &mut dyn Scheduler) {
         indexed.rebuild_index(&self.ready);
         let mut in_flight: Vec<(u64, u64, ChannelView)> = self
@@ -427,8 +392,8 @@ fn send_order_cells() -> [(SchedulerKind, LatencyPlan); 3] {
 
 /// Deliveries the scheduler did not pick (`step_channel`, the explorer's
 /// primitive) interleaved with scheduled steps and with restores of the
-/// built-in run's own snapshots (which re-seed its index from the queues):
-/// the send-order schedulers drop what was delivered behind their back and
+/// built-in run's own snapshots (which copy its index back whole): the
+/// send-order schedulers drop what was delivered behind their back and
 /// still pick what their scan oracle picks, step for step.
 #[test]
 fn step_channel_deliveries_interleave_with_scheduled_picks() {
@@ -476,14 +441,14 @@ fn step_channel_deliveries_interleave_with_scheduled_picks() {
 }
 
 /// A send-order scheduler that publishes its queue size after every hook.
-#[derive(Debug)]
+#[derive(Clone, Debug)]
 struct Watched<S> {
     inner: S,
     runs: fn(&S) -> usize,
     held: Rc<Cell<usize>>,
 }
 
-impl<S: Scheduler> Scheduler for Watched<S> {
+impl<S: Scheduler + Clone + 'static> Scheduler for Watched<S> {
     fn pick(&mut self, ready: &[ChannelView]) -> ChannelId {
         self.inner.pick(ready)
     }
@@ -715,7 +680,7 @@ fn full_grid_agrees_with_the_scan_oracle() {
 }
 
 // ---------------------------------------------------------------------------
-// Layer 3: cross record/replay and snapshot/restore.
+// Layer 3: cross record/replay.
 // ---------------------------------------------------------------------------
 
 fn alg2_sim(scheduler: Box<dyn Scheduler>) -> Simulation<Pulse, Alg2Node> {
@@ -746,38 +711,6 @@ fn schedules_cross_replay_between_modes() {
             assert_eq!(sim.recorded_schedule(), Some(schedule), "{label}: picks");
             assert_eq!(report, replayed, "{label}");
             assert_eq!(recorder.fingerprint(), sim.fingerprint(), "{label}");
-        }
-    }
-}
-
-/// A snapshot taken mid-run under the built-in scheduler restores into an
-/// engine running the oracle (and vice versa) and walks the identical
-/// configuration chain.
-#[test]
-fn snapshots_cross_restore_between_modes() {
-    for kind in SchedulerKind::ALL {
-        for (first, second) in [(Impl::BuiltIn, Impl::Oracle), (Impl::Oracle, Impl::BuiltIn)] {
-            let mut a = alg2_sim(scheduler(kind, 5, first));
-            a.start();
-            for _ in 0..40 {
-                if a.step().is_none() {
-                    break;
-                }
-            }
-            let snap = a.snapshot();
-            let mut b = alg2_sim(scheduler(kind, 5, second));
-            b.restore(&snap);
-            assert_eq!(a.fingerprint(), b.fingerprint(), "{kind}: restore point");
-            loop {
-                let sa = a.step();
-                let sb = b.step();
-                assert_eq!(sa, sb, "{kind}");
-                assert_eq!(a.fingerprint(), b.fingerprint(), "{kind}");
-                if sa.is_none() {
-                    break;
-                }
-            }
-            assert_eq!(a.stats(), b.stats(), "{kind}");
         }
     }
 }
