@@ -976,13 +976,16 @@ where
 /// depth-first loop over its own frontier shard, stealing from other
 /// shards when its own runs dry. Every worker owns a private [`Probe`] it
 /// expands frontier records ([`PulseConfig`]) with, so only plain data
-/// crosses threads. Deduplication goes through a [`ShardedIndex`]
-/// ([`crate::dedup::FP_SHARDS`] locks keyed by fingerprint prefix) with the
-/// backend chosen by `config.dedup`: `exact` keeps the set on the heap at
-/// 8 bytes per configuration, so the explorer reaches ring sizes the
-/// tuple-keyed [`explore_reference`] cannot under the same
-/// [`ExploreLimits::max_state_bytes`] budget; `mmap` stores the same set in
-/// files so RAM stops being the bound.
+/// crosses threads. Deduplication goes through a [`ShardedIndex`] built
+/// for the worker count ([`ShardedIndex::for_workers`]): one worker inserts
+/// into one table, two or more into [`crate::dedup::FP_SHARDS`] tables
+/// under their own locks, keyed by fingerprint prefix. Its checkpoint
+/// images are the same either way, so a run cut with one worker count
+/// resumes under another. The backend is chosen by `config.dedup`: `exact`
+/// keeps the set on the heap at 8 bytes per configuration, so the explorer
+/// reaches ring sizes the tuple-keyed [`explore_reference`] cannot under
+/// the same [`ExploreLimits::max_state_bytes`] budget; `mmap` stores the
+/// same set in files so RAM stops being the bound.
 ///
 /// Guarantees, asserted by differential tests:
 ///
@@ -1091,7 +1094,7 @@ where
         }
     }
 
-    let index = ShardedIndex::with_dir(config.dedup, 0, 0.0, config.scratch_dir.as_deref());
+    let index = ShardedIndex::for_workers(config.dedup, jobs, config.scratch_dir.as_deref());
 
     // One frontier shard per worker; each worker pops its own back (LIFO,
     // depth-first) and steals from other shards' fronts (oldest first,
@@ -1271,7 +1274,10 @@ where
                         let t = prof::start();
                         let fp = probe.probe(&record, channel).expect("a pulse to deliver");
                         prof::stop(Phase::Probe, t);
-                        if !index.insert(fp) {
+                        let t = prof::start();
+                        let admitted = index.insert(fp);
+                        prof::stop(Phase::Dedup, t);
+                        if !admitted {
                             continue;
                         }
                         // Invariant (resume convergence): an admitted successor
@@ -1991,7 +1997,14 @@ mod tests {
         let dir = std::env::temp_dir().join(unique_name("co-ring-test-ck"));
         std::fs::create_dir_all(&dir).expect("test scratch dir");
         let ck_path = dir.join("explore.ck");
-        for kind in [DedupKind::Exact, DedupKind::Mmap { budget: 1 << 16 }] {
+        let kinds = [DedupKind::Exact, DedupKind::Mmap { budget: 1 << 16 }];
+        // Cut and resume under the same worker count, and across the
+        // one-table (one worker) and sixty-four-table (two workers) index.
+        let jobs = [(2, 2), (1, 2), (2, 1)];
+        for (kind, (cut_jobs, resume_jobs)) in
+            kinds.into_iter().flat_map(|k| jobs.map(|pair| (k, pair)))
+        {
+            let kind_jobs = format!("{kind:?}, jobs {cut_jobs}→{resume_jobs}");
             // "Kill" the run mid-flight: a max_configs cut plays the role of
             // the interruption — the frontier at the stop is intact, and the
             // final checkpoint captures it.
@@ -2001,7 +2014,7 @@ mod tests {
                 spicy,
                 mini_quiescence,
                 &ExploreConfig {
-                    jobs: 2,
+                    jobs: cut_jobs,
                     dedup: kind,
                     scratch_dir: Some(dir.clone()),
                     limits: ExploreLimits {
@@ -2016,13 +2029,16 @@ mod tests {
                     ..ExploreConfig::default()
                 },
             );
-            assert!(!cut.complete, "{kind:?}: the cut must bite");
-            assert!(cut.checkpoints_written >= 1, "{kind:?}");
+            assert!(!cut.complete, "{kind_jobs}: the cut must bite");
+            assert!(cut.checkpoints_written >= 1, "{kind_jobs}");
 
             let ck = ExploreCheckpoint::read(&ck_path).expect("checkpoint reads back");
             assert_eq!(ck.meta, b"mini".to_vec());
             assert_eq!(ck.dedup, kind.to_string());
-            assert!(!ck.is_finished(), "{kind:?}: frontier must survive the cut");
+            assert!(
+                !ck.is_finished(),
+                "{kind_jobs}: frontier must survive the cut"
+            );
 
             // Resume with full limits: the run must re-converge exactly.
             let resumed = explore(
@@ -2031,7 +2047,7 @@ mod tests {
                 spicy,
                 mini_quiescence,
                 &ExploreConfig {
-                    jobs: 2,
+                    jobs: resume_jobs,
                     dedup: kind,
                     scratch_dir: Some(dir.clone()),
                     checkpoint: Some(CheckpointPlan {
@@ -2043,40 +2059,40 @@ mod tests {
                     ..ExploreConfig::default()
                 },
             );
-            assert_eq!(resumed.configs, uninterrupted.configs, "{kind:?}");
+            assert_eq!(resumed.configs, uninterrupted.configs, "{kind_jobs}");
             assert_eq!(
                 resumed.quiescent_configs, uninterrupted.quiescent_configs,
-                "{kind:?}"
+                "{kind_jobs}"
             );
-            assert!(resumed.complete, "{kind:?}");
+            assert!(resumed.complete, "{kind_jobs}");
             // Violation discovery order is nondeterministic across workers;
             // the *set* must match byte-for-byte.
             assert_eq!(
                 sorted(resumed.violations.clone()),
                 sorted(uninterrupted.violations.clone()),
-                "{kind:?}"
+                "{kind_jobs}"
             );
 
             // The final checkpoint is finished; resuming it is idempotent.
             let done = ExploreCheckpoint::read(&ck_path).expect("final checkpoint");
-            assert!(done.is_finished(), "{kind:?}");
+            assert!(done.is_finished(), "{kind_jobs}");
             let again = explore(
                 &spec.wiring(),
                 mini_ring,
                 spicy,
                 mini_quiescence,
                 &ExploreConfig {
-                    jobs: 2,
+                    jobs: resume_jobs,
                     dedup: kind,
                     scratch_dir: Some(dir.clone()),
                     resume: Some(done),
                     ..ExploreConfig::default()
                 },
             );
-            assert_eq!(again.configs, uninterrupted.configs, "{kind:?}");
+            assert_eq!(again.configs, uninterrupted.configs, "{kind_jobs}");
             assert_eq!(
                 again.quiescent_configs, uninterrupted.quiescent_configs,
-                "{kind:?}"
+                "{kind_jobs}"
             );
             std::fs::remove_file(&ck_path).expect("checkpoint file exists");
         }

@@ -1,11 +1,12 @@
 //! Hot-path profiling for the event core — zero-cost when disabled.
 //!
 //! The engine's hot phases ([`Phase`]), and the explorer's record loads,
-//! successor probes and frontier records, are bracketed with
-//! [`start`]/[`stop`] pairs. While profiling is off (the default), each
-//! bracket is a single relaxed atomic load and no clock is read; switching
-//! [`set_enabled`]`(true)` turns every bracket into a timed sample feeding
-//! per-phase counters, total nanoseconds, and log₂ latency histograms.
+//! successor probes, visited-set inserts and frontier records, are
+//! bracketed with [`start`]/[`stop`] pairs. While profiling is off (the
+//! default), each bracket is a single relaxed atomic load and no clock is
+//! read; switching [`set_enabled`]`(true)` turns every bracket into a timed
+//! sample feeding per-phase counters, total nanoseconds, and log₂ latency
+//! histograms.
 //!
 //! The collector is process-global (plain atomics, no locks), so it
 //! composes with the multi-threaded harness: samples from concurrent
@@ -63,6 +64,9 @@ pub enum Phase {
     /// The explorer loading a popped record into its probe, once per
     /// expanded configuration ([`crate::explore::Probe::load`]).
     Load,
+    /// The explorer inserting a probed successor's fingerprint into its
+    /// visited set, once per probe ([`crate::ShardedIndex::insert`]).
+    Dedup,
 }
 
 impl Phase {
@@ -77,6 +81,7 @@ impl Phase {
         Phase::Record,
         Phase::Probe,
         Phase::Load,
+        Phase::Dedup,
     ];
 
     fn index(self) -> usize {
@@ -90,6 +95,7 @@ impl Phase {
             Phase::Record => 6,
             Phase::Probe => 7,
             Phase::Load => 8,
+            Phase::Dedup => 9,
         }
     }
 }
@@ -106,11 +112,12 @@ impl fmt::Display for Phase {
             Phase::Record => "record",
             Phase::Probe => "probe",
             Phase::Load => "load",
+            Phase::Dedup => "dedup",
         })
     }
 }
 
-const PHASES: usize = 9;
+const PHASES: usize = 10;
 
 static ENABLED: AtomicBool = AtomicBool::new(false);
 

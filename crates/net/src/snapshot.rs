@@ -75,7 +75,7 @@ pub struct Fingerprint(u64);
 const FNV_OFFSET: u64 = 0xcbf2_9ce4_8422_2325;
 const FNV_PRIME: u64 = 0x0000_0100_0000_01b3;
 /// The multiplier of the word round: ⌊2^64 / φ⌋, which is odd.
-const WORD_MIX: u64 = 0x9E37_79B9_7F4A_7C15;
+pub(crate) const WORD_MIX: u64 = 0x9E37_79B9_7F4A_7C15;
 
 impl Fingerprint {
     /// Starts a new hash at the FNV-1a offset basis.
