@@ -1,20 +1,17 @@
 //! E12 bench — cost of exhaustively model-checking Algorithm 2's schedule
-//! space as the instance grows (configurations grow combinatorially; the
-//! fingerprint-deduplication keeps it tractable).
+//! space against its claims as the instance grows (configurations grow
+//! combinatorially; the fingerprint-deduplication keeps it tractable).
 
 use co_bench::harness::{BenchmarkId, Criterion};
 use co_bench::{criterion_group, criterion_main};
-use co_core::registry::{Alg2Def, RingProtocol};
-use co_net::explore::{explore, ExploreConfig};
+use co_core::registry::{Alg2Def, ExploreDriver};
+use co_net::explore::ExploreConfig;
 use co_net::RingSpec;
 
+/// One exhaustive check of Lemma 6, Corollary 14 and Theorem 1.
 fn check(ids: &[u64]) -> usize {
-    let spec = RingSpec::oriented(ids.to_vec());
-    let report = explore(
-        &spec.wiring(),
-        || Alg2Def::nodes(&spec),
-        |_| Ok(()),
-        |_| Ok(()),
+    let report = ExploreDriver::of::<Alg2Def>().run(
+        &RingSpec::oriented(ids.to_vec()),
         &ExploreConfig {
             jobs: 1,
             ..ExploreConfig::default()

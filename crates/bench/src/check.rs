@@ -159,9 +159,9 @@ impl CheckReport {
 #[must_use]
 pub fn collect_metrics(inject_regression_pct: Option<f64>) -> Vec<Metric> {
     use co_core::anonymous::{elect_anonymous, SamplingConfig};
-    use co_core::registry::{Alg1Def, Alg2Def, RingProtocol};
+    use co_core::registry::{Alg1Def, Alg2Def, ExploreDriver};
     use co_core::runner::{self, RunOptions};
-    use co_net::explore::{explore, ExploreConfig};
+    use co_net::explore::ExploreConfig;
     use co_net::{RingSpec, SchedulerKind};
 
     let mut metrics = Vec::new();
@@ -198,17 +198,11 @@ pub fn collect_metrics(inject_regression_pct: Option<f64>) -> Vec<Metric> {
     });
 
     // E15 — dedup memory: fingerprint index vs the byte cost it replaces.
-    let spec3 = RingSpec::oriented(vec![1, 2, 4]);
-    let snap = explore(
-        &spec3.wiring(),
-        || Alg2Def::nodes(&spec3),
-        |_| Ok(()),
-        |_| Ok(()),
-        &ExploreConfig {
-            jobs: 1,
-            ..ExploreConfig::default()
-        },
-    );
+    let one_worker = ExploreConfig {
+        jobs: 1,
+        ..ExploreConfig::default()
+    };
+    let snap = ExploreDriver::of::<Alg2Def>().run(&RingSpec::oriented(vec![1, 2, 4]), &one_worker);
     metrics.push(Metric {
         name: "e15_snap_configs_ring124",
         value: snap.configs as f64,
@@ -224,17 +218,7 @@ pub fn collect_metrics(inject_regression_pct: Option<f64>) -> Vec<Metric> {
 
     // E16 — explorer state count at one worker.
     let spec7 = RingSpec::oriented(vec![3, 5, 2, 4, 1, 6, 7]);
-    let make7 = || Alg2Def::nodes(&spec7);
-    let exact = explore(
-        &spec7.wiring(),
-        make7,
-        |_| Ok(()),
-        |_| Ok(()),
-        &ExploreConfig {
-            jobs: 1,
-            ..ExploreConfig::default()
-        },
-    );
+    let exact = ExploreDriver::of::<Alg2Def>().run(&spec7, &one_worker);
     metrics.push(Metric {
         name: "e16_exact_configs_alg2n7",
         value: exact.configs as f64,
@@ -633,10 +617,8 @@ fn e21_metrics() -> &'static [Metric; 4] {
 ///   exhaustion throughput per backend; `Decrease`-gated at 80% (see the
 ///   module docs for why that budget).
 fn e22_metrics() -> &'static [Metric; 7] {
-    use co_core::registry::{Alg2Def, RingProtocol};
-    use co_net::explore::{
-        explore, CheckpointPlan, ExploreCheckpoint, ExploreConfig, ExploreLimits,
-    };
+    use co_core::registry::{Alg2Def, ExploreDriver};
+    use co_net::explore::{CheckpointPlan, ExploreCheckpoint, ExploreConfig, ExploreLimits};
     use co_net::{DedupKind, RingSpec};
     use std::sync::OnceLock;
     use std::time::Instant;
@@ -644,12 +626,12 @@ fn e22_metrics() -> &'static [Metric; 7] {
     static CELL: OnceLock<[Metric; 7]> = OnceLock::new();
     CELL.get_or_init(|| {
         let spec = RingSpec::oriented(vec![3, 5, 2, 4, 1, 6, 7]);
-        let make = || Alg2Def::nodes(&spec);
+        let driver = ExploreDriver::of::<Alg2Def>();
         let scratch = std::env::temp_dir();
         let mmap = DedupKind::Mmap { budget: 1 << 20 };
         let run = |config: &ExploreConfig| {
             let start = Instant::now();
-            let report = explore(&spec.wiring(), make, |_| Ok(()), |_| Ok(()), config);
+            let report = driver.run(&spec, config);
             (report, start.elapsed().as_secs_f64())
         };
         let (exact, exact_secs) = run(&ExploreConfig {

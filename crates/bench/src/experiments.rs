@@ -14,9 +14,12 @@ use co_core::invariants::{Alg2MonitorObserver, CwMonitorObserver};
 use co_core::lower_bound::{
     lower_bound_messages, max_prefix_group, patterns_unique, solitude_pattern_alg2,
 };
-use co_core::registry::{Alg1Def, Alg2Def, RingProtocol, UngatedDef};
+use co_core::registry::{
+    Alg1Def, Alg2Def, ExploreDriver, ExploreProperties, ExploreRing, RingProtocol, UngatedDef,
+};
 use co_core::runner::{self, RunOptions};
 use co_core::{IdAssignment, IdScheme, Role};
+use co_net::explore::ExploreConfig;
 use co_net::{Budget, Outcome, Protocol, RingSpec, SchedulerKind, Simulation};
 use rand::rngs::StdRng;
 use rand::SeedableRng;
@@ -766,9 +769,6 @@ fn e10_invariants_jobs(jobs: usize) -> Table {
 /// E11 — ablation: Algorithm 2 without the CCW receive gate.
 #[must_use]
 pub fn e11_ablation() -> Table {
-    use co_core::ablation::UngatedAlg2Node;
-    use co_net::explore::{explore, ExploreConfig};
-
     let mut t = Table::new(
         "E11 — ablation: Algorithm 2 without the CCW receive gate",
         "§3.2: gating recvCCW on ρ_cw ≥ ID is what confines the termination trigger to ID_max",
@@ -781,69 +781,26 @@ pub fn e11_ablation() -> Table {
     );
     let mut gated_ok = true;
     let mut ungated_broken = false;
+    let config = ExploreConfig {
+        jobs: 1,
+        ..ExploreConfig::default()
+    };
     for ids in [vec![1u64, 2], vec![2, 3], vec![1, 2, 3]] {
         let spec = RingSpec::oriented(ids.clone());
-        let leader = spec.max_position();
-
-        let check = |roles: &[Role], terminated: &[bool], sent: u64, predicted: u64| {
-            terminated.iter().all(|&t| t)
-                && roles
-                    .iter()
-                    .enumerate()
-                    .all(|(i, r)| (*r == Role::Leader) == (i == leader))
-                && sent == predicted
-        };
-        let predicted = spec.len() as u64 * (2 * spec.id_max() + 1);
-
-        let gated = explore(
-            &spec.wiring(),
-            || Alg2Def::nodes(&spec),
-            |_| Ok(()),
-            |state| {
-                let roles: Vec<Role> = state.nodes.iter().map(co_core::Alg2Node::role).collect();
-                if check(&roles, &state.terminated, state.sent, predicted) {
-                    Ok(())
-                } else {
-                    Err("wrong final configuration".into())
-                }
-            },
-            &ExploreConfig {
-                jobs: 1,
-                ..ExploreConfig::default()
-            },
-        );
+        // Both variants are held to Algorithm 2's claims (Lemma 6,
+        // Corollary 14, Theorem 1).
+        let gated = ExploreDriver::of::<Alg2Def>().run(&spec, &config);
         gated_ok &= gated.complete && gated.violations.is_empty();
-        t.row(vec![
-            format!("{ids:?}"),
-            "gated (paper)".into(),
-            gated.configs.to_string(),
-            (gated.violations.is_empty()).to_string(),
-        ]);
-
-        let ungated = explore(
-            &spec.wiring(),
-            || UngatedDef::nodes(&spec),
-            |_| Ok(()),
-            |state| {
-                let roles: Vec<Role> = state.nodes.iter().map(UngatedAlg2Node::role).collect();
-                if check(&roles, &state.terminated, state.sent, predicted) {
-                    Ok(())
-                } else {
-                    Err("wrong final configuration".into())
-                }
-            },
-            &ExploreConfig {
-                jobs: 1,
-                ..ExploreConfig::default()
-            },
-        );
+        let ungated = ExploreDriver::of::<UngatedDef>().run(&spec, &config);
         ungated_broken |= !ungated.violations.is_empty();
-        t.row(vec![
-            format!("{ids:?}"),
-            "ungated (ablated)".into(),
-            ungated.configs.to_string(),
-            (ungated.violations.is_empty()).to_string(),
-        ]);
+        for (variant, report) in [("gated (paper)", gated), ("ungated (ablated)", ungated)] {
+            t.row(vec![
+                format!("{ids:?}"),
+                variant.into(),
+                report.configs.to_string(),
+                report.violations.is_empty().to_string(),
+            ]);
+        }
     }
     t.set_verdict(if gated_ok && ungated_broken {
         "the gate is load-bearing: the paper's variant is correct on every schedule, the ablation is not"
@@ -856,7 +813,6 @@ pub fn e11_ablation() -> Table {
 /// E12 — exhaustive model check of Algorithm 2 on tiny instances.
 #[must_use]
 pub fn e12_model_check() -> Table {
-    use co_net::explore::{explore, ExploreConfig};
     let mut t = Table::new(
         "E12 — exhaustive model check: every schedule of tiny instances",
         "Theorem 1 holds for all asynchronous schedules, not just sampled adversaries",
@@ -880,27 +836,10 @@ pub fn e12_model_check() -> Table {
         vec![2, 3, 1],
         vec![1, 2, 4],
     ] {
-        let spec = RingSpec::oriented(ids.clone());
-        let leader = spec.max_position();
-        let predicted = spec.len() as u64 * (2 * spec.id_max() + 1);
-        let report = explore(
-            &spec.wiring(),
-            || Alg2Def::nodes(&spec),
-            |_| Ok(()),
-            |state| {
-                let ok = state.terminated.iter().all(|&x| x)
-                    && state
-                        .nodes
-                        .iter()
-                        .enumerate()
-                        .all(|(i, n)| (n.role() == Role::Leader) == (i == leader))
-                    && state.sent == predicted;
-                if ok {
-                    Ok(())
-                } else {
-                    Err("bad quiescent configuration".into())
-                }
-            },
+        // Lemma 6 and Corollary 14 in every configuration, Theorem 1 in
+        // every quiescent one.
+        let report = ExploreDriver::of::<Alg2Def>().run(
+            &RingSpec::oriented(ids.clone()),
             &ExploreConfig {
                 jobs: 1,
                 ..ExploreConfig::default()
@@ -1034,7 +973,7 @@ pub fn e14_universal_simulation() -> Table {
 #[must_use]
 pub fn e15_explore_dedup() -> Table {
     use co_core::Alg2Node;
-    use co_net::explore::{explore, explore_reference, ExploreConfig};
+    use co_net::explore::{explore_reference, ExploreLimits};
     let mut t = Table::new(
         "E15 — explorer grid: fingerprint explorer at 1 and 4 workers / tuple-keyed reference",
         "fingerprint dedup (8 B/config) covers the same state space at every worker count",
@@ -1051,12 +990,10 @@ pub fn e15_explore_dedup() -> Table {
         vec![1, 2, 4],
     ] {
         let spec = RingSpec::oriented(ids.clone());
-        let make = || Alg2Def::nodes(&spec);
-        let snap = explore(
-            &spec.wiring(),
-            make,
-            |_| Ok(()),
-            |_| Ok(()),
+        let ring = ExploreRing::new(&spec);
+        let driver = ExploreDriver::of::<Alg2Def>();
+        let snap = driver.run(
+            &spec,
             &ExploreConfig {
                 jobs: 1,
                 ..ExploreConfig::default()
@@ -1064,7 +1001,7 @@ pub fn e15_explore_dedup() -> Table {
         );
         let reference = explore_reference(
             &spec.wiring(),
-            make,
+            || Alg2Def::nodes(&spec),
             |node: &Alg2Node| {
                 (
                     node.rho_cw(),
@@ -1076,15 +1013,17 @@ pub fn e15_explore_dedup() -> Table {
                     node.is_terminated(),
                 )
             },
-            |_| Ok(()),
-            |_| Ok(()),
-            co_net::explore::ExploreLimits::default(),
+            |state| Alg2Def::safety(&ring, state),
+            |state| Alg2Def::at_quiescence(&ring, state),
+            ExploreLimits::default(),
         );
-        // Reference agreement requires identical state counts and a strictly
-        // larger footprint for the tuple-keyed set.
+        // Reference agreement requires identical state counts, no broken
+        // claim, and a strictly larger footprint for the tuple-keyed set.
         let ref_ok = snap.complete
             && reference.complete
             && snap.configs == reference.configs
+            && snap.violations.is_empty()
+            && reference.violations.is_empty()
             && snap.visited_bytes < reference.visited_bytes;
         all_ok &= ref_ok;
         t.row(vec![
@@ -1109,9 +1048,9 @@ pub fn e15_explore_dedup() -> Table {
             jobs: 4,
             ..ExploreConfig::default()
         };
-        let par = explore(&spec.wiring(), make, |_| Ok(()), |_| Ok(()), &config);
+        let par = driver.run(&spec, &config);
         // Every worker count must agree bit-for-bit on the count.
-        let agree = par.complete && par.configs == snap.configs;
+        let agree = par.complete && par.configs == snap.configs && par.violations.is_empty();
         all_ok &= agree;
         t.row(vec![
             format!("{ids:?}"),
@@ -1131,6 +1070,24 @@ pub fn e15_explore_dedup() -> Table {
     t
 }
 
+/// The two exploration workloads of E16 and E22: the full n = 4
+/// Algorithm 1 ring and the n = 7 Algorithm 2 ring, each with the driver
+/// that checks its definition's claims.
+fn explore_workloads() -> [(&'static str, ExploreDriver, RingSpec); 2] {
+    [
+        (
+            "alg1 n=4",
+            ExploreDriver::of::<Alg1Def>(),
+            RingSpec::oriented(vec![2, 4, 1, 3]),
+        ),
+        (
+            "alg2 n=7",
+            ExploreDriver::of::<Alg2Def>(),
+            RingSpec::oriented(vec![3, 5, 2, 4, 1, 6, 7]),
+        ),
+    ]
+}
+
 /// E16 — parallel explorer at its default worker grid.
 #[must_use]
 pub fn e16_parallel_explore() -> Table {
@@ -1144,7 +1101,7 @@ pub fn e16_parallel_explore() -> Table {
 /// `[1, jobs]`.
 #[must_use]
 pub fn e16_parallel_explore_jobs(jobs: usize) -> Table {
-    use co_net::explore::{explore, ExploreConfig, ExploreLimits};
+    use co_net::explore::{explore, ExploreLimits};
     use co_net::FaultPlan;
     use std::time::Instant;
 
@@ -1176,33 +1133,15 @@ pub fn e16_parallel_explore_jobs(jobs: usize) -> Table {
     // (Alg 1 quiesces per Corollary 13, so every maximal schedule ends in a
     // countable quiescent configuration), and an n=7 Algorithm 2 ring whose
     // ~20k-configuration space is large enough for work stealing to pay off.
-    enum Nodes {
-        A1(Vec<u64>),
-        A2(Vec<u64>),
-    }
-    let workloads = [
-        ("alg1 n=4", Nodes::A1(vec![2, 4, 1, 3])),
-        ("alg2 n=7", Nodes::A2(vec![3, 5, 2, 4, 1, 6, 7])),
-    ];
-    for (label, nodes) in &workloads {
-        let (spec, is_alg1) = match nodes {
-            Nodes::A1(ids) => (RingSpec::oriented(ids.clone()), true),
-            Nodes::A2(ids) => (RingSpec::oriented(ids.clone()), false),
-        };
-        // Run one worker count, dispatching on the protocol type.
+    // Each run checks its definition's claims.
+    for (label, driver, spec) in &explore_workloads() {
         let run = |jobs: usize| {
             let config = ExploreConfig {
                 jobs,
                 ..ExploreConfig::default()
             };
             let start = Instant::now();
-            let report = if is_alg1 {
-                let make = || Alg1Def::nodes(&spec);
-                explore(&spec.wiring(), make, |_| Ok(()), |_| Ok(()), &config)
-            } else {
-                let make = || Alg2Def::nodes(&spec);
-                explore(&spec.wiring(), make, |_| Ok(()), |_| Ok(()), &config)
-            };
+            let report = driver.run(spec, &config);
             (report, start.elapsed().as_millis())
         };
         // The grid starts at one worker: that run is the reference every
@@ -1235,12 +1174,12 @@ pub fn e16_parallel_explore_jobs(jobs: usize) -> Table {
 
     // -- Part 2: exhaustive fault model-checking (E13, quantified ∀ schedules) -
     // E13 samples one schedule per fault; here every schedule of the faulted
-    // n=3 instance is explored. The quiescence predicate is inverted: a
-    // violation would mean some schedule *survives* the fault and still elects
-    // correctly — we verify none does.
+    // n=3 instance is explored. Algorithm 2's quiescence predicate is
+    // inverted: a violation would mean some schedule *survives* the fault and
+    // still elects correctly — we verify none does. No safety claim is
+    // checked: an injected fault breaks the channel model Lemma 6 rests on.
     let spec3 = RingSpec::oriented(vec![3u64, 5, 2]);
-    let leader = spec3.max_position();
-    let predicted = spec3.len() as u64 * (2 * spec3.id_max() + 1);
+    let ring3 = ExploreRing::new(&spec3);
     let make3 = || Alg2Def::nodes(&spec3);
     for (label, plan, bounded) in [
         // A dropped pulse only shrinks the state space: the exploration is
@@ -1265,19 +1204,9 @@ pub fn e16_parallel_explore_jobs(jobs: usize) -> Table {
             &spec3.wiring(),
             make3,
             |_| Ok(()),
-            |state| {
-                let healthy = state.terminated.iter().all(|&x| x)
-                    && state
-                        .nodes
-                        .iter()
-                        .enumerate()
-                        .all(|(i, n)| (n.role() == Role::Leader) == (i == leader))
-                    && state.sent == predicted;
-                if healthy {
-                    Err("schedule survived the fault with a healthy election".into())
-                } else {
-                    Ok(())
-                }
+            |state| match Alg2Def::at_quiescence(&ring3, state) {
+                Ok(()) => Err("schedule survived the fault with a healthy election".into()),
+                Err(_) => Ok(()),
             },
             &config,
         );
@@ -1948,13 +1877,16 @@ pub fn e21_fleet_jobs(jobs: usize) -> Table {
 /// index bytes — the table moved into a page-cache-backed file. Part 2 cuts
 /// a checkpointed mmap run at a third of the state space, resumes it from
 /// the checkpoint file, and asserts the resumed totals are byte-identical
-/// to the uninterrupted run.
+/// to the uninterrupted run. Every run checks its definition's claims.
+///
+/// Each Part 1 row is bracketed by the [`co_net::prof`] collector on its
+/// own, so its `dedup mean ns` is the mean visited-set insert of that
+/// backend alone (and its `cfg/s` includes the profiler's clock reads).
+/// The rows run sequentially: the profiler is process-global.
 #[must_use]
 pub fn e22_out_of_core() -> Table {
-    use co_net::explore::{
-        explore, CheckpointPlan, ExploreCheckpoint, ExploreConfig, ExploreLimits,
-    };
-    use co_net::DedupKind;
+    use co_net::explore::{CheckpointPlan, ExploreCheckpoint, ExploreLimits};
+    use co_net::{prof, DedupKind};
     use std::time::Instant;
 
     let mut t = Table::new(
@@ -1962,7 +1894,7 @@ pub fn e22_out_of_core() -> Table {
         "the visited set moves to a file-backed table and interrupted runs resume to identical counts",
         vec![
             "workload", "backend", "configs", "quiescent", "heap B", "file B", "B/config",
-            "cfg/s", "complete", "agree",
+            "cfg/s", "dedup mean ns", "complete", "agree",
         ],
     );
     let mut all_ok = true;
@@ -1970,31 +1902,9 @@ pub fn e22_out_of_core() -> Table {
     let mmap = DedupKind::Mmap { budget: 1 << 20 };
 
     // -- Part 1: backend grid -------------------------------------------------
-    enum Nodes {
-        A1(Vec<u64>),
-        A2(Vec<u64>),
-    }
-    let workloads = [
-        ("alg1 n=4", Nodes::A1(vec![2, 4, 1, 3])),
-        ("alg2 n=7", Nodes::A2(vec![3, 5, 2, 4, 1, 6, 7])),
-    ];
+    let was_profiling = prof::enabled();
     let mut alg2_exact_report = None;
-    for (label, nodes) in &workloads {
-        let (spec, is_alg1) = match nodes {
-            Nodes::A1(ids) => (RingSpec::oriented(ids.clone()), true),
-            Nodes::A2(ids) => (RingSpec::oriented(ids.clone()), false),
-        };
-        let run = |config: &ExploreConfig| {
-            let start = Instant::now();
-            let report = if is_alg1 {
-                let make = || Alg1Def::nodes(&spec);
-                explore(&spec.wiring(), make, |_| Ok(()), |_| Ok(()), config)
-            } else {
-                let make = || Alg2Def::nodes(&spec);
-                explore(&spec.wiring(), make, |_| Ok(()), |_| Ok(()), config)
-            };
-            (report, start.elapsed().as_secs_f64())
-        };
+    for (label, driver, spec) in &explore_workloads() {
         let mut exact_configs = 0usize;
         for (name, kind) in [("exact", DedupKind::Exact), ("mmap", mmap)] {
             let config = ExploreConfig {
@@ -2003,11 +1913,17 @@ pub fn e22_out_of_core() -> Table {
                 scratch_dir: Some(scratch.clone()),
                 ..ExploreConfig::default()
             };
-            let (report, secs) = run(&config);
+            prof::reset();
+            prof::set_enabled(true);
+            let start = Instant::now();
+            let report = driver.run(spec, &config);
+            let secs = start.elapsed().as_secs_f64();
+            prof::set_enabled(false);
+            let dedup_ns = prof::report().phase(prof::Phase::Dedup).mean_ns();
             let agree = match kind {
                 DedupKind::Exact => {
                     exact_configs = report.configs;
-                    if !is_alg1 {
+                    if label.starts_with("alg2") {
                         alg2_exact_report = Some((report.configs, report.quiescent_configs));
                     }
                     report.complete && report.violations.is_empty()
@@ -2017,6 +1933,7 @@ pub fn e22_out_of_core() -> Table {
                 DedupKind::Mmap { .. } => {
                     report.complete
                         && report.configs == exact_configs
+                        && report.violations.is_empty()
                         && report.visited_heap_bytes == 0
                         && report.visited_file_bytes > 0
                 }
@@ -2031,11 +1948,14 @@ pub fn e22_out_of_core() -> Table {
                 report.visited_file_bytes.to_string(),
                 format!("{:.1}", report.visited_bytes as f64 / report.configs as f64),
                 format!("{:.0}", report.configs as f64 / secs.max(1e-9)),
+                dedup_ns.to_string(),
                 report.complete.to_string(),
                 agree.to_string(),
             ]);
         }
     }
+    prof::reset();
+    prof::set_enabled(was_profiling);
 
     // -- Part 2: checkpointed kill-and-resume --------------------------------
     // Cut an mmap+spill run of the alg2 n=7 space at a third of its
@@ -2044,7 +1964,7 @@ pub fn e22_out_of_core() -> Table {
     // run's exactly.
     let (full_configs, full_quiescent) = alg2_exact_report.unwrap_or((0, 0));
     let spec = RingSpec::oriented(vec![3, 5, 2, 4, 1, 6, 7]);
-    let make = || Alg2Def::nodes(&spec);
+    let driver = ExploreDriver::of::<Alg2Def>();
     let ck_path = scratch.join(format!("co-ring-e22-{}.ck", std::process::id()));
     let plan = CheckpointPlan {
         path: ck_path.clone(),
@@ -2063,7 +1983,7 @@ pub fn e22_out_of_core() -> Table {
         checkpoint: Some(plan.clone()),
         ..ExploreConfig::default()
     };
-    let cut = explore(&spec.wiring(), make, |_| Ok(()), |_| Ok(()), &cut_config);
+    let cut = driver.run(&spec, &cut_config);
     let start = Instant::now();
     let resumed = match ExploreCheckpoint::read(&ck_path) {
         Ok(ck) => {
@@ -2076,13 +1996,7 @@ pub fn e22_out_of_core() -> Table {
                 resume: Some(ck),
                 ..ExploreConfig::default()
             };
-            Some(explore(
-                &spec.wiring(),
-                make,
-                |_| Ok(()),
-                |_| Ok(()),
-                &resume_config,
-            ))
+            Some(driver.run(&spec, &resume_config))
         }
         Err(_) => None,
     };
@@ -2093,6 +2007,7 @@ pub fn e22_out_of_core() -> Table {
             && r.complete
             && r.configs == full_configs
             && r.quiescent_configs == full_quiescent
+            && r.violations.is_empty()
     });
     all_ok &= resume_ok;
     if let Some(r) = resumed {
@@ -2105,6 +2020,7 @@ pub fn e22_out_of_core() -> Table {
             r.visited_file_bytes.to_string(),
             format!("{:.1}", r.visited_bytes as f64 / r.configs as f64),
             format!("{:.0}", r.configs as f64 / secs.max(1e-9)),
+            "-".into(),
             r.complete.to_string(),
             resume_ok.to_string(),
         ]);

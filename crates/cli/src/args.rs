@@ -713,7 +713,7 @@ COMMANDS:
   record      Run once, printing a replayable delivery schedule
   replay      Deterministically re-execute a recorded schedule
   shrink      Find a monitor-violating schedule, then ddmin-minimize it
-  explore     Enumerate every schedule (fingerprint-deduplicated)
+  explore     Check the paper's claims on every schedule (exit 2 if broken)
   protocols   Print the protocol registry (names × capabilities)
   help        This text
 

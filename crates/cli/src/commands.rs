@@ -401,12 +401,13 @@ fn explore_cmd(
         }
         Err(ExploreError::Ids(e)) => return explore_error(e.to_string()),
     };
-    let text = format!(
+    let mut text = format!(
         "exhaustive exploration of {protocol} on {spec}\n\
          workers: {} | dedup: {}\n\
          configurations: {} ({} quiescent) | complete: {}\n\
          dedup index: {} bytes ({} heap + {} file)\n\
-         spilled frontier items: {} | checkpoints written: {}\n",
+         spilled frontier items: {} | checkpoints written: {}\n\
+         violations: {}\n",
         config.jobs,
         config.dedup,
         report.configs,
@@ -417,7 +418,11 @@ fn explore_cmd(
         report.visited_file_bytes,
         report.spilled_jobs,
         report.checkpoints_written,
+        report.violations.len(),
     );
+    for v in &report.violations {
+        text.push_str(&format!("  {v}\n"));
+    }
     let json = object([
         ("protocol", Value::from(protocol.to_string())),
         ("jobs", Value::from(config.jobs)),
@@ -434,8 +439,14 @@ fn explore_cmd(
             Value::from(report.checkpoints_written),
         ),
         ("violations", Value::from(report.violations.len())),
+        (
+            "violation_messages",
+            array(report.violations.iter().map(String::as_str)),
+        ),
     ]);
-    ok(text, json)
+    // A broken claim is the run's finding, not a refused input (exit 1).
+    let code = if report.violations.is_empty() { 0 } else { 2 };
+    CommandOutput { text, json, code }
 }
 
 fn tables(exps: &[co_bench::Experiment], jobs: usize) -> CommandOutput {
@@ -1098,6 +1109,34 @@ mod tests {
         assert!(*configs > 1);
         let out = run_line(&["explore", "--ids", "1,2", "--max-configs", "2"]);
         assert_eq!(out.json.get("complete"), Some(&Value::Bool(false)));
+    }
+
+    #[test]
+    fn explore_exits_2_when_a_claim_breaks() {
+        let out = run_line(&["explore", "--protocol", "ungated", "--n", "4"]);
+        assert_eq!(out.code, 2, "{}", out.text);
+        assert!(out.text.contains("Theorem 1"), "{}", out.text);
+        let Some(Value::Array(messages)) = out.json.get("violation_messages") else {
+            panic!("violation_messages should be an array")
+        };
+        assert!(!messages.is_empty());
+        assert_eq!(
+            out.json.get("violations"),
+            Some(&Value::from(messages.len()))
+        );
+        for args in [
+            ["--protocol", "alg1", "--n", "4"],
+            ["--protocol", "alg2", "--n", "4"],
+            ["--protocol", "alg3", "--n", "3"],
+        ] {
+            let out = run_line(&[&["explore"], &args[..]].concat());
+            assert_eq!(out.code, 0, "{args:?}: {}", out.text);
+            assert!(out.text.contains("violations: 0\n"), "{}", out.text);
+            assert_eq!(
+                out.json.get("violation_messages"),
+                Some(&Value::Array(vec![]))
+            );
+        }
     }
 
     #[test]

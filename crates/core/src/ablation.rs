@@ -224,52 +224,24 @@ impl CcwInstanceView for UngatedAlg2Node {
 #[cfg(test)]
 mod tests {
     use super::*;
-    use crate::registry::{RingProtocol, UngatedDef};
-    use co_net::explore::{explore, ExploreConfig};
+    use crate::registry::{core_registry, RingProtocol, UngatedDef};
+    use co_net::explore::{ExploreConfig, ExploreReport};
     use co_net::{RingSpec, SchedulerKind};
 
     /// The ablated variant misbehaves on *some* schedule: exhaustively
-    /// explore a 2-ring and find a quiescent/terminated configuration with
-    /// the wrong leader set, or a node terminating while pulses remain.
+    /// explore a 2-ring against Algorithm 2's claims and find a quiescent
+    /// configuration with the wrong leader set, a node that has not
+    /// terminated, or the wrong pulse count.
     #[test]
     fn ungated_variant_fails_under_some_schedule() {
-        let spec = RingSpec::oriented(vec![1, 2]);
-        let report = explore(
-            &spec.wiring(),
-            || {
-                vec![
-                    UngatedAlg2Node::new(1, spec.cw_port(0)),
-                    UngatedAlg2Node::new(2, spec.cw_port(1)),
-                ]
-            },
-            |_| Ok(()),
-            |state| {
-                // A *correct* Algorithm 2 ends every schedule with node 1
-                // (ID 2) as unique leader and both nodes terminated.
-                let both_done = state.terminated.iter().all(|&t| t);
-                let correct = both_done
-                    && state.nodes[0].role == Role::NonLeader
-                    && state.nodes[1].role == Role::Leader;
-                if correct {
-                    Ok(())
-                } else {
-                    Err(format!(
-                        "bad final config: roles ({:?}, {:?}), terminated {:?}",
-                        state.nodes[0].role, state.nodes[1].role, state.terminated
-                    ))
-                }
-            },
-            &ExploreConfig {
-                jobs: 1,
-                ..ExploreConfig::default()
-            },
-        );
+        let report = explore_1_2("ungated");
         assert!(report.complete, "tiny instance must be fully explored");
         assert!(
-            !report.violations.is_empty(),
-            "the ungated ablation should fail on some schedule \
-             ({} configs explored)",
-            report.configs
+            report.violations.iter().any(|v| v.contains("Theorem 1")),
+            "the ungated ablation should fail Theorem 1 on some schedule \
+             ({} configs explored): {:?}",
+            report.configs,
+            report.violations
         );
     }
 
@@ -277,42 +249,20 @@ mod tests {
     /// check on the same ring — the failure above is caused by the ablation.
     #[test]
     fn gated_original_passes_the_same_exhaustive_check() {
-        use crate::alg2::Alg2Node;
-        let spec = RingSpec::oriented(vec![1, 2]);
-        let report = explore(
-            &spec.wiring(),
-            || {
-                vec![
-                    Alg2Node::new(1, spec.cw_port(0)),
-                    Alg2Node::new(2, spec.cw_port(1)),
-                ]
-            },
-            |_| Ok(()),
-            |state| {
-                let both_done = state.terminated.iter().all(|&t| t);
-                if both_done
-                    && state.nodes[0].role() == Role::NonLeader
-                    && state.nodes[1].role() == Role::Leader
-                    && state.sent == 2 * (2 * 2 + 1)
-                {
-                    Ok(())
-                } else {
-                    Err(format!(
-                        "roles ({:?}, {:?}), terminated {:?}, sent {}",
-                        state.nodes[0].role(),
-                        state.nodes[1].role(),
-                        state.terminated,
-                        state.sent
-                    ))
-                }
-            },
-            &ExploreConfig {
-                jobs: 1,
-                ..ExploreConfig::default()
-            },
-        );
+        let report = explore_1_2("alg2");
         assert!(report.complete);
         assert!(report.violations.is_empty(), "{:?}", report.violations);
+    }
+
+    /// Every schedule of the registered protocol `name` on the ring
+    /// `[1, 2]`, checked against its definition's claims.
+    fn explore_1_2(name: &str) -> ExploreReport {
+        let config = ExploreConfig {
+            jobs: 1,
+            ..ExploreConfig::default()
+        };
+        let driver = core_registry().explore(name).expect("explore-capable");
+        driver.run(&RingSpec::oriented(vec![1, 2]), &config)
     }
 
     /// Even without exhaustive search, a plain adversary already breaks the

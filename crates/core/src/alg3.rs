@@ -44,7 +44,7 @@
 //! ```
 
 use crate::election::Role;
-use co_net::{Context, Fingerprint, Port, Protocol, Pulse, Snapshot};
+use co_net::{Context, Fingerprint, Port, Protocol, Pulse, RingSpec, Snapshot};
 use rand::rngs::StdRng;
 use rand::{Rng, SeedableRng};
 use std::fmt;
@@ -364,6 +364,20 @@ impl Snapshot for Alg3Node {
     }
 }
 
+/// Whether every node of `nodes` has decided and their CW ports form one
+/// consistent orientation of `spec`: each claimed CW port leads to the
+/// clockwise neighbour, or each leads counterclockwise, the same global
+/// orientation mirrored (Theorem 2 asks only for consistency).
+#[must_use]
+pub fn orientation_consistent(spec: &RingSpec, nodes: &[Alg3Node]) -> bool {
+    let along = |port: fn(&RingSpec, usize) -> Port| {
+        (0..)
+            .zip(nodes)
+            .all(|(i, n)| n.output().map(|o| o.cw_port) == Some(port(spec, i)))
+    };
+    along(RingSpec::cw_port) || along(RingSpec::ccw_port)
+}
+
 impl fmt::Display for Alg3Node {
     fn fmt(&self, f: &mut fmt::Formatter<'_>) -> fmt::Result {
         write!(
@@ -377,7 +391,7 @@ impl fmt::Display for Alg3Node {
 #[cfg(test)]
 mod tests {
     use super::*;
-    use co_net::{Budget, Direction, Outcome, RingSpec, SchedulerKind, Simulation};
+    use co_net::{Budget, Direction, Outcome, SchedulerKind, Simulation};
 
     fn run(
         spec: &RingSpec,
@@ -394,20 +408,6 @@ mod tests {
         sim
     }
 
-    /// Checks that the orientation outputs describe one consistent clockwise
-    /// walk: every node's claimed CW port must actually lead to its
-    /// clockwise neighbour (or *all* must point counterclockwise, which is
-    /// the same global orientation mirrored — the paper only asks for
-    /// consistency).
-    fn orientation_consistent(spec: &RingSpec, sim: &Simulation<Pulse, Alg3Node>) -> bool {
-        let claims: Vec<Port> = (0..spec.len())
-            .map(|i| sim.node(i).output().expect("output decided").cw_port)
-            .collect();
-        let all_cw = (0..spec.len()).all(|i| claims[i] == spec.cw_port(i));
-        let all_ccw = (0..spec.len()).all(|i| claims[i] == spec.ccw_port(i));
-        all_cw || all_ccw
-    }
-
     #[test]
     fn improved_scheme_on_oriented_ring() {
         let spec = RingSpec::oriented(vec![2, 7, 4]);
@@ -415,7 +415,7 @@ mod tests {
         assert_eq!(sim.node(1).output().unwrap().role, Role::Leader);
         assert_eq!(sim.node(0).output().unwrap().role, Role::NonLeader);
         assert_eq!(sim.node(2).output().unwrap().role, Role::NonLeader);
-        assert!(orientation_consistent(&spec, &sim));
+        assert!(orientation_consistent(&spec, sim.nodes()));
         assert_eq!(sim.stats().total_sent, 3 * (2 * 7 + 1));
     }
 
@@ -449,7 +449,7 @@ mod tests {
                     );
                 }
                 assert!(
-                    orientation_consistent(&spec, &sim),
+                    orientation_consistent(&spec, sim.nodes()),
                     "mask {mask} scheme {scheme}"
                 );
                 assert_eq!(
@@ -468,7 +468,7 @@ mod tests {
         // label ports accordingly.
         let spec = RingSpec::with_flips(vec![5, 2, 8, 3], vec![true, false, true, true]);
         let sim = run(&spec, IdScheme::Improved, SchedulerKind::Lifo, 1);
-        assert!(orientation_consistent(&spec, &sim));
+        assert!(orientation_consistent(&spec, sim.nodes()));
         for i in 0..4 {
             let node = sim.node(i);
             let [r0, r1] = node.rho();
@@ -497,7 +497,7 @@ mod tests {
                 Role::NonLeader,
                 "{kind}"
             );
-            assert!(orientation_consistent(&spec, &sim), "{kind}");
+            assert!(orientation_consistent(&spec, sim.nodes()), "{kind}");
         }
     }
 

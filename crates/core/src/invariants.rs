@@ -78,6 +78,53 @@ fn violation(lemma: &'static str, node: Option<NodeIndex>, detail: String) -> In
     }
 }
 
+/// Lemma 6 and Corollary 14 at node `i` of a ring whose largest ID is
+/// `id_max`: while `ρ_cw < ID`, `σ_cw = ρ_cw + 1`; once `ρ_cw ≥ ID`,
+/// `σ_cw = ρ_cw`; and `ρ_cw ≤ ID_max` always.
+///
+/// Stateless, so it holds in every reachable configuration on its own:
+/// [`CwMonitor::check`] runs it after every delivery, and the exhaustive
+/// explorer in every configuration it visits
+/// ([`crate::registry::ExploreProperties`]).
+///
+/// # Errors
+///
+/// The violated lemma, naming node `i`.
+// The explorer calls this for every node of every configuration; left to
+// the compiler it stayed a call, which cost `explore-alg2` ~8 % of its
+// configurations per second.
+#[inline]
+pub fn lemma6_and_corollary14<V: CwInstanceView>(
+    i: NodeIndex,
+    node: &V,
+    id_max: u64,
+) -> Result<(), InvariantViolation> {
+    let (id, rho, sigma) = (node.cw_id(), node.cw_rho(), node.cw_sigma());
+    if rho < id {
+        if sigma != rho + 1 {
+            return Err(violation(
+                "Lemma 6.1",
+                Some(i),
+                format!("ρ_cw={rho} < ID={id} but σ_cw={sigma} ≠ ρ_cw+1"),
+            ));
+        }
+    } else if sigma != rho {
+        return Err(violation(
+            "Lemma 6.2",
+            Some(i),
+            format!("ρ_cw={rho} ≥ ID={id} but σ_cw={sigma} ≠ ρ_cw"),
+        ));
+    }
+    if rho > id_max {
+        return Err(violation(
+            "Corollary 14",
+            Some(i),
+            format!("ρ_cw={rho} exceeds ID_max={id_max}"),
+        ));
+    }
+    Ok(())
+}
+
 /// Monitor for the CW Algorithm-1 instance (Lemmas 6–12, 17, Cor. 14).
 ///
 /// Feed it every post-delivery state via [`CwMonitor::check`]; it returns
@@ -138,33 +185,9 @@ impl CwMonitor {
         let id_max = nodes.iter().map(CwInstanceView::cw_id).max().unwrap_or(0);
 
         for (i, node) in nodes.iter().enumerate() {
-            let (id, rho, sigma) = (node.cw_id(), node.cw_rho(), node.cw_sigma());
-            // Lemma 6.
-            if rho < id {
-                if sigma != rho + 1 {
-                    return Err(violation(
-                        "Lemma 6.1",
-                        Some(i),
-                        format!("ρ_cw={rho} < ID={id} but σ_cw={sigma} ≠ ρ_cw+1"),
-                    ));
-                }
-            } else if sigma != rho {
-                return Err(violation(
-                    "Lemma 6.2",
-                    Some(i),
-                    format!("ρ_cw={rho} ≥ ID={id} but σ_cw={sigma} ≠ ρ_cw"),
-                ));
-            }
-            // Corollary 14.
-            if rho > id_max {
-                return Err(violation(
-                    "Corollary 14",
-                    Some(i),
-                    format!("ρ_cw={rho} exceeds ID_max={id_max}"),
-                ));
-            }
+            lemma6_and_corollary14(i, node, id_max)?;
             // Track absorption order for Lemma 7/17.
-            if rho >= id && !self.absorption_order.contains(&i) {
+            if node.cw_rho() >= node.cw_id() && !self.absorption_order.contains(&i) {
                 self.absorption_order.push(i);
             }
         }

@@ -39,11 +39,12 @@
 //! `co_bench::protocols` assembles the full workspace registry.
 
 use crate::ablation::UngatedAlg2Node;
+use crate::alg3::orientation_consistent;
 use crate::election::Role;
-use crate::invariants::Alg2MonitorObserver;
+use crate::invariants::{lemma6_and_corollary14, Alg2MonitorObserver, CwInstanceView};
 use crate::runner::{simulation, RunOptions};
 use crate::{Alg1Node, Alg2Node, Alg3Node, IdScheme, InvalidId};
-use co_net::explore::{try_explore, ExploreConfig, ExploreReport, ResumeError};
+use co_net::explore::{try_explore, ExploreConfig, ExploreReport, ExploreState, ResumeError};
 use co_net::fleet::{self, FleetConfig, FleetReport, FleetRingDetail, RingPlan};
 use co_net::{
     Budget, Message, Port, Protocol, Pulse, QueueBackend, RingSpec, RunReport, Schedule, Scheduler,
@@ -158,6 +159,123 @@ pub trait MonitoredProtocol: RingProtocol {
 
     /// Whether the monitor latched a violation.
     fn violated(monitor: &Self::Monitor) -> bool;
+}
+
+/// The paper's claims about a [`RingProtocol`], as the predicates every
+/// exhaustive exploration of it checks ([`ExploreDriver::of`]). This is
+/// the one copy of each: no exploration of a registered protocol restates
+/// them.
+pub trait ExploreProperties: RingProtocol {
+    /// Checked in every reachable configuration.
+    ///
+    /// # Errors
+    ///
+    /// The violated claim, by the paper's name, and where it failed.
+    fn safety(ring: &ExploreRing<'_>, state: &ExploreState<Self::Node>) -> Result<(), String>;
+
+    /// Checked in every reachable quiescent configuration.
+    ///
+    /// # Errors
+    ///
+    /// As [`ExploreProperties::safety`].
+    fn at_quiescence(
+        ring: &ExploreRing<'_>,
+        state: &ExploreState<Self::Node>,
+    ) -> Result<(), String>;
+}
+
+/// What the [`ExploreProperties`] predicates compare a configuration
+/// against, computed once per exploration rather than once per
+/// configuration.
+#[derive(Copy, Clone, Debug)]
+pub struct ExploreRing<'a> {
+    spec: &'a RingSpec,
+    id_max: u64,
+    leader: usize,
+}
+
+impl<'a> ExploreRing<'a> {
+    /// The facts of `spec`.
+    #[must_use]
+    pub fn new(spec: &'a RingSpec) -> ExploreRing<'a> {
+        ExploreRing {
+            spec,
+            id_max: spec.id_max(),
+            leader: spec.max_position(),
+        }
+    }
+
+    /// The explored ring.
+    #[must_use]
+    pub fn spec(&self) -> &'a RingSpec {
+        self.spec
+    }
+
+    /// Its largest ID.
+    #[must_use]
+    pub fn id_max(&self) -> u64 {
+        self.id_max
+    }
+
+    /// The position of an `ID_max` holder: the unique leader the
+    /// terminating elections and Algorithm 3 claim when IDs are distinct.
+    #[must_use]
+    pub fn leader(&self) -> usize {
+        self.leader
+    }
+}
+
+/// Lemma 6 and Corollary 14 at every node.
+fn cw_safety<V: CwInstanceView>(ring: &ExploreRing<'_>, nodes: &[V]) -> Result<(), String> {
+    for (i, node) in nodes.iter().enumerate() {
+        lemma6_and_corollary14(i, node, ring.id_max).map_err(|v| v.to_string())?;
+    }
+    Ok(())
+}
+
+/// `claim` names a leader set: a node outputs [`Role::Leader`] exactly
+/// where `is_leader` holds.
+fn leaders_are<D: RingProtocol>(
+    claim: &str,
+    state: &ExploreState<D::Node>,
+    is_leader: impl Fn(usize) -> bool,
+) -> Result<(), String> {
+    for (i, node) in state.nodes.iter().enumerate() {
+        let want = if is_leader(i) {
+            Role::Leader
+        } else {
+            Role::NonLeader
+        };
+        let role = D::role(node);
+        if role != want {
+            return Err(format!("{claim}: node {i} ended as {role:?}, not {want:?}"));
+        }
+    }
+    Ok(())
+}
+
+/// `claim` gives the exact pulse count, when it fits in a `u64`.
+fn sent_as_predicted(claim: &str, predicted: Option<u64>, sent: u64) -> Result<(), String> {
+    match predicted {
+        Some(p) if p != sent => Err(format!("{claim}: {sent} pulses sent, not {p}")),
+        _ => Ok(()),
+    }
+}
+
+/// Theorem 1 at quiescence: every node terminated, the `ID_max` holder is
+/// the only leader, and `predicted` pulses were sent.
+fn terminating_election<D: RingProtocol>(
+    ring: &ExploreRing<'_>,
+    state: &ExploreState<D::Node>,
+    predicted: Option<u64>,
+) -> Result<(), String> {
+    if let Some(i) = state.terminated.iter().position(|&t| !t) {
+        return Err(format!(
+            "Theorem 1: quiescent, but node {i} has not terminated"
+        ));
+    }
+    leaders_are::<D>("Theorem 1", state, |i| i == ring.leader)?;
+    sent_as_predicted("Theorem 1", predicted, state.sent)
 }
 
 /// A `Pulse`-message node factory for the fleet harness
@@ -291,19 +409,21 @@ fn replay_driver<D: RingProtocol>(
 /// machinery (mmap dedup tables, frontier spill, checkpoint/resume) rides
 /// entirely inside [`ExploreConfig`], so this signature — and every
 /// registered protocol — is untouched by where the visited set lives.
+/// Every run checks `D`'s [`ExploreProperties`].
 fn explore_driver<D>(spec: &RingSpec, config: &ExploreConfig) -> Result<ExploreReport, ExploreError>
 where
-    D: RingProtocol<Msg = Pulse>,
+    D: ExploreProperties<Msg = Pulse>,
     D::Node: Clone + Sync,
     <D::Node as Snapshot>::State: Send,
 {
     D::check(spec)?;
     let nodes = D::nodes(spec);
+    let ring = ExploreRing::new(spec);
     Ok(try_explore(
         &spec.wiring(),
         move || nodes.clone(),
-        |_| Ok(()),
-        |_| Ok(()),
+        |state| D::safety(&ring, state),
+        |state| D::at_quiescence(&ring, state),
         config,
     )?)
 }
@@ -450,7 +570,22 @@ pub struct ExploreDriver {
 }
 
 impl ExploreDriver {
-    /// Explores every delivery order of the protocol on `spec`.
+    /// The driver of definition `D`, checking its [`ExploreProperties`].
+    #[must_use]
+    pub fn of<D>() -> ExploreDriver
+    where
+        D: ExploreProperties<Msg = Pulse>,
+        D::Node: Clone + Sync,
+        <D::Node as Snapshot>::State: Send,
+    {
+        ExploreDriver {
+            explore: explore_driver::<D>,
+        }
+    }
+
+    /// Explores every delivery order of the protocol on `spec`, checking
+    /// its [`ExploreProperties`]; a violation is reported in
+    /// [`ExploreReport::violations`] and never prunes the search.
     ///
     /// # Panics
     ///
@@ -612,17 +747,16 @@ impl ProtocolSpec {
     }
 
     /// Registers the exhaustive-exploration driver (requires `Pulse`
-    /// messages and thread-safe state).
+    /// messages, thread-safe state and the predicates every exploration
+    /// checks).
     #[must_use]
     pub fn with_explore<D>(mut self) -> ProtocolSpec
     where
-        D: RingProtocol<Msg = Pulse>,
+        D: ExploreProperties<Msg = Pulse>,
         D::Node: Clone + Sync,
         <D::Node as Snapshot>::State: Send,
     {
-        self.explore = Some(ExploreDriver {
-            explore: explore_driver::<D>,
-        });
+        self.explore = Some(ExploreDriver::of::<D>());
         self
     }
 
@@ -892,6 +1026,30 @@ impl RingProtocol for Alg1Def {
     }
 }
 
+impl ExploreProperties for Alg1Def {
+    fn safety(ring: &ExploreRing<'_>, state: &ExploreState<Alg1Node>) -> Result<(), String> {
+        cw_safety(ring, &state.nodes)
+    }
+
+    /// Lemmas 11 and 16 and Corollary 13: every counter at `ID_max`,
+    /// exactly the `ID_max` holders (duplicates included) leaders, and
+    /// `n·ID_max` pulses sent.
+    fn at_quiescence(ring: &ExploreRing<'_>, state: &ExploreState<Alg1Node>) -> Result<(), String> {
+        for (i, node) in state.nodes.iter().enumerate() {
+            if node.rho_cw() != ring.id_max || node.sigma_cw() != ring.id_max {
+                return Err(format!(
+                    "Lemma 11: node {i} quiesced at ρ_cw={}, σ_cw={}, not ID_max={}",
+                    node.rho_cw(),
+                    node.sigma_cw(),
+                    ring.id_max
+                ));
+            }
+        }
+        leaders_are::<Self>("Lemma 16", state, |i| ring.spec.id(i) == ring.id_max)?;
+        sent_as_predicted("Corollary 13", Self::predicted(ring.spec), state.sent)
+    }
+}
+
 impl FleetSpec for Alg1Def {
     type Node = Alg1Node;
 
@@ -927,6 +1085,16 @@ impl RingProtocol for Alg2Def {
     fn predicted(spec: &RingSpec) -> Option<u64> {
         let per_node = spec.id_max().checked_mul(2)?.checked_add(1)?;
         per_node.checked_mul(spec.len() as u64)
+    }
+}
+
+impl ExploreProperties for Alg2Def {
+    fn safety(ring: &ExploreRing<'_>, state: &ExploreState<Alg2Node>) -> Result<(), String> {
+        cw_safety(ring, &state.nodes)
+    }
+
+    fn at_quiescence(ring: &ExploreRing<'_>, state: &ExploreState<Alg2Node>) -> Result<(), String> {
+        terminating_election::<Self>(ring, state, Self::predicted(ring.spec))
     }
 }
 
@@ -1003,6 +1171,30 @@ impl<S: SchemeType> RingProtocol for Alg3Def<S> {
     }
 }
 
+impl<S: SchemeType> ExploreProperties for Alg3Def<S> {
+    /// Algorithm 3 has no CW instance to hold to Lemma 6: its two
+    /// executions run over ports whose global direction no node knows, so
+    /// nothing is claimed before quiescence.
+    fn safety(_ring: &ExploreRing<'_>, _state: &ExploreState<Alg3Node>) -> Result<(), String> {
+        Ok(())
+    }
+
+    /// Theorem 2 (Proposition 15 for the doubled scheme): every node
+    /// decided, the `ID_max` holder the only leader, one consistent
+    /// orientation, and the scheme's exact pulse count. The algorithm
+    /// stabilizes and never terminates, so decided is all a node can be.
+    fn at_quiescence(ring: &ExploreRing<'_>, state: &ExploreState<Alg3Node>) -> Result<(), String> {
+        if let Some(i) = state.nodes.iter().position(|n| n.output().is_none()) {
+            return Err(format!("Theorem 2: node {i} undecided at quiescence"));
+        }
+        leaders_are::<Self>("Theorem 2", state, |i| i == ring.leader)?;
+        if !orientation_consistent(ring.spec, &state.nodes) {
+            return Err("Theorem 2: the nodes' CW ports give no consistent orientation".into());
+        }
+        sent_as_predicted("Theorem 2", Self::predicted(ring.spec), state.sent)
+    }
+}
+
 /// The deliberately broken receive-gate ablation of Algorithm 2.
 pub struct UngatedDef;
 
@@ -1022,6 +1214,21 @@ impl RingProtocol for UngatedDef {
     }
 }
 
+/// The ablation is held to Algorithm 2's claims, Theorem 1's count
+/// included: failing them is what shows the gate is load-bearing.
+impl ExploreProperties for UngatedDef {
+    fn safety(ring: &ExploreRing<'_>, state: &ExploreState<UngatedAlg2Node>) -> Result<(), String> {
+        cw_safety(ring, &state.nodes)
+    }
+
+    fn at_quiescence(
+        ring: &ExploreRing<'_>,
+        state: &ExploreState<UngatedAlg2Node>,
+    ) -> Result<(), String> {
+        terminating_election::<Self>(ring, state, Alg2Def::predicted(ring.spec))
+    }
+}
+
 impl MonitoredProtocol for UngatedDef {
     type Monitor = Alg2MonitorObserver;
 
@@ -1036,9 +1243,15 @@ impl MonitoredProtocol for UngatedDef {
 
 /// The paper's protocols as registry entries, in canonical order.
 ///
-/// Capability rationale: all four are explore-safe; `alg2`/`ungated` carry the Lemma 6–12 monitor (`alg1`/
-/// `alg3` have no CCW counters to check); `alg1`/`alg2` are the fleet
-/// workloads; `alg1` has the async node-facade twin.
+/// Capability rationale: all four are explore-safe, and each exploration
+/// checks its definition's [`ExploreProperties`]: Lemma 6 and Corollary 14
+/// in every configuration (not `alg3`, which has no CW instance), and at
+/// quiescence the leader set, the exact pulse count, termination
+/// (`alg2`/`ungated`) or a decided orientation (`alg3`), and for `alg1`
+/// every counter at `ID_max`. `ungated` is held to Algorithm 2's claims,
+/// and fails them. `alg2`/`ungated` carry the Lemma 6–12 monitor
+/// (`alg1`/`alg3` have no CCW counters to check); `alg1`/`alg2` are the
+/// fleet workloads; `alg1` has the async node-facade twin.
 #[must_use]
 pub fn core_entries() -> Vec<ProtocolSpec> {
     vec![
@@ -1144,6 +1357,54 @@ mod tests {
         assert_eq!(
             explore.try_run(&spec, &ExploreConfig::default()).err(),
             Some(ExploreError::Ids(want))
+        );
+    }
+
+    /// `D`'s predicates pass the quiescent end state of a Fifo run on
+    /// `spec`, and its at-quiescence predicate names `claim` for each
+    /// corruption of that state.
+    fn check_end_state<D>(spec: &RingSpec, claim: &str, corrupt: &[fn(&mut ExploreState<D::Node>)])
+    where
+        D: ExploreProperties<Msg = Pulse>,
+        D::Node: Clone,
+    {
+        let ring = ExploreRing::new(spec);
+        let mut sim = Simulation::new(spec.wiring(), D::nodes(spec), SchedulerKind::Fifo.build(0));
+        let sent = sim.run(Budget::default()).total_sent;
+        let good = ExploreState {
+            nodes: sim.nodes().to_vec(),
+            queues: vec![0; spec.wiring().channel_count()],
+            terminated: sim.nodes().iter().map(Protocol::is_terminated).collect(),
+            sent,
+        };
+        D::safety(&ring, &good).expect(claim);
+        D::at_quiescence(&ring, &good).expect(claim);
+        for corrupt in corrupt {
+            let mut bad = good.clone();
+            corrupt(&mut bad);
+            let e = D::at_quiescence(&ring, &bad).expect_err(claim);
+            assert!(e.starts_with(claim), "{e}");
+        }
+    }
+
+    #[test]
+    fn explore_predicates_name_the_claim_a_bad_end_state_breaks() {
+        let spec = RingSpec::oriented(vec![1, 3, 2]);
+        check_end_state::<Alg2Def>(
+            &spec,
+            "Theorem 1",
+            &[
+                |s| s.sent += 1,
+                |s| s.terminated[2] = false,
+                |s| s.nodes.swap(0, 1),
+            ],
+        );
+        check_end_state::<Alg1Def>(&spec, "Corollary 13", &[|s| s.sent -= 1]);
+        check_end_state::<Alg1Def>(&spec, "Lemma 16", &[|s| s.nodes.swap(0, 1)]);
+        check_end_state::<Alg3Def>(
+            &spec,
+            "Theorem 2",
+            &[|s| s.sent += 1, |s| s.nodes.swap(0, 1)],
         );
     }
 

@@ -8,7 +8,7 @@
 //! count. [`run_monitored`] is the same loop under a lemma monitor, and
 //! [`run_alg3`] adds Algorithm 3's orientation data.
 
-use crate::alg3::{Alg3Node, IdScheme, InvalidId};
+use crate::alg3::{orientation_consistent, Alg3Node, IdScheme, InvalidId};
 use crate::election::{unique_leader, ElectionReport};
 use crate::invariants::{InvariantViolation, Verdict};
 use crate::registry::{Alg3Def, Backend, Doubled, Improved, RingProtocol, SchemeType};
@@ -182,13 +182,10 @@ fn alg3_under<S: SchemeType>(
         .iter()
         .map(|n| n.output().map(|o| o.cw_port))
         .collect();
-    let decided = cw_ports.iter().all(Option::is_some);
-    let all_cw = decided && (0..spec.len()).all(|i| cw_ports[i] == Some(spec.cw_port(i)));
-    let all_ccw = decided && (0..spec.len()).all(|i| cw_ports[i] == Some(spec.ccw_port(i)));
     let report = Alg3Report {
         report: report::<Alg3Def<S>>(spec, &sim, &run),
         cw_ports,
-        orientation_consistent: all_cw || all_ccw,
+        orientation_consistent: orientation_consistent(spec, sim.nodes()),
     };
     (report, sim.nodes().iter().map(Alg3Node::id).collect())
 }

@@ -131,16 +131,14 @@ fn fingerprints_agree_at_every_step() {
 /// finds: the same configurations and the same quiescent ones.
 #[test]
 fn explorer_state_space_is_backend_independent() {
-    use content_oblivious::net::explore::{explore, ExploreConfig};
+    use content_oblivious::core::registry::ExploreDriver;
+    use content_oblivious::net::explore::ExploreConfig;
     use std::collections::HashSet;
 
     let spec = RingSpec::oriented(vec![1, 2, 4]);
     let make = || Alg2Def::nodes(&spec);
-    let report = explore(
-        &spec.wiring(),
-        make,
-        |_| Ok(()),
-        |_| Ok(()),
+    let report = ExploreDriver::of::<Alg2Def>().run(
+        &spec,
         &ExploreConfig {
             jobs: 1,
             ..ExploreConfig::default()

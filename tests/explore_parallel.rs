@@ -10,8 +10,11 @@
 //!    the same violation set;
 //! 3. the n=4 Algorithm 1 sweep completes at 8 workers.
 
-use content_oblivious::core::registry::{Alg1Def, Alg2Def, Alg3Def, RingProtocol, UngatedDef};
-use content_oblivious::core::{Alg2Node, Role};
+use content_oblivious::core::registry::{
+    Alg1Def, Alg2Def, Alg3Def, ExploreDriver, ExploreProperties, ExploreRing, RingProtocol,
+    UngatedDef,
+};
+use content_oblivious::core::Alg2Node;
 use content_oblivious::net::explore::{explore, ExploreConfig, ExploreLimits, ExploreState};
 use content_oblivious::net::{DedupKind, FaultPlan, RingSpec};
 use rand::rngs::StdRng;
@@ -21,6 +24,8 @@ fn alg2_nodes(spec: &RingSpec) -> Vec<Alg2Node> {
     Alg2Def::nodes(spec)
 }
 
+/// The faulted runs' safety predicate: an injected fault breaks the channel
+/// model Lemma 6 rests on, so no claim is checked before quiescence.
 fn no_check<P>(_: &ExploreState<P>) -> Result<(), String> {
     Ok(())
 }
@@ -40,66 +45,23 @@ fn sorted(mut v: Vec<String>) -> Vec<String> {
 
 #[test]
 fn parallel_exact_is_a_drop_in_for_the_sequential_explorer() {
-    // One protocol per snapshot-capable family; the one-worker run is the
-    // sequential reference.
+    // One protocol per snapshot-capable family, each checked against its
+    // claims; the one-worker run is the sequential reference.
     let spec = RingSpec::oriented(vec![3u64, 1, 2]);
-
-    let seq_alg1 = explore(
-        &spec.wiring(),
-        || Alg1Def::nodes(&spec),
-        no_check,
-        no_check,
-        &workers(1),
-    );
-    let seq_alg2 = explore(
-        &spec.wiring(),
-        || alg2_nodes(&spec),
-        no_check,
-        no_check,
-        &workers(1),
-    );
-    let seq_alg3 = explore(
-        &spec.wiring(),
-        || <Alg3Def>::nodes(&spec),
-        no_check,
-        no_check,
-        &workers(1),
-    );
-
-    for jobs in [2usize, 4, 8] {
-        let config = workers(jobs);
-        let par = explore(
-            &spec.wiring(),
-            || Alg1Def::nodes(&spec),
-            no_check,
-            no_check,
-            &config,
-        );
-        assert_eq!(par.configs, seq_alg1.configs, "alg1 configs at jobs={jobs}");
-        assert_eq!(par.quiescent_configs, seq_alg1.quiescent_configs);
-        assert_eq!(par.visited_bytes, seq_alg1.visited_bytes);
-        assert!(par.complete && par.violations.is_empty());
-
-        let par = explore(
-            &spec.wiring(),
-            || alg2_nodes(&spec),
-            no_check,
-            no_check,
-            &config,
-        );
-        assert_eq!(par.configs, seq_alg2.configs, "alg2 configs at jobs={jobs}");
-        assert_eq!(par.quiescent_configs, seq_alg2.quiescent_configs);
-        assert!(par.complete && par.violations.is_empty());
-
-        let par = explore(
-            &spec.wiring(),
-            || <Alg3Def>::nodes(&spec),
-            no_check,
-            no_check,
-            &config,
-        );
-        assert_eq!(par.configs, seq_alg3.configs, "alg3 configs at jobs={jobs}");
-        assert!(par.complete && par.violations.is_empty());
+    for (name, driver) in [
+        ("alg1", ExploreDriver::of::<Alg1Def>()),
+        ("alg2", ExploreDriver::of::<Alg2Def>()),
+        ("alg3", ExploreDriver::of::<Alg3Def>()),
+    ] {
+        let seq = driver.run(&spec, &workers(1));
+        assert!(seq.complete && seq.violations.is_empty(), "{name}");
+        for jobs in [2usize, 4, 8] {
+            let par = driver.run(&spec, &workers(jobs));
+            assert_eq!(par.configs, seq.configs, "{name} configs at jobs={jobs}");
+            assert_eq!(par.quiescent_configs, seq.quiescent_configs, "{name}");
+            assert_eq!(par.visited_bytes, seq.visited_bytes, "{name}");
+            assert!(par.complete && par.violations.is_empty(), "{name}");
+        }
     }
 }
 
@@ -107,22 +69,25 @@ fn parallel_exact_is_a_drop_in_for_the_sequential_explorer() {
 fn parallel_agrees_with_sequential_on_the_ablation() {
     // The deliberately broken ablation (E11) livelocks under adversarial
     // schedules, but its *deduplicated* state space on this tiny ring is
-    // still finite — every worker count must agree on it exactly.
+    // still finite — every worker count must agree on it exactly, and on
+    // the Algorithm 2 claims it breaks.
     let spec = RingSpec::oriented(vec![2u64, 3, 1]);
-    let make = || UngatedDef::nodes(&spec);
-    let seq = explore(&spec.wiring(), make, no_check, no_check, &workers(1));
-    assert!(seq.complete);
-    let par = explore(&spec.wiring(), make, no_check, no_check, &workers(4));
+    let driver = ExploreDriver::of::<UngatedDef>();
+    let seq = driver.run(&spec, &workers(1));
+    assert!(seq.complete && !seq.violations.is_empty());
+    let par = driver.run(&spec, &workers(4));
     assert!(par.complete);
     assert_eq!(par.configs, seq.configs);
     assert_eq!(par.quiescent_configs, seq.quiescent_configs);
+    assert_eq!(sorted(par.violations), sorted(seq.violations));
 }
 
 #[test]
 fn both_engines_truncate_a_genuinely_infinite_space() {
     // A duplicated pulse never quiesces under Algorithm 2 (the gate defers
     // it forever), so the state space is infinite: no worker count may claim
-    // completeness under a configuration cap.
+    // completeness under a configuration cap. The fault breaks the channel
+    // model the claims rest on, so none is checked.
     let spec = RingSpec::oriented(vec![3u64, 5, 2]);
     let limits = ExploreLimits {
         max_configs: 3_000,
@@ -157,27 +122,16 @@ fn both_engines_truncate_a_genuinely_infinite_space() {
     assert!(!par.complete);
 }
 
-/// The quiescence predicate of the fault sweep: flag any quiescent
-/// configuration that still looks like a healthy election, so a "violation"
-/// means a schedule survived the fault.
+/// The quiescence predicate of the fault sweep: Algorithm 2's, inverted to
+/// flag any quiescent configuration that still looks like a healthy
+/// election, so a "violation" means a schedule survived the fault.
 fn healthy_election_flag(
     spec: &RingSpec,
 ) -> impl Fn(&ExploreState<Alg2Node>) -> Result<(), String> + Sync + '_ {
-    let leader = spec.max_position();
-    let predicted = spec.len() as u64 * (2 * spec.id_max() + 1);
-    move |state| {
-        let healthy = state.terminated.iter().all(|&x| x)
-            && state
-                .nodes
-                .iter()
-                .enumerate()
-                .all(|(i, n)| (n.role() == Role::Leader) == (i == leader))
-            && state.sent == predicted;
-        if healthy {
-            Err("healthy election under fault".into())
-        } else {
-            Ok(())
-        }
+    let ring = ExploreRing::new(spec);
+    move |state| match Alg2Def::at_quiescence(&ring, state) {
+        Ok(()) => Err("healthy election under fault".into()),
+        Err(_) => Ok(()),
     }
 }
 
@@ -222,10 +176,10 @@ fn mmap_and_exact_agree_on_a_seeded_fault_sweep() {
 #[test]
 fn acceptance_n4_alg1_sweep_with_8_workers() {
     let spec = RingSpec::oriented(vec![2u64, 4, 1, 3]);
-    let make = || Alg1Def::nodes(&spec);
-    let seq = explore(&spec.wiring(), make, no_check, no_check, &workers(1));
+    let driver = ExploreDriver::of::<Alg1Def>();
+    let seq = driver.run(&spec, &workers(1));
     assert!(seq.complete && seq.violations.is_empty());
-    let par = explore(&spec.wiring(), make, no_check, no_check, &workers(8));
+    let par = driver.run(&spec, &workers(8));
     assert!(par.complete && par.violations.is_empty());
     assert_eq!(par.configs, seq.configs);
     assert_eq!(par.quiescent_configs, seq.quiescent_configs);

@@ -1,12 +1,14 @@
 //! Acceptance for the snapshot-based explorer: against the reference
 //! tuple-keyed explorer it must visit the *same* state space in *less*
 //! dedup memory, and under an equal byte budget it must reach strictly
-//! more configurations.
+//! more configurations. Both check Algorithm 2's claims.
 
-use content_oblivious::core::registry::{Alg2Def, RingProtocol};
+use content_oblivious::core::registry::{
+    Alg2Def, ExploreDriver, ExploreProperties, ExploreRing, RingProtocol,
+};
 use content_oblivious::core::{Alg2Node, Role};
 use content_oblivious::net::explore::{
-    explore, explore_reference, ExploreConfig, ExploreLimits, ExploreState,
+    explore, explore_reference, ExploreConfig, ExploreLimits, ExploreReport,
 };
 use content_oblivious::net::{Protocol, RingSpec};
 
@@ -24,12 +26,27 @@ fn reference_key(node: &Alg2Node) -> Key {
     )
 }
 
-fn make_nodes(spec: &RingSpec) -> Vec<Alg2Node> {
-    Alg2Def::nodes(spec)
+/// The fingerprint explorer at one worker under `limits`.
+fn snapshot(spec: &RingSpec, limits: ExploreLimits) -> ExploreReport {
+    let config = ExploreConfig {
+        jobs: 1,
+        limits,
+        ..ExploreConfig::default()
+    };
+    ExploreDriver::of::<Alg2Def>().run(spec, &config)
 }
 
-fn no_check(_: &ExploreState<Alg2Node>) -> Result<(), String> {
-    Ok(())
+/// The tuple-keyed reference explorer under `limits`.
+fn reference(spec: &RingSpec, limits: ExploreLimits) -> ExploreReport {
+    let ring = ExploreRing::new(spec);
+    explore_reference(
+        &spec.wiring(),
+        || Alg2Def::nodes(spec),
+        reference_key,
+        |state| Alg2Def::safety(&ring, state),
+        |state| Alg2Def::at_quiescence(&ring, state),
+        limits,
+    )
 }
 
 #[test]
@@ -48,25 +65,11 @@ fn snapshot_explorer_covers_the_same_space_in_fewer_bytes() {
     ];
     for ids in rings {
         let spec = RingSpec::oriented(ids.clone());
-        let snap = explore(
-            &spec.wiring(),
-            || make_nodes(&spec),
-            no_check,
-            no_check,
-            &ExploreConfig {
-                jobs: 1,
-                ..ExploreConfig::default()
-            },
-        );
-        let reference = explore_reference(
-            &spec.wiring(),
-            || make_nodes(&spec),
-            reference_key,
-            no_check,
-            no_check,
-            ExploreLimits::default(),
-        );
+        let snap = snapshot(&spec, ExploreLimits::default());
+        let reference = reference(&spec, ExploreLimits::default());
         assert!(snap.complete && reference.complete, "{ids:?}");
+        assert!(snap.violations.is_empty(), "{ids:?}: {:?}", snap.violations);
+        assert_eq!(snap.violations, reference.violations, "{ids:?}");
         assert_eq!(
             snap.configs, reference.configs,
             "{ids:?}: explorers disagree on the state space"
@@ -90,41 +93,15 @@ fn equal_byte_budget_gives_the_snapshot_explorer_more_reach() {
     // reference explorer — paying for whole state tuples per config — must
     // run out of memory first and cover strictly fewer configurations.
     let spec = RingSpec::oriented(vec![1, 2, 3]);
-    let full = explore(
-        &spec.wiring(),
-        || make_nodes(&spec),
-        no_check,
-        no_check,
-        &ExploreConfig {
-            jobs: 1,
-            ..ExploreConfig::default()
-        },
-    );
+    let full = snapshot(&spec, ExploreLimits::default());
     assert!(full.complete);
 
     let budget = ExploreLimits {
         max_state_bytes: full.visited_bytes,
         ..ExploreLimits::default()
     };
-    let snap = explore(
-        &spec.wiring(),
-        || make_nodes(&spec),
-        no_check,
-        no_check,
-        &ExploreConfig {
-            jobs: 1,
-            limits: budget,
-            ..ExploreConfig::default()
-        },
-    );
-    let reference = explore_reference(
-        &spec.wiring(),
-        || make_nodes(&spec),
-        reference_key,
-        no_check,
-        no_check,
-        budget,
-    );
+    let snap = snapshot(&spec, budget);
+    let reference = reference(&spec, budget);
     assert!(
         snap.complete,
         "snapshot explorer should finish inside its own footprint"
@@ -143,35 +120,19 @@ fn equal_byte_budget_gives_the_snapshot_explorer_more_reach() {
 
 #[test]
 fn theorem1_still_checked_through_the_snapshot_explorer() {
-    // The rewritten explorer must still catch violations: verify Theorem 1's
-    // exact count at every quiescent configuration, and confirm a falsified
-    // predicate is reported.
+    // The rewritten explorer must still catch violations: check Algorithm
+    // 2's claims (Theorem 1's exact count among them) at every quiescent
+    // configuration, and confirm a falsified predicate is reported.
     let spec = RingSpec::oriented(vec![2, 1, 3]);
-    let predicted = spec.len() as u64 * (2 * spec.id_max() + 1);
-    let report = explore(
-        &spec.wiring(),
-        || make_nodes(&spec),
-        no_check,
-        |state| {
-            if state.sent == predicted {
-                Ok(())
-            } else {
-                Err(format!("sent {} ≠ {predicted}", state.sent))
-            }
-        },
-        &ExploreConfig {
-            jobs: 1,
-            ..ExploreConfig::default()
-        },
-    );
+    let report = snapshot(&spec, ExploreLimits::default());
     assert!(report.complete);
     assert!(report.violations.is_empty(), "{:?}", report.violations);
     assert!(report.quiescent_configs >= 1);
 
     let falsified = explore(
         &spec.wiring(),
-        || make_nodes(&spec),
-        no_check,
+        || Alg2Def::nodes(&spec),
+        |_| Ok(()),
         |_| Err("always wrong".into()),
         &ExploreConfig {
             jobs: 1,

@@ -125,29 +125,11 @@ fn replication_converges_universally() {
 /// 5-node instances tractable.
 #[test]
 fn alg2_exhaustive_larger_rings() {
-    use content_oblivious::net::explore::{explore, ExploreConfig, ExploreLimits};
+    use content_oblivious::core::registry::ExploreDriver;
+    use content_oblivious::net::explore::{ExploreConfig, ExploreLimits};
     for ids in [vec![1u64, 2, 3, 4], vec![4, 2, 1, 3], vec![2, 4, 1, 5, 3]] {
-        let spec = RingSpec::oriented(ids.clone());
-        let leader = spec.max_position();
-        let predicted = spec.len() as u64 * (2 * spec.id_max() + 1);
-        let report = explore(
-            &spec.wiring(),
-            || Alg2Def::nodes(&spec),
-            |_| Ok(()),
-            |state| {
-                let ok = state.terminated.iter().all(|&t| t)
-                    && state
-                        .nodes
-                        .iter()
-                        .enumerate()
-                        .all(|(i, n)| (n.role() == Role::Leader) == (i == leader))
-                    && state.sent == predicted;
-                if ok {
-                    Ok(())
-                } else {
-                    Err("bad quiescent configuration".into())
-                }
-            },
+        let report = ExploreDriver::of::<Alg2Def>().run(
+            &RingSpec::oriented(ids.clone()),
             &ExploreConfig {
                 jobs: 1,
                 limits: ExploreLimits {

@@ -19,6 +19,7 @@
 use co_bench::protocols;
 use content_oblivious::core::registry::{Capability, RegistryError};
 use content_oblivious::core::runner::RunOptions;
+use content_oblivious::net::explore::ExploreConfig;
 use content_oblivious::net::{RingSpec, Schedule, SchedulerKind};
 
 #[test]
@@ -138,6 +139,32 @@ fn chang_roberts_records_replays_and_shrinks_through_the_registry() {
                 driver.hunt(&spec, kind, seed).is_none(),
                 "correct baseline must not violate unique leadership ({kind}, seed {seed})"
             );
+        }
+    }
+}
+
+#[test]
+fn every_explore_entry_checks_its_claims() {
+    // An explore entry is registered with its definition's predicates
+    // (`ExploreProperties`), so the real algorithms explore clean and the
+    // ablation is caught breaking Algorithm 2's claims.
+    let reg = protocols();
+    let explorable = reg.supporting(Capability::Explore);
+    assert!(explorable.contains(&"ungated"), "{explorable:?}");
+    for name in explorable {
+        let driver = reg.explore(name).expect("explore-capable");
+        let mut violations = Vec::new();
+        for ids in [vec![2, 1], vec![1, 3, 2], vec![2, 4, 1, 3]] {
+            let report = driver
+                .try_run(&RingSpec::oriented(ids), &ExploreConfig::default())
+                .expect("positive IDs");
+            assert!(report.complete, "{name}");
+            violations.extend(report.violations);
+        }
+        if name == "ungated" {
+            assert!(!violations.is_empty(), "{name} passed Algorithm 2's claims");
+        } else {
+            assert!(violations.is_empty(), "{name}: {violations:?}");
         }
     }
 }
