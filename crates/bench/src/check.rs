@@ -15,10 +15,9 @@
 //! worker). Wall-clock performance is tracked by the [`crate::harness`]
 //! benches instead, which are too noisy to gate on.
 //!
-//! The `e18_*` timings and `e19_timer_ns_per_op` are the deliberate
-//! exception: they time the scheduler pick path (the target of the
-//! incremental-index work) and the virtual-time timer heap and so *are*
-//! wall-clock. They carry a 400% `Increase`-only tolerance — wide
+//! The `e18_*` timings are the deliberate exception: they time the
+//! scheduler pick path (the target of the incremental-index work) and so
+//! *are* wall-clock. They carry a 400% `Increase`-only tolerance — wide
 //! enough for any CI-runner speed difference, tight enough to trip if a
 //! pick ever falls from O(log C) back to an O(ready) scan (a ~80× swing
 //! at 4000 channels).
@@ -398,9 +397,9 @@ fn e18_metrics() -> &'static [Metric; 3] {
     })
 }
 
-/// E19 — virtual-time invariants and timer-heap throughput.
+/// E19 — virtual-time invariants.
 ///
-/// Two exact metrics and one wall-clock metric:
+/// Two exact metrics:
 ///
 /// * `e19_alg2_steps_fixed1_n300` — the n = 300 Algorithm 2 election with a
 ///   `fixed:1` latency plan must deliver exactly the Theorem 1 count
@@ -410,21 +409,15 @@ fn e18_metrics() -> &'static [Metric; 3] {
 ///   election under the earliest-arrival scheduler and a seeded
 ///   `uniform:1..8` plan. A pure function of the per-channel RNG streams
 ///   and the arrival rule; any change to either moves it.
-/// * `e19_timer_ns_per_op` — wall-clock nanoseconds per arm/fire pair
-///   through the engine's timer heap, driven by 64 async sleepers
-///   ([`co_net::runtime`]) for 2048 rounds. Same 400% `Increase` budget as
-///   the `e18_*` timings (see the module docs).
-fn e19_metrics() -> &'static [Metric; 3] {
+fn e19_metrics() -> &'static [Metric; 2] {
     use co_core::registry::{Alg2Def, RingProtocol};
     use co_core::Alg2Node;
-    use co_net::runtime::AsyncRing;
     use co_net::{
         Budget, LatencyModel, LatencyPlan, Outcome, Pulse, RingSpec, SchedulerKind, Simulation,
     };
     use std::sync::OnceLock;
-    use std::time::Instant;
 
-    static CELL: OnceLock<[Metric; 3]> = OnceLock::new();
+    static CELL: OnceLock<[Metric; 2]> = OnceLock::new();
     CELL.get_or_init(|| {
         let spec300 = RingSpec::oriented((1..=300).collect::<Vec<u64>>());
         let mut timed: Simulation<Pulse, Alg2Node> = Simulation::new(
@@ -449,22 +442,6 @@ fn e19_metrics() -> &'static [Metric; 3] {
         let run50 = latency.run(Budget::default());
         assert_eq!(run50.outcome, Outcome::QuiescentTerminated);
 
-        let (sleepers, rounds) = (64usize, 2048u64);
-        let sleep_spec = RingSpec::oriented((1..=sleepers as u64).collect::<Vec<u64>>());
-        let mut ring: AsyncRing<Pulse, ()> =
-            AsyncRing::new(sleep_spec.wiring(), SchedulerKind::Fifo.build(0), |_, h| {
-                Box::pin(async move {
-                    for _ in 0..rounds {
-                        h.sleep(1).await;
-                    }
-                })
-            });
-        let start = Instant::now();
-        ring.run(Budget::default());
-        let ops = sleepers as u64 * rounds;
-        assert_eq!(ring.stats().timer_fires, ops);
-        let timer_ns = start.elapsed().as_nanos() as f64 / ops as f64;
-
         [
             Metric {
                 name: "e19_alg2_steps_fixed1_n300",
@@ -477,12 +454,6 @@ fn e19_metrics() -> &'static [Metric; 3] {
                 value: latency.now() as f64,
                 tolerance_pct: 0.0,
                 direction: Direction::Both,
-            },
-            Metric {
-                name: "e19_timer_ns_per_op",
-                value: timer_ns,
-                tolerance_pct: 400.0,
-                direction: Direction::Increase,
             },
         ]
     })

@@ -74,9 +74,8 @@ pub enum Experiment {
     /// Incremental scheduler indexes: per-scheduler pick latency and the
     /// n = 5000 full scheduler-matrix wall time.
     E18,
-    /// Virtual time: clock-on vs clock-off election throughput, the
-    /// earliest-arrival scheduler under seeded latency, and timer-heap
-    /// throughput through the async facade.
+    /// Virtual time: clock-on vs clock-off election throughput and the
+    /// earliest-arrival scheduler under seeded latency.
     E19,
     /// Fleet mode: 10⁴ concurrent small-ring elections per cell through the
     /// fleet harness — jobs-invariant aggregates, fault behaviour, and
@@ -1623,7 +1622,7 @@ pub fn e19_virtual_time() -> Table {
 
 /// E19 — virtual time: the clock layer costs nothing it does not deliver.
 ///
-/// Three workloads:
+/// Two workloads:
 ///
 /// 1. **clock overhead** — the n = 1000 Algorithm 2 election under Fifo,
 ///    once on the untimed fast path and once per timed latency model
@@ -1639,24 +1638,16 @@ pub fn e19_virtual_time() -> Table {
 ///    `jobs` workers. Each cell runs twice; exactness demands the reruns
 ///    agree byte-for-byte (steps, fingerprint, final virtual time): all
 ///    sampling flows through per-channel RNGs keyed by the plan seed.
-/// 3. **timer heap** — 64 async nodes ([`co_net::runtime`]) each awaiting
-///    32 consecutive one-tick sleeps: 2048 arm/fire pairs through the
-///    engine's timer heap, every one reached by a quiescence-driven clock
-///    jump. Exactness pins the fire count and the final virtual time; the
-///    ops/ms column is the heap's throughput.
 #[must_use]
 pub fn e19_virtual_time_jobs(jobs: usize) -> Table {
     use co_core::Alg2Node;
-    use co_net::runtime::AsyncRing;
     use co_net::{LatencyModel, LatencyPlan, Pulse};
     use std::time::Instant;
 
     let mut t = Table::new(
-        "E19 — virtual time: seeded latency, earliest-arrival picks, timer heap",
-        "latency timestamps reorder deliveries without changing complexity; timers are deterministic",
-        vec![
-            "workload", "mode", "n", "steps", "now", "timers", "exact", "ms",
-        ],
+        "E19 — virtual time: seeded latency, earliest-arrival picks",
+        "latency timestamps reorder deliveries without changing complexity; seeded runs are deterministic",
+        vec!["workload", "mode", "n", "steps", "now", "exact", "ms"],
     );
     let mut all_ok = true;
 
@@ -1690,7 +1681,6 @@ pub fn e19_virtual_time_jobs(jobs: usize) -> Table {
             n.to_string(),
             run.steps.to_string(),
             sim.now().to_string(),
-            "0".into(),
             exact.to_string(),
             ms.to_string(),
         ]);
@@ -1722,45 +1712,14 @@ pub fn e19_virtual_time_jobs(jobs: usize) -> Table {
             spec2.len().to_string(),
             a.1.to_string(),
             a.3.to_string(),
-            "0".into(),
             exact.to_string(),
             "-".into(),
         ]);
     }
 
-    // -- Workload 3: timer-heap throughput through the async facade -----------
-    let (sleepers, rounds) = (64usize, 32u64);
-    let sleep_spec = RingSpec::oriented((1..=sleepers as u64).collect());
-    let mut ring: AsyncRing<Pulse, ()> =
-        AsyncRing::new(sleep_spec.wiring(), SchedulerKind::Fifo.build(0), |_, h| {
-            Box::pin(async move {
-                for _ in 0..rounds {
-                    h.sleep(1).await;
-                }
-            })
-        });
-    let start = Instant::now();
-    let run = ring.run(Budget::default());
-    let ms = start.elapsed().as_millis();
-    let fires = ring.stats().timer_fires;
-    let exact = run.outcome == Outcome::QuiescentTerminated
-        && fires == sleepers as u64 * rounds
-        && ring.now() == rounds;
-    all_ok &= exact;
-    t.row(vec![
-        "timer heap".into(),
-        format!("{sleepers} sleepers x {rounds}"),
-        sleepers.to_string(),
-        run.steps.to_string(),
-        ring.now().to_string(),
-        fires.to_string(),
-        exact.to_string(),
-        ms.to_string(),
-    ]);
-
     t.set_verdict(if all_ok {
-        "clock-on runs match the untimed election exactly; seeded latency and \
-         timers replay byte-identically"
+        "clock-on runs match the untimed election exactly; seeded latency \
+         replays byte-identically"
     } else {
         "MISMATCH: virtual time changed an outcome that must be timing-independent"
     });

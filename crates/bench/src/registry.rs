@@ -55,9 +55,5 @@ mod tests {
                 "franklin",
             ]
         );
-        assert_eq!(
-            reg.supporting(Capability::AsyncTwin),
-            vec!["alg1", "chang-roberts"]
-        );
     }
 }

@@ -35,7 +35,6 @@
 #![warn(missing_docs)]
 
 pub mod chang_roberts;
-pub mod chang_roberts_async;
 pub mod defective;
 pub mod franklin;
 pub mod hirschberg_sinclair;
@@ -44,7 +43,6 @@ pub mod registry;
 pub mod runner;
 
 pub use chang_roberts::ChangRobertsNode;
-pub use chang_roberts_async::{chang_roberts_async_ring, chang_roberts_future};
 pub use franklin::FranklinNode;
 pub use hirschberg_sinclair::HirschbergSinclairNode;
 pub use peterson::PetersonNode;

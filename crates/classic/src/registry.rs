@@ -10,8 +10,7 @@
 //! Capability surface: the baselines read message *content*, so none are
 //! explore-safe (the explorer enumerates `Pulse` schedules) and none are
 //! fleet-capable (fleet rings are `Pulse`-only). All four join the
-//! shrink toolkit through the unique-leader monitor, and Chang–Roberts has
-//! an async twin ([`crate::chang_roberts_async`]).
+//! shrink toolkit through the unique-leader monitor.
 
 use crate::chang_roberts::{ChangRobertsNode, CrMsg};
 use crate::franklin::{FranklinMsg, FranklinNode};
@@ -145,7 +144,6 @@ pub fn classic_entries() -> Vec<ProtocolSpec> {
             "classic",
             "Chang-Roberts baseline: unidirectional, O(n^2) messages",
         )
-        .with_async_twin()
         .with_monitor::<ChangRobertsDef>(),
         ProtocolSpec::of::<HirschbergSinclairDef>(
             "hirschberg-sinclair",

@@ -43,7 +43,6 @@
 
 pub mod ablation;
 pub mod alg1;
-pub mod alg1_async;
 pub mod alg2;
 pub mod alg3;
 pub mod anonymous;
@@ -56,7 +55,6 @@ pub mod registry;
 pub mod runner;
 
 pub use alg1::Alg1Node;
-pub use alg1_async::{alg1_async_ring, alg1_future};
 pub use alg2::Alg2Node;
 pub use alg3::{Alg3Node, Alg3Output, IdScheme, InvalidId};
 pub use election::{ElectionError, ElectionReport, Role};

@@ -628,18 +628,11 @@ pub enum Capability {
     Shrink,
     /// Can run under the fleet harness (`Pulse` messages).
     Fleet,
-    /// Has an async/await twin over the node facade.
-    AsyncTwin,
 }
 
 impl Capability {
     /// Every capability, in table-column order.
-    pub const ALL: [Capability; 4] = [
-        Capability::Explore,
-        Capability::Shrink,
-        Capability::Fleet,
-        Capability::AsyncTwin,
-    ];
+    pub const ALL: [Capability; 3] = [Capability::Explore, Capability::Shrink, Capability::Fleet];
 }
 
 impl fmt::Display for Capability {
@@ -648,7 +641,6 @@ impl fmt::Display for Capability {
             Capability::Explore => "explore",
             Capability::Shrink => "shrink",
             Capability::Fleet => "fleet",
-            Capability::AsyncTwin => "async-twin",
         })
     }
 }
@@ -708,7 +700,6 @@ pub struct ProtocolSpec {
     name: &'static str,
     layer: &'static str,
     summary: &'static str,
-    async_twin: bool,
     record: RecordFn,
     replay: ReplayFn,
     explore: Option<ExploreDriver>,
@@ -730,20 +721,12 @@ impl ProtocolSpec {
             name,
             layer,
             summary,
-            async_twin: false,
             record: record_driver::<D>,
             replay: replay_driver::<D>,
             explore: None,
             shrink: None,
             fleet: None,
         }
-    }
-
-    /// Marks the protocol as having an async/await twin.
-    #[must_use]
-    pub fn with_async_twin(mut self) -> ProtocolSpec {
-        self.async_twin = true;
-        self
     }
 
     /// Registers the exhaustive-exploration driver (requires `Pulse`
@@ -805,7 +788,6 @@ impl ProtocolSpec {
             Capability::Explore => self.explore.is_some(),
             Capability::Shrink => self.shrink.is_some(),
             Capability::Fleet => self.fleet.is_some(),
-            Capability::AsyncTwin => self.async_twin,
         }
     }
 
@@ -980,19 +962,18 @@ impl Registry {
     #[must_use]
     pub fn table(&self) -> String {
         let mut out = format!(
-            "{:<20} {:<8} {:<8} {:<7} {:<6} {:<11} summary\n",
-            "protocol", "layer", "explore", "shrink", "fleet", "async-twin"
+            "{:<20} {:<8} {:<8} {:<7} {:<6} summary\n",
+            "protocol", "layer", "explore", "shrink", "fleet"
         );
         for spec in &self.entries {
             let mark = |cap| if spec.supports(cap) { "yes" } else { "-" };
             out.push_str(&format!(
-                "{:<20} {:<8} {:<8} {:<7} {:<6} {:<11} {}\n",
+                "{:<20} {:<8} {:<8} {:<7} {:<6} {}\n",
                 spec.name,
                 spec.layer,
                 mark(Capability::Explore),
                 mark(Capability::Shrink),
                 mark(Capability::Fleet),
-                mark(Capability::AsyncTwin),
                 spec.summary,
             ));
         }
@@ -1251,7 +1232,7 @@ impl MonitoredProtocol for UngatedDef {
 /// every counter at `ID_max`. `ungated` is held to Algorithm 2's claims,
 /// and fails them. `alg2`/`ungated` carry the Lemma 6–12 monitor
 /// (`alg1`/`alg3` have no CCW counters to check); `alg1`/`alg2` are the
-/// fleet workloads; `alg1` has the async node-facade twin.
+/// fleet workloads.
 #[must_use]
 pub fn core_entries() -> Vec<ProtocolSpec> {
     vec![
@@ -1260,7 +1241,6 @@ pub fn core_entries() -> Vec<ProtocolSpec> {
             "core",
             "Algorithm 1: quiescently stabilizing election",
         )
-        .with_async_twin()
         .with_explore::<Alg1Def>()
         .with_fleet::<Alg1Def>(),
         ProtocolSpec::of::<Alg2Def>(

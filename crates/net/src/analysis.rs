@@ -102,7 +102,6 @@ pub fn summarize(trace: &Trace) -> TraceSummary {
                 s.termination_order.push(*node);
             }
             TraceEvent::Fault { .. } => {}
-            TraceEvent::TimerFired { .. } => {}
         }
     }
     if s.delivered > 0 {

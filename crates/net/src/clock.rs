@@ -5,7 +5,8 @@
 //! time onto that model without disturbing it: every delivery carries an
 //! arrival timestamp drawn from a seeded per-channel [`LatencyModel`], the
 //! engine's [`VirtualClock`] advances to the arrival time of whatever the
-//! scheduler delivers, and timers fire when the clock passes their deadline.
+//! scheduler delivers. The clock only ever moves at a delivery: the model is
+//! message-driven, and nothing else happens at a point in virtual time.
 //!
 //! The degenerate [`LatencyModel::Zero`] model keeps every timestamp at 0,
 //! which reproduces the untimed engine bit-for-bit: same picks, same events,

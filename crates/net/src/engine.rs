@@ -37,11 +37,11 @@ use crate::message::{Message, UnitMessage};
 use crate::port::Direction;
 use crate::prof;
 use crate::sched::{ChannelView, Scheduler};
-use crate::snapshot::{Fingerprint, Schedule};
+use crate::snapshot::Schedule;
 use crate::topology::ChannelId;
 use crate::trace::{Trace, TraceEvent};
 use rand::rngs::StdRng;
-use std::collections::{BTreeSet, VecDeque};
+use std::collections::VecDeque;
 use std::error::Error;
 use std::fmt;
 
@@ -103,26 +103,6 @@ pub trait EventHandler<M: Message> {
 
     /// Whether node `node` has entered a terminating state.
     fn is_terminated(&self, node: usize) -> bool;
-
-    /// A virtual-clock timer armed by node `node` fired. `token` is the
-    /// value the node passed when arming it; sends buffer into `outbox`
-    /// exactly as in [`EventHandler::on_message`].
-    ///
-    /// Default: ignore — state-machine protocols predate timers and never
-    /// arm any, so they compile (and behave) unchanged.
-    fn on_timer(&mut self, node: usize, degree: usize, token: u64, outbox: &mut Vec<(usize, M)>) {
-        let _ = (node, degree, token, outbox);
-    }
-
-    /// Collect `(delay, token)` timer requests node `node` made during the
-    /// dispatch that just ran, pushing them into `sink`. The engine calls
-    /// this after every `on_start` / `on_message` / `on_timer` dispatch and
-    /// arms each request at `now + delay`.
-    ///
-    /// Default: no requests — again, existing handlers are unaffected.
-    fn drain_timers(&mut self, node: usize, sink: &mut Vec<(u64, u64)>) {
-        let _ = (node, sink);
-    }
 }
 
 /// A model-violating channel fault, as recorded in a [`TraceEvent::Fault`]
@@ -219,7 +199,7 @@ impl RunMetrics {
                     FaultKind::Duplicated | FaultKind::Injected => self.gain(),
                 }
             }
-            TraceEvent::Start { .. } | TraceEvent::TimerFired { .. } => {}
+            TraceEvent::Start { .. } => {}
         }
     }
 }
@@ -304,9 +284,6 @@ pub struct SimStats {
     pub sent_by_port: Vec<Vec<u64>>,
     /// Per node: messages received (processed) at each port.
     pub recv_by_port: Vec<Vec<u64>>,
-    /// Virtual-clock timers fired (0 throughout untimed runs and for
-    /// protocols that never arm timers).
-    pub timer_fires: u64,
 }
 
 impl SimStats {
@@ -669,7 +646,7 @@ impl<M: Message> QueueStore<M> {
 /// A copy of an [`EventCore`]'s run state: every field a delivery can
 /// change — queues, termination flags, the dense ready array, the
 /// scheduler (its random stream, cursors and index included), statistics,
-/// counters, clock, timers and latency streams — plus the length of the
+/// counters, clock and latency streams — plus the length of the
 /// recorded schedule. Restoring it makes the core behave exactly as the
 /// captured one would from that point on.
 ///
@@ -688,16 +665,9 @@ pub struct CoreSnapshot<M> {
     started: bool,
     fault_stats: FaultStats,
     clock: VirtualClock,
-    timers: BTreeSet<TimerEntry>,
-    timer_seq: u64,
     latency: Option<LatencyState>,
     recorded_len: usize,
 }
-
-/// One pending timer: `(fire_at, arm_seq, node, token)`. Ordered by deadline
-/// first, then arm order, so same-deadline timers fire in the order they
-/// were armed — deterministically.
-type TimerEntry = (u64, u64, usize, u64);
 
 /// The mutable half of a latency plan: per-channel sample streams and the
 /// arrival timestamps of every queued message.
@@ -771,16 +741,10 @@ pub struct EventCore<M: Message, T: Topology> {
     /// delivery while a latency plan is installed; stays at 0 (and costs
     /// nothing) in untimed runs.
     clock: VirtualClock,
-    /// Pending timers ordered by `(fire_at, arm_seq)` — see [`TimerEntry`].
-    timers: BTreeSet<TimerEntry>,
-    /// Monotone arm counter providing the deterministic same-deadline order.
-    timer_seq: u64,
     /// `None` (the default) is the untimed fast path, byte-identical to the
     /// pre-clock engine; `Some` carries the seeded per-channel latency
     /// streams and queued-message arrival timestamps.
     latency: Option<LatencyState>,
-    /// Recycled sink for [`EventHandler::drain_timers`] requests.
-    timer_buf: Vec<(u64, u64)>,
     /// Recycled list of the in-flight runs a scheduler re-index replays.
     run_buf: Vec<SendRun>,
 }
@@ -836,10 +800,7 @@ impl<M: Message, T: Topology> EventCore<M, T> {
             fault_stats: FaultStats::default(),
             recorded: None,
             clock: VirtualClock::new(),
-            timers: BTreeSet::new(),
-            timer_seq: 0,
             latency: None,
-            timer_buf: Vec::new(),
             run_buf: Vec::new(),
         }
     }
@@ -916,26 +877,6 @@ impl<M: Message, T: Topology> EventCore<M, T> {
     #[must_use]
     pub fn now(&self) -> u64 {
         self.clock.now()
-    }
-
-    /// Arms a timer for `node`: [`EventHandler::on_timer`] will run with
-    /// `token` once the virtual clock reaches `now + delay`. Timers are
-    /// first-class events — they survive snapshots and fire deterministically
-    /// (deadline order, arm order on ties).
-    ///
-    /// Normally reached via [`EventHandler::drain_timers`]; public for
-    /// drivers that schedule timers outside any dispatch.
-    pub fn arm_timer(&mut self, node: usize, delay: u64, token: u64) {
-        let fire_at = self.clock.now().saturating_add(delay);
-        let arm_seq = self.timer_seq;
-        self.timer_seq += 1;
-        self.timers.insert((fire_at, arm_seq, node, token));
-    }
-
-    /// Number of pending (armed, not yet fired) timers.
-    #[must_use]
-    pub fn pending_timers(&self) -> usize {
-        self.timers.len()
     }
 
     /// Enables event tracing (unbounded if `cap` is `None`).
@@ -1039,10 +980,7 @@ impl<M: Message, T: Topology> EventCore<M, T> {
             fault_stats,
             recorded,
             clock,
-            timers,
-            timer_seq,
             latency,
-            timer_buf: _,
             run_buf: _,
         } = self;
         CoreSnapshot {
@@ -1056,8 +994,6 @@ impl<M: Message, T: Topology> EventCore<M, T> {
             started: *started,
             fault_stats: *fault_stats,
             clock: *clock,
-            timers: timers.clone(),
-            timer_seq: *timer_seq,
             latency: latency.clone(),
             recorded_len: recorded.as_ref().map_or(0, Vec::len),
         }
@@ -1096,8 +1032,6 @@ impl<M: Message, T: Topology> EventCore<M, T> {
         self.started = snapshot.started;
         self.fault_stats = snapshot.fault_stats;
         self.clock = snapshot.clock;
-        self.timers.clone_from(&snapshot.timers);
-        self.timer_seq = snapshot.timer_seq;
         self.latency.clone_from(&snapshot.latency);
         if let Some(rec) = &mut self.recorded {
             rec.truncate(snapshot.recorded_len);
@@ -1266,52 +1200,6 @@ impl<M: Message, T: Topology> EventCore<M, T> {
             handler.on_start(node, self.topology.degree(node), &mut outbox);
             self.flush_outbox(node, &mut outbox);
             self.outbox = outbox;
-            self.drain_timer_requests(node, handler);
-            self.note_termination(node, handler);
-        }
-    }
-
-    /// Collects and arms the timer requests `node` made during the dispatch
-    /// that just ran (start, message, or timer).
-    fn drain_timer_requests<H: EventHandler<M>>(&mut self, node: usize, handler: &mut H) {
-        let mut buf = std::mem::take(&mut self.timer_buf);
-        handler.drain_timers(node, &mut buf);
-        for (delay, token) in buf.drain(..) {
-            self.arm_timer(node, delay, token);
-        }
-        self.timer_buf = buf;
-    }
-
-    /// Fires every pending timer whose deadline the clock has reached, in
-    /// deterministic `(deadline, arm order)` order. Each firing dispatches
-    /// [`EventHandler::on_timer`], flushes its sends, and collects any
-    /// re-armed timers — which fire in the same sweep if already due.
-    ///
-    /// Timers of terminated nodes are discarded silently (the analogue of
-    /// `DeliverIgnored`, minus the event: nothing was in flight).
-    fn fire_due_timers<H: EventHandler<M>>(&mut self, handler: &mut H) {
-        while let Some(&entry) = self.timers.first() {
-            let (fire_at, _arm_seq, node, token) = entry;
-            if fire_at > self.clock.now() {
-                break;
-            }
-            let t = prof::start();
-            self.timers.pop_first();
-            if self.terminated[node] {
-                prof::stop(prof::Phase::Timer, t);
-                continue;
-            }
-            self.stats.timer_fires += 1;
-            let at = self.clock.now();
-            if self.observing() {
-                self.emit(TraceEvent::TimerFired { node, token, at });
-            }
-            let mut outbox = std::mem::take(&mut self.outbox);
-            handler.on_timer(node, self.topology.degree(node), token, &mut outbox);
-            prof::stop(prof::Phase::Timer, t);
-            self.flush_outbox(node, &mut outbox);
-            self.outbox = outbox;
-            self.drain_timer_requests(node, handler);
             self.note_termination(node, handler);
         }
     }
@@ -1328,23 +1216,6 @@ impl<M: Message, T: Topology> EventCore<M, T> {
         handler: &mut H,
     ) -> Result<Option<EngineStep>, EngineError> {
         self.start(handler);
-        // Service the virtual clock before each pick: fire every due timer,
-        // and when nothing is deliverable, jump the clock to the earliest
-        // pending deadline (virtual time has no reason to pass slowly). A
-        // protocol that perpetually re-arms timers without ever sending will
-        // spin here — the same bug class as an infinite relay, and just as
-        // much the protocol's fault. Untimed runs never arm timers, so this
-        // is one `is_empty` check on their hot path.
-        while !self.timers.is_empty() {
-            self.fire_due_timers(handler);
-            if !self.ready.is_empty() {
-                break;
-            }
-            match self.timers.first() {
-                Some(&(fire_at, ..)) => self.clock.advance_to(fire_at),
-                None => break,
-            }
-        }
         if self.ready.is_empty() {
             return Ok(None);
         }
@@ -1415,33 +1286,6 @@ impl<M: Message, T: Topology> EventCore<M, T> {
     #[must_use]
     pub fn is_started(&self) -> bool {
         self.started
-    }
-
-    /// A stable 64-bit hash of the *network-level* configuration: started
-    /// flag, per-channel queue lengths, termination flags, virtual clock,
-    /// and pending timers — node states excluded.
-    ///
-    /// Because node state is not hashed, two different node representations
-    /// (a hand-written state machine and its async-facade twin) driving
-    /// identical executions agree on this hash after every step.
-    #[must_use]
-    pub fn net_fingerprint(&self) -> u64 {
-        let mut fp = Fingerprint::new();
-        fp.write_bool(self.started);
-        for ch in 0..self.topology.channel_count() {
-            fp.write_usize(self.queues.len(ch));
-        }
-        for &t in &self.terminated {
-            fp.write_bool(t);
-        }
-        fp.write_u64(self.clock.now());
-        for &(fire_at, arm_seq, node, token) in &self.timers {
-            fp.write_u64(fire_at);
-            fp.write_u64(arm_seq);
-            fp.write_usize(node);
-            fp.write_u64(token);
-        }
-        fp.finish()
     }
 
     /// The next global send sequence number (total sends attempted so far,
@@ -1524,7 +1368,6 @@ impl<M: Message, T: Topology> EventCore<M, T> {
             prof::stop(prof::Phase::Deliver, t);
             self.flush_outbox(node, &mut outbox);
             self.outbox = outbox;
-            self.drain_timer_requests(node, handler);
             self.note_termination(node, handler);
         }
 

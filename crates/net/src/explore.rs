@@ -578,7 +578,7 @@ impl Drop for SpillFile {
 /// In the content-oblivious model every message is a bare pulse, so this
 /// is the whole configuration. It is the explorer's frontier item: two
 /// allocations, where a [`crate::SimSnapshot`] also carries queue runs,
-/// per-port statistics, the ready order, scheduler state, timers and the
+/// per-port statistics, the ready order, scheduler state and the
 /// clock, none of which the explorer reads. The explorer never loads one
 /// into a [`Simulation`]: a [`Probe`] computes its successors from the
 /// record itself, and the node fingerprints and hash sum the record keeps

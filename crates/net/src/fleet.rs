@@ -941,7 +941,6 @@ where
         sent_by_direction: rr.sent_by_direction,
         sent_by_port: obs.sent.iter().map(|p| p.to_vec()).collect(),
         recv_by_port: obs.recv.iter().map(|p| p.to_vec()).collect(),
-        timer_fires: 0,
     };
     let report = RunReport {
         outcome: rr.outcome(),

@@ -73,7 +73,6 @@ pub mod message;
 pub mod multiport;
 pub mod port;
 pub mod prof;
-pub mod runtime;
 pub mod sched;
 pub mod shrink;
 pub mod sim;

@@ -51,9 +51,6 @@ pub enum Phase {
     /// Event recording: appending to the trace and folding into the run
     /// metrics, whichever of the two is enabled.
     Observe,
-    /// Virtual-clock timer servicing: popping due timers off the timer heap
-    /// and running `on_timer` handlers.
-    Timer,
     /// The explorer building a frontier record: one flat pulse
     /// configuration per admitted successor (see
     /// [`crate::explore::PulseConfig`]).
@@ -77,7 +74,6 @@ impl Phase {
         Phase::Index,
         Phase::Deliver,
         Phase::Observe,
-        Phase::Timer,
         Phase::Record,
         Phase::Probe,
         Phase::Load,
@@ -91,11 +87,10 @@ impl Phase {
             Phase::Index => 2,
             Phase::Deliver => 3,
             Phase::Observe => 4,
-            Phase::Timer => 5,
-            Phase::Record => 6,
-            Phase::Probe => 7,
-            Phase::Load => 8,
-            Phase::Dedup => 9,
+            Phase::Record => 5,
+            Phase::Probe => 6,
+            Phase::Load => 7,
+            Phase::Dedup => 8,
         }
     }
 }
@@ -108,7 +103,6 @@ impl fmt::Display for Phase {
             Phase::Index => "index",
             Phase::Deliver => "deliver",
             Phase::Observe => "observe",
-            Phase::Timer => "timer",
             Phase::Record => "record",
             Phase::Probe => "probe",
             Phase::Load => "load",
@@ -117,7 +111,7 @@ impl fmt::Display for Phase {
     }
 }
 
-const PHASES: usize = 10;
+const PHASES: usize = 9;
 
 static ENABLED: AtomicBool = AtomicBool::new(false);
 

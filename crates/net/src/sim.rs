@@ -332,21 +332,6 @@ impl<M: Message, P: Protocol<M>> Simulation<M, P> {
         self.core.now()
     }
 
-    /// Number of armed timers that have not fired yet.
-    #[must_use]
-    pub fn pending_timers(&self) -> usize {
-        self.core.pending_timers()
-    }
-
-    /// Fingerprint of the network state only (queues, terminations, clock,
-    /// timers) — no node states, so it is comparable across different
-    /// representations of the same protocol (state machines vs
-    /// [`crate::runtime`] futures).
-    #[must_use]
-    pub fn net_fingerprint(&self) -> u64 {
-        self.core.net_fingerprint()
-    }
-
     /// Counters of faults actually applied so far.
     #[must_use]
     pub fn fault_stats(&self) -> FaultStats {

@@ -69,15 +69,6 @@ pub enum TraceEvent {
         /// Sequence number of the affected message.
         seq: u64,
     },
-    /// A virtual timer armed by a node came due and its handler ran.
-    TimerFired {
-        /// The node whose timer fired.
-        node: NodeIndex,
-        /// The token the node armed the timer with.
-        token: u64,
-        /// Virtual time at which the timer fired.
-        at: u64,
-    },
 }
 
 /// An append-only, optionally capped log of [`TraceEvent`]s.

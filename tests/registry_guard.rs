@@ -11,6 +11,11 @@
 //!
 //! A second guard keeps the engine's snapshot a plain copy of its run
 //! state: no scheduler under `crates/` serializes itself into words again.
+//!
+//! A third keeps the paper's model message-driven: the async node facade,
+//! the engine's timer heap and the registry flag that advertised the
+//! facade are deleted, and no source under `crates/`, `tests/` or
+//! `examples/` names them again.
 
 use std::fs;
 use std::path::{Path, PathBuf};
@@ -34,6 +39,22 @@ fn rust_sources(dir: &Path, out: &mut Vec<PathBuf>) {
     }
 }
 
+/// Every `path:line: needle` where a line of `sources` contains a needle.
+fn lines_naming(sources: &[PathBuf], needles: &[&str]) -> Vec<String> {
+    let mut found = Vec::new();
+    for path in sources {
+        let text = fs::read_to_string(path).expect("source is UTF-8");
+        for (lineno, line) in text.lines().enumerate() {
+            for needle in needles {
+                if line.contains(needle) {
+                    found.push(format!("{}:{}: {needle}", path.display(), lineno + 1));
+                }
+            }
+        }
+    }
+    found
+}
+
 #[test]
 fn driver_layers_contain_no_per_protocol_match_arms() {
     // tests/ lives at the workspace root, one level above crates/.
@@ -47,17 +68,7 @@ fn driver_layers_contain_no_per_protocol_match_arms() {
         "guard must actually see the driver layers, found {sources:?}"
     );
 
-    let mut leaks = Vec::new();
-    for path in &sources {
-        let text = fs::read_to_string(path).expect("source is UTF-8");
-        for (lineno, line) in text.lines().enumerate() {
-            for needle in FORBIDDEN {
-                if line.contains(needle) {
-                    leaks.push(format!("{}:{}: {needle}", path.display(), lineno + 1));
-                }
-            }
-        }
-    }
+    let leaks = lines_naming(&sources, FORBIDDEN);
     assert!(
         leaks.is_empty(),
         "per-protocol dispatch leaked out of the registry:\n{}",
@@ -129,20 +140,48 @@ fn engine_snapshots_keep_no_second_encoding_of_run_state() {
         "guard must actually see the engine, found {} files",
         sources.len()
     );
-    let mut leaks = Vec::new();
-    for path in &sources {
-        let text = fs::read_to_string(path).expect("source is UTF-8");
-        for (lineno, line) in text.lines().enumerate() {
-            for needle in SECOND_ENCODING {
-                if line.contains(needle) {
-                    leaks.push(format!("{}:{}: {needle}", path.display(), lineno + 1));
-                }
-            }
-        }
-    }
+    let leaks = lines_naming(&sources, SECOND_ENCODING);
     assert!(
         leaks.is_empty(),
         "engine snapshots copy their run state; a second encoding is back:\n{}",
+        leaks.join("\n")
+    );
+}
+
+/// Names of the deleted async node facade and engine timer heap. Each is
+/// split with `concat!` so that this file, which the guard also reads,
+/// does not contain the names it forbids.
+const TIMER_LAYER: &[&str] = &[
+    concat!("runtime", "::"),
+    concat!("arm", "_timer"),
+    concat!("on", "_timer"),
+    concat!("drain", "_timers"),
+    concat!("Timer", "Fired"),
+    concat!("Async", "Twin"),
+];
+
+#[test]
+fn no_source_names_the_async_facade_or_the_timer_heap() {
+    let root = Path::new(env!("CARGO_MANIFEST_DIR"));
+    let mut sources = Vec::new();
+    for dir in ["crates", "tests", "examples"] {
+        rust_sources(&root.join(dir), &mut sources);
+    }
+    for seen in [
+        "crates/net/src/engine.rs",
+        "tests/registry_guard.rs",
+        "examples/quickstart.rs",
+    ] {
+        assert!(
+            sources.iter().any(|p| p.ends_with(seen)),
+            "guard must actually see {seen}, found {} files",
+            sources.len()
+        );
+    }
+    let leaks = lines_naming(&sources, TIMER_LAYER);
+    assert!(
+        leaks.is_empty(),
+        "the model has no timers; the async facade or timer heap is back:\n{}",
         leaks.join("\n")
     );
 }
