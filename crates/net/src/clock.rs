@@ -40,12 +40,6 @@ impl VirtualClock {
         VirtualClock::default()
     }
 
-    /// A clock pre-set to `now` (used when restoring snapshots).
-    #[must_use]
-    pub fn at(now: u64) -> VirtualClock {
-        VirtualClock { now }
-    }
-
     /// The current virtual time.
     #[must_use]
     pub fn now(&self) -> u64 {
@@ -275,7 +269,6 @@ mod tests {
         c.advance_to(3);
         assert_eq!(c.now(), 5, "advance_to never moves backwards");
         assert_eq!(c.tick(), 6);
-        assert_eq!(VirtualClock::at(9).now(), 9);
     }
 
     #[test]

@@ -15,7 +15,9 @@
 //! logical shard: two workers on one lock exhausted Algorithm 2 on eight
 //! nodes about 1.7 times slower than on sixty-four (DESIGN.md §7). The
 //! table count never shows in a checkpoint, so a run cut with one table
-//! count resumes under the other.
+//! count resumes under the other. Each worker inserts through its own
+//! [`Inserter`] handle, which holds a one-table index's lock for its whole
+//! life and counts its admissions in a slot no other worker writes.
 //!
 //! * [`ExactStore`] — a `HashSet<u64>` under a keyed folded-multiply
 //!   hasher, 8 bytes of accounted heap storage per admitted configuration.
@@ -53,7 +55,7 @@ use std::os::unix::fs::FileExt;
 use std::path::{Path, PathBuf};
 use std::str::FromStr;
 use std::sync::atomic::{AtomicU64, AtomicUsize, Ordering};
-use std::sync::{Arc, Mutex};
+use std::sync::{Arc, Mutex, MutexGuard};
 
 /// Number of logical shards of a [`ShardedIndex`]: the fingerprint prefix
 /// classes a checkpoint stores one image each for, and the number of
@@ -641,22 +643,33 @@ pub fn splitmix64(mut x: u64) -> u64 {
     x ^ (x >> 31)
 }
 
+/// An admission counter on a cache line of its own, so workers that each
+/// bump their own never contend.
+#[derive(Debug, Default)]
+#[repr(align(128))]
+struct Counter(AtomicUsize);
+
 /// A concurrently usable visited-fingerprint index: [`FP_SHARDS`] logical
 /// shards keyed by fingerprint prefix, stored in one or [`FP_SHARDS`]
 /// physical tables, each a [`FingerprintStore`] behind its own lock.
 ///
-/// `insert` takes exactly one table lock; the global admitted count is an
-/// atomic so limit checks never lock anything. With one table every
-/// logical shard lives in it; with [`FP_SHARDS`] tables each shard has its
-/// own. [`ShardedIndex::save_shards`] writes one image per logical shard
-/// either way, so checkpoints do not depend on the table count. For the
-/// mmap backend the index creates a unique scratch subdirectory for its
-/// table files and removes it on drop.
+/// `insert` takes exactly one table lock; a worker's [`Inserter`] takes
+/// none on a one-table index and one per insert otherwise. Admissions are
+/// counted per inserter, and [`ShardedIndex::admitted`] sums the counters,
+/// so limit checks never lock anything. With one table every logical shard
+/// lives in it; with [`FP_SHARDS`] tables each shard has its own.
+/// [`ShardedIndex::save_shards`] writes one image per logical shard either
+/// way, so checkpoints do not depend on the table count. For the mmap
+/// backend the index creates a unique scratch subdirectory for its table
+/// files and removes it on drop.
 pub struct ShardedIndex {
     kind: DedupKind,
     /// One table, or one per logical shard: a power of two either way.
     tables: Vec<Mutex<Box<dyn FingerprintStore>>>,
-    admitted: AtomicUsize,
+    /// Admissions: slot 0 counts [`ShardedIndex::insert`] and
+    /// [`ShardedIndex::load_shards`], slot `w + 1` worker `w`'s
+    /// [`Inserter`].
+    admitted: Box<[Counter]>,
     /// Live total of table-file bytes (mmap backend; zero otherwise).
     file_bytes: Arc<AtomicUsize>,
     /// Scratch subdirectory owned (and removed on drop) by this index.
@@ -694,7 +707,8 @@ impl ShardedIndex {
     ///
     /// One worker gets one table (the mmap backend: one table file with the
     /// whole budget); two or more get [`FP_SHARDS`] tables, so their
-    /// inserts rarely meet on a lock.
+    /// inserts rarely meet on a lock. Workers `0..workers` may each hold an
+    /// [`ShardedIndex::inserter`].
     #[must_use]
     pub fn for_workers(
         kind: DedupKind,
@@ -732,7 +746,7 @@ impl ShardedIndex {
         ShardedIndex {
             kind,
             tables,
-            admitted: AtomicUsize::new(0),
+            admitted: (0..=workers.max(1)).map(|_| Counter::default()).collect(),
             file_bytes,
             scratch,
         }
@@ -751,19 +765,44 @@ impl ShardedIndex {
     }
 
     /// Inserts a fingerprint; returns whether it was new (admitted).
+    ///
+    /// A one-table index whose [`Inserter`] is alive blocks this call
+    /// until the handle drops.
     pub fn insert(&self, fp: u64) -> bool {
         let h = splitmix64(fp);
         let new = self.table(h).lock().expect("table poisoned").insert(h);
         if new {
-            self.admitted.fetch_add(1, Ordering::Relaxed);
+            self.admitted[0].0.fetch_add(1, Ordering::Relaxed);
         }
         new
+    }
+
+    /// Worker `worker`'s insert handle. On a one-table index it holds the
+    /// table's lock until it drops, so it must be the only inserter alive:
+    /// [`ShardedIndex::for_workers`] builds one table for one worker only.
+    ///
+    /// # Panics
+    ///
+    /// Panics unless `worker` is below the worker count the index was
+    /// built for.
+    #[must_use]
+    pub fn inserter(&self, worker: usize) -> Inserter<'_> {
+        let slot = &self.admitted[1 + worker].0;
+        Inserter {
+            index: self,
+            held: (self.tables.len() == 1).then(|| self.tables[0].lock().expect("table poisoned")),
+            count: slot.load(Ordering::Relaxed),
+            slot,
+        }
     }
 
     /// Number of fingerprints admitted as new so far.
     #[must_use]
     pub fn admitted(&self) -> usize {
-        self.admitted.load(Ordering::Relaxed)
+        self.admitted
+            .iter()
+            .map(|slot| slot.0.load(Ordering::Relaxed))
+            .sum()
     }
 
     /// Current byte cost of the index, split heap/file, cheap enough to
@@ -828,8 +867,52 @@ impl ShardedIndex {
                 "checkpoint claims {admitted} admitted configurations, its dedup shards hold {loaded}"
             ));
         }
-        self.admitted.store(loaded, Ordering::Relaxed);
+        self.admitted[0].0.store(loaded, Ordering::Relaxed);
         Ok(())
+    }
+}
+
+/// One worker's handle for inserting into a [`ShardedIndex`]
+/// ([`ShardedIndex::inserter`]): an admission is counted with a plain
+/// store into the worker's own counter, and a one-table index's lock is
+/// taken once for the handle's life instead of once per insert.
+pub struct Inserter<'a> {
+    index: &'a ShardedIndex,
+    /// The only table of a one-table index, locked until the handle drops;
+    /// `None` when each insert locks its shard's table.
+    held: Option<MutexGuard<'a, Box<dyn FingerprintStore>>>,
+    /// This worker's admission counter, which only this handle writes.
+    slot: &'a AtomicUsize,
+    count: usize,
+}
+
+impl Inserter<'_> {
+    /// Inserts a fingerprint; returns whether it was new (admitted).
+    pub fn insert(&mut self, fp: u64) -> bool {
+        let h = splitmix64(fp);
+        let new = match &mut self.held {
+            Some(table) => table.insert(h),
+            None => self
+                .index
+                .table(h)
+                .lock()
+                .expect("table poisoned")
+                .insert(h),
+        };
+        if new {
+            self.count += 1;
+            self.slot.store(self.count, Ordering::Relaxed);
+        }
+        new
+    }
+}
+
+impl fmt::Debug for Inserter<'_> {
+    fn fmt(&self, f: &mut fmt::Formatter<'_>) -> fmt::Result {
+        f.debug_struct("Inserter")
+            .field("held", &self.held.is_some())
+            .field("count", &self.count)
+            .finish()
     }
 }
 
@@ -999,6 +1082,32 @@ mod tests {
         }
         assert_eq!(exact.bytes().heap, 100 * 8);
         assert_eq!(exact.bytes().file, 0);
+    }
+
+    #[test]
+    fn inserters_count_into_the_index_across_legs() {
+        let kinds = [DedupKind::Exact, DedupKind::Mmap { budget: 1 }];
+        for (kind, workers) in kinds.into_iter().flat_map(|k| [(k, 1), (k, 4)]) {
+            let idx = ShardedIndex::for_workers(kind, workers, None);
+            assert!(idx.insert(u64::MAX));
+            // Two legs; every value is raced by two workers in each.
+            for leg in 0..2u64 {
+                std::thread::scope(|scope| {
+                    for w in 0..workers {
+                        let idx = &idx;
+                        scope.spawn(move || {
+                            let mut inserter = idx.inserter(w);
+                            for i in 0..1_000u64 {
+                                inserter.insert(leg * 10_000 + (w as u64 / 2) * 1_000 + i);
+                            }
+                        });
+                    }
+                });
+            }
+            let distinct = 2 * workers.div_ceil(2) * 1_000;
+            assert_eq!(idx.admitted(), 1 + distinct, "{kind}, {workers} workers");
+            assert!(!idx.insert(0), "{kind}: an inserter's admission is visible");
+        }
     }
 
     #[test]

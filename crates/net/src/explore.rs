@@ -187,13 +187,13 @@ pub struct ExploreConfig {
     /// faults left to fire, the explorer therefore mixes the (clamped) send
     /// counter into the fingerprint so deduplication stays sound.
     pub faults: FaultPlan,
-    /// Frontier spill-to-disk high-water mark, in items per worker shard
-    /// (`0` disables spilling). When a worker's shard grows past this mark,
-    /// its *coldest* items (the shard front — the ones LIFO processing
-    /// would touch last) are written to a per-worker spill file as
-    /// channel-pick replay paths and paged back in LIFO order once the
-    /// in-memory shard drains. Spilled items still count as pending work,
-    /// so termination and state counts are unaffected.
+    /// Frontier spill-to-disk high-water mark, in items per worker
+    /// frontier (`0` disables spilling). When a worker's frontier grows
+    /// past this mark, its *coldest* items (the front — the ones LIFO
+    /// processing would touch last) are written to the worker's spill file
+    /// as channel-pick replay paths and paged back in LIFO order once its
+    /// in-memory frontier drains. A worker does not go idle while its spill
+    /// file holds items, so termination and state counts are unaffected.
     pub spill_high_water: usize,
     /// Directory for scratch files (mmap dedup tables, frontier spill
     /// files); `None` means the system temp dir. Each run creates unique
@@ -792,18 +792,30 @@ impl<'a, P: Protocol<Pulse> + Snapshot + Clone> Probe<'a, P> {
     /// counters and the sum replaced.
     #[must_use]
     pub fn record(&self, parent: &PulseConfig<P::State>) -> PulseConfig<P::State> {
-        let mut nodes = parent.nodes.clone();
+        let mut out = PulseConfig {
+            nodes: Vec::new(),
+            words: Vec::new(),
+            send_seq: 0,
+            sent: 0,
+            sum: 0,
+        };
+        self.record_into(parent, &mut out);
+        out
+    }
+
+    /// [`Probe::record`] into `out`, whatever record it held before: its
+    /// buffers are refilled by `clone_from`, so a buffer of this ring's
+    /// size is reused without allocating.
+    pub fn record_into(&self, parent: &PulseConfig<P::State>, out: &mut PulseConfig<P::State>) {
+        out.nodes.clone_from(&parent.nodes);
         // A pulse to a terminated node changes no state.
         if !self.state.terminated[self.dst] {
-            nodes[self.dst] = (self.node.extract(), self.dst_fp);
+            out.nodes[self.dst] = (self.node.extract(), self.dst_fp);
         }
-        PulseConfig {
-            nodes,
-            words: self.words.clone(),
-            send_seq: self.send_seq,
-            sent: self.sent,
-            sum: self.sum,
-        }
+        out.words.clone_from(&self.words);
+        out.send_seq = self.send_seq;
+        out.sent = self.sent;
+        out.sum = self.sum;
     }
 }
 
@@ -926,11 +938,76 @@ where
 /// One frontier entry: the record to expand (or `None` for items
 /// loaded from a checkpoint/spill file, which are rematerialized by
 /// replaying `path` from the initial configuration), its depth, and — when
-/// paths are being tracked for spill/checkpoint — its replay path.
+/// paths are being tracked for spill/checkpoint — its replay path. A
+/// worker keeps expanded and spilled jobs as spares and refills their
+/// buffers for the next admitted successors.
 struct Job<S> {
     record: Option<PulseConfig<S>>,
     depth: usize,
     path: Vec<u32>,
+}
+
+/// A worker's hand-off queue: the oldest half of its frontier while another
+/// worker is idle, and its whole frontier between legs.
+struct Handoff<S> {
+    jobs: Mutex<VecDeque<Job<S>>>,
+    /// Set by whoever stocks `jobs`, cleared by whoever empties it, so no
+    /// worker locks an empty queue to find that out.
+    stocked: AtomicBool,
+}
+
+impl<S> Default for Handoff<S> {
+    fn default() -> Handoff<S> {
+        Handoff {
+            jobs: Mutex::new(VecDeque::new()),
+            stocked: AtomicBool::new(false),
+        }
+    }
+}
+
+impl<S> Handoff<S> {
+    fn len(&self) -> usize {
+        self.jobs.lock().expect("hand-off poisoned").len()
+    }
+
+    /// Appends `jobs` in order.
+    fn put(&self, jobs: impl IntoIterator<Item = Job<S>>) {
+        let mut queue = self.jobs.lock().expect("hand-off poisoned");
+        queue.extend(jobs);
+        if !queue.is_empty() {
+            self.stocked.store(true, Ordering::Release);
+        }
+    }
+
+    /// Moves every queued job, in order, to the back of `local`; returns
+    /// how many, or `None` if the queue was empty.
+    fn take_into(&self, local: &mut VecDeque<Job<S>>) -> Option<usize> {
+        if !self.stocked.load(Ordering::Acquire) {
+            return None;
+        }
+        let mut queue = self.jobs.lock().expect("hand-off poisoned");
+        self.stocked.store(false, Ordering::Relaxed);
+        let taken = queue.len();
+        local.append(&mut queue);
+        (taken > 0).then_some(taken)
+    }
+}
+
+/// What workers counted: quiescent configurations, spilled jobs, and
+/// whether the depth limit pruned anything.
+#[derive(Default)]
+struct Tally {
+    quiescent: usize,
+    spilled: usize,
+    pruned: bool,
+}
+
+impl Tally {
+    fn add(&mut self, other: &Tally) {
+        self.quiescent += other.quiescent;
+        self.spilled += other.spilled;
+        self.pruned |= other.pruned;
+    }
 }
 
 /// Resolves `0` to the number of available cores.
@@ -972,16 +1049,22 @@ where
 /// implementation, which must capture *all* behaviourally relevant state
 /// (two nodes with equal fingerprints must behave identically forever).
 ///
-/// A fixed pool of `config.jobs` workers (scoped std threads) each runs a
-/// depth-first loop over its own frontier shard, stealing from other
-/// shards when its own runs dry. Every worker owns a private [`Probe`] it
-/// expands frontier records ([`PulseConfig`]) with, so only plain data
-/// crosses threads. Deduplication goes through a [`ShardedIndex`] built
-/// for the worker count ([`ShardedIndex::for_workers`]): one worker inserts
-/// into one table, two or more into [`crate::dedup::FP_SHARDS`] tables
-/// under their own locks, keyed by fingerprint prefix. Its checkpoint
-/// images are the same either way, so a run cut with one worker count
-/// resumes under another. The backend is chosen by `config.dedup`: `exact`
+/// A fixed pool of `config.jobs` workers (worker 0 on the calling thread,
+/// the rest scoped std threads) each runs a depth-first loop over a
+/// frontier it owns, with a private [`Probe`] it expands frontier records
+/// ([`PulseConfig`]) with and spare records it refills
+/// ([`Probe::record_into`]), so expanding a configuration takes no lock,
+/// no atomic read-modify-write and, once the spares are stocked, no
+/// allocation. Work crosses threads through one hand-off queue per worker:
+/// while some worker is idle, a busy one moves the oldest half of its
+/// frontier there, and an idle one takes a whole queue. Deduplication goes
+/// through a [`ShardedIndex`] built for the worker count
+/// ([`ShardedIndex::for_workers`]), each worker inserting through its own
+/// [`crate::dedup::Inserter`]: one worker holds the one table's lock for a
+/// whole leg, two or more lock one of [`crate::dedup::FP_SHARDS`] tables,
+/// keyed by fingerprint prefix, per insert. Its checkpoint images are the
+/// same either way, so a run cut with one worker count resumes under
+/// another. The backend is chosen by `config.dedup`: `exact`
 /// keeps the set on the heap at 8 bytes per configuration, so the explorer
 /// reaches ring sizes the tuple-keyed [`explore_reference`] cannot under
 /// the same [`ExploreLimits::max_state_bytes`] budget; `mmap` stores the
@@ -993,8 +1076,8 @@ where
 ///   verdict are identical for every worker count and both backends — a
 ///   successor is pushed only by the worker that *admitted* its
 ///   fingerprint, so each configuration is processed exactly once;
-/// * with `jobs: 1` nothing is stolen, so the visit order — and with it
-///   the violation list — repeats verbatim from run to run;
+/// * with `jobs: 1` nothing is handed off, so the visit order — and with
+///   it the violation list — repeats verbatim from run to run;
 /// * a [`FaultPlan`] may be supplied; fingerprints are then extended per
 ///   [`FaultPlan::horizon`] so dedup stays sound while faults can still
 ///   fire.
@@ -1002,8 +1085,9 @@ where
 /// Out-of-core extensions (see [`ExploreConfig`]): frontier spill-to-disk
 /// past `spill_high_water`, periodic resumable checkpoints via
 /// `checkpoint`/`resume`. The run is processed in *legs*: when a
-/// checkpoint is due, workers finish the item in hand, park, a checkpoint
-/// is written atomically, and the pool resumes — a popped item is always
+/// checkpoint is due, workers finish the item in hand, move their whole
+/// frontier to their hand-off queues and park, a checkpoint is written
+/// atomically, and the pool resumes — a popped item is always
 /// fully expanded and every admitted-but-unexpanded configuration sits in
 /// the frontier, so a resumed run provably converges to the same counts
 /// as an uninterrupted one (see [`ExploreCheckpoint`]).
@@ -1095,42 +1179,28 @@ where
     }
 
     let index = ShardedIndex::for_workers(config.dedup, jobs, config.scratch_dir.as_deref());
-
-    // One frontier shard per worker; each worker pops its own back (LIFO,
-    // depth-first) and steals from other shards' fronts (oldest first,
-    // which tends to hand over large subtrees).
-    type Frontier<S> = Mutex<VecDeque<Job<S>>>;
-    let shards: Vec<Frontier<P::State>> = (0..jobs).map(|_| Mutex::new(VecDeque::new())).collect();
-
-    // In-flight item count: incremented before a push (including spilled
-    // items), decremented after an item is fully processed. Zero with all
-    // shards and spill files empty means done.
-    let pending = AtomicUsize::new(0);
+    let handoffs: Vec<Handoff<P::State>> = (0..jobs).map(|_| Handoff::default()).collect();
     let stop = AtomicBool::new(false);
     let pause = AtomicBool::new(false);
-    let pruned = AtomicBool::new(false);
-    let quiescent = AtomicUsize::new(0);
-    let spilled_total = AtomicUsize::new(0);
     let violations: Mutex<Vec<String>> = Mutex::new(Vec::new());
+    let mut total = Tally::default();
 
     if let Some(ck) = &config.resume {
         index
             .load_shards(&ck.shards, ck.admitted)
             .expect("a decoded checkpoint's dedup shards load");
-        quiescent.store(ck.quiescent, Ordering::Relaxed);
-        spilled_total.store(ck.spilled, Ordering::Relaxed);
-        pruned.store(ck.pruned, Ordering::Relaxed);
+        total = Tally {
+            quiescent: ck.quiescent,
+            spilled: ck.spilled,
+            pruned: ck.pruned,
+        };
         *violations.lock().expect("fresh mutex") = ck.violations.clone();
-        pending.store(ck.frontier.len(), Ordering::Release);
         for (i, item) in ck.frontier.iter().enumerate() {
-            shards[i % jobs]
-                .lock()
-                .expect("fresh shard")
-                .push_back(Job {
-                    record: None,
-                    depth: item.depth,
-                    path: item.picks.clone(),
-                });
+            handoffs[i % jobs].put([Job {
+                record: None,
+                depth: item.depth,
+                path: item.picks.clone(),
+            }]);
         }
     } else {
         index.insert(seed_fp);
@@ -1151,12 +1221,11 @@ where
                 checkpoints_written: 0,
             });
         }
-        pending.store(1, Ordering::Release);
-        shards[0].lock().expect("fresh shard").push_back(Job {
+        handoffs[0].put([Job {
             record: Some(seed.clone()),
             depth: 0,
             path: Vec::new(),
-        });
+        }]);
     }
 
     // Spill files live in their own unique subdirectory; one file per
@@ -1184,65 +1253,80 @@ where
             .filter(|plan| plan.every > 0)
             .map(|plan| index.admitted() + plan.every);
         pause.store(false, Ordering::Release);
-        let worker = |me: usize, seed: PulseConfig<P::State>| {
+        // Termination count: one per worker not idle, plus one per job in a
+        // hand-off queue. It moves only when a worker hands off, takes from
+        // a queue or goes idle, and reaches zero only once every queue is
+        // empty and every worker idle, which no worker can undo: only a
+        // worker that is not idle hands off.
+        let queued: usize = handoffs.iter().map(Handoff::len).sum();
+        let pending = AtomicUsize::new(jobs + queued);
+        let idle = AtomicUsize::new(0);
+        let worker = |me: usize, seed: &PulseConfig<P::State>| -> Tally {
             let mut probe = Probe::new(wiring, make_nodes(), &config.faults);
-            loop {
+            let mut inserter = index.inserter(me);
+            let mut spill = spills[me].lock().expect("spill poisoned");
+            // The worker's own frontier, and spent jobs whose buffers the
+            // next admitted successors reuse.
+            let mut local: VecDeque<Job<P::State>> = VecDeque::new();
+            let mut spare: Vec<Job<P::State>> = Vec::new();
+            let mut tally = Tally::default();
+            'work: loop {
                 if stop.load(Ordering::Acquire) || pause.load(Ordering::Acquire) {
                     break;
                 }
-                // Own shard first (LIFO — depth-first), then steal from the
-                // front of the others, then page back from spill files (own
-                // first). Each lock is taken and released in its own statement:
-                // holding the own-shard lock while probing a victim would
-                // deadlock two workers stealing from each other.
-                let mut item = shards[me].lock().expect("shard poisoned").pop_back();
-                if item.is_none() {
-                    for d in 1..jobs {
-                        item = shards[(me + d) % jobs]
-                            .lock()
-                            .expect("shard poisoned")
-                            .pop_front();
-                        if item.is_some() {
-                            break;
-                        }
-                    }
-                }
-                if item.is_none() && config.spill_high_water > 0 {
-                    for d in 0..jobs {
-                        let mut guard = spills[(me + d) % jobs].lock().expect("spill poisoned");
-                        if let Some((depth, picks)) = guard.as_mut().and_then(SpillFile::pop) {
-                            item = Some(Job {
-                                record: None,
-                                depth,
-                                path: picks,
-                            });
-                            break;
-                        }
-                    }
-                }
-                let Some(Job {
-                    record,
-                    depth,
-                    path,
-                }) = item
-                else {
-                    if pending.load(Ordering::Acquire) == 0 {
-                        break;
-                    }
-                    std::thread::yield_now();
+                // Own frontier first (LIFO — depth-first), then own hand-off
+                // queue, then own spill file (LIFO), then the other workers'
+                // hand-off queues.
+                let mut job = if let Some(job) = local.pop_back() {
+                    job
+                } else if let Some(taken) = handoffs[me].take_into(&mut local) {
+                    pending.fetch_sub(taken, Ordering::AcqRel);
                     continue;
+                } else if let Some((depth, path)) = spill.as_mut().and_then(SpillFile::pop) {
+                    Job {
+                        record: None,
+                        depth,
+                        path,
+                    }
+                } else {
+                    let mut busy = true;
+                    loop {
+                        let stolen =
+                            (1..jobs).find_map(|d| handoffs[(me + d) % jobs].take_into(&mut local));
+                        if let Some(taken) = stolen {
+                            if busy {
+                                pending.fetch_sub(taken, Ordering::AcqRel);
+                            } else {
+                                idle.fetch_sub(1, Ordering::Relaxed);
+                                pending.fetch_sub(taken - 1, Ordering::AcqRel);
+                            }
+                            continue 'work;
+                        }
+                        if busy {
+                            busy = false;
+                            idle.fetch_add(1, Ordering::Relaxed);
+                            pending.fetch_sub(1, Ordering::AcqRel);
+                        }
+                        if pending.load(Ordering::Acquire) == 0
+                            || stop.load(Ordering::Acquire)
+                            || pause.load(Ordering::Acquire)
+                        {
+                            break 'work;
+                        }
+                        std::thread::yield_now();
+                    }
                 };
-                // Path-only items (spilled or resumed) are rematerialized by
+                // Path-only jobs (spilled or resumed) are rematerialized by
                 // replaying their channel picks from the seed.
-                let record = match record {
-                    Some(record) => record,
-                    None => replay(&mut probe, &seed, 0, &path).expect(
+                if job.record.is_none() {
+                    job.record = Some(replay(&mut probe, seed, 0, &job.path).expect(
                         "resumed paths are validated up front and spilled ones \
                          were recorded by this run",
-                    ),
-                };
+                    ));
+                }
+                let record = job.record.as_ref().expect("a rematerialized record");
                 let t = prof::start();
-                probe.load(&record);
+                probe.load(record);
                 prof::stop(Phase::Load, t);
                 let state = probe.state();
                 if let Err(e) = safety(state) {
@@ -1252,18 +1336,18 @@ where
                     );
                 }
                 if state.is_quiescent() {
-                    quiescent.fetch_add(1, Ordering::Relaxed);
+                    tally.quiescent += 1;
                     if let Err(e) = at_quiescence(state) {
                         note_violation(
                             &mut violations.lock().expect("violations poisoned"),
                             format!("at quiescence: {e}"),
                         );
                     }
-                } else if depth >= limits.max_depth {
+                } else if job.depth >= limits.max_depth {
                     // Depth pruning is permanent: the skipped subtree is
                     // unrecoverable, unlike a transient budget stop whose
                     // frontier stays intact.
-                    pruned.store(true, Ordering::Release);
+                    tally.pruned = true;
                 } else {
                     // Branch on every non-empty channel, in channel order; only
                     // admitted successors become records.
@@ -1272,10 +1356,10 @@ where
                             continue;
                         }
                         let t = prof::start();
-                        let fp = probe.probe(&record, channel).expect("a pulse to deliver");
+                        let fp = probe.probe(record, channel).expect("a pulse to deliver");
                         prof::stop(Phase::Probe, t);
                         let t = prof::start();
-                        let admitted = index.insert(fp);
+                        let admitted = inserter.insert(fp);
                         prof::stop(Phase::Dedup, t);
                         if !admitted {
                             continue;
@@ -1285,30 +1369,28 @@ where
                         // the current item is expanded to completion — so
                         // admitted = processed ∪ frontier at every checkpoint.
                         let t = prof::start();
-                        let succ = probe.record(&record);
+                        let mut succ = spare.pop().unwrap_or(Job {
+                            record: None,
+                            depth: 0,
+                            path: Vec::new(),
+                        });
+                        match &mut succ.record {
+                            Some(buffer) => probe.record_into(record, buffer),
+                            None => succ.record = Some(probe.record(record)),
+                        }
                         prof::stop(Phase::Record, t);
-                        let job = Job {
-                            record: Some(succ),
-                            depth: depth + 1,
-                            path: if track_paths {
-                                [path.as_slice(), &[channel as u32]].concat()
-                            } else {
-                                Vec::new()
-                            },
-                        };
-                        pending.fetch_add(1, Ordering::AcqRel);
-                        let spill_me = {
-                            let mut shard = shards[me].lock().expect("shard poisoned");
-                            shard.push_back(job);
-                            // High water: evict the coldest item (shard front —
-                            // the one LIFO order touches last) to disk.
-                            (config.spill_high_water > 0 && shard.len() > config.spill_high_water)
-                                .then(|| shard.pop_front())
-                                .flatten()
-                        };
-                        if let Some(cold) = spill_me {
-                            let mut guard = spills[me].lock().expect("spill poisoned");
-                            guard
+                        succ.depth = job.depth + 1;
+                        succ.path.clear();
+                        if track_paths {
+                            succ.path.extend_from_slice(&job.path);
+                            succ.path.push(channel as u32);
+                        }
+                        local.push_back(succ);
+                        // High water: evict the coldest job (the front — the
+                        // one LIFO order touches last) to disk.
+                        if config.spill_high_water > 0 && local.len() > config.spill_high_water {
+                            let cold = local.pop_front().expect("a frontier over high water");
+                            spill
                                 .get_or_insert_with(|| {
                                     SpillFile::create(
                                         spill_dir.as_deref().expect("spill dir exists"),
@@ -1316,7 +1398,8 @@ where
                                     )
                                 })
                                 .push(cold.depth, &cold.path);
-                            spilled_total.fetch_add(1, Ordering::Relaxed);
+                            tally.spilled += 1;
+                            spare.push(cold);
                         }
                         if index.admitted() > limits.max_configs
                             || index.bytes().total() > limits.max_state_bytes
@@ -1325,27 +1408,51 @@ where
                         }
                     }
                 }
-                pending.fetch_sub(1, Ordering::AcqRel);
+                spare.push(job);
                 if let Some(target) = leg_target {
                     if index.admitted() >= target {
                         pause.store(true, Ordering::Release);
                     }
                 }
+                // Hand-off: while another worker is idle, the oldest half
+                // of this frontier (the largest subtrees) goes to this
+                // worker's queue, unless the last hand-off is still there.
+                if idle.load(Ordering::Relaxed) > 0
+                    && local.len() > 1
+                    && !handoffs[me].stocked.load(Ordering::Relaxed)
+                {
+                    let half = local.len() / 2;
+                    pending.fetch_add(half, Ordering::AcqRel);
+                    handoffs[me].put(local.drain(..half));
+                }
             }
+            // End of leg: the whole frontier goes to the hand-off queue,
+            // where the checkpoint and the next leg find it.
+            handoffs[me].put(local.drain(..));
+            tally
         };
-        std::thread::scope(|scope| {
-            for me in 0..jobs {
-                let seed = seed.clone();
-                scope.spawn(move || worker(me, seed));
+        let leg = std::thread::scope(|scope| {
+            let worker = &worker;
+            let others: Vec<_> = (1..jobs)
+                .map(|me| {
+                    let seed = seed.clone();
+                    scope.spawn(move || worker(me, &seed))
+                })
+                .collect();
+            let mut leg = worker(0, &seed);
+            for other in others {
+                leg.add(&other.join().expect("an explore worker panicked"));
             }
+            leg
         });
+        total.add(&leg);
 
         // A checkpoint is written after *every* leg — including the final
         // one, whose (possibly empty) frontier makes resuming idempotent.
         if let Some(plan) = &config.checkpoint {
             let mut frontier: Vec<FrontierItem> = Vec::new();
-            for shard in &shards {
-                for job in shard.lock().expect("shard poisoned").iter() {
+            for handoff in &handoffs {
+                for job in handoff.jobs.lock().expect("hand-off poisoned").iter() {
                     frontier.push(FrontierItem {
                         depth: job.depth,
                         picks: job.path.clone(),
@@ -1357,18 +1464,13 @@ where
                     frontier.extend(sf.items());
                 }
             }
-            debug_assert_eq!(
-                frontier.len(),
-                pending.load(Ordering::Acquire),
-                "every pending item must be in a shard or a spill file"
-            );
             let ck = ExploreCheckpoint {
                 meta: plan.meta.clone(),
                 dedup: config.dedup.to_string(),
                 admitted: index.admitted(),
-                quiescent: quiescent.load(Ordering::Relaxed),
-                spilled: spilled_total.load(Ordering::Relaxed),
-                pruned: pruned.load(Ordering::Acquire),
+                quiescent: total.quiescent,
+                spilled: total.spilled,
+                pruned: total.pruned,
                 violations: violations.lock().expect("violations poisoned").clone(),
                 shards: index.save_shards(),
                 frontier,
@@ -1377,10 +1479,15 @@ where
                 .expect("checkpoint write failed");
             checkpoints_written += 1;
         }
-        if stop.load(Ordering::Acquire)
-            || pending.load(Ordering::Acquire) == 0
-            || config.checkpoint.is_none()
-        {
+        let drained = handoffs.iter().all(|h| h.len() == 0)
+            && spills.iter().all(|spill| {
+                spill
+                    .lock()
+                    .expect("spill poisoned")
+                    .as_ref()
+                    .is_none_or(|sf| sf.offsets.is_empty())
+            });
+        if stop.load(Ordering::Acquire) || drained || config.checkpoint.is_none() {
             break;
         }
     }
@@ -1394,13 +1501,13 @@ where
     let bytes = index.bytes();
     Ok(ExploreReport {
         configs: index.admitted(),
-        quiescent_configs: quiescent.into_inner(),
+        quiescent_configs: total.quiescent,
         violations: violations.into_inner().expect("violations poisoned"),
-        complete: !pruned.into_inner() && !stop.into_inner(),
+        complete: !total.pruned && !stop.into_inner(),
         visited_bytes: bytes.total(),
         visited_heap_bytes: bytes.heap,
         visited_file_bytes: bytes.file,
-        spilled_jobs: spilled_total.into_inner(),
+        spilled_jobs: total.spilled,
         checkpoints_written,
     })
 }
@@ -1933,32 +2040,34 @@ mod tests {
         );
         let dir = std::env::temp_dir().join(unique_name("co-ring-test-spill"));
         std::fs::create_dir_all(&dir).expect("test scratch dir");
-        let spilled = explore(
-            &spec.wiring(),
-            mini_ring,
-            mini_safety,
-            mini_quiescence,
-            &ExploreConfig {
-                jobs: 2,
-                // A tiny high-water mark forces heavy spill traffic.
-                spill_high_water: 2,
-                scratch_dir: Some(dir.clone()),
-                ..ExploreConfig::default()
-            },
-        );
-        assert!(
-            spilled.spilled_jobs > 0,
-            "a high-water mark of 2 must force spills"
-        );
-        assert_eq!(spilled.configs, plain.configs);
-        assert_eq!(spilled.quiescent_configs, plain.quiescent_configs);
-        assert!(spilled.complete);
-        assert!(spilled.violations.is_empty(), "{:?}", spilled.violations);
-        // Spill files and their subdir are gone.
-        let leftovers: Vec<_> = std::fs::read_dir(&dir)
-            .expect("scratch dir readable")
-            .collect();
-        assert!(leftovers.is_empty(), "{leftovers:?}");
+        for jobs in [2, 3, 4] {
+            let spilled = explore(
+                &spec.wiring(),
+                mini_ring,
+                mini_safety,
+                mini_quiescence,
+                &ExploreConfig {
+                    jobs,
+                    // A tiny high-water mark forces heavy spill traffic.
+                    spill_high_water: 2,
+                    scratch_dir: Some(dir.clone()),
+                    ..ExploreConfig::default()
+                },
+            );
+            assert!(
+                spilled.spilled_jobs > 0,
+                "a high-water mark of 2 must force spills (jobs={jobs})"
+            );
+            assert_eq!(spilled.configs, plain.configs, "jobs={jobs}");
+            assert_eq!(spilled.quiescent_configs, plain.quiescent_configs);
+            assert!(spilled.complete);
+            assert!(spilled.violations.is_empty(), "{:?}", spilled.violations);
+            // Spill files and their subdir are gone.
+            let leftovers: Vec<_> = std::fs::read_dir(&dir)
+                .expect("scratch dir readable")
+                .collect();
+            assert!(leftovers.is_empty(), "{leftovers:?}");
+        }
         let _ = std::fs::remove_dir(&dir);
     }
 

@@ -62,7 +62,7 @@ pub enum Phase {
     /// expanded configuration ([`crate::explore::Probe::load`]).
     Load,
     /// The explorer inserting a probed successor's fingerprint into its
-    /// visited set, once per probe ([`crate::ShardedIndex::insert`]).
+    /// visited set, once per probe ([`crate::dedup::Inserter::insert`]).
     Dedup,
 }
 

@@ -12,8 +12,10 @@
 //!    would act on a pulse after terminating), every successor the probe builds
 //!    equals `PulseConfig::capture` after `Simulation::step_channel` —
 //!    words, send counters and node fingerprints — and its dedup
-//!    fingerprint equals `config_fingerprint`; the walks must deliver a
-//!    pulse to a terminated node, drop a send and duplicate one;
+//!    fingerprint equals `config_fingerprint`, and `record_into` a buffer
+//!    left over from an unrelated configuration builds the same record;
+//!    the walks must deliver a pulse to a terminated node, drop a send and
+//!    duplicate one;
 //! 2. the registry's explore drivers report the configuration, quiescent
 //!    and spill counts the engine-stepping explorer reported;
 //! 3. a checkpoint written by that explorer resumes to its full count.
@@ -115,6 +117,14 @@ fn check_walks<P, F>(
     let wiring = spec.wiring();
     let mut probe = Probe::new(&wiring, make(), faults);
     let mut scratch = make();
+    // One buffer `record_into` refills for every successor of every walk,
+    // first holding the unstarted ring: each call finds the record of an
+    // unrelated configuration in it.
+    let mut reused = PulseConfig::capture(&Simulation::new(
+        spec.wiring(),
+        make(),
+        SchedulerKind::Fifo.build(0),
+    ));
     for _ in 0..12 {
         let mut walk = Simulation::new(spec.wiring(), make(), SchedulerKind::Fifo.build(0));
         walk.set_faults(faults.clone());
@@ -140,6 +150,12 @@ fn check_walks<P, F>(
                 }
                 let fp = probed.expect("a ready channel has a successor");
                 let built = probe.record(&parent);
+                probe.record_into(&parent, &mut reused);
+                assert_eq!(
+                    format!("{reused:?}"),
+                    format!("{built:?}"),
+                    "record_into a reused buffer after {channel:?}"
+                );
                 walk.restore(&snapshot);
                 let before = walk.fault_stats();
                 let step = walk.step_channel(channel).expect("ready channel");
@@ -238,7 +254,9 @@ fn a_probed_successor_equals_the_engine_step() {
 
 /// Configuration, quiescent and (one worker) spill counts of the registry
 /// drivers, as `co-ring explore --protocol NAME --n N` printed them before
-/// the explorer probed successors instead of stepping a simulation.
+/// the explorer probed successors instead of stepping a simulation, at one
+/// to four workers: three and four leave workers idle often enough to hand
+/// work off on any core count.
 #[test]
 fn registry_explore_counts_are_unchanged() {
     let reg = protocols();
@@ -251,7 +269,7 @@ fn registry_explore_counts_are_unchanged() {
     ] {
         let spec = RingSpec::oriented((1..=n).collect());
         let driver = reg.explore(name).expect("explore-capable");
-        for jobs in [1, 2] {
+        for jobs in [1, 2, 3, 4] {
             let report = driver.run(
                 &spec,
                 &ExploreConfig {
@@ -267,7 +285,7 @@ fn registry_explore_counts_are_unchanged() {
     let dir = std::env::temp_dir().join(format!("co-ring-flat-record-{}", std::process::id()));
     std::fs::create_dir_all(&dir).expect("scratch dir");
     let spec = RingSpec::oriented((1..=6).collect());
-    for jobs in [1, 2] {
+    for jobs in [1, 2, 3, 4] {
         let report = reg.explore("alg2").expect("explore-capable").run(
             &spec,
             &ExploreConfig {
@@ -281,7 +299,7 @@ fn registry_explore_counts_are_unchanged() {
         assert_eq!(report.configs, 4_431, "jobs={jobs}");
         assert_eq!(report.quiescent_configs, 1, "jobs={jobs}");
         assert!(report.complete);
-        // Which items spill depends on how two workers interleave.
+        // Which items spill depends on how the workers interleave.
         if jobs == 1 {
             assert_eq!(report.spilled_jobs, 658);
         } else {
