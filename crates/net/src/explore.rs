@@ -486,12 +486,34 @@ impl ExploreCheckpoint {
 
 /// Per-worker frontier spill file: length-prefixed `(depth, picks)` records
 /// appended at the end, paged back LIFO by truncating. The offsets stack
-/// lives in memory (8 B per spilled item); the paths live on disk.
+/// lives in memory (8 B per spilled item); the paths live on disk. Records
+/// pass through one reused byte buffer, so spilling and paging back
+/// allocate only while that buffer and the offsets stack grow.
 struct SpillFile {
     file: File,
     path: PathBuf,
     offsets: Vec<u64>,
     end: u64,
+    buf: Vec<u8>,
+}
+
+/// Reads the spill record at `off` of `file` into `picks` through `buf`;
+/// returns its depth.
+fn read_spilled(file: &File, off: u64, buf: &mut Vec<u8>, picks: &mut Vec<u32>) -> usize {
+    let mut hdr = [0u8; 16];
+    file.read_exact_at(&mut hdr, off)
+        .expect("spill read failed");
+    let depth = u64::from_le_bytes(hdr[..8].try_into().expect("8B")) as usize;
+    let count = u64::from_le_bytes(hdr[8..].try_into().expect("8B")) as usize;
+    buf.resize(count * 4, 0);
+    file.read_exact_at(buf, off + 16)
+        .expect("spill read failed");
+    picks.clear();
+    picks.extend(
+        buf.chunks_exact(4)
+            .map(|c| u32::from_le_bytes(c.try_into().expect("4B"))),
+    );
+    depth
 }
 
 impl SpillFile {
@@ -508,56 +530,42 @@ impl SpillFile {
             path,
             offsets: Vec::new(),
             end: 0,
+            buf: Vec::new(),
         }
     }
 
     fn push(&mut self, depth: usize, picks: &[u32]) {
-        let mut rec = Vec::with_capacity(16 + picks.len() * 4);
-        put_u64(&mut rec, depth as u64);
-        put_u64(&mut rec, picks.len() as u64);
+        self.buf.clear();
+        put_u64(&mut self.buf, depth as u64);
+        put_u64(&mut self.buf, picks.len() as u64);
         for &p in picks {
-            put_u32(&mut rec, p);
+            put_u32(&mut self.buf, p);
         }
         self.file
-            .write_all_at(&rec, self.end)
+            .write_all_at(&self.buf, self.end)
             .expect("spill write failed");
         self.offsets.push(self.end);
-        self.end += rec.len() as u64;
+        self.end += self.buf.len() as u64;
     }
 
-    fn record_at(&self, off: u64) -> (usize, Vec<u32>) {
-        let mut hdr = [0u8; 16];
-        self.file
-            .read_exact_at(&mut hdr, off)
-            .expect("spill read failed");
-        let depth = u64::from_le_bytes(hdr[..8].try_into().expect("8B")) as usize;
-        let count = u64::from_le_bytes(hdr[8..].try_into().expect("8B")) as usize;
-        let mut buf = vec![0u8; count * 4];
-        self.file
-            .read_exact_at(&mut buf, off + 16)
-            .expect("spill read failed");
-        let picks = buf
-            .chunks_exact(4)
-            .map(|c| u32::from_le_bytes(c.try_into().expect("4B")))
-            .collect();
-        (depth, picks)
-    }
-
-    /// Pops the most recently spilled item (LIFO) and truncates it away.
-    fn pop(&mut self) -> Option<(usize, Vec<u32>)> {
+    /// Pops the most recently spilled item (LIFO) into `picks`, truncates
+    /// it away and returns its depth.
+    fn pop_into(&mut self, picks: &mut Vec<u32>) -> Option<usize> {
         let off = self.offsets.pop()?;
-        let rec = self.record_at(off);
+        let depth = read_spilled(&self.file, off, &mut self.buf, picks);
         self.file.set_len(off).expect("spill truncate failed");
         self.end = off;
-        Some(rec)
+        Some(depth)
     }
 
     /// Reads every spilled item without consuming (checkpoint collection).
     fn items(&self) -> Vec<FrontierItem> {
+        let mut buf = Vec::new();
         self.offsets
             .iter()
             .map(|&off| {
-                let (depth, picks) = self.record_at(off);
+                let mut picks = Vec::new();
+                let depth = read_spilled(&self.file, off, &mut buf, &mut picks);
                 FrontierItem { depth, picks }
             })
             .collect()
@@ -586,7 +594,7 @@ impl Drop for SpillFile {
 /// rehashing it. Records come from [`PulseConfig::capture`] and
 /// [`Probe::record`], which keep them in step with the states and
 /// `words`; editing either field in place leaves them stale.
-#[derive(Clone, Debug)]
+#[derive(Debug)]
 pub struct PulseConfig<S> {
     /// Every node's state and its [`Snapshot::fingerprint`], in node
     /// order.
@@ -603,6 +611,28 @@ pub struct PulseConfig<S> {
     /// [`Simulation::fingerprint`] of this configuration, a wrapping sum of
     /// one term per word and per node fingerprint.
     sum: u64,
+}
+
+impl<S: Clone> Clone for PulseConfig<S> {
+    fn clone(&self) -> PulseConfig<S> {
+        PulseConfig {
+            nodes: self.nodes.clone(),
+            words: self.words.clone(),
+            send_seq: self.send_seq,
+            sent: self.sent,
+            sum: self.sum,
+        }
+    }
+
+    /// Refills `self`'s buffers in place: no allocation when they are
+    /// already this ring's size.
+    fn clone_from(&mut self, source: &PulseConfig<S>) {
+        self.nodes.clone_from(&source.nodes);
+        self.words.clone_from(&source.words);
+        self.send_seq = source.send_seq;
+        self.sent = source.sent;
+        self.sum = source.sum;
+    }
 }
 
 impl<S> PulseConfig<S> {
@@ -898,20 +928,24 @@ impl fmt::Display for ResumeError {
 
 impl std::error::Error for ResumeError {}
 
-/// Rematerializes frontier item `item`: delivers `picks` in order from the
-/// started initial configuration `seed`, through the same [`Probe`] the
-/// workers branch with. Faults key on the global send sequence, which the
-/// replay reproduces exactly.
+/// Rematerializes frontier item `item` into `out`: delivers `picks` in
+/// order from the started initial configuration `seed`, through the same
+/// [`Probe`] the workers branch with, alternating between `out` and
+/// `scratch` so buffers of this ring's size are refilled, not reallocated.
+/// Faults key on the global send sequence, which the replay reproduces
+/// exactly.
 fn replay<P>(
     probe: &mut Probe<'_, P>,
     seed: &PulseConfig<P::State>,
     item: usize,
     picks: &[u32],
-) -> Result<PulseConfig<P::State>, ResumeError>
+    out: &mut PulseConfig<P::State>,
+    scratch: &mut PulseConfig<P::State>,
+) -> Result<(), ResumeError>
 where
     P: Protocol<Pulse> + Snapshot + Clone,
 {
-    let mut record = seed.clone();
+    out.clone_from(seed);
     let channels = probe.wiring.channel_count();
     for (step, &channel) in picks.iter().enumerate() {
         if channel as usize >= channels {
@@ -922,25 +956,28 @@ where
                 channels,
             });
         }
-        probe.load(&record);
-        if probe.probe(&record, channel as usize).is_none() {
+        probe.load(out);
+        if probe.probe(out, channel as usize).is_none() {
             return Err(ResumeError::EmptyChannel {
                 item,
                 step,
                 channel,
             });
         }
-        record = probe.record(&record);
+        probe.record_into(out, scratch);
+        std::mem::swap(out, scratch);
     }
-    Ok(record)
+    Ok(())
 }
 
-/// One frontier entry: the record to expand (or `None` for items
-/// loaded from a checkpoint/spill file, which are rematerialized by
-/// replaying `path` from the initial configuration), its depth, and — when
+/// One frontier entry: the record to expand (or `None` for items loaded
+/// from a checkpoint, which are rematerialized by replaying `path` from
+/// the initial configuration, as paged-back spills are), its depth, and — when
 /// paths are being tracked for spill/checkpoint — its replay path. A
 /// worker keeps expanded and spilled jobs as spares and refills their
-/// buffers for the next admitted successors.
+/// buffers for the next admitted successors and paged-back spills, but
+/// holds at most one record more than the largest its frontier has been:
+/// a spent job beyond that is dropped.
 struct Job<S> {
     record: Option<PulseConfig<S>>,
     depth: usize,
@@ -993,10 +1030,12 @@ impl<S> Handoff<S> {
     }
 }
 
-/// What workers counted: quiescent configurations, spilled jobs, and
-/// whether the depth limit pruned anything.
+/// What workers counted: configurations taken off the frontier, quiescent
+/// configurations, spilled jobs, and whether the depth limit pruned
+/// anything.
 #[derive(Default)]
 struct Tally {
+    processed: usize,
     quiescent: usize,
     spilled: usize,
     pruned: bool,
@@ -1004,10 +1043,16 @@ struct Tally {
 
 impl Tally {
     fn add(&mut self, other: &Tally) {
+        self.processed += other.processed;
         self.quiescent += other.quiescent;
         self.spilled += other.spilled;
         self.pruned |= other.pruned;
     }
+}
+
+/// How many frontier items the spill files hold.
+fn spilled_items(spills: &[Option<SpillFile>]) -> usize {
+    spills.iter().flatten().map(|sf| sf.offsets.len()).sum()
 }
 
 /// Resolves `0` to the number of available cores.
@@ -1166,6 +1211,7 @@ where
             });
         }
         let mut probe = Probe::new(wiring, make_nodes(), &config.faults);
+        let (mut out, mut scratch) = (seed.clone(), seed.clone());
         for (item, frontier) in ck.frontier.iter().enumerate() {
             if frontier.depth != frontier.picks.len() {
                 return Err(ResumeError::DepthMismatch {
@@ -1174,7 +1220,14 @@ where
                     picks: frontier.picks.len(),
                 });
             }
-            replay(&mut probe, &seed, item, &frontier.picks)?;
+            replay(
+                &mut probe,
+                &seed,
+                item,
+                &frontier.picks,
+                &mut out,
+                &mut scratch,
+            )?;
         }
     }
 
@@ -1190,6 +1243,7 @@ where
             .load_shards(&ck.shards, ck.admitted)
             .expect("a decoded checkpoint's dedup shards load");
         total = Tally {
+            processed: 0,
             quiescent: ck.quiescent,
             spilled: ck.spilled,
             pruned: ck.pruned,
@@ -1239,7 +1293,7 @@ where
         std::fs::create_dir_all(&dir).expect("spill dir creation failed");
         dir
     });
-    let spills: Vec<Mutex<Option<SpillFile>>> = (0..jobs).map(|_| Mutex::new(None)).collect();
+    let mut spills: Vec<Option<SpillFile>> = (0..jobs).map(|_| None).collect();
 
     let mut checkpoints_written = 0usize;
     loop {
@@ -1261,14 +1315,24 @@ where
         let queued: usize = handoffs.iter().map(Handoff::len).sum();
         let pending = AtomicUsize::new(jobs + queued);
         let idle = AtomicUsize::new(0);
-        let worker = |me: usize, seed: &PulseConfig<P::State>| -> Tally {
+        let admitted_before = index.admitted();
+        let frontier_before = queued + spilled_items(&spills);
+        // Each worker owns its spill file for the leg and hands it back.
+        let worker = |me: usize,
+                      seed: &PulseConfig<P::State>,
+                      mut spill: Option<SpillFile>|
+         -> (Tally, Option<SpillFile>) {
             let mut probe = Probe::new(wiring, make_nodes(), &config.faults);
             let mut inserter = index.inserter(me);
-            let mut spill = spills[me].lock().expect("spill poisoned");
-            // The worker's own frontier, and spent jobs whose buffers the
-            // next admitted successors reuse.
+            // The worker's own frontier, spent jobs whose buffers the next
+            // admitted successors and paged-back spills reuse, and the
+            // second buffer a replay alternates with.
             let mut local: VecDeque<Job<P::State>> = VecDeque::new();
             let mut spare: Vec<Job<P::State>> = Vec::new();
+            // The largest `local` has been: spares are kept only while
+            // frontier plus spares stay within it.
+            let mut peak = 0usize;
+            let mut scratch = seed.clone();
             let mut tally = Tally::default();
             'work: loop {
                 if stop.load(Ordering::Acquire) || pause.load(Ordering::Acquire) {
@@ -1282,12 +1346,19 @@ where
                 } else if let Some(taken) = handoffs[me].take_into(&mut local) {
                     pending.fetch_sub(taken, Ordering::AcqRel);
                     continue;
-                } else if let Some((depth, path)) = spill.as_mut().and_then(SpillFile::pop) {
-                    Job {
+                } else if let Some(spill) = spill.as_mut().filter(|sf| !sf.offsets.is_empty()) {
+                    let mut job = spare.pop().unwrap_or(Job {
                         record: None,
-                        depth,
-                        path,
-                    }
+                        depth: 0,
+                        path: Vec::new(),
+                    });
+                    job.depth = spill.pop_into(&mut job.path).expect("a spilled item");
+                    // A paged-back job is rematerialized by replaying its
+                    // channel picks from the seed into the spare's record.
+                    let record = job.record.get_or_insert_with(|| seed.clone());
+                    replay(&mut probe, seed, 0, &job.path, record, &mut scratch)
+                        .expect("spilled paths were recorded by this run");
+                    job
                 } else {
                     let mut busy = true;
                     loop {
@@ -1316,14 +1387,13 @@ where
                         std::thread::yield_now();
                     }
                 };
-                // Path-only jobs (spilled or resumed) are rematerialized by
-                // replaying their channel picks from the seed.
+                // A resumed job holds only its path: replay it likewise.
                 if job.record.is_none() {
-                    job.record = Some(replay(&mut probe, seed, 0, &job.path).expect(
-                        "resumed paths are validated up front and spilled ones \
-                         were recorded by this run",
-                    ));
+                    let record = job.record.insert(seed.clone());
+                    replay(&mut probe, seed, 0, &job.path, record, &mut scratch)
+                        .expect("resumed paths are validated up front");
                 }
+                tally.processed += 1;
                 let record = job.record.as_ref().expect("a rematerialized record");
                 let t = prof::start();
                 probe.load(record);
@@ -1386,6 +1456,7 @@ where
                             succ.path.push(channel as u32);
                         }
                         local.push_back(succ);
+                        peak = peak.max(local.len());
                         // High water: evict the coldest job (the front — the
                         // one LIFO order touches last) to disk.
                         if config.spill_high_water > 0 && local.len() > config.spill_high_water {
@@ -1399,7 +1470,9 @@ where
                                 })
                                 .push(cold.depth, &cold.path);
                             tally.spilled += 1;
-                            spare.push(cold);
+                            if local.len() + spare.len() <= peak {
+                                spare.push(cold);
+                            }
                         }
                         if index.admitted() > limits.max_configs
                             || index.bytes().total() > limits.max_state_bytes
@@ -1408,7 +1481,9 @@ where
                         }
                     }
                 }
-                spare.push(job);
+                if local.len() + spare.len() <= peak {
+                    spare.push(job);
+                }
                 if let Some(target) = leg_target {
                     if index.admitted() >= target {
                         pause.store(true, Ordering::Release);
@@ -1429,23 +1504,42 @@ where
             // End of leg: the whole frontier goes to the hand-off queue,
             // where the checkpoint and the next leg find it.
             handoffs[me].put(local.drain(..));
-            tally
+            (tally, spill)
         };
         let leg = std::thread::scope(|scope| {
             let worker = &worker;
-            let others: Vec<_> = (1..jobs)
-                .map(|me| {
+            let mut owned = std::mem::take(&mut spills).into_iter();
+            let mine = owned.next().expect("worker 0's spill file slot");
+            let others: Vec<_> = owned
+                .enumerate()
+                .map(|(i, spill)| {
                     let seed = seed.clone();
-                    scope.spawn(move || worker(me, &seed))
+                    scope.spawn(move || worker(i + 1, &seed, spill))
                 })
                 .collect();
-            let mut leg = worker(0, &seed);
+            let (mut leg, spill) = worker(0, &seed, mine);
+            spills.push(spill);
             for other in others {
-                leg.add(&other.join().expect("an explore worker panicked"));
+                let (tally, spill) = other.join().expect("an explore worker panicked");
+                leg.add(&tally);
+                spills.push(spill);
             }
             leg
         });
         total.add(&leg);
+        let frontier_after =
+            handoffs.iter().map(Handoff::len).sum::<usize>() + spilled_items(&spills);
+        debug_assert_eq!(
+            index.admitted() + frontier_before,
+            admitted_before + leg.processed + frontier_after,
+            "every configuration admitted in a leg is processed in it or left \
+             in a hand-off queue or spill file"
+        );
+        let drained = frontier_after == 0;
+        debug_assert!(
+            drained || stop.load(Ordering::Acquire) || pause.load(Ordering::Acquire),
+            "workers went idle with configurations left on the frontier"
+        );
 
         // A checkpoint is written after *every* leg — including the final
         // one, whose (possibly empty) frontier makes resuming idempotent.
@@ -1459,10 +1553,8 @@ where
                     });
                 }
             }
-            for spill in &spills {
-                if let Some(sf) = spill.lock().expect("spill poisoned").as_ref() {
-                    frontier.extend(sf.items());
-                }
+            for sf in spills.iter().flatten() {
+                frontier.extend(sf.items());
             }
             let ck = ExploreCheckpoint {
                 meta: plan.meta.clone(),
@@ -1479,14 +1571,6 @@ where
                 .expect("checkpoint write failed");
             checkpoints_written += 1;
         }
-        let drained = handoffs.iter().all(|h| h.len() == 0)
-            && spills.iter().all(|spill| {
-                spill
-                    .lock()
-                    .expect("spill poisoned")
-                    .as_ref()
-                    .is_none_or(|sf| sf.offsets.is_empty())
-            });
         if stop.load(Ordering::Acquire) || drained || config.checkpoint.is_none() {
             break;
         }
