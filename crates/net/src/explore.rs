@@ -1030,6 +1030,25 @@ impl<S> Handoff<S> {
     }
 }
 
+/// Rebuilds `job`'s record, or a new one if it has none, by replaying its
+/// path from `seed`: a paged-back spill refills a spare's record, a resumed
+/// job gets a new one. Spilled paths were recorded by this run and resumed
+/// ones are validated before any worker starts, so the replay succeeds.
+/// Cold: it runs only for spilled and resumed jobs.
+#[cold]
+fn rematerialize<P>(
+    job: &mut Job<P::State>,
+    probe: &mut Probe<'_, P>,
+    seed: &PulseConfig<P::State>,
+    scratch: &mut PulseConfig<P::State>,
+) where
+    P: Protocol<Pulse> + Snapshot + Clone,
+{
+    let record = job.record.get_or_insert_with(|| seed.clone());
+    replay(probe, seed, 0, &job.path, record, scratch)
+        .expect("a spilled or validated resumed path replays");
+}
+
 /// What workers counted: configurations taken off the frontier, quiescent
 /// configurations, spilled jobs, and whether the depth limit pruned
 /// anything.
@@ -1347,17 +1366,14 @@ where
                     pending.fetch_sub(taken, Ordering::AcqRel);
                     continue;
                 } else if let Some(spill) = spill.as_mut().filter(|sf| !sf.offsets.is_empty()) {
+                    // Page the last spilled job back into a spare.
                     let mut job = spare.pop().unwrap_or(Job {
                         record: None,
                         depth: 0,
                         path: Vec::new(),
                     });
                     job.depth = spill.pop_into(&mut job.path).expect("a spilled item");
-                    // A paged-back job is rematerialized by replaying its
-                    // channel picks from the seed into the spare's record.
-                    let record = job.record.get_or_insert_with(|| seed.clone());
-                    replay(&mut probe, seed, 0, &job.path, record, &mut scratch)
-                        .expect("spilled paths were recorded by this run");
+                    rematerialize(&mut job, &mut probe, seed, &mut scratch);
                     job
                 } else {
                     let mut busy = true;
@@ -1387,11 +1403,9 @@ where
                         std::thread::yield_now();
                     }
                 };
-                // A resumed job holds only its path: replay it likewise.
+                // A resumed job holds only its path.
                 if job.record.is_none() {
-                    let record = job.record.insert(seed.clone());
-                    replay(&mut probe, seed, 0, &job.path, record, &mut scratch)
-                        .expect("resumed paths are validated up front");
+                    rematerialize(&mut job, &mut probe, seed, &mut scratch);
                 }
                 tally.processed += 1;
                 let record = job.record.as_ref().expect("a rematerialized record");
