@@ -337,10 +337,11 @@ fn e18_metrics() -> &'static [Metric; 3] {
         for v in &views {
             scheduler.on_send(v.head_seq, 0, *v);
         }
+        let ready: Vec<ChannelId> = views.iter().map(|v| v.id).collect();
         let start = Instant::now();
         let mut sink = 0usize;
         for seq in channels as u64..channels as u64 + ops {
-            let id = scheduler.pick(&views);
+            let id = scheduler.pick(&ready);
             sink ^= id.index();
             scheduler.on_send(
                 seq,

@@ -33,6 +33,10 @@ use std::collections::BTreeSet;
 pub struct FaultPlan {
     drops: BTreeSet<u64>,
     duplicates: BTreeSet<u64>,
+    /// The largest seq either set holds (0 for an empty plan): past it,
+    /// [`FaultPlan::should_drop`] and [`FaultPlan::should_duplicate`]
+    /// answer `false` from this one compare, without a set lookup.
+    last: u64,
 }
 
 impl FaultPlan {
@@ -47,6 +51,7 @@ impl FaultPlan {
     #[must_use]
     pub fn drop_seq(mut self, seq: u64) -> FaultPlan {
         self.drops.insert(seq);
+        self.last = self.last.max(seq);
         self
     }
 
@@ -55,19 +60,22 @@ impl FaultPlan {
     #[must_use]
     pub fn duplicate_seq(mut self, seq: u64) -> FaultPlan {
         self.duplicates.insert(seq);
+        self.last = self.last.max(seq);
         self
     }
 
     /// Whether the given send should be dropped.
+    #[inline]
     #[must_use]
     pub fn should_drop(&self, seq: u64) -> bool {
-        self.drops.contains(&seq)
+        seq <= self.last && self.drops.contains(&seq)
     }
 
     /// Whether the given send should be duplicated.
+    #[inline]
     #[must_use]
     pub fn should_duplicate(&self, seq: u64) -> bool {
-        self.duplicates.contains(&seq)
+        seq <= self.last && self.duplicates.contains(&seq)
     }
 
     /// Whether the plan contains any fault.
@@ -87,9 +95,7 @@ impl FaultPlan {
     /// distinguish are never merged, while the state space stays finite.
     #[must_use]
     pub fn horizon(&self) -> Option<u64> {
-        let last_drop = self.drops.iter().next_back().copied();
-        let last_dup = self.duplicates.iter().next_back().copied();
-        last_drop.max(last_dup)
+        (!self.is_empty()).then_some(self.last)
     }
 }
 
@@ -118,6 +124,11 @@ mod tests {
         assert!(!plan.should_duplicate(1));
         assert!(!plan.is_empty());
         assert!(FaultPlan::new().is_empty());
+        // Past the last fault, and on an empty plan, nothing fires.
+        assert!(!plan.should_drop(6) && !plan.should_duplicate(u64::MAX));
+        assert!(!FaultPlan::new().should_drop(0) && !FaultPlan::new().should_duplicate(0));
+        // A fault at the largest seq is still found.
+        assert!(FaultPlan::new().drop_seq(u64::MAX).should_drop(u64::MAX));
     }
 
     #[test]

@@ -363,16 +363,16 @@ impl RingObserver for NullObserver {
 }
 
 struct PortCounters {
-    sent: Vec<[u64; 2]>,
-    recv: Vec<[u64; 2]>,
+    sent: Vec<u64>,
+    recv: Vec<u64>,
 }
 
 impl RingObserver for PortCounters {
     fn on_send(&mut self, node: usize, port: usize) {
-        self.sent[node][port] += 1;
+        self.sent[2 * node + port] += 1;
     }
     fn on_recv(&mut self, node: usize, port: usize) {
-        self.recv[node][port] += 1;
+        self.recv[2 * node + port] += 1;
     }
 }
 
@@ -904,9 +904,11 @@ where
     let mut terminated = vec![false; n];
     let mut q = SendQueue::default();
     let mut outbox: Vec<(usize, Pulse)> = Vec::new();
+    // One slot per (node, port), in the ring wiring's channel order, as
+    // `SimStats` lays them out.
     let mut obs = PortCounters {
-        sent: vec![[0; 2]; n],
-        recv: vec![[0; 2]; n],
+        sent: vec![0; 2 * n],
+        recv: vec![0; 2 * n],
     };
     let budget = cfg.budget_for(n);
     let rr = run_ring(
@@ -933,15 +935,14 @@ where
         None,
     );
 
-    let stats = SimStats {
-        total_sent: rr.total_sent,
-        total_delivered: rr.total_delivered,
-        delivered_to_terminated: rr.delivered_to_terminated,
-        steps: rr.steps,
-        sent_by_direction: rr.sent_by_direction,
-        sent_by_port: obs.sent.iter().map(|p| p.to_vec()).collect(),
-        recv_by_port: obs.recv.iter().map(|p| p.to_vec()).collect(),
-    };
+    let mut stats = SimStats::with_degrees(vec![2; n]);
+    stats.total_sent = rr.total_sent;
+    stats.total_delivered = rr.total_delivered;
+    stats.delivered_to_terminated = rr.delivered_to_terminated;
+    stats.steps = rr.steps;
+    stats.sent_by_direction = rr.sent_by_direction;
+    stats.sent_by_port = obs.sent;
+    stats.recv_by_port = obs.recv;
     let report = RunReport {
         outcome: rr.outcome(),
         total_sent: rr.total_sent,

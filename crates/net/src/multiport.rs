@@ -547,4 +547,66 @@ mod tests {
         assert!(!trace.is_empty());
         assert!(sim.is_quiescent());
     }
+
+    /// Sends `p + 1` pulses out of each port `p` at start-up and ignores
+    /// what it receives: every per-port count is fixed by the wiring.
+    #[derive(Debug)]
+    struct PortChatter;
+
+    impl GraphProtocol<crate::Pulse> for PortChatter {
+        type Output = ();
+        fn on_start(&mut self, ctx: &mut GraphContext<'_, crate::Pulse>) {
+            for p in 0..ctx.degree() {
+                for _ in 0..=p {
+                    ctx.send(p, crate::Pulse);
+                }
+            }
+        }
+        fn on_message(
+            &mut self,
+            _: usize,
+            _: crate::Pulse,
+            _: &mut GraphContext<'_, crate::Pulse>,
+        ) {
+        }
+        fn output(&self) -> Option<()> {
+            None
+        }
+    }
+
+    #[test]
+    fn per_port_counters_match_a_hand_count_on_mixed_degrees() {
+        // Degrees 3, 2, 2, 1. Ports in edge order: node 0 reaches 1, 2, 3
+        // on ports 0, 1, 2; node 1 reaches 0, 2; node 2 reaches 0, 1.
+        let mut g = MultiGraph::new(4);
+        g.add_edge(0, 1);
+        g.add_edge(0, 2);
+        g.add_edge(0, 3);
+        g.add_edge(1, 2);
+        let wiring = GraphWiring::from_graph(&g);
+        let mut sim: GraphSim<crate::Pulse, PortChatter> = GraphSim::new(
+            wiring,
+            (0..4).map(|_| PortChatter).collect(),
+            Box::new(FifoScheduler::new()),
+        );
+        sim.run(Budget::default());
+        let stats = sim.stats();
+        // Slots in (node, port) order: n0 p0..p2, n1 p0..p1, n2 p0..p1, n3 p0.
+        assert_eq!(stats.sent_by_port, [1, 2, 3, 1, 2, 1, 2, 1]);
+        // (0,0)→(1,0): 1; (0,1)→(2,0): 2; (0,2)→(3,0): 3; (1,0)→(0,0): 1;
+        // (1,1)→(2,1): 2; (2,0)→(0,1): 1; (2,1)→(1,1): 2; (3,0)→(0,2): 1.
+        assert_eq!(stats.recv_by_port, [1, 1, 1, 1, 2, 2, 2, 3]);
+        let sent: Vec<u64> = (0..4).map(|v| stats.sent_by_node(v)).collect();
+        let recv: Vec<u64> = (0..4).map(|v| stats.recv_by_node(v)).collect();
+        assert_eq!(sent, [6, 3, 3, 1]);
+        assert_eq!(recv, [3, 3, 4, 3]);
+        for v in 0..4 {
+            for p in 0..sim.wiring().degree(v) {
+                let slot = Topology::out_channel(sim.wiring(), v, p);
+                assert_eq!(stats.sent_by_port[slot], p as u64 + 1, "node {v} port {p}");
+            }
+        }
+        assert_eq!(stats.total_sent, 13);
+        assert_eq!(stats.total_delivered, 13);
+    }
 }

@@ -19,7 +19,12 @@ use std::cmp::Reverse;
 use std::collections::{BTreeMap, BTreeSet, HashMap, HashSet, VecDeque};
 use std::fmt;
 
-/// A read-only view of one non-empty channel offered to the scheduler.
+/// A read-only view of one non-empty channel, as the engine's hooks report
+/// it to the scheduler ([`Scheduler::on_send`], [`Scheduler::on_change`]).
+///
+/// The engine builds it when the hook fires, from its queue store, its
+/// topology and its latency state; it is a copy, not a handle, so an index
+/// that needs a field keeps its own.
 #[derive(Copy, Clone, Debug, PartialEq, Eq)]
 pub struct ChannelView {
     /// Which channel.
@@ -312,18 +317,19 @@ impl SendOrder {
 
 /// The asynchrony adversary: picks which ready channel delivers next.
 ///
-/// [`Scheduler::pick`] names one channel of `ready` (always non-empty) by
-/// its [`ChannelId`]. The *order* of `ready` is unspecified: the engine
-/// maintains it as a dense array updated in place (swap-remove on empty),
-/// so positions are an artifact of run history. Deterministic adversaries
-/// therefore pick by channel *identity* — `id`, `head_seq` (globally unique
-/// across channels), `queue_len`, `direction`, `arrival` — and the
-/// built-in ones answer from an index kept current by the
-/// [`Scheduler::on_send`] / [`Scheduler::on_change`] /
-/// [`Scheduler::on_unready`] hooks, ignoring `ready`: a send-order queue
-/// for Fifo, Solitude and Latency, a [`ReadyIndex`] for the rest.
+/// [`Scheduler::pick`] names one channel of `ready` (always non-empty): the
+/// ids of the channels with messages queued. The *order* of `ready` is
+/// unspecified: the engine maintains it as a dense array updated in place
+/// (swap-remove on empty), so positions are an artifact of run history.
+/// Deterministic adversaries therefore pick by channel *identity* and by
+/// what the [`Scheduler::on_send`] / [`Scheduler::on_change`] /
+/// [`Scheduler::on_unready`] hooks report of each channel in its
+/// [`ChannelView`] — `head_seq` (globally unique across channels),
+/// `queue_len`, `direction`, `arrival`. The built-in ones answer from an
+/// index those hooks keep current, ignoring `ready`: a send-order queue for
+/// Fifo, Solitude and Latency, a [`ReadyIndex`] for the rest.
 /// Position-based adversaries ([`RandomScheduler`],
-/// [`BoundedDelayScheduler`]) scan `ready` instead; they remain
+/// [`BoundedDelayScheduler`]) read the ids in `ready` instead; they remain
 /// deterministic per run because the engine's array evolution is itself
 /// deterministic, but they are not stable under re-orderings.
 ///
@@ -338,7 +344,7 @@ impl SendOrder {
 /// snapshot copies its adversary — stream, cursors and index — whole.
 pub trait Scheduler: fmt::Debug + CloneScheduler {
     /// Chooses the next channel to deliver from: one of `ready`.
-    fn pick(&mut self, ready: &[ChannelView]) -> ChannelId;
+    fn pick(&mut self, ready: &[ChannelId]) -> ChannelId;
 
     /// A message was queued under global send sequence number `seq`,
     /// arriving at virtual time `arrival` (0 in untimed runs), on the
@@ -361,7 +367,8 @@ pub trait Scheduler: fmt::Debug + CloneScheduler {
     ///
     /// Driven by the engine on every such change (fault injections
     /// included), before the next pick, so an index keyed on any view field
-    /// stays current. The default — for scanning adversaries — ignores it.
+    /// stays current. The default — for adversaries that keep no index —
+    /// ignores it.
     fn on_change(&mut self, view: ChannelView) {
         let _ = view;
     }
@@ -372,11 +379,11 @@ pub trait Scheduler: fmt::Debug + CloneScheduler {
     }
 
     /// Forgets every index entry, as if nothing were in flight. The default
-    /// (scanning schedulers) keeps no index.
+    /// keeps no index.
     fn clear_index(&mut self) {}
 
     /// Rebuilds the incremental index from the full ready set: clears it,
-    /// then upserts every view.
+    /// then upserts every view (the engine builds them for this call).
     ///
     /// Called by the engine when a scheduler is installed mid-run
     /// ([`crate::EventCore::set_scheduler`]), followed by one
@@ -438,11 +445,11 @@ fn indexed(channel: Option<usize>) -> ChannelId {
 ///     direction: None,
 ///     arrival: 0,
 /// };
-/// let ready = [view(0, 9), view(1, 2)];
 /// let mut fifo = FifoScheduler::new();
 /// // The engine reports each send with the view of the channel it joined.
-/// fifo.on_send(2, 0, ready[1]);
-/// fifo.on_send(9, 0, ready[0]);
+/// fifo.on_send(2, 0, view(1, 2));
+/// fifo.on_send(9, 0, view(0, 9));
+/// let ready = [ChannelId::from_index(0), ChannelId::from_index(1)];
 /// assert_eq!(fifo.pick(&ready), ChannelId::from_index(1)); // oldest send first
 /// ```
 #[derive(Clone, Debug, Default)]
@@ -466,7 +473,7 @@ impl FifoScheduler {
 }
 
 impl Scheduler for FifoScheduler {
-    fn pick(&mut self, _ready: &[ChannelView]) -> ChannelId {
+    fn pick(&mut self, _ready: &[ChannelId]) -> ChannelId {
         self.order.front()
     }
 
@@ -516,7 +523,7 @@ impl LifoScheduler {
 }
 
 impl Scheduler for LifoScheduler {
-    fn pick(&mut self, _ready: &[ChannelView]) -> ChannelId {
+    fn pick(&mut self, _ready: &[ChannelId]) -> ChannelId {
         indexed(self.index.last())
     }
 
@@ -536,16 +543,13 @@ impl Scheduler for LifoScheduler {
 /// Uniformly random delivery, seeded for reproducibility.
 ///
 /// Picks by array *position* rather than channel identity, so it keeps no
-/// [`ReadyIndex`] and scans the ready slice it is shown.
+/// [`ReadyIndex`] and reads the ready ids it is shown.
 ///
 /// ```rust
 /// use co_net::sched::{RandomScheduler, Scheduler};
-/// use co_net::{ChannelId, ChannelView};
+/// use co_net::ChannelId;
 ///
-/// let ready = [
-///     ChannelView { id: ChannelId::from_index(0), queue_len: 1, head_seq: 0, direction: None, arrival: 0 },
-///     ChannelView { id: ChannelId::from_index(1), queue_len: 1, head_seq: 1, direction: None, arrival: 0 },
-/// ];
+/// let ready = [ChannelId::from_index(0), ChannelId::from_index(1)];
 /// let mut a = RandomScheduler::seeded(7);
 /// let mut b = RandomScheduler::seeded(7);
 /// // Same seed, same schedule — adversaries are reproducible.
@@ -567,8 +571,8 @@ impl RandomScheduler {
 }
 
 impl Scheduler for RandomScheduler {
-    fn pick(&mut self, ready: &[ChannelView]) -> ChannelId {
-        ready[self.rng.gen_range(0..ready.len())].id
+    fn pick(&mut self, ready: &[ChannelId]) -> ChannelId {
+        ready[self.rng.gen_range(0..ready.len())]
     }
 }
 
@@ -591,7 +595,7 @@ impl RoundRobinScheduler {
 }
 
 impl Scheduler for RoundRobinScheduler {
-    fn pick(&mut self, _ready: &[ChannelView]) -> ChannelId {
+    fn pick(&mut self, _ready: &[ChannelId]) -> ChannelId {
         // Deliver from the lowest-indexed ready channel at or past the
         // cursor, wrapping to the lowest overall; then advance the cursor
         // past it.
@@ -655,7 +659,7 @@ impl StarveDirectionScheduler {
 }
 
 impl Scheduler for StarveDirectionScheduler {
-    fn pick(&mut self, _ready: &[ChannelView]) -> ChannelId {
+    fn pick(&mut self, _ready: &[ChannelId]) -> ChannelId {
         indexed(self.preferred.first().or_else(|| self.deferred.first()))
     }
 
@@ -722,7 +726,7 @@ impl StarveNodeScheduler {
 }
 
 impl Scheduler for StarveNodeScheduler {
-    fn pick(&mut self, _ready: &[ChannelView]) -> ChannelId {
+    fn pick(&mut self, _ready: &[ChannelId]) -> ChannelId {
         indexed(self.preferred.first().or_else(|| self.deferred.first()))
     }
 
@@ -760,7 +764,7 @@ impl LongestQueueScheduler {
 }
 
 impl Scheduler for LongestQueueScheduler {
-    fn pick(&mut self, _ready: &[ChannelView]) -> ChannelId {
+    fn pick(&mut self, _ready: &[ChannelId]) -> ChannelId {
         indexed(self.index.last())
     }
 
@@ -814,7 +818,7 @@ impl LatencyScheduler {
 }
 
 impl Scheduler for LatencyScheduler {
-    fn pick(&mut self, _ready: &[ChannelView]) -> ChannelId {
+    fn pick(&mut self, _ready: &[ChannelId]) -> ChannelId {
         self.order.front()
     }
 
@@ -881,7 +885,7 @@ impl BoundedDelayScheduler {
 }
 
 impl Scheduler for BoundedDelayScheduler {
-    fn pick(&mut self, ready: &[ChannelView]) -> ChannelId {
+    fn pick(&mut self, ready: &[ChannelId]) -> ChannelId {
         let now = self.clock.tick();
         let bound = self.bound;
         // Register deadlines for newly seen heads. Entries for channels this
@@ -890,10 +894,10 @@ impl Scheduler for BoundedDelayScheduler {
         // out-of-band deliveries (`step_channel`, scheduler swaps) are
         // dropped lazily during the overdue lookup below instead of an
         // O(ready) `retain` sweep on every pick.
-        for v in ready {
-            if let std::collections::hash_map::Entry::Vacant(e) = self.deadlines.entry(v.id) {
+        for &id in ready {
+            if let std::collections::hash_map::Entry::Vacant(e) = self.deadlines.entry(id) {
                 e.insert(now + bound);
-                self.by_deadline.insert((now + bound, v.id.index()));
+                self.by_deadline.insert((now + bound, id.index()));
             }
         }
         // Deliver any overdue head first (oldest deadline; ties broken by
@@ -905,12 +909,12 @@ impl Scheduler for BoundedDelayScheduler {
             let id = ChannelId::from_index(ch);
             self.by_deadline.pop_first();
             self.deadlines.remove(&id);
-            if ready.iter().any(|v| v.id == id) {
+            if ready.contains(&id) {
                 return id;
             }
             // Stale: the channel drained without this adversary picking it.
         }
-        let id = ready[self.rng.gen_range(0..ready.len())].id;
+        let id = ready[self.rng.gen_range(0..ready.len())];
         self.forget(id);
         id
     }
@@ -951,7 +955,7 @@ impl ReplayScheduler {
 }
 
 impl Scheduler for ReplayScheduler {
-    fn pick(&mut self, _ready: &[ChannelView]) -> ChannelId {
+    fn pick(&mut self, _ready: &[ChannelId]) -> ChannelId {
         if let Some(&want) = self.script.get(self.cursor) {
             self.cursor += 1;
             if self.fifo.contains(want.index()) {
@@ -1003,7 +1007,7 @@ impl PhaseSwitchScheduler {
 }
 
 impl Scheduler for PhaseSwitchScheduler {
-    fn pick(&mut self, ready: &[ChannelView]) -> ChannelId {
+    fn pick(&mut self, ready: &[ChannelId]) -> ChannelId {
         let pick = if self.delivered < self.switch_after {
             self.first.pick(ready)
         } else {
@@ -1152,6 +1156,11 @@ mod tests {
         }
     }
 
+    /// The ids of `views`, as the engine's ready array holds them.
+    fn ids(views: &[ChannelView]) -> Vec<ChannelId> {
+        views.iter().map(|v| v.id).collect()
+    }
+
     /// `s`'s pick on `ready` after seeding its index from `ready`, as the
     /// engine does: the views, then each head's send in seq order.
     fn pick_fresh(s: &mut dyn Scheduler, ready: &[ChannelView]) -> ChannelId {
@@ -1161,7 +1170,7 @@ mod tests {
         for v in heads {
             s.on_send(v.head_seq, v.arrival, v);
         }
-        s.pick(ready)
+        s.pick(&ids(ready))
     }
 
     fn ch(index: usize) -> ChannelId {
@@ -1265,11 +1274,7 @@ mod tests {
 
     #[test]
     fn random_is_reproducible() {
-        let ready = [
-            view(0, 1, 0, None),
-            view(1, 1, 1, None),
-            view(2, 1, 2, None),
-        ];
+        let ready = [ch(0), ch(1), ch(2)];
         let picks_a: Vec<ChannelId> = {
             let mut s = RandomScheduler::seeded(7);
             (0..16).map(|_| s.pick(&ready)).collect()
@@ -1291,6 +1296,7 @@ mod tests {
             view(5, 1, 2, None),
         ];
         s.rebuild_index(&ready);
+        let ready = ids(&ready);
         assert_eq!(s.pick(&ready), ch(0));
         assert_eq!(s.pick(&ready), ch(2));
         assert_eq!(s.pick(&ready), ch(5));
@@ -1312,7 +1318,7 @@ mod tests {
         a.rebuild_index(&sorted);
         b.rebuild_index(&shuffled);
         for _ in 0..5 {
-            assert_eq!(a.pick(&sorted), b.pick(&shuffled));
+            assert_eq!(a.pick(&ids(&sorted)), b.pick(&ids(&shuffled)));
         }
     }
 
@@ -1327,7 +1333,7 @@ mod tests {
         assert_eq!(pick_fresh(&mut s, &ready), ch(1));
         // Only CCW ready: it must be delivered (finite delays).
         s.on_unready(ch(1));
-        assert_eq!(s.pick(&ready[..1]), ch(0));
+        assert_eq!(s.pick(&ids(&ready[..1])), ch(0));
     }
 
     #[test]
@@ -1343,7 +1349,7 @@ mod tests {
         assert_eq!(pick_fresh(&mut s, &ready), ch(5));
         s.on_unready(ch(5));
         // Only victim channels left: oldest head among them.
-        assert_eq!(s.pick(&ready[..2]), ch(0));
+        assert_eq!(s.pick(&ids(&ready[..2])), ch(0));
     }
 
     #[test]
@@ -1369,7 +1375,7 @@ mod tests {
             },
         );
         s.on_change(viewt(2, 10, 9));
-        assert_eq!(s.pick(&ready), ch(1));
+        assert_eq!(s.pick(&ids(&ready)), ch(1));
         // All-zero arrivals (no latency plan): degenerates to FIFO.
         let untimed = [view(0, 1, 9, None), view(1, 1, 3, None)];
         assert_eq!(
@@ -1391,11 +1397,7 @@ mod tests {
     fn bounded_delay_eventually_delivers_the_oldest() {
         // With bound 2, a head can be skipped at most ~twice before being
         // forced out.
-        let ready = [
-            view(0, 1, 0, None),
-            view(1, 1, 1, None),
-            view(2, 1, 2, None),
-        ];
+        let ready = [ch(0), ch(1), ch(2)];
         let mut s = BoundedDelayScheduler::new(2, 42);
         // Track how long channel 0 survives without being picked.
         let mut survived = 0;
@@ -1410,7 +1412,7 @@ mod tests {
 
     #[test]
     fn bounded_delay_zero_acts_promptly() {
-        let ready = [view(0, 1, 0, None), view(1, 1, 1, None)];
+        let ready = [ch(0), ch(1)];
         let mut s = BoundedDelayScheduler::new(0, 1);
         // After the first pick, every remaining head is immediately overdue.
         let first = s.pick(&ready);
@@ -1426,6 +1428,7 @@ mod tests {
             ch(9), // never ready: falls back to FIFO
         ]);
         assert_eq!(pick_fresh(&mut s, &ready), ch(0)); // scripted
+        let ready = ids(&ready);
         assert_eq!(s.pick(&ready), ch(2)); // fallback FIFO: oldest head (seq 3)
         assert_eq!(s.consumed(), 2);
         assert_eq!(s.pick(&ready), ch(2)); // script exhausted: FIFO
@@ -1440,16 +1443,17 @@ mod tests {
             2,
         );
         assert_eq!(pick_fresh(&mut s, &ready), ch(0)); // FIFO: oldest
-        assert_eq!(s.pick(&ready), ch(0));
-        assert_eq!(s.pick(&ready), ch(1)); // switched to LIFO: youngest
-                                           // A scanning child counts its deliveries the same way.
+        assert_eq!(s.pick(&ids(&ready)), ch(0));
+        assert_eq!(s.pick(&ids(&ready)), ch(1)); // switched to LIFO: youngest
+
+        // A child that keeps no index counts its deliveries the same way.
         let mut mixed = PhaseSwitchScheduler::new(
             Box::new(RandomScheduler::seeded(3)),
             Box::new(LifoScheduler::new()),
             1,
         );
         assert!(pick_fresh(&mut mixed, &ready).index() < 2);
-        assert_eq!(mixed.pick(&ready), ch(1)); // switched
+        assert_eq!(mixed.pick(&ids(&ready)), ch(1)); // switched
     }
 
     #[test]

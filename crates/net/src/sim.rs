@@ -1160,7 +1160,7 @@ mod tests {
     #[derive(Clone, Debug)]
     struct IdleChannelScheduler;
     impl Scheduler for IdleChannelScheduler {
-        fn pick(&mut self, _ready: &[ChannelView]) -> ChannelId {
+        fn pick(&mut self, _ready: &[ChannelId]) -> ChannelId {
             ChannelId::from_index(999)
         }
     }
@@ -1193,7 +1193,7 @@ mod tests {
     #[derive(Clone, Debug, Default)]
     struct StaleIndexScheduler(FifoScheduler);
     impl Scheduler for StaleIndexScheduler {
-        fn pick(&mut self, ready: &[ChannelView]) -> ChannelId {
+        fn pick(&mut self, ready: &[ChannelId]) -> ChannelId {
             self.0.pick(ready)
         }
         fn on_send(&mut self, seq: u64, arrival: u64, view: ChannelView) {
