@@ -52,12 +52,6 @@ impl FranklinNode {
         }
     }
 
-    /// Whether the node is still an active contender.
-    #[must_use]
-    pub fn is_active(&self) -> bool {
-        self.active
-    }
-
     fn send_bids(&self, ctx: &mut Context<'_, FranklinMsg>) {
         for port in Port::ALL {
             ctx.send(port, FranklinMsg::Bid(self.id));

@@ -53,12 +53,6 @@ impl PetersonNode {
             terminated: false,
         }
     }
-
-    /// Whether the node is still an active contender.
-    #[must_use]
-    pub fn is_active(&self) -> bool {
-        self.active
-    }
 }
 
 impl Protocol<PetersonMsg> for PetersonNode {

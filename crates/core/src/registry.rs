@@ -830,12 +830,6 @@ impl ProtocolSpec {
     pub fn shrink_driver(&self) -> Option<ShrinkDriver> {
         self.shrink
     }
-
-    /// The fleet harness, if [`Capability::Fleet`] is supported.
-    #[must_use]
-    pub fn fleet_driver(&self) -> Option<FleetDriver> {
-        self.fleet
-    }
 }
 
 /// An ordered, duplicate-free collection of [`ProtocolSpec`]s with typed

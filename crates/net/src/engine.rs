@@ -898,12 +898,6 @@ impl<M: Message, T: Topology> EventCore<M, T> {
         };
     }
 
-    /// Whether a (non-degenerate) latency plan is installed.
-    #[must_use]
-    pub fn latency_enabled(&self) -> bool {
-        self.latency.is_some()
-    }
-
     /// The current virtual time. Stays 0 throughout untimed runs.
     #[must_use]
     pub fn now(&self) -> u64 {

@@ -13,10 +13,7 @@
 //!   exists;
 //! * **ring topologies** — oriented and non-oriented rings including the
 //!   degenerate cases `n = 1` (self-loop) and `n = 2` (double edge), built by
-//!   [`RingSpec`];
-//! * a **threaded runtime** ([`threaded`]) that executes the same protocols on
-//!   real OS threads connected by channels, demonstrating that results are not
-//!   simulator artifacts.
+//!   [`RingSpec`].
 //!
 //! The simulator is generic over the message type `M` so the same machinery
 //! runs both content-oblivious algorithms (`M = Pulse`) and the classical
@@ -77,7 +74,6 @@ pub mod sched;
 pub mod shrink;
 pub mod sim;
 pub mod snapshot;
-pub mod threaded;
 pub mod topology;
 pub mod trace;
 

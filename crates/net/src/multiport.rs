@@ -385,12 +385,6 @@ impl<M: Message, P: GraphProtocol<M>> GraphSim<M, P> {
     pub fn wiring(&self) -> &GraphWiring {
         self.core.topology()
     }
-
-    /// Consumes the simulation, returning the protocol instances.
-    #[must_use]
-    pub fn into_nodes(self) -> Vec<P> {
-        self.nodes
-    }
 }
 
 impl<M: Message, P: GraphProtocol<M> + fmt::Debug> fmt::Debug for GraphSim<M, P> {

@@ -235,12 +235,6 @@ impl ProfReport {
     pub fn phase(&self, phase: Phase) -> &PhaseStats {
         &self.phases[phase.index()]
     }
-
-    /// Total samples across all phases.
-    #[must_use]
-    pub fn total_samples(&self) -> u64 {
-        self.phases.iter().map(|p| p.count).sum()
-    }
 }
 
 impl fmt::Display for ProfReport {

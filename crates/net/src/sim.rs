@@ -320,12 +320,6 @@ impl<M: Message, P: Protocol<M>> Simulation<M, P> {
         self.core.set_latency(plan);
     }
 
-    /// Whether a non-degenerate latency plan is installed.
-    #[must_use]
-    pub fn latency_enabled(&self) -> bool {
-        self.core.latency_enabled()
-    }
-
     /// The current virtual time (0 forever in untimed runs).
     #[must_use]
     pub fn now(&self) -> u64 {
@@ -592,12 +586,6 @@ impl<M: Message, P: Protocol<M>> Simulation<M, P> {
     #[must_use]
     pub fn wiring(&self) -> &Wiring {
         self.core.topology()
-    }
-
-    /// Consumes the simulation, returning the protocol instances.
-    #[must_use]
-    pub fn into_nodes(self) -> Vec<P> {
-        self.nodes
     }
 }
 

@@ -1,45 +1,19 @@
-//! Extended cross-crate coverage: content-carrying protocols on the
-//! threaded runtime, compositions under randomized configurations,
-//! phase-switching adversaries, and a deeper (ignored-by-default) model
-//! check.
+//! Extended cross-crate coverage: phase-switching adversaries, record and
+//! replay, compositions under randomized configurations, and a deeper
+//! (ignored-by-default) model check.
 
-use content_oblivious::classic::chang_roberts::{ChangRobertsNode, CrMsg};
-use content_oblivious::classic::registry::ChangRobertsDef;
 use content_oblivious::compose::pipeline::elect_then_replicate;
 use content_oblivious::core::registry::{Alg2Def, RingProtocol};
 use content_oblivious::core::runner::RunOptions;
-use content_oblivious::core::Role;
 use content_oblivious::net::sched::{
     LifoScheduler, PhaseSwitchScheduler, ReplayScheduler, StarveDirectionScheduler,
 };
-use content_oblivious::net::threaded::{run_threaded, ThreadedOptions, ThreadedOutcome};
 use content_oblivious::net::{
-    Budget, Direction, Outcome, Protocol, Pulse, RingSpec, SchedulerKind, Simulation,
+    Budget, Direction, Outcome, Pulse, RingSpec, SchedulerKind, Simulation,
 };
 use rand::rngs::StdRng;
 use rand::{Rng, SeedableRng};
 use std::collections::BTreeSet;
-
-#[test]
-fn chang_roberts_runs_on_real_threads() {
-    // The threaded runtime is generic over message types, not just pulses.
-    let spec = RingSpec::oriented(vec![4, 11, 2, 8]);
-    let nodes: Vec<ChangRobertsNode> = ChangRobertsDef::nodes(&spec);
-    let report = run_threaded::<CrMsg, _>(
-        &spec.wiring(),
-        nodes,
-        &ThreadedOptions {
-            max_jitter_us: 30,
-            ..ThreadedOptions::default()
-        },
-    );
-    assert_eq!(report.outcome, ThreadedOutcome::AllTerminated);
-    let roles: Vec<Option<Role>> = report.nodes.iter().map(Protocol::output).collect();
-    assert_eq!(roles[1], Some(Role::Leader));
-    for i in [0usize, 2, 3] {
-        assert_eq!(roles[i], Some(Role::NonLeader), "node {i}");
-    }
-}
 
 #[test]
 fn phase_switch_adversary_preserves_theorem1() {

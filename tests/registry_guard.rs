@@ -12,10 +12,11 @@
 //! A second guard keeps the engine's snapshot a plain copy of its run
 //! state: no scheduler under `crates/` serializes itself into words again.
 //!
-//! A third keeps the paper's model message-driven: the async node facade,
-//! the engine's timer heap and the registry flag that advertised the
-//! facade are deleted, and no source under `crates/`, `tests/` or
-//! `examples/` names them again.
+//! A third keeps the paper's model message-driven and its schedules in the
+//! adversary's hands: the async node facade, the engine's timer heap, the
+//! registry flag that advertised the facade and the thread-per-node runtime
+//! are deleted, and no source under `crates/`, `tests/` or `examples/`
+//! names them again.
 
 use std::fs;
 use std::path::{Path, PathBuf};
@@ -148,16 +149,22 @@ fn engine_snapshots_keep_no_second_encoding_of_run_state() {
     );
 }
 
-/// Names of the deleted async node facade and engine timer heap. Each is
-/// split with `concat!` so that this file, which the guard also reads,
-/// does not contain the names it forbids.
-const TIMER_LAYER: &[&str] = &[
+/// Names of the deleted async node facade, engine timer heap and
+/// thread-per-node runtime. Each is split with `concat!` so that this file,
+/// which the guard also reads, does not contain the names it forbids.
+const DELETED_LAYERS: &[&str] = &[
     concat!("runtime", "::"),
     concat!("arm", "_timer"),
     concat!("on", "_timer"),
     concat!("drain", "_timers"),
     concat!("Timer", "Fired"),
     concat!("Async", "Twin"),
+    concat!("run", "_threaded"),
+    concat!("Threaded", "Options"),
+    concat!("Threaded", "Report"),
+    concat!("Threaded", "Outcome"),
+    concat!("for", "_threaded"),
+    concat!("net::", "threaded"),
 ];
 
 #[test]
@@ -178,10 +185,10 @@ fn no_source_names_the_async_facade_or_the_timer_heap() {
             sources.len()
         );
     }
-    let leaks = lines_naming(&sources, TIMER_LAYER);
+    let leaks = lines_naming(&sources, DELETED_LAYERS);
     assert!(
         leaks.is_empty(),
-        "the model has no timers; the async facade or timer heap is back:\n{}",
+        "the model has no timers and no runtime of its own; a deleted layer is back:\n{}",
         leaks.join("\n")
     );
 }
