@@ -12,8 +12,8 @@
 //!
 //! Every metric here must be a pure function of the source tree — no wall
 //! clock, no ambient randomness (seeds are fixed, explorers run single
-//! worker). Wall-clock performance is tracked by the [`crate::harness`]
-//! benches instead, which are too noisy to gate on.
+//! worker). Wall-clock performance is tracked by perfbench instead, with
+//! repeated samples and a spread: a single timing is too noisy to gate on.
 //!
 //! The `e18_*` timings are the deliberate exception: they time the
 //! scheduler pick path (the target of the incremental-index work) and so

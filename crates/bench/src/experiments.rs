@@ -130,12 +130,6 @@ impl fmt::Display for Experiment {
     }
 }
 
-/// Runs one experiment at the default (fast) scale, sequentially.
-#[must_use]
-pub fn run_experiment(exp: Experiment) -> Table {
-    run_experiment_with(exp, 1)
-}
-
 /// Runs one experiment, fanning its internal `(n, seed, scheduler)` grid
 /// across up to `jobs` worker threads where the experiment has one.
 ///
@@ -144,48 +138,33 @@ pub fn run_experiment(exp: Experiment) -> Table {
 #[must_use]
 pub fn run_experiment_with(exp: Experiment, jobs: usize) -> Table {
     match exp {
-        Experiment::E5 => e5_anonymous_jobs(jobs),
-        Experiment::E8 => e8_baselines_jobs(jobs),
-        Experiment::E10 => e10_invariants_jobs(jobs),
-        Experiment::E16 => e16_parallel_explore_jobs(jobs),
-        Experiment::E17 => e17_scaling_jobs(jobs),
-        Experiment::E18 => e18_sched_index_jobs(jobs),
-        Experiment::E19 => e19_virtual_time_jobs(jobs),
-        Experiment::E21 => e21_fleet_jobs(jobs),
-        _ => run_sequential(exp),
-    }
-}
-
-fn run_sequential(exp: Experiment) -> Table {
-    match exp {
         Experiment::E0 => e0_defective_sanity(),
         Experiment::E1 => e1_theorem1(),
         Experiment::E2 => e2_algorithm1(),
         Experiment::E3 => e3_prop15(),
         Experiment::E4 => e4_theorem2(),
-        Experiment::E5 => e5_anonymous(),
+        Experiment::E5 => e5_anonymous(jobs),
         Experiment::E6 => e6_solitude(),
         Experiment::E7 => e7_lower_bound(),
-        Experiment::E8 => e8_baselines(),
+        Experiment::E8 => e8_baselines(jobs),
         Experiment::E9 => e9_composition(),
-        Experiment::E10 => e10_invariants(),
+        Experiment::E10 => e10_invariants(jobs),
         Experiment::E11 => e11_ablation(),
         Experiment::E12 => e12_model_check(),
         Experiment::E13 => e13_model_violations(),
         Experiment::E14 => e14_universal_simulation(),
         Experiment::E15 => e15_explore_dedup(),
-        Experiment::E16 => e16_parallel_explore(),
-        Experiment::E17 => e17_scaling(),
-        Experiment::E18 => e18_sched_index(),
-        Experiment::E19 => e19_virtual_time(),
-        Experiment::E21 => e21_fleet(),
+        Experiment::E16 => e16_parallel_explore(jobs),
+        Experiment::E17 => e17_scaling(jobs),
+        Experiment::E18 => e18_sched_index(jobs),
+        Experiment::E19 => e19_virtual_time(jobs),
+        Experiment::E21 => e21_fleet(jobs),
         Experiment::E22 => e22_out_of_core(),
     }
 }
 
 /// E0 — classical election dies on fully defective channels.
-#[must_use]
-pub fn e0_defective_sanity() -> Table {
+fn e0_defective_sanity() -> Table {
     let mut t = Table::new(
         "E0 — fully defective channels break content-carrying election",
         "§2: no algorithm relying on message content survives total corruption",
@@ -279,8 +258,7 @@ where
 }
 
 /// E1 — Theorem 1: Algorithm 2 sends exactly `n(2·ID_max + 1)` pulses.
-#[must_use]
-pub fn e1_theorem1() -> Table {
+fn e1_theorem1() -> Table {
     let t = Table::new(
         "E1 — Theorem 1: Algorithm 2 message complexity",
         "quiescently terminating election with exactly n(2·ID_max + 1) pulses",
@@ -306,8 +284,7 @@ pub fn e1_theorem1() -> Table {
 }
 
 /// E2 — Corollary 13: Algorithm 1 converges with `n·ID_max` pulses.
-#[must_use]
-pub fn e2_algorithm1() -> Table {
+fn e2_algorithm1() -> Table {
     let t = Table::new(
         "E2 — Corollary 13: Algorithm 1 message complexity",
         "quiescent stabilization; every node sends and receives exactly ID_max pulses",
@@ -366,8 +343,7 @@ fn alg3_sweep(mut t: Table, scheme: IdScheme) -> Table {
 }
 
 /// E3 — Proposition 15: Algorithm 3 (doubled IDs) costs `n(4·ID_max − 1)`.
-#[must_use]
-pub fn e3_prop15() -> Table {
+fn e3_prop15() -> Table {
     let t = Table::new(
         "E3 — Proposition 15: Algorithm 3 with doubled virtual IDs",
         "elects + orients non-oriented rings using n(4·ID_max − 1) pulses",
@@ -385,8 +361,7 @@ pub fn e3_prop15() -> Table {
 }
 
 /// E4 — Theorem 2: Algorithm 3 (improved IDs) costs `n(2·ID_max + 1)`.
-#[must_use]
-pub fn e4_theorem2() -> Table {
+fn e4_theorem2() -> Table {
     let t = Table::new(
         "E4 — Theorem 2: Algorithm 3 with improved virtual IDs",
         "elects + orients non-oriented rings using n(2·ID_max + 1) pulses",
@@ -404,12 +379,7 @@ pub fn e4_theorem2() -> Table {
 }
 
 /// E5 — Theorem 3 / Lemma 18: anonymous rings.
-#[must_use]
-pub fn e5_anonymous() -> Table {
-    e5_anonymous_jobs(1)
-}
-
-fn e5_anonymous_jobs(jobs: usize) -> Table {
+fn e5_anonymous(jobs: usize) -> Table {
     use co_core::anonymous::elect_anonymous;
 
     let mut t = Table::new(
@@ -479,8 +449,7 @@ fn e5_anonymous_jobs(jobs: usize) -> Table {
 }
 
 /// E6 — Lemma 22 / Definition 21: solitude patterns.
-#[must_use]
-pub fn e6_solitude() -> Table {
+fn e6_solitude() -> Table {
     let mut t = Table::new(
         "E6 — Definition 21 / Lemma 22: solitude patterns",
         "each ID's solitude pattern is unique; Algorithm 2's is 0^ID 1^(ID+1)",
@@ -511,8 +480,7 @@ pub fn e6_solitude() -> Table {
 }
 
 /// E7 — Theorem 4/20: the lower bound vs the measured upper bound.
-#[must_use]
-pub fn e7_lower_bound() -> Table {
+fn e7_lower_bound() -> Table {
     let mut t = Table::new(
         "E7 — Theorem 4/20: lower bound n·⌊log(ID_max/n)⌋ vs Algorithm 2",
         "any terminating content-oblivious election sends ≥ n⌊log(k/n)⌋ pulses",
@@ -564,12 +532,7 @@ pub fn e7_lower_bound() -> Table {
 }
 
 /// E8 — §1.2 comparison: baselines vs the content-oblivious algorithm.
-#[must_use]
-pub fn e8_baselines() -> Table {
-    e8_baselines_jobs(1)
-}
-
-fn e8_baselines_jobs(jobs: usize) -> Table {
+fn e8_baselines(jobs: usize) -> Table {
     let mut t = Table::new(
         "E8 — §1.2: classical baselines vs content-oblivious election",
         "CR O(n²), HS/Peterson/Franklin O(n log n) with content; ours O(n·ID_max) without",
@@ -622,8 +585,7 @@ fn e8_baselines_jobs(jobs: usize) -> Table {
 }
 
 /// E9 — Corollary 5: composition end-to-end.
-#[must_use]
-pub fn e9_composition() -> Table {
+fn e9_composition() -> Table {
     let mut t = Table::new(
         "E9 — Corollary 5: election composed with computation",
         "after quiescent termination the leader roots an arbitrary ring computation",
@@ -692,12 +654,7 @@ pub fn e9_composition() -> Table {
 }
 
 /// E10 — Lemmas 6–12/17 as continuously-checked invariants.
-#[must_use]
-pub fn e10_invariants() -> Table {
-    e10_invariants_jobs(1)
-}
-
-fn e10_invariants_jobs(jobs: usize) -> Table {
+fn e10_invariants(jobs: usize) -> Table {
     let mut t = Table::new(
         "E10 — Lemmas 6-12, 17: invariant monitors",
         "σ=ρ+1 before absorption, σ=ρ after; quiescence ⟺ ∀v ρ≥ID; ID_max absorbs last; ρ≤ID_max",
@@ -766,8 +723,7 @@ fn e10_invariants_jobs(jobs: usize) -> Table {
 }
 
 /// E11 — ablation: Algorithm 2 without the CCW receive gate.
-#[must_use]
-pub fn e11_ablation() -> Table {
+fn e11_ablation() -> Table {
     let mut t = Table::new(
         "E11 — ablation: Algorithm 2 without the CCW receive gate",
         "§3.2: gating recvCCW on ρ_cw ≥ ID is what confines the termination trigger to ID_max",
@@ -810,8 +766,7 @@ pub fn e11_ablation() -> Table {
 }
 
 /// E12 — exhaustive model check of Algorithm 2 on tiny instances.
-#[must_use]
-pub fn e12_model_check() -> Table {
+fn e12_model_check() -> Table {
     let mut t = Table::new(
         "E12 — exhaustive model check: every schedule of tiny instances",
         "Theorem 1 holds for all asynchronous schedules, not just sampled adversaries",
@@ -862,8 +817,7 @@ pub fn e12_model_check() -> Table {
 }
 
 /// E13 — model violations: dropped / duplicated pulses break everything.
-#[must_use]
-pub fn e13_model_violations() -> Table {
+fn e13_model_violations() -> Table {
     use co_net::FaultPlan;
     let mut t = Table::new(
         "E13 — violating the channel model (§2: \"pulses cannot be dropped or injected\")",
@@ -903,8 +857,7 @@ pub fn e13_model_violations() -> Table {
 }
 
 /// E14 — Corollary 5 full strength: Chang–Roberts simulated over pulses.
-#[must_use]
-pub fn e14_universal_simulation() -> Table {
+fn e14_universal_simulation() -> Table {
     use co_classic::chang_roberts::CrMsg;
     use co_compose::universal::simulate_on_defective_ring;
     use co_net::Port;
@@ -969,8 +922,7 @@ pub fn e14_universal_simulation() -> Table {
 }
 
 /// E15 — explored-state accounting: engines × dedup backends × worker counts.
-#[must_use]
-pub fn e15_explore_dedup() -> Table {
+fn e15_explore_dedup() -> Table {
     use co_core::Alg2Node;
     use co_net::explore::{explore_reference, ExploreLimits};
     let mut t = Table::new(
@@ -1087,19 +1039,12 @@ fn explore_workloads() -> [(&'static str, ExploreDriver, RingSpec); 2] {
     ]
 }
 
-/// E16 — parallel explorer at its default worker grid.
-#[must_use]
-pub fn e16_parallel_explore() -> Table {
-    e16_parallel_explore_jobs(0)
-}
-
 /// E16 — parallel frontier-sharded exploration: speedup grid and exhaustive
 /// fault model-checking.
 ///
 /// `jobs <= 1` runs the default 1/2/4/8 worker grid; otherwise the grid is
 /// `[1, jobs]`.
-#[must_use]
-pub fn e16_parallel_explore_jobs(jobs: usize) -> Table {
+fn e16_parallel_explore(jobs: usize) -> Table {
     use co_net::explore::{explore, ExploreLimits};
     use co_net::FaultPlan;
     use std::time::Instant;
@@ -1244,12 +1189,6 @@ pub fn e16_parallel_explore_jobs(jobs: usize) -> Table {
     t
 }
 
-/// E17 — thousand-node scaling under both queue backends (default scale).
-#[must_use]
-pub fn e17_scaling() -> Table {
-    e17_scaling_jobs(1)
-}
-
 /// E17 — thousand-node scaling under both queue backends.
 ///
 /// Three workloads, each at `n ∈ {100, 500, 1000, 2000, 5000}` under both
@@ -1270,8 +1209,7 @@ pub fn e17_scaling() -> Table {
 ///    memory claim: the counter store keeps one 16-byte `(head_seq, len)`
 ///    run however many pulses are queued; the `VecDeque` store pays one
 ///    envelope each.
-#[must_use]
-pub fn e17_scaling_jobs(jobs: usize) -> Table {
+fn e17_scaling(jobs: usize) -> Table {
     use co_net::{Context, Port, Pulse, QueueBackend};
     use std::time::Instant;
 
@@ -1483,12 +1421,6 @@ pub fn e17_scaling_jobs(jobs: usize) -> Table {
     t
 }
 
-/// E18 — incremental scheduler indexes (default scale).
-#[must_use]
-pub fn e18_sched_index() -> Table {
-    e18_sched_index_jobs(1)
-}
-
 /// E18 — incremental scheduler indexes: send-order pops and O(log C)
 /// adversary picks.
 ///
@@ -1510,8 +1442,7 @@ pub fn e18_sched_index() -> Table {
 ///    Algorithm 2 election (counter backend, the same 2 M cap), fanned
 ///    across `jobs` workers: the wall-time row that used to be
 ///    scheduler-bound.
-#[must_use]
-pub fn e18_sched_index_jobs(jobs: usize) -> Table {
+fn e18_sched_index(jobs: usize) -> Table {
     use co_core::Alg2Node;
     use co_net::{prof, Pulse, QueueBackend};
     use std::time::Instant;
@@ -1614,12 +1545,6 @@ pub fn e18_sched_index_jobs(jobs: usize) -> Table {
     t
 }
 
-/// E19 — virtual time (default scale).
-#[must_use]
-pub fn e19_virtual_time() -> Table {
-    e19_virtual_time_jobs(1)
-}
-
 /// E19 — virtual time: the clock layer costs nothing it does not deliver.
 ///
 /// Two workloads:
@@ -1638,8 +1563,7 @@ pub fn e19_virtual_time() -> Table {
 ///    `jobs` workers. Each cell runs twice; exactness demands the reruns
 ///    agree byte-for-byte (steps, fingerprint, final virtual time): all
 ///    sampling flows through per-channel RNGs keyed by the plan seed.
-#[must_use]
-pub fn e19_virtual_time_jobs(jobs: usize) -> Table {
+fn e19_virtual_time(jobs: usize) -> Table {
     use co_core::Alg2Node;
     use co_net::{LatencyModel, LatencyPlan, Pulse};
     use std::time::Instant;
@@ -1726,13 +1650,8 @@ pub fn e19_virtual_time_jobs(jobs: usize) -> Table {
     t
 }
 
-/// E21 — fleet mode: 10⁴ concurrent ring elections per cell.
-#[must_use]
-pub fn e21_fleet() -> Table {
-    e21_fleet_jobs(0)
-}
-
-/// E21 with an explicit worker count (`0` = one per core).
+/// E21 — fleet mode: 10⁴ concurrent ring elections per cell, fanned
+/// across `jobs` workers (`0` = one per core).
 ///
 /// Runs the fleet harness (`co_net::fleet`) over a grid of protocol ×
 /// fault-rate cells, each a fleet of 10,000 independent oriented rings with
@@ -1754,8 +1673,7 @@ pub fn e21_fleet() -> Table {
 /// The throughput columns (`ms`, `elect/s`) are wall-clock and therefore
 /// *not* part of the determinism claim; they feed the `e21_*` wall-clock
 /// gate metrics whose wide tolerances are documented in [`crate::check`].
-#[must_use]
-pub fn e21_fleet_jobs(jobs: usize) -> Table {
+fn e21_fleet(jobs: usize) -> Table {
     use crate::registry::protocols;
     use co_core::registry::Capability;
     use co_net::fleet::{FleetConfig, RingSizes};
@@ -1843,8 +1761,7 @@ pub fn e21_fleet_jobs(jobs: usize) -> Table {
 /// bracketed by the [`co_net::prof`] collector on its own, so it is the
 /// mean visited-set insert of that backend alone. The rows run
 /// sequentially: the profiler is process-global.
-#[must_use]
-pub fn e22_out_of_core() -> Table {
+fn e22_out_of_core() -> Table {
     use co_net::explore::{CheckpointPlan, ExploreCheckpoint, ExploreLimits};
     use co_net::{prof, DedupKind};
     use std::time::Instant;
@@ -2037,7 +1954,7 @@ mod tests {
 
     #[test]
     fn fast_experiments_report_success() {
-        // The heavyweight sweeps run in the tables binary / benches; here we
+        // The heavyweight sweeps run in the tables binary; here we
         // sanity-check the cheapest ones end-to-end.
         let t = e0_defective_sanity();
         assert!(t.verdict.contains("necessary"), "{}", t.verdict);

@@ -12,9 +12,10 @@
 //! ```
 //!
 //! `--jobs N` fans each experiment's internal trial grid across up to `N`
-//! worker threads (`--jobs 0` uses one worker per core). Every trial is
-//! seeded from its grid coordinates, so the output is byte-identical for
-//! every jobs value — only the wall clock changes.
+//! worker threads (`--jobs 0` uses one worker per core; `N` is at most
+//! [`MAX_JOBS`]). Every trial is seeded from its grid coordinates, so the
+//! output is byte-identical for every jobs value — only the wall clock
+//! changes.
 //!
 //! `--profile` turns on the event core's hot-path collector
 //! (`co_net::prof`) and prints a per-phase latency table (enqueue / pick /
@@ -28,6 +29,7 @@
 //! +10% to the first metric (proof the gate trips); `--report FILE` writes
 //! the human-readable report for CI artifact upload.
 
+use co_bench::parallel::MAX_JOBS;
 use co_bench::{run_experiment_with, Experiment};
 use std::process::ExitCode;
 
@@ -144,6 +146,10 @@ fn main() -> ExitCode {
                     eprintln!("--jobs requires a number (0 = one worker per core)");
                     return ExitCode::FAILURE;
                 };
+                if n > MAX_JOBS {
+                    eprintln!("--jobs must be at most {MAX_JOBS}, got {n}");
+                    return ExitCode::FAILURE;
+                }
                 jobs = n;
             }
             "--json" => json = true,

@@ -10,6 +10,11 @@
 use std::sync::atomic::{AtomicUsize, Ordering};
 use std::sync::Mutex;
 
+/// Ceiling on a `--jobs` request (`co-ring explore|fleet` and `tables`): a
+/// worker is an OS thread, and no test, CI job or experiment uses more than
+/// 8, so a larger value is refused before any thread is spawned.
+pub const MAX_JOBS: usize = 256;
+
 /// Resolves a `--jobs` request: `0` means "one worker per available core".
 #[must_use]
 pub fn effective_jobs(requested: usize) -> usize {

@@ -2,6 +2,7 @@
 //! crate set justified in DESIGN.md has no CLI parser, and the grammar is
 //! small).
 
+use co_bench::parallel::MAX_JOBS;
 use co_core::registry::{Capability, ProtocolSpec};
 use co_core::IdScheme;
 use co_net::{LatencyModel, LatencyPlan, Schedule, SchedulerKind};
@@ -94,13 +95,6 @@ pub enum Command {
         graph: GraphSpec,
         /// Root node of the wave.
         root: usize,
-    },
-    /// Regenerate the paper's experiment tables (the co-bench catalogue).
-    Tables {
-        /// Experiments to run (empty = all of E0–E22).
-        exps: Vec<co_bench::Experiment>,
-        /// Worker threads per experiment grid (0 = one per core).
-        jobs: usize,
     },
     /// Run a fleet of independent concurrent ring elections (E21 harness).
     Fleet {
@@ -377,7 +371,6 @@ impl Cli {
         let mut which = co_classic::runner::Baseline::ChangRoberts;
         let mut graph = GraphSpec::Ring(8);
         let mut root = 0usize;
-        let mut exps: Vec<co_bench::Experiment> = Vec::new();
         let mut jobs: Option<usize> = None;
         let mut rings = 10_000u64;
         let mut sizes = co_net::fleet::RingSizes::Uniform { min: 3, max: 9 };
@@ -472,20 +465,12 @@ impl Cli {
                         .map_err(|_| err("--max-id must be an integer"))?;
                     at_most("--max-id", max_id, MAX_SOLITUDE_ID)?;
                 }
-                "--exp" => {
-                    let name = value("--exp")?;
-                    exps.push(co_bench::Experiment::parse(name).ok_or_else(|| {
-                        err(format!(
-                            "unknown experiment '{name}'; expected e0..e19, e21 or e22"
-                        ))
-                    })?);
-                }
                 "--jobs" => {
-                    jobs = Some(
-                        value("--jobs")?
-                            .parse()
-                            .map_err(|_| err("--jobs must be a number (0 = one per core)"))?,
-                    );
+                    let parsed: usize = value("--jobs")?
+                        .parse()
+                        .map_err(|_| err("--jobs must be a number (0 = one per core)"))?;
+                    at_most("--jobs", parsed as u64, MAX_JOBS as u64)?;
+                    jobs = Some(parsed);
                 }
                 "--rings" => {
                     rings = value("--rings")?
@@ -605,10 +590,6 @@ impl Cli {
             "solitude" => Command::Solitude { max_id },
             "baseline" => Command::Baseline { which },
             "echo" => Command::Echo { graph, root },
-            "tables" => Command::Tables {
-                exps,
-                jobs: jobs.unwrap_or(1),
-            },
             "fleet" => {
                 // `fleet` reuses `--protocol`; the capability gate rejects
                 // non-fleet-capable choices at parse time, listing the
@@ -708,7 +689,6 @@ COMMANDS:
   solitude    Definition 21: print solitude patterns per ID
   baseline    Run a classical content-carrying baseline
   echo        Flood-echo wave on a general graph (§7 groundwork)
-  tables      Regenerate the paper's experiment tables (E0..E19, E21, E22)
   fleet       Run a fleet of independent concurrent ring elections
   record      Run once, printing a replayable delivery schedule
   replay      Deterministically re-execute a recorded schedule
@@ -733,9 +713,8 @@ OPTIONS:
   --max-id K          solitude: largest ID           (K <= {max_id})
   --algo A            baseline: cr|hs|peterson|franklin
   --graph G --root R  echo: ring:N | complete:N | path:N, wave root
-  --exp eN            tables: select an experiment (repeatable; default all)
-  --jobs N            tables/explore/fleet: worker threads (0 = one per core;
-                      default 1, fleet defaults to 0)
+  --jobs N            explore/fleet: worker threads (0 = one per core;
+                      default 1, fleet defaults to 0; N <= {max_jobs})
   --rings N           fleet: rings per round  (default 10000; N <= {max_rings})
   --ring-sizes S      fleet: N | uniform:MIN..MAX | mix:a,b,c
                       (default uniform:3..9; every size <= {max_n}, and
@@ -766,6 +745,7 @@ OPTIONS:
         max_n = MAX_N,
         max_id = MAX_SOLITUDE_ID,
         max_rings = MAX_RINGS,
+        max_jobs = MAX_JOBS,
         shard = co_net::fleet::DEFAULT_SHARD_RINGS,
         shard_nodes = MAX_FLEET_SHARD_NODES,
         max_budget = co_net::dedup::MMAP_MAX_BUDGET >> 30,
@@ -825,18 +805,10 @@ mod tests {
     }
 
     #[test]
-    fn parses_tables() {
-        let cli =
-            Cli::parse(["tables", "--exp", "e1", "--exp", "E10", "--jobs", "4"]).expect("parses");
-        assert_eq!(
-            cli.command,
-            Command::Tables {
-                exps: vec![co_bench::Experiment::E1, co_bench::Experiment::E10],
-                jobs: 4,
-            }
-        );
-        assert!(Cli::parse(["tables", "--exp", "e99"]).is_err());
-        assert!(Cli::parse(["tables", "--jobs", "many"]).is_err());
+    fn tables_is_an_unknown_command() {
+        // The experiment catalogue has one front end, the `tables` binary.
+        let e = Cli::parse(["tables"]).unwrap_err();
+        assert_eq!(e.to_string(), "unknown command 'tables'; try 'help'");
     }
 
     #[test]
@@ -1131,6 +1103,18 @@ mod tests {
     }
 
     #[test]
+    fn jobs_above_their_ceiling_are_refused() {
+        // Parse-time only: no test may start MAX_JOBS threads.
+        let too_many = (MAX_JOBS + 1).to_string();
+        for cmd in ["explore", "fleet"] {
+            assert!(Cli::parse([cmd, "--jobs", &MAX_JOBS.to_string()]).is_ok());
+            let e = Cli::parse([cmd, "--jobs", &too_many]).unwrap_err();
+            assert_eq!(e.to_string(), "--jobs must be at most 256, got 257");
+        }
+        assert!(Cli::parse(["explore", "--jobs", "18446744073709551615"]).is_err());
+    }
+
+    #[test]
     fn max_id_above_its_ceiling_is_refused() {
         assert!(Cli::parse(["solitude", "--max-id", &MAX_SOLITUDE_ID.to_string()]).is_ok());
         let e = Cli::parse(["solitude", "--max-id", "18446744073709551615"]).unwrap_err();
@@ -1158,6 +1142,7 @@ mod tests {
             MAX_RINGS.to_string(),
             MAX_SOLITUDE_ID.to_string(),
             MAX_FLEET_SHARD_NODES.to_string(),
+            MAX_JOBS.to_string(),
             format!("{}G", co_net::dedup::MMAP_MAX_BUDGET >> 30),
         ] {
             assert!(text.contains(&ceiling), "{ceiling} missing from help");

@@ -60,7 +60,6 @@ pub fn run(cli: &Cli) -> CommandOutput {
         Command::Solitude { max_id } => solitude(*max_id),
         Command::Baseline { which } => baseline(&cli.opts, *which),
         Command::Echo { graph, root } => echo(&cli.opts, graph, *root),
-        Command::Tables { exps, jobs } => tables(exps, *jobs),
         Command::Fleet {
             rings,
             sizes,
@@ -447,23 +446,6 @@ fn explore_cmd(
     // A broken claim is the run's finding, not a refused input (exit 1).
     let code = if report.violations.is_empty() { 0 } else { 2 };
     CommandOutput { text, json, code }
-}
-
-fn tables(exps: &[co_bench::Experiment], jobs: usize) -> CommandOutput {
-    let selected: Vec<co_bench::Experiment> = if exps.is_empty() {
-        co_bench::Experiment::ALL.to_vec()
-    } else {
-        exps.to_vec()
-    };
-    let mut text = String::new();
-    let mut docs = Vec::new();
-    for exp in selected {
-        let table = co_bench::run_experiment_with(exp, jobs);
-        text.push_str(&table.to_string());
-        text.push('\n');
-        docs.push(table.to_json());
-    }
-    ok(text, array(docs))
 }
 
 /// Prints the protocol registry: every entry's name, layer and capability

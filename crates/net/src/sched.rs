@@ -16,7 +16,7 @@ use crate::topology::ChannelId;
 use rand::rngs::StdRng;
 use rand::{Rng, SeedableRng};
 use std::cmp::Reverse;
-use std::collections::{BTreeMap, BTreeSet, HashMap, HashSet, VecDeque};
+use std::collections::{BTreeMap, BTreeSet, HashMap, VecDeque};
 use std::fmt;
 
 /// A read-only view of one non-empty channel, as the engine's hooks report
@@ -51,8 +51,8 @@ pub struct ChannelView {
 /// index — which is all the engine's incremental hooks provide.
 ///
 /// Backs the adversaries whose order is not send order: Lifo, RoundRobin,
-/// StarveDirection, StarveNode, LongestQueue and Replay (Fifo, Solitude
-/// and Latency pop a send-order queue instead). Every key but RoundRobin's
+/// StarveDirection, LongestQueue and Replay (Fifo, Solitude and Latency
+/// pop a send-order queue instead). Every key but RoundRobin's
 /// includes `head_seq` (globally unique across channels), so the trailing
 /// channel index only makes set elements unique.
 #[derive(Clone, Debug)]
@@ -681,70 +681,6 @@ impl Scheduler for StarveDirectionScheduler {
     }
 }
 
-/// Starves a single node: channels *toward* the victim deliver only when
-/// nothing else is ready, simulating one maximally slow process.
-#[derive(Clone, Debug)]
-pub struct StarveNodeScheduler {
-    victim: usize,
-    /// Channels toward the victim, hashed once in `new` so sorting a channel
-    /// into its tier is O(1).
-    victims_channels: HashSet<ChannelId>,
-    /// Channels not aimed at the victim, FIFO by head seq.
-    preferred: ReadyIndex<u64>,
-    /// Channels toward the victim — drained only when `preferred` is empty.
-    deferred: ReadyIndex<u64>,
-}
-
-impl StarveNodeScheduler {
-    /// Creates a scheduler starving deliveries to node `victim`.
-    ///
-    /// `incoming` must list the channels whose endpoint is the victim (the
-    /// simulator's [`crate::Wiring`] provides this).
-    #[must_use]
-    pub fn new(victim: usize, incoming: Vec<ChannelId>) -> StarveNodeScheduler {
-        StarveNodeScheduler {
-            victim,
-            victims_channels: incoming.into_iter().collect(),
-            preferred: ReadyIndex::new(),
-            deferred: ReadyIndex::new(),
-        }
-    }
-
-    /// The starved node.
-    #[must_use]
-    pub fn victim(&self) -> usize {
-        self.victim
-    }
-
-    fn tier(&mut self, id: ChannelId) -> &mut ReadyIndex<u64> {
-        if self.victims_channels.contains(&id) {
-            &mut self.deferred
-        } else {
-            &mut self.preferred
-        }
-    }
-}
-
-impl Scheduler for StarveNodeScheduler {
-    fn pick(&mut self, _ready: &[ChannelId]) -> ChannelId {
-        indexed(self.preferred.first().or_else(|| self.deferred.first()))
-    }
-
-    fn on_change(&mut self, view: ChannelView) {
-        self.tier(view.id).insert(view.id.index(), view.head_seq);
-    }
-
-    fn on_unready(&mut self, id: ChannelId) {
-        self.preferred.remove(id.index());
-        self.deferred.remove(id.index());
-    }
-
-    fn clear_index(&mut self) {
-        self.preferred.clear();
-        self.deferred.clear();
-    }
-}
-
 /// Drains the longest queue first — a bursty, congestion-like schedule.
 #[derive(Clone, Debug, Default)]
 pub struct LongestQueueScheduler {
@@ -1334,22 +1270,6 @@ mod tests {
         // Only CCW ready: it must be delivered (finite delays).
         s.on_unready(ch(1));
         assert_eq!(s.pick(&ids(&ready[..1])), ch(0));
-    }
-
-    #[test]
-    fn starve_node_defers_victim_channels() {
-        let mut s = StarveNodeScheduler::new(1, vec![ch(0), ch(2)]);
-        assert_eq!(s.victim(), 1);
-        let ready = [
-            view(0, 1, 0, None),
-            view(2, 1, 1, None),
-            view(5, 1, 9, None),
-        ];
-        // Non-victim channel 5 wins despite the older heads toward the victim.
-        assert_eq!(pick_fresh(&mut s, &ready), ch(5));
-        s.on_unready(ch(5));
-        // Only victim channels left: oldest head among them.
-        assert_eq!(s.pick(&ids(&ready[..2])), ch(0));
     }
 
     #[test]

@@ -31,7 +31,6 @@ use content_oblivious::core::Alg2Node;
 use content_oblivious::net::sched::{
     BoundedDelayScheduler, FifoScheduler, LatencyScheduler, LongestQueueScheduler,
     PhaseSwitchScheduler, ReplayScheduler, RoundRobinScheduler, StarveDirectionScheduler,
-    StarveNodeScheduler,
 };
 use content_oblivious::net::{
     Budget, ChannelId, ChannelView, Direction, FaultPlan, LatencyModel, LatencyPlan, Protocol,
@@ -42,7 +41,7 @@ use rand::rngs::StdRng;
 use rand::{Rng, SeedableRng};
 use std::cell::Cell;
 use std::cmp::Reverse;
-use std::collections::{HashSet, VecDeque};
+use std::collections::VecDeque;
 use std::rc::Rc;
 
 // ---------------------------------------------------------------------------
@@ -61,7 +60,6 @@ enum Order {
         cursor: usize,
     },
     StarveDirection(Direction),
-    StarveNode(HashSet<ChannelId>),
     LongestQueue,
     Latency,
     Replay {
@@ -178,7 +176,6 @@ impl Scheduler for ScanOracle {
                 let starved = Some(*starved);
                 min_by(&views, |v| (v.direction == starved, v.head_seq))
             }
-            Order::StarveNode(victims) => min_by(&views, |v| (victims.contains(&v.id), v.head_seq)),
             Order::LongestQueue => min_by(&views, |v| (Reverse(v.queue_len), v.head_seq)),
             Order::Latency => min_by(&views, |v| (v.arrival, v.head_seq)),
             Order::Replay { script, cursor } => {
@@ -397,19 +394,11 @@ fn random_mutation_sequences_agree_for_every_kind() {
     }
 }
 
-/// The composite and special-purpose adversaries outside `SchedulerKind`:
-/// starve-node, phase-switch, replay, bounded-delay.
+/// The composite and special-purpose adversaries outside `SchedulerKind`
+/// (phase-switch, replay, bounded-delay), and starve-direction built
+/// directly.
 #[test]
 fn special_schedulers_agree_too() {
-    let victims = |n: usize| (0..n).filter(|c| c % 3 == 0).map(ChannelId::from_index);
-    assert_picks_agree(
-        "starve-node",
-        Box::new(StarveNodeScheduler::new(0, victims(12).collect())),
-        Box::new(ScanOracle::new(Order::StarveNode(victims(12).collect()))),
-        12,
-        5,
-        2_000,
-    );
     assert_picks_agree(
         "starve-direction",
         Box::new(StarveDirectionScheduler::new(Direction::Ccw)),
