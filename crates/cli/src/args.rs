@@ -280,18 +280,96 @@ impl GraphSpec {
 
 /// A CLI parsing failure (message for the user).
 #[derive(Clone, Debug, PartialEq, Eq)]
-pub struct ParseError(pub String);
+pub enum ParseError {
+    /// A bad, missing or unknown argument.
+    Invalid(String),
+    /// A flag `co-ring` knows, given to a command that does not read it.
+    NotRead {
+        /// The command.
+        command: String,
+        /// The flag it does not read.
+        flag: String,
+    },
+}
 
 impl fmt::Display for ParseError {
     fn fmt(&self, f: &mut fmt::Formatter<'_>) -> fmt::Result {
-        write!(f, "{}", self.0)
+        match self {
+            ParseError::Invalid(msg) => f.write_str(msg),
+            ParseError::NotRead { command, flag } => {
+                write!(f, "{command} does not read {flag}")
+            }
+        }
     }
 }
 
 impl std::error::Error for ParseError {}
 
 fn err(msg: impl Into<String>) -> ParseError {
-    ParseError(msg.into())
+    ParseError::Invalid(msg.into())
+}
+
+/// The flags each command reads; `help` reads none. A flag that some
+/// command reads is refused, by name, on any other command.
+const COMMAND_FLAGS: &[(&str, &str)] = &[
+    (
+        "elect",
+        "--ids --n --scheduler --seed --latency --latency-seed --json",
+    ),
+    (
+        "stabilize",
+        "--ids --n --scheduler --seed --latency --latency-seed --json",
+    ),
+    (
+        "orient",
+        "--ids --n --scheduler --seed --latency --latency-seed --json --scheme",
+    ),
+    (
+        "anonymous",
+        "--n --scheduler --seed --latency --latency-seed --json --c --trials",
+    ),
+    (
+        "compose",
+        "--ids --n --scheduler --seed --latency --latency-seed --json",
+    ),
+    ("solitude", "--json --max-id"),
+    (
+        "baseline",
+        "--ids --n --scheduler --seed --latency --latency-seed --json --algo",
+    ),
+    ("echo", "--scheduler --seed --json --graph --root"),
+    (
+        "fleet",
+        concat!(
+            "--seed --json --protocol --jobs --rings --ring-sizes --fault-rate ",
+            "--rounds --duration"
+        ),
+    ),
+    (
+        "record",
+        "--ids --n --scheduler --seed --latency --latency-seed --json --protocol",
+    ),
+    (
+        "replay",
+        concat!(
+            "--ids --n --scheduler --seed --latency --latency-seed --json --protocol ",
+            "--schedule"
+        ),
+    ),
+    ("shrink", "--ids --n --seed --json --protocol"),
+    (
+        "explore",
+        concat!(
+            "--ids --n --json --protocol --jobs --max-configs --dedup --checkpoint ",
+            "--checkpoint-every --resume --spill --scratch-dir"
+        ),
+    ),
+    ("protocols", "--json"),
+];
+
+/// Whether the space-separated `flags` list `flag`.
+fn lists(flags: &str, flag: &str) -> bool {
+    flags.split_whitespace().any(|f| f == flag)
 }
 
 /// Ceiling on `--n` and on every `--ring-sizes` entry: 10× the largest ring
@@ -361,6 +439,11 @@ impl Cli {
                 opts: CommonOpts::default(),
             });
         };
+        let reads = match COMMAND_FLAGS.iter().find(|(name, _)| name == cmd) {
+            Some((_, flags)) => *flags,
+            None if matches!(cmd.as_str(), "help" | "--help" | "-h") => "",
+            None => return Err(err(format!("unknown command '{cmd}'; try 'help'"))),
+        };
 
         let mut opts = CommonOpts::default();
         let mut scheme = IdScheme::Improved;
@@ -388,6 +471,12 @@ impl Cli {
         let mut scratch_dir: Option<std::path::PathBuf> = None;
 
         while let Some(flag) = it.next() {
+            if !lists(reads, flag) && COMMAND_FLAGS.iter().any(|(_, f)| lists(f, flag)) {
+                return Err(ParseError::NotRead {
+                    command: cmd.clone(),
+                    flag: flag.clone(),
+                });
+            }
             let mut value = |name: &str| -> Result<&String, ParseError> {
                 it.next()
                     .ok_or_else(|| err(format!("{name} requires a value")))
@@ -644,8 +733,8 @@ impl Cli {
                 scratch_dir,
             },
             "protocols" => Command::Protocols,
-            "help" | "--help" | "-h" => Command::Help,
-            other => return Err(err(format!("unknown command '{other}'; try 'help'"))),
+            // Any other name was refused before the flags were read.
+            _ => Command::Help,
         };
         // Algorithm 3 runs on virtual IDs derived from the real ones; refuse
         // IDs whose virtual IDs would not fit in a u64.
@@ -697,7 +786,7 @@ COMMANDS:
   protocols   Print the protocol registry (names × capabilities)
   help        This text
 
-OPTIONS:
+OPTIONS (a command refuses one it does not read):
   --ids a,b,c         node IDs clockwise            (default 1..=8)
   --n N               shorthand for --ids 1,...,N     (N <= {max_n})
   --scheduler NAME    fifo|solitude|lifo|random|round-robin|
@@ -1055,6 +1144,40 @@ mod tests {
         let flag = ["--", "batch"].concat();
         let e = Cli::parse(["elect", flag.as_str(), "on"]).unwrap_err();
         assert_eq!(e.to_string(), format!("unknown flag '{flag}'"));
+    }
+
+    #[test]
+    fn a_flag_the_command_does_not_read_is_refused() {
+        let e = Cli::parse([
+            "elect", "--n", "4", "--jobs", "4", "--rings", "5", "--dedup", "mmap",
+        ])
+        .unwrap_err();
+        assert_eq!(
+            e,
+            ParseError::NotRead {
+                command: "elect".into(),
+                flag: "--jobs".into()
+            }
+        );
+        assert_eq!(e.to_string(), "elect does not read --jobs");
+        let e = Cli::parse(["help", "--json"]).unwrap_err();
+        assert_eq!(e.to_string(), "help does not read --json");
+    }
+
+    #[test]
+    fn every_listed_flag_is_parsed_for_its_command() {
+        for (cmd, flags) in COMMAND_FLAGS {
+            for flag in flags.split_whitespace() {
+                let got = Cli::parse([cmd, flag]).err().map(|e| e.to_string());
+                if flag == "--json" {
+                    // It takes no value; `replay` still wants its schedule.
+                    assert!(got.is_none() || *cmd == "replay", "{cmd}: {got:?}");
+                } else {
+                    // Without its value a flag fails only for wanting one.
+                    assert_eq!(got, Some(format!("{flag} requires a value")), "{cmd}");
+                }
+            }
+        }
     }
 
     #[test]

@@ -1056,7 +1056,7 @@ mod tests {
 
     #[test]
     fn shrink_minimizes_the_ungated_ablation() {
-        let out = run_line(&["shrink", "--ids", "1,2,3", "--scheduler", "random"]);
+        let out = run_line(&["shrink", "--ids", "1,2,3"]);
         assert_eq!(out.code, 0);
         assert_eq!(out.json.get("violation_found"), Some(&Value::Bool(true)));
         let orig = out.json.get("original_len").expect("original_len");

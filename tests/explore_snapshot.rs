@@ -1,58 +1,20 @@
-//! Acceptance for the snapshot-based explorer: against the reference
-//! tuple-keyed explorer it must visit the *same* state space in *less*
-//! dedup memory, and under an equal byte budget it must reach strictly
-//! more configurations. Both check Algorithm 2's claims.
+//! Acceptance for the snapshot-based explorer: it must visit the *same*
+//! state space as the independent model (`tests/model`), which keeps every
+//! full configuration and so cannot merge two different ones, while its
+//! fingerprint index takes less memory than those configurations.
 
-use content_oblivious::core::registry::{
-    Alg2Def, ExploreDriver, ExploreProperties, ExploreRing, RingProtocol,
-};
-use content_oblivious::core::{Alg2Node, Role};
-use content_oblivious::net::explore::{
-    explore, explore_reference, ExploreConfig, ExploreLimits, ExploreReport,
-};
-use content_oblivious::net::{Protocol, RingSpec};
+// This binary models Algorithm 2 only.
+#[allow(dead_code)]
+mod model;
 
-type Key = (u64, u64, u64, u64, u64, bool, bool);
-
-fn reference_key(node: &Alg2Node) -> Key {
-    (
-        node.rho_cw(),
-        node.sigma_cw(),
-        node.rho_ccw(),
-        node.sigma_ccw(),
-        node.deferred_ccw(),
-        node.role() == Role::Leader,
-        node.is_terminated(),
-    )
-}
-
-/// The fingerprint explorer at one worker under `limits`.
-fn snapshot(spec: &RingSpec, limits: ExploreLimits) -> ExploreReport {
-    let config = ExploreConfig {
-        jobs: 1,
-        limits,
-        ..ExploreConfig::default()
-    };
-    ExploreDriver::of::<Alg2Def>().run(spec, &config)
-}
-
-/// The tuple-keyed reference explorer under `limits`.
-fn reference(spec: &RingSpec, limits: ExploreLimits) -> ExploreReport {
-    let ring = ExploreRing::new(spec);
-    explore_reference(
-        &spec.wiring(),
-        || Alg2Def::nodes(spec),
-        reference_key,
-        |state| Alg2Def::safety(&ring, state),
-        |state| Alg2Def::at_quiescence(&ring, state),
-        limits,
-    )
-}
+use content_oblivious::core::registry::{Alg2Def, ExploreDriver};
+use content_oblivious::net::explore::ExploreConfig;
+use content_oblivious::net::RingSpec;
+use model::{Protocol, Ring};
 
 #[test]
 fn snapshot_explorer_covers_the_same_space_in_fewer_bytes() {
-    // The reference dedups on full state tuples, so it cannot collide. The
-    // 5- and 6-node rings give the fingerprint's position-keyed sum
+    // The 5- and 6-node rings give the fingerprint's position-keyed sum
     // thousands of configurations that differ by one moved pulse: a
     // structured collision among them would show up as a lower count.
     let rings = [
@@ -65,79 +27,30 @@ fn snapshot_explorer_covers_the_same_space_in_fewer_bytes() {
     ];
     for ids in rings {
         let spec = RingSpec::oriented(ids.clone());
-        let snap = snapshot(&spec, ExploreLimits::default());
-        let reference = reference(&spec, ExploreLimits::default());
-        assert!(snap.complete && reference.complete, "{ids:?}");
+        let snap = ExploreDriver::of::<Alg2Def>().run(
+            &spec,
+            &ExploreConfig {
+                jobs: 1,
+                ..ExploreConfig::default()
+            },
+        );
+        let model = model::explore(&Ring::oriented(Protocol::Alg2, &ids));
+        assert!(snap.complete, "{ids:?}");
         assert!(snap.violations.is_empty(), "{ids:?}: {:?}", snap.violations);
-        assert_eq!(snap.violations, reference.violations, "{ids:?}");
         assert_eq!(
-            snap.configs, reference.configs,
-            "{ids:?}: explorers disagree on the state space"
+            snap.configs, model.configs,
+            "{ids:?}: the explorer and the model disagree on the state space"
         );
         assert_eq!(
-            snap.quiescent_configs, reference.quiescent_configs,
+            snap.quiescent_configs,
+            model.quiescent.len(),
             "{ids:?}: quiescent counts disagree"
         );
+        let model_bytes = model.configs * ids.len() * (model::SLOTS + 2) * 4;
         assert!(
-            snap.visited_bytes < reference.visited_bytes,
-            "{ids:?}: fingerprint index ({} B) not smaller than the reference ({} B)",
+            snap.visited_bytes < model_bytes,
+            "{ids:?}: fingerprint index ({} B) not smaller than the full configurations ({model_bytes} B)",
             snap.visited_bytes,
-            reference.visited_bytes
         );
     }
-}
-
-#[test]
-fn equal_byte_budget_gives_the_snapshot_explorer_more_reach() {
-    // Size the budget to exactly fit the snapshot explorer's full index. The
-    // reference explorer — paying for whole state tuples per config — must
-    // run out of memory first and cover strictly fewer configurations.
-    let spec = RingSpec::oriented(vec![1, 2, 3]);
-    let full = snapshot(&spec, ExploreLimits::default());
-    assert!(full.complete);
-
-    let budget = ExploreLimits {
-        max_state_bytes: full.visited_bytes,
-        ..ExploreLimits::default()
-    };
-    let snap = snapshot(&spec, budget);
-    let reference = reference(&spec, budget);
-    assert!(
-        snap.complete,
-        "snapshot explorer should finish inside its own footprint"
-    );
-    assert!(
-        !reference.complete,
-        "reference explorer should exhaust the byte budget"
-    );
-    assert!(
-        reference.configs < snap.configs,
-        "reference reached {} configs, snapshot {}",
-        reference.configs,
-        snap.configs
-    );
-}
-
-#[test]
-fn theorem1_still_checked_through_the_snapshot_explorer() {
-    // The rewritten explorer must still catch violations: check Algorithm
-    // 2's claims (Theorem 1's exact count among them) at every quiescent
-    // configuration, and confirm a falsified predicate is reported.
-    let spec = RingSpec::oriented(vec![2, 1, 3]);
-    let report = snapshot(&spec, ExploreLimits::default());
-    assert!(report.complete);
-    assert!(report.violations.is_empty(), "{:?}", report.violations);
-    assert!(report.quiescent_configs >= 1);
-
-    let falsified = explore(
-        &spec.wiring(),
-        || Alg2Def::nodes(&spec),
-        |_| Ok(()),
-        |_| Err("always wrong".into()),
-        &ExploreConfig {
-            jobs: 1,
-            ..ExploreConfig::default()
-        },
-    );
-    assert!(!falsified.violations.is_empty());
 }

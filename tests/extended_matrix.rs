@@ -109,7 +109,6 @@ fn alg2_exhaustive_larger_rings() {
                 limits: ExploreLimits {
                     max_configs: 50_000_000,
                     max_depth: 1_000_000,
-                    max_state_bytes: usize::MAX,
                 },
                 ..ExploreConfig::default()
             },

@@ -20,8 +20,11 @@
 //! Each experiment number has one source: the Criterion-shaped micro-bench
 //! harness and its bench targets are gone (perfbench and the `tables`
 //! catalogue time the system), and so is the `co-ring tables` front end
-//! (the `tables` binary is the one). No source under `crates/`, `tests/` or
-//! `examples/` names any of them again.
+//! (the `tables` binary is the one). The explorer is one path: the second,
+//! tuple-keyed explorer and the visited-set byte budget only it was
+//! compared under are gone, and an independent model in `tests/model`
+//! checks the explorer's counts instead. No source under `crates/`,
+//! `tests/` or `examples/` names any of them again.
 
 use std::fs;
 use std::path::{Path, PathBuf};
@@ -155,9 +158,10 @@ fn engine_snapshots_keep_no_second_encoding_of_run_state() {
 }
 
 /// Names of the deleted async node facade, engine timer heap,
-/// thread-per-node runtime, starve-node adversary, micro-bench harness and
-/// `co-ring tables` command. Each is split with `concat!` so that this file,
-/// which the guard also reads, does not contain the names it forbids.
+/// thread-per-node runtime, starve-node adversary, micro-bench harness,
+/// `co-ring tables` command, second explorer and its byte budget. Each is
+/// split with `concat!` so that this file, which the guard also reads, does
+/// not contain the names it forbids.
 const DELETED_LAYERS: &[&str] = &[
     concat!("runtime", "::"),
     concat!("arm", "_timer"),
@@ -176,6 +180,8 @@ const DELETED_LAYERS: &[&str] = &[
     concat!("criterion", "_main"),
     concat!("co_bench::", "harness"),
     concat!("Command::", "Tables"),
+    concat!("explore", "_reference"),
+    concat!("max_state", "_bytes"),
 ];
 
 #[test]
@@ -201,7 +207,8 @@ fn no_source_names_the_async_facade_or_the_timer_heap() {
     assert!(
         leaks.is_empty(),
         "a deleted layer is back (the model has no timers or runtime of its own, \
-         and the experiments have one front end and one timing path):\n{}",
+         the experiments have one front end and one timing path, and there is \
+         one explorer):\n{}",
         leaks.join("\n")
     );
 }
