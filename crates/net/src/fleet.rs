@@ -11,8 +11,9 @@
 //!   the shard, addressed by per-ring offsets;
 //! - **queues**: one send-order queue per shard, reused by each ring in
 //!   turn. A pulse has no content, so a ring's whole queue state is its
-//!   in-flight sends in send order; the FIFO pick pops the front, and the
-//!   counter backend's 16-byte runs are blocks of equal adjacent entries.
+//!   in-flight sends in send order, kept in one flat buffer behind a head
+//!   cursor; the FIFO pick takes the front, and the counter backend's
+//!   16-byte runs are blocks of equal adjacent entries.
 //!
 //! Rings are mutually independent, so a shard runs them one after another
 //! through the same arenas (maximum cache reuse, zero per-ring allocation
@@ -41,14 +42,12 @@
 use crate::dedup::splitmix64;
 use crate::engine::{Budget, Outcome, RunReport, SimStats};
 use crate::port::Port;
-use crate::prof;
 use crate::sim::{configuration_hash, Context, Protocol};
 use crate::snapshot::Snapshot;
 use crate::Pulse;
 use rand::rngs::StdRng;
 use rand::seq::SliceRandom;
 use rand::{Rng, SeedableRng};
-use std::collections::VecDeque;
 use std::fmt;
 use std::ops::Range;
 use std::str::FromStr;
@@ -295,23 +294,32 @@ pub fn ring_plan(cfg: &FleetConfig, round: u64, ring: u64) -> RingPlan {
 /// Marks a ring with no planned fault in the shard's per-ring inject table.
 const NO_INJECT: u32 = u32::MAX;
 
+/// Buffer length at which [`SendQueue::push`] may compact: once the buffer
+/// holds this many entries and at least half of them are consumed, the
+/// consumed prefix is dropped. A ring's buffer therefore never exceeds
+/// `max(COMPACT_LEN, 2 × in-flight)` entries after a push, under any budget.
+const COMPACT_LEN: usize = 4096;
+
 /// One ring's in-flight pulses as ring-local channel indices in send order.
 ///
 /// A pulse carries no content, so a channel queue is nothing but the set of
 /// its in-flight sends; under FIFO the oldest send is always delivered
 /// first. The whole queue state of a ring is therefore this one sequence:
-/// a send (or an injected fault) pushes its channel at the back, the FIFO
-/// pick pops the front, and `in_flight` is the length.
+/// a send (or an injected fault) pushes its channel at the back of `buf`,
+/// the FIFO pick reads the entry at `head` and advances it, and the
+/// in-flight sends are `buf[head..]`. Consumed entries stay in place until
+/// the ring ends or [`COMPACT_LEN`] says to drop them.
 ///
 /// The counter backend stores a channel's queue as runs of consecutive
 /// sequence numbers. Sequence numbers are consecutive here too, so a run is
 /// a block of equal adjacent entries: `live_runs` rises on a push whose
-/// channel differs from the back entry and falls on a pop whose channel
-/// differs from the new front, which keeps `peak_runs × RUN_BYTES` exactly
-/// the engine's `peak_queue_bytes`.
+/// channel differs from the back in-flight entry and falls on a pop whose
+/// channel differs from the new front, which keeps `peak_runs × RUN_BYTES`
+/// exactly the engine's `peak_queue_bytes`.
 #[derive(Debug, Default)]
 struct SendQueue {
-    order: VecDeque<u32>,
+    buf: Vec<u32>,
+    head: usize,
     live_runs: u64,
     peak_runs: u64,
 }
@@ -319,27 +327,38 @@ struct SendQueue {
 impl SendQueue {
     /// Empties the queue for the next ring, keeping its allocation.
     fn reset(&mut self) {
-        self.order.clear();
+        self.buf.clear();
+        self.head = 0;
         self.live_runs = 0;
         self.peak_runs = 0;
     }
 
-    fn push(&mut self, c: usize) {
-        let c = c as u32;
-        if self.order.back() != Some(&c) {
+    /// The in-flight sends, oldest first.
+    fn in_flight(&self) -> &[u32] {
+        &self.buf[self.head..]
+    }
+
+    fn push(&mut self, c: u32) {
+        let len = self.buf.len();
+        if self.head == len || self.buf[len - 1] != c {
             self.live_runs += 1;
             self.peak_runs = self.peak_runs.max(self.live_runs);
         }
-        self.order.push_back(c);
+        if len >= COMPACT_LEN && 2 * self.head >= len {
+            self.buf.drain(..self.head);
+            self.head = 0;
+        }
+        self.buf.push(c);
     }
 
     /// Pops the oldest in-flight send: the FIFO pick.
-    fn pop(&mut self) -> Option<usize> {
-        let c = self.order.pop_front()?;
-        if self.order.front() != Some(&c) {
+    fn pop(&mut self) -> Option<u32> {
+        let c = *self.buf.get(self.head)?;
+        self.head += 1;
+        if self.buf.get(self.head) != Some(&c) {
             self.live_runs -= 1;
         }
-        Some(c as usize)
+        Some(c)
     }
 }
 
@@ -352,14 +371,14 @@ impl SendQueue {
 /// per-node counters to reconstruct a full [`SimStats`].
 trait RingObserver {
     fn on_send(&mut self, node: usize, port: usize);
-    fn on_recv(&mut self, node: usize, port: usize);
+    fn on_recv(&mut self, node: usize, port: Port);
 }
 
 struct NullObserver;
 
 impl RingObserver for NullObserver {
     fn on_send(&mut self, _node: usize, _port: usize) {}
-    fn on_recv(&mut self, _node: usize, _port: usize) {}
+    fn on_recv(&mut self, _node: usize, _port: Port) {}
 }
 
 struct PortCounters {
@@ -371,8 +390,8 @@ impl RingObserver for PortCounters {
     fn on_send(&mut self, node: usize, port: usize) {
         self.sent[2 * node + port] += 1;
     }
-    fn on_recv(&mut self, node: usize, port: usize) {
-        self.recv[2 * node + port] += 1;
+    fn on_recv(&mut self, node: usize, port: Port) {
+        self.recv[2 * node + port as usize] += 1;
     }
 }
 
@@ -415,15 +434,13 @@ fn flush<O: RingObserver>(
     rr: &mut RingRun,
     obs: &mut O,
 ) {
-    let t = prof::start();
     for (port, _msg) in outbox.drain(..) {
         rr.total_sent += 1;
         // Oriented ring: port One (index 1) is the CW direction (slot 0).
         rr.sent_by_direction[1 - port] += 1;
         obs.on_send(node, port);
-        q.push(node * 2 + port);
+        q.push((node * 2 + port) as u32);
     }
-    prof::stop(prof::Phase::Enqueue, t);
 }
 
 /// Runs one oriented ring to quiescence or budget exhaustion under FIFO
@@ -458,26 +475,26 @@ fn run_ring<P: Protocol<Pulse>, O: RingObserver>(
     // Fault injection: one spurious pulse, sequenced after start-up sends;
     // counted as a fault, never as a send (`EventCore::inject`).
     if let Some(c) = inject {
-        q.push(c);
+        q.push(c as u32);
         rr.injected += 1;
     }
 
     // Delivery loop: FIFO = globally oldest send first = the queue front.
     while rr.steps < budget {
-        let t = prof::start();
-        let picked = q.pop();
-        prof::stop(prof::Phase::Pick, t);
-        let Some(c) = picked else { break };
+        let Some(c) = q.pop() else { break };
         rr.steps += 1;
 
         // Oriented wiring: channel (v, One) feeds the CW neighbour's port
         // Zero; channel (v, Zero) feeds the CCW neighbour's port One.
-        let sender = c / 2;
-        let port = c % 2;
-        let (receiver, in_port) = if port == 1 {
-            ((sender + 1) % n, 0)
+        // Neighbours wrap by compare, not `% n`: the divide, and the
+        // `terminated[receiver]` load waiting on it, was the loop's largest
+        // single cost.
+        let sender = (c >> 1) as usize;
+        let (receiver, in_port) = if c & 1 == 1 {
+            let cw = sender + 1;
+            (if cw == n { 0 } else { cw }, Port::Zero)
         } else {
-            ((sender + n - 1) % n, 1)
+            (if sender == 0 { n - 1 } else { sender - 1 }, Port::One)
         };
         if terminated[receiver] {
             rr.delivered_to_terminated += 1;
@@ -485,17 +502,15 @@ fn run_ring<P: Protocol<Pulse>, O: RingObserver>(
         }
         rr.total_delivered += 1;
         obs.on_recv(receiver, in_port);
-        let t = prof::start();
         let mut ctx = Context::buffered(receiver, outbox);
-        nodes[receiver].on_message(Port::from_index(in_port), Pulse, &mut ctx);
-        prof::stop(prof::Phase::Deliver, t);
+        nodes[receiver].on_message(in_port, Pulse, &mut ctx);
         flush(receiver, outbox, q, &mut rr, obs);
         if !terminated[receiver] && nodes[receiver].is_terminated() {
             terminated[receiver] = true;
         }
     }
 
-    rr.in_flight = q.order.len() as u64;
+    rr.in_flight = q.in_flight().len() as u64;
     rr.all_terminated = terminated.iter().all(|&t| t);
     rr.peak_runs = q.peak_runs;
     rr
@@ -924,7 +939,7 @@ where
     // The layout of `Simulation::fingerprint`, over per-channel queue
     // lengths in global channel order.
     let mut queue_len = vec![0u64; 2 * n];
-    for &c in &q.order {
+    for &c in q.in_flight() {
         queue_len[c as usize] += 1;
     }
     let fingerprint = configuration_hash(
@@ -966,6 +981,7 @@ mod tests {
     use super::*;
     use crate::snapshot::Fingerprint;
     use crate::{QueueBackend, RingSpec, SchedulerKind, Simulation};
+    use std::collections::VecDeque;
 
     /// A miniature Algorithm 1: send CW on start, relay until the received
     /// count reaches the node's ID. Stabilizes with the ID_max holder as
@@ -1036,6 +1052,71 @@ mod tests {
 
     fn mini_leader(p: &MiniAlg1) -> bool {
         p.leader
+    }
+
+    /// The counter backend's live runs of a queue: blocks of equal
+    /// adjacent entries.
+    fn runs(model: &VecDeque<u32>) -> u64 {
+        let mut runs = 0;
+        let mut back = None;
+        for &c in model {
+            if back != Some(c) {
+                runs += 1;
+            }
+            back = Some(c);
+        }
+        runs
+    }
+
+    #[test]
+    fn send_queue_matches_a_deque_model() {
+        let mut rng = StdRng::seed_from_u64(33);
+        let mut q = SendQueue::default();
+        let (mut compactions, mut long_tails) = (0, 0);
+        // (channels, phase length, push odds while growing, while draining):
+        // alternating phases grow and drain the backlog, so the buffer
+        // passes COMPACT_LEN with short in-flight tails (1,500-step phases)
+        // and with tails too long to compact (4,000-step phases).
+        let shapes = [
+            (1u32, 1_500, 0.6, 0.4),
+            (2, 1_500, 0.6, 0.4),
+            (3, 1_500, 0.6, 0.4),
+            (8, 1_500, 0.6, 0.4),
+            (2, 4_000, 0.9, 0.3),
+        ];
+        for (channels, phase, grow, drain) in shapes {
+            q.reset();
+            let mut model = VecDeque::new();
+            let mut peak = 0;
+            for step in 0..12_000 {
+                let push_odds = if (step / phase) % 2 == 0 { grow } else { drain };
+                if rng.gen::<f64>() < push_odds {
+                    let c = rng.gen_range(0..channels);
+                    let (head, len) = (q.head, q.buf.len());
+                    q.push(c);
+                    model.push_back(c);
+                    if q.head < head {
+                        compactions += 1;
+                    } else if len >= COMPACT_LEN {
+                        long_tails += 1;
+                    }
+                    peak = peak.max(runs(&model));
+                    assert!(
+                        q.buf.len() <= COMPACT_LEN.max(2 * model.len()),
+                        "buffer {} with {} in flight",
+                        q.buf.len(),
+                        model.len()
+                    );
+                } else {
+                    assert_eq!(q.pop(), model.pop_front(), "step {step}");
+                }
+                assert!(q.in_flight().iter().eq(model.iter()), "step {step}");
+                assert_eq!(q.live_runs, runs(&model), "step {step}");
+                assert_eq!(q.peak_runs, peak, "step {step}");
+            }
+        }
+        assert!(compactions > 4, "only {compactions} compactions");
+        assert!(long_tails > 0, "no push kept a long in-flight tail");
     }
 
     #[test]

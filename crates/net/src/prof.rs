@@ -2,7 +2,12 @@
 //!
 //! The engine's hot phases ([`Phase`]), and the explorer's record loads,
 //! successor probes, visited-set inserts and frontier records, are
-//! bracketed with [`start`]/[`stop`] pairs. While profiling is off (the
+//! bracketed with [`start`]/[`stop`] pairs. The fleet kernel
+//! ([`crate::fleet`]) is not: its per-pulse loop is short enough that
+//! three disabled brackets per pulse were a measurable share of it, so
+//! `tables --profile` books no fleet pulse under an engine phase, and
+//! fleet time is measured per shard and per round by perfbench's
+//! `fleet.*` spans. While profiling is off (the
 //! default), each bracket is a single relaxed atomic load and no clock is
 //! read; switching [`set_enabled`]`(true)` turns every bracket into a timed
 //! sample feeding per-phase counters, total nanoseconds, and log₂ latency

@@ -11,7 +11,8 @@
 //!    must produce the same `RunReport`, the same `SimStats`, the same
 //!    configuration fingerprint and the same counter-backend peak queue
 //!    bytes as a `Simulation` built from the identical `RingPlan`, with and
-//!    without an injected fault.
+//!    without an injected fault, and for rings long enough to compact the
+//!    fleet's send buffer.
 //! 3. **Golden reports** — two full multi-shard `FleetReport`s are pinned
 //!    to the exact figures `co-ring fleet` printed for them before the
 //!    fleet kernel was rewritten, at every `--jobs` value.
@@ -162,6 +163,47 @@ fn one_ring_fleet_matches_the_event_core_for_the_papers_algorithms() {
             }
         }
     }
+}
+
+#[test]
+fn rings_that_compact_the_send_buffer_match_the_event_core() {
+    // Under Algorithm 1 an injected pulse circulates until the budget is
+    // spent: 200,000 deliveries, so the fleet's send buffer compacts many
+    // times before the ring stops, each time with the queue drained.
+    let alg1 = protocols().fleet("alg1").expect("alg1 is fleet-capable");
+    for (n, seed) in [(3usize, 0u64), (8, 1)] {
+        let mut cfg = FleetConfig::new(1);
+        cfg.sizes = RingSizes::Fixed(n);
+        cfg.seed = seed;
+        cfg.fault_rate = 1.0;
+        cfg.ring_budget = Some(200_000);
+        let detail = alg1.run_ring_detailed(&cfg, 0, 0);
+        assert!(detail.plan.inject.is_some());
+        assert_eq!(detail.report.steps, 200_000, "n = {n}: budget spent");
+        assert!(
+            detail.report.in_flight > 0,
+            "n = {n}: pulse still in flight"
+        );
+        assert_matches_simulation(
+            &detail,
+            |spec: &RingSpec, i| Alg1Node::new(spec.id(i), spec.cw_port(i)),
+            &format!("alg1, n = {n}, seed = {seed}, budget 200000"),
+        );
+    }
+
+    // A clean 64-node Algorithm 2 election sends 64·129 = 8,256 pulses
+    // with dozens in flight at a time, so the buffer compacts while it
+    // still holds pulses that must survive the move.
+    let alg2 = protocols().fleet("alg2").expect("alg2 is fleet-capable");
+    let mut cfg = FleetConfig::new(1);
+    cfg.sizes = RingSizes::Fixed(64);
+    let detail = alg2.run_ring_detailed(&cfg, 0, 0);
+    assert_eq!(detail.report.steps, 64 * 129);
+    assert_matches_simulation(
+        &detail,
+        |spec: &RingSpec, i| Alg2Node::new(spec.id(i), spec.cw_port(i)),
+        "alg2, n = 64, clean",
+    );
 }
 
 /// Merges `rounds` fleet rounds the way `co-ring fleet --rounds` does.
