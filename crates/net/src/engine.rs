@@ -47,6 +47,7 @@ use rand::rngs::StdRng;
 use std::collections::VecDeque;
 use std::error::Error;
 use std::fmt;
+use std::time::Instant;
 
 /// A channel table: how many nodes, how their ports map to directed FIFO
 /// channels, and where each channel delivers.
@@ -737,6 +738,17 @@ struct SendRun {
     at: usize,
 }
 
+/// Opens a profiler bracket on the observed delivery path; on the quiet
+/// one it is `None`, so the [`prof::stop`] that closes it compiles away.
+#[inline(always)]
+fn bracket<const OBSERVED: bool>() -> Option<Instant> {
+    if OBSERVED {
+        prof::start()
+    } else {
+        None
+    }
+}
+
 /// The generic event core: queues, scheduler dispatch, faults, accounting,
 /// and event recording over any [`Topology`].
 ///
@@ -1120,11 +1132,18 @@ impl<M: Message, T: Topology> EventCore<M, T> {
                 seq,
             });
         }
-        self.enqueue(channel, msg, seq);
+        self.enqueue::<true>(channel, msg, seq);
     }
 
-    fn enqueue(&mut self, channel: usize, msg: M, seq: u64) {
-        let t = prof::start();
+    /// Files a sent message: stamps its arrival, queues it, marks its
+    /// channel ready and reports it to the scheduler.
+    ///
+    /// `enqueue`, [`EventCore::flush_outbox`], [`EventCore::deliver`] and
+    /// the step they serve take `OBSERVED`: `true` keeps the profiler
+    /// brackets and the trace, metrics and recording checks, `false`
+    /// compiles them out for a [`EventCore::run`] that nothing observes.
+    fn enqueue<const OBSERVED: bool>(&mut self, channel: usize, msg: M, seq: u64) {
+        let t = bracket::<OBSERVED>();
         // Stamp the message's virtual arrival: a latency sample from the
         // channel's stream, clamped to the previous arrival so per-channel
         // FIFO holds in virtual time too. Untimed runs skip all of this and
@@ -1148,7 +1167,7 @@ impl<M: Message, T: Topology> EventCore<M, T> {
             self.ready_pos[channel] = self.ready.len();
             self.ready.push(ChannelId::from_index(channel));
         }
-        if let Some(m) = &mut self.metrics {
+        if let Some(m) = self.metrics.as_mut().filter(|_| OBSERVED) {
             let peak = self.queues.peak_queue_bytes() as u64;
             if peak > m.peak_queue_bytes {
                 m.peak_queue_bytes = peak;
@@ -1156,12 +1175,12 @@ impl<M: Message, T: Topology> EventCore<M, T> {
         }
         let view = self.view(channel);
         prof::stop(prof::Phase::Enqueue, t);
-        let t = prof::start();
+        let t = bracket::<OBSERVED>();
         self.scheduler.on_send(seq, arrival, view);
         prof::stop(prof::Phase::Index, t);
     }
 
-    fn flush_outbox(&mut self, node: usize, outbox: &mut Vec<(usize, M)>) {
+    fn flush_outbox<const OBSERVED: bool>(&mut self, node: usize, outbox: &mut Vec<(usize, M)>) {
         for (port, msg) in outbox.drain(..) {
             let channel = self.topology.out_channel(node, port);
             let seq = self.send_seq;
@@ -1172,7 +1191,7 @@ impl<M: Message, T: Topology> EventCore<M, T> {
             if let Some(d) = direction {
                 self.stats.sent_by_direction[d.index()] += 1;
             }
-            if self.observing() {
+            if OBSERVED && self.observing() {
                 self.emit(TraceEvent::Send {
                     node,
                     port,
@@ -1182,7 +1201,7 @@ impl<M: Message, T: Topology> EventCore<M, T> {
             }
             if self.faults.should_drop(seq) {
                 self.fault_stats.dropped += 1;
-                if self.observing() {
+                if OBSERVED && self.observing() {
                     self.emit(TraceEvent::Fault {
                         kind: FaultKind::Dropped,
                         seq,
@@ -1194,24 +1213,28 @@ impl<M: Message, T: Topology> EventCore<M, T> {
                 self.fault_stats.duplicated += 1;
                 let dup_seq = self.send_seq;
                 self.send_seq += 1;
-                if self.observing() {
+                if OBSERVED && self.observing() {
                     self.emit(TraceEvent::Fault {
                         kind: FaultKind::Duplicated,
                         seq: dup_seq,
                     });
                 }
-                self.enqueue(channel, msg.clone(), seq);
-                self.enqueue(channel, msg, dup_seq);
+                self.enqueue::<OBSERVED>(channel, msg.clone(), seq);
+                self.enqueue::<OBSERVED>(channel, msg, dup_seq);
             } else {
-                self.enqueue(channel, msg, seq);
+                self.enqueue::<OBSERVED>(channel, msg, seq);
             }
         }
     }
 
-    fn note_termination<H: EventHandler<M>>(&mut self, node: usize, handler: &H) {
+    fn note_termination<const OBSERVED: bool, H: EventHandler<M>>(
+        &mut self,
+        node: usize,
+        handler: &H,
+    ) {
         if !self.terminated[node] && handler.is_terminated(node) {
             self.terminated[node] = true;
-            if self.observing() {
+            if OBSERVED && self.observing() {
                 self.emit(TraceEvent::Terminate { node });
             }
         }
@@ -1229,9 +1252,9 @@ impl<M: Message, T: Topology> EventCore<M, T> {
             }
             let mut outbox = std::mem::take(&mut self.outbox);
             handler.on_start(node, self.topology.degree(node), &mut outbox);
-            self.flush_outbox(node, &mut outbox);
+            self.flush_outbox::<true>(node, &mut outbox);
             self.outbox = outbox;
-            self.note_termination(node, handler);
+            self.note_termination::<true, H>(node, handler);
         }
     }
 
@@ -1246,11 +1269,22 @@ impl<M: Message, T: Topology> EventCore<M, T> {
         &mut self,
         handler: &mut H,
     ) -> Result<Option<EngineStep>, EngineError> {
+        self.try_step_as::<true, H>(handler)
+    }
+
+    /// [`EventCore::try_step`], observed or quiet (see
+    /// [`EventCore::enqueue`]). Always inlined, so that the quiet run loop
+    /// and `try_step` each hold their own copy of the step.
+    #[inline(always)]
+    fn try_step_as<const OBSERVED: bool, H: EventHandler<M>>(
+        &mut self,
+        handler: &mut H,
+    ) -> Result<Option<EngineStep>, EngineError> {
         self.start(handler);
         if self.ready.is_empty() {
             return Ok(None);
         }
-        let t = prof::start();
+        let t = bracket::<OBSERVED>();
         let channel = self.scheduler.pick(&self.ready).index();
         prof::stop(prof::Phase::Pick, t);
         if self
@@ -1260,7 +1294,7 @@ impl<M: Message, T: Topology> EventCore<M, T> {
         {
             return Err(EngineError::SchedulerIdleChannel { channel });
         }
-        Ok(Some(self.deliver(handler, channel)))
+        Ok(Some(self.deliver::<OBSERVED, H>(handler, channel)))
     }
 
     /// Delivers one message chosen by the scheduler.
@@ -1296,7 +1330,7 @@ impl<M: Message, T: Topology> EventCore<M, T> {
         if self.queues.len(channel) == 0 {
             return None;
         }
-        Some(self.deliver(handler, channel))
+        Some(self.deliver::<true, H>(handler, channel))
     }
 
     /// Indices of channels with at least one queued message, sorted.
@@ -1329,10 +1363,15 @@ impl<M: Message, T: Topology> EventCore<M, T> {
         self.send_seq
     }
 
-    fn deliver<H: EventHandler<M>>(&mut self, handler: &mut H, channel: usize) -> EngineStep {
-        if let Some(rec) = &mut self.recorded {
+    fn deliver<const OBSERVED: bool, H: EventHandler<M>>(
+        &mut self,
+        handler: &mut H,
+        channel: usize,
+    ) -> EngineStep {
+        if let Some(rec) = self.recorded.as_mut().filter(|_| OBSERVED) {
             rec.push(ChannelId::from_index(channel));
         }
+        let t = bracket::<OBSERVED>();
         let direction = self.topology.direction(channel);
         let (msg, seq) = self
             .queues
@@ -1349,34 +1388,40 @@ impl<M: Message, T: Topology> EventCore<M, T> {
         let at = self.clock.now();
         let pos = self.ready_pos[channel];
         debug_assert_ne!(pos, NOT_READY, "delivered channel is in the ready array");
-        if self.queues.len(channel) > 0 {
-            let view = self.view(channel);
-            let t = prof::start();
-            self.scheduler.on_change(view);
-            prof::stop(prof::Phase::Index, t);
+        // The channel's new head for `on_change`, or `None` once it drained.
+        let head = if self.queues.len(channel) > 0 {
+            Some(self.view(channel))
         } else {
             self.ready.swap_remove(pos);
             self.ready_pos[channel] = NOT_READY;
             if let Some(moved) = self.ready.get(pos) {
                 self.ready_pos[moved.index()] = pos;
             }
-            let t = prof::start();
-            self.scheduler.on_unready(ChannelId::from_index(channel));
-            prof::stop(prof::Phase::Index, t);
-        }
+            None
+        };
         let (node, port) = self.topology.endpoint(channel);
         self.stats.steps += 1;
-
         let ignored = self.terminated[node];
         if ignored {
             self.stats.delivered_to_terminated += 1;
-            if self.observing() {
-                self.emit(TraceEvent::DeliverIgnored { node, port, seq });
-            }
         } else {
             self.stats.total_delivered += 1;
             self.stats.recv_by_port[self.topology.out_channel(node, port)] += 1;
-            if self.observing() {
+        }
+        prof::stop(prof::Phase::Dequeue, t);
+        let t = bracket::<OBSERVED>();
+        match head {
+            Some(view) => self.scheduler.on_change(view),
+            None => self.scheduler.on_unready(ChannelId::from_index(channel)),
+        }
+        prof::stop(prof::Phase::Index, t);
+
+        if ignored {
+            if OBSERVED && self.observing() {
+                self.emit(TraceEvent::DeliverIgnored { node, port, seq });
+            }
+        } else {
+            if OBSERVED && self.observing() {
                 self.emit(TraceEvent::Deliver {
                     node,
                     port,
@@ -1385,13 +1430,13 @@ impl<M: Message, T: Topology> EventCore<M, T> {
                     at,
                 });
             }
-            let t = prof::start();
+            let t = bracket::<OBSERVED>();
             let mut outbox = std::mem::take(&mut self.outbox);
             handler.on_message(node, self.topology.degree(node), port, msg, &mut outbox);
             prof::stop(prof::Phase::Deliver, t);
-            self.flush_outbox(node, &mut outbox);
+            self.flush_outbox::<OBSERVED>(node, &mut outbox);
             self.outbox = outbox;
-            self.note_termination(node, handler);
+            self.note_termination::<OBSERVED, H>(node, handler);
         }
 
         EngineStep {
@@ -1406,16 +1451,39 @@ impl<M: Message, T: Topology> EventCore<M, T> {
     }
 
     /// Runs until quiescence or budget exhaustion.
+    ///
+    /// Whether anything observes the run — the profiler, a trace, metrics
+    /// or schedule recording — is read once, here: a run that nothing
+    /// observes delivers through a quiet instantiation of the step, with
+    /// the profiler brackets and the observer checks compiled out.
+    ///
+    /// # Panics
+    ///
+    /// As [`EventCore::step`]: if the scheduler picks a channel that is not
+    /// ready.
     pub fn run<H: EventHandler<M>>(&mut self, handler: &mut H, budget: Budget) -> RunReport {
         self.start(handler);
-        let mut executed: u64 = 0;
-        while executed < budget.max_steps {
-            if self.step(handler).is_none() {
-                break;
-            }
-            executed += 1;
+        if prof::enabled() || self.observing() || self.recorded.is_some() {
+            self.run_as::<true, H>(handler, budget);
+        } else {
+            self.run_as::<false, H>(handler, budget);
         }
         self.report()
+    }
+
+    fn run_as<const OBSERVED: bool, H: EventHandler<M>>(
+        &mut self,
+        handler: &mut H,
+        budget: Budget,
+    ) {
+        let mut executed: u64 = 0;
+        while executed < budget.max_steps {
+            match self.try_step_as::<OBSERVED, H>(handler) {
+                Ok(Some(_)) => executed += 1,
+                Ok(None) => break,
+                Err(e) => panic!("{e}"),
+            }
+        }
     }
 
     /// Classifies the current state into a [`RunReport`] — the paper's

@@ -13,6 +13,12 @@
 //! sample feeding per-phase counters, total nanoseconds, and log₂ latency
 //! histograms.
 //!
+//! [`crate::EventCore::run`] reads the profiling state once per call, as it
+//! starts: a run that starts unprofiled and unobserved delivers through a
+//! step with no brackets at all, and books nothing even if profiling is
+//! switched on while it runs. The single-step entry points
+//! ([`crate::EventCore::step`] and its kin) check at every bracket.
+//!
 //! The collector is process-global (plain atomics, no locks), so it
 //! composes with the multi-threaded harness: samples from concurrent
 //! engines aggregate into the same report. Use [`reset`] between
@@ -51,6 +57,10 @@ pub enum Phase {
     /// [`crate::Scheduler::on_change`] and [`crate::Scheduler::on_unready`]
     /// hooks on every enqueue and delivery.
     Index,
+    /// Delivery bookkeeping: popping the delivered message and its
+    /// arrival, advancing the clock, the ready-set update, the scheduler
+    /// hook's view and the delivery counters.
+    Dequeue,
     /// Protocol dispatch: the receiving node's `on_message` handler.
     Deliver,
     /// Event recording: appending to the trace and folding into the run
@@ -77,6 +87,7 @@ impl Phase {
         Phase::Enqueue,
         Phase::Pick,
         Phase::Index,
+        Phase::Dequeue,
         Phase::Deliver,
         Phase::Observe,
         Phase::Record,
@@ -90,12 +101,13 @@ impl Phase {
             Phase::Enqueue => 0,
             Phase::Pick => 1,
             Phase::Index => 2,
-            Phase::Deliver => 3,
-            Phase::Observe => 4,
-            Phase::Record => 5,
-            Phase::Probe => 6,
-            Phase::Load => 7,
-            Phase::Dedup => 8,
+            Phase::Dequeue => 3,
+            Phase::Deliver => 4,
+            Phase::Observe => 5,
+            Phase::Record => 6,
+            Phase::Probe => 7,
+            Phase::Load => 8,
+            Phase::Dedup => 9,
         }
     }
 }
@@ -106,6 +118,7 @@ impl fmt::Display for Phase {
             Phase::Enqueue => "enqueue",
             Phase::Pick => "pick",
             Phase::Index => "index",
+            Phase::Dequeue => "dequeue",
             Phase::Deliver => "deliver",
             Phase::Observe => "observe",
             Phase::Record => "record",
@@ -116,7 +129,7 @@ impl fmt::Display for Phase {
     }
 }
 
-const PHASES: usize = 9;
+const PHASES: usize = 10;
 
 static ENABLED: AtomicBool = AtomicBool::new(false);
 

@@ -164,6 +164,13 @@ fn in_flight(run: &Run, head: u64) -> bool {
     head < run.start + run.len
 }
 
+/// Width of [`SendOrder`]'s tick wheel: a power of two, and at most 64 so
+/// that one `u64` marks the occupied slots. The plans the repo runs draw
+/// delays of at most 10 ticks (perfbench's `uniform:1..10`, E19's
+/// `uniform:1..8`), so their in-flight arrivals never reach the overflow
+/// map.
+const WHEEL: usize = 64;
+
 /// Every in-flight message in send order: the queue behind
 /// [`FifoScheduler`], [`SolitudeScheduler`] and [`LatencyScheduler`].
 ///
@@ -176,6 +183,14 @@ fn in_flight(run: &Run, head: u64) -> bool {
 /// some channel's head. A pick therefore reads one front entry instead of
 /// ordering the heads.
 ///
+/// The deques of ticks `cursor..cursor + WHEEL` sit in a hashed timing
+/// wheel (Varghese & Lauck, SOSP 1987): tick `t` in slot `t % WHEEL`, with
+/// one bit per occupied slot, so a push is one index and the next filed
+/// tick is one bit scan. Later ticks wait in an overflow map and move into
+/// the wheel as the cursor comes within `WHEEL` of them; when the wheel is
+/// empty the cursor jumps to the map's first tick. Memory is `WHEEL`
+/// deques plus what is in flight, whatever the plan's largest delay.
+///
 /// Deliveries are not removed eagerly: `head` tracks each channel's head
 /// seq from the `on_change`/`on_unready` hooks, and a pick drops front
 /// entries whose seqs all lie below their channel's head. That also
@@ -183,23 +198,42 @@ fn in_flight(run: &Run, head: u64) -> bool {
 /// idle half of a [`PhaseSwitchScheduler`]); their entries are dropped
 /// wholesale once stale entries could outnumber in-flight messages, so the
 /// queue stays within twice the in-flight count.
-#[derive(Clone, Debug, Default)]
+#[derive(Clone, Debug)]
 struct SendOrder {
-    /// The earliest tick filed, kept out of `later` so that an untimed
-    /// order never touches the map.
-    front_tick: u64,
-    /// Entries filed under `front_tick`, in send order.
-    front: VecDeque<Run>,
-    /// Later ticks → entries filed under them, in send order.
+    /// The earliest tick the wheel can hold; no entry is filed below it.
+    cursor: u64,
+    /// Slot `t % WHEEL` holds the entries of tick `t`, for `t` in
+    /// `cursor..cursor + WHEEL`, in send order.
+    wheel: [VecDeque<Run>; WHEEL],
+    /// Bit `i` set iff `wheel[i]` holds an entry.
+    occupied: u64,
+    /// Ticks at or past `cursor + WHEEL` → entries filed under them.
     later: BTreeMap<u64, VecDeque<Run>>,
-    /// Emptied deques, kept for the next tick.
-    spare: Vec<VecDeque<Run>>,
     /// Head seq per channel ([`IDLE`] while nothing is queued).
     head: Vec<u64>,
     /// Messages in flight.
     live: usize,
     /// Entries held, stale ones included.
     entries: usize,
+}
+
+impl Default for SendOrder {
+    fn default() -> SendOrder {
+        SendOrder {
+            cursor: 0,
+            wheel: std::array::from_fn(|_| VecDeque::new()),
+            occupied: 0,
+            later: BTreeMap::new(),
+            head: Vec::new(),
+            live: 0,
+            entries: 0,
+        }
+    }
+}
+
+/// The wheel slot of `tick`.
+fn slot(tick: u64) -> usize {
+    tick as usize & (WHEEL - 1)
 }
 
 impl SendOrder {
@@ -213,19 +247,11 @@ impl SendOrder {
     fn push(&mut self, channel: usize, seq: u64, tick: u64) {
         self.grow(channel);
         self.live += 1;
-        if tick < self.front_tick && !self.front.is_empty() {
-            let earlier = self.spare.pop().unwrap_or_default();
-            let front = std::mem::replace(&mut self.front, earlier);
-            self.later.insert(self.front_tick, front);
-        }
-        let runs = if tick <= self.front_tick || self.front.is_empty() && self.later.is_empty() {
-            self.front_tick = tick;
-            &mut self.front
+        let runs = if tick.wrapping_sub(self.cursor) < WHEEL as u64 {
+            self.occupied |= 1 << slot(tick);
+            &mut self.wheel[slot(tick)]
         } else {
-            let spare = &mut self.spare;
-            self.later
-                .entry(tick)
-                .or_insert_with(|| spare.pop().unwrap_or_default())
+            self.outside(tick)
         };
         match runs.back_mut() {
             Some(run) if run.channel == channel && run.start + run.len == seq => run.len += 1,
@@ -237,6 +263,51 @@ impl SendOrder {
                 });
                 self.entries += 1;
             }
+        }
+    }
+
+    /// The deque for a `tick` outside the wheel's window: the overflow
+    /// map's, unless `tick` lies below the cursor or the order is empty, in
+    /// which case the cursor moves to `tick` first.
+    #[cold]
+    fn outside(&mut self, tick: u64) -> &mut VecDeque<Run> {
+        if tick >= self.cursor && (self.occupied != 0 || !self.later.is_empty()) {
+            return self.later.entry(tick).or_default();
+        }
+        self.rewind(tick);
+        self.occupied |= 1 << slot(tick);
+        &mut self.wheel[slot(tick)]
+    }
+
+    /// Moves the cursor to `tick`, at or below every filed tick. Wheel
+    /// ticks that fall out of the narrower window move to the overflow map.
+    fn rewind(&mut self, tick: u64) {
+        let mut bits = self.occupied;
+        while bits != 0 {
+            let i = bits.trailing_zeros() as usize;
+            bits &= bits - 1;
+            let t = self.cursor + (i.wrapping_sub(slot(self.cursor)) & (WHEEL - 1)) as u64;
+            if t - tick >= WHEEL as u64 {
+                self.later.insert(t, std::mem::take(&mut self.wheel[i]));
+                self.occupied &= !(1 << i);
+            }
+        }
+        self.cursor = tick;
+        self.refill();
+    }
+
+    /// Moves the map's ticks that the wheel now covers into their slots.
+    /// Those slots are empty: the wheel's ticks lie below the old
+    /// `cursor + WHEEL`, where the map's begin, so none is a multiple of
+    /// `WHEEL` away from a map tick the wheel now covers.
+    fn refill(&mut self) {
+        while let Some(entry) = self.later.first_entry() {
+            let tick = *entry.key();
+            if tick - self.cursor >= WHEEL as u64 {
+                break;
+            }
+            self.wheel[slot(tick)] = entry.remove();
+            self.occupied |= 1 << slot(tick);
         }
     }
 
@@ -267,17 +338,12 @@ impl SendOrder {
     }
 
     fn clear(&mut self) {
-        self.front.clear();
-        let spare = &mut self.spare;
-        spare.extend(
-            std::mem::take(&mut self.later)
-                .into_values()
-                .map(|mut runs| {
-                    runs.clear();
-                    runs
-                }),
-        );
-        self.front_tick = 0;
+        for runs in self.wheel.iter_mut() {
+            runs.clear();
+        }
+        self.later.clear();
+        self.cursor = 0;
+        self.occupied = 0;
         self.head.fill(IDLE);
         self.live = 0;
         self.entries = 0;
@@ -286,8 +352,18 @@ impl SendOrder {
     /// Drops every entry whose seqs were all delivered.
     fn compact(&mut self) {
         let head = &self.head;
-        self.front.retain(|run| in_flight(run, head[run.channel]));
-        let mut entries = self.front.len();
+        let mut entries = 0;
+        let mut bits = self.occupied;
+        while bits != 0 {
+            let i = bits.trailing_zeros() as usize;
+            bits &= bits - 1;
+            let runs = &mut self.wheel[i];
+            runs.retain(|run| in_flight(run, head[run.channel]));
+            entries += runs.len();
+            if runs.is_empty() {
+                self.occupied &= !(1 << i);
+            }
+        }
         self.later.retain(|_, runs| {
             runs.retain(|run| in_flight(run, head[run.channel]));
             entries += runs.len();
@@ -299,18 +375,26 @@ impl SendOrder {
     /// The channel of the least `(tick, seq)` message in flight.
     fn front(&mut self) -> ChannelId {
         loop {
-            while let Some(run) = self.front.front() {
+            let i = slot(self.cursor);
+            let runs = &mut self.wheel[i];
+            while let Some(run) = runs.front() {
                 if in_flight(run, self.head[run.channel]) {
                     return ChannelId::from_index(run.channel);
                 }
-                self.front.pop_front();
+                runs.pop_front();
                 self.entries -= 1;
             }
-            let (tick, runs) = self.later.pop_first().expect(
-                "pick on an empty send order: report every in-flight message through on_send",
-            );
-            self.front_tick = tick;
-            self.spare.push(std::mem::replace(&mut self.front, runs));
+            self.occupied &= !(1 << i);
+            // The next filed tick: the nearest occupied slot past the
+            // cursor's, or else the map's first tick.
+            self.cursor = if self.occupied == 0 {
+                *self.later.keys().next().expect(
+                    "pick on an empty send order: report every in-flight message through on_send",
+                )
+            } else {
+                self.cursor + u64::from(self.occupied.rotate_right(i as u32).trailing_zeros())
+            };
+            self.refill();
         }
     }
 }
@@ -1199,6 +1283,94 @@ mod tests {
                 "step {step}: {} entries for {in_flight} in flight",
                 s.queued_runs()
             );
+        }
+    }
+
+    /// A [`SendOrder`] driven as the engine drives it, by random sends,
+    /// picked and unpicked deliveries and re-indexes, agrees after every
+    /// operation with the naive answer: the channel of the least
+    /// `(tick, seq)` message in flight. Ticks land inside the wheel, at
+    /// its edge, far past it in the overflow map, and below the cursor.
+    #[test]
+    fn send_order_matches_a_sorted_model() {
+        const CHANNELS: usize = 6;
+        for seed in 0..40u64 {
+            let mut rng = StdRng::seed_from_u64(seed);
+            let mut order = SendOrder::default();
+            // Per channel, the queued (seq, tick) pairs in FIFO order.
+            let mut queues: Vec<VecDeque<(u64, u64)>> = vec![VecDeque::new(); CHANNELS];
+            let mut seq = 0u64;
+            let mut now = 0u64;
+            for op in 0..600 {
+                match rng.gen_range(0..10u32) {
+                    0..=4 => {
+                        let c = rng.gen_range(0..CHANNELS);
+                        let delay = match rng.gen_range(0..6u32) {
+                            0 => 0,
+                            1 => rng.gen_range(WHEEL as u64 - 2..WHEEL as u64 + 2),
+                            2 => rng.gen_range(1_000..5_000),
+                            _ => rng.gen_range(1..10),
+                        };
+                        // Below the cursor: an idle channel may file under
+                        // any tick, and `now` sometimes steps back.
+                        if rng.gen_range(0..8u32) == 0 {
+                            now = now.saturating_sub(rng.gen_range(0..2 * WHEEL as u64));
+                        }
+                        let floor = queues[c].back().map_or(0, |&(_, t)| t);
+                        let tick = (now + delay).max(floor);
+                        queues[c].push_back((seq, tick));
+                        order.push(c, seq, tick);
+                        order.set_head(c, queues[c][0].0);
+                        seq += 1;
+                    }
+                    5..=8 => {
+                        let busy: Vec<usize> =
+                            (0..CHANNELS).filter(|&c| !queues[c].is_empty()).collect();
+                        if busy.is_empty() {
+                            continue;
+                        }
+                        // A scheduled pick, or a delivery the order did not
+                        // pick (`step_channel`).
+                        let c = if rng.gen_range(0..3u32) == 0 {
+                            busy[rng.gen_range(0..busy.len())]
+                        } else {
+                            order.front().index()
+                        };
+                        let (_, tick) = queues[c].pop_front().expect("busy channel");
+                        now = now.max(tick);
+                        match queues[c].front() {
+                            Some(&(head, _)) => order.set_head(c, head),
+                            None => order.unready(c),
+                        }
+                    }
+                    _ => {
+                        // A re-index: clear, then replay every in-flight
+                        // send in seq order.
+                        order.clear();
+                        let mut flight: Vec<(u64, u64, usize)> = (0..CHANNELS)
+                            .flat_map(|c| queues[c].iter().map(move |&(s, t)| (s, t, c)))
+                            .collect();
+                        flight.sort_unstable();
+                        for (s, t, c) in flight {
+                            order.push(c, s, t);
+                            order.set_head(c, queues[c][0].0);
+                        }
+                    }
+                }
+                let in_flight: usize = queues.iter().map(VecDeque::len).sum();
+                assert_eq!(order.live, in_flight, "seed {seed} op {op}");
+                assert!(
+                    order.entries <= 2 * in_flight,
+                    "seed {seed} op {op}: {} entries for {in_flight} in flight",
+                    order.entries
+                );
+                let least = (0..CHANNELS)
+                    .filter_map(|c| queues[c].front().map(|&(s, t)| ((t, s), c)))
+                    .min();
+                if let Some((_, c)) = least {
+                    assert_eq!(order.front(), ch(c), "seed {seed} op {op}");
+                }
+            }
         }
     }
 

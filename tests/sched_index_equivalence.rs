@@ -470,13 +470,16 @@ fn special_schedulers_agree_too() {
 }
 
 /// The send-order schedulers, untimed and (for `Latency`) under
-/// `uniform:1..10`.
-fn send_order_cells() -> [(SchedulerKind, LatencyPlan); 3] {
+/// `uniform:1..10`, whose arrivals stay in the send order's tick wheel,
+/// and `uniform:1..200`, whose arrivals also pass through its overflow map.
+fn send_order_cells() -> [(SchedulerKind, LatencyPlan); 4] {
     let timed = LatencyPlan::new(LatencyModel::Uniform { min: 1, max: 10 }, 11);
+    let wide = LatencyPlan::new(LatencyModel::Uniform { min: 1, max: 200 }, 11);
     [
         (SchedulerKind::Fifo, LatencyPlan::zero()),
         (SchedulerKind::Solitude, LatencyPlan::zero()),
         (SchedulerKind::Latency, timed),
+        (SchedulerKind::Latency, wide),
     ]
 }
 
@@ -723,12 +726,17 @@ where
         ("dup1", FaultPlan::new().duplicate_seq(1)),
     ];
     // The adversarial family untimed, plus earliest-arrival delivery under
-    // a seeded latency plan (untimed it is FIFO).
+    // seeded latency plans (untimed it is FIFO): delays inside the send
+    // order's tick wheel, and delays that also reach its overflow map.
     let timed = LatencyPlan::new(LatencyModel::Uniform { min: 1, max: 10 }, 3);
+    let wide = LatencyPlan::new(LatencyModel::Uniform { min: 1, max: 200 }, 3);
     let cells = SchedulerKind::ALL
         .into_iter()
         .map(|kind| (kind, LatencyPlan::zero()))
-        .chain([(SchedulerKind::Latency, timed)]);
+        .chain([
+            (SchedulerKind::Latency, timed),
+            (SchedulerKind::Latency, wide),
+        ]);
     let mut held = 0;
     for (kind, latency) in cells {
         for seed in [0u64, 7] {
@@ -757,7 +765,7 @@ where
     );
 }
 
-/// The full grid: 8 schedulers (plus timed `Latency`) × 3 algorithms × 3
+/// The full grid: 8 schedulers (plus `Latency` under two delay plans) × 3 algorithms × 3
 /// fault plans × 2 backends × 2 seeds, the pick sequence and every
 /// observable equal under the built-in scheduler and its scan oracle.
 #[test]
@@ -806,7 +814,8 @@ fn schedules_cross_replay_between_modes() {
 }
 
 /// The send-order schedulers on a large ring: the n = 300 Algorithm 2
-/// election under Fifo, Solitude and Latency (`uniform:1..10`), snapshotted
+/// election under Fifo, Solitude and Latency (`uniform:1..10` and
+/// `uniform:1..200`), snapshotted
 /// mid-run and restored into a fresh simulation of the same kind, must
 /// match its scan oracle byte for byte — report, statistics, fingerprint
 /// and, since Theorem 1 fixes the first three under every schedule, the

@@ -1,6 +1,6 @@
 //! Virtual-time guarantees of the event core.
 //!
-//! Three pins:
+//! Four pins:
 //!
 //! * a degenerate zero-latency plan is invisible — every observable of a
 //!   run (report, stats, fingerprint) is bit-identical to a simulation
@@ -9,7 +9,10 @@
 //! * seeded non-zero latency is deterministic: reruns, record→replay
 //!   round-trips, and snapshot/restore forks all agree byte-for-byte;
 //! * the virtual clock itself (final `now`, timestamps) is part of the
-//!   replayed state, not an afterthought.
+//!   replayed state, not an afterthought;
+//! * Algorithm 2 latency elections up to n = 300 hash to one pinned digest,
+//!   so a change to the send order or the delay draw that moves any pick,
+//!   count or timestamp fails here.
 
 use content_oblivious::core::registry::{Alg1Def, Alg2Def, Alg3Def, RingProtocol};
 use content_oblivious::core::Alg2Node;
@@ -155,4 +158,91 @@ fn snapshot_restore_forks_agree_under_latency() {
     let second = (sim.fingerprint(), sim.now());
 
     assert_eq!(first, second, "a restored fork replays the same future");
+}
+
+/// FNV-1a over 64-bit words.
+struct Fnv(u64);
+
+impl Fnv {
+    fn word(&mut self, w: u64) {
+        for b in w.to_le_bytes() {
+            self.0 ^= u64::from(b);
+            self.0 = self.0.wrapping_mul(0x0100_0000_01b3);
+        }
+    }
+
+    fn words(&mut self, ws: &[u64]) {
+        self.word(ws.len() as u64);
+        for &w in ws {
+            self.word(w);
+        }
+    }
+}
+
+/// Pins Algorithm 2 latency elections bit for bit: the report, the
+/// statistics, the fingerprint and the final clock of a plain run, and the
+/// schedule a recorded rerun picks, at n = 7, 64 and 300 with three plan
+/// seeds each. The plans cover narrow and wide uniform delays, a fixed
+/// delay far beyond any of them, the full 64-bit draw, and ticks that
+/// saturate at `u64::MAX`.
+#[test]
+fn latency_elections_match_the_pinned_digest() {
+    let plans = [
+        LatencyModel::Uniform { min: 1, max: 10 },
+        LatencyModel::Uniform { min: 1, max: 200 },
+        LatencyModel::Fixed(1000),
+        LatencyModel::Uniform {
+            min: 0,
+            max: u64::MAX,
+        },
+        LatencyModel::Fixed(u64::MAX),
+    ];
+    let mut h = Fnv(0xcbf2_9ce4_8422_2325);
+    for n in [7u64, 64, 300] {
+        // A fixed scramble of 1..=n: 37 is coprime to every n here.
+        let ids: Vec<u64> = (0..n).map(|i| (i * 37) % n + 1).collect();
+        let spec = RingSpec::oriented(ids);
+        for model in plans {
+            for seed in [1, 2, 3] {
+                let plan = LatencyPlan::new(model, seed);
+                let sim = || {
+                    let mut sim: Simulation<Pulse, Alg2Node> = Simulation::new(
+                        spec.wiring(),
+                        Alg2Def::nodes(&spec),
+                        SchedulerKind::Latency.build(0),
+                    );
+                    sim.set_latency(plan.clone());
+                    sim
+                };
+                let mut plain = sim();
+                let report = plain.run(Budget::default());
+                let ctx = format!("n={n} {model} seed={seed}");
+                assert_eq!(report.outcome, Outcome::QuiescentTerminated, "{ctx}");
+                for b in format!("{:?}", report.outcome).bytes() {
+                    h.word(u64::from(b));
+                }
+                h.words(&[report.total_sent, report.steps, report.in_flight]);
+                let stats = plain.stats();
+                h.words(&[
+                    stats.total_sent,
+                    stats.total_delivered,
+                    stats.delivered_to_terminated,
+                    stats.steps,
+                ]);
+                h.words(&stats.sent_by_direction);
+                h.words(&stats.sent_by_port);
+                h.words(&stats.recv_by_port);
+                h.words(&[plain.fingerprint(), plain.now()]);
+
+                let mut recorder = sim();
+                let (recorded, schedule) = recorder.run_recorded(Budget::default());
+                assert_eq!(recorded, report, "{ctx}");
+                assert_eq!(recorder.fingerprint(), plain.fingerprint(), "{ctx}");
+                assert_eq!(recorder.now(), plain.now(), "{ctx}");
+                let picks: Vec<u64> = schedule.iter().map(|c| c.index() as u64).collect();
+                h.words(&picks);
+            }
+        }
+    }
+    assert_eq!(h.0, 0x0348_d6d9_1bb3_a864, "digest {:#018x}", h.0);
 }
