@@ -1405,11 +1405,7 @@ fn e17_scaling(jobs: usize) -> Table {
 ///    by the [`co_net::prof`] collector, so the rows report the measured
 ///    per-pick mean, the per-hook mean of the index upkeep the engine
 ///    drives on every enqueue and delivery (`prof::Phase::Index`), and
-///    each one's share of hot-path time. Each cell also runs twice
-///    unprofiled first: `phases ns/pulse` (every phase's time over the
-///    steps) should sit between the faster run's `quiet ns/pulse` and the
-///    profiled run's own wall time per pulse (`ms`), the gap to the latter
-///    being the tracer's clock reads. Fifo and Solitude pop a send
+///    each one's share of hot-path time. Fifo and Solitude pop a send
 ///    order; the other indexed adversaries query a `ReadyIndex`. Runs
 ///    sequentially: the profiler is process-global. (Pick-for-pick
 ///    agreement with the O(ready) scan orders is proved by
@@ -1436,8 +1432,6 @@ fn e18_sched_index(jobs: usize) -> Table {
             "pick %",
             "index mean ns",
             "index %",
-            "phases ns/pulse",
-            "quiet ns/pulse",
             "exact",
             "ms",
         ],
@@ -1450,21 +1444,9 @@ fn e18_sched_index(jobs: usize) -> Table {
     let n = 2000usize;
     let spec = RingSpec::oriented((1..=n as u64).collect());
     for kind in SchedulerKind::ALL {
-        let build = || -> Simulation<Pulse, Alg2Node> {
-            Simulation::new(spec.wiring(), Alg2Def::nodes(&spec), kind.build(0))
-        };
-        // The faster of two unprofiled runs: the first cell's first run
-        // also pays for warming the allocator.
-        prof::set_enabled(false);
-        let quiet_ns = (0..2)
-            .map(|_| {
-                let mut quiet = build();
-                let start = Instant::now();
-                quiet.run(Budget::steps(CAP));
-                start.elapsed().as_nanos() as f64 / CAP as f64
-            })
-            .fold(f64::INFINITY, f64::min);
-        let mut sim = build();
+        let nodes = Alg2Def::nodes(&spec);
+        let mut sim: Simulation<Pulse, Alg2Node> =
+            Simulation::new(spec.wiring(), nodes, kind.build(0));
         prof::reset();
         prof::set_enabled(true);
         let start = Instant::now();
@@ -1488,8 +1470,6 @@ fn e18_sched_index(jobs: usize) -> Table {
             format!("{:.1}", share(prof::Phase::Pick)),
             report.phase(prof::Phase::Index).mean_ns().to_string(),
             format!("{:.1}", share(prof::Phase::Index)),
-            format!("{:.1}", hot_ns as f64 / run.steps.max(1) as f64),
-            format!("{quiet_ns:.1}"),
             exact.to_string(),
             ms.to_string(),
         ]);
@@ -1520,8 +1500,6 @@ fn e18_sched_index(jobs: usize) -> Table {
             kind.to_string(),
             "5000".into(),
             steps.to_string(),
-            "-".into(),
-            "-".into(),
             "-".into(),
             "-".into(),
             "-".into(),

@@ -185,11 +185,15 @@ const WHEEL: usize = 64;
 ///
 /// The deques of ticks `cursor..cursor + WHEEL` sit in a hashed timing
 /// wheel (Varghese & Lauck, SOSP 1987): tick `t` in slot `t % WHEEL`, with
-/// one bit per occupied slot, so a push is one index and the next filed
-/// tick is one bit scan. Later ticks wait in an overflow map and move into
-/// the wheel as the cursor comes within `WHEEL` of them; when the wheel is
-/// empty the cursor jumps to the map's first tick. Memory is `WHEEL`
-/// deques plus what is in flight, whatever the plan's largest delay.
+/// one bit per occupied slot, so a push is two compares and one index and
+/// the next filed tick is one bit scan. The window stops at `u64::MAX`:
+/// ticks saturate there, and no tick below the cursor is filed in the
+/// wheel. Later ticks wait in an overflow map and move into the wheel as
+/// the cursor comes within `WHEEL` of them, each swapping in its deque and
+/// leaving the slot's emptied one for the next overflow tick; when the
+/// wheel is empty the cursor jumps to the map's first tick. Memory is
+/// `WHEEL` deques plus what is in flight, whatever the plan's largest
+/// delay.
 ///
 /// Deliveries are not removed eagerly: `head` tracks each channel's head
 /// seq from the `on_change`/`on_unready` hooks, and a pick drops front
@@ -203,12 +207,14 @@ struct SendOrder {
     /// The earliest tick the wheel can hold; no entry is filed below it.
     cursor: u64,
     /// Slot `t % WHEEL` holds the entries of tick `t`, for `t` in
-    /// `cursor..cursor + WHEEL`, in send order.
+    /// `cursor..cursor + WHEEL` (and at most `u64::MAX`), in send order.
     wheel: [VecDeque<Run>; WHEEL],
     /// Bit `i` set iff `wheel[i]` holds an entry.
     occupied: u64,
     /// Ticks at or past `cursor + WHEEL` → entries filed under them.
     later: BTreeMap<u64, VecDeque<Run>>,
+    /// Emptied deques, kept for the next overflow tick.
+    spare: Vec<VecDeque<Run>>,
     /// Head seq per channel ([`IDLE`] while nothing is queued).
     head: Vec<u64>,
     /// Messages in flight.
@@ -224,6 +230,7 @@ impl Default for SendOrder {
             wheel: std::array::from_fn(|_| VecDeque::new()),
             occupied: 0,
             later: BTreeMap::new(),
+            spare: Vec::new(),
             head: Vec::new(),
             live: 0,
             entries: 0,
@@ -247,7 +254,7 @@ impl SendOrder {
     fn push(&mut self, channel: usize, seq: u64, tick: u64) {
         self.grow(channel);
         self.live += 1;
-        let runs = if tick.wrapping_sub(self.cursor) < WHEEL as u64 {
+        let runs = if tick >= self.cursor && tick - self.cursor < WHEEL as u64 {
             self.occupied |= 1 << slot(tick);
             &mut self.wheel[slot(tick)]
         } else {
@@ -272,7 +279,11 @@ impl SendOrder {
     #[cold]
     fn outside(&mut self, tick: u64) -> &mut VecDeque<Run> {
         if tick >= self.cursor && (self.occupied != 0 || !self.later.is_empty()) {
-            return self.later.entry(tick).or_default();
+            let spare = &mut self.spare;
+            return self
+                .later
+                .entry(tick)
+                .or_insert_with(|| spare.pop().unwrap_or_default());
         }
         self.rewind(tick);
         self.occupied |= 1 << slot(tick);
@@ -288,7 +299,9 @@ impl SendOrder {
             bits &= bits - 1;
             let t = self.cursor + (i.wrapping_sub(slot(self.cursor)) & (WHEEL - 1)) as u64;
             if t - tick >= WHEEL as u64 {
-                self.later.insert(t, std::mem::take(&mut self.wheel[i]));
+                let fresh = self.spare.pop().unwrap_or_default();
+                self.later
+                    .insert(t, std::mem::replace(&mut self.wheel[i], fresh));
                 self.occupied &= !(1 << i);
             }
         }
@@ -306,7 +319,8 @@ impl SendOrder {
             if tick - self.cursor >= WHEEL as u64 {
                 break;
             }
-            self.wheel[slot(tick)] = entry.remove();
+            let emptied = std::mem::replace(&mut self.wheel[slot(tick)], entry.remove());
+            self.spare.push(emptied);
             self.occupied |= 1 << slot(tick);
         }
     }
@@ -341,7 +355,15 @@ impl SendOrder {
         for runs in self.wheel.iter_mut() {
             runs.clear();
         }
-        self.later.clear();
+        let spare = &mut self.spare;
+        spare.extend(
+            std::mem::take(&mut self.later)
+                .into_values()
+                .map(|mut runs| {
+                    runs.clear();
+                    runs
+                }),
+        );
         self.cursor = 0;
         self.occupied = 0;
         self.head.fill(IDLE);
@@ -1290,7 +1312,8 @@ mod tests {
     /// picked and unpicked deliveries and re-indexes, agrees after every
     /// operation with the naive answer: the channel of the least
     /// `(tick, seq)` message in flight. Ticks land inside the wheel, at
-    /// its edge, far past it in the overflow map, and below the cursor.
+    /// its edge, far past it in the overflow map, below the cursor, and
+    /// within two wheels of `u64::MAX` beside small ones.
     #[test]
     fn send_order_matches_a_sorted_model() {
         const CHANNELS: usize = 6;
@@ -1305,19 +1328,25 @@ mod tests {
                 match rng.gen_range(0..10u32) {
                     0..=4 => {
                         let c = rng.gen_range(0..CHANNELS);
-                        let delay = match rng.gen_range(0..6u32) {
-                            0 => 0,
-                            1 => rng.gen_range(WHEEL as u64 - 2..WHEEL as u64 + 2),
-                            2 => rng.gen_range(1_000..5_000),
+                        let delay = match rng.gen_range(0..13u32) {
+                            0 | 1 => 0,
+                            2 | 3 => rng.gen_range(WHEEL as u64 - 2..WHEEL as u64 + 2),
+                            4 | 5 => rng.gen_range(1_000..5_000),
+                            6 => u64::MAX - rng.gen_range(0..2 * WHEEL as u64),
                             _ => rng.gen_range(1..10),
                         };
                         // Below the cursor: an idle channel may file under
-                        // any tick, and `now` sometimes steps back.
-                        if rng.gen_range(0..8u32) == 0 {
-                            now = now.saturating_sub(rng.gen_range(0..2 * WHEEL as u64));
+                        // any tick, and `now` sometimes steps back, now and
+                        // then from near `u64::MAX` to a small tick.
+                        match rng.gen_range(0..32u32) {
+                            0..=3 => {
+                                now = now.saturating_sub(rng.gen_range(0..2 * WHEEL as u64));
+                            }
+                            4 => now = rng.gen_range(0..4 * WHEEL as u64),
+                            _ => {}
                         }
                         let floor = queues[c].back().map_or(0, |&(_, t)| t);
-                        let tick = (now + delay).max(floor);
+                        let tick = now.saturating_add(delay).max(floor);
                         queues[c].push_back((seq, tick));
                         order.push(c, seq, tick);
                         order.set_head(c, queues[c][0].0);

@@ -179,12 +179,62 @@ impl Fnv {
     }
 }
 
-/// Pins Algorithm 2 latency elections bit for bit: the report, the
-/// statistics, the fingerprint and the final clock of a plain run, and the
-/// schedule a recorded rerun picks, at n = 7, 64 and 300 with three plan
-/// seeds each. The plans cover narrow and wide uniform delays, a fixed
-/// delay far beyond any of them, the full 64-bit draw, and ticks that
-/// saturate at `u64::MAX`.
+/// Hashes one Algorithm 2 latency election under `plan` into `h`: the
+/// report, the statistics, the fingerprint and the final clock of a plain
+/// run, and the schedule a recorded rerun picks.
+fn hash_election(h: &mut Fnv, spec: &RingSpec, plan: &LatencyPlan, ctx: &str) {
+    let sim = || {
+        let mut sim: Simulation<Pulse, Alg2Node> = Simulation::new(
+            spec.wiring(),
+            Alg2Def::nodes(spec),
+            SchedulerKind::Latency.build(0),
+        );
+        sim.set_latency(plan.clone());
+        sim
+    };
+    let mut plain = sim();
+    let report = plain.run(Budget::default());
+    assert_eq!(report.outcome, Outcome::QuiescentTerminated, "{ctx}");
+    for b in format!("{:?}", report.outcome).bytes() {
+        h.word(u64::from(b));
+    }
+    h.words(&[report.total_sent, report.steps, report.in_flight]);
+    let stats = plain.stats();
+    h.words(&[
+        stats.total_sent,
+        stats.total_delivered,
+        stats.delivered_to_terminated,
+        stats.steps,
+    ]);
+    h.words(&stats.sent_by_direction);
+    h.words(&stats.sent_by_port);
+    h.words(&stats.recv_by_port);
+    h.words(&[plain.fingerprint(), plain.now()]);
+
+    let mut recorder = sim();
+    let (recorded, schedule) = recorder.run_recorded(Budget::default());
+    assert_eq!(recorded, report, "{ctx}");
+    assert_eq!(recorder.fingerprint(), plain.fingerprint(), "{ctx}");
+    assert_eq!(recorder.now(), plain.now(), "{ctx}");
+    let picks: Vec<u64> = schedule.iter().map(|c| c.index() as u64).collect();
+    h.words(&picks);
+}
+
+/// The ring sizes the digests cover, each with a fixed scramble of
+/// `1..=n` as IDs (37 is coprime to every n here).
+fn pinned_rings() -> impl Iterator<Item = (u64, RingSpec)> {
+    [7u64, 64, 300].into_iter().map(|n| {
+        (
+            n,
+            RingSpec::oriented((0..n).map(|i| (i * 37) % n + 1).collect()),
+        )
+    })
+}
+
+/// Pins Algorithm 2 latency elections bit for bit (see [`hash_election`])
+/// at n = 7, 64 and 300 with three plan seeds each. The plans cover narrow
+/// and wide uniform delays, a fixed delay far beyond any of them, the full
+/// 64-bit draw, and ticks that saturate at `u64::MAX`.
 #[test]
 fn latency_elections_match_the_pinned_digest() {
     let plans = [
@@ -198,51 +248,42 @@ fn latency_elections_match_the_pinned_digest() {
         LatencyModel::Fixed(u64::MAX),
     ];
     let mut h = Fnv(0xcbf2_9ce4_8422_2325);
-    for n in [7u64, 64, 300] {
-        // A fixed scramble of 1..=n: 37 is coprime to every n here.
-        let ids: Vec<u64> = (0..n).map(|i| (i * 37) % n + 1).collect();
-        let spec = RingSpec::oriented(ids);
+    for (n, spec) in pinned_rings() {
         for model in plans {
             for seed in [1, 2, 3] {
                 let plan = LatencyPlan::new(model, seed);
-                let sim = || {
-                    let mut sim: Simulation<Pulse, Alg2Node> = Simulation::new(
-                        spec.wiring(),
-                        Alg2Def::nodes(&spec),
-                        SchedulerKind::Latency.build(0),
-                    );
-                    sim.set_latency(plan.clone());
-                    sim
-                };
-                let mut plain = sim();
-                let report = plain.run(Budget::default());
-                let ctx = format!("n={n} {model} seed={seed}");
-                assert_eq!(report.outcome, Outcome::QuiescentTerminated, "{ctx}");
-                for b in format!("{:?}", report.outcome).bytes() {
-                    h.word(u64::from(b));
-                }
-                h.words(&[report.total_sent, report.steps, report.in_flight]);
-                let stats = plain.stats();
-                h.words(&[
-                    stats.total_sent,
-                    stats.total_delivered,
-                    stats.delivered_to_terminated,
-                    stats.steps,
-                ]);
-                h.words(&stats.sent_by_direction);
-                h.words(&stats.sent_by_port);
-                h.words(&stats.recv_by_port);
-                h.words(&[plain.fingerprint(), plain.now()]);
-
-                let mut recorder = sim();
-                let (recorded, schedule) = recorder.run_recorded(Budget::default());
-                assert_eq!(recorded, report, "{ctx}");
-                assert_eq!(recorder.fingerprint(), plain.fingerprint(), "{ctx}");
-                assert_eq!(recorder.now(), plain.now(), "{ctx}");
-                let picks: Vec<u64> = schedule.iter().map(|c| c.index() as u64).collect();
-                h.words(&picks);
+                hash_election(&mut h, &spec, &plan, &format!("n={n} {model} seed={seed}"));
             }
         }
     }
     assert_eq!(h.0, 0x0348_d6d9_1bb3_a864, "digest {:#018x}", h.0);
+}
+
+/// Pins Algorithm 2 latency elections whose ticks mix `u64::MAX` (and just
+/// below it) with small ones: one or two channels at a fixed delay of
+/// `u64::MAX` or `u64::MAX - 10`, every other channel at zero delay or
+/// `uniform:1..10`. The digest was taken from the build that ordered sends
+/// with a tick map, before the tick wheel.
+#[test]
+fn latency_elections_mixing_saturated_and_small_ticks_match_the_pinned_digest() {
+    let uniform = LatencyModel::Uniform { min: 1, max: 10 };
+    let mut h = Fnv(0xcbf2_9ce4_8422_2325);
+    for (n, spec) in pinned_rings() {
+        let last = 2 * n as usize - 1;
+        for seed in [1, 2, 3] {
+            let plans = [
+                LatencyPlan::new(LatencyModel::Zero, seed)
+                    .with_channel(0, LatencyModel::Fixed(u64::MAX)),
+                LatencyPlan::new(uniform, seed).with_channel(0, LatencyModel::Fixed(u64::MAX)),
+                LatencyPlan::new(uniform, seed)
+                    .with_channel(1, LatencyModel::Fixed(u64::MAX - 10))
+                    .with_channel(last, LatencyModel::Fixed(u64::MAX))
+                    .with_channel(2, LatencyModel::Zero),
+            ];
+            for (i, plan) in plans.iter().enumerate() {
+                hash_election(&mut h, &spec, plan, &format!("n={n} plan {i} seed={seed}"));
+            }
+        }
+    }
+    assert_eq!(h.0, 0x5468_8a4a_1ef6_37e5, "digest {:#018x}", h.0);
 }
