@@ -1,48 +1,116 @@
 //! Argument parsing for `co-ring` (dependency-free by design: the offline
 //! crate set justified in DESIGN.md has no CLI parser, and the grammar is
 //! small).
+//!
+//! One table, `FLAGS`, declares every flag once: its value placeholder,
+//! its help line, its ceiling, the commands that read it and its parser.
+//! Parsing, the refusal of a flag the command does not read, and the
+//! OPTIONS block of [`usage`] all come from it. The parser checks syntax
+//! and ceilings only; what a protocol can run (its capabilities, the IDs
+//! it accepts) is checked once, by the command that runs it.
 
 use co_bench::parallel::MAX_JOBS;
-use co_core::registry::{Capability, ProtocolSpec};
+use co_core::registry::ProtocolSpec;
 use co_core::IdScheme;
-use co_net::{LatencyModel, LatencyPlan, Schedule, SchedulerKind};
+use co_net::fleet::{RingSizes, DEFAULT_SHARD_RINGS};
+use co_net::{DedupKind, LatencyModel, LatencyPlan, Schedule, SchedulerKind};
 use std::fmt;
+use std::path::PathBuf;
+use std::str::FromStr;
+use Command::*;
 
-/// Options shared by every subcommand.
+/// Every flag's value, in the field named after it (`--latency-seed` is
+/// `latency_seed`), at its default until the command line sets it. A
+/// command reads only the flags whose `FLAGS` row names it; the row's
+/// help line documents the field.
 #[derive(Clone, Debug)]
-pub struct CommonOpts {
-    /// Node IDs in clockwise order (`--ids 5,2,9`), or `--n N` for 1..=N.
-    pub ids: Vec<u64>,
-    /// Delivery adversary.
-    pub scheduler: SchedulerKind,
-    /// RNG seed for scheduler / sampling.
-    pub seed: u64,
-    /// Per-channel latency model (`zero` keeps the untimed fast path).
-    pub latency: LatencyModel,
-    /// Seed of the per-channel latency streams.
-    pub latency_seed: u64,
+pub struct Opts {
+    pub(crate) ids: Vec<u64>,
+    /// `anonymous`' ring size; `--n` also sets `ids` to `1..=n`.
+    pub(crate) n: usize,
+    pub(crate) scheduler: SchedulerKind,
+    pub(crate) seed: u64,
+    pub(crate) latency: LatencyModel,
+    pub(crate) latency_seed: u64,
     /// Emit machine-readable JSON instead of text.
     pub json: bool,
+    pub(crate) scheme: IdScheme,
+    pub(crate) c: f64,
+    pub(crate) trials: u64,
+    pub(crate) max_id: u64,
+    pub(crate) algo: co_classic::runner::Baseline,
+    pub(crate) graph: GraphSpec,
+    pub(crate) root: usize,
+    /// Unset, `explore` runs one worker and `fleet`, a throughput
+    /// harness, one per core.
+    pub(crate) jobs: Option<usize>,
+    pub(crate) rings: u64,
+    pub(crate) ring_sizes: RingSizes,
+    pub(crate) fault_rate: f64,
+    pub(crate) rounds: u64,
+    /// `--duration`, in milliseconds.
+    pub(crate) duration_ms: Option<u64>,
+    /// Unset, each command drives its own default ([`Opts::protocol_or`]).
+    pub(crate) protocol: Option<ProtocolChoice>,
+    /// Always set for `replay`: [`Cli::parse`] refuses one without it.
+    pub(crate) schedule: Option<Schedule>,
+    pub(crate) max_configs: usize,
+    pub(crate) dedup: DedupKind,
+    pub(crate) checkpoint: Option<PathBuf>,
+    pub(crate) checkpoint_every: usize,
+    pub(crate) resume: Option<PathBuf>,
+    pub(crate) spill: usize,
+    pub(crate) scratch_dir: Option<PathBuf>,
 }
 
-impl CommonOpts {
+impl Opts {
     /// The latency plan these options describe (every channel gets
-    /// [`CommonOpts::latency`], seeded by [`CommonOpts::latency_seed`]).
+    /// `--latency`, seeded by `--latency-seed`).
     #[must_use]
     pub fn latency_plan(&self) -> LatencyPlan {
         LatencyPlan::new(self.latency, self.latency_seed)
     }
+
+    /// The `--protocol` choice, or the registered protocol `default`.
+    #[must_use]
+    pub fn protocol_or(&self, default: &str) -> ProtocolChoice {
+        self.protocol
+            .unwrap_or_else(|| ProtocolChoice::named(default))
+    }
 }
 
-impl Default for CommonOpts {
-    fn default() -> CommonOpts {
-        CommonOpts {
+impl Default for Opts {
+    fn default() -> Opts {
+        Opts {
             ids: (1..=8).collect(),
+            n: 8,
             scheduler: SchedulerKind::Random,
             seed: 0,
             latency: LatencyModel::Zero,
             latency_seed: 0,
             json: false,
+            scheme: IdScheme::Improved,
+            c: 1.0,
+            trials: 100,
+            max_id: 16,
+            algo: co_classic::runner::Baseline::ChangRoberts,
+            graph: GraphSpec::Ring(8),
+            root: 0,
+            jobs: None,
+            rings: 10_000,
+            ring_sizes: RingSizes::Uniform { min: 3, max: 9 },
+            fault_rate: 0.0,
+            rounds: 1,
+            duration_ms: None,
+            protocol: None,
+            schedule: None,
+            max_configs: 2_000_000,
+            dedup: DedupKind::Exact,
+            checkpoint: None,
+            checkpoint_every: 100_000,
+            resume: None,
+            spill: 0,
+            scratch_dir: None,
         }
     }
 }
@@ -52,111 +120,481 @@ impl Default for CommonOpts {
 pub struct Cli {
     /// The subcommand.
     pub command: Command,
-    /// Shared options.
-    pub opts: CommonOpts,
+    /// Every flag's value.
+    pub opts: Opts,
 }
 
-/// `co-ring` subcommands.
-#[derive(Clone, Debug, PartialEq)]
+/// `co-ring` subcommands. A command's name is its variant's, in lower
+/// case.
+#[derive(Copy, Clone, Debug, PartialEq, Eq)]
 pub enum Command {
     /// Run Algorithm 2 (quiescently terminating election).
     Elect,
     /// Run Algorithm 1 (stabilizing election).
     Stabilize,
     /// Run Algorithm 3 on a randomly port-scrambled ring.
-    Orient {
-        /// Virtual-ID scheme.
-        scheme: IdScheme,
-    },
+    Orient,
     /// Run an anonymous-ring election (Algorithm 4 + Algorithm 3).
-    Anonymous {
-        /// Ring size.
-        n: usize,
-        /// The paper's `c` parameter.
-        c: f64,
-        /// Number of trials.
-        trials: u64,
-    },
+    Anonymous,
     /// Elect, then compute the ring size at every node (Corollary 5).
     Compose,
     /// Print solitude patterns (Definition 21) for a range of IDs.
-    Solitude {
-        /// Largest ID to extract.
-        max_id: u64,
-    },
+    Solitude,
     /// Run a classical baseline for comparison.
-    Baseline {
-        /// Which baseline.
-        which: co_classic::runner::Baseline,
-    },
+    Baseline,
     /// Run the content-oblivious flood-echo wave on a general graph.
-    Echo {
-        /// Graph description (e.g. `ring:8`, `complete:5`, `path:4`).
-        graph: GraphSpec,
-        /// Root node of the wave.
-        root: usize,
-    },
+    Echo,
     /// Run a fleet of independent concurrent ring elections (E21 harness).
-    Fleet {
-        /// Rings per round.
-        rings: u64,
-        /// Ring-size distribution (`4`, `uniform:3..9`, `mix:3,5,8`).
-        sizes: co_net::fleet::RingSizes,
-        /// Which election protocol every ring runs (must be
-        /// fleet-capable; checked at parse time against the registry).
-        protocol: ProtocolChoice,
-        /// Probability a ring gets one spurious clockwise pulse.
-        fault_rate: f64,
-        /// Rounds to run (ignored when `duration_ms` is set).
-        rounds: u64,
-        /// Soft wall-clock stop: run whole rounds until this elapses.
-        duration_ms: Option<u64>,
-        /// Worker threads (0 = one per core).
-        jobs: usize,
-    },
+    Fleet,
     /// Run a protocol while recording a replayable delivery schedule.
-    Record {
-        /// Which protocol to drive.
-        protocol: ProtocolChoice,
-    },
+    Record,
     /// Deterministically replay a recorded schedule.
-    Replay {
-        /// Which protocol to drive.
-        protocol: ProtocolChoice,
-        /// The schedule to replay (from `record`, e.g. `0,3,2`).
-        schedule: Schedule,
-    },
+    Replay,
     /// Find a monitor-violating schedule and ddmin-minimize it.
-    Shrink {
-        /// Which protocol to drive (needs CCW-instance counters:
-        /// `alg2` or `ungated`).
-        protocol: ProtocolChoice,
-    },
+    Shrink,
     /// Exhaustively explore every delivery order with fingerprint dedup.
-    Explore {
-        /// Which protocol to drive.
-        protocol: ProtocolChoice,
-        /// Configuration cap before giving up.
-        max_configs: usize,
-        /// Worker threads (0 = one per core, 1 = single-threaded).
-        jobs: usize,
-        /// Fingerprint dedup backend.
-        dedup: co_net::DedupKind,
-        /// Write resumable checkpoints to this path.
-        checkpoint: Option<std::path::PathBuf>,
-        /// Admitted configurations between checkpoint writes.
-        checkpoint_every: usize,
-        /// Resume from a checkpoint previously written by `--checkpoint`.
-        resume: Option<std::path::PathBuf>,
-        /// Frontier spill-to-disk high-water mark (0 = off).
-        spill: usize,
-        /// Directory for scratch files (mmap tables, spill files).
-        scratch_dir: Option<std::path::PathBuf>,
-    },
+    Explore,
     /// Print the protocol registry as a name × capabilities table.
     Protocols,
     /// Print usage.
     Help,
+}
+
+impl Command {
+    /// Every command, in help order.
+    pub const ALL: [Command; 15] = [
+        Elect, Stabilize, Orient, Anonymous, Compose, Solitude, Baseline, Echo, Fleet, Record,
+        Replay, Shrink, Explore, Protocols, Help,
+    ];
+
+    /// The command's name on the command line.
+    #[must_use]
+    pub fn name(self) -> String {
+        format!("{self:?}").to_lowercase()
+    }
+
+    /// The command's line in `co-ring help`.
+    fn about(self) -> &'static str {
+        match self {
+            Elect => "Algorithm 2: quiescently terminating election (Theorem 1)",
+            Stabilize => "Algorithm 1: quiescently stabilizing election",
+            Orient => "Algorithm 3: elect + orient a port-scrambled ring (Theorem 2)",
+            Anonymous => "Algorithm 4 + 3: anonymous ring, random IDs (Theorem 3)",
+            Compose => "Corollary 5: elect, then all nodes learn the ring size",
+            Solitude => "Definition 21: print solitude patterns per ID",
+            Baseline => "Run a classical content-carrying baseline",
+            Echo => "Flood-echo wave on a general graph (§7 groundwork)",
+            Fleet => "Run a fleet of independent concurrent ring elections",
+            Record => "Run once, printing a replayable delivery schedule",
+            Replay => "Deterministically re-execute a recorded schedule",
+            Shrink => "Find a monitor-violating schedule, then ddmin-minimize it",
+            Explore => "Check the paper's claims on every schedule (exit 2 if broken)",
+            Protocols => "Print the protocol registry (names × capabilities)",
+            Help => "This text",
+        }
+    }
+}
+
+/// Ceiling on `--n` and on every `--ring-sizes` entry: 10× the largest ring
+/// any test, CI job or example runs (n = 100,000). Node tables are
+/// allocated up front, so a larger value is refused before any allocation.
+const MAX_N: u64 = 1_000_000;
+
+/// Ceiling on `--rings`: 10× the largest fleet any test, CI job or example
+/// runs (10⁶ rings).
+const MAX_RINGS: u64 = 10_000_000;
+
+/// Ceiling on `solitude --max-id`: every ID up to it is simulated and
+/// printed, so the output grows quadratically with it.
+const MAX_SOLITUDE_ID: u64 = 1_000;
+
+/// Ceiling on the nodes one fleet shard holds at once (its rings' node and
+/// termination arrays): `min(--rings, shard size)` × the largest
+/// `--ring-sizes` entry. At the default shard size that admits
+/// `--ring-sizes` up to 9,765.
+const MAX_FLEET_SHARD_NODES: u64 = 10_000_000;
+
+/// One flag: everything `co-ring` knows about it.
+struct Flag {
+    /// The flag as typed, then its value's placeholder (none for a switch).
+    syntax: &'static str,
+    /// Its help text; [`usage`] fills in the `{…}` placeholders, among them
+    /// `{ceiling}`, which a row with a ceiling must state.
+    help: &'static str,
+    /// The largest value it accepts, where the value sizes an allocation
+    /// or a thread count.
+    ceiling: Option<u64>,
+    /// The commands that read it; every other command refuses it.
+    read_by: &'static [Command],
+    /// Parses its value into the options.
+    set: fn(&mut Opts, &Arg<'_>) -> Result<(), ParseError>,
+}
+
+/// Every flag, in help order.
+const FLAGS: &[Flag] = &[
+    Flag {
+        syntax: "--ids a,b,c",
+        help: "node IDs clockwise (default 1..=8)",
+        ceiling: None,
+        read_by: &[
+            Elect, Stabilize, Orient, Compose, Baseline, Record, Replay, Shrink, Explore,
+        ],
+        set: |o, a| {
+            o.ids = a
+                .text
+                .split(',')
+                .map(|p| p.trim().parse().map_err(|_| err(format!("bad ID '{p}'"))))
+                .collect::<Result<_, _>>()?;
+            if o.ids.is_empty() || o.ids.contains(&0) {
+                return Err(err("--ids needs positive integers"));
+            }
+            Ok(())
+        },
+    },
+    Flag {
+        syntax: "--n N",
+        help: "shorthand for --ids 1,...,N, N at most {ceiling}; anonymous: the ring size \
+               (default 8)",
+        ceiling: Some(MAX_N),
+        read_by: &[
+            Elect, Stabilize, Orient, Anonymous, Compose, Baseline, Record, Replay, Shrink, Explore,
+        ],
+        set: |o, a| {
+            let n = a.at_most(a.positive()?)?;
+            o.ids = (1..=n).collect();
+            o.n = n as usize;
+            Ok(())
+        },
+    },
+    Flag {
+        syntax: "--scheduler NAME",
+        help: "delivery adversary: {schedulers} (default random)",
+        ceiling: None,
+        read_by: &[
+            Elect, Stabilize, Orient, Anonymous, Compose, Baseline, Echo, Record,
+        ],
+        set: |o, a| parse_scheduler(a.text).map(|v| o.scheduler = v),
+    },
+    Flag {
+        syntax: "--seed S",
+        help: "adversary / sampling seed (default 0)",
+        ceiling: None,
+        read_by: &[
+            Elect, Stabilize, Orient, Anonymous, Compose, Baseline, Echo, Fleet, Record, Shrink,
+        ],
+        set: |o, a| a.number("an integer").map(|v| o.seed = v),
+    },
+    Flag {
+        syntax: "--latency MODEL",
+        help: "per-channel delay: zero | fixed:K | uniform:MIN..MAX (default zero)",
+        ceiling: None,
+        read_by: &[
+            Elect, Stabilize, Orient, Anonymous, Compose, Baseline, Record, Replay,
+        ],
+        set: |o, a| a.typed().map(|v| o.latency = v),
+    },
+    Flag {
+        syntax: "--latency-seed S",
+        help: "seed of the latency streams (default 0)",
+        ceiling: None,
+        read_by: &[
+            Elect, Stabilize, Orient, Anonymous, Compose, Baseline, Record, Replay,
+        ],
+        set: |o, a| a.number("an integer").map(|v| o.latency_seed = v),
+    },
+    Flag {
+        syntax: "--json",
+        help: "machine-readable output",
+        ceiling: None,
+        read_by: &[
+            Elect, Stabilize, Orient, Anonymous, Compose, Solitude, Baseline, Echo, Fleet, Record,
+            Replay, Shrink, Explore, Protocols,
+        ],
+        set: |o, _| {
+            o.json = true;
+            Ok(())
+        },
+    },
+    Flag {
+        syntax: "--scheme S",
+        help: "virtual-ID scheme: doubled | improved (default improved)",
+        ceiling: None,
+        read_by: &[Orient],
+        set: |o, a| {
+            o.scheme = match a.text {
+                "doubled" => IdScheme::Doubled,
+                "improved" => IdScheme::Improved,
+                other => return Err(err(format!("unknown scheme '{other}'"))),
+            };
+            Ok(())
+        },
+    },
+    Flag {
+        syntax: "--c X",
+        help: "the paper's c parameter, a positive number (default 1)",
+        ceiling: None,
+        read_by: &[Anonymous],
+        set: |o, a| {
+            o.c = a.number("a float")?;
+            if !(o.c.is_finite() && o.c > 0.0) {
+                return Err(err(format!(
+                    "--c must be a positive finite number, got {}",
+                    o.c
+                )));
+            }
+            Ok(())
+        },
+    },
+    Flag {
+        syntax: "--trials T",
+        help: "trial count (default 100)",
+        ceiling: None,
+        read_by: &[Anonymous],
+        set: |o, a| {
+            o.trials = a.number("an integer")?;
+            if o.trials == 0 {
+                return Err(err("--trials must be at least 1"));
+            }
+            Ok(())
+        },
+    },
+    Flag {
+        syntax: "--max-id K",
+        help: "largest ID, at most {ceiling} (default 16)",
+        ceiling: Some(MAX_SOLITUDE_ID),
+        read_by: &[Solitude],
+        set: |o, a| a.at_most(a.number("an integer")?).map(|v| o.max_id = v),
+    },
+    Flag {
+        syntax: "--algo A",
+        help: "cr | hs | peterson | franklin (default cr)",
+        ceiling: None,
+        read_by: &[Baseline],
+        set: |o, a| {
+            use co_classic::runner::Baseline as Algo;
+            o.algo = match a.text {
+                "chang-roberts" | "cr" => Algo::ChangRoberts,
+                "hirschberg-sinclair" | "hs" => Algo::HirschbergSinclair,
+                "peterson" => Algo::Peterson,
+                "franklin" => Algo::Franklin,
+                other => return Err(err(format!("unknown baseline '{other}'"))),
+            };
+            Ok(())
+        },
+    },
+    Flag {
+        syntax: "--graph G",
+        help: "ring:N | complete:N | path:N (default ring:8)",
+        ceiling: None,
+        read_by: &[Echo],
+        set: |o, a| GraphSpec::parse(a.text).map(|v| o.graph = v),
+    },
+    Flag {
+        syntax: "--root R",
+        help: "root node of the wave (default 0)",
+        ceiling: None,
+        read_by: &[Echo],
+        set: |o, a| a.number("a node index").map(|v| o.root = v),
+    },
+    Flag {
+        syntax: "--jobs N",
+        help: "worker threads, 0 = one per core, at most {ceiling} (default 1; fleet 0)",
+        ceiling: Some(MAX_JOBS as u64),
+        read_by: &[Fleet, Explore],
+        set: |o, a| {
+            let jobs = a.at_most(a.number("a number (0 = one per core)")?)?;
+            o.jobs = Some(jobs as usize);
+            Ok(())
+        },
+    },
+    Flag {
+        syntax: "--rings N",
+        help: "rings per round, at most {ceiling} (default 10000)",
+        ceiling: Some(MAX_RINGS),
+        read_by: &[Fleet],
+        set: |o, a| a.at_most(a.positive()?).map(|v| o.rings = v),
+    },
+    Flag {
+        syntax: "--ring-sizes S",
+        help: "N | uniform:MIN..MAX | mix:a,b,c, each size at most {ceiling} (default \
+               uniform:3..9); one shard of min(rings, {shard}) rings holds at most \
+               {shard_nodes} nodes",
+        ceiling: Some(MAX_N),
+        read_by: &[Fleet],
+        set: |o, a| {
+            // `max_len` covers the `N` form, the `uniform:` max and every
+            // `mix:` entry.
+            o.ring_sizes = a.typed()?;
+            a.at_most(o.ring_sizes.max_len() as u64)?;
+            Ok(())
+        },
+    },
+    Flag {
+        syntax: "--fault-rate F",
+        help: "P(one spurious CW pulse per ring), in 0..=1 (default 0)",
+        ceiling: None,
+        read_by: &[Fleet],
+        set: |o, a| {
+            o.fault_rate = a.number("a float")?;
+            if !(0.0..=1.0).contains(&o.fault_rate) {
+                return Err(err("--fault-rate must be in 0.0..=1.0"));
+            }
+            Ok(())
+        },
+    },
+    Flag {
+        syntax: "--rounds R",
+        help: "rounds to run (default 1)",
+        ceiling: None,
+        read_by: &[Fleet],
+        set: |o, a| a.positive().map(|v| o.rounds = v),
+    },
+    Flag {
+        syntax: "--duration SECS",
+        help: "run whole rounds until SECS elapse (overrides --rounds)",
+        ceiling: None,
+        read_by: &[Fleet],
+        set: |o, a| {
+            let secs: f64 = a.number("seconds (e.g. 10 or 2.5)")?;
+            if !(secs > 0.0 && secs.is_finite()) {
+                return Err(err("--duration must be positive"));
+            }
+            o.duration_ms = Some((secs * 1000.0).ceil() as u64);
+            Ok(())
+        },
+    },
+    Flag {
+        syntax: "--protocol P",
+        help: "{protocols} (default alg2; fleet alg1, shrink ungated)",
+        ceiling: None,
+        read_by: &[Fleet, Record, Replay, Shrink, Explore],
+        set: |o, a| ProtocolChoice::parse(a.text).map(|v| o.protocol = Some(v)),
+    },
+    Flag {
+        syntax: "--schedule S",
+        help: "the channel picks 'record' printed (required)",
+        ceiling: None,
+        read_by: &[Replay],
+        set: |o, a| {
+            // A pick in a `batch:` recording could stand for a whole fused
+            // pulse run, so it cannot be replayed per pulse.
+            if a.text.trim_start().starts_with("batch:") {
+                return Err(err(
+                    "batch-mode schedules ('batch:' prefix) are no longer supported: \
+                     re-record the run with 'co-ring record'",
+                ));
+            }
+            a.typed().map(|v| o.schedule = Some(v))
+        },
+    },
+    Flag {
+        syntax: "--max-configs N",
+        help: "configuration cap (default 2000000)",
+        ceiling: None,
+        read_by: &[Explore],
+        set: |o, a| a.number("an integer").map(|v| o.max_configs = v),
+    },
+    Flag {
+        syntax: "--dedup B",
+        help: "fingerprint backend: exact | mmap[:BUDGET], where mmap keeps the table in \
+               files and BUDGET (e.g. 512M) is at most {budget} (default exact)",
+        ceiling: None,
+        read_by: &[Explore],
+        // The refusal lists the backends, so a new one extends it.
+        set: |o, a| a.typed().map(|v| o.dedup = v),
+    },
+    Flag {
+        syntax: "--checkpoint PATH",
+        help: "write a resumable checkpoint to PATH periodically and at the end of the run",
+        ceiling: None,
+        read_by: &[Explore],
+        set: |o, a| a.typed().map(|path| o.checkpoint = Some(path)),
+    },
+    Flag {
+        syntax: "--checkpoint-every N",
+        help: "configurations between checkpoints (default 100000)",
+        ceiling: None,
+        read_by: &[Explore],
+        set: |o, a| a.positive().map(|v| o.checkpoint_every = v),
+    },
+    Flag {
+        syntax: "--resume PATH",
+        help: "continue from a --checkpoint file (same protocol, IDs and dedup)",
+        ceiling: None,
+        read_by: &[Explore],
+        set: |o, a| a.typed().map(|path| o.resume = Some(path)),
+    },
+    Flag {
+        syntax: "--spill N",
+        help: "spill frontier items beyond N per worker to disk (default 0 = off)",
+        ceiling: None,
+        read_by: &[Explore],
+        set: |o, a| a.number("an integer (0 = off)").map(|v| o.spill = v),
+    },
+    Flag {
+        syntax: "--scratch-dir DIR",
+        help: "directory for mmap tables and spill files (default system temp dir)",
+        ceiling: None,
+        read_by: &[Explore],
+        set: |o, a| a.typed().map(|path| o.scratch_dir = Some(path)),
+    },
+];
+
+/// A flag's value as given, with the row that parses it.
+struct Arg<'a> {
+    flag: &'static Flag,
+    text: &'a str,
+}
+
+impl Flag {
+    /// The flag as typed.
+    fn name(&self) -> &'static str {
+        self.syntax.split(' ').next().unwrap_or(self.syntax)
+    }
+
+    /// Whether the flag takes a value (it is not a switch).
+    fn takes_value(&self) -> bool {
+        self.syntax.contains(' ')
+    }
+}
+
+impl Arg<'_> {
+    /// The value as a number, refused as "--flag must be `what`".
+    fn number<T: FromStr>(&self, what: &str) -> Result<T, ParseError> {
+        self.text
+            .parse()
+            .map_err(|_| err(format!("{} must be {what}", self.flag.name())))
+    }
+
+    /// The value as a positive integer.
+    fn positive<T: FromStr + Default + PartialEq>(&self) -> Result<T, ParseError> {
+        let value = self.number("a positive integer")?;
+        if value == T::default() {
+            return Err(err(format!("{} must be positive", self.flag.name())));
+        }
+        Ok(value)
+    }
+
+    /// The value as a `T`, refused as "bad --flag: <why>".
+    fn typed<T: FromStr>(&self) -> Result<T, ParseError>
+    where
+        T::Err: fmt::Display,
+    {
+        self.text
+            .parse()
+            .map_err(|e| err(format!("bad {}: {e}", self.flag.name())))
+    }
+
+    /// `value`, if it is within the flag's ceiling.
+    fn at_most(&self, value: u64) -> Result<u64, ParseError> {
+        match self.flag.ceiling {
+            Some(ceiling) if value > ceiling => Err(err(format!(
+                "{} must be at most {ceiling}, got {value}",
+                self.flag.name()
+            ))),
+            _ => Ok(value),
+        }
+    }
 }
 
 /// Which registered protocol the `record`/`replay`/`shrink`/`explore`/
@@ -309,113 +747,23 @@ fn err(msg: impl Into<String>) -> ParseError {
     ParseError::Invalid(msg.into())
 }
 
-/// The flags each command reads; `help` reads none. A flag that some
-/// command reads is refused, by name, on any other command.
-const COMMAND_FLAGS: &[(&str, &str)] = &[
-    (
-        "elect",
-        "--ids --n --scheduler --seed --latency --latency-seed --json",
-    ),
-    (
-        "stabilize",
-        "--ids --n --scheduler --seed --latency --latency-seed --json",
-    ),
-    (
-        "orient",
-        "--ids --n --scheduler --seed --latency --latency-seed --json --scheme",
-    ),
-    (
-        "anonymous",
-        "--n --scheduler --seed --latency --latency-seed --json --c --trials",
-    ),
-    (
-        "compose",
-        "--ids --n --scheduler --seed --latency --latency-seed --json",
-    ),
-    ("solitude", "--json --max-id"),
-    (
-        "baseline",
-        "--ids --n --scheduler --seed --latency --latency-seed --json --algo",
-    ),
-    ("echo", "--scheduler --seed --json --graph --root"),
-    (
-        "fleet",
-        concat!(
-            "--seed --json --protocol --jobs --rings --ring-sizes --fault-rate ",
-            "--rounds --duration"
-        ),
-    ),
-    (
-        "record",
-        "--ids --n --scheduler --seed --latency --latency-seed --json --protocol",
-    ),
-    (
-        "replay",
-        concat!(
-            "--ids --n --scheduler --seed --latency --latency-seed --json --protocol ",
-            "--schedule"
-        ),
-    ),
-    ("shrink", "--ids --n --seed --json --protocol"),
-    (
-        "explore",
-        concat!(
-            "--ids --n --json --protocol --jobs --max-configs --dedup --checkpoint ",
-            "--checkpoint-every --resume --spill --scratch-dir"
-        ),
-    ),
-    ("protocols", "--json"),
-];
-
-/// Whether the space-separated `flags` list `flag`.
-fn lists(flags: &str, flag: &str) -> bool {
-    flags.split_whitespace().any(|f| f == flag)
-}
-
-/// Ceiling on `--n` and on every `--ring-sizes` entry: 10× the largest ring
-/// any test, CI job or example runs (n = 100,000). Node tables are
-/// allocated up front, so a larger value is refused before any allocation.
-const MAX_N: u64 = 1_000_000;
-
-/// Ceiling on `--rings`: 10× the largest fleet any test, CI job or example
-/// runs (10⁶ rings).
-const MAX_RINGS: u64 = 10_000_000;
-
-/// Ceiling on `solitude --max-id`: every ID up to it is simulated and
-/// printed, so the output grows quadratically with it.
-const MAX_SOLITUDE_ID: u64 = 1_000;
-
-/// Ceiling on the nodes one fleet shard holds at once (its rings' node and
-/// termination arrays): `min(--rings, shard size)` × the largest
-/// `--ring-sizes` entry. At the default shard size that admits
-/// `--ring-sizes` up to 9,765.
-const MAX_FLEET_SHARD_NODES: u64 = 10_000_000;
-
-fn at_most(flag: &str, value: u64, ceiling: u64) -> Result<(), ParseError> {
-    if value > ceiling {
-        return Err(err(format!(
-            "{flag} must be at most {ceiling}, got {value}"
-        )));
-    }
-    Ok(())
+/// Every scheduler name: the adversaries of `SchedulerKind::ALL`, then
+/// `latency`, which models the network rather than an adversary.
+fn scheduler_names() -> Vec<String> {
+    let mut names: Vec<String> = SchedulerKind::ALL.iter().map(ToString::to_string).collect();
+    names.push(SchedulerKind::Latency.to_string());
+    names
 }
 
 fn parse_scheduler(s: &str) -> Result<SchedulerKind, ParseError> {
-    // `Latency` is deliberately outside `SchedulerKind::ALL` (it models the
-    // network, not an adversary), so it is matched by name here.
-    if s == SchedulerKind::Latency.to_string() {
-        return Ok(SchedulerKind::Latency);
-    }
     SchedulerKind::ALL
         .into_iter()
+        .chain([SchedulerKind::Latency])
         .find(|k| k.to_string() == s)
         .ok_or_else(|| {
-            let mut names: Vec<String> =
-                SchedulerKind::ALL.iter().map(ToString::to_string).collect();
-            names.push(SchedulerKind::Latency.to_string());
             err(format!(
                 "unknown scheduler '{s}'; one of: {}",
-                names.join(", ")
+                scheduler_names().join(", ")
             ))
         })
 }
@@ -431,414 +779,121 @@ impl Cli {
         I: IntoIterator<Item = S>,
         S: AsRef<str>,
     {
-        let args: Vec<String> = args.into_iter().map(|s| s.as_ref().to_owned()).collect();
-        let mut it = args.iter().peekable();
-        let Some(cmd) = it.next() else {
+        let mut args = args.into_iter();
+        let mut opts = Opts::default();
+        let Some(name) = args.next() else {
             return Ok(Cli {
-                command: Command::Help,
-                opts: CommonOpts::default(),
+                command: Help,
+                opts,
             });
         };
-        let reads = match COMMAND_FLAGS.iter().find(|(name, _)| name == cmd) {
-            Some((_, flags)) => *flags,
-            None if matches!(cmd.as_str(), "help" | "--help" | "-h") => "",
-            None => return Err(err(format!("unknown command '{cmd}'; try 'help'"))),
+        let name = name.as_ref();
+        let command = match name {
+            "--help" | "-h" => Help,
+            _ => Command::ALL
+                .into_iter()
+                .find(|command| command.name() == name)
+                .ok_or_else(|| err(format!("unknown command '{name}'; try 'help'")))?,
         };
-
-        let mut opts = CommonOpts::default();
-        let mut scheme = IdScheme::Improved;
-        let mut n: Option<usize> = None;
-        let mut c = 1.0f64;
-        let mut trials = 100u64;
-        let mut max_id = 16u64;
-        let mut which = co_classic::runner::Baseline::ChangRoberts;
-        let mut graph = GraphSpec::Ring(8);
-        let mut root = 0usize;
-        let mut jobs: Option<usize> = None;
-        let mut rings = 10_000u64;
-        let mut sizes = co_net::fleet::RingSizes::Uniform { min: 3, max: 9 };
-        let mut fault_rate = 0.0f64;
-        let mut rounds = 1u64;
-        let mut duration_ms: Option<u64> = None;
-        let mut protocol: Option<ProtocolChoice> = None;
-        let mut schedule: Option<Schedule> = None;
-        let mut max_configs = 2_000_000usize;
-        let mut dedup = co_net::DedupKind::Exact;
-        let mut checkpoint: Option<std::path::PathBuf> = None;
-        let mut checkpoint_every = 100_000usize;
-        let mut resume: Option<std::path::PathBuf> = None;
-        let mut spill = 0usize;
-        let mut scratch_dir: Option<std::path::PathBuf> = None;
-
-        while let Some(flag) = it.next() {
-            if !lists(reads, flag) && COMMAND_FLAGS.iter().any(|(_, f)| lists(f, flag)) {
+        while let Some(given) = args.next() {
+            let given = given.as_ref();
+            let flag = FLAGS
+                .iter()
+                .find(|flag| flag.name() == given)
+                .ok_or_else(|| err(format!("unknown flag '{given}'")))?;
+            if !flag.read_by.contains(&command) {
                 return Err(ParseError::NotRead {
-                    command: cmd.clone(),
-                    flag: flag.clone(),
+                    command: name.to_owned(),
+                    flag: given.to_owned(),
                 });
             }
-            let mut value = |name: &str| -> Result<&String, ParseError> {
-                it.next()
-                    .ok_or_else(|| err(format!("{name} requires a value")))
+            let value = if flag.takes_value() {
+                Some(
+                    args.next()
+                        .ok_or_else(|| err(format!("{given} requires a value")))?,
+                )
+            } else {
+                None
             };
-            match flag.as_str() {
-                "--ids" => {
-                    opts.ids = value("--ids")?
-                        .split(',')
-                        .map(|p| {
-                            p.trim()
-                                .parse::<u64>()
-                                .map_err(|_| err(format!("bad ID '{p}'")))
-                        })
-                        .collect::<Result<_, _>>()?;
-                    if opts.ids.is_empty() || opts.ids.contains(&0) {
-                        return Err(err("--ids needs positive integers"));
-                    }
-                }
-                "--n" => {
-                    let parsed: usize = value("--n")?
-                        .parse()
-                        .map_err(|_| err("--n must be a positive integer"))?;
-                    if parsed == 0 {
-                        return Err(err("--n must be positive"));
-                    }
-                    at_most("--n", parsed as u64, MAX_N)?;
-                    opts.ids = (1..=parsed as u64).collect();
-                    n = Some(parsed);
-                }
-                "--scheduler" => opts.scheduler = parse_scheduler(value("--scheduler")?)?,
-                "--seed" => {
-                    opts.seed = value("--seed")?
-                        .parse()
-                        .map_err(|_| err("--seed must be an integer"))?;
-                }
-                "--latency" => {
-                    opts.latency = value("--latency")?
-                        .parse()
-                        .map_err(|e| err(format!("bad --latency: {e}")))?;
-                }
-                "--latency-seed" => {
-                    opts.latency_seed = value("--latency-seed")?
-                        .parse()
-                        .map_err(|_| err("--latency-seed must be an integer"))?;
-                }
-                "--json" => opts.json = true,
-                "--scheme" => {
-                    scheme = match value("--scheme")?.as_str() {
-                        "doubled" => IdScheme::Doubled,
-                        "improved" => IdScheme::Improved,
-                        other => return Err(err(format!("unknown scheme '{other}'"))),
-                    };
-                }
-                "--c" => {
-                    c = value("--c")?
-                        .parse()
-                        .map_err(|_| err("--c must be a float"))?;
-                    if !(c.is_finite() && c > 0.0) {
-                        return Err(err(format!(
-                            "--c must be a positive finite number, got {c}"
-                        )));
-                    }
-                }
-                "--trials" => {
-                    trials = value("--trials")?
-                        .parse()
-                        .map_err(|_| err("--trials must be an integer"))?;
-                    if trials == 0 {
-                        return Err(err("--trials must be at least 1"));
-                    }
-                }
-                "--max-id" => {
-                    max_id = value("--max-id")?
-                        .parse()
-                        .map_err(|_| err("--max-id must be an integer"))?;
-                    at_most("--max-id", max_id, MAX_SOLITUDE_ID)?;
-                }
-                "--jobs" => {
-                    let parsed: usize = value("--jobs")?
-                        .parse()
-                        .map_err(|_| err("--jobs must be a number (0 = one per core)"))?;
-                    at_most("--jobs", parsed as u64, MAX_JOBS as u64)?;
-                    jobs = Some(parsed);
-                }
-                "--rings" => {
-                    rings = value("--rings")?
-                        .parse()
-                        .map_err(|_| err("--rings must be a positive integer"))?;
-                    if rings == 0 {
-                        return Err(err("--rings must be positive"));
-                    }
-                    at_most("--rings", rings, MAX_RINGS)?;
-                }
-                "--ring-sizes" => {
-                    sizes = value("--ring-sizes")?
-                        .parse()
-                        .map_err(|e| err(format!("bad --ring-sizes: {e}")))?;
-                    // `max_len` covers the `N` form, the `uniform:` max and
-                    // every `mix:` entry.
-                    at_most("--ring-sizes", sizes.max_len() as u64, MAX_N)?;
-                }
-                "--fault-rate" => {
-                    fault_rate = value("--fault-rate")?
-                        .parse()
-                        .map_err(|_| err("--fault-rate must be a float"))?;
-                    if !(0.0..=1.0).contains(&fault_rate) {
-                        return Err(err("--fault-rate must be in 0.0..=1.0"));
-                    }
-                }
-                "--rounds" => {
-                    rounds = value("--rounds")?
-                        .parse()
-                        .map_err(|_| err("--rounds must be a positive integer"))?;
-                    if rounds == 0 {
-                        return Err(err("--rounds must be positive"));
-                    }
-                }
-                "--duration" => {
-                    let secs: f64 = value("--duration")?
-                        .parse()
-                        .map_err(|_| err("--duration must be seconds (e.g. 10 or 2.5)"))?;
-                    if !(secs > 0.0 && secs.is_finite()) {
-                        return Err(err("--duration must be positive"));
-                    }
-                    duration_ms = Some((secs * 1000.0).ceil() as u64);
-                }
-                "--protocol" => protocol = Some(ProtocolChoice::parse(value("--protocol")?)?),
-                "--schedule" => {
-                    let text = value("--schedule")?;
-                    // A pick in a `batch:` recording could stand for a whole
-                    // fused pulse run, so it cannot be replayed per pulse.
-                    if text.trim_start().starts_with("batch:") {
-                        return Err(err(
-                            "batch-mode schedules ('batch:' prefix) are no longer supported: \
-                             re-record the run with 'co-ring record'",
-                        ));
-                    }
-                    schedule = Some(
-                        text.parse()
-                            .map_err(|e| err(format!("bad --schedule: {e}")))?,
-                    );
-                }
-                "--max-configs" => {
-                    max_configs = value("--max-configs")?
-                        .parse()
-                        .map_err(|_| err("--max-configs must be an integer"))?;
-                }
-                "--dedup" => {
-                    // The error lists the valid kinds from the backend
-                    // itself (registry style), so a new backend extends the
-                    // message with no CLI edit.
-                    dedup = value("--dedup")?.parse().map_err(|e| err(format!("{e}")))?;
-                }
-                "--checkpoint" => checkpoint = Some(value("--checkpoint")?.into()),
-                "--checkpoint-every" => {
-                    checkpoint_every = value("--checkpoint-every")?
-                        .parse()
-                        .map_err(|_| err("--checkpoint-every must be an integer"))?;
-                    if checkpoint_every == 0 {
-                        return Err(err("--checkpoint-every must be positive"));
-                    }
-                }
-                "--resume" => resume = Some(value("--resume")?.into()),
-                "--spill" => {
-                    spill = value("--spill")?
-                        .parse()
-                        .map_err(|_| err("--spill must be an integer (0 = off)"))?;
-                }
-                "--scratch-dir" => scratch_dir = Some(value("--scratch-dir")?.into()),
-                "--graph" => graph = GraphSpec::parse(value("--graph")?)?,
-                "--root" => {
-                    root = value("--root")?
-                        .parse()
-                        .map_err(|_| err("--root must be a node index"))?;
-                }
-                "--algo" => {
-                    use co_classic::runner::Baseline;
-                    which = match value("--algo")?.as_str() {
-                        "chang-roberts" | "cr" => Baseline::ChangRoberts,
-                        "hirschberg-sinclair" | "hs" => Baseline::HirschbergSinclair,
-                        "peterson" => Baseline::Peterson,
-                        "franklin" => Baseline::Franklin,
-                        other => return Err(err(format!("unknown baseline '{other}'"))),
-                    };
-                }
-                other => return Err(err(format!("unknown flag '{other}'"))),
-            }
+            let text = value.as_ref().map_or("", AsRef::as_ref);
+            (flag.set)(&mut opts, &Arg { flag, text })?;
         }
-
-        let command = match cmd.as_str() {
-            "elect" => Command::Elect,
-            "stabilize" => Command::Stabilize,
-            "orient" => Command::Orient { scheme },
-            "anonymous" => Command::Anonymous {
-                n: n.unwrap_or(8),
-                c,
-                trials,
-            },
-            "compose" => Command::Compose,
-            "solitude" => Command::Solitude { max_id },
-            "baseline" => Command::Baseline { which },
-            "echo" => Command::Echo { graph, root },
-            "fleet" => {
-                // `fleet` reuses `--protocol`; the capability gate rejects
-                // non-fleet-capable choices at parse time, listing the
-                // protocols that qualify (from the registry, so the list
-                // can never drift).
-                let protocol = protocol.unwrap_or_else(|| ProtocolChoice::named("alg1"));
-                co_bench::protocols()
-                    .require(protocol.name(), Capability::Fleet)
-                    .map_err(|e| err(format!("fleet: {e}")))?;
+        match command {
+            Replay if opts.schedule.is_none() => return Err(err("replay requires --schedule")),
+            Fleet => {
                 // One shard holds every node of its rings at once.
-                let shard_nodes = rings
-                    .min(co_net::fleet::DEFAULT_SHARD_RINGS)
-                    .saturating_mul(sizes.max_len() as u64);
+                let shard_nodes = opts
+                    .rings
+                    .min(DEFAULT_SHARD_RINGS)
+                    .saturating_mul(opts.ring_sizes.max_len() as u64);
                 if shard_nodes > MAX_FLEET_SHARD_NODES {
                     return Err(err(format!(
                         "fleet: --rings and --ring-sizes put {shard_nodes} nodes in one \
                          shard; at most {MAX_FLEET_SHARD_NODES} are allowed"
                     )));
                 }
-                Command::Fleet {
-                    rings,
-                    sizes,
-                    protocol,
-                    fault_rate,
-                    rounds,
-                    duration_ms,
-                    // Fleet is a throughput harness: default to one worker
-                    // per core (the aggregate report is jobs-invariant).
-                    jobs: jobs.unwrap_or(0),
-                }
             }
-            "record" => Command::Record {
-                protocol: protocol.unwrap_or_else(|| ProtocolChoice::named("alg2")),
-            },
-            "replay" => Command::Replay {
-                protocol: protocol.unwrap_or_else(|| ProtocolChoice::named("alg2")),
-                schedule: schedule.ok_or_else(|| err("replay requires --schedule"))?,
-            },
-            "shrink" => Command::Shrink {
-                // The broken ablation is the interesting shrink target.
-                protocol: protocol.unwrap_or_else(|| ProtocolChoice::named("ungated")),
-            },
-            "explore" => Command::Explore {
-                protocol: protocol.unwrap_or_else(|| ProtocolChoice::named("alg2")),
-                max_configs,
-                jobs: jobs.unwrap_or(1),
-                dedup,
-                checkpoint,
-                checkpoint_every,
-                resume,
-                spill,
-                scratch_dir,
-            },
-            "protocols" => Command::Protocols,
-            // Any other name was refused before the flags were read.
-            _ => Command::Help,
-        };
-        // Algorithm 3 runs on virtual IDs derived from the real ones; refuse
-        // IDs whose virtual IDs would not fit in a u64.
-        let alg3_scheme = match &command {
-            Command::Orient { scheme } => Some(*scheme),
-            Command::Record { protocol }
-            | Command::Replay { protocol, .. }
-            | Command::Shrink { protocol }
-            | Command::Explore { protocol, .. }
-                if protocol.name() == "alg3" =>
-            {
-                Some(IdScheme::Improved)
-            }
-            _ => None,
-        };
-        if let Some(scheme) = alg3_scheme {
-            scheme
-                .check_ids(&opts.ids)
-                .map_err(|e| err(format!("{cmd}: {e}")))?;
+            _ => {}
         }
         Ok(Cli { command, opts })
     }
 }
 
-/// The usage text printed by `co-ring help`. The `--protocol` list is
-/// rendered from the registry, so it extends itself on registration.
+/// `text` broken at spaces into lines of at most `width` characters (a
+/// longer word gets a line of its own).
+fn wrap(text: &str, width: usize) -> Vec<String> {
+    let mut lines = vec![String::new()];
+    for word in text.split(' ') {
+        let line = lines.last_mut().expect("at least one line");
+        if line.is_empty() {
+            line.push_str(word);
+        } else if line.chars().count() + 1 + word.chars().count() <= width {
+            line.push(' ');
+            line.push_str(word);
+        } else {
+            lines.push(word.to_owned());
+        }
+    }
+    lines
+}
+
+/// The usage text printed by `co-ring help`, rendered from [`Command`]
+/// and `FLAGS`. The `--protocol` list comes from the registry and the
+/// `--scheduler` list from `SchedulerKind`, so both extend themselves.
 #[must_use]
 pub fn usage() -> String {
-    let protocols = co_bench::protocols().names().join("|");
-    format!(
-        "co-ring — content-oblivious leader election on rings (DISC 2024)
-
-USAGE: co-ring <COMMAND> [OPTIONS]
-
-COMMANDS:
-  elect       Algorithm 2: quiescently terminating election (Theorem 1)
-  stabilize   Algorithm 1: quiescently stabilizing election
-  orient      Algorithm 3: elect + orient a port-scrambled ring (Theorem 2)
-  anonymous   Algorithm 4 + 3: anonymous ring, random IDs (Theorem 3)
-  compose     Corollary 5: elect, then all nodes learn the ring size
-  solitude    Definition 21: print solitude patterns per ID
-  baseline    Run a classical content-carrying baseline
-  echo        Flood-echo wave on a general graph (§7 groundwork)
-  fleet       Run a fleet of independent concurrent ring elections
-  record      Run once, printing a replayable delivery schedule
-  replay      Deterministically re-execute a recorded schedule
-  shrink      Find a monitor-violating schedule, then ddmin-minimize it
-  explore     Check the paper's claims on every schedule (exit 2 if broken)
-  protocols   Print the protocol registry (names × capabilities)
-  help        This text
-
-OPTIONS (a command refuses one it does not read):
-  --ids a,b,c         node IDs clockwise            (default 1..=8)
-  --n N               shorthand for --ids 1,...,N     (N <= {max_n})
-  --scheduler NAME    fifo|solitude|lifo|random|round-robin|
-                      starve-cw|starve-ccw|longest-queue|latency
-                                                     (default random)
-  --seed S            adversary / sampling seed      (default 0)
-  --latency MODEL     per-channel delay: zero | fixed:K | uniform:MIN..MAX
-                                                     (default zero)
-  --latency-seed S    seed of the latency streams    (default 0)
-  --json              machine-readable output
-  --scheme S          orient: doubled|improved       (default improved)
-  --c X  --trials T   anonymous: parameter and trial count
-  --max-id K          solitude: largest ID           (K <= {max_id})
-  --algo A            baseline: cr|hs|peterson|franklin
-  --graph G --root R  echo: ring:N | complete:N | path:N, wave root
-  --jobs N            explore/fleet: worker threads (0 = one per core;
-                      default 1, fleet defaults to 0; N <= {max_jobs})
-  --rings N           fleet: rings per round  (default 10000; N <= {max_rings})
-  --ring-sizes S      fleet: N | uniform:MIN..MAX | mix:a,b,c
-                      (default uniform:3..9; every size <= {max_n}, and
-                      one shard of min(rings, {shard}) rings <= {shard_nodes} nodes)
-  --fault-rate F      fleet: P(one spurious CW pulse per ring) (default 0)
-  --rounds R          fleet: rounds to run                 (default 1)
-  --duration SECS     fleet: run whole rounds until SECS elapse
-                      (overrides --rounds)
-  --protocol P        record/replay/shrink/explore/fleet:
-                      {protocols}
-  --schedule S        replay: schedule from 'record' (channel picks)
-  --max-configs N     explore: configuration cap (default 2000000)
-  --dedup B           explore: fingerprint backend, exact|mmap[:BUDGET]
-                      (default exact; mmap keeps the table in files —
-                      BUDGET accepts k/M/G suffixes, e.g. mmap:512M,
-                      and is at most {max_budget}G)
-  --checkpoint PATH   explore: write a resumable checkpoint to PATH
-                      periodically and at the end of the run
-  --checkpoint-every N  explore: configurations between checkpoints
-                      (default 100000)
-  --resume PATH       explore: continue from a checkpoint written by
-                      --checkpoint (same protocol/ids/dedup required)
-  --spill N           explore: spill frontier items beyond N per worker to
-                      disk (default 0 = off)
-  --scratch-dir DIR   explore: directory for mmap tables and spill files
-                      (default system temp dir)
-",
-        max_n = MAX_N,
-        max_id = MAX_SOLITUDE_ID,
-        max_rings = MAX_RINGS,
-        max_jobs = MAX_JOBS,
-        shard = co_net::fleet::DEFAULT_SHARD_RINGS,
-        shard_nodes = MAX_FLEET_SHARD_NODES,
-        max_budget = co_net::dedup::MMAP_MAX_BUDGET >> 30,
-    )
+    let placeholders = [
+        ("{schedulers}", scheduler_names().join(", ")),
+        ("{protocols}", co_bench::protocols().names().join(", ")),
+        ("{shard}", DEFAULT_SHARD_RINGS.to_string()),
+        ("{shard_nodes}", MAX_FLEET_SHARD_NODES.to_string()),
+        (
+            "{budget}",
+            format!("{}G", co_net::dedup::MMAP_MAX_BUDGET >> 30),
+        ),
+    ];
+    let mut text = String::from(
+        "co-ring — content-oblivious leader election on rings (DISC 2024)\n\n\
+         USAGE: co-ring <COMMAND> [OPTIONS]\n\nCOMMANDS:\n",
+    );
+    for command in Command::ALL {
+        text += &format!("  {:<11} {}\n", command.name(), command.about());
+    }
+    text += "\nOPTIONS (a command refuses one it does not read):\n";
+    for flag in FLAGS {
+        let ceiling = flag.ceiling.map_or_else(String::new, |c| c.to_string());
+        let mut help = flag.help.replace("{ceiling}", &ceiling);
+        for (key, value) in &placeholders {
+            help = help.replace(key, value);
+        }
+        let readers: Vec<String> = flag.read_by.iter().map(|c| c.name()).collect();
+        help += &format!(". Read by: {}.", readers.join(", "));
+        for (i, line) in wrap(&help, 54).iter().enumerate() {
+            let left = if i == 0 { flag.syntax } else { "" };
+            text += &format!("  {left:<20}  {line}\n");
+        }
+    }
+    text
 }
 
 #[cfg(test)]
@@ -857,7 +912,7 @@ mod tests {
             "7",
         ])
         .expect("parses");
-        assert_eq!(cli.command, Command::Elect);
+        assert_eq!(cli.command, Elect);
         assert_eq!(cli.opts.ids, vec![5, 2, 9]);
         assert_eq!(cli.opts.scheduler, SchedulerKind::Lifo);
         assert_eq!(cli.opts.seed, 7);
@@ -872,25 +927,19 @@ mod tests {
     #[test]
     fn parses_orient_scheme() {
         let cli = Cli::parse(["orient", "--scheme", "doubled"]).expect("parses");
-        assert_eq!(
-            cli.command,
-            Command::Orient {
-                scheme: IdScheme::Doubled
-            }
-        );
+        assert_eq!(cli.command, Orient);
+        assert_eq!(cli.opts.scheme, IdScheme::Doubled);
     }
 
     #[test]
     fn parses_anonymous() {
         let cli =
             Cli::parse(["anonymous", "--n", "16", "--c", "2.0", "--trials", "50"]).expect("parses");
-        match cli.command {
-            Command::Anonymous { n, c, trials } => {
-                assert_eq!((n, trials), (16, 50));
-                assert!((c - 2.0).abs() < 1e-9);
-            }
-            other => panic!("unexpected {other:?}"),
-        }
+        assert_eq!(cli.command, Anonymous);
+        assert_eq!((cli.opts.n, cli.opts.trials), (16, 50));
+        assert!((cli.opts.c - 2.0).abs() < 1e-9);
+        let cli = Cli::parse(["anonymous"]).expect("parses");
+        assert_eq!((cli.opts.n, cli.opts.trials), (8, 100));
     }
 
     #[test]
@@ -903,62 +952,40 @@ mod tests {
     #[test]
     fn parses_record_replay_shrink_explore() {
         let cli = Cli::parse(["record", "--protocol", "alg1", "--n", "3"]).expect("parses");
-        assert_eq!(
-            cli.command,
-            Command::Record {
-                protocol: ProtocolChoice::named("alg1")
-            }
-        );
+        assert_eq!(cli.command, Record);
+        assert_eq!(cli.opts.protocol, Some(ProtocolChoice::named("alg1")));
 
         let cli = Cli::parse(["replay", "--schedule", "0,3,2"]).expect("parses");
-        match cli.command {
-            Command::Replay { protocol, schedule } => {
-                assert_eq!(protocol, ProtocolChoice::named("alg2"));
-                assert_eq!(schedule.to_string(), "0,3,2");
-            }
-            other => panic!("unexpected {other:?}"),
-        }
+        assert_eq!(cli.command, Replay);
+        assert_eq!(cli.opts.protocol_or("alg2"), ProtocolChoice::named("alg2"));
+        let schedule = cli.opts.schedule.expect("a schedule");
+        assert_eq!(schedule.to_string(), "0,3,2");
 
         let cli = Cli::parse(["shrink"]).expect("parses");
-        assert_eq!(
-            cli.command,
-            Command::Shrink {
-                protocol: ProtocolChoice::named("ungated")
-            }
-        );
+        assert_eq!((cli.command, cli.opts.protocol), (Shrink, None));
 
         let cli = Cli::parse(["explore", "--protocol", "ungated", "--max-configs", "500"])
             .expect("parses");
+        assert_eq!(cli.command, Explore);
+        let o = &cli.opts;
+        assert_eq!(o.protocol, Some(ProtocolChoice::named("ungated")));
         assert_eq!(
-            cli.command,
-            Command::Explore {
-                protocol: ProtocolChoice::named("ungated"),
-                max_configs: 500,
-                jobs: 1,
-                dedup: co_net::DedupKind::Exact,
-                checkpoint: None,
-                checkpoint_every: 100_000,
-                resume: None,
-                spill: 0,
-                scratch_dir: None,
-            }
+            (o.max_configs, o.jobs, o.dedup),
+            (500, None, DedupKind::Exact)
+        );
+        assert_eq!((o.checkpoint_every, o.spill), (100_000, 0));
+        assert_eq!(
+            (&o.checkpoint, &o.resume, &o.scratch_dir),
+            (&None, &None, &None)
         );
 
         let cli = Cli::parse(["explore", "--jobs", "8", "--dedup", "mmap"]).expect("parses");
+        assert_eq!(cli.opts.max_configs, 2_000_000);
+        assert_eq!(cli.opts.jobs, Some(8));
         assert_eq!(
-            cli.command,
-            Command::Explore {
-                protocol: ProtocolChoice::named("alg2"),
-                max_configs: 2_000_000,
-                jobs: 8,
-                dedup: co_net::DedupKind::Mmap {
-                    budget: co_net::dedup::MMAP_DEFAULT_BUDGET,
-                },
-                checkpoint: None,
-                checkpoint_every: 100_000,
-                resume: None,
-                spill: 0,
-                scratch_dir: None,
+            cli.opts.dedup,
+            DedupKind::Mmap {
+                budget: co_net::dedup::MMAP_DEFAULT_BUDGET,
             }
         );
         assert!(Cli::parse(["explore", "--dedup", "cuckoo"]).is_err());
@@ -980,43 +1007,29 @@ mod tests {
             "/tmp/scratch",
         ])
         .expect("parses");
-        match cli.command {
-            Command::Explore {
-                dedup,
-                checkpoint,
-                checkpoint_every,
-                resume,
-                spill,
-                scratch_dir,
-                ..
-            } => {
-                assert_eq!(
-                    dedup,
-                    co_net::DedupKind::Mmap {
-                        budget: 64 * 1024 * 1024
-                    }
-                );
-                assert_eq!(
-                    checkpoint.as_deref(),
-                    Some(std::path::Path::new("/tmp/run.ck"))
-                );
-                assert_eq!(checkpoint_every, 5000);
-                assert_eq!(resume, None);
-                assert_eq!(spill, 100_000);
-                assert_eq!(
-                    scratch_dir.as_deref(),
-                    Some(std::path::Path::new("/tmp/scratch"))
-                );
+        let o = &cli.opts;
+        assert_eq!(
+            o.dedup,
+            DedupKind::Mmap {
+                budget: 64 * 1024 * 1024
             }
-            other => panic!("unexpected {other:?}"),
-        }
+        );
+        assert_eq!(
+            o.checkpoint.as_deref(),
+            Some(std::path::Path::new("/tmp/run.ck"))
+        );
+        assert_eq!(o.checkpoint_every, 5000);
+        assert_eq!(o.resume, None);
+        assert_eq!(o.spill, 100_000);
+        assert_eq!(
+            o.scratch_dir.as_deref(),
+            Some(std::path::Path::new("/tmp/scratch"))
+        );
         let cli = Cli::parse(["explore", "--resume", "run.ck"]).expect("parses");
-        match cli.command {
-            Command::Explore { resume, .. } => {
-                assert_eq!(resume.as_deref(), Some(std::path::Path::new("run.ck")));
-            }
-            other => panic!("unexpected {other:?}"),
-        }
+        assert_eq!(
+            cli.opts.resume.as_deref(),
+            Some(std::path::Path::new("run.ck"))
+        );
         assert!(Cli::parse(["explore", "--checkpoint-every", "0"]).is_err());
         assert!(Cli::parse(["explore", "--spill", "lots"]).is_err());
     }
@@ -1034,10 +1047,8 @@ mod tests {
     fn every_registry_entry_parses_and_round_trips() {
         for name in co_bench::protocols().names() {
             let cli = Cli::parse(["record", "--protocol", name]).expect("parses");
-            match cli.command {
-                Command::Record { protocol } => assert_eq!(protocol.to_string(), name),
-                other => panic!("unexpected {other:?}"),
-            }
+            let protocol = cli.opts.protocol.expect("a protocol");
+            assert_eq!(protocol.to_string(), name);
         }
     }
 
@@ -1049,16 +1060,12 @@ mod tests {
         for name in co_bench::protocols().names() {
             assert!(e.to_string().contains(name), "{name} missing: {e}");
         }
-
-        let e = Cli::parse(["fleet", "--protocol", "chang-roberts"]).unwrap_err();
-        assert!(e.to_string().contains("does not support fleet"), "{e}");
-        assert!(e.to_string().contains("alg1, alg2"), "{e}");
     }
 
     #[test]
     fn parses_protocols_command() {
         let cli = Cli::parse(["protocols"]).expect("parses");
-        assert_eq!(cli.command, Command::Protocols);
+        assert_eq!(cli.command, Protocols);
         assert!(usage().contains("protocols"));
         assert!(usage().contains("chang-roberts"));
     }
@@ -1066,18 +1073,12 @@ mod tests {
     #[test]
     fn parses_fleet() {
         let cli = Cli::parse(["fleet"]).expect("parses");
-        assert_eq!(
-            cli.command,
-            Command::Fleet {
-                rings: 10_000,
-                sizes: co_net::fleet::RingSizes::Uniform { min: 3, max: 9 },
-                protocol: ProtocolChoice::named("alg1"),
-                fault_rate: 0.0,
-                rounds: 1,
-                duration_ms: None,
-                jobs: 0,
-            }
-        );
+        assert_eq!(cli.command, Fleet);
+        let o = &cli.opts;
+        assert_eq!(o.rings, 10_000);
+        assert_eq!(o.ring_sizes, RingSizes::Uniform { min: 3, max: 9 });
+        assert_eq!((o.protocol, o.jobs), (None, None));
+        assert_eq!((o.fault_rate, o.rounds, o.duration_ms), (0.0, 1, None));
 
         let cli = Cli::parse([
             "fleet",
@@ -1097,38 +1098,22 @@ mod tests {
             "9",
         ])
         .expect("parses");
-        assert_eq!(cli.opts.seed, 9);
-        match cli.command {
-            Command::Fleet {
-                rings,
-                sizes,
-                protocol,
-                fault_rate,
-                rounds,
-                duration_ms,
-                jobs,
-            } => {
-                assert_eq!(rings, 500);
-                assert_eq!(sizes, co_net::fleet::RingSizes::Mix(vec![3, 5, 8]));
-                assert_eq!(protocol, ProtocolChoice::named("alg2"));
-                assert!((fault_rate - 0.01).abs() < 1e-12);
-                assert_eq!((rounds, duration_ms, jobs), (3, None, 4));
-            }
-            other => panic!("unexpected {other:?}"),
-        }
+        let o = &cli.opts;
+        assert_eq!(o.seed, 9);
+        assert_eq!(o.rings, 500);
+        assert_eq!(o.ring_sizes, RingSizes::Mix(vec![3, 5, 8]));
+        assert_eq!(o.protocol, Some(ProtocolChoice::named("alg2")));
+        assert!((o.fault_rate - 0.01).abs() < 1e-12);
+        assert_eq!((o.rounds, o.duration_ms, o.jobs), (3, None, Some(4)));
 
         let cli = Cli::parse(["fleet", "--duration", "2.5"]).expect("parses");
-        match cli.command {
-            Command::Fleet { duration_ms, .. } => assert_eq!(duration_ms, Some(2500)),
-            other => panic!("unexpected {other:?}"),
-        }
+        assert_eq!(cli.opts.duration_ms, Some(2500));
 
         assert!(Cli::parse(["fleet", "--rings", "0"]).is_err());
         assert!(Cli::parse(["fleet", "--fault-rate", "1.5"]).is_err());
         assert!(Cli::parse(["fleet", "--rounds", "0"]).is_err());
         assert!(Cli::parse(["fleet", "--duration", "-1"]).is_err());
         assert!(Cli::parse(["fleet", "--ring-sizes", "nope"]).is_err());
-        assert!(Cli::parse(["fleet", "--protocol", "alg3"]).is_err());
     }
 
     #[test]
@@ -1136,6 +1121,30 @@ mod tests {
         assert!(Cli::parse(["replay"]).is_err());
         assert!(Cli::parse(["replay", "--schedule", "0,x"]).is_err());
         assert!(Cli::parse(["record", "--protocol", "bogus"]).is_err());
+    }
+
+    #[test]
+    fn replay_reads_no_scheduler_or_seed() {
+        // The replay engine delivers the recorded picks, so neither flag
+        // could change a replay.
+        for flag in ["--scheduler", "--seed"] {
+            let e = Cli::parse(["replay", "--schedule", "0", flag, "1"]).unwrap_err();
+            assert_eq!(e.to_string(), format!("replay does not read {flag}"));
+        }
+        let cli = Cli::parse([
+            "replay",
+            "--schedule",
+            "0",
+            "--latency",
+            "fixed:2",
+            "--latency-seed",
+            "3",
+        ])
+        .expect("the latency plan shapes a replay");
+        assert_eq!(
+            cli.opts.latency_plan(),
+            LatencyPlan::new(LatencyModel::Fixed(2), 3)
+        );
     }
 
     #[test]
@@ -1165,18 +1174,45 @@ mod tests {
     }
 
     #[test]
-    fn every_listed_flag_is_parsed_for_its_command() {
-        for (cmd, flags) in COMMAND_FLAGS {
-            for flag in flags.split_whitespace() {
-                let got = Cli::parse([cmd, flag]).err().map(|e| e.to_string());
-                if flag == "--json" {
-                    // It takes no value; `replay` still wants its schedule.
-                    assert!(got.is_none() || *cmd == "replay", "{cmd}: {got:?}");
+    fn every_command_refuses_every_flag_outside_its_row() {
+        for command in Command::ALL {
+            let name = command.name();
+            for flag in FLAGS {
+                let got = Cli::parse([name.as_str(), flag.name()]).err();
+                if !flag.read_by.contains(&command) {
+                    let refused = ParseError::NotRead {
+                        command: name.clone(),
+                        flag: flag.name().into(),
+                    };
+                    assert_eq!(got, Some(refused), "{name} {}", flag.syntax);
+                } else if !flag.takes_value() {
+                    // A switch takes no value; `replay` still wants its
+                    // schedule.
+                    let wants = (command == Replay).then(|| err("replay requires --schedule"));
+                    assert_eq!(got, wants, "{name} {}", flag.syntax);
                 } else {
                     // Without its value a flag fails only for wanting one.
-                    assert_eq!(got, Some(format!("{flag} requires a value")), "{cmd}");
+                    let wants = err(format!("{} requires a value", flag.name()));
+                    assert_eq!(got, Some(wants), "{name}");
                 }
             }
+        }
+    }
+
+    #[test]
+    fn every_command_and_flag_is_declared_once() {
+        let names: Vec<String> = Command::ALL.iter().map(|c| c.name()).collect();
+        for (i, name) in names.iter().enumerate() {
+            assert!(!names[..i].contains(name), "{name}");
+        }
+        for (i, flag) in FLAGS.iter().enumerate() {
+            let earlier = &FLAGS[..i];
+            assert!(
+                earlier.iter().all(|f| f.name() != flag.name()),
+                "{}",
+                flag.syntax
+            );
+            assert!(!flag.read_by.contains(&Help), "help reads no flag");
         }
     }
 
@@ -1260,15 +1296,55 @@ mod tests {
     #[test]
     fn help_states_the_ceilings() {
         let text = usage();
-        for ceiling in [
-            MAX_N.to_string(),
-            MAX_RINGS.to_string(),
-            MAX_SOLITUDE_ID.to_string(),
+        for flag in FLAGS {
+            let Some(ceiling) = flag.ceiling else {
+                continue;
+            };
+            // The ceiling is in the flag's own entry, before the next one.
+            let entry = text
+                .split_once(&format!("\n  {}", flag.syntax))
+                .map(|(_, rest)| rest.split("\n  --").next().unwrap_or(rest))
+                .unwrap_or_else(|| panic!("{} missing from help", flag.syntax));
+            assert!(
+                entry.contains(&format!("at most {ceiling}")),
+                "{}: {entry}",
+                flag.syntax
+            );
+            // The row's ceiling is the one its parser enforces.
+            let reader = flag.read_by[0].name();
+            let above = (ceiling + 1).to_string();
+            let e = Cli::parse([reader.as_str(), flag.name(), &above]).unwrap_err();
+            assert!(e.to_string().contains("must be at most"), "{e}");
+        }
+        // Limits that are not one flag's ceiling.
+        for limit in [
             MAX_FLEET_SHARD_NODES.to_string(),
-            MAX_JOBS.to_string(),
             format!("{}G", co_net::dedup::MMAP_MAX_BUDGET >> 30),
         ] {
-            assert!(text.contains(&ceiling), "{ceiling} missing from help");
+            assert!(text.contains(&limit), "{limit} missing from help");
+        }
+        assert!(!text.contains('{'), "a placeholder is left: {text}");
+    }
+
+    #[test]
+    fn help_lists_every_command_and_flag_with_its_readers() {
+        let text = usage();
+        for command in Command::ALL {
+            let line = format!("  {:<11} {}\n", command.name(), command.about());
+            assert!(text.contains(&line), "{command:?}");
+        }
+        // Flattened, the OPTIONS block holds each row's readers in order.
+        let flat = text.split_whitespace().collect::<Vec<_>>().join(" ");
+        for flag in FLAGS {
+            let readers: Vec<String> = flag.read_by.iter().map(|c| c.name()).collect();
+            let line = format!("Read by: {}.", readers.join(", "));
+            assert!(flat.contains(&line), "{}: {line}", flag.syntax);
+        }
+        for kind in SchedulerKind::ALL
+            .into_iter()
+            .chain([SchedulerKind::Latency])
+        {
+            assert!(text.contains(&kind.to_string()), "{kind}");
         }
     }
 
@@ -1320,28 +1396,9 @@ mod tests {
     }
 
     #[test]
-    fn refuses_ids_whose_alg3_virtual_ids_overflow() {
-        let max = u64::MAX.to_string();
-        let (improved, doubled) = (format!("1,{max}"), format!("1,{}", 1u64 << 63));
-        for args in [
-            vec!["orient", "--ids", &improved],
-            vec!["orient", "--scheme", "doubled", "--ids", &doubled],
-            vec!["record", "--protocol", "alg3", "--ids", &max],
-            vec!["explore", "--protocol", "alg3", "--ids", &max],
-        ] {
-            let e = Cli::parse(args.clone()).expect_err("virtual ID overflows");
-            assert!(e.to_string().contains("too large"), "{args:?}: {e}");
-        }
-        // The largest ID that fits, and other protocols, still parse.
-        let fits = (u64::MAX - 1).to_string();
-        assert!(Cli::parse(["orient", "--ids", &fits]).is_ok());
-        assert!(Cli::parse(["record", "--protocol", "alg2", "--ids", &max]).is_ok());
-    }
-
-    #[test]
     fn empty_args_is_help() {
         let cli = Cli::parse(Vec::<String>::new()).expect("parses");
-        assert_eq!(cli.command, Command::Help);
+        assert_eq!(cli.command, Help);
         assert!(usage().contains("co-ring"));
     }
 }

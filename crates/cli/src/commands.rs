@@ -1,6 +1,6 @@
 //! Command implementations for `co-ring`.
 
-use crate::args::{usage, Cli, Command, CommonOpts, ProtocolChoice};
+use crate::args::{usage, Cli, Command, Opts};
 use co_bench::protocols;
 use co_compose::pipeline::elect_then_ring_size;
 use co_core::anonymous::{success_rate, SamplingConfig};
@@ -8,7 +8,7 @@ use co_core::election::ElectionReport;
 use co_core::lower_bound::solitude_pattern_alg2;
 use co_core::registry::{Alg1Def, Alg2Def, Capability, ExploreError, RegistryError};
 use co_core::runner::{self, RunOptions};
-use co_core::{IdScheme, InvalidId, Role};
+use co_core::Role;
 use co_json::{array, object, Value};
 use co_net::explore::{CheckpointPlan, ExploreCheckpoint, ExploreConfig, ExploreLimits};
 use co_net::{shrink_schedule, RingSpec, RunReport, Schedule, SchedulerKind};
@@ -46,66 +46,23 @@ fn election_json(report: &ElectionReport) -> Value {
 /// Executes a parsed invocation and returns its output.
 #[must_use]
 pub fn run(cli: &Cli) -> CommandOutput {
-    match &cli.command {
-        Command::Help => CommandOutput {
-            text: usage(),
-            json: Value::Null,
-            code: 0,
-        },
-        Command::Elect => elect(&cli.opts),
-        Command::Stabilize => stabilize(&cli.opts),
-        Command::Orient { scheme } => orient(&cli.opts, *scheme),
-        Command::Anonymous { n, c, trials } => anonymous(&cli.opts, *n, *c, *trials),
-        Command::Compose => compose(&cli.opts),
-        Command::Solitude { max_id } => solitude(*max_id),
-        Command::Baseline { which } => baseline(&cli.opts, *which),
-        Command::Echo { graph, root } => echo(&cli.opts, graph, *root),
-        Command::Fleet {
-            rings,
-            sizes,
-            protocol,
-            fault_rate,
-            rounds,
-            duration_ms,
-            jobs,
-        } => fleet(
-            &cli.opts,
-            *rings,
-            sizes,
-            *protocol,
-            *fault_rate,
-            *rounds,
-            *duration_ms,
-            *jobs,
-        ),
-        Command::Record { protocol } => record(&cli.opts, *protocol),
-        Command::Replay { protocol, schedule } => replay(&cli.opts, *protocol, schedule),
-        Command::Shrink { protocol } => shrink(&cli.opts, *protocol),
-        Command::Explore {
-            protocol,
-            max_configs,
-            jobs,
-            dedup,
-            checkpoint,
-            checkpoint_every,
-            resume,
-            spill,
-            scratch_dir,
-        } => explore_cmd(
-            &cli.opts,
-            *protocol,
-            *max_configs,
-            *jobs,
-            *dedup,
-            &ExploreIo {
-                checkpoint: checkpoint.clone(),
-                checkpoint_every: *checkpoint_every,
-                resume: resume.clone(),
-                spill: *spill,
-                scratch_dir: scratch_dir.clone(),
-            },
-        ),
+    let opts = &cli.opts;
+    match cli.command {
+        Command::Elect => elect(opts),
+        Command::Stabilize => stabilize(opts),
+        Command::Orient => orient(opts),
+        Command::Anonymous => anonymous(opts),
+        Command::Compose => compose(opts),
+        Command::Solitude => solitude(opts),
+        Command::Baseline => baseline(opts),
+        Command::Echo => echo(opts),
+        Command::Fleet => fleet(opts),
+        Command::Record => record(opts),
+        Command::Replay => replay(opts),
+        Command::Shrink => shrink(opts),
+        Command::Explore => explore_cmd(opts),
         Command::Protocols => protocols_cmd(),
+        Command::Help => ok(usage(), Value::Null),
     }
 }
 
@@ -136,7 +93,7 @@ fn registry_error(e: &RegistryError) -> CommandOutput {
     }
 }
 
-fn run_options<B: Default>(opts: &CommonOpts) -> RunOptions<B> {
+fn run_options<B: Default>(opts: &Opts) -> RunOptions<B> {
     RunOptions {
         latency: opts.latency_plan(),
         ..RunOptions::new(opts.scheduler, opts.seed)
@@ -149,6 +106,12 @@ fn count(predicted: Option<u64>) -> String {
     predicted.map_or_else(|| "a count that exceeds u64".to_owned(), |p| p.to_string())
 }
 
+/// The ring's IDs as `--ids` takes them.
+fn ids_value(opts: &Opts) -> String {
+    let ids: Vec<String> = opts.ids.iter().map(ToString::to_string).collect();
+    ids.join(",")
+}
+
 fn run_report_json(report: &RunReport) -> Value {
     object([
         ("outcome", Value::from(report.outcome.to_string())),
@@ -157,11 +120,12 @@ fn run_report_json(report: &RunReport) -> Value {
     ])
 }
 
-fn record(opts: &CommonOpts, protocol: ProtocolChoice) -> CommandOutput {
+fn record(opts: &Opts) -> CommandOutput {
+    let protocol = opts.protocol_or("alg2");
     let spec = RingSpec::oriented(opts.ids.clone());
     let rec = match protocol.spec().record(&spec, &run_options(opts)) {
         Ok(rec) => rec,
-        Err(e) => return id_error(&e),
+        Err(e) => return error("ids", e.to_string()),
     };
     let schedule = rec.picks;
     let text = format!(
@@ -190,14 +154,20 @@ fn record(opts: &CommonOpts, protocol: ProtocolChoice) -> CommandOutput {
     ok(text, json)
 }
 
-fn replay(opts: &CommonOpts, protocol: ProtocolChoice, schedule: &Schedule) -> CommandOutput {
-    // The scheduler choice is irrelevant: the replay engine overrides it.
-    // The latency plan is not: timestamps shape the trace, so a replay must
-    // run under the same `--latency`/`--latency-seed` as the recording.
+fn replay(opts: &Opts) -> CommandOutput {
+    // `replay` reads no `--scheduler` or `--seed`: the replay engine
+    // delivers the recorded picks. The latency plan still counts:
+    // timestamps shape the trace, so a replay must run under the same
+    // `--latency`/`--latency-seed` as the recording.
+    let protocol = opts.protocol_or("alg2");
+    let schedule = opts
+        .schedule
+        .as_ref()
+        .expect("Cli::parse refuses a replay without --schedule");
     let spec = RingSpec::oriented(opts.ids.clone());
     let rep = match protocol.spec().replay(&spec, &run_options(opts), schedule) {
         Ok(rep) => rep,
-        Err(e) => return id_error(&e),
+        Err(e) => return error("ids", e.to_string()),
     };
     let text = format!(
         "replaying {} picks of {protocol} on {spec} (deterministic)\n\
@@ -220,7 +190,9 @@ fn replay(opts: &CommonOpts, protocol: ProtocolChoice, schedule: &Schedule) -> C
     ok(text, json)
 }
 
-fn shrink(opts: &CommonOpts, protocol: ProtocolChoice) -> CommandOutput {
+fn shrink(opts: &Opts) -> CommandOutput {
+    // The broken ablation is the interesting shrink target.
+    let protocol = opts.protocol_or("ungated");
     let driver = match protocols().shrink(protocol.name()) {
         Ok(driver) => driver,
         Err(e) => return registry_error(&e),
@@ -264,11 +236,7 @@ fn shrink(opts: &CommonOpts, protocol: ProtocolChoice) -> CommandOutput {
          replay with:\n  co-ring replay --protocol {protocol} --ids {} --schedule {shrunk}\n",
         original.len(),
         shrunk.len(),
-        opts.ids
-            .iter()
-            .map(ToString::to_string)
-            .collect::<Vec<_>>()
-            .join(","),
+        ids_value(opts),
     );
     let json = object([
         ("protocol", Value::from(protocol.to_string())),
@@ -282,35 +250,16 @@ fn shrink(opts: &CommonOpts, protocol: ProtocolChoice) -> CommandOutput {
     ok(text, json)
 }
 
-/// Out-of-core flags of `explore`, bundled so the driver call stays tidy.
-struct ExploreIo {
-    checkpoint: Option<std::path::PathBuf>,
-    checkpoint_every: usize,
-    resume: Option<std::path::PathBuf>,
-    spill: usize,
-    scratch_dir: Option<std::path::PathBuf>,
-}
-
-/// A ring the protocol cannot build nodes from.
-fn id_error(e: &InvalidId) -> CommandOutput {
+/// A refused run (exit 1): `error: message` as text, and as JSON an
+/// object naming the kind of error (`ids` for a ring the protocol cannot
+/// build nodes from).
+fn error(kind: &str, message: String) -> CommandOutput {
     CommandOutput {
-        text: format!("error: {e}\n"),
+        text: format!("error: {message}\n"),
         json: object([
-            ("error", Value::from("ids")),
-            ("message", Value::from(e.to_string())),
+            ("error", Value::from(kind)),
+            ("message", Value::from(message)),
         ]),
-        code: 1,
-    }
-}
-
-fn explore_error(msg: String) -> CommandOutput {
-    let json = object([
-        ("error", Value::from("explore")),
-        ("message", Value::from(msg.clone())),
-    ]);
-    CommandOutput {
-        text: format!("error: {msg}\n"),
-        json,
         code: 1,
     }
 }
@@ -326,14 +275,8 @@ fn check_scratch_dir(dir: Option<&std::path::Path>) -> Result<(), String> {
         .map_err(|e| format!("scratch directory {}: {e}", root.display()))
 }
 
-fn explore_cmd(
-    opts: &CommonOpts,
-    protocol: ProtocolChoice,
-    max_configs: usize,
-    jobs: usize,
-    dedup: co_net::DedupKind,
-    io: &ExploreIo,
-) -> CommandOutput {
+fn explore_cmd(opts: &Opts) -> CommandOutput {
+    let protocol = opts.protocol_or("alg2");
     let driver = match protocols().explore(protocol.name()) {
         Ok(driver) => driver,
         Err(e) => return registry_error(&e),
@@ -343,50 +286,49 @@ fn explore_cmd(
     // checkpoint resumes the *same* exploration, so the protocol, ring,
     // and dedup backend must all match.
     let meta = format!(
-        "co-ring explore v1|{protocol}|{ids}|{dedup}",
-        ids = opts
-            .ids
-            .iter()
-            .map(ToString::to_string)
-            .collect::<Vec<_>>()
-            .join(",")
+        "co-ring explore v1|{protocol}|{}|{}",
+        ids_value(opts),
+        opts.dedup
     );
-    let resume = match &io.resume {
+    let resume = match &opts.resume {
         None => None,
         Some(path) => match ExploreCheckpoint::read(path) {
             Ok(ck) => {
                 if ck.meta != meta.as_bytes() {
-                    return explore_error(format!(
-                        "checkpoint {} was written for '{}', this run is '{meta}'; \
-                         pass the same --protocol/--ids/--dedup to resume",
-                        path.display(),
-                        String::from_utf8_lossy(&ck.meta),
-                    ));
+                    return error(
+                        "explore",
+                        format!(
+                            "checkpoint {} was written for '{}', this run is '{meta}'; \
+                             pass the same --protocol/--ids/--dedup to resume",
+                            path.display(),
+                            String::from_utf8_lossy(&ck.meta),
+                        ),
+                    );
                 }
                 Some(ck)
             }
-            Err(e) => return explore_error(e),
+            Err(e) => return error("explore", e),
         },
     };
     // The explorer treats a scratch directory it cannot write as a bug;
     // catch a bad `--scratch-dir` here, before any work.
-    if matches!(dedup, co_net::DedupKind::Mmap { .. }) || io.spill > 0 {
-        if let Err(e) = check_scratch_dir(io.scratch_dir.as_deref()) {
-            return explore_error(e);
+    if matches!(opts.dedup, co_net::DedupKind::Mmap { .. }) || opts.spill > 0 {
+        if let Err(e) = check_scratch_dir(opts.scratch_dir.as_deref()) {
+            return error("explore", e);
         }
     }
     let config = ExploreConfig {
         limits: ExploreLimits {
-            max_configs,
+            max_configs: opts.max_configs,
             ..ExploreLimits::default()
         },
-        jobs,
-        dedup,
-        spill_high_water: io.spill,
-        scratch_dir: io.scratch_dir.clone(),
-        checkpoint: io.checkpoint.as_ref().map(|path| CheckpointPlan {
+        jobs: opts.jobs.unwrap_or(1),
+        dedup: opts.dedup,
+        spill_high_water: opts.spill,
+        scratch_dir: opts.scratch_dir.clone(),
+        checkpoint: opts.checkpoint.as_ref().map(|path| CheckpointPlan {
             path: path.clone(),
-            every: io.checkpoint_every,
+            every: opts.checkpoint_every,
             meta: meta.clone().into_bytes(),
         }),
         resume,
@@ -395,10 +337,10 @@ fn explore_cmd(
     let report = match driver.try_run(&spec, &config) {
         Ok(report) => report,
         Err(ExploreError::Resume(e)) => {
-            let ck = io.resume.as_ref().expect("only a resumed run is refused");
-            return explore_error(format!("{}: {e}", ck.display()));
+            let ck = opts.resume.as_ref().expect("only a resumed run is refused");
+            return error("explore", format!("{}: {e}", ck.display()));
         }
-        Err(ExploreError::Ids(e)) => return explore_error(e.to_string()),
+        Err(ExploreError::Ids(e)) => return error("explore", e.to_string()),
     };
     let mut text = format!(
         "exhaustive exploration of {protocol} on {spec}\n\
@@ -492,27 +434,22 @@ fn describe_roles(spec: &RingSpec, roles: &[Role]) -> String {
         .collect()
 }
 
-/// Runs the fleet harness: `rounds` rounds of `rings` independent ring
+/// Runs the fleet harness: `--rounds` rounds of `--rings` independent ring
 /// elections (or whole rounds until `--duration` elapses), streaming one
 /// cumulative progress line per round to stderr and returning the merged
 /// aggregate report. The report is deterministic — a pure function of
 /// `(seed, rings, sizes, fault_rate, protocol, rounds)`, independent of
 /// `--jobs` — while the throughput line is wall-clock.
-#[allow(clippy::too_many_arguments)]
-fn fleet(
-    opts: &CommonOpts,
-    rings: u64,
-    sizes: &co_net::fleet::RingSizes,
-    protocol: ProtocolChoice,
-    fault_rate: f64,
-    rounds: u64,
-    duration_ms: Option<u64>,
-    jobs: usize,
-) -> CommandOutput {
+fn fleet(opts: &Opts) -> CommandOutput {
     use std::time::{Duration, Instant};
 
-    // Parsing already gated on `Capability::Fleet`; resolving here keeps
-    // programmatic callers honest too.
+    let protocol = opts.protocol_or("alg1");
+    // Fleet is a throughput harness: one worker per core unless told
+    // otherwise (the aggregate report is jobs-invariant).
+    let jobs = opts.jobs.unwrap_or(0);
+    let (rings, sizes, fault_rate) = (opts.rings, &opts.ring_sizes, opts.fault_rate);
+    // The one capability gate: a protocol without `Capability::Fleet` is
+    // refused here, with the typed error `explore` and `shrink` give.
     let driver = match protocols().fleet(protocol.name()) {
         Ok(driver) => driver,
         Err(e) => return registry_error(&e),
@@ -538,9 +475,9 @@ fn fleet(
             report.total_pulses,
             report.elections as f64 / secs,
         );
-        let done = match duration_ms {
+        let done = match opts.duration_ms {
             Some(ms) => elapsed >= Duration::from_millis(ms),
-            None => round >= rounds,
+            None => round >= opts.rounds,
         };
         if done {
             break;
@@ -599,7 +536,7 @@ fn fleet(
     ok(text, json)
 }
 
-fn elect(opts: &CommonOpts) -> CommandOutput {
+fn elect(opts: &Opts) -> CommandOutput {
     let spec = RingSpec::oriented(opts.ids.clone());
     let report = runner::run::<Alg2Def>(&spec, &run_options(opts));
     let text = format!(
@@ -614,7 +551,7 @@ fn elect(opts: &CommonOpts) -> CommandOutput {
     ok(text, election_json(&report))
 }
 
-fn stabilize(opts: &CommonOpts) -> CommandOutput {
+fn stabilize(opts: &Opts) -> CommandOutput {
     let spec = RingSpec::oriented(opts.ids.clone());
     let report = runner::run::<Alg1Def>(&spec, &run_options(opts));
     let text = format!(
@@ -629,23 +566,15 @@ fn stabilize(opts: &CommonOpts) -> CommandOutput {
     ok(text, election_json(&report))
 }
 
-fn orient(opts: &CommonOpts, scheme: IdScheme) -> CommandOutput {
+fn orient(opts: &Opts) -> CommandOutput {
+    let scheme = opts.scheme;
     use rand::rngs::StdRng;
     use rand::SeedableRng;
     let mut rng = StdRng::seed_from_u64(opts.seed);
     let spec = RingSpec::random_flips(opts.ids.clone(), &mut rng);
     let out = match runner::run_alg3(&spec, scheme, &run_options(opts)) {
         Ok(out) => out,
-        Err(e) => {
-            return CommandOutput {
-                text: format!("error: {e}\n"),
-                json: object([
-                    ("error", Value::from("virtual-id-overflow")),
-                    ("message", Value::from(e.to_string())),
-                ]),
-                code: 1,
-            }
-        }
+        Err(e) => return error("virtual-id-overflow", e.to_string()),
     };
     let ports: String = out
         .cw_ports
@@ -681,7 +610,8 @@ fn orient(opts: &CommonOpts, scheme: IdScheme) -> CommandOutput {
     ok(text, json)
 }
 
-fn anonymous(opts: &CommonOpts, n: usize, c: f64, trials: u64) -> CommandOutput {
+fn anonymous(opts: &Opts) -> CommandOutput {
+    let (n, c, trials) = (opts.n, opts.c, opts.trials);
     // 16-bit cap keeps the heavy geometric tail simulatable interactively;
     // see SamplingConfig::max_bits for the (documented) deviation.
     let cfg = SamplingConfig::new(c).with_max_bits(16);
@@ -709,7 +639,7 @@ fn anonymous(opts: &CommonOpts, n: usize, c: f64, trials: u64) -> CommandOutput 
     ok(text, json)
 }
 
-fn compose(opts: &CommonOpts) -> CommandOutput {
+fn compose(opts: &Opts) -> CommandOutput {
     let spec = RingSpec::oriented(opts.ids.clone());
     let out = elect_then_ring_size(&spec, &run_options(opts));
     let json = object([
@@ -735,7 +665,8 @@ fn compose(opts: &CommonOpts) -> CommandOutput {
     ok(text, json)
 }
 
-fn solitude(max_id: u64) -> CommandOutput {
+fn solitude(opts: &Opts) -> CommandOutput {
+    let max_id = opts.max_id;
     struct PatternRow {
         id: u64,
         pattern: String,
@@ -773,7 +704,8 @@ fn solitude(max_id: u64) -> CommandOutput {
     ok(text, json)
 }
 
-fn baseline(opts: &CommonOpts, which: co_classic::runner::Baseline) -> CommandOutput {
+fn baseline(opts: &Opts) -> CommandOutput {
+    let which = opts.algo;
     let spec = RingSpec::oriented(opts.ids.clone());
     let report = which.run(&spec, &run_options(opts));
     let text = format!(
@@ -787,11 +719,12 @@ fn baseline(opts: &CommonOpts, which: co_classic::runner::Baseline) -> CommandOu
     ok(text, election_json(&report))
 }
 
-fn echo(opts: &CommonOpts, graph: &crate::args::GraphSpec, root: usize) -> CommandOutput {
+fn echo(opts: &Opts) -> CommandOutput {
     use co_core::general::{EchoNode, EchoState};
     use co_net::multiport::{GraphSim, GraphWiring};
     use co_net::{Budget, Pulse};
 
+    let (graph, root) = (&opts.graph, opts.root);
     let g = graph.build();
     let n = g.vertex_count();
     if root >= n {
@@ -1007,13 +940,12 @@ mod tests {
 
     #[test]
     fn latency_record_then_replay_round_trips() {
+        // `replay` reads no scheduler: it delivers the recorded picks.
         fn line<'a>(cmd: &'a str, extra: &[&'a str]) -> Vec<&'a str> {
             let mut v = vec![
                 cmd,
                 "--ids",
                 "2,3,1",
-                "--scheduler",
-                "latency",
                 "--latency",
                 "uniform:1..9",
                 "--latency-seed",
@@ -1022,7 +954,7 @@ mod tests {
             v.extend_from_slice(extra);
             v
         }
-        let rec = run_line(&line("record", &[]));
+        let rec = run_line(&line("record", &["--scheduler", "latency"]));
         assert_eq!(rec.code, 0);
         let Some(Value::Str(schedule)) = rec.json.get("schedule") else {
             panic!("schedule should be a string")
@@ -1034,7 +966,7 @@ mod tests {
             rep.json.get("report").and_then(|r| r.get("total_sent")),
         );
         // Same flags, same bytes: recording again is deterministic.
-        let rec2 = run_line(&line("record", &[]));
+        let rec2 = run_line(&line("record", &["--scheduler", "latency"]));
         assert_eq!(rec.json.get("schedule"), rec2.json.get("schedule"));
     }
 
@@ -1338,6 +1270,63 @@ mod tests {
         );
         let supported = out.json.get("supported").expect("supported list");
         assert!(supported.to_string().contains("alg2"));
+    }
+
+    #[test]
+    fn fleet_refuses_protocols_without_the_capability() {
+        for protocol in ["chang-roberts", "alg3"] {
+            let out = run_line(&["fleet", "--protocol", protocol, "--rings", "1"]);
+            assert_eq!(out.code, 1, "{}", out.text);
+            assert!(out.text.contains("does not support fleet"), "{}", out.text);
+            assert!(out.text.contains("alg1, alg2"), "{}", out.text);
+            assert_eq!(
+                out.json.get("error").and_then(Value::as_str),
+                Some("missing-capability")
+            );
+            assert_eq!(out.json.get("supported"), Some(&array(["alg1", "alg2"])));
+        }
+    }
+
+    #[test]
+    fn refuses_ids_whose_alg3_virtual_ids_overflow() {
+        // Each command refuses the IDs before it runs anything; an
+        // overflowing ID would otherwise cost ~2^64 pulses.
+        let max = u64::MAX.to_string();
+        let (improved, doubled) = (format!("1,{max}"), format!("1,{}", 1u64 << 63));
+        for (args, error) in [
+            (vec!["orient", "--ids", &improved], "virtual-id-overflow"),
+            (
+                vec!["orient", "--scheme", "doubled", "--ids", &doubled],
+                "virtual-id-overflow",
+            ),
+            (vec!["record", "--protocol", "alg3", "--ids", &max], "ids"),
+            (
+                vec![
+                    "replay",
+                    "--protocol",
+                    "alg3",
+                    "--ids",
+                    &max,
+                    "--schedule",
+                    "0",
+                ],
+                "ids",
+            ),
+            (
+                vec!["explore", "--protocol", "alg3", "--ids", &max],
+                "explore",
+            ),
+        ] {
+            let out = run_line(&args);
+            assert_eq!(out.code, 1, "{args:?}: {}", out.text);
+            assert!(out.text.starts_with("error: "), "{args:?}: {}", out.text);
+            assert!(out.text.contains("too large"), "{args:?}: {}", out.text);
+            assert_eq!(
+                out.json.get("error").and_then(Value::as_str),
+                Some(error),
+                "{args:?}"
+            );
+        }
     }
 
     #[test]

@@ -11,5 +11,5 @@
 pub mod args;
 pub mod commands;
 
-pub use args::{Cli, Command, CommonOpts, ParseError};
+pub use args::{Cli, Command, Opts, ParseError};
 pub use commands::run;
