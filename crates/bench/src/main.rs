@@ -20,8 +20,9 @@
 //! `--profile` turns on the event core's hot-path collector
 //! (`co_net::prof`) and prints a per-phase latency table (enqueue / pick /
 //! deliver / observe: sample counts, total ms, mean and tail nanoseconds)
-//! after each experiment. Collection is reset between experiments, so each
-//! profile covers exactly one table.
+//! after each experiment, or one line saying that no profiled phase ran
+//! in it (the fleet kernel has no brackets). Collection is reset between
+//! experiments, so each profile covers exactly one table.
 //!
 //! `check` collects the deterministic gate metrics and compares them against
 //! `bench_baseline.json`, exiting nonzero on any regression. `--update`
@@ -31,6 +32,7 @@
 
 use co_bench::parallel::MAX_JOBS;
 use co_bench::{run_experiment_with, Experiment};
+use co_net::prof::{Phase, ProfReport};
 use std::process::ExitCode;
 
 const DEFAULT_BASELINE: &str = "bench_baseline.json";
@@ -113,6 +115,19 @@ fn run_check(args: &[String]) -> ExitCode {
     }
 }
 
+/// The `--profile` section printed after experiment `exp`: its phase
+/// table, or one line saying that no profiled phase ran in it.
+fn profile_text(exp: Experiment, report: &ProfReport) -> String {
+    if Phase::ALL
+        .iter()
+        .all(|&phase| report.phase(phase).count == 0)
+    {
+        format!("hot-path profile ({exp}): no profiled phase ran in this experiment")
+    } else {
+        format!("hot-path profile ({exp}):\n{report}")
+    }
+}
+
 fn main() -> ExitCode {
     let args: Vec<String> = std::env::args().skip(1).collect();
     if args.first().map(String::as_str) == Some("check") {
@@ -180,8 +195,30 @@ fn main() -> ExitCode {
             println!("{table}");
         }
         if profile {
-            println!("hot-path profile ({exp}):\n{}", co_net::prof::report());
+            println!("{}", profile_text(exp, &co_net::prof::report()));
         }
     }
     ExitCode::SUCCESS
+}
+
+#[cfg(test)]
+mod tests {
+    use super::*;
+
+    #[test]
+    fn an_experiment_that_books_nothing_says_so_in_one_line() {
+        let text = profile_text(Experiment::ALL[0], &ProfReport::default());
+        assert_eq!(text.lines().count(), 1, "{text}");
+        assert!(
+            text.ends_with("no profiled phase ran in this experiment"),
+            "{text}"
+        );
+        // One booked sample brings the phase table back.
+        co_net::prof::set_enabled(true);
+        let t = co_net::prof::start();
+        co_net::prof::stop(Phase::Pick, t);
+        co_net::prof::set_enabled(false);
+        let text = profile_text(Experiment::ALL[0], &co_net::prof::report());
+        assert_eq!(text.lines().count(), 2 + Phase::ALL.len(), "{text}");
+    }
 }

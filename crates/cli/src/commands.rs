@@ -342,12 +342,19 @@ fn explore_cmd(opts: &Opts) -> CommandOutput {
         }
         Err(ExploreError::Ids(e)) => return error("explore", e.to_string()),
     };
+    // Two or more workers spill and pause for checkpoints where their
+    // hand-offs happen to leave them, so these two counts vary run to run.
+    let scheduled = if config.jobs == 1 {
+        ""
+    } else {
+        " (varies with worker scheduling)"
+    };
     let mut text = format!(
         "exhaustive exploration of {protocol} on {spec}\n\
          workers: {} | dedup: {}\n\
          configurations: {} ({} quiescent) | complete: {}\n\
          dedup index: {} bytes ({} heap + {} file)\n\
-         spilled frontier items: {} | checkpoints written: {}\n\
+         spilled frontier items: {} | checkpoints written: {}{scheduled}\n\
          violations: {}\n",
         config.jobs,
         config.dedup,
@@ -1064,6 +1071,56 @@ mod tests {
         ]);
         assert_eq!(out.code, 0, "{}", out.text);
         assert_eq!(out.json.get("complete"), Some(&Value::Bool(true)));
+    }
+
+    #[test]
+    fn explore_text_repeats_at_any_jobs_apart_from_labelled_lines() {
+        const LABEL: &str = " (varies with worker scheduling)";
+        let dir = std::env::temp_dir().join(format!("co-ring-cli-jobs-{}", std::process::id()));
+        std::fs::create_dir_all(&dir).expect("scratch dir");
+        let scratch = dir.to_string_lossy().into_owned();
+        let ck = dir.join("run.ck").to_string_lossy().into_owned();
+        let text = |jobs: &str| {
+            let out = run_line(&[
+                "explore",
+                "--protocol",
+                "alg2",
+                "--ids",
+                "3,5,2,4,1,6,7",
+                "--jobs",
+                jobs,
+                "--spill",
+                "64",
+                "--scratch-dir",
+                &scratch,
+                "--checkpoint",
+                &ck,
+                "--checkpoint-every",
+                "1000",
+            ]);
+            assert_eq!(out.code, 0, "{}", out.text);
+            out.text
+        };
+        // Drops the `workers:` line and the spill and checkpoint counts,
+        // which must carry the label exactly when two workers ran.
+        let repeatable = |text: String, labelled: bool| {
+            text.lines()
+                .filter(|line| !line.starts_with("workers:"))
+                .filter(|line| {
+                    let counts = line.starts_with("spilled frontier items:");
+                    assert_eq!(counts && labelled, line.ends_with(LABEL), "{line}");
+                    !counts
+                })
+                .collect::<Vec<_>>()
+                .join("\n")
+        };
+        let one = repeatable(text("1"), false);
+        let two = repeatable(text("2"), true);
+        let again = repeatable(text("2"), true);
+        let _ = std::fs::remove_dir_all(&dir);
+        assert_eq!(two, again);
+        assert_eq!(two, one);
+        assert!(one.contains("configurations: 20357"), "{one}");
     }
 
     /// A `--scratch-dir` below a regular file, which no one can create.

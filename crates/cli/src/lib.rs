@@ -2,7 +2,7 @@
 //!
 //! Implements the `co-ring` binary: run elections, orientations, anonymous
 //! rings, compositions and solitude-pattern extractions from the shell,
-//! with optional JSON output and trace export. See `co-ring help` or the
+//! with optional JSON output and schedule record/replay. See `co-ring help` or the
 //! [`run`] entry point.
 
 #![forbid(unsafe_code)]

@@ -24,8 +24,11 @@
 //! * [`SamplingConfig::max_bits`] optionally truncates the geometric tail.
 //!   This is a *harness guard* for simulation feasibility — a sampled
 //!   60-bit ID implies `n·2^60` pulses — not part of the algorithm;
-//!   `None` (the default) is the paper-faithful behaviour. Probability of
-//!   the guard firing is `p^max_bits` per node and is reported.
+//!   `None` (the default) is the paper-faithful behaviour. A node's
+//!   sampled bit length reaches the guard with probability `p^max_bits`,
+//!   so a ring of `n` nodes meets it with probability
+//!   `1 − (1 − p^max_bits)^n`. E5 samples under a 14-bit guard and does
+//!   not print that rate yet.
 //! * This module defines no `Protocol` of its own — after sampling, the
 //!   ring runs [`crate::Alg3Node`], which implements `co_net::Snapshot`, so
 //!   anonymous elections participate in record/replay and exploration

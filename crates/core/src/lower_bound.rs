@@ -15,8 +15,8 @@
 //!
 //! * [`solitude_pattern`] — extract the pattern of any protocol;
 //! * [`patterns_unique`] — empirical Lemma 22;
-//! * [`max_prefix_group`] / [`shared_prefix_len`] — the pigeonhole step of
-//!   Lemma 23 / Corollary 24;
+//! * [`max_prefix_group`] — the pigeonhole step of Lemma 23 /
+//!   Corollary 24;
 //! * [`lower_bound_messages`] — the bound `n⌊log(k/n)⌋` itself.
 //!
 //! ```rust
@@ -36,7 +36,9 @@ use crate::alg1::Alg1Node;
 use crate::alg2::Alg2Node;
 use crate::alg3::{Alg3Node, IdScheme};
 use co_net::sched::SolitudeScheduler;
-use co_net::{Budget, Direction, Outcome, Port, Protocol, Pulse, RingSpec, Simulation};
+use co_net::{
+    Budget, Direction, Outcome, Port, Protocol, Pulse, RingSpec, SimObserver, Simulation, StepInfo,
+};
 use std::fmt;
 
 /// A solitude pattern (Definition 21): the direction sequence of pulses a
@@ -110,6 +112,18 @@ pub struct SolitudeExtract {
     pub completed: bool,
 }
 
+/// Collects the direction of every delivery the node processed; an ignored
+/// delivery (to a node that already terminated) is not part of the pattern.
+struct Directions(Vec<Direction>);
+
+impl<P: Protocol<Pulse>> SimObserver<Pulse, P> for Directions {
+    fn after_step(&mut self, _sim: &Simulation<Pulse, P>, step: &StepInfo) {
+        if !step.ignored {
+            self.0.extend(step.direction);
+        }
+    }
+}
+
 /// Extracts the solitude pattern of an arbitrary protocol.
 ///
 /// Runs `node` on a one-node ring (self-loop) under the canonical scheduler
@@ -128,8 +142,8 @@ pub fn solitude_pattern<P: Protocol<Pulse>>(node: P, budget: Budget) -> Option<S
         vec![node],
         Box::new(SolitudeScheduler::new()),
     );
-    sim.enable_trace(None);
-    let report = sim.run(budget);
+    let mut directions = Directions(Vec::new());
+    let report = sim.run_observed(budget, &mut directions);
     let completed = matches!(
         report.outcome,
         Outcome::QuiescentTerminated | Outcome::TerminatedNonQuiescent | Outcome::Quiescent
@@ -137,9 +151,8 @@ pub fn solitude_pattern<P: Protocol<Pulse>>(node: P, budget: Budget) -> Option<S
     if !completed {
         return None;
     }
-    let directions = sim.trace().expect("trace enabled").delivery_directions();
     Some(SolitudeExtract {
-        pattern: SolitudePattern::from_directions(&directions),
+        pattern: SolitudePattern::from_directions(&directions.0),
         sent: report.total_sent,
         completed,
     })
@@ -212,13 +225,6 @@ pub fn max_prefix_group(patterns: &[SolitudePattern], n: usize) -> (usize, Vec<u
         }
     }
     (best_s, order[best_at..best_at + n].to_vec())
-}
-
-/// Length of the longest prefix shared by at least `n` of the patterns —
-/// the quantity Corollary 24 lower-bounds by `⌊log(k/n)⌋`.
-#[must_use]
-pub fn shared_prefix_len(patterns: &[SolitudePattern], n: usize) -> usize {
-    max_prefix_group(patterns, n).0
 }
 
 /// Theorem 20 / Theorem 4: the minimum number of pulses any terminating

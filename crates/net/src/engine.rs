@@ -5,8 +5,10 @@
 //! queues behind a pluggable [`QueueStore`], the incrementally maintained
 //! ready list, scheduler dispatch, fault application ([`FaultPlan`]), budget
 //! and quiescence accounting ([`Budget`], [`Outcome`]), aggregate statistics
-//! ([`SimStats`]), and event recording into the optional [`Trace`] and the
-//! [`RunMetrics`] run-summary collector.
+//! ([`SimStats`]), and the optional [`RunMetrics`] high-water marks. A
+//! whole run is watched delivery by delivery through the facades'
+//! observers ([`SimObserver`](crate::SimObserver)), which read the
+//! [`EngineStep`] each delivery returns.
 //!
 //! Two abstractions parameterize the core:
 //!
@@ -42,7 +44,6 @@ use crate::prof;
 use crate::sched::{ChannelView, Scheduler};
 use crate::snapshot::Schedule;
 use crate::topology::ChannelId;
-use crate::trace::{Trace, TraceEvent};
 use rand::rngs::StdRng;
 use std::collections::VecDeque;
 use std::error::Error;
@@ -113,47 +114,17 @@ pub trait EventHandler<M: Message> {
     fn is_terminated(&self, node: usize) -> bool;
 }
 
-/// A model-violating channel fault, as recorded in a [`TraceEvent::Fault`]
-/// and counted in [`RunMetrics::faults`].
-#[derive(Copy, Clone, Debug, PartialEq, Eq)]
-pub enum FaultKind {
-    /// A sent message was silently discarded.
-    Dropped,
-    /// A spurious copy of a sent message was enqueued behind it.
-    Duplicated,
-    /// A spurious message was injected without any node sending it.
-    Injected,
-}
-
-impl fmt::Display for FaultKind {
-    fn fmt(&self, f: &mut fmt::Formatter<'_>) -> fmt::Result {
-        f.write_str(match self {
-            FaultKind::Dropped => "dropped",
-            FaultKind::Duplicated => "duplicated",
-            FaultKind::Injected => "injected",
-        })
-    }
-}
-
-/// Run-summary metrics aggregated from engine events.
+/// Run-summary metrics the engine keeps while [`EventCore::enable_metrics`]
+/// is on: the two high-water marks that no other counter holds.
 ///
-/// Once [`EventCore::enable_metrics`] is called, the engine folds every
-/// [`TraceEvent`] it emits into it. Unlike a [`Trace`] it keeps O(1) state
-/// regardless of run length, so it can instrument the full
-/// `n(2·ID_max + 1)`-pulse executions of the paper's algorithms.
+/// Both are updated where a message is queued, so the state stays O(1)
+/// however long the run. Sends, deliveries and faults are counted in
+/// [`SimStats`] and [`FaultStats`] whether or not metrics are on.
 #[derive(Copy, Clone, Debug, Default, PartialEq, Eq)]
 pub struct RunMetrics {
-    /// Messages sent by nodes.
-    pub sends: u64,
-    /// Pulses (messages) delivered to live nodes.
-    pub pulses_delivered: u64,
-    /// Messages delivered to terminated nodes and ignored.
-    pub ignored: u64,
-    /// Nodes that entered a terminating state.
-    pub terminations: u64,
-    /// Channel faults applied (drops + duplications + injections).
-    pub faults: u64,
-    /// Peak number of messages simultaneously in transit.
+    /// Peak number of messages queued at once across all channels,
+    /// duplicates and injected messages included. A dropped send is never
+    /// queued, so it never counts as in flight.
     pub max_in_flight: u64,
     /// High-water mark of queued bytes across all channels, as accounted by
     /// the engine's [`QueueStore`].
@@ -161,55 +132,8 @@ pub struct RunMetrics {
     /// This field is *backend-dependent by design* — it is the measured
     /// footprint of the storage actually in use, not an estimate, so the
     /// same run costs far fewer bytes under [`QueueBackend::Counter`] than
-    /// under [`QueueBackend::Vec`]. Filled in by the owning engine from its
-    /// store: events carry no size information.
+    /// under [`QueueBackend::Vec`].
     pub peak_queue_bytes: u64,
-    in_flight: u64,
-}
-
-impl RunMetrics {
-    /// A fresh collector.
-    #[must_use]
-    pub fn new() -> RunMetrics {
-        RunMetrics::default()
-    }
-
-    fn gain(&mut self) {
-        self.in_flight += 1;
-        self.max_in_flight = self.max_in_flight.max(self.in_flight);
-    }
-
-    fn lose(&mut self) {
-        self.in_flight = self.in_flight.saturating_sub(1);
-    }
-
-    /// Folds one engine event into the summary.
-    pub(crate) fn record(&mut self, event: &TraceEvent) {
-        match *event {
-            TraceEvent::Send { .. } => {
-                self.sends += 1;
-                self.gain();
-            }
-            TraceEvent::Deliver { .. } => {
-                self.pulses_delivered += 1;
-                self.lose();
-            }
-            TraceEvent::DeliverIgnored { .. } => {
-                self.ignored += 1;
-                self.lose();
-            }
-            TraceEvent::Terminate { .. } => self.terminations += 1,
-            TraceEvent::Fault { kind, .. } => {
-                self.faults += 1;
-                match kind {
-                    // A dropped message was counted at its send but never travels.
-                    FaultKind::Dropped => self.lose(),
-                    FaultKind::Duplicated | FaultKind::Injected => self.gain(),
-                }
-            }
-            TraceEvent::Start { .. } => {}
-        }
-    }
 }
 
 /// Step/message budget bounding a run.
@@ -680,7 +604,7 @@ impl<M: Message> QueueStore<M> {
 /// recorded schedule. Restoring it makes the core behave exactly as the
 /// captured one would from that point on.
 ///
-/// Deliberately *not* captured: traces, metrics, and the recorded schedule
+/// Deliberately *not* captured: metrics and the recorded schedule
 /// beyond its length at capture time. Those are instrumentation of one
 /// particular execution; a restore rewinds the engine, not its records.
 #[derive(Clone, Debug)]
@@ -773,7 +697,6 @@ pub struct EventCore<M: Message, T: Topology> {
     stats: SimStats,
     send_seq: u64,
     started: bool,
-    trace: Option<Trace>,
     metrics: Option<RunMetrics>,
     outbox: Vec<(usize, M)>,
     faults: FaultPlan,
@@ -836,7 +759,6 @@ impl<M: Message, T: Topology> EventCore<M, T> {
             stats,
             send_seq: 0,
             started: false,
-            trace: None,
             metrics: None,
             outbox: Vec::new(),
             faults: FaultPlan::new(),
@@ -916,29 +838,15 @@ impl<M: Message, T: Topology> EventCore<M, T> {
         self.clock.now()
     }
 
-    /// Enables event tracing (unbounded if `cap` is `None`).
-    pub fn enable_trace(&mut self, cap: Option<usize>) {
-        self.trace = Some(match cap {
-            Some(c) => Trace::with_capacity(c),
-            None => Trace::new(),
-        });
-    }
-
-    /// The recorded trace, if tracing was enabled.
-    #[must_use]
-    pub fn trace(&self) -> Option<&Trace> {
-        self.trace.as_ref()
-    }
-
-    /// Enables the O(1) run-summary metrics collector.
+    /// Enables the O(1) run-summary metrics ([`RunMetrics`]).
     pub fn enable_metrics(&mut self) {
-        self.metrics = Some(RunMetrics::new());
+        self.metrics = Some(RunMetrics::default());
     }
 
-    /// The collected run metrics, if enabled.
+    /// The run metrics so far, if enabled.
     #[must_use]
-    pub fn metrics(&self) -> Option<&RunMetrics> {
-        self.metrics.as_ref()
+    pub fn metrics(&self) -> Option<RunMetrics> {
+        self.metrics
     }
 
     /// Replaces the delivery adversary for subsequent steps.
@@ -1011,7 +919,6 @@ impl<M: Message, T: Topology> EventCore<M, T> {
             stats,
             send_seq,
             started,
-            trace: _,
             metrics: _,
             outbox: _,
             faults: _,
@@ -1100,25 +1007,6 @@ impl<M: Message, T: Topology> EventCore<M, T> {
         }
     }
 
-    fn observing(&self) -> bool {
-        self.trace.is_some() || self.metrics.is_some()
-    }
-
-    /// Kept out of line: every call site is behind an `observing()` check,
-    /// and inlining the recording body into the delivery and send paths
-    /// slowed untraced runs (`elect-n1000`) by about a tenth.
-    #[inline(never)]
-    fn emit(&mut self, event: TraceEvent) {
-        let t = prof::start();
-        if let Some(tr) = &mut self.trace {
-            tr.push(event);
-        }
-        if let Some(m) = &mut self.metrics {
-            m.record(&event);
-        }
-        prof::stop(prof::Phase::Observe, t);
-    }
-
     /// Injects a spurious message into a channel, as forbidden channel
     /// noise would (experiment E11). Counted in [`EventCore::fault_stats`]
     /// but *not* in `total_sent` — no node sent it.
@@ -1126,12 +1014,6 @@ impl<M: Message, T: Topology> EventCore<M, T> {
         let seq = self.send_seq;
         self.send_seq += 1;
         self.fault_stats.injected += 1;
-        if self.observing() {
-            self.emit(TraceEvent::Fault {
-                kind: FaultKind::Injected,
-                seq,
-            });
-        }
         self.enqueue::<true>(channel, msg, seq);
     }
 
@@ -1140,8 +1022,8 @@ impl<M: Message, T: Topology> EventCore<M, T> {
     ///
     /// `enqueue`, [`EventCore::flush_outbox`], [`EventCore::deliver`] and
     /// the step they serve take `OBSERVED`: `true` keeps the profiler
-    /// brackets and the trace, metrics and recording checks, `false`
-    /// compiles them out for a [`EventCore::run`] that nothing observes.
+    /// brackets and the metrics and recording checks, `false` compiles
+    /// them out for a [`EventCore::run`] that nothing observes.
     fn enqueue<const OBSERVED: bool>(&mut self, channel: usize, msg: M, seq: u64) {
         let t = bracket::<OBSERVED>();
         // Stamp the message's virtual arrival: a latency sample from the
@@ -1167,14 +1049,16 @@ impl<M: Message, T: Topology> EventCore<M, T> {
             self.ready_pos[channel] = self.ready.len();
             self.ready.push(ChannelId::from_index(channel));
         }
-        if let Some(m) = self.metrics.as_mut().filter(|_| OBSERVED) {
-            let peak = self.queues.peak_queue_bytes() as u64;
-            if peak > m.peak_queue_bytes {
-                m.peak_queue_bytes = peak;
-            }
-        }
         let view = self.view(channel);
         prof::stop(prof::Phase::Enqueue, t);
+        if let Some(m) = self.metrics.as_mut().filter(|_| OBSERVED) {
+            let t = prof::start();
+            m.max_in_flight = m.max_in_flight.max(self.queues.total_len() as u64);
+            m.peak_queue_bytes = m
+                .peak_queue_bytes
+                .max(self.queues.peak_queue_bytes() as u64);
+            prof::stop(prof::Phase::Observe, t);
+        }
         let t = bracket::<OBSERVED>();
         self.scheduler.on_send(seq, arrival, view);
         prof::stop(prof::Phase::Index, t);
@@ -1191,34 +1075,14 @@ impl<M: Message, T: Topology> EventCore<M, T> {
             if let Some(d) = direction {
                 self.stats.sent_by_direction[d.index()] += 1;
             }
-            if OBSERVED && self.observing() {
-                self.emit(TraceEvent::Send {
-                    node,
-                    port,
-                    seq,
-                    direction,
-                });
-            }
             if self.faults.should_drop(seq) {
                 self.fault_stats.dropped += 1;
-                if OBSERVED && self.observing() {
-                    self.emit(TraceEvent::Fault {
-                        kind: FaultKind::Dropped,
-                        seq,
-                    });
-                }
                 continue;
             }
             if self.faults.should_duplicate(seq) {
                 self.fault_stats.duplicated += 1;
                 let dup_seq = self.send_seq;
                 self.send_seq += 1;
-                if OBSERVED && self.observing() {
-                    self.emit(TraceEvent::Fault {
-                        kind: FaultKind::Duplicated,
-                        seq: dup_seq,
-                    });
-                }
                 self.enqueue::<OBSERVED>(channel, msg.clone(), seq);
                 self.enqueue::<OBSERVED>(channel, msg, dup_seq);
             } else {
@@ -1227,16 +1091,9 @@ impl<M: Message, T: Topology> EventCore<M, T> {
         }
     }
 
-    fn note_termination<const OBSERVED: bool, H: EventHandler<M>>(
-        &mut self,
-        node: usize,
-        handler: &H,
-    ) {
+    fn note_termination<H: EventHandler<M>>(&mut self, node: usize, handler: &H) {
         if !self.terminated[node] && handler.is_terminated(node) {
             self.terminated[node] = true;
-            if OBSERVED && self.observing() {
-                self.emit(TraceEvent::Terminate { node });
-            }
         }
     }
 
@@ -1247,14 +1104,11 @@ impl<M: Message, T: Topology> EventCore<M, T> {
         }
         self.started = true;
         for node in 0..self.topology.len() {
-            if self.observing() {
-                self.emit(TraceEvent::Start { node });
-            }
             let mut outbox = std::mem::take(&mut self.outbox);
             handler.on_start(node, self.topology.degree(node), &mut outbox);
             self.flush_outbox::<true>(node, &mut outbox);
             self.outbox = outbox;
-            self.note_termination::<true, H>(node, handler);
+            self.note_termination(node, handler);
         }
     }
 
@@ -1416,27 +1270,14 @@ impl<M: Message, T: Topology> EventCore<M, T> {
         }
         prof::stop(prof::Phase::Index, t);
 
-        if ignored {
-            if OBSERVED && self.observing() {
-                self.emit(TraceEvent::DeliverIgnored { node, port, seq });
-            }
-        } else {
-            if OBSERVED && self.observing() {
-                self.emit(TraceEvent::Deliver {
-                    node,
-                    port,
-                    seq,
-                    direction,
-                    at,
-                });
-            }
+        if !ignored {
             let t = bracket::<OBSERVED>();
             let mut outbox = std::mem::take(&mut self.outbox);
             handler.on_message(node, self.topology.degree(node), port, msg, &mut outbox);
             prof::stop(prof::Phase::Deliver, t);
             self.flush_outbox::<OBSERVED>(node, &mut outbox);
             self.outbox = outbox;
-            self.note_termination::<OBSERVED, H>(node, handler);
+            self.note_termination(node, handler);
         }
 
         EngineStep {
@@ -1452,8 +1293,8 @@ impl<M: Message, T: Topology> EventCore<M, T> {
 
     /// Runs until quiescence or budget exhaustion.
     ///
-    /// Whether anything observes the run — the profiler, a trace, metrics
-    /// or schedule recording — is read once, here: a run that nothing
+    /// Whether anything observes the run — the profiler, metrics or
+    /// schedule recording — is read once, here: a run that nothing
     /// observes delivers through a quiet instantiation of the step, with
     /// the profiler brackets and the observer checks compiled out.
     ///
@@ -1463,7 +1304,7 @@ impl<M: Message, T: Topology> EventCore<M, T> {
     /// ready.
     pub fn run<H: EventHandler<M>>(&mut self, handler: &mut H, budget: Budget) -> RunReport {
         self.start(handler);
-        if prof::enabled() || self.observing() || self.recorded.is_some() {
+        if prof::enabled() || self.metrics.is_some() || self.recorded.is_some() {
             self.run_as::<true, H>(handler, budget);
         } else {
             self.run_as::<false, H>(handler, budget);
@@ -1558,41 +1399,6 @@ impl<M: Message, T: Topology + fmt::Debug> fmt::Debug for EventCore<M, T> {
 #[cfg(test)]
 mod tests {
     use super::*;
-
-    #[test]
-    fn run_metrics_track_in_flight_extremes() {
-        let mut m = RunMetrics::new();
-        m.record(&TraceEvent::Send {
-            node: 0,
-            port: 1,
-            seq: 0,
-            direction: None,
-        });
-        m.record(&TraceEvent::Send {
-            node: 1,
-            port: 0,
-            seq: 1,
-            direction: None,
-        });
-        m.record(&TraceEvent::Deliver {
-            node: 1,
-            port: 0,
-            seq: 0,
-            direction: None,
-            at: 0,
-        });
-        m.record(&TraceEvent::Terminate { node: 1 });
-        m.record(&TraceEvent::DeliverIgnored {
-            node: 1,
-            port: 0,
-            seq: 1,
-        });
-        assert_eq!(m.sends, 2);
-        assert_eq!(m.pulses_delivered, 1);
-        assert_eq!(m.ignored, 1);
-        assert_eq!(m.terminations, 1);
-        assert_eq!(m.max_in_flight, 2);
-    }
 
     #[test]
     fn queue_backend_parses_and_displays() {

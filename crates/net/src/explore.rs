@@ -128,8 +128,16 @@ pub struct ExploreReport {
     /// table files) — the out-of-core share of the footprint.
     pub visited_file_bytes: usize,
     /// Frontier items that were spilled to disk at some point of the run.
+    ///
+    /// With two or more workers this varies from run to run: a worker
+    /// spills what its own frontier holds, which depends on the hand-offs.
     pub spilled_jobs: usize,
     /// Checkpoint files written (including the final one).
+    ///
+    /// With two or more workers this varies from run to run: a leg ends
+    /// once the workers notice the pause, a racy number of admissions past
+    /// its target, so the legs drift. Every other field is the same at any
+    /// worker count for a complete run.
     pub checkpoints_written: usize,
 }
 

@@ -58,7 +58,6 @@
 #![forbid(unsafe_code)]
 #![warn(missing_docs)]
 
-pub mod analysis;
 pub mod clock;
 pub mod dedup;
 pub mod engine;
@@ -75,15 +74,14 @@ pub mod shrink;
 pub mod sim;
 pub mod snapshot;
 pub mod topology;
-pub mod trace;
 
 pub use clock::{LatencyModel, LatencyPlan, VirtualClock};
 pub use dedup::{
     DedupBytes, DedupKind, FingerprintStore, MmapStore, ParseDedupError, ShardedIndex,
 };
 pub use engine::{
-    CoreSnapshot, EngineError, EngineStep, EventCore, EventHandler, FaultKind, QueueBackend,
-    QueueStore, RunMetrics, Topology,
+    CoreSnapshot, EngineError, EngineStep, EventCore, EventHandler, QueueBackend, QueueStore,
+    RunMetrics, Topology,
 };
 pub use faults::{FaultPlan, FaultStats};
 pub use fleet::{FleetConfig, FleetReport, FleetRingDetail, PulseHistogram, RingPlan, RingSizes};
@@ -98,4 +96,3 @@ pub use sim::{
 };
 pub use snapshot::{Fingerprint, Schedule, Snapshot};
 pub use topology::{ChannelId, NodeIndex, RingSpec, Wiring};
-pub use trace::{Trace, TraceEvent};

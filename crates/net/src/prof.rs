@@ -5,7 +5,8 @@
 //! bracketed with [`start`]/[`stop`] pairs. The fleet kernel
 //! ([`crate::fleet`]) is not: its per-pulse loop is short enough that
 //! three disabled brackets per pulse were a measurable share of it, so
-//! `tables --profile` books no fleet pulse under an engine phase, and
+//! `tables --profile` books no fleet pulse under an engine phase (for a
+//! fleet-only experiment it says that no profiled phase ran), and
 //! fleet time is measured per shard and per round by perfbench's
 //! `fleet.*` spans. While profiling is off (the
 //! default), each bracket is a single relaxed atomic load and no clock is
@@ -63,8 +64,8 @@ pub enum Phase {
     Dequeue,
     /// Protocol dispatch: the receiving node's `on_message` handler.
     Deliver,
-    /// Event recording: appending to the trace and folding into the run
-    /// metrics, whichever of the two is enabled.
+    /// The run metrics' update on each enqueue (the in-flight and
+    /// queued-bytes high-water marks), while metrics are enabled.
     Observe,
     /// The explorer building a frontier record: one flat pulse
     /// configuration per admitted successor (see

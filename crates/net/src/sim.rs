@@ -15,8 +15,8 @@
 //!
 //! [`Simulation`] is a thin, `Port`-typed facade over the generic
 //! [`EventCore`] (see the [`engine`](crate::engine)
-//! module): the core owns queues, scheduler dispatch, faults, accounting,
-//! and event recording, while this facade pins the topology to the two-port
+//! module): the core owns queues, scheduler dispatch, faults and
+//! accounting, while this facade pins the topology to the two-port
 //! ring [`Wiring`] and dispatches events into [`Protocol`] nodes.
 //!
 //! The run loop is exposed one step at a time ([`Simulation::step`]) so that
@@ -34,7 +34,6 @@ use crate::port::{Direction, Port};
 use crate::sched::{ReplayScheduler, Scheduler};
 use crate::snapshot::{Fingerprint, Schedule, Snapshot};
 use crate::topology::{ChannelId, NodeIndex, Wiring};
-use crate::trace::Trace;
 use std::fmt;
 use std::marker::PhantomData;
 
@@ -177,10 +176,12 @@ impl<M: Message, P: Snapshot> fmt::Debug for SimSnapshot<M, P> {
 
 /// A whole-run spectator with access to the global simulation state.
 ///
-/// Where a [`Trace`] or [`RunMetrics`] records the engine's raw events, a
-/// `SimObserver` is called *after* each delivery with the full post-event
-/// [`Simulation`] — node states included — which is what `co-core`'s
-/// invariant monitors (executable Lemmas 6–12 and 17) need. Attach one with
+/// The one way to watch a run delivery by delivery: a `SimObserver` is
+/// called *after* each delivery with its [`StepInfo`] (channel, receiver,
+/// sequence number, direction, whether it was ignored) and the full
+/// post-event [`Simulation`] — node states included — which is what
+/// `co-core`'s invariant monitors (executable Lemmas 6–12 and 17) and the
+/// solitude patterns of Definition 21 need. Attach one with
 /// [`Simulation::run_observed`] or [`Simulation::replay_observed`].
 pub trait SimObserver<M: Message, P: Protocol<M>> {
     /// Called after every delivery with the post-event state.
@@ -339,25 +340,14 @@ impl<M: Message, P: Protocol<M>> Simulation<M, P> {
         self.core.inject(channel.index(), msg);
     }
 
-    /// Enables event tracing (unbounded if `cap` is `None`).
-    pub fn enable_trace(&mut self, cap: Option<usize>) {
-        self.core.enable_trace(cap);
-    }
-
-    /// The recorded trace, if tracing was enabled.
-    #[must_use]
-    pub fn trace(&self) -> Option<&Trace> {
-        self.core.trace()
-    }
-
-    /// Enables the O(1) run-summary metrics collector ([`RunMetrics`]).
+    /// Enables the O(1) run-summary metrics ([`RunMetrics`]).
     pub fn enable_metrics(&mut self) {
         self.core.enable_metrics();
     }
 
-    /// The collected run metrics, if enabled.
+    /// The run metrics so far, if enabled.
     #[must_use]
-    pub fn metrics(&self) -> Option<&RunMetrics> {
+    pub fn metrics(&self) -> Option<RunMetrics> {
         self.core.metrics()
     }
 
@@ -718,11 +708,9 @@ impl<M: Message, P: Protocol<M> + fmt::Debug> fmt::Debug for Simulation<M, P> {
 mod tests {
     use super::*;
     use crate::clock::{LatencyModel, LatencyPlan};
-    use crate::engine::FaultKind;
     use crate::message::Pulse;
     use crate::sched::{BoundedDelayScheduler, FifoScheduler, PhaseSwitchScheduler, SchedulerKind};
     use crate::topology::RingSpec;
-    use crate::trace::TraceEvent;
 
     /// Sends `budget` pulses clockwise, one per received pulse.
     #[derive(Debug)]
@@ -808,7 +796,6 @@ mod tests {
     #[test]
     fn stats_account_every_message() {
         let mut sim = ring_sim(4, 5);
-        sim.enable_trace(None);
         let report = sim.run(Budget::default());
         let stats = sim.stats();
         assert_eq!(stats.total_sent, report.total_sent);
@@ -823,65 +810,82 @@ mod tests {
         assert_eq!(stats.sent_by_direction[Direction::Ccw.index()], 0);
         let per_node: u64 = (0..4).map(|i| stats.sent_by_node(i)).sum();
         assert_eq!(per_node, report.total_sent);
-        // Trace recorded one Send per sent message and a start per node.
-        let trace = sim.trace().expect("trace enabled");
-        let sends = trace
-            .events()
-            .iter()
-            .filter(|e| matches!(e, TraceEvent::Send { .. }))
-            .count() as u64;
-        assert_eq!(sends, report.total_sent);
     }
 
     #[test]
-    fn metrics_observer_matches_stats() {
-        let mut sim = ring_sim(4, 5);
-        sim.enable_metrics();
-        let report = sim.run(Budget::default());
-        let metrics = *sim.metrics().expect("metrics enabled");
-        assert_eq!(metrics.sends, report.total_sent);
-        assert_eq!(metrics.pulses_delivered, sim.stats().total_delivered);
-        assert_eq!(metrics.ignored, sim.stats().delivered_to_terminated);
-        assert_eq!(metrics.terminations, 4);
-        assert_eq!(metrics.faults, 0);
-        assert!(metrics.max_in_flight >= 1);
+    fn run_metrics_track_in_flight_extremes() {
+        // Four tickers each start one pulse and relay one per receipt, so
+        // the ring carries one pulse per message queued at the start.
+        let peak = |faults: FaultPlan| {
+            let mut sim = ring_sim(4, 5);
+            sim.set_faults(faults);
+            sim.enable_metrics();
+            sim.run(Budget::default());
+            let metrics = sim.metrics().expect("metrics enabled");
+            assert_eq!(metrics.peak_queue_bytes, sim.peak_queue_bytes() as u64);
+            metrics.max_in_flight
+        };
+        assert_eq!(peak(FaultPlan::new()), 4);
+        // The last start-up send is dropped: it is never queued, so it
+        // never counts as in flight.
+        assert_eq!(peak(FaultPlan::new().drop_seq(3)), 3);
+        // A duplicate is queued behind its original and counts.
+        assert_eq!(peak(FaultPlan::new().duplicate_seq(3)), 5);
+    }
+
+    /// Collects every delivered step.
+    struct Steps(Vec<StepInfo>);
+
+    impl<P: Protocol<Pulse>> SimObserver<Pulse, P> for Steps {
+        fn after_step(&mut self, _sim: &Simulation<Pulse, P>, step: &StepInfo) {
+            self.0.push(*step);
+        }
     }
 
     #[test]
-    fn fault_events_reach_the_trace_and_the_metrics() {
+    fn faults_show_in_delivered_seqs_and_fault_stats() {
         let mut sim = ring_sim(4, 5);
         sim.set_faults(FaultPlan::new().drop_seq(1).duplicate_seq(2));
-        sim.enable_trace(None);
-        sim.enable_metrics();
-        sim.run(Budget::default());
-        let trace = sim.trace().expect("trace enabled");
-        let faults: Vec<TraceEvent> = trace
-            .events()
-            .iter()
-            .copied()
-            .filter(|e| matches!(e, TraceEvent::Fault { .. }))
-            .collect();
-        // The duplicate takes the next sequence number after its original.
-        let want = [
-            TraceEvent::Fault {
-                kind: FaultKind::Dropped,
-                seq: 1,
-            },
-            TraceEvent::Fault {
-                kind: FaultKind::Duplicated,
-                seq: 3,
-            },
-        ];
-        assert_eq!(faults, want);
-        // The engine's metrics are the trace folded through `record`.
-        let metrics = *sim.metrics().expect("metrics enabled");
-        let mut folded = RunMetrics::new();
-        for event in trace.events() {
-            folded.record(event);
+        let mut steps = Steps(Vec::new());
+        sim.run_observed(Budget::default(), &mut steps);
+        assert_eq!(
+            sim.fault_stats(),
+            FaultStats {
+                dropped: 1,
+                duplicated: 1,
+                injected: 0
+            }
+        );
+        let seqs: Vec<u64> = steps.0.iter().map(|s| s.seq).collect();
+        // The dropped send never arrives.
+        assert!(!seqs.contains(&1));
+        // The duplicate takes the next sequence number after its original
+        // and arrives on the same channel right behind it.
+        let original = steps.0.iter().position(|s| s.seq == 2).expect("seq 2");
+        let copy = steps.0.iter().position(|s| s.seq == 3).expect("seq 3");
+        assert!(original < copy);
+        assert_eq!(steps.0[original].channel, steps.0[copy].channel);
+    }
+
+    #[test]
+    fn fifo_law_holds_for_every_scheduler() {
+        // Every channel delivers in send order: the seqs delivered at each
+        // receiving (node, port) increase.
+        for kind in SchedulerKind::ALL {
+            let spec = RingSpec::oriented(vec![1, 2, 3]);
+            let nodes = (0..3).map(|_| Ticker::new(5)).collect();
+            let mut sim: Simulation<Pulse, Ticker> =
+                Simulation::new(spec.wiring(), nodes, kind.build(3));
+            let mut steps = Steps(Vec::new());
+            sim.run_observed(Budget::default(), &mut steps);
+            assert!(!steps.0.is_empty(), "{kind}");
+            let mut last = std::collections::HashMap::new();
+            for step in &steps.0 {
+                if let Some(prev) = last.insert((step.node, step.port), step.seq) {
+                    assert!(prev < step.seq, "{kind}: seq {} after {prev}", step.seq);
+                }
+            }
         }
-        folded.peak_queue_bytes = metrics.peak_queue_bytes;
-        assert_eq!(folded, metrics);
-        assert_eq!(metrics.faults, 2);
     }
 
     #[test]

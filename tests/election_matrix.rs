@@ -141,11 +141,35 @@ fn message_complexity_depends_on_id_max_not_n() {
 fn alg2_direction_split_matches_the_analysis() {
     // Theorem 1's accounting, per direction: exactly n·ID_max clockwise
     // pulses (the CW instance) and n·ID_max + n counterclockwise ones (the
-    // CCW instance plus the termination round) — verified from a recorded
-    // trace via the analysis tooling.
+    // CCW instance plus the termination round), with every channel FIFO,
+    // no ignored delivery, and the leader terminating last.
     use content_oblivious::core::Alg2Node;
-    use content_oblivious::net::analysis::{direction_split, fifo_violation, summarize};
-    use content_oblivious::net::{Budget, Pulse, Simulation};
+    use content_oblivious::net::{
+        Budget, Direction, Port, Pulse, SimObserver, Simulation, StepInfo,
+    };
+    use std::collections::HashMap;
+
+    /// Checks per-channel FIFO and records the order of terminations.
+    #[derive(Default)]
+    struct Watch {
+        last_seq: HashMap<(usize, Port), u64>,
+        fifo_violation: Option<u64>,
+        termination_order: Vec<usize>,
+    }
+
+    impl SimObserver<Pulse, Alg2Node> for Watch {
+        fn after_step(&mut self, sim: &Simulation<Pulse, Alg2Node>, step: &StepInfo) {
+            if let Some(prev) = self.last_seq.insert((step.node, step.port), step.seq) {
+                if step.seq < prev && self.fifo_violation.is_none() {
+                    self.fifo_violation = Some(step.seq);
+                }
+            }
+            // Only the receiver can terminate on a delivery.
+            if sim.is_terminated(step.node) && !self.termination_order.contains(&step.node) {
+                self.termination_order.push(step.node);
+            }
+        }
+    }
 
     let spec = RingSpec::oriented(vec![3, 8, 5, 2]);
     let n = 4u64;
@@ -158,18 +182,28 @@ fn alg2_direction_split_matches_the_analysis() {
         let nodes = Alg2Def::nodes(&spec);
         let mut sim: Simulation<Pulse, Alg2Node> =
             Simulation::new(spec.wiring(), nodes, kind.build(9));
-        sim.enable_trace(None);
-        let report = sim.run(Budget::default());
+        let mut watch = Watch::default();
+        let report = sim.run_observed(Budget::default(), &mut watch);
         assert_eq!(report.outcome, Outcome::QuiescentTerminated, "{kind}");
-        let trace = sim.trace().expect("trace enabled");
-        let (cw, ccw) = direction_split(trace);
-        assert_eq!(cw, n * id_max, "{kind}");
-        assert_eq!(ccw, n * id_max + n, "{kind}");
-        assert_eq!(fifo_violation(trace), None, "{kind}");
-        let summary = summarize(trace);
-        assert_eq!(summary.ignored, 0, "{kind}: quiescent termination");
+        let stats = sim.stats();
+        assert_eq!(
+            stats.sent_by_direction[Direction::Cw.index()],
+            n * id_max,
+            "{kind}"
+        );
+        assert_eq!(
+            stats.sent_by_direction[Direction::Ccw.index()],
+            n * id_max + n,
+            "{kind}"
+        );
+        assert_eq!(watch.fifo_violation, None, "{kind}");
+        assert_eq!(
+            stats.delivered_to_terminated, 0,
+            "{kind}: quiescent termination"
+        );
         // The leader (position 1) terminates last (paper §1.1).
-        assert_eq!(summary.termination_order.last(), Some(&1), "{kind}");
+        assert_eq!(watch.termination_order.len(), 4, "{kind}");
+        assert_eq!(watch.termination_order.last(), Some(&1), "{kind}");
     }
 }
 

@@ -23,7 +23,10 @@
 //! (the `tables` binary is the one). The explorer is one path: the second,
 //! tuple-keyed explorer and the visited-set byte budget only it was
 //! compared under are gone, and an independent model in `tests/model`
-//! checks the explorer's counts instead. No source under `crates/`,
+//! checks the explorer's counts instead. A run is watched one way: the
+//! engine's event log (its trace, event and fault-kind types and the trace
+//! analysis module) is gone, because a delivery is fully described by the
+//! `StepInfo` a `SimObserver` already receives. No source under `crates/`,
 //! `tests/` or `examples/` names any of them again.
 
 use std::fs;
@@ -159,7 +162,8 @@ fn engine_snapshots_keep_no_second_encoding_of_run_state() {
 
 /// Names of the deleted async node facade, engine timer heap,
 /// thread-per-node runtime, starve-node adversary, micro-bench harness,
-/// `co-ring tables` command, second explorer and its byte budget. Each is
+/// `co-ring tables` command, second explorer and its byte budget, and
+/// engine event log. Each is
 /// split with `concat!` so that this file, which the guard also reads, does
 /// not contain the names it forbids.
 const DELETED_LAYERS: &[&str] = &[
@@ -182,6 +186,11 @@ const DELETED_LAYERS: &[&str] = &[
     concat!("Command::", "Tables"),
     concat!("explore", "_reference"),
     concat!("max_state", "_bytes"),
+    concat!("Trace", "Event"),
+    concat!("enable", "_trace"),
+    concat!("delivery", "_directions"),
+    concat!("Fault", "Kind"),
+    concat!("analysis", "::"),
 ];
 
 #[test]
@@ -207,8 +216,8 @@ fn no_source_names_the_async_facade_or_the_timer_heap() {
     assert!(
         leaks.is_empty(),
         "a deleted layer is back (the model has no timers or runtime of its own, \
-         the experiments have one front end and one timing path, and there is \
-         one explorer):\n{}",
+         the experiments have one front end and one timing path, there is \
+         one explorer, and runs are watched through StepInfo):\n{}",
         leaks.join("\n")
     );
 }
